@@ -218,6 +218,7 @@ def cmd_optimize_power(args) -> int:
             "terminal_multiplier": schedule.terminal_multiplier,
             "max_stationarity_residual":
                 float(np.abs(schedule.stationarity_residuals).max()),
+            "inner_solves": schedule.inner_solves,
             "Lambda": [lam.tolist() for lam in schedule.Lambda],
         }
     else:

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import LqcoordError, ParseError, ValidationError
 from .model import SystemModel
 from .presets import TARGETS, load_preset
 
@@ -87,7 +87,7 @@ class ExperimentConfig:
         kwargs = {f: np.asarray(self.system[f], dtype=float) for f in _MATRIX_FIELDS}
         try:
             return SystemModel(n=self.horizon, **kwargs)
-        except (ValidationError, Exception) as exc:
+        except (LqcoordError, np.linalg.LinAlgError) as exc:
             raise ValidationError(f"system: {exc}") from exc
 
     def resolve_target(self) -> np.ndarray | None:

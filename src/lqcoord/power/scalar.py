@@ -12,28 +12,39 @@ expression
     g_t = c1_t + c2_t sqrt(b_t)/(2 sqrt(a_t)) - b_t theta_{t+1}/(1+a_t)^2,
     theta_t = c3_t + c2_t sqrt(a_t)/(2 sqrt(b_t)) + theta_{t+1}/(1+a_t).
 
-The production solver therefore minimizes J directly (L-BFGS on log a,
-then per-step root polishing), which lands on a trajectory satisfying
-every stationarity equation by construction. A single backward sweep from
-a guessed terminal (b_n, theta_n) is NOT used: on realistic systems the
-stationarity root vanishes once b grows past (2 c1/|c2|)^2, so the sweep
-either dies or returns a near-zero schedule inconsistent with b_0 = 1.
+Both recursions are evaluated as whole-array operations. b is a cumulative
+product, and the costate is carried scaled, phi_t = theta_t b_t, which is a
+suffix sum:
+
+    phi_t = nu b_n + sum_{s>=t} (c3_s b_s + c2_s sqrt(a_s b_s)/2),
+    g_t   = c1_t + c2_t sqrt(b_t)/(2 sqrt(a_t)) - phi_{t+1}/(1+a_t).
+
+This form never divides by b_t, so it stays finite after b underflows.
+
+The production solver minimizes J directly (L-BFGS on log a, then a
+trust-region root solve of the stationarity system), which lands on a
+trajectory satisfying every stationarity equation by construction. A single
+backward sweep from a guessed terminal (b_n, theta_n) is NOT used: on
+realistic systems the stationarity root vanishes once b grows past
+(2 c1/|c2|)^2, so the sweep either dies or returns a near-zero schedule
+inconsistent with b_0 = 1.
 
 The terminal-accuracy condition b_n = epsilon is enforced, when it binds,
-through the terminal costate theta_n = nu >= 0 (the constraint multiplier),
-bisected until b_n matches epsilon.
+through the terminal costate theta_n = nu >= 0 (the constraint multiplier).
+b_n falls monotonically as nu grows, so log nu is bracketed and then found
+by one Brent root solve of log b_n(nu) = log epsilon; each inner solve
+warm-starts from the previous schedule.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
 
 from ..channel import ChannelSetup
-from ..errors import NoRootFound
+from ..errors import NoRootFound, ValidationError
 from ..gains import GainSchedule
 from ..linalg import psd_sqrt
 from ..model import SystemModel
@@ -43,6 +54,11 @@ from .schedules import PowerSchedule, ScheduleMode
 A_FLOOR = 1e-12
 A_CEIL = 1e6
 RESIDUAL_TOL = 1e-10
+BRACKET_STEP = np.log(10.0)  # first bracket step in log nu; doubles per step
+NU_XTOL = 1e-13               # root tolerance in log nu
+LOG_NU_MAX = np.log(np.finfo(float).max)
+B_N_MARGIN = 1e-13            # relative gap aimed for below epsilon, so that
+                              # rounding can not lift b_n above it
 
 
 @dataclass(frozen=True)
@@ -112,41 +128,40 @@ def scalar_constants(gains: GainSchedule, setup: ChannelSetup,
 
 
 def _b_forward(a: np.ndarray) -> np.ndarray:
-    b = np.empty(a.size + 1)
-    b[0] = 1.0
-    for t in range(a.size):
-        b[t + 1] = b[t] / (1.0 + a[t])
-    return b
+    """b_0 = 1, b_{t+1} = b_t / (1 + a_t)."""
+    return np.concatenate(([1.0], np.cumprod(1.0 / (1.0 + a))))
+
+
+def _scaled_costate(a: np.ndarray, b: np.ndarray, c: ConstantsTable,
+                    nu: float) -> np.ndarray:
+    """phi_t = theta_t b_t for t = 0..n, summed backward from phi_n = nu b_n."""
+    terms = np.append(c.c3 * b[:-1] + 0.5 * c.c2 * np.sqrt(a * b[:-1]),
+                      nu * b[-1])
+    return np.cumsum(terms[::-1])[::-1]
 
 
 def _reduced_cost(a: np.ndarray, c: ConstantsTable, nu: float) -> float:
     b = _b_forward(a)
-    total = float(np.sum(c.c1 * a + c.c2 * np.sqrt(a * b[:-1]) + c.c3 * b[:-1]))
-    return total + nu * b[-1]
+    phi = _scaled_costate(a, b, c, nu)
+    return float(np.sum(c.c1 * a + 0.5 * c.c2 * np.sqrt(a * b[:-1])) + phi[0])
 
 
 def stationarity_residuals(a: np.ndarray, c: ConstantsTable,
                            nu: float = 0.0) -> np.ndarray:
     """g_t along the trajectory implied by a (b forward from 1, theta backward)."""
     b = _b_forward(a)
-    theta = nu
-    g = np.empty(a.size)
-    for t in range(a.size - 1, -1, -1):
-        g[t] = (c.c1[t] + c.c2[t] * np.sqrt(b[t]) / (2.0 * np.sqrt(a[t]))
-                - b[t] * theta / (1.0 + a[t]) ** 2)
-        theta = (c.c3[t] + c.c2[t] * np.sqrt(a[t]) / (2.0 * np.sqrt(b[t]))
-                 + theta / (1.0 + a[t]))
-    return g
+    phi = _scaled_costate(a, b, c, nu)
+    return c.c1 + c.c2 * np.sqrt(b[:-1]) / (2.0 * np.sqrt(a)) - phi[1:] / (1.0 + a)
 
 
 def theta_b_sequence(a: np.ndarray, c: ConstantsTable, nu: float = 0.0) -> np.ndarray:
-    """Costates theta_{b,t} backward from theta_{b,n} = nu."""
+    """Costates theta_{b,t} backward from theta_{b,n} = nu.
+
+    theta_t is unbounded where b_t underflows to 0 and comes out non-finite there.
+    """
     b = _b_forward(a)
-    theta = np.empty(a.size + 1)
+    theta = _scaled_costate(a, b, c, nu) / b
     theta[-1] = nu
-    for t in range(a.size - 1, -1, -1):
-        theta[t] = (c.c3[t] + c.c2[t] * np.sqrt(a[t]) / (2.0 * np.sqrt(b[t]))
-                    + theta[t + 1] / (1.0 + a[t]))
     return theta
 
 
@@ -192,54 +207,71 @@ def scalar_backward_solve(constants: ConstantsTable, epsilon: float,
     """Solve the scalar power problem with terminal-accuracy target epsilon.
 
     Returns the unconstrained optimum when it already reaches b_n <=
-    epsilon; otherwise bisects the terminal costate multiplier nu until
-    b_n = epsilon. Either way the returned trajectory satisfies every
-    stationarity equation to ~1e-10 and carries b forward from b_0 = 1.
+    epsilon; otherwise root-solves the terminal costate multiplier nu for
+    b_n = epsilon, keeping the solution on the b_n <= epsilon side. Either
+    way the returned trajectory satisfies every stationarity equation to
+    RESIDUAL_TOL and carries b forward from b_0 = 1. An epsilon so small
+    that its multiplier would overflow raises ValidationError before any
+    inner solve.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     c = constants
     n = c.c1.size
+    # The multiplier that meets b_n = epsilon grows like c1 epsilon^-(1+1/n)
+    # (see the guess below); past the float range it can not be represented.
+    log_floor = n / (n + 1.0) * (np.log(c.c1[-1]) - LOG_NU_MAX)
+    if np.log(epsilon) < log_floor:
+        raise ValidationError(
+            f"epsilon: {epsilon:g} is below the reachable floor "
+            f"{np.exp(log_floor):.3g} at horizon n={n}; the terminal "
+            f"multiplier, about c1 epsilon^-(1+1/n), would overflow")
     # myopic initializer: per-step optimum ignoring the b-coupling
     a0 = np.clip(c.c2 ** 2 / (4.0 * c.c1 ** 2) * 0.5, 1e-6, 1e2)
 
-    a_free = _solve_for_nu(c, 0.0, a0)
-    b_free = _b_forward(a_free)
+    a = _solve_for_nu(c, 0.0, a0)
+    inner_solves = 1
     nu = 0.0
-    a = a_free
-    if b_free[-1] > epsilon:
-        # the accuracy target binds: grow nu until b_n drops below epsilon,
-        # then bisect (b_n is monotone decreasing in the terminal penalty)
-        lo, hi = 0.0, 1.0
-        a_hi = a_free
-        for _ in range(200):
-            a_hi = _solve_for_nu(c, hi, a_hi)
-            if _b_forward(a_hi)[-1] <= epsilon:
-                break
-            hi *= 4.0
-        else:
-            raise NoRootFound("terminal multiplier search failed to bracket epsilon")
-        a = a_hi
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            a_mid = _solve_for_nu(c, mid, a)
-            if _b_forward(a_mid)[-1] > epsilon:
-                lo = mid
-            else:
-                hi = mid
-                a = a_mid
-            if hi - lo < 1e-12 * max(1.0, hi):
-                break
-        nu = hi
-        a = _solve_for_nu(c, nu, a)
+    if _b_forward(a)[-1] > epsilon:
+        # The accuracy target binds. Spread the missing contraction evenly
+        # over the steps, so that b_n hits the target, and guess nu from the
+        # last stationarity equation there: phi_n = nu epsilon ~ c1 (1 + a_{n-1}).
+        log_target = np.log(epsilon) - B_N_MARGIN
+        a = (1.0 + a) * np.exp((-np.sum(np.log1p(a)) - log_target) / n) - 1.0
+        solved = {}  # log nu -> (a, log b_n - log target)
+
+        def excess(log_nu: float) -> float:
+            nonlocal a, inner_solves
+            if log_nu not in solved:
+                a = _solve_for_nu(c, np.exp(log_nu), a)
+                inner_solves += 1
+                solved[log_nu] = (a, -np.sum(np.log1p(a)) - log_target)
+            return solved[log_nu][1]
+
+        lo = hi = np.log(c.c1[-1] * (1.0 + a[-1]) / epsilon)
+        step = BRACKET_STEP
+        while excess(hi) > 0.0:  # raise nu until b_n <= target ...
+            lo, hi = hi, hi + step
+            step *= 2.0
+            if hi > LOG_NU_MAX:
+                raise NoRootFound("terminal multiplier search failed to "
+                                  f"bracket epsilon={epsilon:g}")
+        while excess(lo) <= 0.0:  # ... or lower it until b_n > target
+            lo, hi = lo - step, lo
+            step *= 2.0
+        scipy.optimize.brentq(excess, lo, hi, xtol=NU_XTOL)
+        # the smallest evaluated nu with b_n <= epsilon lies within xtol of the root
+        log_nu = min(x for x, (a_x, _) in solved.items()
+                     if _b_forward(a_x)[-1] <= epsilon)
+        a = solved[log_nu][0]
+        nu = float(np.exp(log_nu))
 
     resid = stationarity_residuals(a, c, nu)
-    if np.abs(resid).max() > 1e-8:
-        warnings.warn(f"stationarity residual {np.abs(resid).max():.2e} above 1e-8")
     b = _b_forward(a)
     Lambda = [a[t] / c.H for t in range(n)]
     return PowerSchedule(mode=ScheduleMode.SCALAR, Lambda=Lambda, a=a, b=b,
-                         terminal_multiplier=nu, stationarity_residuals=resid)
+                         terminal_multiplier=nu, stationarity_residuals=resid,
+                         inner_solves=inner_solves)
 
 
 def solve_scalar_power(gains: GainSchedule, setup: ChannelSetup,

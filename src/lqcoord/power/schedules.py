@@ -22,7 +22,8 @@ class PowerSchedule:
 
     Scalar mode additionally records the per-step scalars a_t with
     Lambda_t = a_t / H entrywise, the uncertainty ratios b_t (forward from
-    b_0 = 1, b_{t+1} = b_t / (1 + a_t)), and solver diagnostics.
+    b_0 = 1, b_{t+1} = b_t / (1 + a_t)), and solver diagnostics: the
+    stationarity residuals and the number of inner solves the solver ran.
     """
 
     mode: ScheduleMode
@@ -32,6 +33,7 @@ class PowerSchedule:
     theta: float | None = None
     terminal_multiplier: float = 0.0
     stationarity_residuals: np.ndarray | None = field(default=None, compare=False)
+    inner_solves: int | None = field(default=None, compare=False)
 
     @property
     def n(self) -> int:

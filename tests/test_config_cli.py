@@ -116,6 +116,25 @@ def test_config_inline_system_validation():
         make_config(system=bad, horizon=4)
 
 
+def test_config_inline_system_programming_error_propagates(monkeypatch):
+    # only package errors are relabelled as config errors; a bug inside
+    # SystemModel must surface as itself
+    m = lq.fully_actuated_model(n=4)
+    inline = {f: getattr(m, f).tolist()
+              for f in ("A", "B1", "B2", "W", "F", "Fn", "G1", "G2",
+                        "Sigma0", "X0")}
+
+    class Bug(Exception):
+        pass
+
+    def broken_model(**kwargs):
+        raise Bug("not a config problem")
+
+    monkeypatch.setattr(lq.config, "SystemModel", broken_model)
+    with pytest.raises(Bug, match="not a config problem"):
+        make_config(system=inline, horizon=4)
+
+
 def test_config_target_resolution():
     cfg = make_config(target="sampled")
     assert cfg.resolve_target() is None
@@ -187,6 +206,7 @@ def test_cli_optimize_power_fa(tmp_path):
     payload = json.loads((out / "power.json").read_text())
     assert payload["mode"] == "scalar"
     assert payload["max_stationarity_residual"] < 1e-8
+    assert payload["inner_solves"] >= 1
     assert len(payload["a"]) == 8
     csv = (out / "power.csv").read_text().strip().splitlines()
     assert csv[0].startswith("t,lambda_0")
