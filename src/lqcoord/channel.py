@@ -1,4 +1,4 @@
-"""The plant as a channel: signal construction, decoding, and error covariance.
+"""The plant as a channel: the per-step signaling map and its setup data.
 
 The leader embeds the follower's current estimation error e_t into its input
 through an additive zero-mean term s_t; subtracting every follower-computable
@@ -16,23 +16,26 @@ Two regimes:
   virtual channel; r message coordinates are sent per step, cycling through
   d0/r blocks with period tau.
 
-All covariance math follows the closed-form contraction: with per-direction
-power lam and gain h, the posterior variance factor is 1/(1 + lam*h).
+`channel_step` is the one implementation of the per-step map: from
+(Sigma_t, Lambda_t, block k) it returns the encoder, the decoder, the
+error-recursion maps and Sigma_{t+1}. The rollout operator table, the
+exact-cost engine and the minimum-principle stack all call it. The
+contraction has per-direction factor 1/(1 + lam*h) for power lam and
+gain h.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (IndexOutOfRange, NonIntegerPeriod, RankDeficient,
-                     SigmaNearSingular, SingularInnovation)
-from .linalg import (EigenPair, SvdFactors, check_symmetric,
-                     numerical_rank, pinv_sqrt, psd_sqrt, sym_eig, sym_part,
-                     svd_factor)
-from .model import SystemModel
+                     SigmaNearSingular, SingularInnovation, ValidationError)
+from .linalg import (EigenPair, SvdFactors, check_symmetric, eig_roots,
+                     eigh_desc, numerical_rank, sym_eig, sym_part, svd_factor)
 
 
 class ChannelMode(Enum):
@@ -63,6 +66,8 @@ class ChannelSetup:
     Fully actuated: Q, Q1 = B1 Q and the eigenpair (U, H). Under-actuated:
     SVD factors of B1, the rotated-noise blocks Wbar1/Wbar3, the virtual
     channel eigenpair (U1, Pi1), period tau, and Utau = diag(U1, ..., U1).
+    The matrices `channel_step` needs at every step but that depend only on
+    the setup are cached on first use.
     """
 
     mode: ChannelMode
@@ -91,7 +96,7 @@ class ChannelSetup:
     def r(self) -> int:
         return self.svd.r if self.svd is not None else self.d0
 
-    @property
+    @cached_property
     def Q1(self) -> np.ndarray:
         return self.B1 @ self.Q
 
@@ -105,9 +110,28 @@ class ChannelSetup:
         """Smallest virtual-channel gain eigenvalue (under-actuated)."""
         return self.virt.psi
 
-    @property
+    @cached_property
     def Utau(self) -> np.ndarray:
         return np.kron(np.eye(self.tau), self.virt.U)
+
+    @cached_property
+    def W_inv(self) -> np.ndarray:
+        """W^-1, the plant-noise factor of the fully actuated N map."""
+        return np.linalg.inv(self.W)
+
+    @cached_property
+    def Psi1_diag(self) -> np.ndarray:
+        return np.diag(self.svd.Psi1)
+
+    @cached_property
+    def virt_out(self) -> np.ndarray:
+        """Gamma0[:, :r]': plant output y -> virtual channel output."""
+        return self.svd.Gamma0[:, : self.r].T
+
+    @cached_property
+    def virt_noise_gain(self) -> np.ndarray:
+        """Wbar1^-1 Gamma0[:, :r]', the plant-noise factor of the under-actuated N map."""
+        return np.linalg.solve(self.Wbar1, self.virt_out)
 
     def S_of(self, lam: np.ndarray) -> np.ndarray:
         """Signal covariance U diag(lam) U' in the channel eigenbasis."""
@@ -165,182 +189,97 @@ def projection_matrix(k: int, r: int, d0: int) -> np.ndarray:
     return P
 
 
-@dataclass
-class MessageState:
-    """Live estimation state of one rollout: error, covariance, estimate.
 
-    e + x_star_hat = x_* holds exactly at every step (the update below is a
-    telescoping split of the target).
+
+def block_schedule(setup: ChannelSetup, n: int,
+                   block_order: list[int] | None = None) -> list[int | None]:
+    """Transmitted block per step, block_order[t % tau] (None when fully actuated).
+
+    block_order defaults to the round-robin 0..tau-1 and must be a
+    permutation of it, so every block is sent once per period.
     """
-
-    e: np.ndarray
-    Sigma: np.ndarray
-    x_star_hat: np.ndarray
-
-    @classmethod
-    def initial(cls, x_star: np.ndarray, Sigma0: np.ndarray) -> "MessageState":
-        x_star = np.asarray(x_star, dtype=float)
-        return cls(e=x_star.copy(), Sigma=np.asarray(Sigma0, dtype=float).copy(),
-                   x_star_hat=np.zeros_like(x_star))
-
-    def apply_estimate(self, e_hat: np.ndarray, Sigma_next: np.ndarray) -> None:
-        self.e = self.e - e_hat
-        self.x_star_hat = self.x_star_hat + e_hat
-        self.Sigma = Sigma_next
+    if setup.mode is ChannelMode.FULLY_ACTUATED:
+        return [None] * n
+    order = list(range(setup.tau)) if block_order is None else list(block_order)
+    if sorted(order) != list(range(setup.tau)):
+        raise ValidationError(f"block_order {order} is not a permutation of "
+                              f"0..{setup.tau - 1}")
+    order = [int(k) for k in order]
+    return [order[t % setup.tau] for t in range(n)]
 
 
-def _validate_sigma(Sigma: np.ndarray) -> np.ndarray:
-    Sigma = check_symmetric(Sigma, name="Sigma")
-    w = np.linalg.eigvalsh(Sigma)
-    scale = max(1.0, abs(w).max())
-    if w.min() < -1e-10 * scale:
-        raise SigmaNearSingular(f"Sigma has a negative eigenvalue {w.min():.3e}")
-    return Sigma
+def contraction(setup: ChannelSetup, lam: np.ndarray,
+                k: int | None = None) -> np.ndarray:
+    """Per-step covariance contraction V_t, Sigma_{t+1} = Sigma^(1/2) V_t Sigma^(1/2).
 
-
-# --- fully actuated -------------------------------------------------------
-
-def fa_encode_operator(Sigma: np.ndarray, lam: np.ndarray,
-                       setup: ChannelSetup) -> np.ndarray:
-    """Matrix mapping e_t to the signal: Q S^(1/2) Sigma^(-1/2).
-
-    Directions of Sigma below the pseudo-inverse cutoff are already known
-    to the follower and get zero gain.
+    Fully actuated: U (I + lam*H)^-1 U'. Under-actuated, block k:
+    Utau (I + P_k' lam*Pi P_k)^-1 Utau', the identity outside block k.
     """
-    return setup.Q @ setup.S_sqrt_of(lam) @ pinv_sqrt(Sigma)
-
-
-def fa_decode_operator(Sigma: np.ndarray, lam: np.ndarray,
-                       setup: ChannelSetup) -> np.ndarray:
-    """Matrix mapping y_t to the conditional-mean estimate of e_t."""
-    S = setup.S_of(lam)
-    Q1 = setup.Q1
-    normal = sym_part(Q1 @ S @ Q1.T + setup.W)
-    try:
-        inv = np.linalg.inv(normal)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInnovation("B1 Q S Q' B1' + W is singular") from exc
-    return psd_sqrt(Sigma) @ setup.S_sqrt_of(lam) @ Q1.T @ inv
-
-
-def encode_fa(msg: MessageState, lam: np.ndarray, setup: ChannelSetup) -> np.ndarray:
-    """Leader's signal s_t = Q S^(1/2) Sigma^(-1/2) e_t."""
-    Sigma = _validate_sigma(msg.Sigma)
-    return fa_encode_operator(Sigma, lam, setup) @ msg.e
-
-
-def channel_output(x_next: np.ndarray, x_t: np.ndarray, gains, t: int,
-                   x_star_hat: np.ndarray, model: SystemModel) -> np.ndarray:
-    """Residual transition y_t = x_{t+1} - (A - B K_t) x_t - B D_t x_hat.
-
-    Every subtracted term is computable by the follower, so y_t is common
-    information; algebraically it equals B1 s_t + w_t.
-    """
-    A, B = model.A, model.B
-    return x_next - (A - B @ gains.K[t]) @ x_t - B @ gains.D[t] @ x_star_hat
-
-
-def decode_fa(y: np.ndarray, msg: MessageState, lam: np.ndarray,
-              setup: ChannelSetup) -> np.ndarray:
-    """Conditional-mean estimate of e_t from y_t = B1 s_t + w_t."""
-    Sigma = _validate_sigma(msg.Sigma)
-    return fa_decode_operator(Sigma, lam, setup) @ y
-
-
-def contraction_fa(lam: np.ndarray, setup: ChannelSetup) -> np.ndarray:
-    """V_t = U (I + lam*H)^-1 U', the per-step covariance contraction."""
-    U, H = setup.eig.U, setup.eig.H
-    return sym_part((U / (1.0 + lam * H)) @ U.T)
-
-
-def cov_update_fa(Sigma: np.ndarray, lam: np.ndarray, setup: ChannelSetup) -> np.ndarray:
-    """Sigma_{t+1} = Sigma^(1/2) V_t Sigma^(1/2)."""
-    Sigma = _validate_sigma(Sigma)
-    S12 = psd_sqrt(Sigma)
-    return sym_part(S12 @ contraction_fa(lam, setup) @ S12)
-
-
-def noise_gain_fa(Sigma: np.ndarray, lam: np.ndarray, setup: ChannelSetup) -> np.ndarray:
-    """Coefficient of w_t in the error recursion:
-
-    e_{t+1} = Sigma^(1/2) V Sigma^(-1/2) e_t - [this] w_t.
-    """
-    S12sig = psd_sqrt(_validate_sigma(Sigma))
-    V = contraction_fa(lam, setup)
-    return S12sig @ V @ setup.S_sqrt_of(lam) @ setup.Q.T @ setup.B1.T @ np.linalg.inv(setup.W)
-
-
-# --- under-actuated -------------------------------------------------------
-
-def ua_encode_operator(Sigma: np.ndarray, lam: np.ndarray, k: int,
-                       setup: ChannelSetup) -> np.ndarray:
-    """Matrix mapping e_t to the full d1-dimensional leader signal."""
-    Pk = projection_matrix(k, setup.r, setup.d0)
-    virt = setup.S_sqrt_of(lam) @ Pk @ pinv_sqrt(Sigma)
-    padded = np.vstack([virt, np.zeros((setup.d1 - setup.r, setup.d0))])
-    return setup.svd.Gamma1 @ padded
-
-
-def ua_decode_operator(Sigma: np.ndarray, lam: np.ndarray, k: int,
-                       setup: ChannelSetup) -> np.ndarray:
-    """Matrix mapping the r-dimensional virtual output to the estimate of e_t."""
-    Pk = projection_matrix(k, setup.r, setup.d0)
-    S = setup.S_of(lam)
-    Psi1 = np.diag(setup.svd.Psi1)
-    normal = sym_part(Psi1 @ S @ Psi1 + setup.Wbar1)
-    try:
-        inv = np.linalg.inv(normal)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInnovation("Psi1 S Psi1 + Wbar1 is singular") from exc
-    return psd_sqrt(Sigma) @ Pk.T @ setup.S_sqrt_of(lam) @ Psi1 @ inv
-
-
-def encode_ua(msg: MessageState, lam: np.ndarray, k: int,
-              setup: ChannelSetup) -> np.ndarray:
-    """Signal for block k: s_t = Gamma1 [S^(1/2) P_k Sigma^(-1/2) e_t; 0]."""
-    Sigma = _validate_sigma(msg.Sigma)
-    return ua_encode_operator(Sigma, lam, k, setup) @ msg.e
-
-
-def virtual_output(y: np.ndarray, setup: ChannelSetup) -> np.ndarray:
-    """First r coordinates of Gamma0' y; the rest carry no signal."""
-    return (setup.svd.Gamma0.T @ y)[: setup.r]
-
-
-def decode_ua(y_virt: np.ndarray, msg: MessageState, lam: np.ndarray, k: int,
-              setup: ChannelSetup) -> np.ndarray:
-    """Conditional-mean estimate of e_t from the virtual channel output."""
-    Sigma = _validate_sigma(msg.Sigma)
-    return ua_decode_operator(Sigma, lam, k, setup) @ y_virt
-
-
-def contraction_ua(lam: np.ndarray, k: int, setup: ChannelSetup) -> np.ndarray:
-    """Vbar_t^(k) = Utau (I + P_k' lam*Pi P_k)^-1 Utau'.
-
-    Identity outside block k: only the transmitted coordinates contract.
-    """
-    r, d0 = setup.r, setup.d0
+    if setup.mode is ChannelMode.FULLY_ACTUATED:
+        U, H = setup.eig.U, setup.eig.H
+        return sym_part((U / (1.0 + lam * H)) @ U.T)
     if not 0 <= k < setup.tau:
         raise IndexOutOfRange(f"block index {k} outside 0..{setup.tau - 1}")
-    diag = np.ones(d0)
+    r = setup.r
+    diag = np.ones(setup.d0)
     diag[k * r:(k + 1) * r] = 1.0 / (1.0 + lam * setup.virt.H)
     Utau = setup.Utau
     return sym_part((Utau * diag) @ Utau.T)
 
 
-def cov_update_ua(Sigma: np.ndarray, lam: np.ndarray, k: int,
-                  setup: ChannelSetup) -> np.ndarray:
-    """Sigma_{t+1} = Sigma^(1/2) Vbar_t^(k) Sigma^(1/2)."""
-    Sigma = _validate_sigma(Sigma)
-    S12 = psd_sqrt(Sigma)
-    return sym_part(S12 @ contraction_ua(lam, k, setup) @ S12)
+@dataclass(frozen=True)
+class ChannelStep:
+    """The channel's maps at one step, for a given (Sigma_t, Lambda_t, k).
+
+    The leader sends s_t = enc e_t; the follower estimates e_t as dec y_t
+    from the raw d0-dimensional channel output y_t = B1 s_t + w_t; the error
+    then evolves as e_{t+1} = E e_t - N w_t with covariance Sigma_next.
+    """
+
+    enc: np.ndarray
+    dec: np.ndarray
+    E: np.ndarray
+    N: np.ndarray
+    Sigma_next: np.ndarray
 
 
-def noise_gain_ua(Sigma: np.ndarray, lam: np.ndarray, k: int,
-                  setup: ChannelSetup) -> np.ndarray:
-    """Coefficient of the virtual noise w~_t in the error recursion."""
-    S12sig = psd_sqrt(_validate_sigma(Sigma))
-    Pk = projection_matrix(k, setup.r, setup.d0)
-    Vbar = contraction_ua(lam, k, setup)
-    Psi1 = np.diag(setup.svd.Psi1)
-    return S12sig @ Vbar @ Pk.T @ setup.S_sqrt_of(lam) @ Psi1 @ np.linalg.inv(setup.Wbar1)
+def channel_step(setup: ChannelSetup, Sigma: np.ndarray, lam: np.ndarray,
+                 k: int | None = None) -> ChannelStep:
+    """Encoder, decoder, error-recursion maps and Sigma_{t+1} at one step.
+
+    One eigendecomposition of Sigma gives Sigma^(1/2) and the truncated
+    Sigma^(-1/2): directions below the pseudo-inverse cutoff are already
+    known to the follower and get zero signal. k is the transmitted block
+    (under-actuated only).
+    """
+    Sigma = check_symmetric(Sigma, name="Sigma")
+    w, U = eigh_desc(Sigma)
+    if w[-1] < -1e-10 * max(1.0, np.abs(w).max()):
+        raise SigmaNearSingular(f"Sigma has a negative eigenvalue {w[-1]:.3e}")
+    Sig12, Sig12inv = eig_roots(EigenPair(U=U, H=np.clip(w, 0.0, None)))
+    S = setup.S_of(lam)
+    S12 = setup.S_sqrt_of(lam)
+    SV = Sig12 @ contraction(setup, lam, k)
+    if setup.mode is ChannelMode.FULLY_ACTUATED:
+        Q1 = setup.Q1
+        try:
+            inv = np.linalg.inv(sym_part(Q1 @ S @ Q1.T + setup.W))
+        except np.linalg.LinAlgError as exc:
+            raise SingularInnovation("B1 Q S Q' B1' + W is singular") from exc
+        enc = setup.Q @ S12 @ Sig12inv
+        dec = Sig12 @ S12 @ Q1.T @ inv
+        N = SV @ S12 @ setup.Q.T @ setup.B1.T @ setup.W_inv
+    else:
+        Pk = projection_matrix(k, setup.r, setup.d0)
+        Psi1 = setup.Psi1_diag
+        try:
+            inv = np.linalg.inv(sym_part(Psi1 @ S @ Psi1 + setup.Wbar1))
+        except np.linalg.LinAlgError as exc:
+            raise SingularInnovation("Psi1 S Psi1 + Wbar1 is singular") from exc
+        virt = S12 @ Pk @ Sig12inv
+        enc = setup.svd.Gamma1 @ np.vstack(
+            [virt, np.zeros((setup.d1 - setup.r, setup.d0))])
+        dec = Sig12 @ Pk.T @ S12 @ Psi1 @ inv @ setup.virt_out
+        N = SV @ Pk.T @ S12 @ Psi1 @ setup.virt_noise_gain
+    return ChannelStep(enc=enc, dec=dec, E=SV @ Sig12inv, N=N,
+                       Sigma_next=sym_part(SV @ Sig12))

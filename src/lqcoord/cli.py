@@ -26,7 +26,7 @@ from .errors import HorizonMismatch, LqcoordError, ValidationError
 from .gains import backward_riccati, leader_only_gains
 from .model import SystemModel
 from .policies import PolicyKind, PreparedPolicy, make_policy
-from .power import (heuristic_schedule, ua_optimize)
+from .power import PowerSchedule, heuristic_schedule, ua_optimize
 from .power.scalar import solve_scalar_power
 from .simulate import AggregateReport, monte_carlo
 from . import presets
@@ -66,6 +66,21 @@ def emit_plot_series(reports: list[AggregateReport], path: Path) -> int:
     return len(rows)
 
 
+def design_power(model: SystemModel, pol: PolicyConfig) -> PowerSchedule:
+    """Signaling-power design for the model's leader.
+
+    Fully actuated: the scalar solver at pol.epsilon. Under-actuated:
+    coordinate descent from the theta^t heuristic (pol.theta, pol.budget).
+    """
+    gains = backward_riccati(model)
+    if model.leader_fully_actuated():
+        setup = fa_setup(model.B1, model.W)
+        return solve_scalar_power(gains, setup, model, epsilon=pol.epsilon)
+    setup = ua_setup(model.B1, model.W)
+    init = heuristic_schedule(pol.theta, model.n, setup.r)
+    return ua_optimize(init, gains, setup, model, budget=pol.budget)
+
+
 def build_policy(pol: PolicyConfig, model: SystemModel) -> tuple[PreparedPolicy, float | None]:
     """Prepared policy plus the achieved terminal ratio (power solvers only)."""
     fully = model.leader_fully_actuated()
@@ -79,23 +94,13 @@ def build_policy(pol: PolicyConfig, model: SystemModel) -> tuple[PreparedPolicy,
     kind = PolicyKind.IM_COMM_FA if fully else PolicyKind.IM_COMM_UA
     if name == "im-comm-heu":
         return make_policy(kind, model, theta=pol.theta), None
-    if name == "im-comm-opt":
-        if not fully:
-            raise ValidationError("im-comm-opt needs a fully actuated leader")
-        gains = backward_riccati(model)
-        setup = fa_setup(model.B1, model.W)
-        schedule = solve_scalar_power(gains, setup, model, epsilon=pol.epsilon)
-        return (make_policy(kind, model, power=schedule),
-                schedule.achieved_terminal_ratio)
-    if name == "im-comm-num":
-        if fully:
-            raise ValidationError("im-comm-num targets under-actuated leaders")
-        gains = backward_riccati(model)
-        setup = ua_setup(model.B1, model.W)
-        init = heuristic_schedule(pol.theta, model.n, setup.r)
-        schedule = ua_optimize(init, gains, setup, model, budget=pol.budget)
-        return make_policy(kind, model, power=schedule), None
-    raise ValidationError(f"unknown policy '{name}'")
+    if name == "im-comm-opt" and not fully:
+        raise ValidationError("im-comm-opt needs a fully actuated leader")
+    if name == "im-comm-num" and fully:
+        raise ValidationError("im-comm-num targets under-actuated leaders")
+    schedule = design_power(model, pol)
+    return (make_policy(kind, model, power=schedule),
+            schedule.achieved_terminal_ratio)
 
 
 def run_experiment(config: ExperimentConfig) -> list[Path]:
@@ -204,12 +209,14 @@ def cmd_gains(args) -> int:
 def cmd_optimize_power(args) -> int:
     config = _config_from_args(args, ["im-comm-heu"])
     model = config.model()
-    gains = backward_riccati(model)
+    fully = model.leader_fully_actuated()
+    pol = PolicyConfig(name="im-comm-opt" if fully else "im-comm-num",
+                       theta=args.theta, epsilon=args.epsilon,
+                       budget=args.budget)
+    schedule = design_power(model, pol)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if model.leader_fully_actuated():
-        setup = fa_setup(model.B1, model.W)
-        schedule = solve_scalar_power(gains, setup, model, epsilon=args.epsilon)
+    if fully:
         payload = {
             "mode": "scalar",
             "a": schedule.a.tolist(),
@@ -222,9 +229,6 @@ def cmd_optimize_power(args) -> int:
             "Lambda": [lam.tolist() for lam in schedule.Lambda],
         }
     else:
-        setup = ua_setup(model.B1, model.W)
-        init = heuristic_schedule(args.theta, model.n, setup.r)
-        schedule = ua_optimize(init, gains, setup, model, budget=args.budget)
         payload = {
             "mode": "numeric",
             "budget": args.budget,

@@ -37,7 +37,7 @@ class SingularInnovation(LqcoordError):
     """An innovation/normal matrix that must be inverted is numerically singular."""
 
 
-class SigmaNearSingular(LqcoordError):
+class SigmaNearSingular(NotPsd):
     """Estimation-error covariance is invalid (not PSD within tolerance)."""
 
 

@@ -55,11 +55,8 @@ class GainSchedule:
     def D_f(self, t: int) -> np.ndarray:
         return self.D[t][self.d1:]
 
-    def Abar(self, t: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        return A - B @ self.K[t]
 
-
-def _riccati(A: np.ndarray, B: np.ndarray, W_unused, F: np.ndarray, G: np.ndarray,
+def _riccati(A: np.ndarray, B: np.ndarray, F: np.ndarray, G: np.ndarray,
              Fn: np.ndarray, n: int, d1: int) -> GainSchedule:
     d = B.shape[1]
     Phi = [None] * (n + 1)
@@ -84,7 +81,7 @@ def _riccati(A: np.ndarray, B: np.ndarray, W_unused, F: np.ndarray, G: np.ndarra
 
 def backward_riccati(model: SystemModel) -> GainSchedule:
     """Joint-input gain schedule for the two-agent plant."""
-    return _riccati(model.A, model.B, None, model.F, model.G, model.Fn,
+    return _riccati(model.A, model.B, model.F, model.G, model.Fn,
                     model.n, model.d1)
 
 
@@ -96,7 +93,7 @@ def leader_only_gains(model: SystemModel) -> GainSchedule:
     """
     if controllability_rank(model.A, model.B1) < model.d0:
         raise NotControllable("(A, B1) fails the controllability rank test")
-    return _riccati(model.A, model.B1, None, model.F, model.G1, model.Fn,
+    return _riccati(model.A, model.B1, model.F, model.G1, model.Fn,
                     model.n, model.d1)
 
 

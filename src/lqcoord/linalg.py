@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPd, NotPsd, NotSymmetric, RankDeficient, ZeroMatrix
+from .errors import NotPd, NotPsd, NotSymmetric, ZeroMatrix
 
 SYM_TOL = 1e-12
 PSD_TOL = 1e-6
@@ -74,30 +74,12 @@ def sym_eig(M: np.ndarray) -> EigenPair:
     return EigenPair(U=V, H=np.clip(w, 0.0, None))
 
 
-def psd_sqrt(M: np.ndarray) -> np.ndarray:
-    """Symmetric square root S of a PSD matrix, S @ S = M."""
-    pair = sym_eig(M)
-    return sym_part((pair.U * np.sqrt(pair.H)) @ pair.U.T)
+def eig_roots(pair: EigenPair,
+              rtol: float = PINV_SQRT_RTOL) -> tuple[np.ndarray, np.ndarray]:
+    """Square root and truncated inverse square root of U diag(H) U'.
 
-
-def pinv_sqrt(M: np.ndarray, rtol: float = PINV_SQRT_RTOL) -> np.ndarray:
-    """Truncated inverse square root of a PSD matrix.
-
-    Eigendirections with eigenvalue <= rtol * lambda_max are mapped to zero.
-    On well-conditioned input this equals inv(psd_sqrt(M)).
+    Eigendirections with H <= rtol * max(H) get zero in the inverse root.
     """
-    pair = sym_eig(M)
-    lmax = pair.H.max(initial=0.0)
-    inv = np.zeros_like(pair.H)
-    live = pair.H > rtol * lmax
-    inv[live] = pair.H[live] ** -0.5
-    return sym_part((pair.U * inv) @ pair.U.T)
-
-
-def sqrt_and_pinv_sqrt(M: np.ndarray,
-                       rtol: float = PINV_SQRT_RTOL) -> tuple[np.ndarray, np.ndarray]:
-    """psd_sqrt and pinv_sqrt from a single eigendecomposition."""
-    pair = sym_eig(M)
     lmax = pair.H.max(initial=0.0)
     inv = np.zeros_like(pair.H)
     live = pair.H > rtol * lmax
@@ -106,16 +88,18 @@ def sqrt_and_pinv_sqrt(M: np.ndarray,
     return root, sym_part((pair.U * inv) @ pair.U.T)
 
 
-def pinv_full_rank(Q: np.ndarray) -> np.ndarray:
-    """Left inverse (QtQ)^-1 Qt of a tall full-column-rank matrix."""
-    Q = np.asarray(Q, dtype=float)
-    d1, d0 = Q.shape
-    if d1 < d0:
-        raise RankDeficient(f"matrix is wide ({d1}x{d0}); need at least as many rows as columns")
-    sv = np.linalg.svd(Q, compute_uv=False)
-    if sv[-1] <= RANK_RTOL * sv[0]:
-        raise RankDeficient(f"numerical rank < {d0} (sigma_min/sigma_max = {sv[-1] / sv[0]:.3e})")
-    return np.linalg.solve(Q.T @ Q, Q.T)
+def psd_sqrt(M: np.ndarray) -> np.ndarray:
+    """Symmetric square root S of a PSD matrix, S @ S = M."""
+    return eig_roots(sym_eig(M))[0]
+
+
+def pinv_sqrt(M: np.ndarray, rtol: float = PINV_SQRT_RTOL) -> np.ndarray:
+    """Truncated inverse square root of a PSD matrix.
+
+    Eigendirections with eigenvalue <= rtol * lambda_max are mapped to zero.
+    On well-conditioned input this equals inv(psd_sqrt(M)).
+    """
+    return eig_roots(sym_eig(M), rtol)[1]
 
 
 def numerical_rank(M: np.ndarray, rtol: float = RANK_RTOL) -> int:
@@ -172,11 +156,6 @@ def solve_sylvester_lyapunov(A: np.ndarray, RHS: np.ndarray) -> np.ndarray:
     Rt = V.T @ RHS @ V
     Xt = Rt / (lam[:, None] + lam[None, :])
     return V @ Xt @ V.T
-
-
-def is_pd(M: np.ndarray, tol: float = 0.0) -> bool:
-    w = np.linalg.eigvalsh(sym_part(np.asarray(M, dtype=float)))
-    return bool(w.min() > tol)
 
 
 def min_eig(M: np.ndarray) -> float:

@@ -1,9 +1,11 @@
 """Agent-level control policies: the coordination scheme and its baselines.
 
 The coordination policies (leader signals through the plant, follower
-decodes) maintain a per-rollout CoordinationState; everything they need to
-share is deterministic given the common state trajectory, so one update is
-computed and shared by both agents. Baselines are stateless maps of
+decodes) run on an operator table built once per prepared policy: Sigma_t
+follows a noise-free recursion, so `channel.channel_step` gives every
+step's encoder and decoder ahead of the rollouts. Everything the agents
+share is deterministic given the common state trajectory, so one estimate
+update is computed and shared by both. Baselines are stateless maps of
 (x_t, x_*).
 
 Offsets follow the follower's current estimate for BOTH agents: the leader
@@ -20,15 +22,12 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import (ChannelMode, ChannelSetup, MessageState, channel_output,
-                      cov_update_fa, cov_update_ua, decode_fa, decode_ua,
-                      encode_fa, encode_ua, fa_decode_operator,
-                      fa_encode_operator, fa_setup, ua_decode_operator,
-                      ua_encode_operator, ua_setup, virtual_output)
+from .channel import (ChannelSetup, block_schedule, channel_step, fa_setup,
+                      ua_setup)
 from .errors import DimensionMismatch, ValidationError
 from .gains import GainSchedule, backward_riccati, leader_only_gains
 from .model import SystemModel
-from .power.schedules import PowerSchedule, heuristic_schedule
+from .power.schedules import PowerSchedule, ScheduleMode, heuristic_schedule
 
 
 class PolicyKind(Enum):
@@ -37,61 +36,6 @@ class PolicyKind(Enum):
     NO_COMM = "no-comm"
     IM_COMM_FA = "im-comm-fa"
     IM_COMM_UA = "im-comm-ua"
-
-
-@dataclass
-class CoordinationState:
-    """Live state of one coordinated rollout."""
-
-    msg: MessageState
-    t: int
-    gains: GainSchedule
-    setup: ChannelSetup
-    power: PowerSchedule
-    model: SystemModel
-    block_order: list[int]
-
-    def current_block(self) -> int | None:
-        if self.setup.mode is ChannelMode.FULLY_ACTUATED:
-            return None
-        return self.block_order[self.t % self.setup.tau]
-
-
-def compute_inputs(state: CoordinationState, x_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Leader and follower inputs at the current step.
-
-    Offsets c_t = D_t x_hat split by rows; only the leader adds the signal.
-    """
-    t = state.t
-    g = state.gains
-    lam = state.power.lam(t)
-    if state.setup.mode is ChannelMode.FULLY_ACTUATED:
-        s = encode_fa(state.msg, lam, state.setup)
-    else:
-        s = encode_ua(state.msg, lam, state.current_block(), state.setup)
-    x_hat = state.msg.x_star_hat
-    v = -g.K_l(t) @ x_t + g.D_l(t) @ x_hat + s
-    q = -g.K_f(t) @ x_t + g.D_f(t) @ x_hat
-    return v, q
-
-
-def observe_and_update(state: CoordinationState, x_t: np.ndarray,
-                       x_next: np.ndarray) -> None:
-    """Shared post-transition update: decode, refine the estimate, advance t."""
-    t = state.t
-    lam = state.power.lam(t)
-    y = channel_output(x_next, x_t, state.gains, t, state.msg.x_star_hat,
-                       state.model)
-    if state.setup.mode is ChannelMode.FULLY_ACTUATED:
-        e_hat = decode_fa(y, state.msg, lam, state.setup)
-        Sigma_next = cov_update_fa(state.msg.Sigma, lam, state.setup)
-    else:
-        k = state.current_block()
-        e_hat = decode_ua(virtual_output(y, state.setup), state.msg, lam, k,
-                          state.setup)
-        Sigma_next = cov_update_ua(state.msg.Sigma, lam, k, state.setup)
-    state.msg.apply_estimate(e_hat, Sigma_next)
-    state.t = t + 1
 
 
 def baseline_inputs(kind: PolicyKind, gains: GainSchedule, t: int,
@@ -129,10 +73,17 @@ class _StepOps:
     """
 
     enc: np.ndarray      # e -> leader signal s
-    dec_y: np.ndarray    # raw channel output y -> estimate of e
+    dec: np.ndarray      # raw channel output y -> estimate of e
     Abar: np.ndarray     # A - B K_t
     BD: np.ndarray       # B D_t
+    Sigma: np.ndarray    # follower's error covariance Sigma_t
     sigma_trace: float
+
+
+# report labels of the coordination policies, by how their power was chosen
+_POWER_LABELS = {ScheduleMode.HEURISTIC: "im-comm-heu",
+                 ScheduleMode.SCALAR: "im-comm-opt",
+                 ScheduleMode.FULL_MATRIX: "im-comm-num"}
 
 
 @dataclass(frozen=True)
@@ -150,6 +101,13 @@ class PreparedPolicy:
     def tracks_sigma(self) -> bool:
         return self.kind in (PolicyKind.IM_COMM_FA, PolicyKind.IM_COMM_UA)
 
+    @property
+    def label(self) -> str:
+        """Report name: the baseline's kind, or how the signaling power was set."""
+        if not self.tracks_sigma:
+            return self.kind.value
+        return _POWER_LABELS[self.power.mode]
+
     @cached_property
     def step_ops(self) -> tuple[list[_StepOps], float] | None:
         """Operator table (one entry per step) plus the terminal Tr(Sigma_n)."""
@@ -159,29 +117,15 @@ class PreparedPolicy:
         if power.n < model.n:
             raise ValidationError(
                 f"power schedule has {power.n} steps, horizon needs {model.n}")
-        order = self.block_order
-        if order is None:
-            order = (list(range(setup.tau))
-                     if setup.mode is ChannelMode.UNDER_ACTUATED else [0])
         Sigma = model.Sigma0.copy()
         ops = []
-        for t in range(model.n):
-            lam = power.lam(t)
-            if setup.mode is ChannelMode.FULLY_ACTUATED:
-                enc = fa_encode_operator(Sigma, lam, setup)
-                dec_y = fa_decode_operator(Sigma, lam, setup)
-                Sigma_next = cov_update_fa(Sigma, lam, setup)
-            else:
-                k = order[t % setup.tau]
-                enc = ua_encode_operator(Sigma, lam, k, setup)
-                dec_y = (ua_decode_operator(Sigma, lam, k, setup)
-                         @ setup.svd.Gamma0[:, : setup.r].T)
-                Sigma_next = cov_update_ua(Sigma, lam, k, setup)
-            ops.append(_StepOps(enc=enc, dec_y=dec_y,
+        for t, k in enumerate(block_schedule(setup, model.n, self.block_order)):
+            step = channel_step(setup, Sigma, power.lam(t), k)
+            ops.append(_StepOps(enc=step.enc, dec=step.dec,
                                 Abar=model.A - model.B @ gains.K[t],
-                                BD=model.B @ gains.D[t],
+                                BD=model.B @ gains.D[t], Sigma=Sigma,
                                 sigma_trace=float(np.trace(Sigma))))
-            Sigma = Sigma_next
+            Sigma = step.Sigma_next
         return ops, float(np.trace(Sigma))
 
     def start(self, x_star: np.ndarray) -> "RolloutPolicy":
@@ -191,9 +135,8 @@ class PreparedPolicy:
 class RolloutPolicy:
     """Per-rollout mutable view of a prepared policy.
 
-    Coordination rollouts run on the precomputed operator table; the
-    module-level compute_inputs/observe_and_update realize the same maps on
-    a general CoordinationState.
+    Coordination rollouts run on the precomputed operator table and keep
+    the follower's error e and estimate x_hat; e + x_hat = x_* at every step.
     """
 
     def __init__(self, prepared: PreparedPolicy, x_star: np.ndarray):
@@ -222,7 +165,7 @@ class RolloutPolicy:
             return
         op = self.ops[t]
         y = x_next - op.Abar @ x_t - op.BD @ self.x_hat
-        e_hat = op.dec_y @ y
+        e_hat = op.dec @ y
         self.e = self.e - e_hat
         self.x_hat = self.x_hat + e_hat
         self.t = t + 1
@@ -264,6 +207,7 @@ def make_policy(kind: PolicyKind, model: SystemModel, *,
         setup = ua_setup(model.B1, model.W)
         if power is None:
             power = heuristic_schedule(theta, model.n, setup.r)
+        block_schedule(setup, model.n, block_order)  # reject a bad order now
         return PreparedPolicy(kind=kind, model=model, gains=gains, setup=setup,
                               power=power, block_order=block_order)
     raise ValidationError(f"unknown policy kind {kind}")

@@ -1,6 +1,5 @@
 from .schedules import PowerSchedule, ScheduleMode, heuristic_schedule
-from .analytic import (MdpState, expected_stage_costs, expected_total_cost,
-                       mdp_step_fa, mdp_step_ua, ua_schedule_cost)
+from .analytic import MdpState, expected_stage_costs, expected_total_cost
 from .pmp import (ThetaSigmaParts, costate_Z, grad_lambda_fa, hamiltonian_fa,
                   hamiltonian_fa_expanded, offset_feedback_seq, surrogate_z_step,
                   stage_cost_fa, theta_sigma_step)
@@ -10,7 +9,6 @@ from .ua_opt import ua_optimize
 __all__ = [
     "PowerSchedule", "ScheduleMode", "heuristic_schedule",
     "MdpState", "expected_stage_costs", "expected_total_cost",
-    "mdp_step_fa", "mdp_step_ua", "ua_schedule_cost",
     "ThetaSigmaParts", "costate_Z", "grad_lambda_fa", "hamiltonian_fa",
     "hamiltonian_fa_expanded", "offset_feedback_seq", "surrogate_z_step",
     "stage_cost_fa", "theta_sigma_step",

@@ -8,7 +8,10 @@ signaling scheme when the target is drawn from its prior:
     x_*     = x_*
 
 with Abar_t = A - B K_t, C_t = Abar_t + B D_t - I, Gbar_t the signal-minus-
-offset coefficient and (E_t, N_t) the error-recursion maps. Propagating
+offset coefficient and (E_t, N_t) the error-recursion maps, which
+`channel.channel_step` gives from the Sigma block of the joint covariance
+itself (not from the closed-form recursion the rollout table uses, so the
+two stay an independent check on each other). Propagating
 Cov(rho_t) through these maps gives the exact covariance of every quantity
 in the stage cost, so expected costs here match Monte Carlo up to sampling
 noise, with no dropped terms. The Sigma block reproduces the closed-form
@@ -24,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..channel import (ChannelMode, ChannelSetup, contraction_fa,
-                       contraction_ua, projection_matrix)
+from ..channel import ChannelSetup, block_schedule, channel_step
 from ..gains import GainSchedule
-from ..linalg import pinv_sqrt, sqrt_and_pinv_sqrt, sym_part
+from ..linalg import pinv_sqrt, sym_part
 from ..model import SystemModel
 from .schedules import PowerSchedule
 
@@ -87,70 +89,6 @@ class MdpState:
         return cls(joint=joint, t=0)
 
 
-def _signal_maps(lam: np.ndarray, setup: ChannelSetup, Sigma: np.ndarray,
-                 k: int | None):
-    """Per-step coefficient matrices of the joint linear system.
-
-    Returns (enc, Ghat, E, N) where enc maps e_t to the leader signal s_t,
-    Ghat = B1 @ enc, E and N are the error-recursion maps (N acts on the
-    full d0-dimensional plant noise).
-    """
-    Sig12, Sig12inv = sqrt_and_pinv_sqrt(Sigma)
-    S12 = setup.S_sqrt_of(lam)
-    if setup.mode is ChannelMode.FULLY_ACTUATED:
-        enc = setup.Q @ S12 @ Sig12inv
-        V = contraction_fa(lam, setup)
-        E = Sig12 @ V @ Sig12inv
-        N = Sig12 @ V @ S12 @ setup.Q.T @ setup.B1.T @ np.linalg.inv(setup.W)
-    else:
-        Pk = projection_matrix(k, setup.r, setup.d0)
-        pad = np.vstack([S12 @ Pk, np.zeros((setup.d1 - setup.r, setup.d0))])
-        enc = setup.svd.Gamma1 @ pad @ Sig12inv
-        V = contraction_ua(lam, k, setup)
-        E = Sig12 @ V @ Sig12inv
-        Psi1 = np.diag(setup.svd.Psi1)
-        Jr = setup.svd.Gamma0[:, : setup.r].T  # w -> first r coords of Gamma0' w
-        N = Sig12 @ V @ Pk.T @ S12 @ Psi1 @ np.linalg.solve(setup.Wbar1, Jr)
-    return enc, setup.B1 @ enc, E, N
-
-
-def _step_matrices(state: MdpState, lam: np.ndarray, gains: GainSchedule,
-                   setup: ChannelSetup, model: SystemModel, k: int | None):
-    t = state.t
-    d0 = model.d0
-    Abar = model.A - model.B @ gains.K[t]
-    BD = model.B @ gains.D[t]
-    Ct = Abar + BD - np.eye(d0)
-    enc, Ghat, E, N = _signal_maps(lam, setup, state.Sigma, k)
-    Gbar = Ghat - BD
-    Z0 = np.zeros((d0, d0))
-    T = np.block([
-        [Abar, Gbar, Ct],
-        [Z0, E, Z0],
-        [Z0, Z0, np.eye(d0)],
-    ])
-    Nrho = np.vstack([np.eye(d0), -N, Z0])
-    return T, Nrho, enc
-
-
-def _advance(state: MdpState, lam, gains, setup, model, k) -> MdpState:
-    T, Nrho, _ = _step_matrices(state, lam, gains, setup, model, k)
-    joint = sym_part(T @ state.joint @ T.T + Nrho @ model.W @ Nrho.T)
-    return MdpState(joint=joint, t=state.t + 1)
-
-
-def mdp_step_fa(state: MdpState, lam: np.ndarray, gains: GainSchedule,
-                setup: ChannelSetup, model: SystemModel) -> MdpState:
-    """One fully-actuated step of the deterministic covariance dynamics."""
-    return _advance(state, lam, gains, setup, model, None)
-
-
-def mdp_step_ua(state: MdpState, lam: np.ndarray, k: int, gains: GainSchedule,
-                setup: ChannelSetup, model: SystemModel) -> MdpState:
-    """One under-actuated step; k selects the transmitted coordinate block."""
-    return _advance(state, lam, gains, setup, model, k)
-
-
 def step_and_cost(state: MdpState, lam: np.ndarray, gains: GainSchedule,
                   setup: ChannelSetup, model: SystemModel,
                   k: int | None = None) -> tuple[float, MdpState]:
@@ -160,8 +98,20 @@ def step_and_cost(state: MdpState, lam: np.ndarray, gains: GainSchedule,
     a congruence of the joint covariance.
     """
     t = state.t
-    T, Nrho, enc = _step_matrices(state, lam, gains, setup, model, k)
-    Xi_hat = model.leader_embed @ enc - gains.D[t]
+    d0 = model.d0
+    Abar = model.A - model.B @ gains.K[t]
+    BD = model.B @ gains.D[t]
+    Ct = Abar + BD - np.eye(d0)
+    step = channel_step(setup, state.Sigma, lam, k)
+    Gbar = setup.B1 @ step.enc - BD
+    Z0 = np.zeros((d0, d0))
+    T = np.block([
+        [Abar, Gbar, Ct],
+        [Z0, step.E, Z0],
+        [Z0, Z0, np.eye(d0)],
+    ])
+    Nrho = np.vstack([np.eye(d0), -step.N, Z0])
+    Xi_hat = model.leader_embed @ step.enc - gains.D[t]
     Mu = np.hstack([-gains.K[t], Xi_hat, gains.D[t] - gains.K[t]])
     cov_u = Mu @ state.joint @ Mu.T
     cost = float(np.trace(model.F @ state.Z) + np.trace(model.G @ cov_u))
@@ -169,26 +119,11 @@ def step_and_cost(state: MdpState, lam: np.ndarray, gains: GainSchedule,
     return cost, MdpState(joint=joint, t=t + 1)
 
 
-def exact_stage_cost(state: MdpState, lam: np.ndarray, gains: GainSchedule,
-                     setup: ChannelSetup, model: SystemModel,
-                     k: int | None = None) -> float:
-    """Exact E[z'Fz + u'Gu] at step t under the signaling scheme."""
-    return step_and_cost(state, lam, gains, setup, model, k)[0]
-
-
-def _blocks(schedule: PowerSchedule, setup: ChannelSetup,
-            block_order: list[int] | None):
-    if setup.mode is ChannelMode.FULLY_ACTUATED:
-        return [None] * schedule.n
-    order = list(range(setup.tau)) if block_order is None else list(block_order)
-    return [order[t % setup.tau] for t in range(schedule.n)]
-
-
 def expected_stage_costs(schedule: PowerSchedule, gains: GainSchedule,
                          setup: ChannelSetup, model: SystemModel,
                          block_order: list[int] | None = None) -> np.ndarray:
     """Exact expected stage costs, terminal Tr(Fn Z_n) last (length n+1)."""
-    ks = _blocks(schedule, setup, block_order)
+    ks = block_schedule(setup, model.n, block_order)
     state = MdpState.initial(model)
     costs = np.empty(model.n + 1)
     for t in range(model.n):
@@ -240,22 +175,13 @@ def expected_total_cost(schedule: PowerSchedule, gains: GainSchedule,
                                       block_order).sum())
 
 
-def ua_schedule_cost(schedule: PowerSchedule, gains: GainSchedule,
-                     setup: ChannelSetup, model: SystemModel,
-                     block_order: list[int] | None = None) -> float:
-    """Deterministic objective for under-actuated power design."""
-    if setup.mode is not ChannelMode.UNDER_ACTUATED:
-        raise ValueError("ua_schedule_cost needs an under-actuated setup")
-    return expected_total_cost(schedule, gains, setup, model, block_order)
-
-
 def state_trajectory(schedule: PowerSchedule, gains: GainSchedule,
                      setup: ChannelSetup, model: SystemModel,
                      block_order: list[int] | None = None) -> list[MdpState]:
     """All n+1 deterministic states along a schedule (diagnostics/oracles)."""
-    ks = _blocks(schedule, setup, block_order)
+    ks = block_schedule(setup, model.n, block_order)
     states = [MdpState.initial(model)]
     for t in range(model.n):
-        states.append(_advance(states[-1], schedule.lam(t), gains, setup,
-                               model, ks[t]))
+        states.append(step_and_cost(states[-1], schedule.lam(t), gains, setup,
+                                    model, ks[t])[1])
     return states

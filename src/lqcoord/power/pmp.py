@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..channel import ChannelSetup, contraction_fa
+from ..channel import ChannelSetup, channel_step, contraction
 from ..errors import ZeroLambdaEntry
 from ..gains import GainSchedule
 from ..linalg import psd_sqrt, solve_sylvester_lyapunov, sym_part
@@ -52,12 +52,6 @@ def surrogate_z_step(Z: np.ndarray, Sigma: np.ndarray, lam: np.ndarray,
     cross = Q1 @ S12 @ Sig12 @ L[t + 1].T - BD @ Sigma @ L[t].T @ Abar.T
     return sym_part(Abar @ Z @ Abar.T + Q1 @ S @ Q1.T + cross + cross.T
                     + BD @ Sigma @ BD.T + model.W)
-
-
-def sigma_step(Sigma: np.ndarray, lam: np.ndarray, setup: ChannelSetup) -> np.ndarray:
-    """f^Sigma: the error-covariance contraction."""
-    Sig12 = psd_sqrt(Sigma)
-    return sym_part(Sig12 @ contraction_fa(lam, setup) @ Sig12)
 
 
 def stage_cost_fa(Z: np.ndarray, Sigma: np.ndarray, lam: np.ndarray,
@@ -99,9 +93,12 @@ def hamiltonian_fa(Z: np.ndarray, Sigma: np.ndarray, lam: np.ndarray,
                    thetaZ_next: np.ndarray, thetaSigma_next: np.ndarray,
                    gains: GainSchedule, setup: ChannelSetup, model: SystemModel,
                    t: int, L: list[np.ndarray]) -> float:
-    """H_t = l_t + Tr(f^Z thetaZ') + Tr(f^Sigma thetaSigma')."""
+    """H_t = l_t + Tr(f^Z thetaZ') + Tr(f^Sigma thetaSigma').
+
+    f^Sigma is the channel's error-covariance contraction.
+    """
     fZ = surrogate_z_step(Z, Sigma, lam, gains, setup, model, t, L)
-    fS = sigma_step(Sigma, lam, setup)
+    fS = channel_step(setup, Sigma, lam).Sigma_next
     return (stage_cost_fa(Z, Sigma, lam, gains, setup, model, t, L)
             + float(np.trace(fZ @ thetaZ_next.T))
             + float(np.trace(fS @ thetaSigma_next.T)))
@@ -167,7 +164,7 @@ def theta_sigma_step(Sigma: np.ndarray, lam: np.ndarray,
     Q, Q1 = setup.Q, setup.Q1
     Sig12 = psd_sqrt(Sigma)
     S12 = setup.S_sqrt_of(lam)
-    V = contraction_fa(lam, setup)
+    V = contraction(setup, lam)
     thZ = thetaZ_next
 
     rhs1 = thetaSigma_next @ Sig12 @ V + V @ Sig12 @ thetaSigma_next

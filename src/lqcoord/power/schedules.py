@@ -50,10 +50,6 @@ class PowerSchedule:
     def achieved_terminal_ratio(self) -> float | None:
         return None if self.b is None else float(self.b[-1])
 
-    def scaled(self, factor: float) -> "PowerSchedule":
-        return PowerSchedule(mode=ScheduleMode.FULL_MATRIX,
-                             Lambda=[factor * lam for lam in self.Lambda])
-
     def __post_init__(self):
         for t, lam in enumerate(self.Lambda):
             if np.any(np.asarray(lam) < 0):
@@ -67,8 +63,3 @@ def heuristic_schedule(theta: float, n: int, dim: int) -> PowerSchedule:
     return PowerSchedule(mode=ScheduleMode.HEURISTIC,
                          Lambda=[theta ** t * np.ones(dim) for t in range(n)],
                          theta=theta)
-
-
-def full_matrix_schedule(Lambda: list[np.ndarray]) -> PowerSchedule:
-    return PowerSchedule(mode=ScheduleMode.FULL_MATRIX,
-                         Lambda=[np.asarray(l, dtype=float) for l in Lambda])

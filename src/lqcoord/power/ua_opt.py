@@ -13,8 +13,8 @@ import warnings
 
 import numpy as np
 
-from ..channel import ChannelMode, ChannelSetup
-from ..errors import BudgetExhaustedWarning
+from ..channel import ChannelSetup, block_schedule
+from ..errors import BudgetExhaustedWarning, ValidationError
 from ..gains import GainSchedule
 from ..model import SystemModel
 from .analytic import TailCostEvaluator
@@ -35,15 +35,14 @@ def ua_optimize(init: PowerSchedule, gains: GainSchedule, setup: ChannelSetup,
     returned cost is never worse than the initial one.
     """
     lam = [np.asarray(l, dtype=float).copy() for l in init.Lambda]
-    if any(np.any(l <= 0.0) for l in lam):
-        raise ValueError("initial schedule must have strictly positive entries")
-
-    if setup.mode is ChannelMode.UNDER_ACTUATED:
-        order = list(range(setup.tau)) if block_order is None else list(block_order)
-        blocks = [order[t % setup.tau] for t in range(model.n)]
-    else:
-        blocks = [None] * model.n
-    evaluator = TailCostEvaluator(gains, setup, model, blocks)
+    for t, l in enumerate(lam):
+        if np.any(l <= 0.0):
+            j = int(np.argmax(l <= 0.0))
+            raise ValidationError(
+                f"initial power Lambda_{t}[{j}] = {l[j]:.3g} must be strictly "
+                f"positive (a multiplicative search cannot leave 0)")
+    evaluator = TailCostEvaluator(gains, setup, model,
+                                  block_schedule(setup, model.n, block_order))
     evals = 0
 
     def cost(cur):

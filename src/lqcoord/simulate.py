@@ -167,7 +167,7 @@ def monte_carlo(policy: PreparedPolicy, model: SystemModel,
         sig_sum += trace.sigma_traces
     std = float(totals.std(ddof=1)) if runs > 1 else 0.0
     return AggregateReport(
-        policy=policy.kind.value, runs=runs,
+        policy=policy.label, runs=runs,
         mean_total_cost=float(totals.mean()), std_total_cost=std,
         mean_z_norms=z_sum / runs, mean_sigma_traces=sig_sum / runs,
         mean_stage_costs=stage_sum / runs, horizon=model.n)

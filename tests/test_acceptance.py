@@ -14,8 +14,8 @@ import pytest
 from conftest import random_pd, random_system
 
 import lqcoord as lq
-from lqcoord.channel import (cov_update_fa, cov_update_ua, fa_setup,
-                             projection_matrix, ua_setup)
+from lqcoord.channel import (channel_step, fa_setup, projection_matrix,
+                             ua_setup)
 from lqcoord.errors import BudgetExhaustedWarning
 from lqcoord.gains import backward_riccati
 from lqcoord.linalg import min_eig, pinv_sqrt, psd_sqrt
@@ -90,12 +90,12 @@ def test_c01_error_covariance_oracle_fully_actuated(fa):
                                     + model.W))
             e_next = e - y @ gain.T
             emp = e_next.T @ e_next / N
-            ana = cov_update_fa(Sigma, lam, setup)
+            ana = channel_step(setup, Sigma, lam).Sigma_next
             ok, ratio = _cov_within_3se(emp, ana, N)
             worst = max(worst, ratio)
             if not ok:
                 break
-        Sigma = cov_update_fa(Sigma, lam, setup)
+        Sigma = channel_step(setup, Sigma, lam).Sigma_next
     report("C1 error-covariance oracle (fully actuated)", worst <= 3.0,
            f"50k-sample covariance within 3 SE at t in {{0,3,8}} "
            f"(worst {worst:.2f} SE)", time.perf_counter() - t0, 60)
@@ -121,7 +121,7 @@ def test_c02_error_covariance_oracle_under_actuated(ua):
                 @ np.linalg.inv(Psi1 @ setup.S_of(lam) @ Psi1 + setup.Wbar1))
         e_next = e - y @ gain.T
         emp = e_next.T @ e_next / N
-        ana = cov_update_ua(Sigma, lam, k, setup)
+        ana = channel_step(setup, Sigma, lam, k).Sigma_next
         ok, ratio = _cov_within_3se(emp, ana, N)
         worst = max(worst, ratio)
         Sigma = ana
@@ -147,7 +147,7 @@ def test_c03_monotone_contraction_suite_fully_actuated():
         psi = setup.psi
         for t in range(20):
             lam = rng.uniform(sigma_floor, 1.5, d0)
-            nxt = cov_update_fa(Sigma, lam, setup)
+            nxt = channel_step(setup, Sigma, lam).Sigma_next
             if min_eig(Sigma - nxt) < -1e-10:
                 violations += 1
             if np.trace(nxt) > np.trace(Sigma0) / (1 + sigma_floor * psi) ** (t + 1) + 1e-12:
@@ -175,7 +175,7 @@ def test_c04_period_contraction_suite_under_actuated():
             start = np.trace(Sigma)
             for k in range(setup.tau):
                 lam = rng.uniform(sigma_floor, 1.5, r)
-                Sigma = cov_update_ua(Sigma, lam, k, setup)
+                Sigma = channel_step(setup, Sigma, lam, k).Sigma_next
             if np.trace(Sigma) > ratio * start + 1e-12:
                 violations += 1
     report("C4 period contraction suite (under-actuated)", violations == 0,
@@ -258,7 +258,7 @@ def _surrogate_cost(schedule, model, setup, gains: GainSchedule) -> float:
         lam = schedule.lam(t)
         total += stage_cost_fa(Z, Sigma, lam, gains, setup, model, t, L)
         Z = surrogate_z_step(Z, Sigma, lam, gains, setup, model, t, L)
-        Sigma = cov_update_fa(Sigma, lam, setup)
+        Sigma = channel_step(setup, Sigma, lam).Sigma_next
     return total + terminal_cost(Z, model)
 
 
@@ -272,7 +272,7 @@ def test_c06_scalar_power_solver(fa, fa_opt_schedule):
     for t in range(model.n):
         worst_sigma = max(worst_sigma,
                           np.abs(Sigma - sched.b[t] * model.Sigma0).max())
-        Sigma = cov_update_fa(Sigma, sched.lam(t), setup)
+        Sigma = channel_step(setup, Sigma, sched.lam(t)).Sigma_next
     worst_sigma = max(worst_sigma,
                       np.abs(Sigma - sched.b[model.n] * model.Sigma0).max())
     heu = heuristic_schedule(0.88, model.n, 4)

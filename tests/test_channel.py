@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
+import channel_oracle as oracle
 from conftest import random_pd
 
-from lqcoord.channel import (ChannelMode, MessageState, channel_output,
-                             choose_projection, cov_update_fa,
-                             cov_update_ua, decode_fa, decode_ua, encode_fa,
-                             encode_ua, fa_setup, noise_gain_fa, noise_gain_ua,
-                             projection_matrix, ua_setup, virtual_output)
+from lqcoord.channel import (ChannelMode, channel_step, choose_projection,
+                             fa_setup, projection_matrix, ua_setup)
 from lqcoord.errors import (IndexOutOfRange, NonIntegerPeriod, RankDeficient,
                             SigmaNearSingular)
 from lqcoord.linalg import min_eig, pinv_sqrt, psd_sqrt
+from lqcoord.policies import PolicyKind, make_policy
+from lqcoord.power import heuristic_schedule
+from lqcoord.power.schedules import PowerSchedule, ScheduleMode
 
 
 def scalar_ua_setup():
@@ -45,8 +46,8 @@ def test_projection_rejects_row_deficient():
 # --- fully actuated signal path -------------------------------------------------
 
 def test_encode_zero_error(fa_channel):
-    msg = MessageState(e=np.zeros(4), Sigma=np.eye(4), x_star_hat=np.zeros(4))
-    np.testing.assert_allclose(encode_fa(msg, np.ones(4), fa_channel), 0.0)
+    enc = channel_step(fa_channel, np.eye(4), np.ones(4)).enc
+    np.testing.assert_allclose(enc @ np.zeros(4), 0.0)
 
 
 def test_encode_matched_covariance():
@@ -55,8 +56,8 @@ def test_encode_matched_covariance():
     lam = np.array([0.7, 1.3, 2.0])
     S = setup.S_of(lam)
     e = np.array([0.4, -1.0, 0.2])
-    msg = MessageState(e=e, Sigma=S, x_star_hat=np.zeros(3))
-    np.testing.assert_allclose(encode_fa(msg, lam, setup), e, atol=1e-10)
+    np.testing.assert_allclose(channel_step(setup, S, lam).enc @ e, e,
+                               atol=1e-10)
 
 
 def test_encode_covariance_monte_carlo(fa_channel, fa_model):
@@ -64,7 +65,7 @@ def test_encode_covariance_monte_carlo(fa_channel, fa_model):
     N = 50_000
     Sigma = random_pd(rng, 4)
     lam = np.array([0.9, 0.5, 1.4, 0.2])
-    enc = fa_channel.Q @ fa_channel.S_sqrt_of(lam) @ pinv_sqrt(Sigma)
+    enc = channel_step(fa_channel, Sigma, lam).enc
     e = rng.multivariate_normal(np.zeros(4), Sigma, size=N)
     s = e @ enc.T
     S_target = fa_channel.Q @ fa_channel.S_of(lam) @ fa_channel.Q.T
@@ -74,15 +75,14 @@ def test_encode_covariance_monte_carlo(fa_channel, fa_model):
 
 
 def test_decode_zero_output(fa_channel):
-    msg = MessageState(e=np.zeros(4), Sigma=np.eye(4), x_star_hat=np.zeros(4))
-    np.testing.assert_allclose(decode_fa(np.zeros(4), msg, np.ones(4), fa_channel), 0.0)
+    dec = channel_step(fa_channel, np.eye(4), np.ones(4)).dec
+    np.testing.assert_allclose(dec @ np.zeros(4), 0.0)
 
 
 def test_decode_hand_case():
     setup = fa_setup(np.eye(2), np.eye(2))
-    msg = MessageState(e=np.zeros(2), Sigma=np.eye(2), x_star_hat=np.zeros(2))
     # all-identity pieces collapse the gain to (I + I)^-1 = 0.5 I
-    e_hat = decode_fa(np.array([2.0, 0.0]), msg, np.ones(2), setup)
+    e_hat = channel_step(setup, np.eye(2), np.ones(2)).dec @ np.array([2.0, 0.0])
     np.testing.assert_allclose(e_hat, [1.0, 0.0], atol=1e-12)
 
 
@@ -91,14 +91,17 @@ def test_decode_is_mmse(fa_channel, fa_model):
     N = 50_000
     Sigma = random_pd(rng, 4)
     lam = np.array([1.0, 0.4, 0.8, 1.5])
-    enc = fa_channel.Q @ fa_channel.S_sqrt_of(lam) @ pinv_sqrt(Sigma)
+    step = channel_step(fa_channel, Sigma, lam)
+    enc = step.enc
     e = rng.multivariate_normal(np.zeros(4), Sigma, size=N)
     w = rng.multivariate_normal(np.zeros(4), fa_model.W, size=N)
     y = e @ enc.T @ fa_channel.B1.T + w
     S12 = fa_channel.S_sqrt_of(lam)
-    gain = (psd_sqrt(Sigma) @ S12 @ fa_channel.Q1.T
+    hand = (psd_sqrt(Sigma) @ S12 @ fa_channel.Q1.T
             @ np.linalg.inv(fa_channel.Q1 @ fa_channel.S_of(lam)
                             @ fa_channel.Q1.T + fa_model.W))
+    gain = step.dec
+    np.testing.assert_allclose(gain, hand, atol=1e-12)
     # population second moments for the exact optimality statement
     C_ye = fa_channel.B1 @ enc @ Sigma
     C_yy = fa_channel.B1 @ enc @ Sigma @ enc.T @ fa_channel.B1.T + fa_model.W
@@ -120,13 +123,14 @@ def test_decode_is_mmse(fa_channel, fa_model):
 
 def test_cov_update_no_power_is_identity(fa_channel):
     Sigma = random_pd(np.random.default_rng(1), 4)
-    np.testing.assert_allclose(cov_update_fa(Sigma, np.zeros(4), fa_channel),
-                               Sigma, atol=1e-12)
+    np.testing.assert_allclose(
+        channel_step(fa_channel, Sigma, np.zeros(4)).Sigma_next, Sigma,
+        atol=1e-12)
 
 
 def test_cov_update_identity_case():
     setup = fa_setup(np.eye(2), np.eye(2))
-    out = cov_update_fa(np.eye(2), np.ones(2), setup)
+    out = channel_step(setup, np.eye(2), np.ones(2)).Sigma_next
     np.testing.assert_allclose(out, 0.5 * np.eye(2), atol=1e-12)
 
 
@@ -135,16 +139,15 @@ def test_cov_update_monte_carlo(fa_channel, fa_model):
     N = 50_000
     Sigma = random_pd(rng, 4)
     lam = np.array([0.6, 1.1, 0.3, 0.9])
-    enc = fa_channel.Q @ fa_channel.S_sqrt_of(lam) @ pinv_sqrt(Sigma)
+    step = channel_step(fa_channel, Sigma, lam)
+    enc = step.enc
     e = rng.multivariate_normal(np.zeros(4), Sigma, size=N)
     w = rng.multivariate_normal(np.zeros(4), fa_model.W, size=N)
     y = e @ enc.T @ fa_channel.B1.T + w
-    gain = (psd_sqrt(Sigma) @ fa_channel.S_sqrt_of(lam) @ fa_channel.Q1.T
-            @ np.linalg.inv(fa_channel.Q1 @ fa_channel.S_of(lam)
-                            @ fa_channel.Q1.T + fa_model.W))
+    gain = step.dec
     e_next = e - y @ gain.T
     emp = e_next.T @ e_next / N
-    ana = cov_update_fa(Sigma, lam, fa_channel)
+    ana = step.Sigma_next
     se = np.sqrt((np.outer(np.diag(ana), np.diag(ana)) + ana ** 2) / N)
     assert np.all(np.abs(emp - ana) <= 3.5 * se)
     # orthogonality of the estimate and the residual error
@@ -156,7 +159,7 @@ def test_cov_update_monte_carlo(fa_channel, fa_model):
 
 def test_cov_update_rejects_indefinite(fa_channel):
     with pytest.raises(SigmaNearSingular):
-        cov_update_fa(np.diag([1.0, 1.0, 1.0, -0.5]), np.ones(4), fa_channel)
+        channel_step(fa_channel, np.diag([1.0, 1.0, 1.0, -0.5]), np.ones(4))
 
 
 def test_monotone_information_psd(fa_channel):
@@ -164,7 +167,7 @@ def test_monotone_information_psd(fa_channel):
     Sigma = random_pd(rng, 4)
     for _ in range(20):
         lam = rng.uniform(0.0, 2.0, 4)
-        nxt = cov_update_fa(Sigma, lam, fa_channel)
+        nxt = channel_step(fa_channel, Sigma, lam).Sigma_next
         assert min_eig(Sigma - nxt) >= -1e-10
         Sigma = nxt
 
@@ -173,19 +176,22 @@ def test_channel_output_identity(fa_model, fa_gains, fa_channel):
     # reconstruct y two ways along a rollout: definition vs B1 s + w
     rng = np.random.default_rng(64)
     x_star = rng.normal(size=4)
-    msg = MessageState.initial(x_star, fa_model.Sigma0)
+    pol = make_policy(PolicyKind.IM_COMM_FA, fa_model,
+                      power=heuristic_schedule(0.88, fa_model.n, 4))
+    run = pol.start(x_star)
+    ops, _ = pol.step_ops
     x = rng.normal(size=4)
-    lam_seq = [0.88 ** t * np.ones(4) for t in range(10)]
     for t in range(10):
-        s = encode_fa(msg, lam_seq[t], fa_channel)
-        v = -fa_gains.K_l(t) @ x + fa_gains.D_l(t) @ msg.x_star_hat + s
-        q = -fa_gains.K_f(t) @ x + fa_gains.D_f(t) @ msg.x_star_hat
+        s = ops[t].enc @ run.e
+        v, q = run.inputs(t, x)
         w = rng.multivariate_normal(np.zeros(4), fa_model.W)
         x_next = fa_model.A @ x + fa_model.B1 @ v + fa_model.B2 @ q + w
-        y = channel_output(x_next, x, fa_gains, t, msg.x_star_hat, fa_model)
+        y = oracle.channel_output(x_next, x, fa_gains, t, run.x_hat, fa_model)
         np.testing.assert_allclose(y, fa_model.B1 @ s + w, atol=1e-10)
-        e_hat = decode_fa(y, msg, lam_seq[t], fa_channel)
-        msg.apply_estimate(e_hat, cov_update_fa(msg.Sigma, lam_seq[t], fa_channel))
+        # the table's own residual is the same y
+        np.testing.assert_allclose(x_next - ops[t].Abar @ x - ops[t].BD @ run.x_hat,
+                                   y, atol=1e-10)
+        run.observe(t, x, x_next)
         x = x_next
 
 
@@ -194,8 +200,17 @@ def test_channel_output_noise_free_zero(fa_model, fa_gains):
     x_hat = np.zeros(4)
     u = -fa_gains.K[0] @ x + fa_gains.D[0] @ x_hat
     x_next = fa_model.A @ x + fa_model.B @ u  # no noise, no signal
-    y = channel_output(x_next, x, fa_gains, 0, x_hat, fa_model)
+    y = oracle.channel_output(x_next, x, fa_gains, 0, x_hat, fa_model)
     np.testing.assert_allclose(y, 0.0, atol=1e-12)
+    # the production rollout decodes nothing from it: zero power, no noise
+    zero = PowerSchedule(mode=ScheduleMode.FULL_MATRIX,
+                         Lambda=[np.zeros(4)] * fa_model.n)
+    run = make_policy(PolicyKind.IM_COMM_FA, fa_model, power=zero).start(
+        np.array([1.0, -2.0, 0.5, 2.0]))
+    v, q = run.inputs(0, x)
+    np.testing.assert_allclose(np.concatenate([v, q]), u, atol=1e-12)
+    run.observe(0, x, x_next)
+    np.testing.assert_allclose(run.x_hat, 0.0, atol=1e-12)
 
 
 # --- under-actuated path --------------------------------------------------------
@@ -237,15 +252,13 @@ def test_ua_setup_rejects_non_integer_period():
 
 def test_encode_ua_hand_case():
     setup = scalar_ua_setup()
-    msg = MessageState(e=np.array([3.0, 5.0]), Sigma=np.eye(2),
-                       x_star_hat=np.zeros(2))
-    s = encode_ua(msg, np.ones(1), 0, setup)
+    s = channel_step(setup, np.eye(2), np.ones(1), 0).enc @ np.array([3.0, 5.0])
     np.testing.assert_allclose(np.abs(s), [3.0], atol=1e-12)
 
 
 def test_encode_ua_zero_error(ua_channel):
-    msg = MessageState(e=np.zeros(4), Sigma=np.eye(4), x_star_hat=np.zeros(4))
-    np.testing.assert_allclose(encode_ua(msg, np.ones(2), 1, ua_channel), 0.0)
+    enc = channel_step(ua_channel, np.eye(4), np.ones(2), 1).enc
+    np.testing.assert_allclose(enc @ np.zeros(4), 0.0)
 
 
 def test_encode_ua_covariance_monte_carlo(ua_channel):
@@ -254,8 +267,9 @@ def test_encode_ua_covariance_monte_carlo(ua_channel):
     Sigma = random_pd(rng, 4)
     lam = np.array([0.8, 1.7])
     k = 1
-    Pk = projection_matrix(k, 2, 4)
-    enc = ua_channel.S_sqrt_of(lam) @ Pk @ pinv_sqrt(Sigma)
+    # virtual signal: the first r coordinates of Gamma1' s
+    enc = (ua_channel.svd.Gamma1.T
+           @ channel_step(ua_channel, Sigma, lam, k).enc)[:2]
     e = rng.multivariate_normal(np.zeros(4), Sigma, size=N)
     s_virt = e @ enc.T
     emp = s_virt.T @ s_virt / N
@@ -266,11 +280,11 @@ def test_encode_ua_covariance_monte_carlo(ua_channel):
 
 def test_decode_ua_hand_case():
     setup = scalar_ua_setup()
-    msg = MessageState(e=np.zeros(2), Sigma=np.eye(2), x_star_hat=np.zeros(2))
-    e_hat = decode_ua(np.array([2.0]), msg, np.ones(1), 0, setup)
+    dec = channel_step(setup, np.eye(2), np.ones(1), 0).dec
+    lift = setup.svd.Gamma0[:, :1]  # virtual output 2 as a plant-space y
+    e_hat = dec @ (lift @ np.array([2.0]))
     np.testing.assert_allclose(e_hat, [1.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(decode_ua(np.zeros(1), msg, np.ones(1), 0, setup),
-                               0.0, atol=1e-14)
+    np.testing.assert_allclose(dec @ np.zeros(2), 0.0, atol=1e-14)
 
 
 def test_decode_ua_matches_conditional_gaussian(ua_channel, ua_model):
@@ -285,24 +299,25 @@ def test_decode_ua_matches_conditional_gaussian(ua_channel, ua_model):
     cov_ey = Sigma @ Henc.T
     cov_yy = Henc @ Sigma @ Henc.T + ua_channel.Wbar1
     gain_bf = cov_ey @ np.linalg.inv(cov_yy)
-    msg = MessageState(e=np.zeros(4), Sigma=Sigma, x_star_hat=np.zeros(4))
+    dec = channel_step(ua_channel, Sigma, lam, k).dec
+    lift = ua_channel.svd.Gamma0[:, :2]  # virtual output -> plant-space y
     for _ in range(5):
         y = rng.normal(size=2)
-        np.testing.assert_allclose(decode_ua(y, msg, lam, k, ua_channel),
-                                   gain_bf @ y, atol=1e-9)
+        np.testing.assert_allclose(dec @ (lift @ y), gain_bf @ y, atol=1e-9)
 
 
 def test_cov_update_ua_no_power(ua_channel):
     Sigma = random_pd(np.random.default_rng(3), 4)
-    np.testing.assert_allclose(cov_update_ua(Sigma, np.zeros(2), 0, ua_channel),
-                               Sigma, atol=1e-12)
+    np.testing.assert_allclose(
+        channel_step(ua_channel, Sigma, np.zeros(2), 0).Sigma_next, Sigma,
+        atol=1e-12)
 
 
 def test_cov_update_ua_scalar_blocks():
     setup = scalar_ua_setup()
-    S1 = cov_update_ua(np.eye(2), np.ones(1), 0, setup)
+    S1 = channel_step(setup, np.eye(2), np.ones(1), 0).Sigma_next
     np.testing.assert_allclose(S1, np.diag([0.5, 1.0]), atol=1e-12)
-    S2 = cov_update_ua(S1, np.ones(1), 1, setup)
+    S2 = channel_step(setup, S1, np.ones(1), 1).Sigma_next
     np.testing.assert_allclose(S2, np.diag([0.5, 0.5]), atol=1e-12)
 
 
@@ -323,7 +338,7 @@ def test_cov_update_ua_monte_carlo(ua_channel, ua_model):
                                 + ua_channel.Wbar1))
         e_next = e - y @ gain.T
         emp = e_next.T @ e_next / N
-        ana = cov_update_ua(Sigma, lam, k, ua_channel)
+        ana = channel_step(ua_channel, Sigma, lam, k).Sigma_next
         se = np.sqrt((np.outer(np.diag(ana), np.diag(ana)) + ana ** 2) / N)
         assert np.all(np.abs(emp - ana) <= 3.5 * se)
 
@@ -332,25 +347,25 @@ def test_virtual_channel_identity(ua_model, ua_gains, ua_channel):
     # y~ equals Psi1 s~ + w~ along a rollout
     rng = np.random.default_rng(12)
     x_star = rng.normal(size=4)
-    msg = MessageState.initial(x_star, ua_model.Sigma0)
+    pol = make_policy(PolicyKind.IM_COMM_UA, ua_model,
+                      power=heuristic_schedule(0.9, ua_model.n, 2))
+    run = pol.start(x_star)
+    ops, _ = pol.step_ops
     x = rng.normal(size=4)
     for t in range(8):
         k = t % ua_channel.tau
         lam = 0.9 ** t * np.ones(2)
         Pk = projection_matrix(k, 2, 4)
-        s_virt = ua_channel.S_sqrt_of(lam) @ Pk @ pinv_sqrt(msg.Sigma) @ msg.e
-        s = encode_ua(msg, lam, k, ua_channel)
-        v = -ua_gains.K_l(t) @ x + ua_gains.D_l(t) @ msg.x_star_hat + s
-        q = -ua_gains.K_f(t) @ x + ua_gains.D_f(t) @ msg.x_star_hat
+        s_virt = ua_channel.S_sqrt_of(lam) @ Pk @ pinv_sqrt(ops[t].Sigma) @ run.e
+        v, q = run.inputs(t, x)
         w = rng.multivariate_normal(np.zeros(4), ua_model.W)
         x_next = ua_model.A @ x + ua_model.B1 @ v + ua_model.B2 @ q + w
-        y = channel_output(x_next, x, ua_gains, t, msg.x_star_hat, ua_model)
-        y_virt = virtual_output(y, ua_channel)
+        y = oracle.channel_output(x_next, x, ua_gains, t, run.x_hat, ua_model)
+        y_virt = ua_channel.virt_out @ y
         Psi1 = np.diag(ua_channel.svd.Psi1)
         w_virt = (ua_channel.svd.Gamma0.T @ w)[:2]
         np.testing.assert_allclose(y_virt, Psi1 @ s_virt + w_virt, atol=1e-10)
-        e_hat = decode_ua(y_virt, msg, lam, k, ua_channel)
-        msg.apply_estimate(e_hat, cov_update_ua(msg.Sigma, lam, k, ua_channel))
+        run.observe(t, x, x_next)
         x = x_next
 
 
@@ -364,11 +379,20 @@ def test_period_contraction(ua_channel, ua_model):
         start = np.trace(Sigma)
         for k in range(ua_channel.tau):
             lam = rng.uniform(sigma_floor, 1.0, 2)
-            Sigma = cov_update_ua(Sigma, lam, k, ua_channel)
+            Sigma = channel_step(ua_channel, Sigma, lam, k).Sigma_next
         assert np.trace(Sigma) <= ratio * start + 1e-12
 
 
 def test_noise_gains_shapes(fa_channel, ua_channel):
+    # the oracle's UA gain acts on the r-dim virtual noise; channel_step's N
+    # acts on the full plant noise through the virtual output map
     Sigma = np.eye(4)
-    assert noise_gain_fa(Sigma, np.ones(4), fa_channel).shape == (4, 4)
-    assert noise_gain_ua(Sigma, np.ones(2), 0, ua_channel).shape == (4, 2)
+    fa_gain = oracle.noise_gain_fa(Sigma, np.ones(4), fa_channel)
+    ua_gain = oracle.noise_gain_ua(Sigma, np.ones(2), 0, ua_channel)
+    assert fa_gain.shape == (4, 4)
+    assert ua_gain.shape == (4, 2)
+    N_fa = channel_step(fa_channel, Sigma, np.ones(4)).N
+    N_ua = channel_step(ua_channel, Sigma, np.ones(2), 0).N
+    assert N_fa.shape == N_ua.shape == (4, 4)
+    np.testing.assert_allclose(N_fa, fa_gain, atol=1e-12)
+    np.testing.assert_allclose(N_ua, ua_gain @ ua_channel.virt_out, atol=1e-12)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 import lqcoord as lq
 from lqcoord import cli
 from lqcoord.config import config_from_dict, load_config, save_config
-from lqcoord.errors import HorizonMismatch, ParseError, ValidationError
+from lqcoord.errors import (BudgetExhaustedWarning, HorizonMismatch, ParseError,
+                            ValidationError)
 from lqcoord.simulate import AggregateReport
 
 
@@ -218,6 +220,32 @@ def test_cli_error_exit_code(capsys):
                   "--policy", "ex-comm"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_optimize_power_underflowing_theta(capsys, tmp_path):
+    # theta^t underflows to 0 at t = 17: a typed error naming the entry
+    rc = run_cli(["optimize-power", "--preset", lq.UNDER_ACTUATED,
+                  "--theta", "1e-20", "--out", str(tmp_path / "p")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Lambda_17[0]" in err
+
+
+@pytest.mark.parametrize("preset", [lq.FULLY_ACTUATED, lq.UNDER_ACTUATED])
+def test_series_policies_match_aggregate(tmp_path, preset):
+    out = tmp_path / "cmp"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BudgetExhaustedWarning)
+        rc = run_cli(["compare", "--preset", preset, "--horizon", "6",
+                      "--runs", "2", "--budget", "30", "--out", str(out)])
+    assert rc == 0
+    agg = [line.split(",")[0] for line in
+           (out / "aggregate.csv").read_text().strip().splitlines()[1:]]
+    series = [line.split(",")[0] for line in
+              (out / "series.csv").read_text().strip().splitlines()[1:]]
+    assert len(set(agg)) == 4
+    assert list(dict.fromkeys(series)) == agg
+    assert all(series.count(name) == 3 * 7 for name in agg)
 
 
 def test_emit_plot_series_row_count(tmp_path, fa_model):

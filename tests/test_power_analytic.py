@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
+import channel_oracle as oracle
 import lqcoord as lq
-from lqcoord.channel import cov_update_fa, cov_update_ua
 from lqcoord.policies import PolicyKind, make_policy
 from lqcoord.power import (expected_stage_costs, expected_total_cost,
-                           heuristic_schedule, mdp_step_fa, mdp_step_ua,
-                           ua_schedule_cost)
-from lqcoord.power.analytic import MdpState, state_trajectory
+                           heuristic_schedule)
+from lqcoord.power.analytic import MdpState, state_trajectory, step_and_cost
 from lqcoord.power.schedules import PowerSchedule, ScheduleMode
 from lqcoord.simulate import derive_run_seed, rollout
 
@@ -27,7 +26,7 @@ def test_sigma_block_matches_closed_form(fa_model, fa_gains, fa_channel):
     states = state_trajectory(sched, fa_gains, fa_channel, fa_model)
     Sigma = fa_model.Sigma0.copy()
     for t in range(12):
-        Sigma = cov_update_fa(Sigma, sched.lam(t), fa_channel)
+        Sigma = oracle.cov_update_fa(Sigma, sched.lam(t), fa_channel)
         np.testing.assert_allclose(states[t + 1].Sigma, Sigma, atol=1e-12)
 
 
@@ -36,7 +35,7 @@ def test_sigma_block_matches_closed_form_ua(ua_model, ua_gains, ua_channel):
     states = state_trajectory(sched, ua_gains, ua_channel, ua_model)
     Sigma = ua_model.Sigma0.copy()
     for t in range(12):
-        Sigma = cov_update_ua(Sigma, sched.lam(t), t % 2, ua_channel)
+        Sigma = oracle.cov_update_ua(Sigma, sched.lam(t), t % 2, ua_channel)
         np.testing.assert_allclose(states[t + 1].Sigma, Sigma, atol=1e-12)
 
 
@@ -73,7 +72,7 @@ def test_zero_power_zero_prior_reduces_to_lqr_covariance(fa_model, fa_gains, fa_
     st = MdpState.initial(tiny)
     Z_ref = tiny.X0 + 1e-14 * np.eye(4)
     for t in range(6):
-        st = mdp_step_fa(st, np.zeros(4), gains, setup, tiny)
+        _, st = step_and_cost(st, np.zeros(4), gains, setup, tiny)
         Abar = tiny.A - tiny.B @ gains.K[t]
         Z_ref = Abar @ Z_ref @ Abar.T + tiny.W
         np.testing.assert_allclose(st.Z, Z_ref, atol=1e-8)
@@ -81,7 +80,7 @@ def test_zero_power_zero_prior_reduces_to_lqr_covariance(fa_model, fa_gains, fa_
 
 def test_ua_zero_power_freezes_sigma(ua_model, ua_gains, ua_channel):
     st = MdpState.initial(ua_model)
-    st = mdp_step_ua(st, np.zeros(2), 0, ua_gains, ua_channel, ua_model)
+    _, st = step_and_cost(st, np.zeros(2), ua_gains, ua_channel, ua_model, 0)
     np.testing.assert_allclose(st.Sigma, ua_model.Sigma0, atol=1e-12)
 
 
@@ -148,7 +147,7 @@ def test_expected_cost_matches_monte_carlo_fa(fa_model, fa_gains, fa_channel):
 
 def test_expected_cost_matches_monte_carlo_ua(ua_model, ua_gains, ua_channel):
     sched = heuristic_schedule(0.88, ua_model.n, 2)
-    ana = ua_schedule_cost(sched, ua_gains, ua_channel, ua_model)
+    ana = expected_total_cost(sched, ua_gains, ua_channel, ua_model)
     pol = make_policy(PolicyKind.IM_COMM_UA, ua_model)
     from lqcoord.simulate import monte_carlo
     rep = monte_carlo(pol, ua_model, None, 2500, 32)
@@ -167,18 +166,14 @@ def test_stage_costs_terminal_entry(fa_model, fa_gains, fa_channel):
 def test_ua_zero_schedule_cost_finite(ua_model, ua_gains, ua_channel):
     zero = PowerSchedule(mode=ScheduleMode.FULL_MATRIX,
                          Lambda=[np.zeros(2)] * ua_model.n)
-    c = ua_schedule_cost(zero, ua_gains, ua_channel, ua_model)
+    c = expected_total_cost(zero, ua_gains, ua_channel, ua_model)
     assert np.isfinite(c) and c > 0
 
 
 def test_ua_overpowered_schedule_costs_more(ua_model, ua_gains, ua_channel):
     heu = heuristic_schedule(0.88, ua_model.n, 2)
-    blown = heu.scaled(1e6)
-    assert (ua_schedule_cost(blown, ua_gains, ua_channel, ua_model)
-            > ua_schedule_cost(heu, ua_gains, ua_channel, ua_model))
+    blown = PowerSchedule(mode=ScheduleMode.FULL_MATRIX,
+                          Lambda=[1e6 * lam for lam in heu.Lambda])
+    assert (expected_total_cost(blown, ua_gains, ua_channel, ua_model)
+            > expected_total_cost(heu, ua_gains, ua_channel, ua_model))
 
-
-def test_ua_schedule_cost_rejects_fa_setup(fa_model, fa_gains, fa_channel):
-    sched = heuristic_schedule(0.88, fa_model.n, 4)
-    with pytest.raises(ValueError):
-        ua_schedule_cost(sched, fa_gains, fa_channel, fa_model)

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import lqcoord as lq
 import scalar_oracle as oracle
-from lqcoord.channel import cov_update_fa, fa_setup
+from lqcoord.channel import channel_step, fa_setup
 from lqcoord.gains import backward_riccati
 from lqcoord.linalg import min_eig
 from lqcoord.power import heuristic_schedule
@@ -43,7 +43,7 @@ def surrogate_schedule_cost(schedule, model, setup, gains):
         lam = schedule.lam(t)
         total += stage_cost_fa(Z, Sigma, lam, gains, setup, model, t, L)
         Z = surrogate_z_step(Z, Sigma, lam, gains, setup, model, t, L)
-        Sigma = cov_update_fa(Sigma, lam, setup)
+        Sigma = channel_step(setup, Sigma, lam).Sigma_next
     return total + terminal_cost(Z, model)
 
 
@@ -138,7 +138,7 @@ def test_solver_sigma_identity(preset, solved):
     for t in range(model.n):
         np.testing.assert_allclose(Sigma, solved.b[t] * model.Sigma0,
                                    atol=1e-10)
-        Sigma = cov_update_fa(Sigma, solved.lam(t), setup)
+        Sigma = channel_step(setup, Sigma, solved.lam(t)).Sigma_next
     np.testing.assert_allclose(Sigma, solved.b[model.n] * model.Sigma0,
                                atol=1e-10)
 
