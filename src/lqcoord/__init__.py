@@ -8,7 +8,7 @@ seeded Monte Carlo harness, and a CLI for the benchmark experiments.
 """
 
 from .model import SystemModel
-from .gains import GainSchedule, backward_riccati, excomm_inputs, leader_only_gains, split_gains
+from .gains import GainSchedule, backward_riccati, excomm_inputs, leader_only_gains
 from .channel import (ChannelMode, ChannelSetup, ChannelStep, channel_step,
                       choose_projection, fa_setup, ua_setup, projection_matrix)
 from .policies import PolicyKind, PreparedPolicy, make_policy
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SystemModel", "GainSchedule", "backward_riccati", "excomm_inputs",
-    "leader_only_gains", "split_gains",
+    "leader_only_gains",
     "ChannelMode", "ChannelSetup", "ChannelStep", "channel_step",
     "choose_projection",
     "fa_setup", "ua_setup", "projection_matrix",

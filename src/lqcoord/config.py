@@ -74,9 +74,13 @@ class ExperimentConfig:
             raise ValidationError("policies: at least one policy is required")
         if self.horizon is not None and self.horizon < 1:
             raise ValidationError(f"horizon: {self.horizon} must be >= 1")
-        self.model()  # validate the system eagerly, with field context
+        # build and validate the system once, eagerly, with field context
+        object.__setattr__(self, "_model", self._build_model())
 
     def model(self) -> SystemModel:
+        return self._model
+
+    def _build_model(self) -> SystemModel:
         if isinstance(self.system, str):
             return load_preset(self.system, self.horizon)
         missing = [f for f in _MATRIX_FIELDS if f not in self.system]

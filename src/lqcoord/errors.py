@@ -65,6 +65,10 @@ class HorizonMismatch(LqcoordError):
     """Reports with different horizons cannot be combined."""
 
 
+class NonFiniteRollout(LqcoordError):
+    """A rollout left the floating-point range; names the policy, run and step."""
+
+
 class ParseError(LqcoordError):
     """Configuration file could not be parsed."""
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, NotControllable, SingularInnovation
+from .errors import NotControllable, SingularInnovation
 from .linalg import sym_part
 from .model import SystemModel, controllability_rank
 
@@ -95,14 +95,6 @@ def leader_only_gains(model: SystemModel) -> GainSchedule:
         raise NotControllable("(A, B1) fails the controllability rank test")
     return _riccati(model.A, model.B1, model.F, model.G1, model.Fn,
                     model.n, model.d1)
-
-
-def split_gains(schedule: GainSchedule, d1: int) -> GainSchedule:
-    """Re-split a schedule's rows at a different leader width."""
-    if not 0 <= d1 <= schedule.K[0].shape[0]:
-        raise DimensionMismatch(f"split index {d1} outside joint input width")
-    return GainSchedule(Phi=schedule.Phi, K=schedule.K, Dbar=schedule.Dbar,
-                        D=schedule.D, d1=d1)
 
 
 def excomm_inputs(schedule: GainSchedule, t: int, x_t: np.ndarray,

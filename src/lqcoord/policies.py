@@ -1,12 +1,12 @@
 """Agent-level control policies: the coordination scheme and its baselines.
 
-The coordination policies (leader signals through the plant, follower
-decodes) run on an operator table built once per prepared policy: Sigma_t
-follows a noise-free recursion, so `channel.channel_step` gives every
-step's encoder and decoder ahead of the rollouts. Everything the agents
-share is deterministic given the common state trajectory, so one estimate
-update is computed and shared by both. Baselines are stateless maps of
-(x_t, x_*).
+Every policy runs on an operator table built once per prepared policy: the
+entry of step t gives the joint input u_t = -K_t x_t + D*_t x_* + D^_t x_hat
++ I~ enc_t e and the follower's update x_hat += dec_t y_t, e -= dec_t y_t
+from the channel output y_t, where e = x_* - x_hat. The coordination
+policies take enc_t and dec_t from `channel.channel_step` (Sigma_t follows a
+noise-free recursion, so the table is known before any rollout); the
+baselines send nothing, enc = dec = 0.
 
 Offsets follow the follower's current estimate for BOTH agents: the leader
 also uses D_t^l x_hat rather than its exact D_t^l x_*, which keeps the
@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import (ChannelSetup, block_schedule, channel_step, fa_setup,
                       ua_setup)
-from .errors import DimensionMismatch, ValidationError
+from .errors import ValidationError
 from .gains import GainSchedule, backward_riccati, leader_only_gains
 from .model import SystemModel
 from .power.schedules import PowerSchedule, ScheduleMode, heuristic_schedule
@@ -38,46 +38,18 @@ class PolicyKind(Enum):
     IM_COMM_UA = "im-comm-ua"
 
 
-def baseline_inputs(kind: PolicyKind, gains: GainSchedule, t: int,
-                    x_t: np.ndarray, x_star: np.ndarray,
-                    d2: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Inputs of the non-coordinating policies.
-
-    EX_COMM: both agents know the target. LEADER_ONLY: gains must be the
-    leader-alone schedule; the follower applies zero (d2 sizes it).
-    NO_COMM: the follower never learns the target and regulates toward the
-    origin; the leader keeps its own true-target offset.
-    """
-    if kind is PolicyKind.EX_COMM:
-        u = -gains.K[t] @ x_t + gains.D[t] @ x_star
-        return u[: gains.d1], u[gains.d1:]
-    if kind is PolicyKind.LEADER_ONLY:
-        if d2 is None:
-            raise DimensionMismatch("leader-only inputs need the follower width d2")
-        v = -gains.K[t] @ x_t + gains.D[t] @ x_star
-        return v, np.zeros(d2)
-    if kind is PolicyKind.NO_COMM:
-        v = -gains.K_l(t) @ x_t + gains.D_l(t) @ x_star
-        q = -gains.K_f(t) @ x_t
-        return v, q
-    raise ValidationError(f"{kind} is not a baseline policy")
-
-
 @dataclass(frozen=True)
 class _StepOps:
-    """Per-step operators of a coordination policy, shared by all rollouts.
+    """Per-step operators of a policy, shared by all rollouts."""
 
-    The encode/decode gains depend only on (t, Lambda_t, Sigma_t), and
-    Sigma_t follows a noise-free recursion; hoisting them out of the
-    rollout loop removes every eigendecomposition from the hot path.
-    """
-
+    K: np.ndarray        # x -> joint feedback (d1 + d2 rows)
+    D_star: np.ndarray   # x_* -> joint target offset
+    D_hat: np.ndarray    # x_hat -> joint estimate offset
     enc: np.ndarray      # e -> leader signal s
     dec: np.ndarray      # raw channel output y -> estimate of e
     Abar: np.ndarray     # A - B K_t
-    BD: np.ndarray       # B D_t
+    BD: np.ndarray       # B D^_t
     Sigma: np.ndarray    # follower's error covariance Sigma_t
-    sigma_trace: float
 
 
 # report labels of the coordination policies, by how their power was chosen
@@ -109,79 +81,82 @@ class PreparedPolicy:
         return _POWER_LABELS[self.power.mode]
 
     @cached_property
-    def step_ops(self) -> tuple[list[_StepOps], float] | None:
-        """Operator table (one entry per step) plus the terminal Tr(Sigma_n)."""
-        if not self.tracks_sigma:
-            return None
+    def step_ops(self) -> tuple[list[_StepOps], float]:
+        """Operator table (one entry per step) plus the terminal Tr(Sigma_n).
+
+        The baselines send nothing (enc = dec = D^ = 0) and keep Sigma_t at
+        zero once the target is shared (ex-comm), at Sigma0 otherwise. Their
+        D* is D_t for ex-comm, [D_t^l; 0] for no-comm (the follower
+        regulates toward the origin) and the leader-alone D_t for
+        leader-only, whose gains get zero follower rows.
+        """
         model, gains, setup, power = self.model, self.gains, self.setup, self.power
-        if power.n < model.n:
-            raise ValidationError(
-                f"power schedule has {power.n} steps, horizon needs {model.n}")
-        Sigma = model.Sigma0.copy()
+        d0, rows = model.d0, model.d1 + model.d2
+        shared = self.kind is PolicyKind.EX_COMM
+        Sigma = np.zeros((d0, d0)) if shared else model.Sigma0.copy()
+        if self.tracks_sigma:
+            if power.n < model.n:
+                raise ValidationError(
+                    f"power schedule has {power.n} steps, horizon needs {model.n}")
+            blocks = block_schedule(setup, model.n, self.block_order)
+
+        def pad(M):
+            return np.vstack([M, np.zeros((rows - len(M), d0))])
+
+        no_offset, no_signal = np.zeros((rows, d0)), np.zeros((model.d1, d0))
         ops = []
-        for t, k in enumerate(block_schedule(setup, model.n, self.block_order)):
-            step = channel_step(setup, Sigma, power.lam(t), k)
-            ops.append(_StepOps(enc=step.enc, dec=step.dec,
-                                Abar=model.A - model.B @ gains.K[t],
-                                BD=model.B @ gains.D[t], Sigma=Sigma,
-                                sigma_trace=float(np.trace(Sigma))))
-            Sigma = step.Sigma_next
+        for t in range(model.n):
+            K = pad(gains.K[t])
+            if self.tracks_sigma:
+                step = channel_step(setup, Sigma, power.lam(t), blocks[t])
+                D_star, D_hat = no_offset, gains.D[t]
+                enc, dec, Sigma_next = step.enc, step.dec, step.Sigma_next
+            else:
+                D_star = pad(gains.D[t] if shared else gains.D_l(t))
+                D_hat, enc, dec = no_offset, no_signal, np.zeros((d0, d0))
+                Sigma_next = Sigma
+            ops.append(_StepOps(K=K, D_star=D_star, D_hat=D_hat, enc=enc, dec=dec,
+                                Abar=model.A - model.B @ K, BD=model.B @ D_hat,
+                                Sigma=Sigma))
+            Sigma = Sigma_next
         return ops, float(np.trace(Sigma))
+
+    @cached_property
+    def sigma_traces(self) -> np.ndarray:
+        """Follower's target uncertainty Tr(Sigma_t), t = 0..n, from the table."""
+        ops, final_trace = self.step_ops
+        return np.array([np.trace(op.Sigma) for op in ops] + [final_trace])
 
     def start(self, x_star: np.ndarray) -> "RolloutPolicy":
         return RolloutPolicy(self, np.asarray(x_star, dtype=float))
 
 
 class RolloutPolicy:
-    """Per-rollout mutable view of a prepared policy.
+    """The agents' state along a batch of rollouts of a prepared policy.
 
-    Coordination rollouts run on the precomputed operator table and keep
-    the follower's error e and estimate x_hat; e + x_hat = x_* at every step.
+    x_star, the follower's error e and its estimate x_hat share one shape:
+    (d0,) for one run or (R, d0) for R runs, and every map is applied as
+    `x @ M.T`, so the same code serves both. e + x_hat = x_* at every step.
     """
 
     def __init__(self, prepared: PreparedPolicy, x_star: np.ndarray):
-        self.prepared = prepared
+        self.ops, _ = prepared.step_ops
+        self.d1 = prepared.model.d1
         self.x_star = x_star
-        self.e: np.ndarray | None = None
-        if prepared.tracks_sigma:
-            self.e = x_star.copy()
-            self.x_hat = np.zeros_like(x_star)
-            self.ops, self.final_trace = prepared.step_ops
-            self.t = 0
+        self.e = x_star.copy()
+        self.x_hat = np.zeros_like(x_star)
 
     def inputs(self, t: int, x_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.e is None:
-            return baseline_inputs(self.prepared.kind, self.prepared.gains, t,
-                                   x_t, self.x_star,
-                                   d2=self.prepared.model.d2)
-        g = self.prepared.gains
-        s = self.ops[t].enc @ self.e
-        v = -g.K_l(t) @ x_t + g.D_l(t) @ self.x_hat + s
-        q = -g.K_f(t) @ x_t + g.D_f(t) @ self.x_hat
-        return v, q
+        op = self.ops[t]
+        u = self.x_star @ op.D_star.T + self.x_hat @ op.D_hat.T - x_t @ op.K.T
+        return u[..., :self.d1] + self.e @ op.enc.T, u[..., self.d1:]
 
     def observe(self, t: int, x_t: np.ndarray, x_next: np.ndarray) -> None:
-        if self.e is None:
-            return
         op = self.ops[t]
-        y = x_next - op.Abar @ x_t - op.BD @ self.x_hat
-        e_hat = op.dec @ y
+        y = x_next - x_t @ op.Abar.T - self.x_hat @ op.BD.T   # channel output
+        e_hat = y @ op.dec.T
         self.e = self.e - e_hat
         self.x_hat = self.x_hat + e_hat
-        self.t = t + 1
-
-    def sigma_trace(self) -> float:
-        """Follower's target uncertainty Tr(Sigma_t).
-
-        Constant for the baselines: zero once the target is shared
-        (ex-comm), the full prior trace when there is no channel at all.
-        """
-        if self.e is not None:
-            return (self.ops[self.t].sigma_trace if self.t < len(self.ops)
-                    else self.final_trace)
-        if self.prepared.kind is PolicyKind.EX_COMM:
-            return 0.0
-        return float(np.trace(self.prepared.model.Sigma0))
 
 
 def make_policy(kind: PolicyKind, model: SystemModel, *,

@@ -1,16 +1,23 @@
 """Seeded Monte Carlo rollouts and aggregation.
 
+One engine runs every policy: the runs of a chunk advance together as
+(R, d0) arrays, and `rollout` is its one-run case.
+
 Reproducibility contract:
 
 - generator: numpy PCG64 behind np.random.Generator; normals come from
   standard_normal (numpy's ziggurat), covariance shaping is by Cholesky
-  factor (lower). Fixed seed => byte-identical traces on any platform with
-  the same numpy major line.
-- per-run draw order: target x_* (from its own salted substream, so fixed
-  and sampled targets see identical plant noise), then x_0, then
-  w_0 ... w_{n-1} from the main stream.
+  factor (lower).
+- per-run draws: the target x_* from its own salted substream (so fixed and
+  sampled targets see identical plant noise), then one
+  standard_normal((n+1)*d0) draw from the run's main stream, whose first d0
+  values shape x_0 and the rest w_0 ... w_{n-1} (the same values d0-sized
+  draws one at a time would give).
 - per-run seed: splitmix64 mix of (master_seed, run_index), so runs are
   decorrelated without coordination and independent of execution order.
+- identical config and seed give byte-identical results within a version;
+  batched products round differently from one-run matrix-vector products,
+  so results shift at roundoff level across versions that change them.
 """
 
 from __future__ import annotations
@@ -19,12 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NonFiniteRollout, ValidationError
 from .model import SystemModel
 from .policies import PreparedPolicy
 
 _MASK = (1 << 64) - 1
 _TARGET_SALT = 0x9E3779B97F4A7C15
+CHUNK_RUNS = 1024   # runs advanced together; bounds memory at any run count
 
 
 def splitmix64(x: int) -> int:
@@ -44,11 +52,6 @@ def derive_run_seed(master_seed: int, run_index: int) -> int:
 def gaussian_stream(seed: int) -> np.random.Generator:
     """Deterministic standard-normal source for one rollout."""
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def shaped_normal(rng: np.random.Generator, chol: np.ndarray) -> np.ndarray:
-    """One N(0, C) draw given the lower Cholesky factor of C."""
-    return chol @ rng.standard_normal(chol.shape[0])
 
 
 def _chol_psd(M: np.ndarray) -> np.ndarray:
@@ -97,56 +100,73 @@ class AggregateReport:
         return float(self.mean_total_cost - self.mean_stage_costs.sum())
 
 
+def _targets(chol: np.ndarray, seeds: list[int]) -> np.ndarray:
+    """Draws N(0, chol chol') from each run's salted substream, (R, d0)."""
+    g = np.array([gaussian_stream(splitmix64(s ^ _TARGET_SALT))
+                  .standard_normal(chol.shape[0]) for s in seeds])
+    return g @ chol.T
+
+
 def sample_target(model: SystemModel, seed: int) -> np.ndarray:
     """Target draw from N(0, Sigma0) on the salted per-run substream."""
-    rng = gaussian_stream(splitmix64(seed ^ _TARGET_SALT))
-    return shaped_normal(rng, _chol_psd(model.Sigma0))
+    return _targets(_chol_psd(model.Sigma0), [seed])[0]
+
+
+def _quad(z: np.ndarray, M: np.ndarray) -> np.ndarray:
+    return np.einsum("...i,ij,...j->...", z, M, z)
+
+
+def _rollouts(policy: PreparedPolicy, model: SystemModel,
+              x_star: np.ndarray | None, seeds: list[int],
+              first_run: int = 0) -> tuple[np.ndarray, ...]:
+    """The runs seeded by `seeds`, advanced together as (R, d0) arrays.
+
+    Returns targets, states, inputs v and q, stage and terminal costs and z
+    norms, each with a leading run axis. A non-finite cost or z norm raises
+    NonFiniteRollout naming its run (counted from `first_run`) and step.
+    """
+    n, d0, R = model.n, model.d0, len(seeds)
+    if x_star is None:
+        x_star = _targets(_chol_psd(model.Sigma0), seeds)
+    elif np.shape(x_star) != (d0,):
+        raise ValidationError(
+            f"target must have shape ({d0},), got {np.shape(x_star)}")
+    x_star = np.broadcast_to(np.asarray(x_star, dtype=float), (R, d0))
+    g = np.array([gaussian_stream(s).standard_normal((n + 1) * d0)
+                  for s in seeds]).reshape(R, n + 1, d0)
+    w = g[:, 1:] @ np.linalg.cholesky(model.W).T
+    states = np.empty((R, n + 1, d0))
+    states[:, 0] = g[:, 0] @ _chol_psd(model.X0).T
+    v, q = np.empty((R, n, model.d1)), np.empty((R, n, model.d2))
+    pol = policy.start(x_star)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(n):
+            x = states[:, t]
+            v[:, t], q[:, t] = pol.inputs(t, x)
+            states[:, t + 1] = (x @ model.A.T + v[:, t] @ model.B1.T
+                                + q[:, t] @ model.B2.T + w[:, t])
+            pol.observe(t, x, states[:, t + 1])
+        z = states - x_star[:, None]
+        stage = _quad(z[:, :n], model.F) + _quad(v, model.G1) + _quad(q, model.G2)
+        terminal = _quad(z[:, n], model.Fn)
+        z_norms = np.linalg.norm(z, axis=2)
+    bad = ~(np.isfinite(np.column_stack([stage, terminal])) & np.isfinite(z_norms))
+    if bad.any():
+        i = int(bad.any(axis=1).argmax())
+        raise NonFiniteRollout(
+            f"policy {policy.label}: run {first_run + i} leaves the "
+            f"floating-point range at step {int(bad[i].argmax())} "
+            "(non-finite cost or distance to target)")
+    return x_star, states, v, q, stage, terminal, z_norms
 
 
 def rollout(policy: PreparedPolicy, model: SystemModel,
             x_star: np.ndarray | None, seed: int) -> RolloutTrace:
     """One seeded rollout; x_star=None draws the target from its prior."""
-    n, d0 = model.n, model.d0
-    if x_star is None:
-        x_star = sample_target(model, seed)
-    x_star = np.asarray(x_star, dtype=float)
-    if x_star.shape != (d0,):
-        raise ValidationError(f"target must have shape ({d0},), got {x_star.shape}")
-
-    rng = gaussian_stream(seed)
-    chol_X0 = _chol_psd(model.X0)
-    chol_W = np.linalg.cholesky(model.W)
-
-    pol = policy.start(x_star)
-    x = shaped_normal(rng, chol_X0)
-
-    states = np.empty((n + 1, d0))
-    inputs_v = np.empty((n, model.d1))
-    inputs_q = np.empty((n, model.d2))
-    stage_costs = np.empty(n)
-    sig = np.empty(n + 1)
-
-    states[0] = x
-    for t in range(n):
-        sig[t] = pol.sigma_trace()
-        v, q = pol.inputs(t, x)
-        z = x - x_star
-        stage_costs[t] = (z @ model.F @ z + v @ model.G1 @ v + q @ model.G2 @ q)
-        w = shaped_normal(rng, chol_W)
-        x_next = model.A @ x + model.B1 @ v + model.B2 @ q + w
-        pol.observe(t, x, x_next)
-        states[t + 1] = x_next
-        inputs_v[t] = v
-        inputs_q[t] = q
-        x = x_next
-    sig[n] = pol.sigma_trace()
-    z = x - x_star
-    terminal = float(z @ model.Fn @ z)
-    z_norms = np.linalg.norm(states - x_star, axis=1)
-    return RolloutTrace(states=states, inputs_v=inputs_v, inputs_q=inputs_q,
-                        stage_costs=stage_costs, terminal_cost=terminal,
-                        z_norms=z_norms, sigma_traces=sig, x_star=x_star,
-                        seed=seed)
+    x_star, states, v, q, stage, terminal, z_norms = (
+        a[0] for a in _rollouts(policy, model, x_star, [seed]))
+    return RolloutTrace(states, v, q, stage, float(terminal), z_norms,
+                        policy.sigma_traces.copy(), x_star.copy(), seed)
 
 
 def monte_carlo(policy: PreparedPolicy, model: SystemModel,
@@ -155,19 +175,23 @@ def monte_carlo(policy: PreparedPolicy, model: SystemModel,
     """Aggregate `runs` independent rollouts (x_star=None samples per run)."""
     if runs < 1:
         raise ValidationError(f"runs must be >= 1, got {runs}")
-    totals = np.empty(runs)
-    z_sum = np.zeros(model.n + 1)
-    stage_sum = np.zeros(model.n)
-    sig_sum = np.zeros(model.n + 1)
-    for i in range(runs):
-        trace = rollout(policy, model, x_star, derive_run_seed(master_seed, i))
-        totals[i] = trace.total_cost
-        z_sum += trace.z_norms
-        stage_sum += trace.stage_costs
-        sig_sum += trace.sigma_traces
-    std = float(totals.std(ddof=1)) if runs > 1 else 0.0
+    z_sum, stage_sum = np.zeros(model.n + 1), np.zeros(model.n)
+    # totals are summed as deviations from the first: no cancellation in var
+    shift, dev_sum, dev_sq = None, 0.0, 0.0
+    for lo in range(0, runs, CHUNK_RUNS):
+        seeds = [derive_run_seed(master_seed, i)
+                 for i in range(lo, min(runs, lo + CHUNK_RUNS))]
+        *_, stage, terminal, z_norms = _rollouts(policy, model, x_star, seeds, lo)
+        totals = stage.sum(axis=1) + terminal
+        shift = totals[0] if shift is None else shift
+        dev_sum += (totals - shift).sum()
+        dev_sq += ((totals - shift) ** 2).sum()
+        z_sum += z_norms.sum(axis=0)
+        stage_sum += stage.sum(axis=0)
+    var = max(dev_sq - dev_sum ** 2 / runs, 0.0) / max(runs - 1, 1)
     return AggregateReport(
         policy=policy.label, runs=runs,
-        mean_total_cost=float(totals.mean()), std_total_cost=std,
-        mean_z_norms=z_sum / runs, mean_sigma_traces=sig_sum / runs,
+        mean_total_cost=float(shift + dev_sum / runs),
+        std_total_cost=float(np.sqrt(var)), mean_z_norms=z_sum / runs,
+        mean_sigma_traces=policy.sigma_traces.copy(),
         mean_stage_costs=stage_sum / runs, horizon=model.n)

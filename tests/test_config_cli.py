@@ -222,6 +222,24 @@ def test_cli_error_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_non_finite_rollout_exits_1(capsys, tmp_path):
+    # the state overflows; no NaN may reach a CSV
+    I = np.eye(2).tolist()
+    raw = {"system": {"A": (1e30 * np.eye(2)).tolist(), "B1": I,
+                      "B2": [[1.0], [0.0]], "W": I, "F": np.zeros((2, 2)).tolist(),
+                      "Fn": np.zeros((2, 2)).tolist(), "G1": I, "G2": [[1.0]],
+                      "Sigma0": I, "X0": I},
+           "horizon": 30, "policies": [{"name": "no-comm"}, {"name": "ex-comm"}],
+           "runs": 5, "out_dir": str(tmp_path / "out")}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(raw))
+    rc = run_cli(["simulate", "--config", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "policy no-comm: run 0" in err
+    assert not (tmp_path / "out" / "aggregate.csv").exists()
+
+
 def test_cli_optimize_power_underflowing_theta(capsys, tmp_path):
     # theta^t underflows to 0 at t = 17: a typed error naming the entry
     rc = run_cli(["optimize-power", "--preset", lq.UNDER_ACTUATED,

@@ -11,12 +11,13 @@ the table follows the closed-form contraction. The two coincide while
 Sigma_t^(-1/2) is a true inverse. Once the pseudo-inverse cutoff drops a
 direction of Sigma_t that the channel eigenbasis mixes with the others,
 they part (the two tests at the end pin one case), so the joint block is
-compared up to that step only.
+compared up to that step only, and Monte Carlo is compared with the exact
+expected cost only on systems that stay clear of the cutoff.
 """
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import channel_oracle as oracle
 from conftest import random_pd
@@ -24,8 +25,9 @@ from lqcoord.channel import ChannelMode
 from lqcoord.errors import LqcoordError
 from lqcoord.model import SystemModel
 from lqcoord.policies import PolicyKind, make_policy
-from lqcoord.power.analytic import state_trajectory
+from lqcoord.power.analytic import expected_total_cost, state_trajectory
 from lqcoord.power.schedules import PowerSchedule, ScheduleMode
+from lqcoord.simulate import monte_carlo
 
 CUTOFF_COND = 1e12   # 1 / the pseudo-inverse cutoff of channel_step
 # the joint block is compared while every Sigma_t stays this far from the
@@ -121,6 +123,22 @@ def test_table_matches_oracle_and_exact_engine(case):
     assert abs(final_trace - np.trace(Sigma)) <= tol * np.trace(Sigma)
     if cond < EXACT_COND:
         _assert_rel(joint[n].Sigma, Sigma, tol, "joint Sigma_n")
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(cases())
+def test_monte_carlo_matches_exact_cost(case):
+    # sampled targets: the Monte Carlo mean of 4000 runs lies within 4
+    # standard errors of the exact expected cost
+    pol = _random_policy(*case)
+    ops, _ = pol.step_ops
+    assume(max(oracle.live_cond(op.Sigma) for op in ops) < EXACT_COND)
+    exact = expected_total_cost(pol.power, pol.gains, pol.setup, pol.model,
+                                pol.block_order)
+    runs = 4000
+    rep = monte_carlo(pol, pol.model, None, runs, 0)
+    z = (rep.mean_total_cost - exact) / (rep.std_total_cost / np.sqrt(runs))
+    assert abs(z) <= 4, f"MC {rep.mean_total_cost:.6g} vs exact {exact:.6g}: z {z:.2f}"
 
 
 def _sampled_after_truncation():

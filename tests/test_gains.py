@@ -5,8 +5,7 @@ import scipy.optimize
 from conftest import random_system
 
 from lqcoord.errors import NotControllable
-from lqcoord.gains import (backward_riccati, excomm_inputs, leader_only_gains,
-                           split_gains)
+from lqcoord.gains import backward_riccati, excomm_inputs, leader_only_gains
 from lqcoord.model import SystemModel
 
 
@@ -63,13 +62,6 @@ def test_split_reassembles(fa_gains):
         D = np.vstack([fa_gains.D_l(t), fa_gains.D_f(t)])
         assert np.array_equal(K, fa_gains.K[t])
         assert np.array_equal(D, fa_gains.D[t])
-
-
-def test_split_identity_partition():
-    m = scalar_model()
-    g = backward_riccati(m)
-    re = split_gains(g, 1)
-    assert re.K_l(0).shape == (1, 1) and re.K_f(0).shape == (1, 1)
 
 
 def test_leader_only_independent_of_follower(fa_model):

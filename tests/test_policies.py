@@ -8,7 +8,7 @@ from lqcoord.errors import ValidationError
 from lqcoord.gains import excomm_inputs
 from lqcoord.linalg import pinv_sqrt
 from lqcoord.model import SystemModel
-from lqcoord.policies import PolicyKind, baseline_inputs, make_policy
+from lqcoord.policies import PolicyKind, make_policy
 from lqcoord.power import heuristic_schedule
 from lqcoord.power.schedules import PowerSchedule, ScheduleMode
 from lqcoord.simulate import rollout
@@ -113,11 +113,9 @@ def test_high_snr_one_step_learning(fa_model, fa_gains, fa_channel):
 
 def test_baselines_zero_at_origin(fa_model, fa_gains):
     zero = np.zeros(4)
-    lead = lq.leader_only_gains(fa_model)
-    for kind, g in [(PolicyKind.EX_COMM, fa_gains),
-                    (PolicyKind.NO_COMM, fa_gains),
-                    (PolicyKind.LEADER_ONLY, lead)]:
-        v, q = baseline_inputs(kind, g, 0, zero, zero, d2=fa_model.d2)
+    for kind in (PolicyKind.EX_COMM, PolicyKind.NO_COMM,
+                 PolicyKind.LEADER_ONLY):
+        v, q = make_policy(kind, fa_model).start(zero).inputs(0, zero)
         np.testing.assert_allclose(v, 0.0, atol=1e-14)
         np.testing.assert_allclose(q, 0.0, atol=1e-14)
 
@@ -125,8 +123,8 @@ def test_baselines_zero_at_origin(fa_model, fa_gains):
 def test_nocomm_equals_excomm_at_zero_target(fa_model, fa_gains):
     x = np.array([0.4, -0.2, 0.3, 0.8])
     zero = np.zeros(4)
-    v1, q1 = baseline_inputs(PolicyKind.EX_COMM, fa_gains, 3, x, zero)
-    v2, q2 = baseline_inputs(PolicyKind.NO_COMM, fa_gains, 3, x, zero)
+    v1, q1 = make_policy(PolicyKind.EX_COMM, fa_model).start(zero).inputs(3, x)
+    v2, q2 = make_policy(PolicyKind.NO_COMM, fa_model).start(zero).inputs(3, x)
     np.testing.assert_allclose(v1, v2, atol=1e-14)
     np.testing.assert_allclose(q1, q2, atol=1e-14)
 
@@ -201,8 +199,6 @@ def test_make_policy_validation(ua_model, fa_model):
         make_policy(PolicyKind.IM_COMM_FA, ua_model)
     pol = make_policy(PolicyKind.IM_COMM_UA, ua_model)
     assert pol.power.dim == 2
-    with pytest.raises(ValidationError):
-        baseline_inputs(PolicyKind.IM_COMM_FA, None, 0, np.zeros(4), np.zeros(4))
 
 
 @pytest.mark.parametrize("preset", ["fa", "ua"])
@@ -234,8 +230,8 @@ def test_table_path_matches_state_machine(preset, fa_model, ua_model):
         oracle.observe_and_update(st, x, x_next)
         np.testing.assert_allclose(run.e, st.msg.e, atol=1e-9)
         np.testing.assert_allclose(run.x_hat, st.msg.x_star_hat, atol=1e-9)
-        assert run.sigma_trace() == pytest.approx(np.trace(st.msg.Sigma),
-                                                  abs=1e-9)
+        assert pol.sigma_traces[t + 1] == pytest.approx(
+            np.trace(st.msg.Sigma), abs=1e-9)
         x = x_next
 
 

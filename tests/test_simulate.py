@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 import lqcoord as lq
-from lqcoord.errors import ValidationError
+from conftest import random_pd
+from lqcoord import simulate
+from lqcoord.errors import NonFiniteRollout, ValidationError
 from lqcoord.policies import PolicyKind, make_policy
 from lqcoord.simulate import (derive_run_seed, gaussian_stream, monte_carlo,
-                              rollout, sample_target, shaped_normal, splitmix64)
+                              rollout, sample_target, splitmix64)
 
 
 def test_splitmix_determinism_and_spread():
@@ -36,9 +38,9 @@ def test_gaussian_stream_clt():
 
 
 def test_shaped_covariance(fa_model):
-    rng = gaussian_stream(5)
+    # Cholesky shaping of one d0-sized standard draw per stream
     chol = np.linalg.cholesky(fa_model.W)
-    draws = np.array([shaped_normal(rng, chol) for _ in range(100_000)])
+    draws = simulate._targets(chol, range(100_000))
     emp = draws.T @ draws / draws.shape[0]
     W = fa_model.W
     se = np.sqrt((np.outer(np.diag(W), np.diag(W)) + W ** 2) / draws.shape[0])
@@ -145,3 +147,73 @@ def test_target_shape_validated(fa_model):
     pol = make_policy(PolicyKind.EX_COMM, fa_model)
     with pytest.raises(ValidationError):
         rollout(pol, fa_model, np.zeros(3), seed=0)
+
+
+def test_rollout_draw_contract(fa_model):
+    # x_0 is chol(X0) times the first d0 normals of the run's stream, and
+    # w_t is chol(W) times the next d0 each, as sequential draws give them
+    rng = np.random.default_rng(3)
+    W, X0 = random_pd(rng, 4, 0.1), random_pd(rng, 4)
+    model = lq.SystemModel(fa_model.A, fa_model.B1, fa_model.B2, W,
+                           fa_model.F, fa_model.Fn, fa_model.G1, fa_model.G2,
+                           fa_model.Sigma0, X0, 6)
+    pol = make_policy(PolicyKind.IM_COMM_FA, model)
+    tr = rollout(pol, model, None, seed=31)
+    rng = gaussian_stream(31)
+    np.testing.assert_allclose(
+        tr.states[0], np.linalg.cholesky(X0) @ rng.standard_normal(4),
+        rtol=1e-15, atol=0)
+    chol_W = np.linalg.cholesky(W)
+    for t in range(model.n):
+        w = (tr.states[t + 1] - model.A @ tr.states[t]
+             - model.B1 @ tr.inputs_v[t] - model.B2 @ tr.inputs_q[t])
+        np.testing.assert_allclose(w, chol_W @ rng.standard_normal(4),
+                                   atol=1e-12)
+
+
+@pytest.mark.parametrize("target", ["sampled", "fixed"])
+@pytest.mark.parametrize("preset, kind", [
+    ("fa", PolicyKind.EX_COMM), ("fa", PolicyKind.LEADER_ONLY),
+    ("fa", PolicyKind.IM_COMM_FA), ("ua", PolicyKind.EX_COMM),
+    ("ua", PolicyKind.NO_COMM), ("ua", PolicyKind.IM_COMM_UA)])
+def test_batched_matches_single_runs(preset, kind, target, fa_model, ua_model,
+                                     monkeypatch):
+    # chunks of 7: 20 runs span three chunks, the last one short. The fully
+    # actuated scheme drives cond(Sigma_t) to 7e11, which amplifies the
+    # roundoff between batched and one-run products (6.8e-12 seen)
+    monkeypatch.setattr(simulate, "CHUNK_RUNS", 7)
+    model = fa_model if preset == "fa" else ua_model
+    pol = make_policy(kind, model)
+    x_star = np.array([1.0, -2.0, 0.5, 2.0]) if target == "fixed" else None
+    runs, seed = 20, 23
+    rep = monte_carlo(pol, model, x_star, runs, seed)
+    traces = [rollout(pol, model, x_star, derive_run_seed(seed, i))
+              for i in range(runs)]
+    totals = [tr.total_cost for tr in traces]
+    np.testing.assert_allclose(rep.mean_total_cost, np.mean(totals), rtol=1e-9)
+    np.testing.assert_allclose(rep.std_total_cost, np.std(totals, ddof=1),
+                               rtol=1e-9)
+    np.testing.assert_allclose(
+        rep.mean_stage_costs, np.mean([tr.stage_costs for tr in traces], axis=0),
+        rtol=1e-9)
+    np.testing.assert_allclose(
+        rep.mean_z_norms, np.mean([tr.z_norms for tr in traces], axis=0),
+        rtol=1e-9)
+    ops, final_trace = pol.step_ops
+    np.testing.assert_array_equal(
+        rep.mean_sigma_traces, [np.trace(op.Sigma) for op in ops] + [final_trace])
+
+
+def test_overflow_raises_naming_policy_run_and_step():
+    # A = 1e30 I: |x_t| ~ 1e30^t, so |z_t|^2 overflows at t = 6
+    I = np.eye(2)
+    model = lq.SystemModel(A=1e30 * I, B1=I, B2=[[1.0], [0.0]], W=I,
+                           F=0 * I, Fn=0 * I, G1=I, G2=[[1.0]], Sigma0=I,
+                           X0=I, n=30)
+    for kind in (PolicyKind.NO_COMM, PolicyKind.EX_COMM):
+        pol = make_policy(kind, model)
+        with pytest.raises(NonFiniteRollout,
+                           match=f"policy {kind.value}: run 0 .* step 6 "):
+            monte_carlo(pol, model, None, runs=5, master_seed=0)
+        with pytest.raises(NonFiniteRollout, match="step 6 "):
+            rollout(pol, model, None, seed=0)
