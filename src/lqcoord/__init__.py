@@ -8,8 +8,8 @@ seeded Monte Carlo harness, and a CLI for the benchmark experiments.
 """
 
 from .model import SystemModel
-from .gains import GainSchedule, backward_riccati, excomm_inputs, leader_only_gains
-from .channel import (ChannelMode, ChannelSetup, ChannelStep, channel_step,
+from .gains import GainSchedule, backward_riccati, leader_only_gains
+from .channel import (ChannelSetup, ChannelStep, channel_step,
                       choose_projection, fa_setup, ua_setup, projection_matrix)
 from .policies import PolicyKind, PreparedPolicy, make_policy
 from .power import (PowerSchedule, heuristic_schedule, expected_total_cost,
@@ -23,9 +23,8 @@ from .config import ExperimentConfig, load_config, save_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "SystemModel", "GainSchedule", "backward_riccati", "excomm_inputs",
-    "leader_only_gains",
-    "ChannelMode", "ChannelSetup", "ChannelStep", "channel_step",
+    "SystemModel", "GainSchedule", "backward_riccati", "leader_only_gains",
+    "ChannelSetup", "ChannelStep", "channel_step",
     "choose_projection",
     "fa_setup", "ua_setup", "projection_matrix",
     "PolicyKind", "PreparedPolicy", "make_policy",

@@ -1,4 +1,4 @@
-"""Finite-horizon tracking-LQR gains and their leader/follower row splits.
+"""Finite-horizon tracking-LQR gains for the joint input.
 
 Backward value recursion (Phi_n = Dbar_n = Fn):
 
@@ -27,10 +27,10 @@ from .model import SystemModel, controllability_rank
 
 @dataclass(frozen=True)
 class GainSchedule:
-    """Per-step feedback and target-offset gains, plus the row split at d1.
+    """Per-step feedback and target-offset gains of the joint input.
 
     Phi and Dbar have n+1 entries (terminal included); K and D have n.
-    K_l/K_f and D_l/D_f are the top-d1/bottom-d2 row blocks of K and D.
+    D_l is the leader's (top-d1) row block of D.
     """
 
     Phi: list[np.ndarray]
@@ -43,17 +43,8 @@ class GainSchedule:
     def n(self) -> int:
         return len(self.K)
 
-    def K_l(self, t: int) -> np.ndarray:
-        return self.K[t][: self.d1]
-
-    def K_f(self, t: int) -> np.ndarray:
-        return self.K[t][self.d1:]
-
     def D_l(self, t: int) -> np.ndarray:
         return self.D[t][: self.d1]
-
-    def D_f(self, t: int) -> np.ndarray:
-        return self.D[t][self.d1:]
 
 
 def _riccati(A: np.ndarray, B: np.ndarray, F: np.ndarray, G: np.ndarray,
@@ -88,16 +79,11 @@ def backward_riccati(model: SystemModel) -> GainSchedule:
 def leader_only_gains(model: SystemModel) -> GainSchedule:
     """Gain schedule when the leader controls (A, B1) alone.
 
-    Follower rows are zero by construction (d1 covers the whole schedule,
-    so K_f/D_f are empty); callers pad the follower input with zeros.
+    The schedule has leader rows only (d1 covers all of it); callers pad
+    the follower input with zeros.
     """
     if controllability_rank(model.A, model.B1) < model.d0:
         raise NotControllable("(A, B1) fails the controllability rank test")
     return _riccati(model.A, model.B1, model.F, model.G1, model.Fn,
                     model.n, model.d1)
 
-
-def excomm_inputs(schedule: GainSchedule, t: int, x_t: np.ndarray,
-                  x_star: np.ndarray) -> np.ndarray:
-    """Optimal joint input u_t = -K_t x_t + D_t x_* (target known to both)."""
-    return -schedule.K[t] @ x_t + schedule.D[t] @ x_star

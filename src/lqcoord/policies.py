@@ -174,15 +174,12 @@ def make_policy(kind: PolicyKind, model: SystemModel, *,
         if not model.leader_fully_actuated():
             raise ValidationError("im-comm-fa requires rank(B1) = d0")
         setup = fa_setup(model.B1, model.W, Q=Q)
-        if power is None:
-            power = heuristic_schedule(theta, model.n, model.d0)
-        return PreparedPolicy(kind=kind, model=model, gains=gains, setup=setup,
-                              power=power)
-    if kind is PolicyKind.IM_COMM_UA:
+    elif kind is PolicyKind.IM_COMM_UA:
         setup = ua_setup(model.B1, model.W)
-        if power is None:
-            power = heuristic_schedule(theta, model.n, setup.r)
-        block_schedule(setup, model.n, block_order)  # reject a bad order now
-        return PreparedPolicy(kind=kind, model=model, gains=gains, setup=setup,
-                              power=power, block_order=block_order)
-    raise ValidationError(f"unknown policy kind {kind}")
+    else:
+        raise ValidationError(f"unknown policy kind {kind}")
+    if power is None:
+        power = heuristic_schedule(theta, model.n, setup.r)
+    block_schedule(setup, model.n, block_order)  # reject a bad order now
+    return PreparedPolicy(kind=kind, model=model, gains=gains, setup=setup,
+                          power=power, block_order=block_order)

@@ -8,10 +8,11 @@ signaling scheme when the target is drawn from its prior:
     x_*     = x_*
 
 with Abar_t = A - B K_t, C_t = Abar_t + B D_t - I, Gbar_t the signal-minus-
-offset coefficient and (E_t, N_t) the error-recursion maps, which
-`channel.channel_step` gives from the Sigma block of the joint covariance
-itself (not from the closed-form recursion the rollout table uses, so the
-two stay an independent check on each other). Propagating
+offset coefficient and (E_t, N_t) the error-recursion maps; N_t is the
+decoder dec_t, since the follower subtracts dec_t y_t. `channel.channel_step`
+gives both from the Sigma block of the joint covariance itself (not from
+the closed-form recursion the rollout table uses, so the two stay an
+independent check on each other). Propagating
 Cov(rho_t) through these maps gives the exact covariance of every quantity
 in the stage cost, so expected costs here match Monte Carlo up to sampling
 noise, with no dropped terms. The Sigma block reproduces the closed-form
@@ -91,7 +92,7 @@ class MdpState:
 
 def step_and_cost(state: MdpState, lam: np.ndarray, gains: GainSchedule,
                   setup: ChannelSetup, model: SystemModel,
-                  k: int | None = None) -> tuple[float, MdpState]:
+                  k: int = 0) -> tuple[float, MdpState]:
     """Exact stage cost at state.t plus the advanced state, one pass.
 
     u_t = -K_t z_t + (D_t - K_t) x_* + (Itil enc - D_t) e_t, so Cov(u_t) is
@@ -110,7 +111,7 @@ def step_and_cost(state: MdpState, lam: np.ndarray, gains: GainSchedule,
         [Z0, step.E, Z0],
         [Z0, Z0, np.eye(d0)],
     ])
-    Nrho = np.vstack([np.eye(d0), -step.N, Z0])
+    Nrho = np.vstack([np.eye(d0), -step.dec, Z0])
     Xi_hat = model.leader_embed @ step.enc - gains.D[t]
     Mu = np.hstack([-gains.K[t], Xi_hat, gains.D[t] - gains.K[t]])
     cov_u = Mu @ state.joint @ Mu.T
@@ -142,7 +143,7 @@ class TailCostEvaluator:
     """
 
     def __init__(self, gains: GainSchedule, setup: ChannelSetup,
-                 model: SystemModel, blocks: list[int | None]):
+                 model: SystemModel, blocks: list[int]):
         self.gains, self.setup, self.model = gains, setup, model
         self.blocks = blocks
         self.states: list[MdpState] = [MdpState.initial(model)]

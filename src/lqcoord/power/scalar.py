@@ -84,12 +84,10 @@ class ConstantsTable:
 
 
 def scalar_constants(gains: GainSchedule, setup: ChannelSetup,
-                     model: SystemModel,
-                     thetaZ: list[np.ndarray] | None = None) -> ConstantsTable:
+                     model: SystemModel) -> ConstantsTable:
     """Assemble the constant tables for the scalar solver."""
     n = model.n
-    if thetaZ is None:
-        thetaZ = costate_Z(gains, model)
+    thetaZ = costate_Z(gains, model)
     L = offset_feedback_seq(gains, model)
     U, H = setup.eig.U, setup.eig.H
     Q, Q1 = setup.Q, setup.Q1
@@ -194,10 +192,12 @@ def _solve_for_nu(c: ConstantsTable, nu: float, a0: np.ndarray) -> np.ndarray:
             a, resid = a_lbfgs, stationarity_residuals(a_lbfgs, c, nu)
     if np.abs(resid).max() > RESIDUAL_TOL:
         worst = int(np.abs(resid).argmax())
+        # the L-BFGS box is [A_FLOOR, A_CEIL], but the root polish is unbounded
+        reached = np.exp(np.concatenate([res.x, sol.x]))
         raise NoRootFound(
-            f"stationarity system not solvable to {RESIDUAL_TOL:g} on "
-            f"[{A_FLOOR:g}, {A_CEIL:g}]; worst residual {resid[worst]:.3e} "
-            f"at t={worst}")
+            f"stationarity system not solvable to {RESIDUAL_TOL:g}: the inner "
+            f"solve reached a in [{reached.min():.3g}, {reached.max():.3g}]; "
+            f"worst residual {resid[worst]:.3e} at t={worst}")
     return a
 
 
@@ -214,8 +214,8 @@ def scalar_backward_solve(constants: ConstantsTable, epsilon: float,
     that its multiplier would overflow raises ValidationError before any
     inner solve.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not epsilon > 0.0:
+        raise ValidationError(f"epsilon: {epsilon:g} must be positive")
     c = constants
     n = c.c1.size
     # The multiplier that meets b_n = epsilon grows like c1 epsilon^-(1+1/n)

@@ -4,8 +4,10 @@ An independent oracle for `lqcoord.channel.channel_step` and the rollout
 operator table. Every map is rebuilt from the live error covariance at each
 step with this file's own square roots, so nothing here goes through the
 package's eigendecomposition helpers or its cached setup constants; only the
-setup's factorizations (projection Q, channel eigenbasis, SVD of B1) are
-shared inputs.
+setup's projection Q and channel eigenbasis are shared inputs, and the
+under-actuated formulas take the SVD of B1 and the rotated noise Wbar1 from
+their own factorization. The package runs both regimes through one channel
+(fully actuated is r = d0); this file keeps the two closed forms apart.
 
 Fully actuated (Q1 = B1 Q, channel eigenbasis U, gains H):
     s_t     = Q S^(1/2) Sigma^(-1/2) e_t,          S = U diag(lam) U'
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from lqcoord.channel import ChannelMode
 from lqcoord.errors import RankDeficient
+from lqcoord.linalg import svd_factor
 
 
 def sqrt_psd(M: np.ndarray) -> np.ndarray:
@@ -71,17 +73,17 @@ def left_inverse(Q: np.ndarray) -> np.ndarray:
     return np.linalg.solve(Q.T @ Q, Q.T)
 
 
-def _basis(setup):
-    return setup.eig if setup.mode is ChannelMode.FULLY_ACTUATED else setup.virt
+def fully_actuated(setup) -> bool:
+    return setup.r == setup.d0
 
 
 def signal_cov(setup, lam: np.ndarray) -> np.ndarray:
-    U = _basis(setup).U
+    U = setup.eig.U
     return U @ np.diag(lam) @ U.T
 
 
 def signal_sqrt(setup, lam: np.ndarray) -> np.ndarray:
-    U = _basis(setup).U
+    U = setup.eig.U
     return U @ np.diag(np.sqrt(lam)) @ U.T
 
 
@@ -123,31 +125,43 @@ def noise_gain_fa(Sigma, lam, setup) -> np.ndarray:
 
 # --- under-actuated ------------------------------------------------------------
 
+def rotated_noise(setup) -> np.ndarray:
+    """Wbar1, the top-left r x r block of Gamma0' W Gamma0."""
+    Gamma0 = svd_factor(setup.B1).Gamma0
+    Wbar = Gamma0.T @ setup.W @ Gamma0
+    return 0.5 * (Wbar + Wbar.T)[: setup.r, : setup.r]
+
+
 def encoder_ua(Sigma, lam, k, setup) -> np.ndarray:
     """e_t -> leader signal s_t (zero outside the virtual channel)."""
     virt = signal_sqrt(setup, lam) @ selector(k, setup) @ inv_sqrt_psd(Sigma)
     pad = np.zeros((setup.d1 - setup.r, setup.d0))
-    return setup.svd.Gamma1 @ np.vstack([virt, pad])
+    return svd_factor(setup.B1).Gamma1 @ np.vstack([virt, pad])
+
+
+def virtual_out(setup) -> np.ndarray:
+    """Gamma0[:, :r]': plant output y -> virtual output y~."""
+    return svd_factor(setup.B1).Gamma0[:, : setup.r].T
 
 
 def virtual_output(y, setup) -> np.ndarray:
     """First r coordinates of Gamma0' y; the rest carry no signal."""
-    return (setup.svd.Gamma0.T @ y)[: setup.r]
+    return virtual_out(setup) @ y
 
 
 def decode_ua_gain(Sigma, lam, k, setup) -> np.ndarray:
     """Conditional-mean gain: virtual output y~_t -> estimate of e_t."""
-    Psi1 = np.diag(setup.svd.Psi1)
-    innov = Psi1 @ signal_cov(setup, lam) @ Psi1 + setup.Wbar1
+    Psi1 = np.diag(svd_factor(setup.B1).Psi1)
+    innov = Psi1 @ signal_cov(setup, lam) @ Psi1 + rotated_noise(setup)
     cross = (sqrt_psd(Sigma) @ selector(k, setup).T @ signal_sqrt(setup, lam)
              @ Psi1)
     return np.linalg.solve(innov.T, cross.T).T
 
 
 def contraction_ua(lam, k, setup) -> np.ndarray:
-    Utau = scipy.linalg.block_diag(*[setup.virt.U] * setup.tau)
+    Utau = scipy.linalg.block_diag(*[setup.eig.U] * setup.tau)
     diag = np.ones(setup.d0)
-    diag[k * setup.r:(k + 1) * setup.r] = 1.0 / (1.0 + lam * setup.virt.H)
+    diag[k * setup.r:(k + 1) * setup.r] = 1.0 / (1.0 + lam * setup.eig.H)
     return Utau @ np.diag(diag) @ Utau.T
 
 
@@ -158,10 +172,10 @@ def cov_update_ua(Sigma, lam, k, setup) -> np.ndarray:
 
 def noise_gain_ua(Sigma, lam, k, setup) -> np.ndarray:
     """Coefficient of the virtual noise w~_t = (Gamma0' w_t)[:r]."""
-    Psi1 = np.diag(setup.svd.Psi1)
+    Psi1 = np.diag(svd_factor(setup.B1).Psi1)
     return (sqrt_psd(Sigma) @ contraction_ua(lam, k, setup)
             @ selector(k, setup).T @ signal_sqrt(setup, lam) @ Psi1
-            @ np.linalg.inv(setup.Wbar1))
+            @ np.linalg.inv(rotated_noise(setup)))
 
 
 # --- the per-rollout state machine ----------------------------------------------
@@ -202,15 +216,13 @@ class CoordinationState:
     model: object
     block_order: list[int]
 
-    def current_block(self) -> int | None:
-        if self.setup.mode is ChannelMode.FULLY_ACTUATED:
-            return None
+    def current_block(self) -> int:
         return self.block_order[self.t % self.setup.tau]
 
 
 def start(x_star, model, gains, setup, power, block_order=None) -> CoordinationState:
     if block_order is None:
-        block_order = list(range(setup.tau or 1))
+        block_order = list(range(setup.tau))
     return CoordinationState(msg=MessageState.initial(x_star, model.Sigma0), t=0,
                              gains=gains, setup=setup, power=power, model=model,
                              block_order=list(block_order))
@@ -230,12 +242,13 @@ def compute_inputs(state: CoordinationState, x_t) -> tuple[np.ndarray, np.ndarra
     """Leader and follower inputs; only the leader adds the signal."""
     t, g, msg = state.t, state.gains, state.msg
     lam = state.power.lam(t)
-    if state.setup.mode is ChannelMode.FULLY_ACTUATED:
+    if fully_actuated(state.setup):
         s = encoder_fa(msg.Sigma, lam, state.setup) @ msg.e
     else:
         s = encoder_ua(msg.Sigma, lam, state.current_block(), state.setup) @ msg.e
-    v = -g.K_l(t) @ x_t + g.D_l(t) @ msg.x_star_hat + s
-    q = -g.K_f(t) @ x_t + g.D_f(t) @ msg.x_star_hat
+    K, D, d1 = g.K[t], g.D[t], g.d1
+    v = -K[:d1] @ x_t + D[:d1] @ msg.x_star_hat + s
+    q = -K[d1:] @ x_t + D[d1:] @ msg.x_star_hat
     return v, q
 
 
@@ -244,7 +257,7 @@ def observe_and_update(state: CoordinationState, x_t, x_next) -> None:
     t, msg, setup = state.t, state.msg, state.setup
     lam = state.power.lam(t)
     y = channel_output(x_next, x_t, state.gains, t, msg.x_star_hat, state.model)
-    if setup.mode is ChannelMode.FULLY_ACTUATED:
+    if fully_actuated(setup):
         e_hat = decode_fa_gain(msg.Sigma, lam, setup) @ y
         Sigma_next = cov_update_fa(msg.Sigma, lam, setup)
     else:

@@ -109,16 +109,16 @@ def test_c02_error_covariance_oracle_under_actuated(ua):
     worst = 0.0
     Sigma = model.Sigma0.copy()
     sched = heuristic_schedule(0.88, model.n, setup.r)
-    Psi1 = np.diag(setup.svd.Psi1)
+    Psi1 = setup.C
     for t, k in [(0, 0), (1, 1)]:
         lam = sched.lam(t)
         Pk = projection_matrix(k, setup.r, setup.d0)
         enc = setup.S_sqrt_of(lam) @ Pk @ pinv_sqrt(Sigma)
         e = rng.multivariate_normal(np.zeros(4), Sigma, size=N)
-        wt = rng.multivariate_normal(np.zeros(setup.r), setup.Wbar1, size=N)
+        wt = rng.multivariate_normal(np.zeros(setup.r), setup.Wv, size=N)
         y = e @ enc.T @ Psi1.T + wt
         gain = (psd_sqrt(Sigma) @ Pk.T @ setup.S_sqrt_of(lam) @ Psi1
-                @ np.linalg.inv(Psi1 @ setup.S_of(lam) @ Psi1 + setup.Wbar1))
+                @ np.linalg.inv(Psi1 @ setup.S_of(lam) @ Psi1 + setup.Wv))
         e_next = e - y @ gain.T
         emp = e_next.T @ e_next / N
         ana = channel_step(setup, Sigma, lam, k).Sigma_next
@@ -170,7 +170,7 @@ def test_c04_period_contraction_suite_under_actuated():
         B1 = rng.standard_normal((d0, r)) @ rng.standard_normal((r, d1))
         setup = ua_setup(B1, random_pd(rng, d0))
         Sigma = random_pd(rng, d0)
-        ratio = (1 + sigma_floor * setup.pi) / (1 + 2 * sigma_floor * setup.pi)
+        ratio = (1 + sigma_floor * setup.psi) / (1 + 2 * sigma_floor * setup.psi)
         for _ in range(4):  # four full projection cycles
             start = np.trace(Sigma)
             for k in range(setup.tau):

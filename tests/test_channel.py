@@ -4,11 +4,11 @@ import pytest
 import channel_oracle as oracle
 from conftest import random_pd
 
-from lqcoord.channel import (ChannelMode, channel_step, choose_projection,
-                             fa_setup, projection_matrix, ua_setup)
+from lqcoord.channel import (channel_step, choose_projection, fa_setup,
+                             projection_matrix, ua_setup)
 from lqcoord.errors import (IndexOutOfRange, NonIntegerPeriod, RankDeficient,
-                            SigmaNearSingular)
-from lqcoord.linalg import min_eig, pinv_sqrt, psd_sqrt
+                            SigmaNearSingular, ValidationError)
+from lqcoord.linalg import min_eig, pinv_sqrt, psd_sqrt, svd_factor
 from lqcoord.policies import PolicyKind, make_policy
 from lqcoord.power import heuristic_schedule
 from lqcoord.power.schedules import PowerSchedule, ScheduleMode
@@ -41,6 +41,30 @@ def test_projection_wide_input():
 def test_projection_rejects_row_deficient():
     with pytest.raises(RankDeficient):
         choose_projection(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
+def test_fa_setup_is_the_one_block_channel(fa_model, fa_channel):
+    # a fully actuated leader is the case r = d0, tau = 1 with P = I,
+    # C = B1 Q and channel noise W
+    assert fa_channel.r == 4 and fa_channel.tau == 1
+    np.testing.assert_array_equal(fa_channel.P, np.eye(4))
+    np.testing.assert_array_equal(fa_channel.C, fa_model.B1 @ fa_channel.Q)
+    np.testing.assert_array_equal(fa_channel.Wv, fa_model.W)
+
+
+def test_fa_setup_rejects_a_projection_of_the_wrong_width(fa_model):
+    # Q maps the d0 signal coordinates into the d1 leader inputs; a fifth
+    # column would leave B1 Q full rank but give the channel 5 coordinates
+    with pytest.raises(RankDeficient, match="supplied projection"):
+        fa_setup(fa_model.B1, fa_model.W, Q=np.eye(4, 5))
+    setup = fa_setup(fa_model.B1, fa_model.W, Q=2.0 * np.eye(4))
+    np.testing.assert_array_equal(setup.C, 2.0 * fa_model.B1)
+
+
+def test_fa_block_order_must_be_the_single_block(fa_model):
+    # the one block is 0; an order naming any other used to be ignored
+    with pytest.raises(ValidationError, match="block_order"):
+        make_policy(PolicyKind.IM_COMM_FA, fa_model, block_order=[1])
 
 
 # --- fully actuated signal path -------------------------------------------------
@@ -227,19 +251,22 @@ def test_projection_matrix_cases():
 
 def test_ua_setup_scalar_case():
     setup = scalar_ua_setup()
-    assert setup.mode is ChannelMode.UNDER_ACTUATED
+    assert setup.P.shape == (1, 2) and setup.Q.shape == (1, 1)
     assert setup.r == 1 and setup.tau == 2
-    np.testing.assert_allclose(setup.svd.Psi1, [1.0])
-    np.testing.assert_allclose(setup.Wbar1, [[1.0]])
-    np.testing.assert_allclose(setup.virt.H, [1.0])
-    assert setup.pi == pytest.approx(1.0)
+    np.testing.assert_allclose(setup.C, [[1.0]])
+    np.testing.assert_allclose(setup.Wv, [[1.0]])
+    np.testing.assert_allclose(setup.eig.H, [1.0])
+    assert setup.psi == pytest.approx(1.0)
 
 
 def test_ua_setup_preset(ua_model, ua_channel):
     assert ua_channel.r == 2 and ua_channel.tau == 2
-    np.testing.assert_allclose(ua_channel.svd.reconstruct(), ua_model.B1,
+    np.testing.assert_allclose(svd_factor(ua_model.B1).reconstruct(), ua_model.B1,
                                atol=1e-10)
-    assert min_eig(ua_channel.Wbar1) > 0
+    # the channel gain is P B1 Q, diagonal with the singular values
+    np.testing.assert_allclose(ua_channel.P @ ua_model.B1 @ ua_channel.Q,
+                               ua_channel.C, atol=1e-12)
+    assert min_eig(ua_channel.Wv) > 0
 
 
 def test_ua_setup_rejects_non_integer_period():
@@ -267,9 +294,8 @@ def test_encode_ua_covariance_monte_carlo(ua_channel):
     Sigma = random_pd(rng, 4)
     lam = np.array([0.8, 1.7])
     k = 1
-    # virtual signal: the first r coordinates of Gamma1' s
-    enc = (ua_channel.svd.Gamma1.T
-           @ channel_step(ua_channel, Sigma, lam, k).enc)[:2]
+    # virtual signal: the first r coordinates of Gamma1' s, i.e. Q' s
+    enc = ua_channel.Q.T @ channel_step(ua_channel, Sigma, lam, k).enc
     e = rng.multivariate_normal(np.zeros(4), Sigma, size=N)
     s_virt = e @ enc.T
     emp = s_virt.T @ s_virt / N
@@ -281,7 +307,7 @@ def test_encode_ua_covariance_monte_carlo(ua_channel):
 def test_decode_ua_hand_case():
     setup = scalar_ua_setup()
     dec = channel_step(setup, np.eye(2), np.ones(1), 0).dec
-    lift = setup.svd.Gamma0[:, :1]  # virtual output 2 as a plant-space y
+    lift = setup.P.T  # virtual output 2 as a plant-space y
     e_hat = dec @ (lift @ np.array([2.0]))
     np.testing.assert_allclose(e_hat, [1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(dec @ np.zeros(2), 0.0, atol=1e-14)
@@ -294,13 +320,13 @@ def test_decode_ua_matches_conditional_gaussian(ua_channel, ua_model):
     lam = np.array([1.2, 0.5])
     k = 0
     Pk = projection_matrix(k, 2, 4)
-    Psi1 = np.diag(ua_channel.svd.Psi1)
+    Psi1 = ua_channel.C
     Henc = Psi1 @ ua_channel.S_sqrt_of(lam) @ Pk @ pinv_sqrt(Sigma)
     cov_ey = Sigma @ Henc.T
-    cov_yy = Henc @ Sigma @ Henc.T + ua_channel.Wbar1
+    cov_yy = Henc @ Sigma @ Henc.T + ua_channel.Wv
     gain_bf = cov_ey @ np.linalg.inv(cov_yy)
     dec = channel_step(ua_channel, Sigma, lam, k).dec
-    lift = ua_channel.svd.Gamma0[:, :2]  # virtual output -> plant-space y
+    lift = ua_channel.P.T  # virtual output -> plant-space y
     for _ in range(5):
         y = rng.normal(size=2)
         np.testing.assert_allclose(dec @ (lift @ y), gain_bf @ y, atol=1e-9)
@@ -328,14 +354,14 @@ def test_cov_update_ua_monte_carlo(ua_channel, ua_model):
     lam = np.array([0.9, 0.6])
     for k in (0, 1):
         Pk = projection_matrix(k, 2, 4)
-        Psi1 = np.diag(ua_channel.svd.Psi1)
+        Psi1 = ua_channel.C
         enc = ua_channel.S_sqrt_of(lam) @ Pk @ pinv_sqrt(Sigma)
         e = rng.multivariate_normal(np.zeros(4), Sigma, size=N)
-        wt = rng.multivariate_normal(np.zeros(2), ua_channel.Wbar1, size=N)
+        wt = rng.multivariate_normal(np.zeros(2), ua_channel.Wv, size=N)
         y = e @ enc.T @ Psi1.T + wt
         gain = (psd_sqrt(Sigma) @ Pk.T @ ua_channel.S_sqrt_of(lam) @ Psi1
                 @ np.linalg.inv(Psi1 @ ua_channel.S_of(lam) @ Psi1
-                                + ua_channel.Wbar1))
+                                + ua_channel.Wv))
         e_next = e - y @ gain.T
         emp = e_next.T @ e_next / N
         ana = channel_step(ua_channel, Sigma, lam, k).Sigma_next
@@ -361,10 +387,10 @@ def test_virtual_channel_identity(ua_model, ua_gains, ua_channel):
         w = rng.multivariate_normal(np.zeros(4), ua_model.W)
         x_next = ua_model.A @ x + ua_model.B1 @ v + ua_model.B2 @ q + w
         y = oracle.channel_output(x_next, x, ua_gains, t, run.x_hat, ua_model)
-        y_virt = ua_channel.virt_out @ y
-        Psi1 = np.diag(ua_channel.svd.Psi1)
-        w_virt = (ua_channel.svd.Gamma0.T @ w)[:2]
-        np.testing.assert_allclose(y_virt, Psi1 @ s_virt + w_virt, atol=1e-10)
+        y_virt = ua_channel.P @ y
+        w_virt = ua_channel.P @ w
+        np.testing.assert_allclose(y_virt, ua_channel.C @ s_virt + w_virt,
+                                   atol=1e-10)
         run.observe(t, x, x_next)
         x = x_next
 
@@ -374,7 +400,7 @@ def test_period_contraction(ua_channel, ua_model):
     rng = np.random.default_rng(8)
     Sigma = random_pd(rng, 4)
     sigma_floor = 0.1
-    ratio = (1 + sigma_floor * ua_channel.pi) / (1 + 2 * sigma_floor * ua_channel.pi)
+    ratio = (1 + sigma_floor * ua_channel.psi) / (1 + 2 * sigma_floor * ua_channel.psi)
     for _ in range(3):
         start = np.trace(Sigma)
         for k in range(ua_channel.tau):
@@ -384,15 +410,17 @@ def test_period_contraction(ua_channel, ua_model):
 
 
 def test_noise_gains_shapes(fa_channel, ua_channel):
-    # the oracle's UA gain acts on the r-dim virtual noise; channel_step's N
-    # acts on the full plant noise through the virtual output map
+    # the decoder is the noise map of the error recursion, e' = E e - dec w:
+    # the oracle's UA gain acts on the r-dim virtual noise, the decoder on
+    # the full plant noise through the virtual output map
     Sigma = np.eye(4)
     fa_gain = oracle.noise_gain_fa(Sigma, np.ones(4), fa_channel)
     ua_gain = oracle.noise_gain_ua(Sigma, np.ones(2), 0, ua_channel)
     assert fa_gain.shape == (4, 4)
     assert ua_gain.shape == (4, 2)
-    N_fa = channel_step(fa_channel, Sigma, np.ones(4)).N
-    N_ua = channel_step(ua_channel, Sigma, np.ones(2), 0).N
+    N_fa = channel_step(fa_channel, Sigma, np.ones(4)).dec
+    N_ua = channel_step(ua_channel, Sigma, np.ones(2), 0).dec
     assert N_fa.shape == N_ua.shape == (4, 4)
     np.testing.assert_allclose(N_fa, fa_gain, atol=1e-12)
-    np.testing.assert_allclose(N_ua, ua_gain @ ua_channel.virt_out, atol=1e-12)
+    np.testing.assert_allclose(N_ua, ua_gain @ oracle.virtual_out(ua_channel),
+                               atol=1e-12)

@@ -3,7 +3,9 @@
 The rollout operator table (`PreparedPolicy.step_ops`), the step-by-step
 reference in `channel_oracle` and the exact-cost engine's joint covariance
 compute the same per-step quantities by different routes; on random
-controllable systems (d0 <= 6, r | d0) they must agree to roundoff.
+controllable systems (d0 <= 6, r | d0) they must agree to roundoff. The
+decoder is also the noise map of the error recursion (the push-through
+identity), so it must match the oracle's noise gain in its V form too.
 
 The exact-cost engine propagates the error covariance through the maps
 E_t, N_t, i.e. the covariance the encoder and decoder actually produce;
@@ -21,7 +23,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import channel_oracle as oracle
 from conftest import random_pd
-from lqcoord.channel import ChannelMode
 from lqcoord.errors import LqcoordError
 from lqcoord.model import SystemModel
 from lqcoord.policies import PolicyKind, make_policy
@@ -87,7 +88,7 @@ def test_table_matches_oracle_and_exact_engine(case):
     pol = _random_policy(d0, r, n, seed)
     model, setup, schedule = pol.model, pol.setup, pol.power
     kind = pol.kind
-    assert (setup.mode is ChannelMode.FULLY_ACTUATED) == (r == d0)
+    assert setup.r == r and setup.tau == d0 // r
     ops, final_trace = pol.step_ops
     joint = state_trajectory(schedule, pol.gains, setup, model)
 
@@ -105,6 +106,7 @@ def test_table_matches_oracle_and_exact_engine(case):
         if kind is PolicyKind.IM_COMM_FA:
             enc = oracle.encoder_fa(Sigma, lam, setup)
             dec = oracle.decode_fa_gain(Sigma, lam, setup)
+            noise = oracle.noise_gain_fa(Sigma, lam, setup)
             # the signal lives in range(Q) with virtual coordinates
             # S^(1/2) Sigma^(-1/2); the normal-equation left inverse costs
             # a further cond(Q)^2
@@ -116,10 +118,13 @@ def test_table_matches_oracle_and_exact_engine(case):
             k = t % setup.tau
             enc = oracle.encoder_ua(Sigma, lam, k, setup)
             dec = (oracle.decode_ua_gain(Sigma, lam, k, setup)
-                   @ setup.svd.Gamma0.T[:setup.r])
+                   @ oracle.virtual_out(setup))
+            noise = (oracle.noise_gain_ua(Sigma, lam, k, setup)
+                     @ oracle.virtual_out(setup))
             Sigma = oracle.cov_update_ua(Sigma, lam, k, setup)
         _assert_rel(ops[t].enc, enc, tol, f"enc_{t}")
         _assert_rel(ops[t].dec, dec, tol, f"dec_{t}")
+        _assert_rel(ops[t].dec, noise, tol, f"dec_{t} as noise gain")
     assert abs(final_trace - np.trace(Sigma)) <= tol * np.trace(Sigma)
     if cond < EXACT_COND:
         _assert_rel(joint[n].Sigma, Sigma, tol, "joint Sigma_n")

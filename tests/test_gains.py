@@ -5,14 +5,21 @@ import scipy.optimize
 from conftest import random_system
 
 from lqcoord.errors import NotControllable
-from lqcoord.gains import backward_riccati, excomm_inputs, leader_only_gains
+from lqcoord.gains import backward_riccati, leader_only_gains
 from lqcoord.model import SystemModel
+from lqcoord.policies import PolicyKind, make_policy
 
 
 def scalar_model(n=1, F=1.0, G1=1.0, Fn=1.0):
     return SystemModel(A=[[1.0]], B1=[[1.0]], B2=[[1e-8]], W=[[1.0]],
                        F=[[F]], Fn=[[Fn]], G1=[[G1]], G2=[[1.0]],
                        Sigma0=[[1.0]], X0=[[1.0]], n=n)
+
+
+def excomm_inputs(model, t, x_t, x_star):
+    """Joint ex-comm input u_t = -K_t x_t + D_t x_*, through the policy table."""
+    run = make_policy(PolicyKind.EX_COMM, model).start(np.asarray(x_star, float))
+    return np.concatenate(run.inputs(t, np.asarray(x_t, float)))
 
 
 def test_scalar_hand_case():
@@ -28,7 +35,7 @@ def test_scalar_hand_case():
 def test_scalar_inputs():
     m = scalar_model()
     g = backward_riccati(m)
-    u0 = excomm_inputs(g, 0, np.array([2.0]), np.array([1.0]))
+    u0 = excomm_inputs(m, 0, np.array([2.0]), np.array([1.0]))
     assert u0[0] == pytest.approx(-0.5)
 
 
@@ -56,12 +63,19 @@ def test_preset_schedule_properties(fa_model, fa_gains):
     np.testing.assert_allclose(fa_gains.Dbar[fa_model.n], fa_model.Fn)
 
 
-def test_split_reassembles(fa_gains):
+def test_split_reassembles(fa_model, fa_gains):
+    # the leader's and the follower's ex-comm inputs stack into the joint
+    # optimum, and D_l is the leader's row block of D
+    rng = np.random.default_rng(3)
+    x, x_star = rng.normal(size=4), rng.normal(size=4)
+    run = make_policy(PolicyKind.EX_COMM, fa_model).start(x_star)
     for t in range(fa_gains.n):
-        K = np.vstack([fa_gains.K_l(t), fa_gains.K_f(t)])
-        D = np.vstack([fa_gains.D_l(t), fa_gains.D_f(t)])
-        assert np.array_equal(K, fa_gains.K[t])
-        assert np.array_equal(D, fa_gains.D[t])
+        v, q = run.inputs(t, x)
+        assert v.shape == (fa_model.d1,) and q.shape == (fa_model.d2,)
+        np.testing.assert_allclose(np.concatenate([v, q]),
+                                   -fa_gains.K[t] @ x + fa_gains.D[t] @ x_star,
+                                   atol=1e-12)
+        assert np.array_equal(fa_gains.D_l(t), fa_gains.D[t][:fa_model.d1])
 
 
 def test_leader_only_independent_of_follower(fa_model):
@@ -92,20 +106,20 @@ def test_leader_only_requires_controllability():
         leader_only_gains(m)
 
 
-def test_target_invariance(fa_model, fa_gains):
+def test_target_invariance(fa_model):
     # K_t and D_t never see x_*; excomm inputs are affine in it
     x = np.array([0.3, -0.1, 0.2, 0.5])
     xs1 = np.array([1.0, 0.0, 0.0, 0.0])
     xs2 = 3.0 * xs1
-    u1 = excomm_inputs(fa_gains, 2, x, xs1)
-    u2 = excomm_inputs(fa_gains, 2, x, xs2)
-    u0 = excomm_inputs(fa_gains, 2, x, 0.0 * xs1)
+    u1 = excomm_inputs(fa_model, 2, x, xs1)
+    u2 = excomm_inputs(fa_model, 2, x, xs2)
+    u0 = excomm_inputs(fa_model, 2, x, 0.0 * xs1)
     np.testing.assert_allclose(u2 - u0, 3.0 * (u1 - u0), atol=1e-12)
 
 
-def test_fixed_point_input(fa_gains):
+def test_fixed_point_input(fa_model, fa_gains):
     xs = np.array([1.0, -1.0, 0.5, 0.0])
-    u = excomm_inputs(fa_gains, 0, xs, xs)
+    u = excomm_inputs(fa_model, 0, xs, xs)
     np.testing.assert_allclose(u, (fa_gains.D[0] - fa_gains.K[0]) @ xs,
                                atol=1e-12)
 

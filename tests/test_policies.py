@@ -5,7 +5,6 @@ import channel_oracle as oracle
 import lqcoord as lq
 from lqcoord.channel import channel_step
 from lqcoord.errors import ValidationError
-from lqcoord.gains import excomm_inputs
 from lqcoord.linalg import pinv_sqrt
 from lqcoord.model import SystemModel
 from lqcoord.policies import PolicyKind, make_policy
@@ -27,8 +26,9 @@ def test_initial_offsets_are_zero(fa_model, fa_gains, fa_channel):
     x0 = np.array([0.3, 0.1, -0.4, 0.2])
     v, q = run.inputs(0, x0)
     # x_hat(0) = 0, so offsets vanish; follower input is pure feedback
-    np.testing.assert_allclose(q, -fa_gains.K_f(0) @ x0, atol=1e-12)
-    s = v + fa_gains.K_l(0) @ x0
+    d1 = fa_model.d1
+    np.testing.assert_allclose(q, -fa_gains.K[0][d1:] @ x0, atol=1e-12)
+    s = v + fa_gains.K[0][:d1] @ x0
     assert np.linalg.norm(s) > 0  # leader adds the signal
 
 
@@ -42,7 +42,11 @@ def test_perfect_knowledge_limit(fa_model, fa_gains, fa_channel):
     run.x_hat = x_star.copy()
     x = np.array([0.5, 0.5, -0.5, 0.2])
     v, q = run.inputs(0, x)
-    u = excomm_inputs(fa_gains, 0, x, x_star)
+    # the ex-comm policy, which knows x_*, gives -K_0 x + D_0 x_*
+    u = np.concatenate(make_policy(PolicyKind.EX_COMM, fa_model)
+                       .start(x_star).inputs(0, x))
+    np.testing.assert_allclose(u, -fa_gains.K[0] @ x + fa_gains.D[0] @ x_star,
+                               atol=1e-12)
     np.testing.assert_allclose(np.concatenate([v, q]), u, atol=1e-12)
 
 

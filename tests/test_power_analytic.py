@@ -3,6 +3,7 @@ import pytest
 
 import channel_oracle as oracle
 import lqcoord as lq
+from lqcoord.linalg import svd_factor
 from lqcoord.policies import PolicyKind, make_policy
 from lqcoord.power import (expected_stage_costs, expected_total_cost,
                            heuristic_schedule)
@@ -90,7 +91,9 @@ def test_ua_block_diagonal_noise_matches_fa_form(ua_gains):
     m = lq.under_actuated_model(n=8)
     # Wbar3 = 0 iff Gamma0' W Gamma0 is block diagonal; W = c I gives Wbar = c I
     setup = lq.ua_setup(m.B1, m.W)
-    assert np.allclose(setup.Wbar3, 0.0, atol=1e-12)
+    factors = svd_factor(m.B1)
+    Wbar = factors.Gamma0.T @ m.W @ factors.Gamma0
+    assert np.allclose(Wbar[:factors.r, factors.r:], 0.0, atol=1e-12)
     gains = lq.backward_riccati(m)
     sched = heuristic_schedule(0.8, m.n, 2)
     states = state_trajectory(sched, gains, setup, m)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,8 @@ from lqcoord.power.scalar import (A_CEIL, A_FLOOR, RESIDUAL_TOL,
                                   solve_scalar_power, stationarity_residuals,
                                   theta_b_sequence, _b_forward)
 from lqcoord.power.schedules import PowerSchedule, ScheduleMode
-from lqcoord.errors import InvalidTheta, LqcoordError
+from lqcoord.errors import (InvalidTheta, LqcoordError, NoRootFound,
+                            ValidationError)
 
 
 @pytest.fixture(scope="module")
@@ -183,8 +186,9 @@ def test_residuals_use_theta_recursion(preset, solved):
 
 def test_scalar_backward_solve_entry_point(preset):
     model, setup, gains = preset
-    thZ = costate_Z(gains, model)
-    constants = scalar_constants(gains, setup, model, thetaZ=thZ)
+    constants = scalar_constants(gains, setup, model)
+    for got, want in zip(constants.thetaZ, costate_Z(gains, model)):
+        np.testing.assert_array_equal(got, want)
     sched = scalar_backward_solve(constants, 1e-3, model, setup, gains)
     assert sched.mode is ScheduleMode.SCALAR
     assert np.abs(sched.stationarity_residuals).max() < 1e-8
@@ -299,3 +303,22 @@ def test_unreachable_epsilon_fails_up_front(monkeypatch):
     monkeypatch.setattr(scalar, "_solve_for_nu", no_inner_solve)
     with pytest.raises(LqcoordError, match=r"epsilon: 1e-300 .*floor .*n=2"):
         solve_scalar_power(gains, setup, model, epsilon=1e-300)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1e-3, float("nan")])
+def test_non_positive_epsilon_names_the_field(preset, epsilon):
+    model, setup, gains = preset
+    constants = scalar_constants(gains, setup, model)
+    with pytest.raises(ValidationError, match=r"^epsilon: .* must be positive"):
+        scalar_backward_solve(constants, epsilon, model, setup, gains)
+
+
+def test_failed_inner_solve_reports_the_range_reached():
+    # n=1 with eps=1e-100 needs a_0 ~ 1e100: the unbounded root polish leaves
+    # the L-BFGS box [A_FLOOR, A_CEIL] but stalls short of the root, and the
+    # error says how far a actually went
+    with pytest.raises(NoRootFound, match=r"reached a in \[.*\]; worst residual") as info:
+        _solve_fa(1, 1e-100)
+    lo, hi = map(float, re.search(r"\[(\S+), (\S+)\]", str(info.value)).groups())
+    assert A_FLOOR <= lo <= hi
+    assert hi > A_CEIL
