@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import (IndexOutOfRange, NonIntegerPeriod, RankDeficient,
                      SigmaNearSingular, SingularInnovation, ValidationError)
-from .linalg import (EigenPair, check_symmetric, eig_roots, eigh_desc,
-                     numerical_rank, sym_eig, sym_part, svd_factor)
+from .linalg import (EigenPair, check_symmetric, eig_roots, eig_roots_adjoint,
+                     eigh_desc, numerical_rank, sym_eig, sym_part, svd_factor)
 
 
 def choose_projection(B1: np.ndarray) -> np.ndarray:
@@ -198,12 +198,21 @@ class ChannelStep:
     The leader sends s_t = enc e_t; the follower estimates e_t as dec y_t
     from the raw d0-dimensional channel output y_t = B1 s_t + w_t; the error
     then evolves as e_{t+1} = E e_t - dec w_t with covariance Sigma_next.
+    The factors the maps are built from are kept for `channel_step_adjoint`:
+    Sigma_t's clipped eigenpair and its roots Sig12, Sig12inv, and the
+    power's S12 = S^(1/2), inv = (C S C' + Wv)^-1 and contraction V.
     """
 
     enc: np.ndarray
     dec: np.ndarray
     E: np.ndarray
     Sigma_next: np.ndarray
+    sigma_eig: EigenPair
+    Sig12: np.ndarray
+    Sig12inv: np.ndarray
+    S12: np.ndarray
+    inv: np.ndarray
+    V: np.ndarray
 
 
 def channel_step(setup: ChannelSetup, Sigma: np.ndarray, lam: np.ndarray,
@@ -221,7 +230,8 @@ def channel_step(setup: ChannelSetup, Sigma: np.ndarray, lam: np.ndarray,
     w, U = eigh_desc(Sigma)
     if w[-1] < -1e-10 * max(1.0, np.abs(w).max()):
         raise SigmaNearSingular(f"Sigma has a negative eigenvalue {w[-1]:.3e}")
-    Sig12, Sig12inv = eig_roots(EigenPair(U=U, H=np.clip(w, 0.0, None)))
+    pair = EigenPair(U=U, H=np.clip(w, 0.0, None))
+    Sig12, Sig12inv = eig_roots(pair)
     S12 = setup.S_sqrt_of(lam)
     C = setup.C
     try:
@@ -229,7 +239,48 @@ def channel_step(setup: ChannelSetup, Sigma: np.ndarray, lam: np.ndarray,
     except np.linalg.LinAlgError as exc:
         raise SingularInnovation("C S C' + Wv is singular") from exc
     Pk = projection_matrix(k, setup.r, setup.d0)
-    SV = Sig12 @ contraction(setup, lam, k)
+    V = contraction(setup, lam, k)
+    SV = Sig12 @ V
     return ChannelStep(enc=setup.Q @ S12 @ Pk @ Sig12inv,
                        dec=Sig12 @ Pk.T @ S12 @ C.T @ inv @ setup.P,
-                       E=SV @ Sig12inv, Sigma_next=sym_part(SV @ Sig12))
+                       E=SV @ Sig12inv, Sigma_next=sym_part(SV @ Sig12),
+                       sigma_eig=pair, Sig12=Sig12, Sig12inv=Sig12inv,
+                       S12=S12, inv=inv, V=V)
+
+
+def channel_step_adjoint(setup: ChannelSetup, step: ChannelStep,
+                         lam: np.ndarray, k: int, enc_bar: np.ndarray,
+                         dec_bar: np.ndarray,
+                         E_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reverse pass of `channel_step` at the same (Sigma_t, Lambda_t, k).
+
+    Given the gradients of a scalar with respect to enc, dec and E, returns
+    its gradients with respect to the power entries Lambda_t (length r) and
+    Sigma_t (symmetric). Lambda_t reaches the maps through S^(1/2), through
+    S inside (C S C' + Wv)^-1 and through the contraction V; Sigma_t through
+    its root and truncated inverse root (`linalg.eig_roots_adjoint`). The
+    entries of Lambda_t must be positive: S^(1/2) has no derivative at 0.
+    """
+    # enc = Q Sk B, dec = A Sk' out, E = A V B with Sk = S12 P_k and
+    # out = C' inv P
+    A, B, S12, inv, V = step.Sig12, step.Sig12inv, step.S12, step.inv, step.V
+    C, r = setup.C, setup.r
+    Sk = S12 @ projection_matrix(k, r, setup.d0)
+    out = C.T @ inv @ setup.P
+    A_dec = A @ dec_bar
+    A_bar = dec_bar @ out.T @ Sk + E_bar @ B @ V
+    B_bar = Sk.T @ setup.Q.T @ enc_bar + V @ A @ E_bar
+    Sk_bar = setup.Q.T @ enc_bar @ B + out @ A_dec.T
+    S12_bar = Sk_bar[:, k * r:(k + 1) * r]
+    inv_bar = C @ Sk @ A_dec @ setup.P.T
+    S_bar = -C.T @ inv @ inv_bar @ inv @ C
+    V_bar = A @ E_bar @ B
+    U, H = setup.eig.U, setup.eig.H
+    Uk = setup.Utau[:, k * r:(k + 1) * r]
+
+    def quad(X, W):       # u_j' X u_j for every column u_j of W
+        return np.einsum("ij,ij->j", W, X @ W)
+
+    lam_bar = (0.5 * quad(S12_bar, U) / np.sqrt(lam) + quad(S_bar, U)
+               - H / (1.0 + lam * H) ** 2 * quad(V_bar, Uk))
+    return lam_bar, eig_roots_adjoint(step.sigma_eig, A_bar, B_bar)

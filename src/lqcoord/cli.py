@@ -70,7 +70,8 @@ def design_power(model: SystemModel, pol: PolicyConfig) -> PowerSchedule:
     """Signaling-power design for the model's leader.
 
     Fully actuated: the scalar solver at pol.epsilon. Under-actuated:
-    coordinate descent from the theta^t heuristic (pol.theta, pol.budget).
+    L-BFGS-B on the adjoint gradient of the exact cost, started from the
+    theta^t heuristic (pol.theta) with at most pol.budget cost evaluations.
     """
     gains = backward_riccati(model)
     if model.leader_fully_actuated():
@@ -233,6 +234,9 @@ def cmd_optimize_power(args) -> int:
             "mode": "numeric",
             "budget": args.budget,
             "Lambda": [lam.tolist() for lam in schedule.Lambda],
+            "evals": schedule.evals,
+            "budget_exhausted": schedule.budget_exhausted,
+            "projected_gradient_norm": schedule.projected_gradient_norm,
         }
     path = out / "power.json"
     path.write_text(json.dumps(payload, indent=2) + "\n")

@@ -74,18 +74,52 @@ def sym_eig(M: np.ndarray) -> EigenPair:
     return EigenPair(U=V, H=np.clip(w, 0.0, None))
 
 
+def _root_values(H: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(H) and the truncated H^(-1/2): zero where H <= rtol * max(H)."""
+    inv = np.zeros_like(H)
+    live = H > rtol * H.max(initial=0.0)
+    inv[live] = H[live] ** -0.5
+    return np.sqrt(H), inv
+
+
 def eig_roots(pair: EigenPair,
               rtol: float = PINV_SQRT_RTOL) -> tuple[np.ndarray, np.ndarray]:
     """Square root and truncated inverse square root of U diag(H) U'.
 
     Eigendirections with H <= rtol * max(H) get zero in the inverse root.
     """
-    lmax = pair.H.max(initial=0.0)
-    inv = np.zeros_like(pair.H)
-    live = pair.H > rtol * lmax
-    inv[live] = pair.H[live] ** -0.5
-    root = sym_part((pair.U * np.sqrt(pair.H)) @ pair.U.T)
-    return root, sym_part((pair.U * inv) @ pair.U.T)
+    root, inv = _root_values(pair.H, rtol)
+    return (sym_part((pair.U * root) @ pair.U.T),
+            sym_part((pair.U * inv) @ pair.U.T))
+
+
+def eig_roots_adjoint(pair: EigenPair, root_bar: np.ndarray, inv_bar: np.ndarray,
+                      rtol: float = PINV_SQRT_RTOL) -> np.ndarray:
+    """Reverse pass of `eig_roots`: the gradient with respect to M = U diag(H) U'.
+
+    Given the gradients root_bar and inv_bar of a scalar with respect to
+    M^(1/2) and the truncated M^(-1/2), returns its (symmetric) gradient with
+    respect to M. By Daleckii-Krein, a spectral function f has Frechet
+    derivative U (F o U' dM U) U' with F_ij the divided difference
+    (f(h_i) - f(h_j)) / (h_i - h_j), f'(h_i) where h_i = h_j. For the root
+    F_ij = 1 / (s_i + s_j) with s = sqrt(H): the kernel that
+    `solve_sylvester_lyapunov` divides by. For the inverse root it is
+    -g_i g_j / (s_i + s_j) between live directions (g = H^(-1/2)),
+    g_i / (h_i - h_j) between a live i and a truncated j, and 0 between
+    truncated ones. A zero eigenvalue, where the root has no derivative,
+    gets 0.
+    """
+    s, g = _root_values(pair.H, rtol)
+    live = g > 0.0
+    ssum = s[:, None] + s[None, :]
+    F_root = np.divide(1.0, ssum, out=np.zeros_like(ssum), where=ssum > 0.0)
+    cross = live[:, None] != live[None, :]
+    dh = np.where(cross, pair.H[:, None] - pair.H[None, :], 1.0)
+    F_inv = np.where(cross, (g[:, None] - g[None, :]) / dh,
+                     -np.outer(g, g) * F_root)
+    U = pair.U
+    X = (U.T @ root_bar @ U) * F_root + (U.T @ inv_bar @ U) * F_inv
+    return sym_part(U @ X @ U.T)
 
 
 def psd_sqrt(M: np.ndarray) -> np.ndarray:

@@ -69,6 +69,10 @@ class PreparedPolicy:
     power: PowerSchedule | None = None
     block_order: list[int] | None = field(default=None)
 
+    def __post_init__(self):
+        if self.tracks_sigma:
+            self.power.check_fits(self.model.n, self.setup.r)
+
     @property
     def tracks_sigma(self) -> bool:
         return self.kind in (PolicyKind.IM_COMM_FA, PolicyKind.IM_COMM_UA)
@@ -95,9 +99,6 @@ class PreparedPolicy:
         shared = self.kind is PolicyKind.EX_COMM
         Sigma = np.zeros((d0, d0)) if shared else model.Sigma0.copy()
         if self.tracks_sigma:
-            if power.n < model.n:
-                raise ValidationError(
-                    f"power schedule has {power.n} steps, horizon needs {model.n}")
             blocks = block_schedule(setup, model.n, self.block_order)
 
         def pad(M):
@@ -175,6 +176,9 @@ def make_policy(kind: PolicyKind, model: SystemModel, *,
             raise ValidationError("im-comm-fa requires rank(B1) = d0")
         setup = fa_setup(model.B1, model.W, Q=Q)
     elif kind is PolicyKind.IM_COMM_UA:
+        if Q is not None:
+            raise ValidationError("Q: im-comm-ua takes its projection from the "
+                                  "SVD of B1 and accepts no custom Q")
         setup = ua_setup(model.B1, model.W)
     else:
         raise ValidationError(f"unknown policy kind {kind}")

@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from ..errors import InvalidTheta
+from ..errors import InvalidTheta, ValidationError
 
 
 class ScheduleMode(Enum):
@@ -24,6 +24,8 @@ class PowerSchedule:
     Lambda_t = a_t / H entrywise, the uncertainty ratios b_t (forward from
     b_0 = 1, b_{t+1} = b_t / (1 + a_t)), and solver diagnostics: the
     stationarity residuals and the number of inner solves the solver ran.
+    A numerically optimized schedule records the cost evaluations it took,
+    whether it stopped on its budget and its final projected-gradient norm.
     """
 
     mode: ScheduleMode
@@ -34,6 +36,9 @@ class PowerSchedule:
     terminal_multiplier: float = 0.0
     stationarity_residuals: np.ndarray | None = field(default=None, compare=False)
     inner_solves: int | None = field(default=None, compare=False)
+    evals: int | None = field(default=None, compare=False)
+    budget_exhausted: bool | None = field(default=None, compare=False)
+    projected_gradient_norm: float | None = field(default=None, compare=False)
 
     @property
     def n(self) -> int:
@@ -49,6 +54,18 @@ class PowerSchedule:
     @property
     def achieved_terminal_ratio(self) -> float | None:
         return None if self.b is None else float(self.b[-1])
+
+    def check_fits(self, n: int, dim: int) -> None:
+        """Reject a schedule shorter than the horizon n or with an entry
+        that is not a length-dim vector (dim = the channel's r)."""
+        if self.n < n:
+            raise ValidationError(
+                f"power: schedule has {self.n} steps, horizon needs {n}")
+        for t, lam in enumerate(self.Lambda[:n]):
+            if np.shape(lam) != (dim,):
+                raise ValidationError(
+                    f"power: Lambda_{t} has shape {np.shape(lam)}, the channel "
+                    f"needs {dim} entries")
 
     def __post_init__(self):
         for t, lam in enumerate(self.Lambda):

@@ -215,6 +215,31 @@ def test_cli_optimize_power_fa(tmp_path):
     assert len(csv) == 9
 
 
+def test_cli_optimize_power_ua_reports_the_optimizer(tmp_path):
+    out = tmp_path / "p"
+    rc = run_cli(["optimize-power", "--preset", lq.UNDER_ACTUATED,
+                  "--horizon", "8", "--budget", "400", "--out", str(out)])
+    assert rc == 0
+    payload = json.loads((out / "power.json").read_text())
+    assert payload["mode"] == "numeric" and payload["budget"] == 400
+    assert len(payload["Lambda"]) == 8
+    assert 1 <= payload["evals"] <= 400
+    assert payload["budget_exhausted"] is False
+    assert 0.0 <= payload["projected_gradient_norm"] < 1e-3
+    csv = (out / "power.csv").read_text().strip().splitlines()
+    assert csv[0] == "t,lambda_0,lambda_1" and len(csv) == 9
+
+
+def test_cli_optimize_power_ua_budget_exhausted(tmp_path):
+    out = tmp_path / "p"
+    with pytest.warns(BudgetExhaustedWarning):
+        rc = run_cli(["optimize-power", "--preset", lq.UNDER_ACTUATED,
+                      "--horizon", "8", "--budget", "3", "--out", str(out)])
+    assert rc == 0
+    payload = json.loads((out / "power.json").read_text())
+    assert payload["evals"] == 3 and payload["budget_exhausted"] is True
+
+
 def test_cli_error_exit_code(capsys):
     rc = run_cli(["simulate", "--preset", lq.FULLY_ACTUATED, "--runs", "0",
                   "--policy", "ex-comm"])

@@ -26,7 +26,8 @@ from conftest import random_pd
 from lqcoord.errors import LqcoordError
 from lqcoord.model import SystemModel
 from lqcoord.policies import PolicyKind, make_policy
-from lqcoord.power.analytic import expected_total_cost, state_trajectory
+from lqcoord.power.analytic import (TailCostEvaluator, expected_total_cost,
+                                   state_trajectory)
 from lqcoord.power.schedules import PowerSchedule, ScheduleMode
 from lqcoord.simulate import monte_carlo
 
@@ -35,6 +36,8 @@ CUTOFF_COND = 1e12   # 1 / the pseudo-inverse cutoff of channel_step
 # cutoff, so roundoff cannot truncate a direction on one side only
 EXACT_COND = CUTOFF_COND / 10
 RTOL = 1e-10
+GRAD_COND = 1e6      # conditioning up to which central differences resolve
+GRAD_STEP = 1e-4     # relative central-difference step
 
 
 def _system(rng, d0: int, r: int, n: int) -> SystemModel:
@@ -144,6 +147,34 @@ def test_monte_carlo_matches_exact_cost(case):
     rep = monte_carlo(pol, pol.model, None, runs, 0)
     z = (rep.mean_total_cost - exact) / (rep.std_total_cost / np.sqrt(runs))
     assert abs(z) <= 4, f"MC {rep.mean_total_cost:.6g} vs exact {exact:.6g}: z {z:.2f}"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(cases())
+@example((1, 1, 3, 0))        # d0 = 1
+@example((3, 1, 7, 2))        # r = 1 with tau = 3
+@example((6, 2, 8, 3))        # r = 2 with tau = 3
+@example((4, 4, 5, 5))        # fully actuated
+def test_adjoint_gradient_matches_central_differences(case):
+    # the reverse pass differentiates the forward pass exactly; central
+    # differences with relative step h agree to O(h^2) plus roundoff
+    # eps * cond(Sigma_t) / h, so systems are kept to cond < GRAD_COND
+    pol = _random_policy(*case)
+    evaluator = TailCostEvaluator(pol.gains, pol.setup, pol.model)
+    lam = np.array(pol.power.Lambda)
+    evaluator.cost(lam)
+    assume(max(oracle.live_cond(s.state.Sigma) for s in evaluator.steps)
+           < GRAD_COND)
+    grad = evaluator.gradient()
+    assert grad.shape == lam.shape
+    fd = np.empty_like(grad)
+    for t, j in np.ndindex(*lam.shape):
+        h = GRAD_STEP * lam[t, j]
+        up, down = lam.copy(), lam.copy()
+        up[t, j] += h
+        down[t, j] -= h
+        fd[t, j] = (evaluator.cost(up) - evaluator.cost(down)) / (2 * h)
+    _assert_rel(grad, fd, 1e-5, "adjoint gradient")
 
 
 def _sampled_after_truncation():

@@ -218,3 +218,29 @@ def test_sqrt_and_pinv_sqrt_consistent():
     S, Sinv = linalg.eig_roots(linalg.sym_eig(M))
     np.testing.assert_allclose(S, linalg.psd_sqrt(M), atol=1e-13)
     np.testing.assert_allclose(Sinv, linalg.pinv_sqrt(M), atol=1e-13)
+
+
+@pytest.mark.parametrize("H", [[4.0, 1.0, 0.25], [3.0, 3.0, 0.5],
+                               [1.0, 1e-3, 0.0]])
+def test_eig_roots_adjoint_matches_central_differences(H):
+    # repeated eigenvalues and a truncated (zero) direction included; the
+    # perturbation leaves the truncated block alone, so that direction
+    # stays below the cutoff and the map stays differentiable along it
+    rng = _rng(7)
+    U, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    pair = linalg.EigenPair(U=U, H=np.array(H))
+    M = (U * pair.H) @ U.T
+    root_bar, inv_bar = rng.standard_normal((2, 3, 3))
+    dM = linalg.sym_part(rng.standard_normal((3, 3)))
+    dead = pair.H == 0.0
+    dM = U @ np.where(np.outer(dead, dead), 0.0, U.T @ dM @ U) @ U.T
+
+    def f(X):
+        root, inv = linalg.eig_roots(linalg.sym_eig(X))
+        return np.sum(root_bar * root) + np.sum(inv_bar * inv)
+
+    h = 1e-6
+    fd = (f(M + h * dM) - f(M - h * dM)) / (2 * h)
+    grad = linalg.eig_roots_adjoint(pair, root_bar, inv_bar)
+    np.testing.assert_allclose(grad, grad.T, atol=0)
+    assert np.sum(grad * dM) == pytest.approx(fd, rel=1e-6)

@@ -258,3 +258,33 @@ def test_block_order_must_be_a_permutation(ua_model, order):
     # a repeated or missing block would leave coordinates never sent
     with pytest.raises(ValidationError, match="block_order"):
         make_policy(PolicyKind.IM_COMM_UA, ua_model, block_order=order)
+
+
+def test_im_comm_ua_rejects_a_custom_projection(ua_model):
+    # the under-actuated channel takes Q from the SVD of B1; a supplied Q
+    # used to be dropped without a word
+    with pytest.raises(ValidationError, match="Q"):
+        make_policy(PolicyKind.IM_COMM_UA, ua_model, Q=np.zeros((7, 7)))
+
+
+@pytest.mark.parametrize("kind", [PolicyKind.IM_COMM_FA, PolicyKind.IM_COMM_UA])
+def test_power_shorter_than_the_horizon_is_rejected_up_front(kind, fa_model,
+                                                             ua_model):
+    model = fa_model if kind is PolicyKind.IM_COMM_FA else ua_model
+    r = 4 if kind is PolicyKind.IM_COMM_FA else 2
+    short = heuristic_schedule(0.88, model.n - 1, r)
+    with pytest.raises(ValidationError, match=rf"power: .*{model.n - 1} steps"):
+        make_policy(kind, model, power=short)
+
+
+def test_power_of_the_wrong_width_is_rejected_up_front(ua_model):
+    # three entries per step on a two-dimensional channel used to fail in
+    # the operator table with a bare numpy broadcast error
+    wide = heuristic_schedule(0.88, ua_model.n, 3)
+    with pytest.raises(ValidationError, match=r"power: Lambda_0 .*2 entries"):
+        make_policy(PolicyKind.IM_COMM_UA, ua_model, power=wide)
+    ragged = PowerSchedule(mode=ScheduleMode.FULL_MATRIX,
+                           Lambda=[np.ones(2)] * 5 + [np.ones(3)]
+                           + [np.ones(2)] * (ua_model.n - 6))
+    with pytest.raises(ValidationError, match=r"power: Lambda_5 "):
+        make_policy(PolicyKind.IM_COMM_UA, ua_model, power=ragged)

@@ -7,7 +7,8 @@ from lqcoord.linalg import svd_factor
 from lqcoord.policies import PolicyKind, make_policy
 from lqcoord.power import (expected_stage_costs, expected_total_cost,
                            heuristic_schedule)
-from lqcoord.power.analytic import MdpState, state_trajectory, step_and_cost
+from lqcoord.power.analytic import (MdpState, plant_steps, state_trajectory,
+                                   step_and_cost)
 from lqcoord.power.schedules import PowerSchedule, ScheduleMode
 from lqcoord.simulate import derive_run_seed, rollout
 
@@ -71,9 +72,10 @@ def test_zero_power_zero_prior_reduces_to_lqr_covariance(fa_model, fa_gains, fa_
     gains = lq.backward_riccati(tiny)
     setup = lq.fa_setup(tiny.B1, tiny.W)
     st = MdpState.initial(tiny)
+    plants = plant_steps(gains, setup, tiny)
     Z_ref = tiny.X0 + 1e-14 * np.eye(4)
     for t in range(6):
-        _, st = step_and_cost(st, np.zeros(4), gains, setup, tiny)
+        st = step_and_cost(st, np.zeros(4), plants[t], setup, tiny).state
         Abar = tiny.A - tiny.B @ gains.K[t]
         Z_ref = Abar @ Z_ref @ Abar.T + tiny.W
         np.testing.assert_allclose(st.Z, Z_ref, atol=1e-8)
@@ -81,7 +83,9 @@ def test_zero_power_zero_prior_reduces_to_lqr_covariance(fa_model, fa_gains, fa_
 
 def test_ua_zero_power_freezes_sigma(ua_model, ua_gains, ua_channel):
     st = MdpState.initial(ua_model)
-    _, st = step_and_cost(st, np.zeros(2), ua_gains, ua_channel, ua_model, 0)
+    plant = plant_steps(ua_gains, ua_channel, ua_model)[0]
+    assert plant.k == 0
+    st = step_and_cost(st, np.zeros(2), plant, ua_channel, ua_model).state
     np.testing.assert_allclose(st.Sigma, ua_model.Sigma0, atol=1e-12)
 
 
@@ -180,3 +184,14 @@ def test_ua_overpowered_schedule_costs_more(ua_model, ua_gains, ua_channel):
     assert (expected_total_cost(blown, ua_gains, ua_channel, ua_model)
             > expected_total_cost(heu, ua_gains, ua_channel, ua_model))
 
+
+
+@pytest.mark.parametrize("steps, dim, what", [(29, 2, "30"), (30, 3, "Lambda_0")])
+def test_schedule_must_fit_the_channel(ua_model, ua_gains, ua_channel, steps,
+                                       dim, what):
+    # a short or wide schedule used to end in a bare IndexError or a numpy
+    # broadcast error
+    sched = heuristic_schedule(0.88, steps, dim)
+    for engine in (expected_stage_costs, state_trajectory):
+        with pytest.raises(lq.errors.ValidationError, match=f"power: .*{what}"):
+            engine(sched, ua_gains, ua_channel, ua_model)
