@@ -31,7 +31,8 @@ PINV_SQRT_RTOL = 1e-12
 
 
 def sym_part(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
+    """Symmetric part of a matrix, or of each matrix in a (..., d, d) stack."""
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def check_symmetric(M: np.ndarray, tol: float = SYM_TOL, name: str = "matrix") -> np.ndarray:
@@ -75,9 +76,13 @@ def sym_eig(M: np.ndarray) -> EigenPair:
 
 
 def _root_values(H: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
-    """sqrt(H) and the truncated H^(-1/2): zero where H <= rtol * max(H)."""
+    """sqrt(H) and the truncated H^(-1/2): zero where H <= rtol * max(H).
+
+    H may be a stack (..., d) of spectra; each is truncated against its own
+    largest eigenvalue.
+    """
     inv = np.zeros_like(H)
-    live = H > rtol * H.max(initial=0.0)
+    live = H > rtol * H.max(axis=-1, keepdims=True, initial=0.0)
     inv[live] = H[live] ** -0.5
     return np.sqrt(H), inv
 
@@ -93,31 +98,39 @@ def eig_roots(pair: EigenPair,
             sym_part((pair.U * inv) @ pair.U.T))
 
 
-def eig_roots_adjoint(pair: EigenPair, root_bar: np.ndarray, inv_bar: np.ndarray,
-                      rtol: float = PINV_SQRT_RTOL) -> np.ndarray:
-    """Reverse pass of `eig_roots`: the gradient with respect to M = U diag(H) U'.
+def eig_roots_kernels(H: np.ndarray, rtol: float = PINV_SQRT_RTOL
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Daleckii-Krein kernels (F_root, F_inv) of `eig_roots` at the spectrum H.
 
-    Given the gradients root_bar and inv_bar of a scalar with respect to
-    M^(1/2) and the truncated M^(-1/2), returns its (symmetric) gradient with
-    respect to M. By Daleckii-Krein, a spectral function f has Frechet
-    derivative U (F o U' dM U) U' with F_ij the divided difference
-    (f(h_i) - f(h_j)) / (h_i - h_j), f'(h_i) where h_i = h_j. For the root
-    F_ij = 1 / (s_i + s_j) with s = sqrt(H): the kernel that
-    `solve_sylvester_lyapunov` divides by. For the inverse root it is
-    -g_i g_j / (s_i + s_j) between live directions (g = H^(-1/2)),
-    g_i / (h_i - h_j) between a live i and a truncated j, and 0 between
-    truncated ones. A zero eigenvalue, where the root has no derivative,
-    gets 0.
+    A spectral function f has Frechet derivative U (F o U' dM U) U' with
+    F_ij the divided difference (f(h_i) - f(h_j)) / (h_i - h_j), f'(h_i)
+    where h_i = h_j. For the root F_ij = 1 / (s_i + s_j) with s = sqrt(H):
+    the kernel that `solve_sylvester_lyapunov` divides by. For the inverse
+    root it is -g_i g_j / (s_i + s_j) between live directions
+    (g = H^(-1/2)), g_i / (h_i - h_j) between a live i and a truncated j,
+    and 0 between truncated ones. A zero eigenvalue, where the root has no
+    derivative, gets 0. H may be a stack (..., d); the kernels are then
+    (..., d, d).
     """
-    s, g = _root_values(pair.H, rtol)
+    s, g = _root_values(H, rtol)
     live = g > 0.0
-    ssum = s[:, None] + s[None, :]
+    ssum = s[..., :, None] + s[..., None, :]
     F_root = np.divide(1.0, ssum, out=np.zeros_like(ssum), where=ssum > 0.0)
-    cross = live[:, None] != live[None, :]
-    dh = np.where(cross, pair.H[:, None] - pair.H[None, :], 1.0)
-    F_inv = np.where(cross, (g[:, None] - g[None, :]) / dh,
-                     -np.outer(g, g) * F_root)
-    U = pair.U
+    cross = live[..., :, None] != live[..., None, :]
+    dh = np.where(cross, H[..., :, None] - H[..., None, :], 1.0)
+    F_inv = np.where(cross, (g[..., :, None] - g[..., None, :]) / dh,
+                     -(g[..., :, None] * g[..., None, :]) * F_root)
+    return F_root, F_inv
+
+
+def eig_roots_pullback(U: np.ndarray, kernels: tuple[np.ndarray, np.ndarray],
+                       root_bar: np.ndarray, inv_bar: np.ndarray) -> np.ndarray:
+    """Gradient with respect to M = U diag(H) U' from those of its roots.
+
+    kernels = eig_roots_kernels(H); root_bar and inv_bar are the gradients
+    of a scalar with respect to M^(1/2) and the truncated M^(-1/2).
+    """
+    F_root, F_inv = kernels
     X = (U.T @ root_bar @ U) * F_root + (U.T @ inv_bar @ U) * F_inv
     return sym_part(U @ X @ U.T)
 

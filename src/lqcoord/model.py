@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +24,11 @@ def controllability_rank(A: np.ndarray, B: np.ndarray, rtol: float = CTRB_RTOL) 
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.sum(sv > rtol * sv[0]))
+
+
+def _read_only(M: np.ndarray) -> np.ndarray:
+    M.flags.writeable = False
+    return M
 
 
 @dataclass(frozen=True)
@@ -87,24 +93,26 @@ class SystemModel:
     def d2(self) -> int:
         return self.B2.shape[1]
 
-    @property
+    # the block matrices below are built on first use and shared read-only
+
+    @cached_property
     def B(self) -> np.ndarray:
         """Stacked input matrix [B1 B2]."""
-        return np.hstack([self.B1, self.B2])
+        return _read_only(np.hstack([self.B1, self.B2]))
 
-    @property
+    @cached_property
     def G(self) -> np.ndarray:
         """Block-diagonal joint input cost diag(G1, G2)."""
         d1, d2 = self.d1, self.d2
         G = np.zeros((d1 + d2, d1 + d2))
         G[:d1, :d1] = self.G1
         G[d1:, d1:] = self.G2
-        return G
+        return _read_only(G)
 
-    @property
+    @cached_property
     def leader_embed(self) -> np.ndarray:
         """Maps a leader input into the joint input space: [I; 0]."""
-        return np.vstack([np.eye(self.d1), np.zeros((self.d2, self.d1))])
+        return _read_only(np.vstack([np.eye(self.d1), np.zeros((self.d2, self.d1))]))
 
     def leader_fully_actuated(self) -> bool:
         return numerical_rank(self.B1) == self.d0

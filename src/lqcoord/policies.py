@@ -4,9 +4,11 @@ Every policy runs on an operator table built once per prepared policy: the
 entry of step t gives the joint input u_t = -K_t x_t + D*_t x_* + D^_t x_hat
 + I~ enc_t e and the follower's update x_hat += dec_t y_t, e -= dec_t y_t
 from the channel output y_t, where e = x_* - x_hat. The coordination
-policies take enc_t and dec_t from `channel.channel_step` (Sigma_t follows a
-noise-free recursion, so the table is known before any rollout); the
-baselines send nothing, enc = dec = 0.
+policies take enc_t and dec_t from the channel map: its power half
+(`channel.power_factors`) once for the whole schedule, its Sigma half
+(`channel.sigma_step`) per step (Sigma_t follows a noise-free recursion, so
+the table is known before any rollout); the baselines send nothing,
+enc = dec = 0.
 
 Offsets follow the follower's current estimate for BOTH agents: the leader
 also uses D_t^l x_hat rather than its exact D_t^l x_*, which keeps the
@@ -22,8 +24,8 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import (ChannelSetup, block_schedule, channel_step, fa_setup,
-                      ua_setup)
+from .channel import (ChannelSetup, block_schedule, fa_setup, power_factors,
+                      sigma_step, ua_setup)
 from .errors import ValidationError
 from .gains import GainSchedule, backward_riccati, leader_only_gains
 from .model import SystemModel
@@ -99,7 +101,8 @@ class PreparedPolicy:
         shared = self.kind is PolicyKind.EX_COMM
         Sigma = np.zeros((d0, d0)) if shared else model.Sigma0.copy()
         if self.tracks_sigma:
-            blocks = block_schedule(setup, model.n, self.block_order)
+            factors = power_factors(setup, power.Lambda[:model.n],
+                                    block_schedule(setup, model.n, self.block_order))
 
         def pad(M):
             return np.vstack([M, np.zeros((rows - len(M), d0))])
@@ -109,7 +112,7 @@ class PreparedPolicy:
         for t in range(model.n):
             K = pad(gains.K[t])
             if self.tracks_sigma:
-                step = channel_step(setup, Sigma, power.lam(t), blocks[t])
+                step = sigma_step(factors, t, Sigma)
                 D_star, D_hat = no_offset, gains.D[t]
                 enc, dec, Sigma_next = step.enc, step.dec, step.Sigma_next
             else:

@@ -4,8 +4,9 @@ import pytest
 import channel_oracle as oracle
 from conftest import random_pd
 
-from lqcoord.channel import (channel_step, choose_projection, fa_setup,
-                             projection_matrix, ua_setup)
+from lqcoord.channel import (channel_step, channel_step_adjoint,
+                             choose_projection, fa_setup, power_factors,
+                             projection_matrix, sigma_step, ua_setup)
 from lqcoord.errors import (IndexOutOfRange, NonIntegerPeriod, RankDeficient,
                             SigmaNearSingular, ValidationError)
 from lqcoord.linalg import min_eig, pinv_sqrt, psd_sqrt, svd_factor
@@ -424,3 +425,54 @@ def test_noise_gains_shapes(fa_channel, ua_channel):
     np.testing.assert_allclose(N_fa, fa_gain, atol=1e-12)
     np.testing.assert_allclose(N_ua, ua_gain @ oracle.virtual_out(ua_channel),
                                atol=1e-12)
+
+
+# --- the two halves of the channel map -------------------------------------------
+
+def test_stacked_power_half_gives_the_one_step_maps(ua_channel, ua_model):
+    # a schedule's power half built at once, then the Sigma half per step,
+    # is the one-step channel_step at every step
+    rng = np.random.default_rng(11)
+    Lambda = rng.uniform(0.1, 2.0, (5, 2))
+    blocks = [1, 0, 0, 1, 1]
+    power = power_factors(ua_channel, Lambda, blocks)
+    Sigma = ua_model.Sigma0
+    for t, k in enumerate(blocks):
+        stacked = sigma_step(power, t, Sigma)
+        single = channel_step(ua_channel, Sigma, Lambda[t], k)
+        for name in ("enc", "dec", "E", "Sigma_next"):
+            np.testing.assert_allclose(getattr(stacked, name), getattr(single, name),
+                                       rtol=1e-14, atol=1e-15, err_msg=name)
+        Sigma = stacked.Sigma_next
+
+
+@pytest.mark.parametrize("which, k", [("fa", 0), ("ua", 0), ("ua", 1)])
+def test_channel_step_adjoint_matches_central_differences(fa_channel, ua_channel,
+                                                          which, k):
+    # the gradients of <enc_bar, enc> + <dec_bar, dec> + <E_bar, E> with
+    # respect to Lambda_t and Sigma_t
+    setup = fa_channel if which == "fa" else ua_channel
+    rng = np.random.default_rng(12)
+    lam = rng.uniform(0.2, 2.0, setup.r)
+    Sigma = random_pd(rng, 4)
+    enc_bar = rng.standard_normal((setup.d1, 4))
+    dec_bar, E_bar = rng.standard_normal((2, 4, 4))
+
+    def f(S, lam):
+        step = channel_step(setup, S, lam, k)
+        return (np.sum(enc_bar * step.enc) + np.sum(dec_bar * step.dec)
+                + np.sum(E_bar * step.E))
+
+    lam_bar, Sigma_bar = channel_step_adjoint(setup, channel_step(setup, Sigma, lam, k),
+                                              enc_bar, dec_bar, E_bar)
+    h = 1e-6
+    for j in range(setup.r):
+        up, down = lam.copy(), lam.copy()
+        up[j] += h
+        down[j] -= h
+        fd = (f(Sigma, up) - f(Sigma, down)) / (2 * h)
+        assert lam_bar[j] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+    dS = random_pd(rng, 4)
+    fd = (f(Sigma + h * dS, lam) - f(Sigma - h * dS, lam)) / (2 * h)
+    np.testing.assert_allclose(Sigma_bar, Sigma_bar.T, atol=0)
+    assert np.sum(Sigma_bar * dS) == pytest.approx(fd, rel=1e-6)

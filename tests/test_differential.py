@@ -15,6 +15,11 @@ direction of Sigma_t that the channel eigenbasis mixes with the others,
 they part (the two tests at the end pin one case), so the joint block is
 compared up to that step only, and Monte Carlo is compared with the exact
 expected cost only on systems that stay clear of the cutoff.
+
+The exact-cost engine builds the channel's power half for all steps at
+once and runs its serial loops on stacked maps; `joint_oracle` keeps the
+step-by-step form of the same forward and reverse passes, and the two must
+agree in cost, joint covariances and gradient.
 """
 
 import numpy as np
@@ -22,12 +27,13 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import channel_oracle as oracle
+import joint_oracle
 from conftest import random_pd
 from lqcoord.errors import LqcoordError
 from lqcoord.model import SystemModel
 from lqcoord.policies import PolicyKind, make_policy
-from lqcoord.power.analytic import (TailCostEvaluator, expected_total_cost,
-                                   state_trajectory)
+from lqcoord.power.analytic import (MdpState, TailCostEvaluator,
+                                   expected_total_cost, state_trajectory)
 from lqcoord.power.schedules import PowerSchedule, ScheduleMode
 from lqcoord.simulate import monte_carlo
 
@@ -163,8 +169,8 @@ def test_adjoint_gradient_matches_central_differences(case):
     evaluator = TailCostEvaluator(pol.gains, pol.setup, pol.model)
     lam = np.array(pol.power.Lambda)
     evaluator.cost(lam)
-    assume(max(oracle.live_cond(s.state.Sigma) for s in evaluator.steps)
-           < GRAD_COND)
+    assume(max(oracle.live_cond(evaluator.trajectory.state(t).Sigma)
+               for t in range(1, pol.model.n + 1)) < GRAD_COND)
     grad = evaluator.gradient()
     assert grad.shape == lam.shape
     fd = np.empty_like(grad)
@@ -175,6 +181,40 @@ def test_adjoint_gradient_matches_central_differences(case):
         down[t, j] -= h
         fd[t, j] = (evaluator.cost(up) - evaluator.cost(down)) / (2 * h)
     _assert_rel(grad, fd, 1e-5, "adjoint gradient")
+
+
+@st.composite
+def ordered_cases(draw):
+    """A case of `cases()` with a shuffled block order."""
+    d0, r, n, seed = draw(cases())
+    return d0, r, n, seed, draw(st.permutations(range(d0 // r)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(ordered_cases())
+@example((1, 1, 3, 0, [0]))           # d0 = 1
+@example((3, 1, 7, 2, [2, 0, 1]))     # r = 1 with tau = 3
+@example((6, 2, 8, 3, [1, 2, 0]))     # r = 2 with tau = 3
+@example((4, 4, 5, 5, [0]))           # fully actuated
+def test_stacked_engine_matches_step_by_step_oracle(case):
+    # the engine's stacked stages and one-call power gradient against the
+    # per-step forward and reverse passes of `joint_oracle`
+    *dims, order = case
+    pol = _random_policy(*dims)
+    model, setup = pol.model, pol.setup
+    lam = np.array(pol.power.Lambda)
+    evaluator = TailCostEvaluator(pol.gains, setup, model, order)
+    cost = evaluator.cost(lam)
+    assume(max(oracle.live_cond(evaluator.trajectory.state(t).Sigma)
+               for t in range(1, model.n + 1)) < GRAD_COND)
+    steps = joint_oracle.forward(lam, pol.gains, setup, model, order)
+    expected = joint_oracle.total_cost(steps, model)
+    assert abs(cost - expected) <= 1e-10 * abs(expected), (cost, expected)
+    for t in range(model.n + 1):
+        ref = steps[t - 1].state.joint if t else MdpState.initial(model).joint
+        _assert_rel(evaluator.trajectory.state(t).joint, ref, 1e-10, f"P_{t}")
+    _assert_rel(evaluator.gradient(), joint_oracle.gradient(steps, lam, setup, model),
+                1e-8, "gradient")
 
 
 def _sampled_after_truncation():

@@ -241,6 +241,18 @@ def test_eig_roots_adjoint_matches_central_differences(H):
 
     h = 1e-6
     fd = (f(M + h * dM) - f(M - h * dM)) / (2 * h)
-    grad = linalg.eig_roots_adjoint(pair, root_bar, inv_bar)
+    grad = linalg.eig_roots_pullback(U, linalg.eig_roots_kernels(pair.H),
+                                     root_bar, inv_bar)
     np.testing.assert_allclose(grad, grad.T, atol=0)
     assert np.sum(grad * dM) == pytest.approx(fd, rel=1e-6)
+
+
+def test_eig_roots_kernels_of_a_stack_are_the_kernels_of_each_spectrum():
+    # the exact-cost engine builds the kernels of all steps in one call
+    H = np.array([[4.0, 1.0, 0.25], [3.0, 3.0, 0.5], [1.0, 1e-3, 0.0],
+                  [2.0, 1e-20, 0.0]])
+    F_root, F_inv = linalg.eig_roots_kernels(H)
+    for t, spectrum in enumerate(H):
+        f_root, f_inv = linalg.eig_roots_kernels(spectrum)
+        np.testing.assert_array_equal(F_root[t], f_root)
+        np.testing.assert_array_equal(F_inv[t], f_inv)

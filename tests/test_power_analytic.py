@@ -7,8 +7,8 @@ from lqcoord.linalg import svd_factor
 from lqcoord.policies import PolicyKind, make_policy
 from lqcoord.power import (expected_stage_costs, expected_total_cost,
                            heuristic_schedule)
-from lqcoord.power.analytic import (MdpState, plant_steps, state_trajectory,
-                                   step_and_cost)
+from lqcoord.power.analytic import (MdpState, TailCostEvaluator,
+                                   state_trajectory)
 from lqcoord.power.schedules import PowerSchedule, ScheduleMode
 from lqcoord.simulate import derive_run_seed, rollout
 
@@ -71,21 +71,21 @@ def test_zero_power_zero_prior_reduces_to_lqr_covariance(fa_model, fa_gains, fa_
                           1e-14 * np.eye(4), fa_model.X0, fa_model.n)
     gains = lq.backward_riccati(tiny)
     setup = lq.fa_setup(tiny.B1, tiny.W)
-    st = MdpState.initial(tiny)
-    plants = plant_steps(gains, setup, tiny)
+    evaluator = TailCostEvaluator(gains, setup, tiny)
+    evaluator.cost(np.zeros((tiny.n, 4)))
     Z_ref = tiny.X0 + 1e-14 * np.eye(4)
     for t in range(6):
-        st = step_and_cost(st, np.zeros(4), plants[t], setup, tiny).state
+        st = evaluator.trajectory.state(t + 1)
         Abar = tiny.A - tiny.B @ gains.K[t]
         Z_ref = Abar @ Z_ref @ Abar.T + tiny.W
         np.testing.assert_allclose(st.Z, Z_ref, atol=1e-8)
 
 
 def test_ua_zero_power_freezes_sigma(ua_model, ua_gains, ua_channel):
-    st = MdpState.initial(ua_model)
-    plant = plant_steps(ua_gains, ua_channel, ua_model)[0]
-    assert plant.k == 0
-    st = step_and_cost(st, np.zeros(2), plant, ua_channel, ua_model).state
+    evaluator = TailCostEvaluator(ua_gains, ua_channel, ua_model)
+    assert evaluator.plant.blocks[0] == 0
+    evaluator.cost(np.zeros((ua_model.n, 2)))
+    st = evaluator.trajectory.state(1)
     np.testing.assert_allclose(st.Sigma, ua_model.Sigma0, atol=1e-12)
 
 
@@ -195,3 +195,45 @@ def test_schedule_must_fit_the_channel(ua_model, ua_gains, ua_channel, steps,
     for engine in (expected_stage_costs, state_trajectory):
         with pytest.raises(lq.errors.ValidationError, match=f"power: .*{what}"):
             engine(sched, ua_gains, ua_channel, ua_model)
+
+
+@pytest.mark.parametrize("Lambda, what", [
+    (np.ones((30, 1)), r"Lambda has shape \(30, 1\).*\(30, 2\)"),     # used to broadcast
+    (np.ones((29, 2)), r"Lambda has shape \(29, 2\).*\(30, 2\)"),     # used to IndexError
+    (np.where(np.arange(60).reshape(30, 2) == 13, np.nan, 1.0),
+     r"Lambda_6\[1\] = nan"),
+    (np.where(np.arange(60).reshape(30, 2) == 40, -0.5, 1.0),
+     r"Lambda_20\[0\] = -0.5"),
+], ids=["too-narrow", "too-short", "nan", "negative"])
+def test_evaluator_rejects_a_malformed_schedule(ua_model, ua_gains, ua_channel,
+                                                Lambda, what):
+    evaluator = TailCostEvaluator(ua_gains, ua_channel, ua_model)
+    with pytest.raises(lq.errors.ValidationError, match=f"power: {what}"):
+        evaluator.cost(Lambda)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kind", ["fa", "ua"])
+def test_edge_horizons_cost_and_gradient(n, kind):
+    model = (lq.fully_actuated_model(n=n) if kind == "fa"
+             else lq.under_actuated_model(n=n))
+    setup = (lq.fa_setup(model.B1, model.W) if kind == "fa"
+             else lq.ua_setup(model.B1, model.W))
+    gains = lq.backward_riccati(model)
+    order = None if kind == "fa" else [1, 0]
+    rng = np.random.default_rng(n)
+    sched = PowerSchedule(mode=ScheduleMode.FULL_MATRIX,
+                          Lambda=list(rng.uniform(0.2, 2.0, (n, setup.r))))
+    evaluator = TailCostEvaluator(gains, setup, model, order)
+    lam = np.array(sched.Lambda)
+    assert evaluator.cost(lam) == expected_total_cost(sched, gains, setup, model, order)
+    grad = evaluator.gradient()
+    assert grad.shape == (n, setup.r)
+    fd = np.empty_like(grad)
+    for t, j in np.ndindex(*lam.shape):
+        h = 1e-5 * lam[t, j]
+        up, down = lam.copy(), lam.copy()
+        up[t, j] += h
+        down[t, j] -= h
+        fd[t, j] = (evaluator.cost(up) - evaluator.cost(down)) / (2 * h)
+    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-7 * np.abs(fd).max())
