@@ -10,7 +10,7 @@ seeded Monte Carlo harness, and a CLI for the benchmark experiments.
 from .model import SystemModel
 from .gains import GainSchedule, backward_riccati, leader_only_gains
 from .channel import (ChannelSetup, ChannelStep, channel_step,
-                      choose_projection, fa_setup, ua_setup, projection_matrix)
+                      choose_projection, fa_setup, ua_setup)
 from .policies import PolicyKind, PreparedPolicy, make_policy
 from .power import (PowerSchedule, heuristic_schedule, expected_total_cost,
                     ua_optimize)
@@ -26,7 +26,7 @@ __all__ = [
     "SystemModel", "GainSchedule", "backward_riccati", "leader_only_gains",
     "ChannelSetup", "ChannelStep", "channel_step",
     "choose_projection",
-    "fa_setup", "ua_setup", "projection_matrix",
+    "fa_setup", "ua_setup",
     "PolicyKind", "PreparedPolicy", "make_policy",
     "PowerSchedule", "heuristic_schedule", "expected_total_cost",
     "ua_optimize", "solve_scalar_power",

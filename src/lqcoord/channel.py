@@ -43,7 +43,8 @@ from .linalg import (EigenPair, check_symmetric, eig_roots, eig_roots_kernels,
 
 
 def choose_projection(B1: np.ndarray) -> np.ndarray:
-    """Default projection: identity when square, B1' when d1 > d0.
+    """The fully actuated signal projection Q: identity when square, B1'
+    when d1 > d0.
 
     Requires rank(B1) = d0; the returned Q keeps B1 Q full rank so no
     message direction is lost.
@@ -54,7 +55,7 @@ def choose_projection(B1: np.ndarray) -> np.ndarray:
         raise RankDeficient("B1 is not full row rank; use the under-actuated setup")
     Q = np.eye(d0) if d0 == d1 else B1.T
     if numerical_rank(B1 @ Q) < d0:
-        raise RankDeficient("B1 Q lost rank; supply a custom projection")
+        raise RankDeficient("B1 B1' lost numerical rank; B1 is too ill-conditioned")
     return Q
 
 
@@ -131,19 +132,13 @@ def _channel(B1: np.ndarray, W: np.ndarray, Q: np.ndarray, P: np.ndarray,
                         eig=sym_eig(C.T @ np.linalg.solve(Wv, C)))
 
 
-def fa_setup(B1: np.ndarray, W: np.ndarray, Q: np.ndarray | None = None) -> ChannelSetup:
-    """Channel data for a fully actuated leader: P = I and C = B1 Q (r = d0)."""
+def fa_setup(B1: np.ndarray, W: np.ndarray) -> ChannelSetup:
+    """Channel data for a fully actuated leader: P = I and C = B1 Q (r = d0),
+    with Q from `choose_projection`."""
     B1 = np.asarray(B1, dtype=float)
     W = check_symmetric(np.asarray(W, dtype=float), name="W")
-    d0, d1 = B1.shape
-    if Q is None:
-        Q = choose_projection(B1)
-    else:
-        Q = np.asarray(Q, dtype=float)
-        if Q.shape != (d1, d0) or numerical_rank(B1 @ Q) < d0:
-            raise RankDeficient("B1 Q is not a full-rank d0 x d0 matrix for the "
-                                "supplied projection")
-    return _channel(B1, W, Q, np.eye(d0), B1 @ Q)
+    Q = choose_projection(B1)
+    return _channel(B1, W, Q, np.eye(B1.shape[0]), B1 @ Q)
 
 
 def ua_setup(B1: np.ndarray, W: np.ndarray) -> ChannelSetup:
@@ -158,15 +153,6 @@ def ua_setup(B1: np.ndarray, W: np.ndarray) -> ChannelSetup:
     if f.r >= B1.shape[0]:
         raise RankDeficient("B1 is full rank; use the fully actuated setup")
     return _channel(B1, W, f.Gamma1[:, :f.r], f.Gamma0[:, :f.r].T, np.diag(f.Psi1))
-
-
-def projection_matrix(k: int, r: int, d0: int) -> np.ndarray:
-    """r x d0 selector with I_r in columns k*r .. (k+1)*r - 1."""
-    if not 0 <= k < d0 // r:
-        raise IndexOutOfRange(f"block index {k} outside 0..{d0 // r - 1}")
-    P = np.zeros((r, d0))
-    P[:, k * r:(k + 1) * r] = np.eye(r)
-    return P
 
 
 def block_schedule(setup: ChannelSetup, n: int,

@@ -12,6 +12,7 @@ policy,t,metric,value; a JSON summary with per-policy scalars.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -19,14 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import fa_setup, ua_setup
 from .config import (ExperimentConfig, PolicyConfig, config_from_dict,
                      load_config)
 from .errors import HorizonMismatch, LqcoordError, ValidationError
 from .gains import backward_riccati, leader_only_gains
 from .model import SystemModel
 from .policies import PolicyKind, PreparedPolicy, make_policy
-from .power import PowerSchedule, heuristic_schedule, ua_optimize
+from .power import ua_optimize
 from .power.scalar import solve_scalar_power
 from .simulate import AggregateReport, monte_carlo
 from . import presets
@@ -66,24 +66,15 @@ def emit_plot_series(reports: list[AggregateReport], path: Path) -> int:
     return len(rows)
 
 
-def design_power(model: SystemModel, pol: PolicyConfig) -> PowerSchedule:
-    """Signaling-power design for the model's leader.
-
-    Fully actuated: the scalar solver at pol.epsilon. Under-actuated:
-    L-BFGS-B on the adjoint gradient of the exact cost, started from the
-    theta^t heuristic (pol.theta) with at most pol.budget cost evaluations.
-    """
-    gains = backward_riccati(model)
-    if model.leader_fully_actuated():
-        setup = fa_setup(model.B1, model.W)
-        return solve_scalar_power(gains, setup, model, epsilon=pol.epsilon)
-    setup = ua_setup(model.B1, model.W)
-    init = heuristic_schedule(pol.theta, model.n, setup.r)
-    return ua_optimize(init, gains, setup, model, budget=pol.budget)
-
-
 def build_policy(pol: PolicyConfig, model: SystemModel) -> tuple[PreparedPolicy, float | None]:
-    """Prepared policy plus the achieved terminal ratio (power solvers only)."""
+    """Prepared policy plus the achieved terminal ratio (power solvers only).
+
+    A designed policy is prepared first, with the theta^t heuristic
+    (pol.theta) as its power, and its power is then designed on the same
+    gains and channel. Fully actuated: the scalar solver at pol.epsilon.
+    Under-actuated: L-BFGS-B on the adjoint gradient of the exact cost,
+    started from the heuristic with at most pol.budget cost evaluations.
+    """
     fully = model.leader_fully_actuated()
     name = pol.name
     if name == "ex-comm":
@@ -92,15 +83,21 @@ def build_policy(pol: PolicyConfig, model: SystemModel) -> tuple[PreparedPolicy,
         return make_policy(PolicyKind.LEADER_ONLY, model), None
     if name == "no-comm":
         return make_policy(PolicyKind.NO_COMM, model), None
-    kind = PolicyKind.IM_COMM_FA if fully else PolicyKind.IM_COMM_UA
-    if name == "im-comm-heu":
-        return make_policy(kind, model, theta=pol.theta), None
     if name == "im-comm-opt" and not fully:
         raise ValidationError("im-comm-opt needs a fully actuated leader")
     if name == "im-comm-num" and fully:
         raise ValidationError("im-comm-num targets under-actuated leaders")
-    schedule = design_power(model, pol)
-    return (make_policy(kind, model, power=schedule),
+    kind = PolicyKind.IM_COMM_FA if fully else PolicyKind.IM_COMM_UA
+    prepared = make_policy(kind, model, theta=pol.theta)
+    if name == "im-comm-heu":
+        return prepared, None
+    gains, setup = prepared.gains, prepared.setup
+    if fully:
+        schedule = solve_scalar_power(gains, setup, model, epsilon=pol.epsilon)
+    else:
+        schedule = ua_optimize(prepared.power, gains, setup, model,
+                               budget=pol.budget, block_order=prepared.block_order)
+    return (dataclasses.replace(prepared, power=schedule),
             schedule.achieved_terminal_ratio)
 
 
@@ -214,7 +211,7 @@ def cmd_optimize_power(args) -> int:
     pol = PolicyConfig(name="im-comm-opt" if fully else "im-comm-num",
                        theta=args.theta, epsilon=args.epsilon,
                        budget=args.budget)
-    schedule = design_power(model, pol)
+    schedule = build_policy(pol, model)[0].power
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if fully:

@@ -13,10 +13,6 @@ class NotPsd(LqcoordError):
     """Matrix expected to be positive semidefinite has a clearly negative eigenvalue."""
 
 
-class NotPd(LqcoordError):
-    """Matrix expected to be positive definite is singular or indefinite."""
-
-
 class RankDeficient(LqcoordError):
     """Matrix fails a required full-rank condition."""
 
@@ -51,10 +47,6 @@ class IndexOutOfRange(LqcoordError):
 
 class InvalidTheta(LqcoordError):
     """Heuristic decay base outside (0, 1]."""
-
-
-class ZeroLambdaEntry(LqcoordError):
-    """Power entry is zero where a 1/sqrt term requires it positive."""
 
 
 class NoRootFound(LqcoordError):

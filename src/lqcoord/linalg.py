@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPd, NotPsd, NotSymmetric, ZeroMatrix
+from .errors import NotPsd, NotSymmetric, ZeroMatrix
 
 SYM_TOL = 1e-12
 PSD_TOL = 1e-6
@@ -35,12 +35,12 @@ def sym_part(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.swapaxes(-1, -2))
 
 
-def check_symmetric(M: np.ndarray, tol: float = SYM_TOL, name: str = "matrix") -> np.ndarray:
+def check_symmetric(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotSymmetric(f"{name} is not square: shape {M.shape}")
     scale = max(1.0, np.abs(M).max())
-    if np.abs(M - M.T).max() > tol * scale:
+    if np.abs(M - M.T).max() > SYM_TOL * scale:
         raise NotSymmetric(f"{name} asymmetry {np.abs(M - M.T).max():.3e} exceeds tolerance")
     return sym_part(M)
 
@@ -75,44 +75,43 @@ def sym_eig(M: np.ndarray) -> EigenPair:
     return EigenPair(U=V, H=np.clip(w, 0.0, None))
 
 
-def _root_values(H: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
-    """sqrt(H) and the truncated H^(-1/2): zero where H <= rtol * max(H).
+def _root_values(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(H) and the truncated H^(-1/2), zero where H <= PINV_SQRT_RTOL max(H).
 
     H may be a stack (..., d) of spectra; each is truncated against its own
     largest eigenvalue.
     """
     inv = np.zeros_like(H)
-    live = H > rtol * H.max(axis=-1, keepdims=True, initial=0.0)
+    live = H > PINV_SQRT_RTOL * H.max(axis=-1, keepdims=True, initial=0.0)
     inv[live] = H[live] ** -0.5
     return np.sqrt(H), inv
 
 
-def eig_roots(pair: EigenPair,
-              rtol: float = PINV_SQRT_RTOL) -> tuple[np.ndarray, np.ndarray]:
+def eig_roots(pair: EigenPair) -> tuple[np.ndarray, np.ndarray]:
     """Square root and truncated inverse square root of U diag(H) U'.
 
-    Eigendirections with H <= rtol * max(H) get zero in the inverse root.
+    Eigendirections with H <= PINV_SQRT_RTOL * max(H) get zero in the
+    inverse root.
     """
-    root, inv = _root_values(pair.H, rtol)
+    root, inv = _root_values(pair.H)
     return (sym_part((pair.U * root) @ pair.U.T),
             sym_part((pair.U * inv) @ pair.U.T))
 
 
-def eig_roots_kernels(H: np.ndarray, rtol: float = PINV_SQRT_RTOL
-                      ) -> tuple[np.ndarray, np.ndarray]:
+def eig_roots_kernels(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Daleckii-Krein kernels (F_root, F_inv) of `eig_roots` at the spectrum H.
 
     A spectral function f has Frechet derivative U (F o U' dM U) U' with
     F_ij the divided difference (f(h_i) - f(h_j)) / (h_i - h_j), f'(h_i)
-    where h_i = h_j. For the root F_ij = 1 / (s_i + s_j) with s = sqrt(H):
-    the kernel that `solve_sylvester_lyapunov` divides by. For the inverse
-    root it is -g_i g_j / (s_i + s_j) between live directions
+    where h_i = h_j. For the root F_ij = 1 / (s_i + s_j) with s = sqrt(H),
+    the kernel of the Sylvester-Lyapunov equation S X + X S = Y. For the
+    inverse root it is -g_i g_j / (s_i + s_j) between live directions
     (g = H^(-1/2)), g_i / (h_i - h_j) between a live i and a truncated j,
     and 0 between truncated ones. A zero eigenvalue, where the root has no
     derivative, gets 0. H may be a stack (..., d); the kernels are then
     (..., d, d).
     """
-    s, g = _root_values(H, rtol)
+    s, g = _root_values(H)
     live = g > 0.0
     ssum = s[..., :, None] + s[..., None, :]
     F_root = np.divide(1.0, ssum, out=np.zeros_like(ssum), where=ssum > 0.0)
@@ -140,15 +139,6 @@ def psd_sqrt(M: np.ndarray) -> np.ndarray:
     return eig_roots(sym_eig(M))[0]
 
 
-def pinv_sqrt(M: np.ndarray, rtol: float = PINV_SQRT_RTOL) -> np.ndarray:
-    """Truncated inverse square root of a PSD matrix.
-
-    Eigendirections with eigenvalue <= rtol * lambda_max are mapped to zero.
-    On well-conditioned input this equals inv(psd_sqrt(M)).
-    """
-    return eig_roots(sym_eig(M), rtol)[1]
-
-
 def numerical_rank(M: np.ndarray, rtol: float = RANK_RTOL) -> int:
     sv = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
@@ -170,13 +160,6 @@ class SvdFactors:
     Gamma1: np.ndarray
     r: int
 
-    def reconstruct(self) -> np.ndarray:
-        d0 = self.Gamma0.shape[0]
-        d1 = self.Gamma1.shape[0]
-        Psi_bar = np.zeros((d0, d1))
-        Psi_bar[: self.r, : self.r] = np.diag(self.Psi1)
-        return self.Gamma0 @ Psi_bar @ self.Gamma1.T
-
 
 def svd_factor(B1: np.ndarray) -> SvdFactors:
     """Full SVD of B1 with singular values below 1e-10 * sigma_max dropped."""
@@ -186,23 +169,6 @@ def svd_factor(B1: np.ndarray) -> SvdFactors:
         raise ZeroMatrix("input matrix is numerically zero")
     r = int(np.sum(sv > RANK_RTOL * sv[0]))
     return SvdFactors(Gamma0=U, Psi1=sv[:r].copy(), Gamma1=Vt.T, r=r)
-
-
-def solve_sylvester_lyapunov(A: np.ndarray, RHS: np.ndarray) -> np.ndarray:
-    """Solve A @ X + X @ A = RHS for symmetric PD A.
-
-    Solved in the eigenbasis of A: with A = V diag(lam) Vt and R~ = Vt RHS V,
-    X~_ij = R~_ij / (lam_i + lam_j), which is well posed since lam_i > 0.
-    RHS need not be symmetric; X is symmetric iff RHS is.
-    """
-    A = check_symmetric(A, name="A")
-    RHS = np.asarray(RHS, dtype=float)
-    lam, V = eigh_desc(A)
-    if lam[-1] <= 1e-12:
-        raise NotPd(f"min eigenvalue of A is {lam[-1]:.3e}; Sylvester solve needs A PD")
-    Rt = V.T @ RHS @ V
-    Xt = Rt / (lam[:, None] + lam[None, :])
-    return V @ Xt @ V.T
 
 
 def min_eig(M: np.ndarray) -> float:

@@ -13,17 +13,12 @@ from .linalg import check_symmetric, min_eig, numerical_rank
 CTRB_RTOL = 1e-8
 
 
-def controllability_rank(A: np.ndarray, B: np.ndarray, rtol: float = CTRB_RTOL) -> int:
+def controllability_rank(A: np.ndarray, B: np.ndarray) -> int:
     """Numerical rank of [B, AB, ..., A^(d-1)B]."""
-    d = A.shape[0]
     blocks = [B]
-    for _ in range(d - 1):
+    for _ in range(A.shape[0] - 1):
         blocks.append(A @ blocks[-1])
-    C = np.hstack(blocks)
-    sv = np.linalg.svd(C, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > rtol * sv[0]))
+    return numerical_rank(np.hstack(blocks), CTRB_RTOL)
 
 
 def _read_only(M: np.ndarray) -> np.ndarray:
@@ -116,7 +111,3 @@ class SystemModel:
 
     def leader_fully_actuated(self) -> bool:
         return numerical_rank(self.B1) == self.d0
-
-    def with_horizon(self, n: int) -> "SystemModel":
-        return SystemModel(self.A, self.B1, self.B2, self.W, self.F, self.Fn,
-                           self.G1, self.G2, self.Sigma0, self.X0, n, name=self.name)

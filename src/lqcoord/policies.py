@@ -101,7 +101,7 @@ class PreparedPolicy:
         shared = self.kind is PolicyKind.EX_COMM
         Sigma = np.zeros((d0, d0)) if shared else model.Sigma0.copy()
         if self.tracks_sigma:
-            factors = power_factors(setup, power.Lambda[:model.n],
+            factors = power_factors(setup, power.Lambda,
                                     block_schedule(setup, model.n, self.block_order))
 
         def pad(M):
@@ -165,7 +165,6 @@ class RolloutPolicy:
 
 def make_policy(kind: PolicyKind, model: SystemModel, *,
                 power: PowerSchedule | None = None, theta: float = 0.88,
-                Q: np.ndarray | None = None,
                 block_order: list[int] | None = None) -> PreparedPolicy:
     """Build a PreparedPolicy, deriving default schedules where needed."""
     if kind is PolicyKind.LEADER_ONLY:
@@ -177,11 +176,8 @@ def make_policy(kind: PolicyKind, model: SystemModel, *,
     if kind is PolicyKind.IM_COMM_FA:
         if not model.leader_fully_actuated():
             raise ValidationError("im-comm-fa requires rank(B1) = d0")
-        setup = fa_setup(model.B1, model.W, Q=Q)
+        setup = fa_setup(model.B1, model.W)
     elif kind is PolicyKind.IM_COMM_UA:
-        if Q is not None:
-            raise ValidationError("Q: im-comm-ua takes its projection from the "
-                                  "SVD of B1 and accepts no custom Q")
         setup = ua_setup(model.B1, model.W)
     else:
         raise ValidationError(f"unknown policy kind {kind}")

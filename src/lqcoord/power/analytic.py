@@ -49,9 +49,9 @@ from ..channel import (ChannelSetup, ChannelStep, PowerFactors, block_schedule,
                        sigma_step_adjoint)
 from ..errors import ValidationError
 from ..gains import GainSchedule
-from ..linalg import eig_roots_kernels, pinv_sqrt, sym_part
+from ..linalg import eig_roots_kernels, sym_part
 from ..model import SystemModel
-from .schedules import PowerSchedule
+from .schedules import PowerSchedule, ScheduleMode
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,7 @@ class MdpState:
     """Deterministic state of the power-design problem at step t.
 
     Holds the joint covariance of (z_t, e_t, x_*); Z, Sigma and the cross
-    blocks are views into it. L = Omega Sigma^+ for reporting (identically
-    -I in the fully actuated case).
+    blocks are views into it.
     """
 
     joint: np.ndarray
@@ -91,12 +90,6 @@ class MdpState:
         """Cov(z_t, x_*)."""
         d0 = self.d0
         return self.joint[:d0, 2 * d0:]
-
-    @property
-    def L(self) -> np.ndarray:
-        Sig = self.Sigma
-        S12inv = pinv_sqrt(Sig)
-        return self.Omega @ S12inv @ S12inv
 
     @classmethod
     def initial(cls, model: SystemModel) -> "MdpState":
@@ -197,30 +190,12 @@ def _run(lam: np.ndarray, plant: PlantMaps, setup: ChannelSetup,
                       weight=weight, joint=joint, costs=costs)
 
 
-def _power_array(Lambda, n: int, r: int) -> np.ndarray:
-    """Lambda as an (n, r) array of finite non-negative entries."""
-    try:
-        lam = np.array(Lambda, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(
-            f"power: Lambda is not a numeric {n} x {r} array") from exc
-    if lam.shape != (n, r):
-        raise ValidationError(f"power: Lambda has shape {lam.shape}, the horizon "
-                              f"and channel need ({n}, {r})")
-    bad = ~(np.isfinite(lam) & (lam >= 0.0))
-    if bad.any():
-        t, j = np.argwhere(bad)[0]
-        raise ValidationError(f"power: Lambda_{t}[{j}] = {lam[t, j]} is not a "
-                              f"finite non-negative number")
-    return lam
-
-
 def _trajectory(schedule: PowerSchedule, gains: GainSchedule,
                 setup: ChannelSetup, model: SystemModel,
                 block_order: list[int] | None) -> Trajectory:
     schedule.check_fits(model.n, setup.r)
-    lam = _power_array(schedule.Lambda[:model.n], model.n, setup.r)
-    return _run(lam, plant_maps(gains, setup, model, block_order), setup, model)
+    return _run(schedule.Lambda, plant_maps(gains, setup, model, block_order),
+                setup, model)
 
 
 def expected_stage_costs(schedule: PowerSchedule, gains: GainSchedule,
@@ -252,8 +227,9 @@ class TailCostEvaluator:
 
     def cost(self, Lambda) -> float:
         """E[J_n] of the schedule Lambda, an (n, r) array of power entries."""
-        lam = _power_array(Lambda, self.model.n, self.setup.r)
-        self.trajectory = _run(lam, self.plant, self.setup, self.model)
+        schedule = PowerSchedule(mode=ScheduleMode.FULL_MATRIX, Lambda=Lambda)
+        schedule.check_fits(self.model.n, self.setup.r)
+        self.trajectory = _run(schedule.Lambda, self.plant, self.setup, self.model)
         return float(self.trajectory.costs.sum())
 
     def gradient(self) -> np.ndarray:

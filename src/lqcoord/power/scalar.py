@@ -34,6 +34,14 @@ through the terminal costate theta_n = nu >= 0 (the constraint multiplier).
 b_n falls monotonically as nu grows, so log nu is bracketed and then found
 by one Brent root solve of log b_n(nu) = log epsilon; each inner solve
 warm-starts from the previous schedule.
+
+The constants c1/c2/c3 absorb the surrogate's state-error costates
+(`costate_Z`: theta_Z,n = Fn, theta_Z,t = F + K'GK + Abar' theta_Z,t+1 Abar)
+and its offset-feedback sequence (`offset_feedback_seq`: L_0 = -I,
+L_{t+1} = Abar_t L_t - B D_t). Both depend on the gains alone, so they are
+computed once per gain schedule. The rest of the surrogate's minimum-
+principle stack (stage cost, Hamiltonian, Sigma-costate, power gradient)
+is the test oracle `tests/pmp_oracle.py`, which checks these constants.
 """
 
 from __future__ import annotations
@@ -46,9 +54,8 @@ import scipy.optimize
 from ..channel import ChannelSetup
 from ..errors import NoRootFound, ValidationError
 from ..gains import GainSchedule
-from ..linalg import psd_sqrt
+from ..linalg import psd_sqrt, sym_part
 from ..model import SystemModel
-from .pmp import costate_Z, offset_feedback_seq
 from .schedules import PowerSchedule, ScheduleMode
 
 A_FLOOR = 1e-12
@@ -65,27 +72,46 @@ B_N_MARGIN = 1e-13            # relative gap aimed for below epsilon, so that
 class ConstantsTable:
     """Schedule-independent constants of the scalar problem.
 
-    Q_a/Q_b/Q_ab weight the covariance transition, r_a/r_b/r_ab the stage
-    cost; c1/c2/c3 are the reduced per-step coefficients after absorbing
-    the Z-costates.
+    c1/c2/c3 are the reduced per-step coefficients after absorbing the
+    Z-costates; H holds the channel gains, Lambda_t = a_t / H.
     """
 
-    Q_a: np.ndarray
-    Q_b: list[np.ndarray]
-    Q_ab: list[np.ndarray]
-    r_a: float
-    r_b: np.ndarray
-    r_ab: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
     c3: np.ndarray
     H: np.ndarray
-    thetaZ: list[np.ndarray]
+
+
+def offset_feedback_seq(gains: GainSchedule, model: SystemModel) -> list[np.ndarray]:
+    """Surrogate cross-covariance coefficients L_t: L_0 = -I, L_{t+1} = Abar_t L_t - B D_t.
+
+    Independent of the power schedule, so computed once per gain schedule.
+    """
+    L = [-np.eye(model.d0)]
+    for t in range(model.n):
+        Abar = model.A - model.B @ gains.K[t]
+        L.append(Abar @ L[-1] - model.B @ gains.D[t])
+    return L
+
+
+def costate_Z(gains: GainSchedule, model: SystemModel) -> list[np.ndarray]:
+    """Backward costates of Z_t: theta_n = Fn, theta_t = F + K'GK + Abar' theta Abar."""
+    theta = [None] * (model.n + 1)
+    theta[model.n] = model.Fn.copy()
+    for t in range(model.n - 1, -1, -1):
+        Abar = model.A - model.B @ gains.K[t]
+        theta[t] = sym_part(model.F + gains.K[t].T @ model.G @ gains.K[t]
+                            + Abar.T @ theta[t + 1] @ Abar)
+    return theta
 
 
 def scalar_constants(gains: GainSchedule, setup: ChannelSetup,
                      model: SystemModel) -> ConstantsTable:
-    """Assemble the constant tables for the scalar solver."""
+    """Assemble the constant tables for the scalar solver.
+
+    Q_a, Q_b and Q_ab weight the covariance transition, r_a, r_b and r_ab
+    the stage cost; contracted with the Z-costates they give c1/c2/c3.
+    """
     n = model.n
     thetaZ = costate_Z(gains, model)
     L = offset_feedback_seq(gains, model)
@@ -100,29 +126,20 @@ def scalar_constants(gains: GainSchedule, setup: ChannelSetup,
 
     Q_a = Q1 @ UHinv @ Q1.T
     r_a = float(np.trace(Q.T @ G1 @ Q @ UHinv))
-    Q_b, Q_ab = [], []
-    r_b = np.empty(n)
-    r_ab = np.empty(n)
-    c1 = np.empty(n)
-    c2 = np.empty(n)
-    c3 = np.empty(n)
+    c1, c2, c3 = np.empty((3, n))
     for t in range(n):
         K, D = gains.K[t], gains.D[t]
         Abar = model.A - model.B @ K
         BD = model.B @ D
-        Qb = BD @ S0 @ L[t + 1].T + Abar @ L[t] @ S0 @ BD.T
+        Q_b = BD @ S0 @ L[t + 1].T + Abar @ L[t] @ S0 @ BD.T
         X = Q1 @ UHm12 @ S0_12 @ L[t + 1].T
-        Qab = X + X.T
-        Q_b.append(Qb)
-        Q_ab.append(Qab)
-        r_b[t] = float(np.trace(D.T @ G @ (D @ S0 + 2.0 * K @ L[t] @ S0)))
-        r_ab[t] = float(np.trace((D + K @ L[t]).T @ G @ Itil @ Q @ UHm12 @ S0_12))
+        Q_ab = X + X.T
+        r_b = float(np.trace(D.T @ G @ (D @ S0 + 2.0 * K @ L[t] @ S0)))
+        r_ab = float(np.trace((D + K @ L[t]).T @ G @ Itil @ Q @ UHm12 @ S0_12))
         c1[t] = r_a + float(np.trace(thetaZ[t + 1] @ Q_a.T))
-        c2[t] = float(np.trace(thetaZ[t + 1] @ Qab.T)) - 2.0 * r_ab[t]
-        c3[t] = r_b[t] - float(np.trace(thetaZ[t + 1] @ Qb.T))
-    return ConstantsTable(Q_a=Q_a, Q_b=Q_b, Q_ab=Q_ab, r_a=r_a, r_b=r_b,
-                          r_ab=r_ab, c1=c1, c2=c2, c3=c3, H=H.copy(),
-                          thetaZ=thetaZ)
+        c2[t] = float(np.trace(thetaZ[t + 1] @ Q_ab.T)) - 2.0 * r_ab
+        c3[t] = r_b - float(np.trace(thetaZ[t + 1] @ Q_b.T))
+    return ConstantsTable(c1=c1, c2=c2, c3=c3, H=H.copy())
 
 
 def _b_forward(a: np.ndarray) -> np.ndarray:
@@ -150,17 +167,6 @@ def stationarity_residuals(a: np.ndarray, c: ConstantsTable,
     b = _b_forward(a)
     phi = _scaled_costate(a, b, c, nu)
     return c.c1 + c.c2 * np.sqrt(b[:-1]) / (2.0 * np.sqrt(a)) - phi[1:] / (1.0 + a)
-
-
-def theta_b_sequence(a: np.ndarray, c: ConstantsTable, nu: float = 0.0) -> np.ndarray:
-    """Costates theta_{b,t} backward from theta_{b,n} = nu.
-
-    theta_t is unbounded where b_t underflows to 0 and comes out non-finite there.
-    """
-    b = _b_forward(a)
-    theta = _scaled_costate(a, b, c, nu) / b
-    theta[-1] = nu
-    return theta
 
 
 def _solve_for_nu(c: ConstantsTable, nu: float, a0: np.ndarray) -> np.ndarray:
@@ -266,11 +272,9 @@ def scalar_backward_solve(constants: ConstantsTable, epsilon: float,
         a = solved[log_nu][0]
         nu = float(np.exp(log_nu))
 
-    resid = stationarity_residuals(a, c, nu)
-    b = _b_forward(a)
-    Lambda = [a[t] / c.H for t in range(n)]
-    return PowerSchedule(mode=ScheduleMode.SCALAR, Lambda=Lambda, a=a, b=b,
-                         terminal_multiplier=nu, stationarity_residuals=resid,
+    return PowerSchedule(mode=ScheduleMode.SCALAR, Lambda=a[:, None] / c.H, a=a,
+                         b=_b_forward(a), terminal_multiplier=nu,
+                         stationarity_residuals=stationarity_residuals(a, c, nu),
                          inner_solves=inner_solves)
 
 

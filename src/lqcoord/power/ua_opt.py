@@ -54,7 +54,7 @@ def ua_optimize(init: PowerSchedule, gains: GainSchedule, setup: ChannelSetup,
     if budget < 1:
         raise ValidationError(f"budget: {budget} must be >= 1")
     init.check_fits(model.n, setup.r)
-    lam0 = np.array(init.Lambda[:model.n], dtype=float)
+    lam0 = init.Lambda
     if np.any(lam0 <= 0.0):
         t, j = np.argwhere(lam0 <= 0.0)[0]
         raise ValidationError(
@@ -101,7 +101,7 @@ def ua_optimize(init: PowerSchedule, gains: GainSchedule, setup: ChannelSetup,
         warnings.warn(f"evaluation budget {budget} exhausted; returning best "
                       f"found (cost {J:.6g})", BudgetExhaustedWarning)
     held = ((x <= lo) & (g_log > 0.0)) | ((x >= hi) & (g_log < 0.0))
-    return PowerSchedule(mode=ScheduleMode.FULL_MATRIX, Lambda=list(lam.copy()),
+    return PowerSchedule(mode=ScheduleMode.FULL_MATRIX, Lambda=lam,
                          evals=evals, budget_exhausted=exhausted,
                          projected_gradient_norm=float(
                              np.abs(np.where(held, 0.0, g_log)).max()))

@@ -241,7 +241,7 @@ def channel_output(x_next, x_t, gains, t, x_star_hat, model) -> np.ndarray:
 def compute_inputs(state: CoordinationState, x_t) -> tuple[np.ndarray, np.ndarray]:
     """Leader and follower inputs; only the leader adds the signal."""
     t, g, msg = state.t, state.gains, state.msg
-    lam = state.power.lam(t)
+    lam = state.power.Lambda[t]
     if fully_actuated(state.setup):
         s = encoder_fa(msg.Sigma, lam, state.setup) @ msg.e
     else:
@@ -255,7 +255,7 @@ def compute_inputs(state: CoordinationState, x_t) -> tuple[np.ndarray, np.ndarra
 def observe_and_update(state: CoordinationState, x_t, x_next) -> None:
     """Shared post-transition update: decode, refine the estimate, advance t."""
     t, msg, setup = state.t, state.msg, state.setup
-    lam = state.power.lam(t)
+    lam = state.power.Lambda[t]
     y = channel_output(x_next, x_t, state.gains, t, msg.x_star_hat, state.model)
     if fully_actuated(setup):
         e_hat = decode_fa_gain(msg.Sigma, lam, setup) @ y

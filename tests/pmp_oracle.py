@@ -1,17 +1,19 @@
-"""Minimum-principle machinery for fully-actuated power design.
+"""Minimum-principle machinery for fully actuated power design.
 
-This is the verification stack behind the scalar solver: the reduced
-covariance surrogate (Z_t, Sigma_t) with the constant offset-feedback
-sequence L_t, its stage cost l_t, the Hamiltonian, the costates, and the
-analytic gradients (checked against finite differences in the tests).
-The surrogate treats the target as a fixed offset, so it is not the exact
-expected cost (see power.analytic for that); it is, however, exactly the
-object its own necessary conditions differentiate, which is what the
-gradient and stationarity checks require.
+The verification stack behind the scalar solver: the reduced covariance
+surrogate (Z_t, Sigma_t) with the offset-feedback sequence L_t, its stage
+cost l_t, the Hamiltonian, the Sigma-costate and the power gradient. The
+surrogate treats the target as a fixed offset, so it is not the exact
+expected cost (`lqcoord.power.analytic` computes that); it is, however,
+exactly the object its own necessary conditions differentiate, which is
+what the gradient and stationarity checks require.
 
 Every formula here is pinned by derivative identities: the expanded
 Hamiltonian equals the composed one to roundoff, and grad_lambda_fa /
-theta_sigma_step equal central finite differences of hamiltonian_fa.
+theta_sigma_step equal central finite differences of hamiltonian_fa. The
+costates of Z_t and the sequence L_t are the package's own
+(`lqcoord.power.scalar`), since the scalar solver's constants are built
+from them.
 """
 
 from __future__ import annotations
@@ -20,28 +22,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..channel import ChannelSetup, channel_step, contraction
-from ..errors import ZeroLambdaEntry
-from ..gains import GainSchedule
-from ..linalg import psd_sqrt, solve_sylvester_lyapunov, sym_part
-from ..model import SystemModel
+from lqcoord.channel import ChannelSetup, channel_step, contraction
+from lqcoord.errors import LqcoordError
+from lqcoord.gains import GainSchedule
+from lqcoord.linalg import check_symmetric, eigh_desc, psd_sqrt, sym_part
+from lqcoord.model import SystemModel
+from lqcoord.power.scalar import offset_feedback_seq
 
 
-def offset_feedback_seq(gains: GainSchedule, model: SystemModel) -> list[np.ndarray]:
-    """Surrogate cross-covariance coefficients L_t: L_0 = -I, L_{t+1} = Abar_t L_t - B D_t.
+class NotPd(LqcoordError):
+    """Matrix expected to be positive definite is singular or indefinite."""
 
-    Independent of the power schedule, so computed once per gain schedule.
+
+class ZeroLambdaEntry(LqcoordError):
+    """Power entry is zero where a 1/sqrt term requires it positive."""
+
+
+def solve_sylvester_lyapunov(A: np.ndarray, RHS: np.ndarray) -> np.ndarray:
+    """Solve A @ X + X @ A = RHS for symmetric PD A.
+
+    Solved in the eigenbasis of A: with A = V diag(lam) Vt and R~ = Vt RHS V,
+    X~_ij = R~_ij / (lam_i + lam_j), which is well posed since lam_i > 0.
+    RHS need not be symmetric; X is symmetric iff RHS is.
     """
-    L = [-np.eye(model.d0)]
-    for t in range(model.n):
-        Abar = model.A - model.B @ gains.K[t]
-        L.append(Abar @ L[-1] - model.B @ gains.D[t])
-    return L
+    A = check_symmetric(A, name="A")
+    RHS = np.asarray(RHS, dtype=float)
+    lam, V = eigh_desc(A)
+    if lam[-1] <= 1e-12:
+        raise NotPd(f"min eigenvalue of A is {lam[-1]:.3e}; Sylvester solve needs A PD")
+    Rt = V.T @ RHS @ V
+    Xt = Rt / (lam[:, None] + lam[None, :])
+    return V @ Xt @ V.T
 
 
 def surrogate_z_step(Z: np.ndarray, Sigma: np.ndarray, lam: np.ndarray,
-                 gains: GainSchedule, setup: ChannelSetup, model: SystemModel,
-                 t: int, L: list[np.ndarray]) -> np.ndarray:
+                     gains: GainSchedule, setup: ChannelSetup, model: SystemModel,
+                     t: int, L: list[np.ndarray]) -> np.ndarray:
     """Surrogate state-error covariance transition f^Z."""
     Abar = model.A - model.B @ gains.K[t]
     BD = model.B @ gains.D[t]
@@ -78,15 +94,19 @@ def terminal_cost(Z: np.ndarray, model: SystemModel) -> float:
     return float(np.trace(Z @ model.Fn))
 
 
-def costate_Z(gains: GainSchedule, model: SystemModel) -> list[np.ndarray]:
-    """Backward costates of Z_t: theta_n = Fn, theta_t = F + K'GK + Abar' theta Abar."""
-    theta = [None] * (model.n + 1)
-    theta[model.n] = model.Fn.copy()
-    for t in range(model.n - 1, -1, -1):
-        Abar = model.A - model.B @ gains.K[t]
-        theta[t] = sym_part(model.F + gains.K[t].T @ model.G @ gains.K[t]
-                            + Abar.T @ theta[t + 1] @ Abar)
-    return theta
+def surrogate_cost(schedule, model: SystemModel, setup: ChannelSetup,
+                   gains: GainSchedule) -> float:
+    """Sum of the surrogate stage costs along the surrogate dynamics."""
+    L = offset_feedback_seq(gains, model)
+    Z = model.X0 + model.Sigma0
+    Sigma = model.Sigma0.copy()
+    total = 0.0
+    for t in range(model.n):
+        lam = schedule.Lambda[t]
+        total += stage_cost_fa(Z, Sigma, lam, gains, setup, model, t, L)
+        Z = surrogate_z_step(Z, Sigma, lam, gains, setup, model, t, L)
+        Sigma = channel_step(setup, Sigma, lam).Sigma_next
+    return total + terminal_cost(Z, model)
 
 
 def hamiltonian_fa(Z: np.ndarray, Sigma: np.ndarray, lam: np.ndarray,

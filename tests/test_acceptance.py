@@ -11,23 +11,22 @@ import warnings
 import numpy as np
 import pytest
 
+from channel_oracle import inv_sqrt_psd, selector
 from conftest import random_pd, random_system
+from pmp_oracle import (grad_lambda_fa, hamiltonian_fa, surrogate_cost,
+                        theta_sigma_step)
 
 import lqcoord as lq
-from lqcoord.channel import (channel_step, fa_setup, projection_matrix,
-                             ua_setup)
+from lqcoord.channel import channel_step, fa_setup, ua_setup
 from lqcoord.errors import BudgetExhaustedWarning
 from lqcoord.gains import backward_riccati
-from lqcoord.linalg import min_eig, pinv_sqrt, psd_sqrt
+from lqcoord.linalg import min_eig, psd_sqrt
 from lqcoord.policies import PolicyKind, make_policy
 from lqcoord.power import (expected_total_cost, heuristic_schedule,
                            ua_optimize)
-from lqcoord.power.pmp import (costate_Z, grad_lambda_fa, hamiltonian_fa,
-                               offset_feedback_seq, surrogate_z_step,
-                               stage_cost_fa, terminal_cost, theta_sigma_step)
-from lqcoord.power.scalar import solve_scalar_power
+from lqcoord.power.scalar import (costate_Z, offset_feedback_seq,
+                                  solve_scalar_power)
 from lqcoord.simulate import monte_carlo
-from lqcoord.gains import GainSchedule
 
 
 def report(name: str, ok: bool, detail: str, elapsed: float, budget: float):
@@ -79,9 +78,9 @@ def test_c01_error_covariance_oracle_fully_actuated(fa):
     Sigma = model.Sigma0.copy()
     sched = heuristic_schedule(0.88, model.n, 4)
     for t in range(9):
-        lam = sched.lam(t)
+        lam = sched.Lambda[t]
         if t in (0, 3, 8):
-            enc = setup.Q @ setup.S_sqrt_of(lam) @ pinv_sqrt(Sigma)
+            enc = setup.Q @ setup.S_sqrt_of(lam) @ inv_sqrt_psd(Sigma)
             e = rng.multivariate_normal(np.zeros(4), Sigma, size=N)
             w = rng.multivariate_normal(np.zeros(4), model.W, size=N)
             y = e @ enc.T @ setup.B1.T + w
@@ -111,9 +110,9 @@ def test_c02_error_covariance_oracle_under_actuated(ua):
     sched = heuristic_schedule(0.88, model.n, setup.r)
     Psi1 = setup.C
     for t, k in [(0, 0), (1, 1)]:
-        lam = sched.lam(t)
-        Pk = projection_matrix(k, setup.r, setup.d0)
-        enc = setup.S_sqrt_of(lam) @ Pk @ pinv_sqrt(Sigma)
+        lam = sched.Lambda[t]
+        Pk = selector(k, setup)
+        enc = setup.S_sqrt_of(lam) @ Pk @ inv_sqrt_psd(Sigma)
         e = rng.multivariate_normal(np.zeros(4), Sigma, size=N)
         wt = rng.multivariate_normal(np.zeros(setup.r), setup.Wv, size=N)
         y = e @ enc.T @ Psi1.T + wt
@@ -249,19 +248,6 @@ def test_c05_gradient_checks():
            f"(tol 1e-10)", time.perf_counter() - t0, 30)
 
 
-def _surrogate_cost(schedule, model, setup, gains: GainSchedule) -> float:
-    L = offset_feedback_seq(gains, model)
-    Z = model.X0 + model.Sigma0
-    Sigma = model.Sigma0.copy()
-    total = 0.0
-    for t in range(model.n):
-        lam = schedule.lam(t)
-        total += stage_cost_fa(Z, Sigma, lam, gains, setup, model, t, L)
-        Z = surrogate_z_step(Z, Sigma, lam, gains, setup, model, t, L)
-        Sigma = channel_step(setup, Sigma, lam).Sigma_next
-    return total + terminal_cost(Z, model)
-
-
 def test_c06_scalar_power_solver(fa, fa_opt_schedule):
     t0 = time.perf_counter()
     model, gains, setup = fa
@@ -272,12 +258,12 @@ def test_c06_scalar_power_solver(fa, fa_opt_schedule):
     for t in range(model.n):
         worst_sigma = max(worst_sigma,
                           np.abs(Sigma - sched.b[t] * model.Sigma0).max())
-        Sigma = channel_step(setup, Sigma, sched.lam(t)).Sigma_next
+        Sigma = channel_step(setup, Sigma, sched.Lambda[t]).Sigma_next
     worst_sigma = max(worst_sigma,
                       np.abs(Sigma - sched.b[model.n] * model.Sigma0).max())
     heu = heuristic_schedule(0.88, model.n, 4)
-    c_opt = _surrogate_cost(sched, model, setup, gains)
-    c_heu = _surrogate_cost(heu, model, setup, gains)
+    c_opt = surrogate_cost(sched, model, setup, gains)
+    c_heu = surrogate_cost(heu, model, setup, gains)
     ok = resid < 1e-8 and worst_sigma < 1e-10 and c_opt <= c_heu
     report("C6 scalar power solver", ok,
            f"residual {resid:.1e} (tol 1e-8); |Sigma_t - b_t Sigma0| "

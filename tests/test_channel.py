@@ -6,10 +6,10 @@ from conftest import random_pd
 
 from lqcoord.channel import (channel_step, channel_step_adjoint,
                              choose_projection, fa_setup, power_factors,
-                             projection_matrix, sigma_step, ua_setup)
-from lqcoord.errors import (IndexOutOfRange, NonIntegerPeriod, RankDeficient,
-                            SigmaNearSingular, ValidationError)
-from lqcoord.linalg import min_eig, pinv_sqrt, psd_sqrt, svd_factor
+                             sigma_step, ua_setup)
+from lqcoord.errors import (NonIntegerPeriod, RankDeficient, SigmaNearSingular,
+                            ValidationError)
+from lqcoord.linalg import min_eig, psd_sqrt
 from lqcoord.policies import PolicyKind, make_policy
 from lqcoord.power import heuristic_schedule
 from lqcoord.power.schedules import PowerSchedule, ScheduleMode
@@ -51,15 +51,6 @@ def test_fa_setup_is_the_one_block_channel(fa_model, fa_channel):
     np.testing.assert_array_equal(fa_channel.P, np.eye(4))
     np.testing.assert_array_equal(fa_channel.C, fa_model.B1 @ fa_channel.Q)
     np.testing.assert_array_equal(fa_channel.Wv, fa_model.W)
-
-
-def test_fa_setup_rejects_a_projection_of_the_wrong_width(fa_model):
-    # Q maps the d0 signal coordinates into the d1 leader inputs; a fifth
-    # column would leave B1 Q full rank but give the channel 5 coordinates
-    with pytest.raises(RankDeficient, match="supplied projection"):
-        fa_setup(fa_model.B1, fa_model.W, Q=np.eye(4, 5))
-    setup = fa_setup(fa_model.B1, fa_model.W, Q=2.0 * np.eye(4))
-    np.testing.assert_array_equal(setup.C, 2.0 * fa_model.B1)
 
 
 def test_fa_block_order_must_be_the_single_block(fa_model):
@@ -240,16 +231,6 @@ def test_channel_output_noise_free_zero(fa_model, fa_gains):
 
 # --- under-actuated path --------------------------------------------------------
 
-def test_projection_matrix_cases():
-    np.testing.assert_array_equal(projection_matrix(0, 1, 2), [[1.0, 0.0]])
-    np.testing.assert_array_equal(projection_matrix(1, 1, 2), [[0.0, 1.0]])
-    P = sum(projection_matrix(k, 2, 6).T @ projection_matrix(k, 2, 6)
-            for k in range(3))
-    np.testing.assert_array_equal(P, np.eye(6))
-    with pytest.raises(IndexOutOfRange):
-        projection_matrix(2, 1, 2)
-
-
 def test_ua_setup_scalar_case():
     setup = scalar_ua_setup()
     assert setup.P.shape == (1, 2) and setup.Q.shape == (1, 1)
@@ -262,8 +243,6 @@ def test_ua_setup_scalar_case():
 
 def test_ua_setup_preset(ua_model, ua_channel):
     assert ua_channel.r == 2 and ua_channel.tau == 2
-    np.testing.assert_allclose(svd_factor(ua_model.B1).reconstruct(), ua_model.B1,
-                               atol=1e-10)
     # the channel gain is P B1 Q, diagonal with the singular values
     np.testing.assert_allclose(ua_channel.P @ ua_model.B1 @ ua_channel.Q,
                                ua_channel.C, atol=1e-12)
@@ -320,9 +299,9 @@ def test_decode_ua_matches_conditional_gaussian(ua_channel, ua_model):
     Sigma = random_pd(rng, 4)
     lam = np.array([1.2, 0.5])
     k = 0
-    Pk = projection_matrix(k, 2, 4)
+    Pk = oracle.selector(k, ua_channel)
     Psi1 = ua_channel.C
-    Henc = Psi1 @ ua_channel.S_sqrt_of(lam) @ Pk @ pinv_sqrt(Sigma)
+    Henc = Psi1 @ ua_channel.S_sqrt_of(lam) @ Pk @ oracle.inv_sqrt_psd(Sigma)
     cov_ey = Sigma @ Henc.T
     cov_yy = Henc @ Sigma @ Henc.T + ua_channel.Wv
     gain_bf = cov_ey @ np.linalg.inv(cov_yy)
@@ -354,9 +333,9 @@ def test_cov_update_ua_monte_carlo(ua_channel, ua_model):
     Sigma = random_pd(rng, 4)
     lam = np.array([0.9, 0.6])
     for k in (0, 1):
-        Pk = projection_matrix(k, 2, 4)
+        Pk = oracle.selector(k, ua_channel)
         Psi1 = ua_channel.C
-        enc = ua_channel.S_sqrt_of(lam) @ Pk @ pinv_sqrt(Sigma)
+        enc = ua_channel.S_sqrt_of(lam) @ Pk @ oracle.inv_sqrt_psd(Sigma)
         e = rng.multivariate_normal(np.zeros(4), Sigma, size=N)
         wt = rng.multivariate_normal(np.zeros(2), ua_channel.Wv, size=N)
         y = e @ enc.T @ Psi1.T + wt
@@ -382,8 +361,9 @@ def test_virtual_channel_identity(ua_model, ua_gains, ua_channel):
     for t in range(8):
         k = t % ua_channel.tau
         lam = 0.9 ** t * np.ones(2)
-        Pk = projection_matrix(k, 2, 4)
-        s_virt = ua_channel.S_sqrt_of(lam) @ Pk @ pinv_sqrt(ops[t].Sigma) @ run.e
+        Pk = oracle.selector(k, ua_channel)
+        s_virt = (ua_channel.S_sqrt_of(lam) @ Pk
+                  @ oracle.inv_sqrt_psd(ops[t].Sigma) @ run.e)
         v, q = run.inputs(t, x)
         w = rng.multivariate_normal(np.zeros(4), ua_model.W)
         x_next = ua_model.A @ x + ua_model.B1 @ v + ua_model.B2 @ q + w

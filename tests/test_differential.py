@@ -104,7 +104,7 @@ def test_table_matches_oracle_and_exact_engine(case):
     Sigma = model.Sigma0.copy()
     cond = 1.0              # largest live condition number of Sigma_0..Sigma_t
     for t in range(n):
-        lam = schedule.lam(t)
+        lam = schedule.Lambda[t]
         _assert_rel(ops[t].Sigma, Sigma, oracle.roundoff_tol(cond, RTOL),
                     f"Sigma_{t}")
         if cond < EXACT_COND:

@@ -2,13 +2,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from channel_oracle import left_inverse
+from channel_oracle import inv_sqrt_psd, left_inverse
 from lqcoord import linalg
-from lqcoord.errors import NotPd, NotPsd, NotSymmetric, RankDeficient, ZeroMatrix
+from lqcoord.errors import NotPsd, NotSymmetric, RankDeficient, ZeroMatrix
+from pmp_oracle import NotPd, solve_sylvester_lyapunov
 
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def _reconstruct(f: linalg.SvdFactors) -> np.ndarray:
+    """Gamma0 Psi Gamma1' with Psi1 in the top-left block of a d0 x d1 Psi."""
+    Psi = np.zeros((f.Gamma0.shape[0], f.Gamma1.shape[0]))
+    Psi[:f.r, :f.r] = np.diag(f.Psi1)
+    return f.Gamma0 @ Psi @ f.Gamma1.T
+
+
+def _pinv_sqrt(M: np.ndarray) -> np.ndarray:
+    """The truncated inverse square root the channel map uses."""
+    return linalg.eig_roots(linalg.sym_eig(M))[1]
 
 
 # --- psd_sqrt ---------------------------------------------------------------
@@ -136,7 +149,7 @@ def test_svd_identity():
     f = linalg.svd_factor(np.eye(2))
     assert f.r == 2
     np.testing.assert_allclose(f.Psi1, [1.0, 1.0])
-    np.testing.assert_allclose(f.reconstruct(), np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(_reconstruct(f), np.eye(2), atol=1e-12)
 
 
 def test_svd_unit_column():
@@ -144,14 +157,14 @@ def test_svd_unit_column():
     assert f.r == 1
     np.testing.assert_allclose(f.Psi1, [1.0])
     np.testing.assert_allclose(np.abs(f.Gamma1), [[1.0]])
-    np.testing.assert_allclose(f.reconstruct(), [[1.0], [0.0]], atol=1e-12)
+    np.testing.assert_allclose(_reconstruct(f), [[1.0], [0.0]], atol=1e-12)
 
 
 def test_svd_under_actuated_preset(ua_model):
     f = linalg.svd_factor(ua_model.B1)
     assert f.r == 2
     assert ua_model.d0 // f.r == 2  # period tau
-    np.testing.assert_allclose(f.reconstruct(), ua_model.B1, atol=1e-10)
+    np.testing.assert_allclose(_reconstruct(f), ua_model.B1, atol=1e-10)
     assert np.all(np.diff(f.Psi1) <= 0) and np.all(f.Psi1 > 0)
 
 
@@ -160,18 +173,18 @@ def test_svd_zero_matrix_raises():
         linalg.svd_factor(np.zeros((3, 2)))
 
 
-# --- solve_sylvester_lyapunov -----------------------------------------------
+# --- solve_sylvester_lyapunov (the minimum-principle oracle's solver) -------
 
 def test_sylvester_identity_A():
     rng = _rng(3)
     R = rng.standard_normal((3, 3))
     RHS = R + R.T
-    X = linalg.solve_sylvester_lyapunov(np.eye(3), RHS)
+    X = solve_sylvester_lyapunov(np.eye(3), RHS)
     np.testing.assert_allclose(X, RHS / 2, atol=1e-12)
 
 
 def test_sylvester_scalar():
-    X = linalg.solve_sylvester_lyapunov(np.array([[2.0]]), np.array([[6.0]]))
+    X = solve_sylvester_lyapunov(np.array([[2.0]]), np.array([[6.0]]))
     np.testing.assert_allclose(X, [[1.5]])
 
 
@@ -183,7 +196,7 @@ def test_sylvester_residual_random():
         A = R @ R.T + 0.1 * np.eye(d)
         S = rng.standard_normal((d, d))
         RHS = S + S.T
-        X = linalg.solve_sylvester_lyapunov(A, RHS)
+        X = solve_sylvester_lyapunov(A, RHS)
         resid = np.linalg.norm(A @ X + X @ A - RHS, "fro")
         assert resid / (np.linalg.norm(RHS, "fro") + 1e-30) < 1e-10
         np.testing.assert_allclose(X, X.T, atol=1e-10)
@@ -191,22 +204,22 @@ def test_sylvester_residual_random():
 
 def test_sylvester_needs_pd():
     with pytest.raises(NotPd):
-        linalg.solve_sylvester_lyapunov(np.diag([1.0, 0.0]), np.eye(2))
+        solve_sylvester_lyapunov(np.diag([1.0, 0.0]), np.eye(2))
 
 
-# --- pinv_sqrt --------------------------------------------------------------
+# --- truncated inverse square root (eig_roots) -------------------------------
 
 def test_pinv_sqrt_matches_inverse_when_well_conditioned():
     rng = _rng(5)
     R = rng.standard_normal((4, 4))
     M = R @ R.T + np.eye(4)
-    np.testing.assert_allclose(linalg.pinv_sqrt(M),
+    np.testing.assert_allclose(_pinv_sqrt(M),
                                np.linalg.inv(linalg.psd_sqrt(M)), atol=1e-10)
 
 
 def test_pinv_sqrt_truncates_dead_directions():
     M = np.diag([1.0, 1e-30])
-    P = linalg.pinv_sqrt(M)
+    P = _pinv_sqrt(M)
     assert P[0, 0] == pytest.approx(1.0)
     assert P[1, 1] == 0.0
 
@@ -217,7 +230,7 @@ def test_sqrt_and_pinv_sqrt_consistent():
     M = R @ R.T
     S, Sinv = linalg.eig_roots(linalg.sym_eig(M))
     np.testing.assert_allclose(S, linalg.psd_sqrt(M), atol=1e-13)
-    np.testing.assert_allclose(Sinv, linalg.pinv_sqrt(M), atol=1e-13)
+    np.testing.assert_allclose(Sinv, inv_sqrt_psd(M), atol=1e-13)
 
 
 @pytest.mark.parametrize("H", [[4.0, 1.0, 0.25], [3.0, 3.0, 0.5],

@@ -5,7 +5,6 @@ import channel_oracle as oracle
 import lqcoord as lq
 from lqcoord.channel import channel_step
 from lqcoord.errors import ValidationError
-from lqcoord.linalg import pinv_sqrt
 from lqcoord.model import SystemModel
 from lqcoord.policies import PolicyKind, make_policy
 from lqcoord.power import heuristic_schedule
@@ -59,8 +58,9 @@ def test_joint_input_identity(fa_model, fa_gains, fa_channel):
     x = rng.normal(size=4)
     for t in range(6):
         v, q = run.inputs(t, x)
-        lam = power.lam(t)
-        enc = fa_channel.Q @ fa_channel.S_sqrt_of(lam) @ pinv_sqrt(run.ops[t].Sigma)
+        lam = power.Lambda[t]
+        enc = (fa_channel.Q @ fa_channel.S_sqrt_of(lam)
+               @ oracle.inv_sqrt_psd(run.ops[t].Sigma))
         K, D = fa_gains.K[t], fa_gains.D[t]
         u_expected = (-K @ (x - x_star) + (D - K) @ x_star
                       + (fa_model.leader_embed @ enc - D) @ run.e)
@@ -175,7 +175,7 @@ def test_sigma_trace_decreasing_with_bound(fa_model, fa_gains, fa_channel):
     Sigma = fa_model.Sigma0.copy()
     traces = [np.trace(Sigma)]
     for t in range(n_check):
-        Sigma = channel_step(fa_channel, Sigma, power.lam(t)).Sigma_next
+        Sigma = channel_step(fa_channel, Sigma, power.Lambda[t]).Sigma_next
         traces.append(np.trace(Sigma))
     assert all(traces[t + 1] < traces[t] for t in range(n_check))
     assert traces[10] / traces[0] < 0.1
@@ -202,7 +202,7 @@ def test_make_policy_validation(ua_model, fa_model):
     with pytest.raises(ValidationError):
         make_policy(PolicyKind.IM_COMM_FA, ua_model)
     pol = make_policy(PolicyKind.IM_COMM_UA, ua_model)
-    assert pol.power.dim == 2
+    assert pol.power.Lambda.shape == (ua_model.n, 2)
 
 
 @pytest.mark.parametrize("preset", ["fa", "ua"])
@@ -246,7 +246,7 @@ def test_block_order_permutation(ua_model, ua_gains, ua_channel):
     ops, _ = pol.step_ops
     default = make_policy(PolicyKind.IM_COMM_UA, ua_model)
     ops_def, _ = default.step_ops
-    lam = pol.power.lam(0)
+    lam = pol.power.Lambda[0]
     np.testing.assert_allclose(
         ops[0].dec, channel_step(ua_channel, ua_model.Sigma0, lam, 1).dec,
         atol=1e-12)
@@ -258,13 +258,6 @@ def test_block_order_must_be_a_permutation(ua_model, order):
     # a repeated or missing block would leave coordinates never sent
     with pytest.raises(ValidationError, match="block_order"):
         make_policy(PolicyKind.IM_COMM_UA, ua_model, block_order=order)
-
-
-def test_im_comm_ua_rejects_a_custom_projection(ua_model):
-    # the under-actuated channel takes Q from the SVD of B1; a supplied Q
-    # used to be dropped without a word
-    with pytest.raises(ValidationError, match="Q"):
-        make_policy(PolicyKind.IM_COMM_UA, ua_model, Q=np.zeros((7, 7)))
 
 
 @pytest.mark.parametrize("kind", [PolicyKind.IM_COMM_FA, PolicyKind.IM_COMM_UA])
@@ -283,8 +276,19 @@ def test_power_of_the_wrong_width_is_rejected_up_front(ua_model):
     wide = heuristic_schedule(0.88, ua_model.n, 3)
     with pytest.raises(ValidationError, match=r"power: Lambda_0 .*2 entries"):
         make_policy(PolicyKind.IM_COMM_UA, ua_model, power=wide)
-    ragged = PowerSchedule(mode=ScheduleMode.FULL_MATRIX,
-                           Lambda=[np.ones(2)] * 5 + [np.ones(3)]
-                           + [np.ones(2)] * (ua_model.n - 6))
     with pytest.raises(ValidationError, match=r"power: Lambda_5 "):
+        ragged = PowerSchedule(mode=ScheduleMode.FULL_MATRIX,
+                               Lambda=[np.ones(2)] * 5 + [np.ones(3)]
+                               + [np.ones(2)] * (ua_model.n - 6))
         make_policy(PolicyKind.IM_COMM_UA, ua_model, power=ragged)
+
+
+def test_non_finite_power_is_rejected_up_front(ua_model):
+    # a NaN entry used to pass make_policy and end in the operator table
+    # with a bare LinAlgError from numpy's eigensolver
+    Lambda = np.ones((ua_model.n, 2))
+    Lambda[0, 0] = np.nan
+    with pytest.raises(ValidationError, match=r"power: Lambda_0\[0\] = nan"):
+        make_policy(PolicyKind.IM_COMM_UA, ua_model,
+                    power=PowerSchedule(mode=ScheduleMode.FULL_MATRIX,
+                                        Lambda=Lambda))

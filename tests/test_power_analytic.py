@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from lqcoord.power import (expected_stage_costs, expected_total_cost,
 from lqcoord.power.analytic import (MdpState, TailCostEvaluator,
                                    state_trajectory)
 from lqcoord.power.schedules import PowerSchedule, ScheduleMode
-from lqcoord.simulate import derive_run_seed, rollout
+from lqcoord.simulate import derive_run_seed, monte_carlo, rollout
 
 
 def test_initial_state_blocks(fa_model):
@@ -19,7 +21,6 @@ def test_initial_state_blocks(fa_model):
     np.testing.assert_allclose(st.Sigma, fa_model.Sigma0)
     np.testing.assert_allclose(st.Omega, -fa_model.Sigma0)
     np.testing.assert_allclose(st.Xi, -fa_model.Sigma0)
-    np.testing.assert_allclose(st.L, -np.eye(4), atol=1e-12)
 
 
 def test_sigma_block_matches_closed_form(fa_model, fa_gains, fa_channel):
@@ -28,7 +29,7 @@ def test_sigma_block_matches_closed_form(fa_model, fa_gains, fa_channel):
     states = state_trajectory(sched, fa_gains, fa_channel, fa_model)
     Sigma = fa_model.Sigma0.copy()
     for t in range(12):
-        Sigma = oracle.cov_update_fa(Sigma, sched.lam(t), fa_channel)
+        Sigma = oracle.cov_update_fa(Sigma, sched.Lambda[t], fa_channel)
         np.testing.assert_allclose(states[t + 1].Sigma, Sigma, atol=1e-12)
 
 
@@ -37,7 +38,7 @@ def test_sigma_block_matches_closed_form_ua(ua_model, ua_gains, ua_channel):
     states = state_trajectory(sched, ua_gains, ua_channel, ua_model)
     Sigma = ua_model.Sigma0.copy()
     for t in range(12):
-        Sigma = oracle.cov_update_ua(Sigma, sched.lam(t), t % 2, ua_channel)
+        Sigma = oracle.cov_update_ua(Sigma, sched.Lambda[t], t % 2, ua_channel)
         np.testing.assert_allclose(states[t + 1].Sigma, Sigma, atol=1e-12)
 
 
@@ -50,18 +51,13 @@ def test_fa_cross_covariance_stays_minus_identity(fa_model, fa_gains, fa_channel
 
 
 def test_fa_L_schedule_independence(fa_model, fa_gains, fa_channel):
-    # while Sigma is well conditioned, L is -I under any power schedule
-    # (forming L = Omega Sigma^+ amplifies roundoff by 1/sigma_min, so the
-    # directly propagated blocks carry the tight check)
-    s1 = heuristic_schedule(0.88, fa_model.n, 4)
-    s2 = heuristic_schedule(0.5, fa_model.n, 4)
-    t1 = state_trajectory(s1, fa_gains, fa_channel, fa_model)
-    t2 = state_trajectory(s2, fa_gains, fa_channel, fa_model)
-    for a, b in zip(t1[:4], t2[:4]):
-        np.testing.assert_allclose(a.L, b.L, atol=1e-9)
-        np.testing.assert_allclose(a.L, -np.eye(4), atol=1e-9)
-    for a in t1[:10]:
-        np.testing.assert_allclose(a.Omega, -a.Sigma, atol=1e-12)
+    # L = Omega Sigma^+ is -I under any power schedule: Omega = -Sigma on the
+    # directly propagated blocks (forming L itself would amplify roundoff
+    # by 1/sigma_min)
+    for theta in (0.88, 0.5):
+        sched = heuristic_schedule(theta, fa_model.n, 4)
+        for st in state_trajectory(sched, fa_gains, fa_channel, fa_model)[:10]:
+            np.testing.assert_allclose(st.Omega, -st.Sigma, atol=1e-12)
 
 
 def test_zero_power_zero_prior_reduces_to_lqr_covariance(fa_model, fa_gains, fa_channel):
@@ -146,7 +142,6 @@ def test_expected_cost_matches_monte_carlo_fa(fa_model, fa_gains, fa_channel):
     sched = heuristic_schedule(0.88, fa_model.n, 4)
     ana = expected_total_cost(sched, fa_gains, fa_channel, fa_model)
     pol = make_policy(PolicyKind.IM_COMM_FA, fa_model)
-    from lqcoord.simulate import monte_carlo
     rep = monte_carlo(pol, fa_model, None, 2500, 31)
     se = rep.std_total_cost / np.sqrt(rep.runs)
     assert abs(rep.mean_total_cost - ana) <= max(4 * se, 0.02 * ana)
@@ -156,10 +151,40 @@ def test_expected_cost_matches_monte_carlo_ua(ua_model, ua_gains, ua_channel):
     sched = heuristic_schedule(0.88, ua_model.n, 2)
     ana = expected_total_cost(sched, ua_gains, ua_channel, ua_model)
     pol = make_policy(PolicyKind.IM_COMM_UA, ua_model)
-    from lqcoord.simulate import monte_carlo
     rep = monte_carlo(pol, ua_model, None, 2500, 32)
     se = rep.std_total_cost / np.sqrt(rep.runs)
     assert abs(rep.mean_total_cost - ana) <= max(4 * se, 0.02 * ana)
+
+
+def _ill_conditioned_noise(model):
+    """The model with W a rotated diag(1e-1, 1e-3, 1e-6, 1e-9), condition 1e8."""
+    U, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
+    W = (U * [1e-1, 1e-3, 1e-6, 1e-9]) @ U.T
+    return dataclasses.replace(model, W=0.5 * (W + W.T))
+
+
+EDGE_MODELS = {
+    "fa-n300": lambda: lq.fully_actuated_model(n=300),
+    "ua-n300": lambda: lq.under_actuated_model(n=300),
+    "fa-cond-W-1e8": lambda: _ill_conditioned_noise(lq.fully_actuated_model()),
+    "ua-cond-W-1e8": lambda: _ill_conditioned_noise(lq.under_actuated_model()),
+}
+
+
+@pytest.mark.parametrize("case", list(EDGE_MODELS))
+def test_exact_cost_matches_monte_carlo_on_edge_cases(case):
+    # a long horizon and an ill-conditioned plant noise: the exact cost of
+    # im-comm-heu still agrees with 2000 Monte Carlo runs
+    model = EDGE_MODELS[case]()
+    kind = (PolicyKind.IM_COMM_FA if model.leader_fully_actuated()
+            else PolicyKind.IM_COMM_UA)
+    pol = make_policy(kind, model, theta=0.88)
+    exact = expected_total_cost(pol.power, pol.gains, pol.setup, model,
+                                pol.block_order)
+    rep = monte_carlo(pol, model, None, 2000, 0)
+    z = (rep.mean_total_cost - exact) / (rep.std_total_cost / np.sqrt(rep.runs))
+    assert abs(z) <= 4.0, (f"MC {rep.mean_total_cost:.6g} vs exact {exact:.6g}, "
+                           f"z {z:+.2f}")
 
 
 def test_stage_costs_terminal_entry(fa_model, fa_gains, fa_channel):
@@ -198,7 +223,7 @@ def test_schedule_must_fit_the_channel(ua_model, ua_gains, ua_channel, steps,
 
 
 @pytest.mark.parametrize("Lambda, what", [
-    (np.ones((30, 1)), r"Lambda has shape \(30, 1\).*\(30, 2\)"),     # used to broadcast
+    (np.ones((30, 1)), r"Lambda_0 \.\. Lambda_29 have width 1.*2 entries"),  # used to broadcast
     (np.ones((29, 2)), r"Lambda has shape \(29, 2\).*\(30, 2\)"),     # used to IndexError
     (np.where(np.arange(60).reshape(30, 2) == 13, np.nan, 1.0),
      r"Lambda_6\[1\] = nan"),

@@ -5,12 +5,12 @@ from conftest import random_pd, random_system
 
 import lqcoord as lq
 from lqcoord.channel import fa_setup
-from lqcoord.errors import ZeroLambdaEntry
 from lqcoord.gains import backward_riccati
 from lqcoord.linalg import min_eig, psd_sqrt
-from lqcoord.power.pmp import (costate_Z, grad_lambda_fa, hamiltonian_fa,
-                               hamiltonian_fa_expanded, offset_feedback_seq,
-                               surrogate_z_step, stage_cost_fa, theta_sigma_step)
+from lqcoord.power.scalar import costate_Z, offset_feedback_seq
+from pmp_oracle import (ZeroLambdaEntry, grad_lambda_fa, hamiltonian_fa,
+                        hamiltonian_fa_expanded, surrogate_z_step, stage_cost_fa,
+                        theta_sigma_step)
 
 
 def sym(rng, d):
@@ -59,7 +59,7 @@ def test_costate_Z_zero_costs():
 
 
 def test_costate_Z_single_step_unrolls(fa_model):
-    m = fa_model.with_horizon(1)
+    m = lq.fully_actuated_model(n=1)
     gains = backward_riccati(m)
     th = costate_Z(gains, m)
     Abar = m.A - m.B @ gains.K[0]

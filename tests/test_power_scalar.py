@@ -8,15 +8,13 @@ import lqcoord as lq
 import scalar_oracle as oracle
 from lqcoord.channel import channel_step, fa_setup
 from lqcoord.gains import backward_riccati
-from lqcoord.linalg import min_eig
 from lqcoord.power import heuristic_schedule
-from lqcoord.power.pmp import (costate_Z, offset_feedback_seq, surrogate_z_step,
-                               stage_cost_fa, terminal_cost)
 from lqcoord.power import scalar
 from lqcoord.power.scalar import (A_CEIL, A_FLOOR, RESIDUAL_TOL,
                                   scalar_constants, scalar_backward_solve,
                                   solve_scalar_power, stationarity_residuals,
-                                  theta_b_sequence, _b_forward)
+                                  _b_forward, _scaled_costate)
+from pmp_oracle import surrogate_cost
 from lqcoord.power.schedules import PowerSchedule, ScheduleMode
 from lqcoord.errors import (InvalidTheta, LqcoordError, NoRootFound,
                             ValidationError)
@@ -36,33 +34,19 @@ def solved(preset):
     return solve_scalar_power(gains, setup, model, epsilon=1e-3)
 
 
-def surrogate_schedule_cost(schedule, model, setup, gains):
-    """Sum of the surrogate stage costs along the surrogate dynamics."""
-    L = offset_feedback_seq(gains, model)
-    Z = model.X0 + model.Sigma0
-    Sigma = model.Sigma0.copy()
-    total = 0.0
-    for t in range(model.n):
-        lam = schedule.lam(t)
-        total += stage_cost_fa(Z, Sigma, lam, gains, setup, model, t, L)
-        Z = surrogate_z_step(Z, Sigma, lam, gains, setup, model, t, L)
-        Sigma = channel_step(setup, Sigma, lam).Sigma_next
-    return total + terminal_cost(Z, model)
-
-
 # --- heuristic schedule ---------------------------------------------------------
 
 def test_heuristic_theta_one_is_flat():
     s = heuristic_schedule(1.0, 3, 4)
     for t in range(3):
-        np.testing.assert_array_equal(s.lam(t), np.ones(4))
+        np.testing.assert_array_equal(s.Lambda[t], np.ones(4))
 
 
 def test_heuristic_decay_values():
     s = heuristic_schedule(0.88, 12, 4)
-    np.testing.assert_allclose(s.lam(2), 0.7744 * np.ones(4))
+    np.testing.assert_allclose(s.Lambda[2], 0.7744 * np.ones(4))
     s2 = heuristic_schedule(0.5, 12, 2)
-    np.testing.assert_allclose(s2.lam(10), 9.765625e-4 * np.ones(2))
+    np.testing.assert_allclose(s2.Lambda[10], 9.765625e-4 * np.ones(2))
 
 
 def test_heuristic_rejects_bad_theta():
@@ -74,24 +58,13 @@ def test_heuristic_rejects_bad_theta():
 
 # --- constants table -------------------------------------------------------------
 
-def test_constants_Q_a_psd(preset):
+def test_constants_c1_positive(preset):
+    # c1_t = r_a + Tr(theta_Z,t+1 Q_a): r_a > 0 is the congruence of PD G1
+    # against H^-1, Q_a and the costate are PSD. A positive c1 keeps the
+    # reduced cost bounded below in a, and the solver takes log c1_{n-1}
     model, setup, gains = preset
     c = scalar_constants(gains, setup, model)
-    assert min_eig(c.Q_a) >= -1e-10
-    np.testing.assert_allclose(c.Q_a, c.Q_a.T, atol=1e-12)
-
-
-def test_constants_Q_ab_symmetric(preset):
-    model, setup, gains = preset
-    c = scalar_constants(gains, setup, model)
-    for t in range(model.n):
-        np.testing.assert_allclose(c.Q_ab[t], c.Q_ab[t].T, atol=1e-12)
-
-
-def test_constants_r_a_positive(preset):
-    model, setup, gains = preset
-    c = scalar_constants(gains, setup, model)
-    assert c.r_a > 0  # congruence of PD G1 against H^-1
+    assert np.all(c.c1 > 0)
 
 
 def test_reduced_cost_reduction_is_exact(preset):
@@ -110,7 +83,7 @@ def test_reduced_cost_reduction_is_exact(preset):
     def full(a):
         sched = PowerSchedule(mode=ScheduleMode.FULL_MATRIX,
                               Lambda=[a[t] / H for t in range(model.n)])
-        return surrogate_schedule_cost(sched, model, setup, gains)
+        return surrogate_cost(sched, model, setup, gains)
 
     a1 = rng.uniform(0.01, 1.0, model.n)
     a2 = rng.uniform(0.01, 1.0, model.n)
@@ -141,7 +114,7 @@ def test_solver_sigma_identity(preset, solved):
     for t in range(model.n):
         np.testing.assert_allclose(Sigma, solved.b[t] * model.Sigma0,
                                    atol=1e-10)
-        Sigma = channel_step(setup, Sigma, solved.lam(t)).Sigma_next
+        Sigma = channel_step(setup, Sigma, solved.Lambda[t]).Sigma_next
     np.testing.assert_allclose(Sigma, solved.b[model.n] * model.Sigma0,
                                atol=1e-10)
 
@@ -149,15 +122,15 @@ def test_solver_sigma_identity(preset, solved):
 def test_solver_beats_heuristic(preset, solved):
     model, setup, gains = preset
     heu = heuristic_schedule(0.88, model.n, 4)
-    assert (surrogate_schedule_cost(solved, model, setup, gains)
-            <= surrogate_schedule_cost(heu, model, setup, gains))
+    assert (surrogate_cost(solved, model, setup, gains)
+            <= surrogate_cost(heu, model, setup, gains))
 
 
 def test_solver_lambda_shape(preset, solved):
     model, setup, _ = preset
     H = setup.eig.H
     for t in range(model.n):
-        np.testing.assert_allclose(solved.lam(t), solved.a[t] / H, atol=1e-14)
+        np.testing.assert_allclose(solved.Lambda[t], solved.a[t] / H, atol=1e-14)
 
 
 def test_free_solution_when_epsilon_loose(preset):
@@ -175,8 +148,7 @@ def test_residuals_use_theta_recursion(preset, solved):
     c = scalar_constants(gains, setup, model)
     nu = solved.terminal_multiplier
     g = stationarity_residuals(solved.a, c, nu)
-    theta = theta_b_sequence(solved.a, c, nu)
-    assert theta[-1] == nu
+    theta = oracle.theta_sequence(solved.a, c.c1, c.c2, c.c3, nu)
     b = _b_forward(solved.a)
     for t in range(model.n):
         expect = (c.c1[t] + c.c2[t] * np.sqrt(b[t]) / (2 * np.sqrt(solved.a[t]))
@@ -187,8 +159,6 @@ def test_residuals_use_theta_recursion(preset, solved):
 def test_scalar_backward_solve_entry_point(preset):
     model, setup, gains = preset
     constants = scalar_constants(gains, setup, model)
-    for got, want in zip(constants.thetaZ, costate_Z(gains, model)):
-        np.testing.assert_array_equal(got, want)
     sched = scalar_backward_solve(constants, 1e-3, model, setup, gains)
     assert sched.mode is ScheduleMode.SCALAR
     assert np.abs(sched.stationarity_residuals).max() < 1e-8
@@ -238,9 +208,10 @@ def test_vectorized_recursions_match_oracle(constants_by_horizon, n, nu, seed):
         theta_abs = oracle.theta_sequence(a, c.c1, np.abs(c.c2), np.abs(c.c3), nu)
         g_scale = (np.abs(c.c1) + np.abs(c.c2) * np.sqrt(b_ref[:-1]) / (2 * np.sqrt(a))
                    + b_ref[:-1] * theta_abs[1:] / (1 + a) ** 2)
-        theta = theta_b_sequence(a, c, nu)
+        phi = _scaled_costate(a, _b_forward(a), c, nu)
+    # the costate is carried scaled, phi_t = theta_t b_t
     _assert_close(_b_forward(a), b_ref, b_ref, "b")
-    _assert_close(theta, theta_ref, theta_abs, "theta")
+    _assert_close(phi, theta_ref * b_ref, theta_abs * b_ref, "phi")
     _assert_close(stationarity_residuals(a, c, nu), g_ref, g_scale, "g")
 
 
