@@ -20,12 +20,13 @@ decoder, the error-recursion map and Sigma_{t+1} has one implementation in
 two halves. The power half (`power_factors`) holds every factor that
 depends on (Lambda_t, k) alone and is built for all steps of a schedule in
 one vectorised call. The Sigma half (`sigma_step`) takes one
-eigendecomposition of Sigma_t and combines its roots with step t of the
-power half. `channel_step` composes the two for a single step; the rollout
-operator table and the exact-cost engine build the power half once per
-schedule and run the Sigma half per step. The reverse pass is split the
-same way (`power_factors_adjoint`, `sigma_step_adjoint`). The contraction
-has per-direction factor 1/(1 + lam*h) for power lam and gain h.
+eigendecomposition of Sigma_t, combines its roots with step t of the power
+half and propagates Sigma_t through the maps it built (the Joseph form).
+`channel_step` composes the two for a single step; `sigma_steps` runs the
+Sigma half along a schedule, for the rollout operator table and the
+exact-cost engine alike. The reverse pass is split the same way
+(`power_factors_adjoint`, `sigma_step_adjoint`). The contraction V_t has
+per-direction factor 1/(1 + lam*h) for power lam and gain h.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def block_schedule(setup: ChannelSetup, n: int,
 
 def contraction(setup: ChannelSetup, lam: np.ndarray,
                 k: int | np.ndarray = 0) -> np.ndarray:
-    """Per-step covariance contraction V_t, Sigma_{t+1} = Sigma^(1/2) V_t Sigma^(1/2).
+    """Per-step contraction V_t of the error map E_t = Sigma^(1/2) V_t Sigma^(-1/2).
 
     Utau (I + P_k' lam*H P_k)^-1 Utau' with Utau = diag(U, ..., U): block k
     contracts by 1/(1 + lam*H) in the channel eigenbasis, the other blocks
@@ -248,15 +249,18 @@ class ChannelStep:
 
     The leader sends s_t = enc e_t; the follower estimates e_t as dec y_t
     from the raw d0-dimensional channel output y_t = B1 s_t + w_t; the error
-    then evolves as e_{t+1} = E e_t - dec w_t with covariance Sigma_next.
-    The Sigma half's factors are kept for the reverse pass: Sigma_t's
-    clipped eigenpair, its roots Sig12, Sig12inv and SV = Sig12 V; the
-    power half is step t of `power`.
+    then evolves as e_{t+1} = E e_t - dec w_t, so Sigma_next = E Sigma_t E'
+    + dec W dec' is the covariance this encoder and decoder produce, also
+    where the pseudo-inverse cutoff drops a direction of Sigma_t. The Sigma
+    half's factors are kept for the reverse pass: Sigma_t's clipped
+    eigenpair, its roots Sig12, Sig12inv and SV = Sig12 V; the power half
+    is step t of `power`.
     """
 
     enc: np.ndarray
     dec: np.ndarray
     E: np.ndarray
+    Sigma_next: np.ndarray
     sigma_eig: EigenPair
     Sig12: np.ndarray
     Sig12inv: np.ndarray
@@ -264,19 +268,16 @@ class ChannelStep:
     power: PowerFactors
     t: int
 
-    @cached_property
-    def Sigma_next(self) -> np.ndarray:
-        """Closed-form Sigma_{t+1} = Sigma^(1/2) V Sigma^(1/2)."""
-        return sym_part(self.SV @ self.Sig12)
 
-
-def sigma_step(power: PowerFactors, t: int, Sigma: np.ndarray) -> ChannelStep:
+def sigma_step(power: PowerFactors, t: int, Sigma: np.ndarray,
+               W: np.ndarray) -> ChannelStep:
     """The Sigma half of the channel map at step t of a schedule.
 
     One eigendecomposition of Sigma gives Sigma^(1/2) and the truncated
     Sigma^(-1/2): directions below the pseudo-inverse cutoff are already
     known to the follower and get zero signal. Then enc = left Sigma^(-1/2),
-    dec = Sigma^(1/2) right and E = Sigma^(1/2) V Sigma^(-1/2).
+    dec = Sigma^(1/2) right, E = Sigma^(1/2) V Sigma^(-1/2) and, with W the
+    plant noise covariance, Sigma_{t+1} = E Sigma E' + dec W dec'.
     """
     Sigma = check_symmetric(Sigma, name="Sigma")
     w, U = eigh_desc(Sigma)
@@ -285,9 +286,22 @@ def sigma_step(power: PowerFactors, t: int, Sigma: np.ndarray) -> ChannelStep:
     pair = EigenPair(U=U, H=np.clip(w, 0.0, None))
     Sig12, Sig12inv = eig_roots(pair)
     SV = Sig12 @ power.V[t]
-    return ChannelStep(enc=power.left[t] @ Sig12inv, dec=Sig12 @ power.right[t],
-                       E=SV @ Sig12inv, sigma_eig=pair, Sig12=Sig12,
-                       Sig12inv=Sig12inv, SV=SV, power=power, t=t)
+    E, dec = SV @ Sig12inv, Sig12 @ power.right[t]
+    return ChannelStep(enc=power.left[t] @ Sig12inv, dec=dec, E=E,
+                       Sigma_next=sym_part(E @ Sigma @ E.T + dec @ W @ dec.T),
+                       sigma_eig=pair, Sig12=Sig12, Sig12inv=Sig12inv, SV=SV,
+                       power=power, t=t)
+
+
+def sigma_steps(power: PowerFactors, Sigma0: np.ndarray,
+                W: np.ndarray) -> list[ChannelStep]:
+    """The Sigma half along all steps of `power`, from Sigma_0 = Sigma0:
+    step t runs at the Sigma_next of step t - 1."""
+    steps, Sigma = [], Sigma0
+    for t in range(len(power.lam)):
+        steps.append(sigma_step(power, t, Sigma, W))
+        Sigma = steps[-1].Sigma_next
+    return steps
 
 
 def channel_step(setup: ChannelSetup, Sigma: np.ndarray, lam: np.ndarray,
@@ -295,12 +309,13 @@ def channel_step(setup: ChannelSetup, Sigma: np.ndarray, lam: np.ndarray,
     """Encoder, decoder, error-recursion map and Sigma_{t+1} at one step.
 
     The composition of the two halves for a single step: `power_factors`
-    of (lam, k), then `sigma_step` at Sigma. k is the transmitted block.
+    of (lam, k), then `sigma_step` at Sigma and W. k is the transmitted block.
     The decoder Sigma^(1/2) P_k' S^(1/2) C' (C S C' + Wv)^-1 P is also the
     noise map of the error recursion: by the push-through identity it
     equals Sigma^(1/2) V_t P_k' S^(1/2) C' Wv^-1 P.
     """
-    return sigma_step(power_factors(setup, np.asarray(lam)[None], [k]), 0, Sigma)
+    return sigma_step(power_factors(setup, np.asarray(lam)[None], [k]), 0, Sigma,
+                      setup.W)
 
 
 def sigma_step_adjoint(step: ChannelStep, kernels: tuple[np.ndarray, np.ndarray],

@@ -48,8 +48,7 @@ def check_symmetric(M: np.ndarray, name: str = "matrix") -> np.ndarray:
 def eigh_desc(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix, eigenvalues sorted descending."""
     w, V = np.linalg.eigh(sym_part(np.asarray(M, dtype=float)))
-    order = np.argsort(w)[::-1]
-    return w[order], V[:, order]
+    return w[::-1], V[:, ::-1]
 
 
 @dataclass(frozen=True)

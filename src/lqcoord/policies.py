@@ -5,15 +5,15 @@ entry of step t gives the joint input u_t = -K_t x_t + D*_t x_* + D^_t x_hat
 + I~ enc_t e and the follower's update x_hat += dec_t y_t, e -= dec_t y_t
 from the channel output y_t, where e = x_* - x_hat. The coordination
 policies take enc_t and dec_t from the channel map: its power half
-(`channel.power_factors`) once for the whole schedule, its Sigma half
-(`channel.sigma_step`) per step (Sigma_t follows a noise-free recursion, so
-the table is known before any rollout); the baselines send nothing,
-enc = dec = 0.
+(`channel.power_factors`) once for the whole schedule, then its Sigma half
+along it (`channel.sigma_steps`, the loop the exact-cost engine runs too;
+Sigma_t does not depend on the rollout, so the table is known before any
+rollout); the baselines send nothing, enc = dec = 0.
 
 Offsets follow the follower's current estimate for BOTH agents: the leader
 also uses D_t^l x_hat rather than its exact D_t^l x_*, which keeps the
-channel output free of message-dependent bias and the error covariance in
-closed form.
+channel output free of message-dependent bias and the error covariance
+independent of the rollout.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .channel import (ChannelSetup, block_schedule, fa_setup, power_factors,
-                      sigma_step, ua_setup)
+                      sigma_steps, ua_setup)
 from .errors import ValidationError
 from .gains import GainSchedule, backward_riccati, leader_only_gains
 from .model import SystemModel
@@ -96,13 +96,16 @@ class PreparedPolicy:
         regulates toward the origin) and the leader-alone D_t for
         leader-only, whose gains get zero follower rows.
         """
-        model, gains, setup, power = self.model, self.gains, self.setup, self.power
+        model, gains, setup = self.model, self.gains, self.setup
         d0, rows = model.d0, model.d1 + model.d2
         shared = self.kind is PolicyKind.EX_COMM
         Sigma = np.zeros((d0, d0)) if shared else model.Sigma0.copy()
+        Sigmas = [Sigma] * (model.n + 1)
         if self.tracks_sigma:
-            factors = power_factors(setup, power.Lambda,
-                                    block_schedule(setup, model.n, self.block_order))
+            blocks = block_schedule(setup, model.n, self.block_order)
+            channel = sigma_steps(power_factors(setup, self.power.Lambda, blocks),
+                                  Sigma, model.W)
+            Sigmas[1:] = [step.Sigma_next for step in channel]
 
         def pad(M):
             return np.vstack([M, np.zeros((rows - len(M), d0))])
@@ -112,18 +115,15 @@ class PreparedPolicy:
         for t in range(model.n):
             K = pad(gains.K[t])
             if self.tracks_sigma:
-                step = sigma_step(factors, t, Sigma)
                 D_star, D_hat = no_offset, gains.D[t]
-                enc, dec, Sigma_next = step.enc, step.dec, step.Sigma_next
+                enc, dec = channel[t].enc, channel[t].dec
             else:
                 D_star = pad(gains.D[t] if shared else gains.D_l(t))
                 D_hat, enc, dec = no_offset, no_signal, np.zeros((d0, d0))
-                Sigma_next = Sigma
             ops.append(_StepOps(K=K, D_star=D_star, D_hat=D_hat, enc=enc, dec=dec,
                                 Abar=model.A - model.B @ K, BD=model.B @ D_hat,
-                                Sigma=Sigma))
-            Sigma = Sigma_next
-        return ops, float(np.trace(Sigma))
+                                Sigma=Sigmas[t]))
+        return ops, float(np.trace(Sigmas[-1]))
 
     @cached_property
     def sigma_traces(self) -> np.ndarray:

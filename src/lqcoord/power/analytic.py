@@ -22,12 +22,10 @@ map, P_{t+1} = T_t P_t T_t' + Nrho_t W Nrho_t' and the stage cost is
 Tr(F Z_t) + Tr(G Mu_t P_t Mu_t'). A schedule is evaluated in three stages:
 
 1. the channel map's power half for all steps at once
-   (`channel.power_factors`), then a serial loop on d0 x d0 blocks: the
-   Sigma half (`channel.sigma_step`) at Sigma_t gives enc_t, dec_t, E_t
-   and Sigma_{t+1} = E_t Sigma_t E_t' + dec_t W dec_t'. This is the error
-   block of the joint recursion itself, not the closed-form recursion the
-   rollout table uses, so the two stay an independent check on each other
-   (they agree to roundoff while Sigma_t^(-1/2) is a true inverse);
+   (`channel.power_factors`), then its Sigma half along the schedule
+   (`channel.sigma_steps`, the loop the rollout table runs too): at Sigma_t
+   it gives enc_t, dec_t, E_t and Sigma_{t+1} = E_t Sigma_t E_t' +
+   dec_t W dec_t', the error block of the joint recursion itself;
 2. T_t, Nrho_t and Mu_t of all steps, filled in as stacked arrays;
 3. a serial loop on the joint covariance P_t, after which the stage costs
    of all steps come from one contraction over the stacked P_t.
@@ -45,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..channel import (ChannelSetup, ChannelStep, PowerFactors, block_schedule,
-                       power_factors, power_factors_adjoint, sigma_step,
-                       sigma_step_adjoint)
+                       power_factors, power_factors_adjoint, sigma_step_adjoint,
+                       sigma_steps)
 from ..errors import ValidationError
 from ..gains import GainSchedule
 from ..linalg import eig_roots_kernels, sym_part
@@ -165,11 +163,7 @@ def _run(lam: np.ndarray, plant: PlantMaps, setup: ChannelSetup,
     d0, d1, n, W = model.d0, model.d1, model.n, model.W
     e = slice(d0, 2 * d0)
     power = power_factors(setup, lam, plant.blocks)
-    channel, Sigma = [], model.Sigma0
-    for t in range(n):
-        step = sigma_step(power, t, Sigma)
-        channel.append(step)
-        Sigma = sym_part(step.E @ Sigma @ step.E.T + step.dec @ W @ step.dec.T)
+    channel = sigma_steps(power, model.Sigma0, W)
     enc = np.array([s.enc for s in channel])
     T, Nrho, Mu = plant.T.copy(), plant.Nrho.copy(), plant.Mu.copy()
     # u_t = -K_t z_t + (D_t - K_t) x_* + (Itil enc - D_t) e_t

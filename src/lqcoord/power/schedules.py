@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -16,7 +16,7 @@ class ScheduleMode(Enum):
     HEURISTIC = "heuristic"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerSchedule:
     """Per-step power entries Lambda_t (diagonal, in the channel eigenbasis).
 
@@ -28,7 +28,7 @@ class PowerSchedule:
     diagnostics: the stationarity residuals and the number of inner solves
     the solver ran. A numerically optimized schedule records the cost
     evaluations it took, whether it stopped on its budget and its final
-    projected-gradient norm.
+    projected-gradient norm. Schedules compare and hash by identity.
     """
 
     mode: ScheduleMode
@@ -36,11 +36,11 @@ class PowerSchedule:
     a: np.ndarray | None = None
     b: np.ndarray | None = None
     terminal_multiplier: float = 0.0
-    stationarity_residuals: np.ndarray | None = field(default=None, compare=False)
-    inner_solves: int | None = field(default=None, compare=False)
-    evals: int | None = field(default=None, compare=False)
-    budget_exhausted: bool | None = field(default=None, compare=False)
-    projected_gradient_norm: float | None = field(default=None, compare=False)
+    stationarity_residuals: np.ndarray | None = None
+    inner_solves: int | None = None
+    evals: int | None = None
+    budget_exhausted: bool | None = None
+    projected_gradient_norm: float | None = None
 
     def __post_init__(self):
         try:

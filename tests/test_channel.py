@@ -6,7 +6,7 @@ from conftest import random_pd
 
 from lqcoord.channel import (channel_step, channel_step_adjoint,
                              choose_projection, fa_setup, power_factors,
-                             sigma_step, ua_setup)
+                             sigma_steps, ua_setup)
 from lqcoord.errors import (NonIntegerPeriod, RankDeficient, SigmaNearSingular,
                             ValidationError)
 from lqcoord.linalg import min_eig, psd_sqrt
@@ -410,15 +410,16 @@ def test_noise_gains_shapes(fa_channel, ua_channel):
 # --- the two halves of the channel map -------------------------------------------
 
 def test_stacked_power_half_gives_the_one_step_maps(ua_channel, ua_model):
-    # a schedule's power half built at once, then the Sigma half per step,
+    # a schedule's power half built at once, then the Sigma half along it,
     # is the one-step channel_step at every step
     rng = np.random.default_rng(11)
     Lambda = rng.uniform(0.1, 2.0, (5, 2))
     blocks = [1, 0, 0, 1, 1]
     power = power_factors(ua_channel, Lambda, blocks)
     Sigma = ua_model.Sigma0
-    for t, k in enumerate(blocks):
-        stacked = sigma_step(power, t, Sigma)
+    steps = sigma_steps(power, Sigma, ua_channel.W)
+    assert len(steps) == len(blocks)
+    for t, (k, stacked) in enumerate(zip(blocks, steps)):
         single = channel_step(ua_channel, Sigma, Lambda[t], k)
         for name in ("enc", "dec", "E", "Sigma_next"):
             np.testing.assert_allclose(getattr(stacked, name), getattr(single, name),

@@ -292,3 +292,12 @@ def test_non_finite_power_is_rejected_up_front(ua_model):
         make_policy(PolicyKind.IM_COMM_UA, ua_model,
                     power=PowerSchedule(mode=ScheduleMode.FULL_MATRIX,
                                         Lambda=Lambda))
+
+
+def test_power_schedules_compare_and_hash_by_identity():
+    # Lambda, a and b are arrays, so field-wise == would be ambiguous and a
+    # field-wise hash impossible
+    a, b = heuristic_schedule(0.88, 3, 2), heuristic_schedule(0.88, 3, 2)
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
