@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import (ExperimentConfig, PolicyConfig, config_from_dict,
                      load_config)
-from .errors import HorizonMismatch, LqcoordError, ValidationError
+from .errors import HorizonMismatch, LqcoordError, ParseError, ValidationError
 from .gains import backward_riccati, leader_only_gains
 from .model import SystemModel
 from .policies import PolicyKind, PreparedPolicy, make_policy
@@ -140,6 +140,13 @@ def run_experiment(config: ExperimentConfig) -> list[Path]:
     return [agg_path, series_path, summary_path]
 
 
+def _float_arg(text: str, flag: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ParseError(f"{flag}: '{text}' is not a number") from None
+
+
 def _config_from_args(args: argparse.Namespace, policies: list[str]) -> ExperimentConfig:
     if args.config:
         return load_config(args.config)
@@ -154,7 +161,7 @@ def _config_from_args(args: argparse.Namespace, policies: list[str]) -> Experime
         "master_seed": args.seed,
         "target": args.target if args.target == "sampled"
                   or args.target.startswith("preset:")
-                  else [float(v) for v in args.target.split(",")],
+                  else [_float_arg(v, "--target") for v in args.target.split(",")],
         "out_dir": args.out,
     }
     return config_from_dict(raw)

@@ -23,7 +23,9 @@ im-comm-num (under-actuated, numerically optimized power).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,16 @@ POLICY_NAMES = ("ex-comm", "leader-only", "no-comm",
 _MATRIX_FIELDS = ("A", "B1", "B2", "W", "F", "Fn", "G1", "G2", "Sigma0", "X0")
 
 
+def _number(name: str, value, integer: bool = False) -> float | int:
+    """A finite number, never a bool or a string; an integer field rejects
+    2.7 rather than read it as 2."""
+    if (isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+            and (not integer or float(value).is_integer())):
+        return int(value) if integer else float(value)
+    raise ValidationError(f"{name}: {value!r} is not "
+                          + ("an integer" if integer else "a finite number"))
+
+
 @dataclass(frozen=True)
 class PolicyConfig:
     name: str
@@ -46,6 +58,8 @@ class PolicyConfig:
     budget: int = 5000
 
     def __post_init__(self):
+        object.__setattr__(self, "budget", _number("policies[].budget", self.budget,
+                                                   integer=True))
         if self.name not in POLICY_NAMES:
             raise ValidationError(
                 f"policies[].name: '{self.name}' not one of {POLICY_NAMES}")
@@ -148,15 +162,15 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             policies.append(PolicyConfig(**p))
         except TypeError as exc:
             raise ValidationError(f"policies[{i}]: {exc}") from exc
-    target = raw.get("target", "sampled")
+    target, horizon = raw.get("target", "sampled"), raw.get("horizon")
     if isinstance(target, list):
-        target = tuple(float(v) for v in target)
+        target = tuple(_number(f"target[{i}]", v) for i, v in enumerate(target))
     return ExperimentConfig(
         system=raw["system"],
         policies=tuple(policies),
-        runs=int(raw.get("runs", 50)),
-        horizon=raw.get("horizon"),
-        master_seed=int(raw.get("master_seed", 0)),
+        runs=_number("runs", raw.get("runs", 50), integer=True),
+        horizon=None if horizon is None else _number("horizon", horizon, integer=True),
+        master_seed=_number("master_seed", raw.get("master_seed", 0), integer=True),
         target=target,
         out_dir=str(raw.get("out_dir", "results")),
     )
@@ -168,7 +182,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raw = json.loads(path.read_text())
     except FileNotFoundError:
         raise ParseError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read the config ({exc.strerror or exc})") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     return config_from_dict(raw)
 

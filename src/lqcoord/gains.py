@@ -30,7 +30,6 @@ class GainSchedule:
     """Per-step feedback and target-offset gains of the joint input.
 
     Phi and Dbar have n+1 entries (terminal included); K and D have n.
-    D_l is the leader's (top-d1) row block of D.
     """
 
     Phi: list[np.ndarray]
@@ -42,9 +41,6 @@ class GainSchedule:
     @property
     def n(self) -> int:
         return len(self.K)
-
-    def D_l(self, t: int) -> np.ndarray:
-        return self.D[t][: self.d1]
 
 
 def _riccati(A: np.ndarray, B: np.ndarray, F: np.ndarray, G: np.ndarray,

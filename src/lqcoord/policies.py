@@ -1,14 +1,13 @@
 """Agent-level control policies: the coordination scheme and its baselines.
 
-Every policy runs on an operator table built once per prepared policy: the
-entry of step t gives the joint input u_t = -K_t x_t + D*_t x_* + D^_t x_hat
+Every policy runs on one operator table (`power.analytic.StepOps`), built
+once per prepared policy and read by both the rollouts and the exact-cost
+engine: at step t, the joint input u_t = -K_t x_t + D*_t x_* + D^_t x_hat
 + I~ enc_t e and the follower's update x_hat += dec_t y_t, e -= dec_t y_t
 from the channel output y_t, where e = x_* - x_hat. The coordination
-policies take enc_t and dec_t from the channel map: its power half
-(`channel.power_factors`) once for the whole schedule, then its Sigma half
-along it (`channel.sigma_steps`, the loop the exact-cost engine runs too;
+policies take enc_t and dec_t from the channel map (`signaling_ops`;
 Sigma_t does not depend on the rollout, so the table is known before any
-rollout); the baselines send nothing, enc = dec = 0.
+rollout); the baselines send nothing (`silent_ops`).
 
 Offsets follow the follower's current estimate for BOTH agents: the leader
 also uses D_t^l x_hat rather than its exact D_t^l x_*, which keeps the
@@ -24,11 +23,11 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import (ChannelSetup, block_schedule, fa_setup, power_factors,
-                      sigma_steps, ua_setup)
+from .channel import ChannelSetup, block_schedule, fa_setup, ua_setup
 from .errors import ValidationError
 from .gains import GainSchedule, backward_riccati, leader_only_gains
 from .model import SystemModel
+from .power.analytic import StepOps, signaling_ops, silent_ops
 from .power.schedules import PowerSchedule, ScheduleMode, heuristic_schedule
 
 
@@ -38,20 +37,6 @@ class PolicyKind(Enum):
     NO_COMM = "no-comm"
     IM_COMM_FA = "im-comm-fa"
     IM_COMM_UA = "im-comm-ua"
-
-
-@dataclass(frozen=True)
-class _StepOps:
-    """Per-step operators of a policy, shared by all rollouts."""
-
-    K: np.ndarray        # x -> joint feedback (d1 + d2 rows)
-    D_star: np.ndarray   # x_* -> joint target offset
-    D_hat: np.ndarray    # x_hat -> joint estimate offset
-    enc: np.ndarray      # e -> leader signal s
-    dec: np.ndarray      # raw channel output y -> estimate of e
-    Abar: np.ndarray     # A - B K_t
-    BD: np.ndarray       # B D^_t
-    Sigma: np.ndarray    # follower's error covariance Sigma_t
 
 
 # report labels of the coordination policies, by how their power was chosen
@@ -87,49 +72,32 @@ class PreparedPolicy:
         return _POWER_LABELS[self.power.mode]
 
     @cached_property
-    def step_ops(self) -> tuple[list[_StepOps], float]:
-        """Operator table (one entry per step) plus the terminal Tr(Sigma_n).
+    def step_ops(self) -> StepOps:
+        """The operator table of steps 0..n-1 and Sigma_0..Sigma_n.
 
-        The baselines send nothing (enc = dec = D^ = 0) and keep Sigma_t at
-        zero once the target is shared (ex-comm), at Sigma0 otherwise. Their
-        D* is D_t for ex-comm, [D_t^l; 0] for no-comm (the follower
-        regulates toward the origin) and the leader-alone D_t for
-        leader-only, whose gains get zero follower rows.
+        The baselines keep Sigma_t at zero once the target is shared
+        (ex-comm), at Sigma0 otherwise. Their D* is D_t for ex-comm, [D_t^l;
+        0] for no-comm (the follower regulates toward the origin) and the
+        leader-alone D_t for leader-only, whose gains get zero follower rows.
         """
-        model, gains, setup = self.model, self.gains, self.setup
-        d0, rows = model.d0, model.d1 + model.d2
-        shared = self.kind is PolicyKind.EX_COMM
-        Sigma = np.zeros((d0, d0)) if shared else model.Sigma0.copy()
-        Sigmas = [Sigma] * (model.n + 1)
+        model, gains = self.model, self.gains
         if self.tracks_sigma:
-            blocks = block_schedule(setup, model.n, self.block_order)
-            channel = sigma_steps(power_factors(setup, self.power.Lambda, blocks),
-                                  Sigma, model.W)
-            Sigmas[1:] = [step.Sigma_next for step in channel]
-
-        def pad(M):
-            return np.vstack([M, np.zeros((rows - len(M), d0))])
-
-        no_offset, no_signal = np.zeros((rows, d0)), np.zeros((model.d1, d0))
-        ops = []
-        for t in range(model.n):
-            K = pad(gains.K[t])
-            if self.tracks_sigma:
-                D_star, D_hat = no_offset, gains.D[t]
-                enc, dec = channel[t].enc, channel[t].dec
-            else:
-                D_star = pad(gains.D[t] if shared else gains.D_l(t))
-                D_hat, enc, dec = no_offset, no_signal, np.zeros((d0, d0))
-            ops.append(_StepOps(K=K, D_star=D_star, D_hat=D_hat, enc=enc, dec=dec,
-                                Abar=model.A - model.B @ K, BD=model.B @ D_hat,
-                                Sigma=Sigmas[t]))
-        return ops, float(np.trace(Sigmas[-1]))
+            return signaling_ops(gains, self.setup, model, self.power,
+                                 block_schedule(self.setup, model.n,
+                                                self.block_order))
+        shared = self.kind is PolicyKind.EX_COMM
+        K = np.zeros((model.n, model.d1 + model.d2, model.d0))
+        D_star = np.zeros_like(K)
+        K[:, :len(gains.K[0])] = gains.K
+        keep = K.shape[1] if shared else model.d1
+        D_star[:, :keep] = np.array(gains.D)[:, :keep]
+        return silent_ops(model, K, D_star,
+                          np.zeros_like(model.Sigma0) if shared else model.Sigma0)
 
     @cached_property
     def sigma_traces(self) -> np.ndarray:
         """Follower's target uncertainty Tr(Sigma_t), t = 0..n, from the table."""
-        ops, final_trace = self.step_ops
-        return np.array([np.trace(op.Sigma) for op in ops] + [final_trace])
+        return np.trace(self.step_ops.Sigma, axis1=1, axis2=2)
 
     def start(self, x_star: np.ndarray) -> "RolloutPolicy":
         return RolloutPolicy(self, np.asarray(x_star, dtype=float))
@@ -144,21 +112,22 @@ class RolloutPolicy:
     """
 
     def __init__(self, prepared: PreparedPolicy, x_star: np.ndarray):
-        self.ops, _ = prepared.step_ops
+        self.ops = prepared.step_ops
         self.d1 = prepared.model.d1
         self.x_star = x_star
         self.e = x_star.copy()
         self.x_hat = np.zeros_like(x_star)
 
     def inputs(self, t: int, x_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        op = self.ops[t]
-        u = self.x_star @ op.D_star.T + self.x_hat @ op.D_hat.T - x_t @ op.K.T
-        return u[..., :self.d1] + self.e @ op.enc.T, u[..., self.d1:]
+        ops = self.ops
+        u = (self.x_star @ ops.D_star[t].T + self.x_hat @ ops.D_hat[t].T
+             - x_t @ ops.K[t].T)
+        return u[..., :self.d1] + self.e @ ops.enc[t].T, u[..., self.d1:]
 
     def observe(self, t: int, x_t: np.ndarray, x_next: np.ndarray) -> None:
-        op = self.ops[t]
-        y = x_next - x_t @ op.Abar.T - self.x_hat @ op.BD.T   # channel output
-        e_hat = y @ op.dec.T
+        ops = self.ops
+        y = x_next - x_t @ ops.Abar[t].T - self.x_hat @ ops.BD[t].T  # channel output
+        e_hat = y @ ops.dec[t].T
         self.e = self.e - e_hat
         self.x_hat = self.x_hat + e_hat
 

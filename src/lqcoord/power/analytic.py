@@ -1,39 +1,41 @@
-"""Exact expected-cost engine: joint covariance propagation and its adjoint.
+"""A policy's operator table and the exact expected-cost engine that reads it.
 
-The stacked vector rho_t = (z_t, e_t, x_*) is linear-Gaussian under either
-signaling scheme when the target is drawn from its prior:
+Every policy is one operator table (`StepOps`), stacked over its steps and
+read by the rollouts and the engine alike: the joint input u_t = -K_t x_t
++ D*_t x_* + D^_t x_hat + I~ enc_t e_t and the follower's update x_hat +=
+dec_t y_t from the channel output y_t, where e = x_* - x_hat evolves as
+e_{t+1} = E_t e_t - dec_t w_t. `signaling_ops` builds the coordination
+scheme's table (D* = 0, D^ = D, the channel maps from the one Sigma loop
+`channel.sigma_steps`), `silent_ops` a baseline's, which sends nothing
+(enc = dec = 0, E = I). D* is zero wherever dec is not, so the follower
+only reads y_t = B1 enc_t e_t + w_t.
 
-    z_{t+1} = Abar_t z_t + Gbar_t e_t + C_t x_* + w_t
-    e_{t+1} = E_t e_t - N_t w_t
-    x_*     = x_*
+With z = x - x_*, the stacked vector rho_t = (z_t, e_t, x_*) is
+linear-Gaussian for every policy when the target is drawn from its prior:
 
-with Abar_t = A - B K_t, C_t = Abar_t + B D_t - I, Gbar_t the signal-minus-
-offset coefficient and (E_t, N_t) the error-recursion maps; N_t is the
-decoder dec_t, since the follower subtracts dec_t y_t. Propagating
-Cov(rho_t) through these maps gives the exact covariance of every quantity
-in the stage cost, so expected costs here match Monte Carlo up to sampling
-noise, with no dropped terms.
+    u_t     = -K_t z_t + (I~ enc_t - D^_t) e_t + (D*_t + D^_t - K_t) x_*
+    z_{t+1} = Abar_t z_t + (B1 enc_t - B D^_t) e_t + C_t x_* + w_t
+    e_{t+1} = E_t e_t - dec_t w_t
+
+with Abar_t = A - B K_t and C_t = Abar_t + B (D*_t + D^_t) - I.
+Propagating Cov(rho_t) gives the exact covariance of every quantity in the
+stage cost, so expected costs here match Monte Carlo up to sampling noise.
 
 Initial blocks follow from z_0 = x_0 - x_*, e_0 = x_* with x_0 independent
-of x_*: Z_0 = X0 + Sigma0, Cov(z_0, e_0) = Cov(z_0, x_*) = -Sigma0.
+of x_*: Z_0 = X0 + Sigma0, Cov(z_0, e_0) = Cov(z_0, x_*) = -Sigma0. A
+table's own Sigma_t is the follower's reported uncertainty (zero for
+ex-comm, which shares the target), not an engine input.
 
 With T_t the joint transition, Nrho_t the noise map and Mu_t the input
 map, P_{t+1} = T_t P_t T_t' + Nrho_t W Nrho_t' and the stage cost is
-Tr(F Z_t) + Tr(G Mu_t P_t Mu_t'). A schedule is evaluated in three stages:
+Tr(F Z_t) + Tr(G Mu_t P_t Mu_t'). `trajectory` fills T, Nrho and Mu of
+all steps as stacked arrays, runs a serial loop on P_t and takes the
+stage costs of all steps in one contraction over the stacked P_t.
 
-1. the channel map's power half for all steps at once
-   (`channel.power_factors`), then its Sigma half along the schedule
-   (`channel.sigma_steps`, the loop the rollout table runs too): at Sigma_t
-   it gives enc_t, dec_t, E_t and Sigma_{t+1} = E_t Sigma_t E_t' +
-   dec_t W dec_t', the error block of the joint recursion itself;
-2. T_t, Nrho_t and Mu_t of all steps, filled in as stacked arrays;
-3. a serial loop on the joint covariance P_t, after which the stage costs
-   of all steps come from one contraction over the stacked P_t.
-
-`TailCostEvaluator.gradient` runs the reverse (adjoint) recursion of this
-map in the same shape: a serial loop that carries the joint costate Pbar
-and the Sigma half's reverse pass, then the power half's reverse pass for
-all steps at once.
+`TailCostEvaluator.gradient` runs the reverse (adjoint) recursion of a
+signaling table's map in the same shape: a serial loop that carries the
+joint costate Pbar and the Sigma half's reverse pass, then the power
+half's reverse pass for all steps at once.
 """
 
 from __future__ import annotations
@@ -101,51 +103,67 @@ class MdpState:
 
 
 @dataclass(frozen=True)
-class PlantMaps:
-    """The power-free part of the joint maps of steps 0..n-1, stacked.
+class StepOps:
+    """A policy's operator table: its maps of steps 0..n-1, stacked.
 
-    T and Mu hold the plant terms with the encoder's share left out (signal
-    block -B D_t, E block 0; estimate block -D_t) and Nrho the plant noise
-    with its error block 0; the engine fills in the channel's maps.
-    blocks[t] is the block sent at step t.
+    Sigma holds the follower's error covariance Sigma_0..Sigma_n. Abar =
+    A - B K and BD = B D^ are formed once. A signaling table keeps its
+    channel's power half and steps for the reverse pass.
     """
 
-    T: np.ndarray        # (n, 3 d0, 3 d0)
-    Nrho: np.ndarray     # (n, 3 d0, d0)
-    Mu: np.ndarray       # (n, d1 + d2, 3 d0)
-    blocks: list[int]
+    K: np.ndarray        # (n, d1 + d2, d0) x -> joint feedback
+    D_star: np.ndarray   # (n, d1 + d2, d0) x_* -> joint target offset
+    D_hat: np.ndarray    # (n, d1 + d2, d0) x_hat -> joint estimate offset
+    enc: np.ndarray      # (n, d1, d0) e -> leader signal s
+    dec: np.ndarray      # (n, d0, d0) raw channel output y -> estimate of e
+    E: np.ndarray        # (n, d0, d0) error map
+    Sigma: np.ndarray    # (n + 1, d0, d0)
+    Abar: np.ndarray     # A - B K
+    BD: np.ndarray       # B D^
+    power: PowerFactors | None = None
+    channel: tuple[ChannelStep, ...] = ()
 
 
-def plant_maps(gains: GainSchedule, setup: ChannelSetup, model: SystemModel,
-               block_order: list[int] | None = None) -> PlantMaps:
-    """The power-free maps of steps 0..n-1."""
-    d0, n = model.d0, model.n
-    I = np.eye(d0)
-    K, D = np.array(gains.K[:n]), np.array(gains.D[:n])
-    Abar = model.A - model.B @ K
-    BD = model.B @ D
-    T = np.zeros((n, 3 * d0, 3 * d0))
-    T[:, :d0, :d0] = Abar
-    T[:, :d0, d0:2 * d0] = -BD
-    T[:, :d0, 2 * d0:] = Abar + BD - I
-    T[:, 2 * d0:, 2 * d0:] = I
-    Nrho = np.zeros((n, 3 * d0, d0))
-    Nrho[:, :d0] = I
-    return PlantMaps(T=T, Nrho=Nrho, Mu=np.concatenate([-K, -D, D - K], axis=2),
-                     blocks=block_schedule(setup, n, block_order))
+def signaling_ops(gains: GainSchedule, setup: ChannelSetup, model: SystemModel,
+                  power: PowerSchedule, blocks: list[int]) -> StepOps:
+    """The coordination scheme's table for a power schedule; blocks[t] is
+    the block sent at step t."""
+    power.check_fits(model.n, setup.r)
+    factors = power_factors(setup, power.Lambda, blocks)
+    channel = tuple(sigma_steps(factors, model.Sigma0, model.W))
+    K, D = np.array(gains.K), np.array(gains.D)
+    return StepOps(K=K, D_star=np.zeros_like(D), D_hat=D,
+                   enc=np.array([s.enc for s in channel]),
+                   dec=np.array([s.dec for s in channel]),
+                   E=np.array([s.E for s in channel]),
+                   Sigma=np.array([model.Sigma0] + [s.Sigma_next for s in channel]),
+                   Abar=model.A - model.B @ K, BD=model.B @ D,
+                   power=factors, channel=channel)
+
+
+def silent_ops(model: SystemModel, K: np.ndarray, D_star: np.ndarray,
+               Sigma: np.ndarray) -> StepOps:
+    """A baseline's table: joint gains K and D* (n, d1 + d2, d0), no
+    signal (enc = dec = D^ = 0, E = I) and Sigma_t = Sigma throughout."""
+    n, d0 = model.n, model.d0
+    zeros = np.zeros((n, d0, d0))
+    return StepOps(K=K, D_star=D_star, D_hat=np.zeros_like(K),
+                   enc=np.zeros((n, model.d1, d0)), dec=zeros,
+                   E=np.broadcast_to(np.eye(d0), zeros.shape),
+                   Sigma=np.broadcast_to(Sigma, (n + 1, d0, d0)),
+                   Abar=model.A - model.B @ K, BD=zeros)
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One forward pass of the engine over a schedule.
+    """One forward pass of the engine over an operator table.
 
-    The power half and the channel's steps, the filled joint maps, the
-    stage-cost weights (Tr(weight_t P_t) is the stage cost), the joint
-    covariances P_0..P_n and the stage costs, terminal Tr(Fn Z_n) last.
+    The table, the filled joint maps, the stage-cost weights (Tr(weight_t
+    P_t) is the stage cost), the joint covariances P_0..P_n and the stage
+    costs, terminal Tr(Fn Z_n) last.
     """
 
-    power: PowerFactors
-    channel: list[ChannelStep]
+    ops: StepOps
     T: np.ndarray
     Nrho: np.ndarray
     Mu: np.ndarray
@@ -158,20 +176,25 @@ class Trajectory:
         return MdpState(joint=self.joint[t], t=t)
 
 
-def _run(lam: np.ndarray, plant: PlantMaps, setup: ChannelSetup,
-         model: SystemModel) -> Trajectory:
-    d0, d1, n, W = model.d0, model.d1, model.n, model.W
-    e = slice(d0, 2 * d0)
-    power = power_factors(setup, lam, plant.blocks)
-    channel = sigma_steps(power, model.Sigma0, W)
-    enc = np.array([s.enc for s in channel])
-    T, Nrho, Mu = plant.T.copy(), plant.Nrho.copy(), plant.Mu.copy()
-    # u_t = -K_t z_t + (D_t - K_t) x_* + (Itil enc - D_t) e_t
-    T[:, :d0, e] += setup.B1 @ enc
-    T[:, e, e] = [s.E for s in channel]
-    Nrho[:, e] = [-s.dec for s in channel]
-    Mu[:, :d1, e] += enc
-    noise = Nrho @ W @ Nrho.swapaxes(1, 2)
+def trajectory(ops: StepOps, model: SystemModel) -> Trajectory:
+    """The engine's forward pass over the operator table of any policy."""
+    d0, d1, n = model.d0, model.d1, model.n
+    I = np.eye(d0)
+    e, x = slice(d0, 2 * d0), slice(2 * d0, None)
+    offset = ops.D_star + ops.D_hat
+    T = np.zeros((n, 3 * d0, 3 * d0))
+    T[:, :d0, :d0] = ops.Abar
+    T[:, :d0, e] = model.B1 @ ops.enc - ops.BD
+    T[:, :d0, x] = ops.Abar + model.B @ offset - I
+    T[:, e, e] = ops.E
+    T[:, x, x] = I
+    Nrho = np.zeros((n, 3 * d0, d0))
+    Nrho[:, :d0] = I
+    Nrho[:, e] = -ops.dec
+    signal = -ops.D_hat
+    signal[:, :d1] += ops.enc
+    Mu = np.concatenate([-ops.K, signal, offset - ops.K], axis=2)
+    noise = Nrho @ model.W @ Nrho.swapaxes(1, 2)
     weight = Mu.swapaxes(1, 2) @ model.G @ Mu
     weight[:, :d0, :d0] += model.F
     joint = np.empty((n + 1, 3 * d0, 3 * d0))
@@ -180,31 +203,16 @@ def _run(lam: np.ndarray, plant: PlantMaps, setup: ChannelSetup,
         joint[t + 1] = sym_part(T[t] @ joint[t] @ T[t].T + noise[t])
     costs = np.append(np.einsum("tij,tji->t", weight, joint[:n]),
                       np.trace(model.Fn @ joint[n, :d0, :d0]))
-    return Trajectory(power=power, channel=channel, T=T, Nrho=Nrho, Mu=Mu,
-                      weight=weight, joint=joint, costs=costs)
-
-
-def _trajectory(schedule: PowerSchedule, gains: GainSchedule,
-                setup: ChannelSetup, model: SystemModel,
-                block_order: list[int] | None) -> Trajectory:
-    schedule.check_fits(model.n, setup.r)
-    return _run(schedule.Lambda, plant_maps(gains, setup, model, block_order),
-                setup, model)
-
-
-def expected_stage_costs(schedule: PowerSchedule, gains: GainSchedule,
-                         setup: ChannelSetup, model: SystemModel,
-                         block_order: list[int] | None = None) -> np.ndarray:
-    """Exact expected stage costs, terminal Tr(Fn Z_n) last (length n+1)."""
-    return _trajectory(schedule, gains, setup, model, block_order).costs
+    return Trajectory(ops=ops, T=T, Nrho=Nrho, Mu=Mu, weight=weight,
+                      joint=joint, costs=costs)
 
 
 class TailCostEvaluator:
     """Exact cost E[J_n] of power schedules and its gradient, for optimizers.
 
-    The plant's maps are built once. `cost(Lambda)` runs the forward pass
-    and keeps its `trajectory`; `gradient()` runs the adjoint recursion
-    over it,
+    The block schedule is checked once. `cost(Lambda)` builds the
+    signaling table of Lambda, runs the forward pass over it and keeps its
+    `trajectory`; `gradient()` runs the adjoint recursion over it,
 
         Pbar_n = Fn (Z block),
         Pbar_t = T' Pbar_{t+1} T + Mu' G Mu + F (Z block) + Sigma_bar_t,
@@ -215,15 +223,15 @@ class TailCostEvaluator:
 
     def __init__(self, gains: GainSchedule, setup: ChannelSetup,
                  model: SystemModel, block_order: list[int] | None = None):
-        self.setup, self.model = setup, model
-        self.plant = plant_maps(gains, setup, model, block_order)
+        self.gains, self.setup, self.model = gains, setup, model
+        self.blocks = block_schedule(setup, model.n, block_order)
         self.trajectory: Trajectory | None = None
 
     def cost(self, Lambda) -> float:
         """E[J_n] of the schedule Lambda, an (n, r) array of power entries."""
         schedule = PowerSchedule(mode=ScheduleMode.FULL_MATRIX, Lambda=Lambda)
-        schedule.check_fits(self.model.n, self.setup.r)
-        self.trajectory = _run(schedule.Lambda, self.plant, self.setup, self.model)
+        self.trajectory = trajectory(signaling_ops(
+            self.gains, self.setup, self.model, schedule, self.blocks), self.model)
         return float(self.trajectory.costs.sum())
 
     def gradient(self) -> np.ndarray:
@@ -231,7 +239,8 @@ class TailCostEvaluator:
         traj = self.trajectory
         if traj is None:
             raise ValidationError("gradient: no schedule evaluated yet; call cost")
-        lam = traj.power.lam
+        power, channel = traj.ops.power, traj.ops.channel
+        lam = power.lam
         if np.any(lam <= 0.0):
             t, j = np.argwhere(lam <= 0.0)[0]
             raise ValidationError(
@@ -248,7 +257,7 @@ class TailCostEvaluator:
         dec_bar, E_bar = np.empty((2, n, d0, d0))
         NW = traj.Nrho @ model.W
         F_root, F_inv = eig_roots_kernels(np.array([s.sigma_eig.H
-                                                    for s in traj.channel]))
+                                                    for s in channel]))
         Pbar = np.zeros((3 * d0, 3 * d0))
         Pbar[:d0, :d0] = model.Fn
         for t in reversed(range(n)):
@@ -257,26 +266,29 @@ class TailCostEvaluator:
             enc_bar[t] += setup.B1.T @ T_bar[:d0]
             dec_bar[t] = -2.0 * Pbar[e] @ NW[t]
             E_bar[t] = T_bar[e]
-            Sigma_bar = sigma_step_adjoint(traj.channel[t], (F_root[t], F_inv[t]),
+            Sigma_bar = sigma_step_adjoint(channel[t], (F_root[t], F_inv[t]),
                                            enc_bar[t], dec_bar[t], E_bar[t])
             Pbar = sym_part(T[t].T @ PbarT + traj.weight[t])
             Pbar[e, e] += Sigma_bar
         return power_factors_adjoint(
-            setup, traj.power, np.array([s.Sig12 for s in traj.channel]),
-            np.array([s.Sig12inv for s in traj.channel]), enc_bar, dec_bar, E_bar)
+            setup, power, np.array([s.Sig12 for s in channel]),
+            np.array([s.Sig12inv for s in channel]), enc_bar, dec_bar, E_bar)
 
 
 def expected_total_cost(schedule: PowerSchedule, gains: GainSchedule,
                         setup: ChannelSetup, model: SystemModel,
                         block_order: list[int] | None = None) -> float:
     """Exact expected total cost E[J_n] of a signaling schedule."""
-    return float(expected_stage_costs(schedule, gains, setup, model,
-                                      block_order).sum())
+    ops = signaling_ops(gains, setup, model, schedule,
+                        block_schedule(setup, model.n, block_order))
+    return float(trajectory(ops, model).costs.sum())
 
 
 def state_trajectory(schedule: PowerSchedule, gains: GainSchedule,
                      setup: ChannelSetup, model: SystemModel,
                      block_order: list[int] | None = None) -> list[MdpState]:
     """All n+1 deterministic states along a schedule (diagnostics/oracles)."""
-    traj = _trajectory(schedule, gains, setup, model, block_order)
+    traj = trajectory(signaling_ops(gains, setup, model, schedule,
+                                    block_schedule(setup, model.n, block_order)),
+                      model)
     return [traj.state(t) for t in range(model.n + 1)]

@@ -195,17 +195,17 @@ def test_channel_output_identity(fa_model, fa_gains, fa_channel):
     pol = make_policy(PolicyKind.IM_COMM_FA, fa_model,
                       power=heuristic_schedule(0.88, fa_model.n, 4))
     run = pol.start(x_star)
-    ops, _ = pol.step_ops
+    ops = pol.step_ops
     x = rng.normal(size=4)
     for t in range(10):
-        s = ops[t].enc @ run.e
+        s = ops.enc[t] @ run.e
         v, q = run.inputs(t, x)
         w = rng.multivariate_normal(np.zeros(4), fa_model.W)
         x_next = fa_model.A @ x + fa_model.B1 @ v + fa_model.B2 @ q + w
         y = oracle.channel_output(x_next, x, fa_gains, t, run.x_hat, fa_model)
         np.testing.assert_allclose(y, fa_model.B1 @ s + w, atol=1e-10)
         # the table's own residual is the same y
-        np.testing.assert_allclose(x_next - ops[t].Abar @ x - ops[t].BD @ run.x_hat,
+        np.testing.assert_allclose(x_next - ops.Abar[t] @ x - ops.BD[t] @ run.x_hat,
                                    y, atol=1e-10)
         run.observe(t, x, x_next)
         x = x_next
@@ -356,14 +356,14 @@ def test_virtual_channel_identity(ua_model, ua_gains, ua_channel):
     pol = make_policy(PolicyKind.IM_COMM_UA, ua_model,
                       power=heuristic_schedule(0.9, ua_model.n, 2))
     run = pol.start(x_star)
-    ops, _ = pol.step_ops
+    ops = pol.step_ops
     x = rng.normal(size=4)
     for t in range(8):
         k = t % ua_channel.tau
         lam = 0.9 ** t * np.ones(2)
         Pk = oracle.selector(k, ua_channel)
         s_virt = (ua_channel.S_sqrt_of(lam) @ Pk
-                  @ oracle.inv_sqrt_psd(ops[t].Sigma) @ run.e)
+                  @ oracle.inv_sqrt_psd(ops.Sigma[t]) @ run.e)
         v, q = run.inputs(t, x)
         w = rng.multivariate_normal(np.zeros(4), ua_model.W)
         x_next = ua_model.A @ x + ua_model.B1 @ v + ua_model.B2 @ q + w

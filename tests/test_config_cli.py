@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -263,6 +264,39 @@ def test_cli_non_finite_rollout_exits_1(capsys, tmp_path):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "policy no-comm: run 0" in err
     assert not (tmp_path / "out" / "aggregate.csv").exists()
+
+
+MALFORMED = {    # config changes, or CLI arguments; the field the error names
+    "runs-text": ({"runs": "abc"}, "runs"),
+    "seed-text": ({"master_seed": "x"}, "master_seed"),
+    "horizon-text": ({"horizon": "30"}, "horizon"),
+    "horizon-fraction": ({"horizon": 2.5}, "horizon"),
+    "runs-fraction": ({"runs": 2.7}, "runs"),
+    "budget-fraction": ({"policies": [{"name": "ex-comm", "budget": 2.5}]},
+                        "budget"),
+    "target-text": ({"target": [1, 2, "x", 4]}, r"target\[2\]"),
+    "target-nan": ({"target": [1, 2, float("nan"), 4]}, r"target\[2\]"),
+    "target-flag": (["--preset", lq.FULLY_ACTUATED, "--target", "1,2,x,4"],
+                    "--target"),
+    "config-directory": (["--config", "."], r"\."),     # the path
+}
+
+
+@pytest.mark.parametrize("case, field", MALFORMED.values(), ids=list(MALFORMED))
+def test_cli_names_the_malformed_field(capsys, tmp_path, monkeypatch, case, field):
+    # these used to escape as a raw ValueError, TypeError or
+    # IsADirectoryError, to be truncated (runs 2.7 ran 2) or accepted
+    # (budget 2.5), or to fail later as a NonFiniteRollout (a NaN target)
+    monkeypatch.chdir(tmp_path)
+    if isinstance(case, dict):
+        raw = {"system": lq.FULLY_ACTUATED, "policies": ["ex-comm"], "runs": 2,
+               **case}
+        (tmp_path / "exp.json").write_text(json.dumps(raw))
+        case = ["--config", "exp.json"]
+    assert run_cli(["simulate", *case]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and re.search(f"{field}: ", err), err
+    assert not (tmp_path / "results").exists()
 
 
 def test_cli_optimize_power_underflowing_theta(capsys, tmp_path):

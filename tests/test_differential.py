@@ -35,7 +35,8 @@ from lqcoord.errors import LqcoordError
 from lqcoord.model import SystemModel
 from lqcoord.policies import PolicyKind, make_policy
 from lqcoord.power.analytic import (MdpState, TailCostEvaluator,
-                                   expected_total_cost, state_trajectory)
+                                   expected_total_cost, state_trajectory,
+                                   trajectory)
 from lqcoord.power.schedules import PowerSchedule, ScheduleMode
 from lqcoord.simulate import monte_carlo
 
@@ -100,13 +101,13 @@ def test_table_matches_oracle_and_exact_engine(case):
     model, setup, schedule = pol.model, pol.setup, pol.power
     kind = pol.kind
     assert setup.r == r and setup.tau == d0 // r
-    ops, final_trace = pol.step_ops
+    ops, final_trace = pol.step_ops, pol.sigma_traces[-1]
     joint = state_trajectory(schedule, pol.gains, setup, model)
 
-    _assert_rel(ops[0].Sigma, model.Sigma0, RTOL, "Sigma_0")
+    _assert_rel(ops.Sigma[0], model.Sigma0, RTOL, "Sigma_0")
     cond = 1.0              # largest live condition number of Sigma_0..Sigma_t
     for t in range(n):
-        lam, Sigma = schedule.Lambda[t], ops[t].Sigma
+        lam, Sigma = schedule.Lambda[t], ops.Sigma[t]
         _assert_rel(joint[t].Sigma, Sigma, oracle.roundoff_tol(cond, RTOL),
                     f"joint Sigma_{t}")
         cond = max(cond, oracle.live_cond(Sigma))
@@ -118,7 +119,7 @@ def test_table_matches_oracle_and_exact_engine(case):
             # the signal lives in range(Q) with virtual coordinates
             # S^(1/2) Sigma^(-1/2); the normal-equation left inverse costs
             # a further cond(Q)^2
-            _assert_rel(oracle.left_inverse(setup.Q) @ ops[t].enc,
+            _assert_rel(oracle.left_inverse(setup.Q) @ ops.enc[t],
                         oracle.signal_sqrt(setup, lam) @ oracle.inv_sqrt_psd(Sigma),
                         tol * np.linalg.cond(setup.Q) ** 2, f"virtual signal {t}")
             closed = oracle.cov_update_fa(Sigma, lam, setup)
@@ -130,16 +131,16 @@ def test_table_matches_oracle_and_exact_engine(case):
             noise = (oracle.noise_gain_ua(Sigma, lam, k, setup)
                      @ oracle.virtual_out(setup))
             closed = oracle.cov_update_ua(Sigma, lam, k, setup)
-        _assert_rel(ops[t].enc, enc, tol, f"enc_{t}")
-        _assert_rel(ops[t].dec, dec, tol, f"dec_{t}")
-        _assert_rel(ops[t].dec, noise, tol, f"dec_{t} as noise gain")
+        _assert_rel(ops.enc[t], enc, tol, f"enc_{t}")
+        _assert_rel(ops.dec[t], dec, tol, f"dec_{t}")
+        _assert_rel(ops.dec[t], noise, tol, f"dec_{t} as noise gain")
         # e_{t+1} = (I - dec B1 enc) e_t - dec w_t
         E = np.eye(d0) - dec @ model.B1 @ enc
         propagated = E @ Sigma @ E.T + dec @ model.W @ dec.T
         if t + 1 < n:
-            _assert_rel(ops[t + 1].Sigma, propagated, tol, f"Sigma_{t + 1}")
+            _assert_rel(ops.Sigma[t + 1], propagated, tol, f"Sigma_{t + 1}")
             if cond < EXACT_COND:
-                _assert_rel(ops[t + 1].Sigma, closed, tol,
+                _assert_rel(ops.Sigma[t + 1], closed, tol,
                             f"Sigma_{t + 1} in closed form")
     assert abs(final_trace - np.trace(propagated)) <= tol * np.trace(propagated)
     if cond < EXACT_COND:
@@ -149,16 +150,26 @@ def test_table_matches_oracle_and_exact_engine(case):
 
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(cases())
+@example((2, 2, 1, 4))        # n = 1
+@example((1, 1, 6, 1))        # d0 = 1
+@example((3, 1, 7, 2))        # r = 1 with tau = 3
 def test_monte_carlo_matches_exact_cost(case):
     # sampled targets: the Monte Carlo mean of 4000 runs lies within 4
-    # standard errors of the exact expected cost
+    # standard errors of the exact expected cost, for the signaling policy
+    # and the ex-comm and no-comm tables of the same system
     pol = _random_policy(*case)
-    exact = expected_total_cost(pol.power, pol.gains, pol.setup, pol.model,
-                                pol.block_order)
+    model = pol.model
+    priced = [(pol, expected_total_cost(pol.power, pol.gains, pol.setup, model,
+                                        pol.block_order))]
+    for kind in (PolicyKind.EX_COMM, PolicyKind.NO_COMM):
+        base = make_policy(kind, model)
+        priced.append((base, trajectory(base.step_ops, model).costs.sum()))
     runs = 4000
-    rep = monte_carlo(pol, pol.model, None, runs, 0)
-    z = (rep.mean_total_cost - exact) / (rep.std_total_cost / np.sqrt(runs))
-    assert abs(z) <= 4, f"MC {rep.mean_total_cost:.6g} vs exact {exact:.6g}: z {z:.2f}"
+    for p, exact in priced:
+        rep = monte_carlo(p, model, None, runs, 0)
+        z = (rep.mean_total_cost - exact) / (rep.std_total_cost / np.sqrt(runs))
+        assert abs(z) <= 4, (f"{p.label}: MC {rep.mean_total_cost:.6g} vs exact "
+                             f"{exact:.6g}: z {z:.2f}")
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -232,14 +243,14 @@ def _sampled_after_truncation():
     (200k draws).
     """
     pol = _random_policy(3, 3, 5, 223)
-    ops, _ = pol.step_ops
-    assert oracle.live_cond(ops[4].Sigma) >= CUTOFF_COND > oracle.live_cond(ops[3].Sigma)
+    ops = pol.step_ops
+    assert oracle.live_cond(ops.Sigma[4]) >= CUTOFF_COND > oracle.live_cond(ops.Sigma[3])
     rng = np.random.default_rng(0)
     R = 200_000
     e = rng.multivariate_normal(np.zeros(3), pol.model.Sigma0, size=R)
-    for op in ops:
+    for enc, dec in zip(ops.enc, ops.dec):
         w = rng.multivariate_normal(np.zeros(3), pol.model.W, size=R)
-        e = e - (e @ op.enc.T @ pol.model.B1.T + w) @ op.dec.T
+        e = e - (e @ enc.T @ pol.model.B1.T + w) @ dec.T
     return pol, np.trace(e.T @ e) / R
 
 
@@ -252,7 +263,7 @@ def test_joint_engine_follows_sampled_covariance_after_truncation():
 def test_table_sigma_follows_sampled_covariance_after_truncation():
     # the closed form Sigma^(1/2) V Sigma^(1/2) is 2.7% high here
     pol, sampled = _sampled_after_truncation()
-    _, final_trace = pol.step_ops
+    final_trace = pol.sigma_traces[-1]
     assert abs(final_trace - sampled) < 0.01 * sampled
 
 

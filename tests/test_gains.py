@@ -65,7 +65,7 @@ def test_preset_schedule_properties(fa_model, fa_gains):
 
 def test_split_reassembles(fa_model, fa_gains):
     # the leader's and the follower's ex-comm inputs stack into the joint
-    # optimum, and D_l is the leader's row block of D
+    # optimum
     rng = np.random.default_rng(3)
     x, x_star = rng.normal(size=4), rng.normal(size=4)
     run = make_policy(PolicyKind.EX_COMM, fa_model).start(x_star)
@@ -75,7 +75,6 @@ def test_split_reassembles(fa_model, fa_gains):
         np.testing.assert_allclose(np.concatenate([v, q]),
                                    -fa_gains.K[t] @ x + fa_gains.D[t] @ x_star,
                                    atol=1e-12)
-        assert np.array_equal(fa_gains.D_l(t), fa_gains.D[t][:fa_model.d1])
 
 
 def test_leader_only_independent_of_follower(fa_model):

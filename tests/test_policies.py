@@ -60,7 +60,7 @@ def test_joint_input_identity(fa_model, fa_gains, fa_channel):
         v, q = run.inputs(t, x)
         lam = power.Lambda[t]
         enc = (fa_channel.Q @ fa_channel.S_sqrt_of(lam)
-               @ oracle.inv_sqrt_psd(run.ops[t].Sigma))
+               @ oracle.inv_sqrt_psd(run.ops.Sigma[t]))
         K, D = fa_gains.K[t], fa_gains.D[t]
         u_expected = (-K @ (x - x_star) + (D - K) @ x_star
                       + (fa_model.leader_embed @ enc - D) @ run.e)
@@ -243,14 +243,14 @@ def test_block_order_permutation(ua_model, ua_gains, ua_channel):
     # a permuted round-robin is accepted and still cycles every block:
     # with order [1, 0], step 0 must contract the second coordinate block
     pol = make_policy(PolicyKind.IM_COMM_UA, ua_model, block_order=[1, 0])
-    ops, _ = pol.step_ops
+    ops = pol.step_ops
     default = make_policy(PolicyKind.IM_COMM_UA, ua_model)
-    ops_def, _ = default.step_ops
+    ops_def = default.step_ops
     lam = pol.power.Lambda[0]
     np.testing.assert_allclose(
-        ops[0].dec, channel_step(ua_channel, ua_model.Sigma0, lam, 1).dec,
+        ops.dec[0], channel_step(ua_channel, ua_model.Sigma0, lam, 1).dec,
         atol=1e-12)
-    assert not np.allclose(ops[0].dec, ops_def[0].dec)
+    assert not np.allclose(ops.dec[0], ops_def.dec[0])
 
 
 @pytest.mark.parametrize("order", [[0, 0], [0], [0, 1, 2], [1, 2]])

@@ -7,10 +7,9 @@ import channel_oracle as oracle
 import lqcoord as lq
 from lqcoord.linalg import svd_factor
 from lqcoord.policies import PolicyKind, make_policy
-from lqcoord.power import (expected_stage_costs, expected_total_cost,
-                           heuristic_schedule)
+from lqcoord.power import expected_total_cost, heuristic_schedule
 from lqcoord.power.analytic import (MdpState, TailCostEvaluator,
-                                   state_trajectory)
+                                   state_trajectory, trajectory)
 from lqcoord.power.schedules import PowerSchedule, ScheduleMode
 from lqcoord.simulate import derive_run_seed, monte_carlo, rollout
 
@@ -79,7 +78,7 @@ def test_zero_power_zero_prior_reduces_to_lqr_covariance(fa_model, fa_gains, fa_
 
 def test_ua_zero_power_freezes_sigma(ua_model, ua_gains, ua_channel):
     evaluator = TailCostEvaluator(ua_gains, ua_channel, ua_model)
-    assert evaluator.plant.blocks[0] == 0
+    assert evaluator.blocks[0] == 0
     evaluator.cost(np.zeros((ua_model.n, 2)))
     st = evaluator.trajectory.state(1)
     np.testing.assert_allclose(st.Sigma, ua_model.Sigma0, atol=1e-12)
@@ -189,7 +188,8 @@ def test_exact_cost_matches_monte_carlo_on_edge_cases(case):
 
 def test_stage_costs_terminal_entry(fa_model, fa_gains, fa_channel):
     sched = heuristic_schedule(0.88, fa_model.n, 4)
-    costs = expected_stage_costs(sched, fa_gains, fa_channel, fa_model)
+    pol = make_policy(PolicyKind.IM_COMM_FA, fa_model, power=sched)
+    costs = trajectory(pol.step_ops, fa_model).costs
     assert costs.shape == (fa_model.n + 1,)
     traj = state_trajectory(sched, fa_gains, fa_channel, fa_model)
     assert costs[-1] == pytest.approx(np.trace(fa_model.Fn @ traj[-1].Z))
@@ -217,7 +217,7 @@ def test_schedule_must_fit_the_channel(ua_model, ua_gains, ua_channel, steps,
     # a short or wide schedule used to end in a bare IndexError or a numpy
     # broadcast error
     sched = heuristic_schedule(0.88, steps, dim)
-    for engine in (expected_stage_costs, state_trajectory):
+    for engine in (expected_total_cost, state_trajectory):
         with pytest.raises(lq.errors.ValidationError, match=f"power: .*{what}"):
             engine(sched, ua_gains, ua_channel, ua_model)
 

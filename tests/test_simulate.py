@@ -199,9 +199,8 @@ def test_batched_matches_single_runs(preset, kind, target, fa_model, ua_model,
     np.testing.assert_allclose(
         rep.mean_z_norms, np.mean([tr.z_norms for tr in traces], axis=0),
         rtol=1e-9)
-    ops, final_trace = pol.step_ops
     np.testing.assert_array_equal(
-        rep.mean_sigma_traces, [np.trace(op.Sigma) for op in ops] + [final_trace])
+        rep.mean_sigma_traces, [np.trace(Sigma) for Sigma in pol.step_ops.Sigma])
 
 
 def test_overflow_raises_naming_policy_run_and_step():
