@@ -9,8 +9,7 @@ seeded Monte Carlo harness, and a CLI for the benchmark experiments.
 
 from .model import SystemModel
 from .gains import GainSchedule, backward_riccati, leader_only_gains
-from .channel import (ChannelSetup, ChannelStep, channel_step,
-                      choose_projection, fa_setup, ua_setup)
+from .channel import ChannelSetup, choose_projection, fa_setup, ua_setup
 from .policies import PolicyKind, PreparedPolicy, make_policy
 from .power import (PowerSchedule, heuristic_schedule, expected_total_cost,
                     ua_optimize)
@@ -24,9 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SystemModel", "GainSchedule", "backward_riccati", "leader_only_gains",
-    "ChannelSetup", "ChannelStep", "channel_step",
-    "choose_projection",
-    "fa_setup", "ua_setup",
+    "ChannelSetup", "choose_projection", "fa_setup", "ua_setup",
     "PolicyKind", "PreparedPolicy", "make_policy",
     "PowerSchedule", "heuristic_schedule", "expected_total_cost",
     "ua_optimize", "solve_scalar_power",

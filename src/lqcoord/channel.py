@@ -17,30 +17,29 @@ is the case r = d0, tau = 1 with P = I and C = B1 Q; an under-actuated one
 
 The per-step map from (Sigma_t, Lambda_t, block k) to the encoder, the
 decoder, the error-recursion map and Sigma_{t+1} has one implementation in
-two halves. The power half (`power_factors`) holds every factor that
-depends on (Lambda_t, k) alone and is built for all steps of a schedule in
-one vectorised call. The Sigma half (`sigma_step`) takes one
-eigendecomposition of Sigma_t, combines its roots with step t of the power
-half and propagates Sigma_t through the maps it built (the Joseph form).
-`channel_step` composes the two for a single step; `sigma_steps` runs the
-Sigma half along a schedule, for the rollout operator table and the
-exact-cost engine alike. The reverse pass is split the same way
-(`power_factors_adjoint`, `sigma_step_adjoint`). The contraction V_t has
-per-direction factor 1/(1 + lam*h) for power lam and gain h.
+two halves, each stacked over a schedule's steps. The power half
+(`power_factors`) holds every factor that depends on (Lambda_t, k) alone
+and is built for all steps in one vectorised call. The Sigma half
+(`sigma_steps`) is the one forward Sigma loop, for the rollout operator
+table and the exact-cost engine alike: one eigendecomposition of Sigma_t
+per step, its roots combined with step t of the power half, and Sigma_t
+propagated through the maps they build (the Joseph form). The reverse pass
+is split the same way (`power_factors_adjoint` for all steps,
+`sigma_step_adjoint` at one step). The contraction V_t has per-direction
+factor 1/(1 + lam*h) for power lam and gain h.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import (IndexOutOfRange, NonIntegerPeriod, RankDeficient,
                      SigmaNearSingular, SingularInnovation, ValidationError)
-from .linalg import (EigenPair, check_symmetric, eig_roots, eig_roots_kernels,
-                     eig_roots_pullback, eigh_desc, numerical_rank, sym_eig,
-                     sym_part, svd_factor)
+from .linalg import (EigenPair, check_symmetric, eig_roots, eig_roots_pullback,
+                     eigh_desc, numerical_rank, sym_eig, sym_part, svd_factor)
 
 
 def choose_projection(B1: np.ndarray) -> np.ndarray:
@@ -212,10 +211,6 @@ class PowerFactors:
     left: np.ndarray
     right: np.ndarray
 
-    def at(self, t: int) -> "PowerFactors":
-        """The one-step stack of step t."""
-        return PowerFactors(*(getattr(self, f.name)[t:t + 1] for f in fields(self)))
-
 
 def power_factors(setup: ChannelSetup, Lambda: np.ndarray,
                   blocks: list[int] | np.ndarray) -> PowerFactors:
@@ -244,93 +239,76 @@ def power_factors(setup: ChannelSetup, Lambda: np.ndarray,
 
 
 @dataclass(frozen=True)
-class ChannelStep:
-    """The channel's maps at one step, for a given (Sigma_t, Lambda_t, k).
+class SigmaPass:
+    """The Sigma half of the channel map along a schedule, stacked.
 
-    The leader sends s_t = enc e_t; the follower estimates e_t as dec y_t
-    from the raw d0-dimensional channel output y_t = B1 s_t + w_t; the error
-    then evolves as e_{t+1} = E e_t - dec w_t, so Sigma_next = E Sigma_t E'
-    + dec W dec' is the covariance this encoder and decoder produce, also
-    where the pseudo-inverse cutoff drops a direction of Sigma_t. The Sigma
-    half's factors are kept for the reverse pass: Sigma_t's clipped
-    eigenpair, its roots Sig12, Sig12inv and SV = Sig12 V; the power half
-    is step t of `power`.
+    Sigma holds Sigma_0..Sigma_n (n + 1, d0, d0); every other field is
+    (n, ., .) over steps 0..n-1: Sigma_t's clipped eigenpair U, H, its
+    roots Sig12 and Sig12inv (truncated), and the maps. The leader sends
+    s_t = enc e_t; the follower estimates e_t as dec y_t from the raw
+    d0-dimensional channel output y_t = B1 s_t + w_t; the error then evolves
+    as e_{t+1} = E e_t - dec w_t, so Sigma_{t+1} = E Sigma_t E' + dec W dec'
+    is the covariance this encoder and decoder produce, also where the
+    pseudo-inverse cutoff drops a direction of Sigma_t.
     """
 
+    Sigma: np.ndarray
+    U: np.ndarray
+    H: np.ndarray
+    Sig12: np.ndarray
+    Sig12inv: np.ndarray
     enc: np.ndarray
     dec: np.ndarray
     E: np.ndarray
-    Sigma_next: np.ndarray
-    sigma_eig: EigenPair
-    Sig12: np.ndarray
-    Sig12inv: np.ndarray
-    SV: np.ndarray
-    power: PowerFactors
-    t: int
-
-
-def sigma_step(power: PowerFactors, t: int, Sigma: np.ndarray,
-               W: np.ndarray) -> ChannelStep:
-    """The Sigma half of the channel map at step t of a schedule.
-
-    One eigendecomposition of Sigma gives Sigma^(1/2) and the truncated
-    Sigma^(-1/2): directions below the pseudo-inverse cutoff are already
-    known to the follower and get zero signal. Then enc = left Sigma^(-1/2),
-    dec = Sigma^(1/2) right, E = Sigma^(1/2) V Sigma^(-1/2) and, with W the
-    plant noise covariance, Sigma_{t+1} = E Sigma E' + dec W dec'.
-    """
-    Sigma = check_symmetric(Sigma, name="Sigma")
-    w, U = eigh_desc(Sigma)
-    if w[-1] < -1e-10 * max(1.0, np.abs(w).max()):
-        raise SigmaNearSingular(f"Sigma has a negative eigenvalue {w[-1]:.3e}")
-    pair = EigenPair(U=U, H=np.clip(w, 0.0, None))
-    Sig12, Sig12inv = eig_roots(pair)
-    SV = Sig12 @ power.V[t]
-    E, dec = SV @ Sig12inv, Sig12 @ power.right[t]
-    return ChannelStep(enc=power.left[t] @ Sig12inv, dec=dec, E=E,
-                       Sigma_next=sym_part(E @ Sigma @ E.T + dec @ W @ dec.T),
-                       sigma_eig=pair, Sig12=Sig12, Sig12inv=Sig12inv, SV=SV,
-                       power=power, t=t)
 
 
 def sigma_steps(power: PowerFactors, Sigma0: np.ndarray,
-                W: np.ndarray) -> list[ChannelStep]:
-    """The Sigma half along all steps of `power`, from Sigma_0 = Sigma0:
-    step t runs at the Sigma_next of step t - 1."""
-    steps, Sigma = [], Sigma0
-    for t in range(len(power.lam)):
-        steps.append(sigma_step(power, t, Sigma, W))
-        Sigma = steps[-1].Sigma_next
-    return steps
+                W: np.ndarray) -> SigmaPass:
+    """The Sigma half of the channel map along all steps of `power`.
 
-
-def channel_step(setup: ChannelSetup, Sigma: np.ndarray, lam: np.ndarray,
-                 k: int = 0) -> ChannelStep:
-    """Encoder, decoder, error-recursion map and Sigma_{t+1} at one step.
-
-    The composition of the two halves for a single step: `power_factors`
-    of (lam, k), then `sigma_step` at Sigma and W. k is the transmitted block.
-    The decoder Sigma^(1/2) P_k' S^(1/2) C' (C S C' + Wv)^-1 P is also the
-    noise map of the error recursion: by the push-through identity it
-    equals Sigma^(1/2) V_t P_k' S^(1/2) C' Wv^-1 P.
+    Sigma0 is checked for symmetry and symmetrised once; every later
+    Sigma_t comes out of `sym_part`. At step t one eigendecomposition of
+    Sigma_t gives Sigma_t^(1/2) and the truncated Sigma_t^(-1/2): directions
+    below the pseudo-inverse cutoff are already known to the follower and
+    get zero signal. Then E = Sigma^(1/2) V Sigma^(-1/2), dec =
+    Sigma^(1/2) right and, with W the plant noise covariance, Sigma_{t+1}
+    = E Sigma_t E' + dec W dec'; enc = left Sigma^(-1/2) for all steps at
+    once after the loop. The decoder Sigma^(1/2) P_k' S^(1/2) C' (C S C'
+    + Wv)^-1 P is also the noise map of the error recursion: by the
+    push-through identity it equals Sigma^(1/2) V P_k' S^(1/2) C' Wv^-1 P.
     """
-    return sigma_step(power_factors(setup, np.asarray(lam)[None], [k]), 0, Sigma,
-                      setup.W)
+    n, d0 = power.V.shape[:2]
+    Sigma = np.empty((n + 1, d0, d0))
+    Sigma[0] = check_symmetric(Sigma0, name="Sigma0")
+    U, Sig12, Sig12inv, E, dec = np.empty((5, n, d0, d0))
+    H = np.empty((n, d0))
+    for t in range(n):
+        w, U[t] = eigh_desc(Sigma[t])
+        if w[-1] < -1e-10 * max(1.0, np.abs(w).max()):
+            raise SigmaNearSingular(f"Sigma at step {t} has a negative "
+                                    f"eigenvalue {w[-1]:.3e}")
+        H[t] = np.clip(w, 0.0, None)
+        Sig12[t], Sig12inv[t] = eig_roots(U[t], H[t])
+        E[t] = Sig12[t] @ power.V[t] @ Sig12inv[t]
+        dec[t] = Sig12[t] @ power.right[t]
+        Sigma[t + 1] = sym_part(E[t] @ Sigma[t] @ E[t].T + dec[t] @ W @ dec[t].T)
+    return SigmaPass(Sigma=Sigma, U=U, H=H, Sig12=Sig12, Sig12inv=Sig12inv,
+                     enc=power.left @ Sig12inv, dec=dec, E=E)
 
 
-def sigma_step_adjoint(step: ChannelStep, kernels: tuple[np.ndarray, np.ndarray],
+def sigma_step_adjoint(power: PowerFactors, sigma: SigmaPass, t: int,
+                       kernels: tuple[np.ndarray, np.ndarray],
                        enc_bar: np.ndarray, dec_bar: np.ndarray,
                        E_bar: np.ndarray) -> np.ndarray:
-    """Reverse pass of `sigma_step`: the gradient with respect to Sigma_t.
+    """Reverse pass of step t of `sigma_steps`: the gradient w.r.t. Sigma_t.
 
-    Given the gradients of a scalar with respect to enc, dec and E, maps
-    them through Sigma_t's root and truncated inverse root;
-    kernels = linalg.eig_roots_kernels(step.sigma_eig.H).
+    Given the gradients of a scalar with respect to enc, dec and E at step
+    t, maps them through Sigma_t's root and truncated inverse root;
+    kernels = linalg.eig_roots_kernels(sigma.H[t]).
     """
-    power, t = step.power, step.t
-    root_bar = dec_bar @ power.right[t].T + E_bar @ step.Sig12inv @ power.V[t]
-    inv_bar = power.left[t].T @ enc_bar + step.SV.T @ E_bar
-    return eig_roots_pullback(step.sigma_eig.U, kernels, root_bar, inv_bar)
+    root_bar = dec_bar @ power.right[t].T + E_bar @ sigma.Sig12inv[t] @ power.V[t]
+    inv_bar = power.left[t].T @ enc_bar + (sigma.Sig12[t] @ power.V[t]).T @ E_bar
+    return eig_roots_pullback(sigma.U[t], kernels, root_bar, inv_bar)
 
 
 def power_factors_adjoint(setup: ChannelSetup, power: PowerFactors,
@@ -367,22 +345,3 @@ def power_factors_adjoint(setup: ChannelSetup, power: PowerFactors,
     lam = power.lam
     return (0.5 * quad(S12_bar) / np.sqrt(lam) + quad(S_bar)
             - H / (1.0 + lam * H) ** 2 * quad(Vb))
-
-
-def channel_step_adjoint(setup: ChannelSetup, step: ChannelStep,
-                         enc_bar: np.ndarray, dec_bar: np.ndarray,
-                         E_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reverse pass of `channel_step`: the gradients w.r.t. Lambda_t and Sigma_t.
-
-    Given the gradients of a scalar with respect to enc, dec and E at one
-    step, returns its gradients with respect to the power entries Lambda_t
-    (length r) and Sigma_t (symmetric): the two halves' reverse passes,
-    `power_factors_adjoint` on the step's one-step stack and
-    `sigma_step_adjoint`.
-    """
-    Sigma_bar = sigma_step_adjoint(step, eig_roots_kernels(step.sigma_eig.H),
-                                   enc_bar, dec_bar, E_bar)
-    lam_bar = power_factors_adjoint(setup, step.power.at(step.t),
-                                    step.Sig12[None], step.Sig12inv[None],
-                                    enc_bar[None], dec_bar[None], E_bar[None])
-    return lam_bar[0], Sigma_bar

@@ -58,8 +58,10 @@ class PolicyConfig:
     budget: int = 5000
 
     def __post_init__(self):
-        object.__setattr__(self, "budget", _number("policies[].budget", self.budget,
-                                                   integer=True))
+        for fname in ("theta", "epsilon", "budget"):
+            object.__setattr__(self, fname, _number(f"policies[].{fname}",
+                                                    getattr(self, fname),
+                                                    integer=fname == "budget"))
         if self.name not in POLICY_NAMES:
             raise ValidationError(
                 f"policies[].name: '{self.name}' not one of {POLICY_NAMES}")
@@ -82,6 +84,11 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
+        if not isinstance(self.system, (str, dict)):
+            raise ValidationError(f"system: {self.system!r} is neither a preset "
+                                  "name nor an object")
+        if not isinstance(self.out_dir, str):
+            raise ValidationError(f"out_dir: {self.out_dir!r} is not a string")
         if self.runs < 1:
             raise ValidationError(f"runs: {self.runs} must be >= 1")
         if not self.policies:
@@ -152,8 +159,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     pol_raw = raw.get("policies", raw.get("policy"))
     if pol_raw is None:
         raise ValidationError("policies: field is required")
-    if isinstance(pol_raw, dict):
+    if isinstance(pol_raw, (dict, str)):
         pol_raw = [pol_raw]
+    if not isinstance(pol_raw, list):
+        raise ValidationError(f"policies: {pol_raw!r} is not a list, an object "
+                              "or a policy name")
     policies = []
     for i, p in enumerate(pol_raw):
         if isinstance(p, str):
@@ -172,7 +182,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         horizon=None if horizon is None else _number("horizon", horizon, integer=True),
         master_seed=_number("master_seed", raw.get("master_seed", 0), integer=True),
         target=target,
-        out_dir=str(raw.get("out_dir", "results")),
+        out_dir=raw.get("out_dir", "results"),
     )
 
 

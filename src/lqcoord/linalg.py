@@ -86,15 +86,14 @@ def _root_values(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(H), inv
 
 
-def eig_roots(pair: EigenPair) -> tuple[np.ndarray, np.ndarray]:
+def eig_roots(U: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Square root and truncated inverse square root of U diag(H) U'.
 
     Eigendirections with H <= PINV_SQRT_RTOL * max(H) get zero in the
     inverse root.
     """
-    root, inv = _root_values(pair.H)
-    return (sym_part((pair.U * root) @ pair.U.T),
-            sym_part((pair.U * inv) @ pair.U.T))
+    root, inv = _root_values(H)
+    return sym_part((U * root) @ U.T), sym_part((U * inv) @ U.T)
 
 
 def eig_roots_kernels(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,7 +134,8 @@ def eig_roots_pullback(U: np.ndarray, kernels: tuple[np.ndarray, np.ndarray],
 
 def psd_sqrt(M: np.ndarray) -> np.ndarray:
     """Symmetric square root S of a PSD matrix, S @ S = M."""
-    return eig_roots(sym_eig(M))[0]
+    pair = sym_eig(M)
+    return eig_roots(pair.U, pair.H)[0]
 
 
 def numerical_rank(M: np.ndarray, rtol: float = RANK_RTOL) -> int:

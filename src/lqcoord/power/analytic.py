@@ -34,8 +34,9 @@ stage costs of all steps in one contraction over the stacked P_t.
 
 `TailCostEvaluator.gradient` runs the reverse (adjoint) recursion of a
 signaling table's map in the same shape: a serial loop that carries the
-joint costate Pbar and the Sigma half's reverse pass, then the power
-half's reverse pass for all steps at once.
+joint costate Pbar and takes the Sigma half's reverse pass at each step
+from the table's stacked Sigma pass, then the power half's reverse pass
+for all steps at once.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..channel import (ChannelSetup, ChannelStep, PowerFactors, block_schedule,
+from ..channel import (ChannelSetup, PowerFactors, SigmaPass, block_schedule,
                        power_factors, power_factors_adjoint, sigma_step_adjoint,
                        sigma_steps)
 from ..errors import ValidationError
@@ -54,52 +55,10 @@ from ..model import SystemModel
 from .schedules import PowerSchedule, ScheduleMode
 
 
-@dataclass(frozen=True)
-class MdpState:
-    """Deterministic state of the power-design problem at step t.
-
-    Holds the joint covariance of (z_t, e_t, x_*); Z, Sigma and the cross
-    blocks are views into it.
-    """
-
-    joint: np.ndarray
-    t: int
-
-    @property
-    def d0(self) -> int:
-        return self.joint.shape[0] // 3
-
-    @property
-    def Z(self) -> np.ndarray:
-        d0 = self.d0
-        return self.joint[:d0, :d0]
-
-    @property
-    def Sigma(self) -> np.ndarray:
-        d0 = self.d0
-        return self.joint[d0:2 * d0, d0:2 * d0]
-
-    @property
-    def Omega(self) -> np.ndarray:
-        """Cov(z_t, e_t)."""
-        d0 = self.d0
-        return self.joint[:d0, d0:2 * d0]
-
-    @property
-    def Xi(self) -> np.ndarray:
-        """Cov(z_t, x_*)."""
-        d0 = self.d0
-        return self.joint[:d0, 2 * d0:]
-
-    @classmethod
-    def initial(cls, model: SystemModel) -> "MdpState":
-        S0, X0 = model.Sigma0, model.X0
-        joint = np.block([
-            [X0 + S0, -S0, -S0],
-            [-S0, S0, S0],
-            [-S0, S0, S0],
-        ])
-        return cls(joint=joint, t=0)
+def initial_joint(model: SystemModel) -> np.ndarray:
+    """The joint covariance P_0 of (z_0, e_0, x_*)."""
+    S0, X0 = model.Sigma0, model.X0
+    return np.block([[X0 + S0, -S0, -S0], [-S0, S0, S0], [-S0, S0, S0]])
 
 
 @dataclass(frozen=True)
@@ -108,7 +67,8 @@ class StepOps:
 
     Sigma holds the follower's error covariance Sigma_0..Sigma_n. Abar =
     A - B K and BD = B D^ are formed once. A signaling table keeps its
-    channel's power half and steps for the reverse pass.
+    channel's power half and Sigma pass (whose enc, dec, E and Sigma it
+    reads) for the reverse pass.
     """
 
     K: np.ndarray        # (n, d1 + d2, d0) x -> joint feedback
@@ -121,7 +81,7 @@ class StepOps:
     Abar: np.ndarray     # A - B K
     BD: np.ndarray       # B D^
     power: PowerFactors | None = None
-    channel: tuple[ChannelStep, ...] = ()
+    sigma: SigmaPass | None = None
 
 
 def signaling_ops(gains: GainSchedule, setup: ChannelSetup, model: SystemModel,
@@ -130,15 +90,12 @@ def signaling_ops(gains: GainSchedule, setup: ChannelSetup, model: SystemModel,
     the block sent at step t."""
     power.check_fits(model.n, setup.r)
     factors = power_factors(setup, power.Lambda, blocks)
-    channel = tuple(sigma_steps(factors, model.Sigma0, model.W))
+    sigma = sigma_steps(factors, model.Sigma0, model.W)
     K, D = np.array(gains.K), np.array(gains.D)
-    return StepOps(K=K, D_star=np.zeros_like(D), D_hat=D,
-                   enc=np.array([s.enc for s in channel]),
-                   dec=np.array([s.dec for s in channel]),
-                   E=np.array([s.E for s in channel]),
-                   Sigma=np.array([model.Sigma0] + [s.Sigma_next for s in channel]),
+    return StepOps(K=K, D_star=np.zeros_like(D), D_hat=D, enc=sigma.enc,
+                   dec=sigma.dec, E=sigma.E, Sigma=sigma.Sigma,
                    Abar=model.A - model.B @ K, BD=model.B @ D,
-                   power=factors, channel=channel)
+                   power=factors, sigma=sigma)
 
 
 def silent_ops(model: SystemModel, K: np.ndarray, D_star: np.ndarray,
@@ -171,10 +128,6 @@ class Trajectory:
     joint: np.ndarray
     costs: np.ndarray
 
-    def state(self, t: int) -> MdpState:
-        """The deterministic state at step t = 0..n."""
-        return MdpState(joint=self.joint[t], t=t)
-
 
 def trajectory(ops: StepOps, model: SystemModel) -> Trajectory:
     """The engine's forward pass over the operator table of any policy."""
@@ -198,7 +151,7 @@ def trajectory(ops: StepOps, model: SystemModel) -> Trajectory:
     weight = Mu.swapaxes(1, 2) @ model.G @ Mu
     weight[:, :d0, :d0] += model.F
     joint = np.empty((n + 1, 3 * d0, 3 * d0))
-    joint[0] = MdpState.initial(model).joint
+    joint[0] = initial_joint(model)
     for t in range(n):
         joint[t + 1] = sym_part(T[t] @ joint[t] @ T[t].T + noise[t])
     costs = np.append(np.einsum("tij,tji->t", weight, joint[:n]),
@@ -239,7 +192,7 @@ class TailCostEvaluator:
         traj = self.trajectory
         if traj is None:
             raise ValidationError("gradient: no schedule evaluated yet; call cost")
-        power, channel = traj.ops.power, traj.ops.channel
+        power, sigma = traj.ops.power, traj.ops.sigma
         lam = power.lam
         if np.any(lam <= 0.0):
             t, j = np.argwhere(lam <= 0.0)[0]
@@ -256,8 +209,7 @@ class TailCostEvaluator:
         enc_bar = 2.0 * (model.G @ traj.Mu)[:, :d1] @ P[:n, :, e]
         dec_bar, E_bar = np.empty((2, n, d0, d0))
         NW = traj.Nrho @ model.W
-        F_root, F_inv = eig_roots_kernels(np.array([s.sigma_eig.H
-                                                    for s in channel]))
+        F_root, F_inv = eig_roots_kernels(sigma.H)
         Pbar = np.zeros((3 * d0, 3 * d0))
         Pbar[:d0, :d0] = model.Fn
         for t in reversed(range(n)):
@@ -266,13 +218,12 @@ class TailCostEvaluator:
             enc_bar[t] += setup.B1.T @ T_bar[:d0]
             dec_bar[t] = -2.0 * Pbar[e] @ NW[t]
             E_bar[t] = T_bar[e]
-            Sigma_bar = sigma_step_adjoint(channel[t], (F_root[t], F_inv[t]),
+            Sigma_bar = sigma_step_adjoint(power, sigma, t, (F_root[t], F_inv[t]),
                                            enc_bar[t], dec_bar[t], E_bar[t])
             Pbar = sym_part(T[t].T @ PbarT + traj.weight[t])
             Pbar[e, e] += Sigma_bar
-        return power_factors_adjoint(
-            setup, power, np.array([s.Sig12 for s in channel]),
-            np.array([s.Sig12inv for s in channel]), enc_bar, dec_bar, E_bar)
+        return power_factors_adjoint(setup, power, sigma.Sig12, sigma.Sig12inv,
+                                     enc_bar, dec_bar, E_bar)
 
 
 def expected_total_cost(schedule: PowerSchedule, gains: GainSchedule,
@@ -283,12 +234,3 @@ def expected_total_cost(schedule: PowerSchedule, gains: GainSchedule,
                         block_schedule(setup, model.n, block_order))
     return float(trajectory(ops, model).costs.sum())
 
-
-def state_trajectory(schedule: PowerSchedule, gains: GainSchedule,
-                     setup: ChannelSetup, model: SystemModel,
-                     block_order: list[int] | None = None) -> list[MdpState]:
-    """All n+1 deterministic states along a schedule (diagnostics/oracles)."""
-    traj = trajectory(signaling_ops(gains, setup, model, schedule,
-                                    block_schedule(setup, model.n, block_order)),
-                      model)
-    return [traj.state(t) for t in range(model.n + 1)]

@@ -1,13 +1,16 @@
 """Step-by-step reference for the signaling scheme, from the paper's closed forms.
 
-An independent oracle for `lqcoord.channel.channel_step` and the rollout
-operator table. Every map is rebuilt from the live error covariance at each
+An independent oracle for the package's channel map (`lqcoord.channel`) and
+the rollout operator table. Every map is rebuilt from the live error covariance at each
 step with this file's own square roots, so nothing here goes through the
 package's eigendecomposition helpers or its cached setup constants; only the
 setup's projection Q and channel eigenbasis are shared inputs, and the
 under-actuated formulas take the SVD of B1 and the rotated noise Wbar1 from
 their own factorization. The package runs both regimes through one channel
 (fully actuated is r = d0); this file keeps the two closed forms apart.
+`one_step` and `one_step_adjoint` at the end are the exception: they run
+the package's own stacked maps on a one-step schedule, for tests that probe
+the channel map one step at a time.
 
 Fully actuated (Q1 = B1 Q, channel eigenbasis U, gains H):
     s_t     = Q S^(1/2) Sigma^(-1/2) e_t,          S = U diag(lam) U'
@@ -26,8 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from lqcoord.channel import (power_factors, power_factors_adjoint,
+                             sigma_step_adjoint, sigma_steps)
 from lqcoord.errors import RankDeficient
-from lqcoord.linalg import svd_factor
+from lqcoord.linalg import eig_roots_kernels, svd_factor
 
 
 def sqrt_psd(M: np.ndarray) -> np.ndarray:
@@ -266,3 +271,24 @@ def observe_and_update(state: CoordinationState, x_t, x_next) -> None:
         Sigma_next = cov_update_ua(msg.Sigma, lam, k, setup)
     msg.apply_estimate(e_hat, Sigma_next)
     state.t = t + 1
+
+
+# --- the package's channel map at one step ---------------------------------------
+
+def one_step(setup, Sigma, lam, k=0):
+    """The package's Sigma pass of the one-step schedule (lam, block k) from
+    Sigma: the step's maps are enc[0], dec[0] and E[0], Sigma_{t+1} is Sigma[1]."""
+    power = power_factors(setup, np.asarray(lam, dtype=float)[None], [k])
+    return sigma_steps(power, Sigma, setup.W)
+
+
+def one_step_adjoint(setup, Sigma, lam, k, enc_bar, dec_bar, E_bar):
+    """Reverse pass of `one_step`: the gradients of a scalar with respect to
+    lam and Sigma, given those with respect to enc, dec and E."""
+    power = power_factors(setup, np.asarray(lam, dtype=float)[None], [k])
+    sigma = sigma_steps(power, Sigma, setup.W)
+    Sigma_bar = sigma_step_adjoint(power, sigma, 0, eig_roots_kernels(sigma.H[0]),
+                                   enc_bar, dec_bar, E_bar)
+    lam_bar = power_factors_adjoint(setup, power, sigma.Sig12, sigma.Sig12inv,
+                                    enc_bar[None], dec_bar[None], E_bar[None])
+    return lam_bar[0], Sigma_bar

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lqcoord.channel import ChannelSetup, channel_step, contraction
+from channel_oracle import one_step
+from lqcoord.channel import ChannelSetup, contraction
 from lqcoord.errors import LqcoordError
 from lqcoord.gains import GainSchedule
 from lqcoord.linalg import check_symmetric, eigh_desc, psd_sqrt, sym_part
@@ -105,7 +106,7 @@ def surrogate_cost(schedule, model: SystemModel, setup: ChannelSetup,
         lam = schedule.Lambda[t]
         total += stage_cost_fa(Z, Sigma, lam, gains, setup, model, t, L)
         Z = surrogate_z_step(Z, Sigma, lam, gains, setup, model, t, L)
-        Sigma = channel_step(setup, Sigma, lam).Sigma_next
+        Sigma = one_step(setup, Sigma, lam).Sigma[1]
     return total + terminal_cost(Z, model)
 
 
@@ -118,7 +119,7 @@ def hamiltonian_fa(Z: np.ndarray, Sigma: np.ndarray, lam: np.ndarray,
     f^Sigma is the channel's error-covariance contraction.
     """
     fZ = surrogate_z_step(Z, Sigma, lam, gains, setup, model, t, L)
-    fS = channel_step(setup, Sigma, lam).Sigma_next
+    fS = one_step(setup, Sigma, lam).Sigma[1]
     return (stage_cost_fa(Z, Sigma, lam, gains, setup, model, t, L)
             + float(np.trace(fZ @ thetaZ_next.T))
             + float(np.trace(fS @ thetaSigma_next.T)))

@@ -11,13 +11,13 @@ import warnings
 import numpy as np
 import pytest
 
-from channel_oracle import inv_sqrt_psd, selector
+from channel_oracle import inv_sqrt_psd, one_step, selector
 from conftest import random_pd, random_system
 from pmp_oracle import (grad_lambda_fa, hamiltonian_fa, surrogate_cost,
                         theta_sigma_step)
 
 import lqcoord as lq
-from lqcoord.channel import channel_step, fa_setup, ua_setup
+from lqcoord.channel import fa_setup, ua_setup
 from lqcoord.errors import BudgetExhaustedWarning
 from lqcoord.gains import backward_riccati
 from lqcoord.linalg import min_eig, psd_sqrt
@@ -89,12 +89,12 @@ def test_c01_error_covariance_oracle_fully_actuated(fa):
                                     + model.W))
             e_next = e - y @ gain.T
             emp = e_next.T @ e_next / N
-            ana = channel_step(setup, Sigma, lam).Sigma_next
+            ana = one_step(setup, Sigma, lam).Sigma[1]
             ok, ratio = _cov_within_3se(emp, ana, N)
             worst = max(worst, ratio)
             if not ok:
                 break
-        Sigma = channel_step(setup, Sigma, lam).Sigma_next
+        Sigma = one_step(setup, Sigma, lam).Sigma[1]
     report("C1 error-covariance oracle (fully actuated)", worst <= 3.0,
            f"50k-sample covariance within 3 SE at t in {{0,3,8}} "
            f"(worst {worst:.2f} SE)", time.perf_counter() - t0, 60)
@@ -120,7 +120,7 @@ def test_c02_error_covariance_oracle_under_actuated(ua):
                 @ np.linalg.inv(Psi1 @ setup.S_of(lam) @ Psi1 + setup.Wv))
         e_next = e - y @ gain.T
         emp = e_next.T @ e_next / N
-        ana = channel_step(setup, Sigma, lam, k).Sigma_next
+        ana = one_step(setup, Sigma, lam, k).Sigma[1]
         ok, ratio = _cov_within_3se(emp, ana, N)
         worst = max(worst, ratio)
         Sigma = ana
@@ -146,7 +146,7 @@ def test_c03_monotone_contraction_suite_fully_actuated():
         psi = setup.psi
         for t in range(20):
             lam = rng.uniform(sigma_floor, 1.5, d0)
-            nxt = channel_step(setup, Sigma, lam).Sigma_next
+            nxt = one_step(setup, Sigma, lam).Sigma[1]
             if min_eig(Sigma - nxt) < -1e-10:
                 violations += 1
             if np.trace(nxt) > np.trace(Sigma0) / (1 + sigma_floor * psi) ** (t + 1) + 1e-12:
@@ -174,7 +174,7 @@ def test_c04_period_contraction_suite_under_actuated():
             start = np.trace(Sigma)
             for k in range(setup.tau):
                 lam = rng.uniform(sigma_floor, 1.5, r)
-                Sigma = channel_step(setup, Sigma, lam, k).Sigma_next
+                Sigma = one_step(setup, Sigma, lam, k).Sigma[1]
             if np.trace(Sigma) > ratio * start + 1e-12:
                 violations += 1
     report("C4 period contraction suite (under-actuated)", violations == 0,
@@ -258,7 +258,7 @@ def test_c06_scalar_power_solver(fa, fa_opt_schedule):
     for t in range(model.n):
         worst_sigma = max(worst_sigma,
                           np.abs(Sigma - sched.b[t] * model.Sigma0).max())
-        Sigma = channel_step(setup, Sigma, sched.Lambda[t]).Sigma_next
+        Sigma = one_step(setup, Sigma, sched.Lambda[t]).Sigma[1]
     worst_sigma = max(worst_sigma,
                       np.abs(Sigma - sched.b[model.n] * model.Sigma0).max())
     heu = heuristic_schedule(0.88, model.n, 4)

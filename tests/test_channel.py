@@ -1,15 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import channel_oracle as oracle
 from conftest import random_pd
 
-from lqcoord.channel import (channel_step, channel_step_adjoint,
-                             choose_projection, fa_setup, power_factors,
+from lqcoord.channel import (choose_projection, fa_setup, power_factors,
                              sigma_steps, ua_setup)
-from lqcoord.errors import (NonIntegerPeriod, RankDeficient, SigmaNearSingular,
-                            ValidationError)
-from lqcoord.linalg import min_eig, psd_sqrt
+from lqcoord.errors import (NonIntegerPeriod, NotSymmetric, RankDeficient,
+                            SigmaNearSingular, ValidationError)
+from lqcoord.linalg import SYM_TOL, min_eig, psd_sqrt
 from lqcoord.policies import PolicyKind, make_policy
 from lqcoord.power import heuristic_schedule
 from lqcoord.power.schedules import PowerSchedule, ScheduleMode
@@ -62,7 +63,7 @@ def test_fa_block_order_must_be_the_single_block(fa_model):
 # --- fully actuated signal path -------------------------------------------------
 
 def test_encode_zero_error(fa_channel):
-    enc = channel_step(fa_channel, np.eye(4), np.ones(4)).enc
+    enc = oracle.one_step(fa_channel, np.eye(4), np.ones(4)).enc[0]
     np.testing.assert_allclose(enc @ np.zeros(4), 0.0)
 
 
@@ -72,7 +73,7 @@ def test_encode_matched_covariance():
     lam = np.array([0.7, 1.3, 2.0])
     S = setup.S_of(lam)
     e = np.array([0.4, -1.0, 0.2])
-    np.testing.assert_allclose(channel_step(setup, S, lam).enc @ e, e,
+    np.testing.assert_allclose(oracle.one_step(setup, S, lam).enc[0] @ e, e,
                                atol=1e-10)
 
 
@@ -81,7 +82,7 @@ def test_encode_covariance_monte_carlo(fa_channel, fa_model):
     N = 50_000
     Sigma = random_pd(rng, 4)
     lam = np.array([0.9, 0.5, 1.4, 0.2])
-    enc = channel_step(fa_channel, Sigma, lam).enc
+    enc = oracle.one_step(fa_channel, Sigma, lam).enc[0]
     e = rng.multivariate_normal(np.zeros(4), Sigma, size=N)
     s = e @ enc.T
     S_target = fa_channel.Q @ fa_channel.S_of(lam) @ fa_channel.Q.T
@@ -91,14 +92,14 @@ def test_encode_covariance_monte_carlo(fa_channel, fa_model):
 
 
 def test_decode_zero_output(fa_channel):
-    dec = channel_step(fa_channel, np.eye(4), np.ones(4)).dec
+    dec = oracle.one_step(fa_channel, np.eye(4), np.ones(4)).dec[0]
     np.testing.assert_allclose(dec @ np.zeros(4), 0.0)
 
 
 def test_decode_hand_case():
     setup = fa_setup(np.eye(2), np.eye(2))
     # all-identity pieces collapse the gain to (I + I)^-1 = 0.5 I
-    e_hat = channel_step(setup, np.eye(2), np.ones(2)).dec @ np.array([2.0, 0.0])
+    e_hat = oracle.one_step(setup, np.eye(2), np.ones(2)).dec[0] @ np.array([2.0, 0.0])
     np.testing.assert_allclose(e_hat, [1.0, 0.0], atol=1e-12)
 
 
@@ -107,8 +108,8 @@ def test_decode_is_mmse(fa_channel, fa_model):
     N = 50_000
     Sigma = random_pd(rng, 4)
     lam = np.array([1.0, 0.4, 0.8, 1.5])
-    step = channel_step(fa_channel, Sigma, lam)
-    enc = step.enc
+    step = oracle.one_step(fa_channel, Sigma, lam)
+    enc = step.enc[0]
     e = rng.multivariate_normal(np.zeros(4), Sigma, size=N)
     w = rng.multivariate_normal(np.zeros(4), fa_model.W, size=N)
     y = e @ enc.T @ fa_channel.B1.T + w
@@ -116,7 +117,7 @@ def test_decode_is_mmse(fa_channel, fa_model):
     hand = (psd_sqrt(Sigma) @ S12 @ fa_channel.Q1.T
             @ np.linalg.inv(fa_channel.Q1 @ fa_channel.S_of(lam)
                             @ fa_channel.Q1.T + fa_model.W))
-    gain = step.dec
+    gain = step.dec[0]
     np.testing.assert_allclose(gain, hand, atol=1e-12)
     # population second moments for the exact optimality statement
     C_ye = fa_channel.B1 @ enc @ Sigma
@@ -140,13 +141,13 @@ def test_decode_is_mmse(fa_channel, fa_model):
 def test_cov_update_no_power_is_identity(fa_channel):
     Sigma = random_pd(np.random.default_rng(1), 4)
     np.testing.assert_allclose(
-        channel_step(fa_channel, Sigma, np.zeros(4)).Sigma_next, Sigma,
+        oracle.one_step(fa_channel, Sigma, np.zeros(4)).Sigma[1], Sigma,
         atol=1e-12)
 
 
 def test_cov_update_identity_case():
     setup = fa_setup(np.eye(2), np.eye(2))
-    out = channel_step(setup, np.eye(2), np.ones(2)).Sigma_next
+    out = oracle.one_step(setup, np.eye(2), np.ones(2)).Sigma[1]
     np.testing.assert_allclose(out, 0.5 * np.eye(2), atol=1e-12)
 
 
@@ -155,15 +156,15 @@ def test_cov_update_monte_carlo(fa_channel, fa_model):
     N = 50_000
     Sigma = random_pd(rng, 4)
     lam = np.array([0.6, 1.1, 0.3, 0.9])
-    step = channel_step(fa_channel, Sigma, lam)
-    enc = step.enc
+    step = oracle.one_step(fa_channel, Sigma, lam)
+    enc = step.enc[0]
     e = rng.multivariate_normal(np.zeros(4), Sigma, size=N)
     w = rng.multivariate_normal(np.zeros(4), fa_model.W, size=N)
     y = e @ enc.T @ fa_channel.B1.T + w
-    gain = step.dec
+    gain = step.dec[0]
     e_next = e - y @ gain.T
     emp = e_next.T @ e_next / N
-    ana = step.Sigma_next
+    ana = step.Sigma[1]
     se = np.sqrt((np.outer(np.diag(ana), np.diag(ana)) + ana ** 2) / N)
     assert np.all(np.abs(emp - ana) <= 3.5 * se)
     # orthogonality of the estimate and the residual error
@@ -174,8 +175,8 @@ def test_cov_update_monte_carlo(fa_channel, fa_model):
 
 
 def test_cov_update_rejects_indefinite(fa_channel):
-    with pytest.raises(SigmaNearSingular):
-        channel_step(fa_channel, np.diag([1.0, 1.0, 1.0, -0.5]), np.ones(4))
+    with pytest.raises(SigmaNearSingular, match="step 0 "):
+        oracle.one_step(fa_channel, np.diag([1.0, 1.0, 1.0, -0.5]), np.ones(4))
 
 
 def test_monotone_information_psd(fa_channel):
@@ -183,7 +184,7 @@ def test_monotone_information_psd(fa_channel):
     Sigma = random_pd(rng, 4)
     for _ in range(20):
         lam = rng.uniform(0.0, 2.0, 4)
-        nxt = channel_step(fa_channel, Sigma, lam).Sigma_next
+        nxt = oracle.one_step(fa_channel, Sigma, lam).Sigma[1]
         assert min_eig(Sigma - nxt) >= -1e-10
         Sigma = nxt
 
@@ -259,12 +260,12 @@ def test_ua_setup_rejects_non_integer_period():
 
 def test_encode_ua_hand_case():
     setup = scalar_ua_setup()
-    s = channel_step(setup, np.eye(2), np.ones(1), 0).enc @ np.array([3.0, 5.0])
+    s = oracle.one_step(setup, np.eye(2), np.ones(1), 0).enc[0] @ np.array([3.0, 5.0])
     np.testing.assert_allclose(np.abs(s), [3.0], atol=1e-12)
 
 
 def test_encode_ua_zero_error(ua_channel):
-    enc = channel_step(ua_channel, np.eye(4), np.ones(2), 1).enc
+    enc = oracle.one_step(ua_channel, np.eye(4), np.ones(2), 1).enc[0]
     np.testing.assert_allclose(enc @ np.zeros(4), 0.0)
 
 
@@ -275,7 +276,7 @@ def test_encode_ua_covariance_monte_carlo(ua_channel):
     lam = np.array([0.8, 1.7])
     k = 1
     # virtual signal: the first r coordinates of Gamma1' s, i.e. Q' s
-    enc = ua_channel.Q.T @ channel_step(ua_channel, Sigma, lam, k).enc
+    enc = ua_channel.Q.T @ oracle.one_step(ua_channel, Sigma, lam, k).enc[0]
     e = rng.multivariate_normal(np.zeros(4), Sigma, size=N)
     s_virt = e @ enc.T
     emp = s_virt.T @ s_virt / N
@@ -286,7 +287,7 @@ def test_encode_ua_covariance_monte_carlo(ua_channel):
 
 def test_decode_ua_hand_case():
     setup = scalar_ua_setup()
-    dec = channel_step(setup, np.eye(2), np.ones(1), 0).dec
+    dec = oracle.one_step(setup, np.eye(2), np.ones(1), 0).dec[0]
     lift = setup.P.T  # virtual output 2 as a plant-space y
     e_hat = dec @ (lift @ np.array([2.0]))
     np.testing.assert_allclose(e_hat, [1.0, 0.0], atol=1e-12)
@@ -305,7 +306,7 @@ def test_decode_ua_matches_conditional_gaussian(ua_channel, ua_model):
     cov_ey = Sigma @ Henc.T
     cov_yy = Henc @ Sigma @ Henc.T + ua_channel.Wv
     gain_bf = cov_ey @ np.linalg.inv(cov_yy)
-    dec = channel_step(ua_channel, Sigma, lam, k).dec
+    dec = oracle.one_step(ua_channel, Sigma, lam, k).dec[0]
     lift = ua_channel.P.T  # virtual output -> plant-space y
     for _ in range(5):
         y = rng.normal(size=2)
@@ -315,15 +316,15 @@ def test_decode_ua_matches_conditional_gaussian(ua_channel, ua_model):
 def test_cov_update_ua_no_power(ua_channel):
     Sigma = random_pd(np.random.default_rng(3), 4)
     np.testing.assert_allclose(
-        channel_step(ua_channel, Sigma, np.zeros(2), 0).Sigma_next, Sigma,
+        oracle.one_step(ua_channel, Sigma, np.zeros(2), 0).Sigma[1], Sigma,
         atol=1e-12)
 
 
 def test_cov_update_ua_scalar_blocks():
     setup = scalar_ua_setup()
-    S1 = channel_step(setup, np.eye(2), np.ones(1), 0).Sigma_next
+    S1 = oracle.one_step(setup, np.eye(2), np.ones(1), 0).Sigma[1]
     np.testing.assert_allclose(S1, np.diag([0.5, 1.0]), atol=1e-12)
-    S2 = channel_step(setup, S1, np.ones(1), 1).Sigma_next
+    S2 = oracle.one_step(setup, S1, np.ones(1), 1).Sigma[1]
     np.testing.assert_allclose(S2, np.diag([0.5, 0.5]), atol=1e-12)
 
 
@@ -344,7 +345,7 @@ def test_cov_update_ua_monte_carlo(ua_channel, ua_model):
                                 + ua_channel.Wv))
         e_next = e - y @ gain.T
         emp = e_next.T @ e_next / N
-        ana = channel_step(ua_channel, Sigma, lam, k).Sigma_next
+        ana = oracle.one_step(ua_channel, Sigma, lam, k).Sigma[1]
         se = np.sqrt((np.outer(np.diag(ana), np.diag(ana)) + ana ** 2) / N)
         assert np.all(np.abs(emp - ana) <= 3.5 * se)
 
@@ -386,7 +387,7 @@ def test_period_contraction(ua_channel, ua_model):
         start = np.trace(Sigma)
         for k in range(ua_channel.tau):
             lam = rng.uniform(sigma_floor, 1.0, 2)
-            Sigma = channel_step(ua_channel, Sigma, lam, k).Sigma_next
+            Sigma = oracle.one_step(ua_channel, Sigma, lam, k).Sigma[1]
         assert np.trace(Sigma) <= ratio * start + 1e-12
 
 
@@ -399,8 +400,8 @@ def test_noise_gains_shapes(fa_channel, ua_channel):
     ua_gain = oracle.noise_gain_ua(Sigma, np.ones(2), 0, ua_channel)
     assert fa_gain.shape == (4, 4)
     assert ua_gain.shape == (4, 2)
-    N_fa = channel_step(fa_channel, Sigma, np.ones(4)).dec
-    N_ua = channel_step(ua_channel, Sigma, np.ones(2), 0).dec
+    N_fa = oracle.one_step(fa_channel, Sigma, np.ones(4)).dec[0]
+    N_ua = oracle.one_step(ua_channel, Sigma, np.ones(2), 0).dec[0]
     assert N_fa.shape == N_ua.shape == (4, 4)
     np.testing.assert_allclose(N_fa, fa_gain, atol=1e-12)
     np.testing.assert_allclose(N_ua, ua_gain @ oracle.virtual_out(ua_channel),
@@ -410,21 +411,41 @@ def test_noise_gains_shapes(fa_channel, ua_channel):
 # --- the two halves of the channel map -------------------------------------------
 
 def test_stacked_power_half_gives_the_one_step_maps(ua_channel, ua_model):
-    # a schedule's power half built at once, then the Sigma half along it,
-    # is the one-step channel_step at every step
+    # a schedule's power half built at once, then the Sigma pass along it,
+    # gives the maps of one-step schedules started at each Sigma_t
     rng = np.random.default_rng(11)
     Lambda = rng.uniform(0.1, 2.0, (5, 2))
     blocks = [1, 0, 0, 1, 1]
-    power = power_factors(ua_channel, Lambda, blocks)
-    Sigma = ua_model.Sigma0
-    steps = sigma_steps(power, Sigma, ua_channel.W)
-    assert len(steps) == len(blocks)
-    for t, (k, stacked) in enumerate(zip(blocks, steps)):
-        single = channel_step(ua_channel, Sigma, Lambda[t], k)
-        for name in ("enc", "dec", "E", "Sigma_next"):
-            np.testing.assert_allclose(getattr(stacked, name), getattr(single, name),
+    stacked = sigma_steps(power_factors(ua_channel, Lambda, blocks),
+                          ua_model.Sigma0, ua_channel.W)
+    assert stacked.Sigma.shape == (len(blocks) + 1, 4, 4)
+    for t, k in enumerate(blocks):
+        single = oracle.one_step(ua_channel, stacked.Sigma[t], Lambda[t], k)
+        for name in ("enc", "dec", "E", "Sig12", "Sig12inv"):
+            np.testing.assert_allclose(getattr(stacked, name)[t],
+                                       getattr(single, name)[0],
                                        rtol=1e-14, atol=1e-15, err_msg=name)
-        Sigma = stacked.Sigma_next
+        np.testing.assert_allclose(stacked.Sigma[t + 1], single.Sigma[1],
+                                   rtol=1e-14, atol=1e-15)
+
+
+def test_sigma0_is_symmetrised_once(ua_channel):
+    # Sigma_0 is checked and symmetrised before the loop; an antisymmetric
+    # part of 1e-14 relative leaves every stack unchanged, bit for bit (the
+    # dyadic entries make sym_part of the perturbed matrix exactly Sigma0)
+    Sigma0 = np.array([[5.0, 1.0, 0.0, 0.5], [1.0, 4.0, 1.0, 0.0],
+                       [0.0, 1.0, 3.0, -1.0], [0.5, 0.0, -1.0, 6.0]])
+    skew = np.triu(np.ones((4, 4)), 1)
+    skew -= skew.T
+    power = power_factors(ua_channel, np.full((6, 2), 0.7), [0, 1] * 3)
+    perturbed = Sigma0 + 2.0 ** -44 * skew    # 2**-44 / 6 ~ 1e-14 relative
+    assert not np.array_equal(perturbed, perturbed.T)
+    assert np.array_equal(0.5 * (perturbed + perturbed.T), Sigma0)
+    ref, out = (sigma_steps(power, S, ua_channel.W) for S in (Sigma0, perturbed))
+    for f in dataclasses.fields(ref):
+        assert np.array_equal(getattr(out, f.name), getattr(ref, f.name)), f.name
+    with pytest.raises(NotSymmetric, match="Sigma0"):
+        sigma_steps(power, Sigma0 + 10 * SYM_TOL * 6.0 * skew, ua_channel.W)
 
 
 @pytest.mark.parametrize("which, k", [("fa", 0), ("ua", 0), ("ua", 1)])
@@ -440,12 +461,12 @@ def test_channel_step_adjoint_matches_central_differences(fa_channel, ua_channel
     dec_bar, E_bar = rng.standard_normal((2, 4, 4))
 
     def f(S, lam):
-        step = channel_step(setup, S, lam, k)
-        return (np.sum(enc_bar * step.enc) + np.sum(dec_bar * step.dec)
-                + np.sum(E_bar * step.E))
+        step = oracle.one_step(setup, S, lam, k)
+        return (np.sum(enc_bar * step.enc[0]) + np.sum(dec_bar * step.dec[0])
+                + np.sum(E_bar * step.E[0]))
 
-    lam_bar, Sigma_bar = channel_step_adjoint(setup, channel_step(setup, Sigma, lam, k),
-                                              enc_bar, dec_bar, E_bar)
+    lam_bar, Sigma_bar = oracle.one_step_adjoint(setup, Sigma, lam, k, enc_bar,
+                                                 dec_bar, E_bar)
     h = 1e-6
     for j in range(setup.r):
         up, down = lam.copy(), lam.copy()

@@ -279,6 +279,16 @@ MALFORMED = {    # config changes, or CLI arguments; the field the error names
     "target-flag": (["--preset", lq.FULLY_ACTUATED, "--target", "1,2,x,4"],
                     "--target"),
     "config-directory": (["--config", "."], r"\."),     # the path
+    "policies-number": ({"policies": 5}, "policies"),
+    "system-number": ({"system": 5}, "system"),
+    "theta-text": ({"policies": [{"name": "im-comm-heu", "theta": "x"}]},
+                   r"policies\[\]\.theta"),
+    "epsilon-text": ({"policies": [{"name": "im-comm-opt", "epsilon": "x"}]},
+                     r"policies\[\]\.epsilon"),
+    "epsilon-infinite": ({"policies": [{"name": "im-comm-opt",
+                                        "epsilon": float("inf")}]},
+                         r"policies\[\]\.epsilon"),   # JSON Infinity
+    "out-dir-null": ({"out_dir": None}, "out_dir"),
 }
 
 
@@ -286,7 +296,9 @@ MALFORMED = {    # config changes, or CLI arguments; the field the error names
 def test_cli_names_the_malformed_field(capsys, tmp_path, monkeypatch, case, field):
     # these used to escape as a raw ValueError, TypeError or
     # IsADirectoryError, to be truncated (runs 2.7 ran 2) or accepted
-    # (budget 2.5), or to fail later as a NonFiniteRollout (a NaN target)
+    # (budget 2.5, epsilon Infinity), to fail later as a NonFiniteRollout
+    # (a NaN target) or without naming the field (theta "x"), or to write
+    # to a directory named None (out_dir null)
     monkeypatch.chdir(tmp_path)
     if isinstance(case, dict):
         raw = {"system": lq.FULLY_ACTUATED, "policies": ["ex-comm"], "runs": 2,
@@ -296,7 +308,7 @@ def test_cli_names_the_malformed_field(capsys, tmp_path, monkeypatch, case, fiel
     assert run_cli(["simulate", *case]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and re.search(f"{field}: ", err), err
-    assert not (tmp_path / "results").exists()
+    assert not (tmp_path / "results").exists() and not (tmp_path / "None").exists()
 
 
 def test_cli_optimize_power_underflowing_theta(capsys, tmp_path):

@@ -25,22 +25,25 @@ step-by-step form of the same forward and reverse passes, and the two must
 agree in cost, joint covariances and gradient.
 """
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import channel_oracle as oracle
 import joint_oracle
 from conftest import random_pd
+from lqcoord.channel import fa_setup
 from lqcoord.errors import LqcoordError
 from lqcoord.model import SystemModel
 from lqcoord.policies import PolicyKind, make_policy
-from lqcoord.power.analytic import (MdpState, TailCostEvaluator,
-                                   expected_total_cost, state_trajectory,
-                                   trajectory)
+from lqcoord.power.analytic import (TailCostEvaluator, expected_total_cost,
+                                   initial_joint, trajectory)
 from lqcoord.power.schedules import PowerSchedule, ScheduleMode
 from lqcoord.simulate import monte_carlo
 
-CUTOFF_COND = 1e12   # 1 / the pseudo-inverse cutoff of channel_step
+CUTOFF_COND = 1e12   # 1 / the pseudo-inverse cutoff of the Sigma loop
 # the joint block is compared while every Sigma_t stays this far from the
 # cutoff, so roundoff cannot truncate a direction on one side only
 EXACT_COND = CUTOFF_COND / 10
@@ -76,6 +79,17 @@ def _random_policy(d0, r, n, seed):
     return make_policy(kind, model, power=schedule)
 
 
+def _sigma_blocks(joint):
+    """The Sigma_t blocks of stacked joint covariances of (z_t, e_t, x_*)."""
+    d0 = joint.shape[-1] // 3
+    return joint[..., d0:2 * d0, d0:2 * d0]
+
+
+def _max_live_cond(traj):
+    """Largest live condition number of the engine's Sigma_1..Sigma_n."""
+    return max(oracle.live_cond(S) for S in _sigma_blocks(traj.joint[1:]))
+
+
 def _assert_rel(actual, desired, rtol, what):
     scale = np.abs(desired).max()
     err = np.abs(actual - desired).max()
@@ -102,13 +116,13 @@ def test_table_matches_oracle_and_exact_engine(case):
     kind = pol.kind
     assert setup.r == r and setup.tau == d0 // r
     ops, final_trace = pol.step_ops, pol.sigma_traces[-1]
-    joint = state_trajectory(schedule, pol.gains, setup, model)
+    joint = _sigma_blocks(trajectory(ops, model).joint)
 
     _assert_rel(ops.Sigma[0], model.Sigma0, RTOL, "Sigma_0")
     cond = 1.0              # largest live condition number of Sigma_0..Sigma_t
     for t in range(n):
         lam, Sigma = schedule.Lambda[t], ops.Sigma[t]
-        _assert_rel(joint[t].Sigma, Sigma, oracle.roundoff_tol(cond, RTOL),
+        _assert_rel(joint[t], Sigma, oracle.roundoff_tol(cond, RTOL),
                     f"joint Sigma_{t}")
         cond = max(cond, oracle.live_cond(Sigma))
         tol = oracle.roundoff_tol(cond, RTOL)
@@ -145,7 +159,7 @@ def test_table_matches_oracle_and_exact_engine(case):
     assert abs(final_trace - np.trace(propagated)) <= tol * np.trace(propagated)
     if cond < EXACT_COND:
         assert abs(final_trace - np.trace(closed)) <= tol * np.trace(closed)
-    _assert_rel(joint[n].Sigma, propagated, tol, "joint Sigma_n")
+    _assert_rel(joint[n], propagated, tol, "joint Sigma_n")
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -186,8 +200,7 @@ def test_adjoint_gradient_matches_central_differences(case):
     evaluator = TailCostEvaluator(pol.gains, pol.setup, pol.model)
     lam = np.array(pol.power.Lambda)
     evaluator.cost(lam)
-    assume(max(oracle.live_cond(evaluator.trajectory.state(t).Sigma)
-               for t in range(1, pol.model.n + 1)) < GRAD_COND)
+    assume(_max_live_cond(evaluator.trajectory) < GRAD_COND)
     grad = evaluator.gradient()
     assert grad.shape == lam.shape
     fd = np.empty_like(grad)
@@ -217,27 +230,67 @@ def test_stacked_engine_matches_step_by_step_oracle(case):
     # the engine's stacked stages and one-call power gradient against the
     # per-step forward and reverse passes of `joint_oracle`
     *dims, order = case
-    pol = _random_policy(*dims)
+    _check_engine_against_oracle(_random_policy(*dims), order, assume)
+
+
+def _check_engine_against_oracle(pol, order, admit):
     model, setup = pol.model, pol.setup
     lam = np.array(pol.power.Lambda)
     evaluator = TailCostEvaluator(pol.gains, setup, model, order)
     cost = evaluator.cost(lam)
-    assume(max(oracle.live_cond(evaluator.trajectory.state(t).Sigma)
-               for t in range(1, model.n + 1)) < GRAD_COND)
+    admit(_max_live_cond(evaluator.trajectory) < GRAD_COND)
     steps = joint_oracle.forward(lam, pol.gains, setup, model, order)
     expected = joint_oracle.total_cost(steps, model)
     assert abs(cost - expected) <= 1e-10 * abs(expected), (cost, expected)
     for t in range(model.n + 1):
-        ref = steps[t - 1].state.joint if t else MdpState.initial(model).joint
-        _assert_rel(evaluator.trajectory.state(t).joint, ref, 1e-10, f"P_{t}")
+        ref = steps[t - 1].joint if t else initial_joint(model)
+        _assert_rel(evaluator.trajectory.joint[t], ref, 1e-10, f"P_{t}")
     _assert_rel(evaluator.gradient(), joint_oracle.gradient(steps, lam, setup, model),
                 1e-8, "gradient")
+
+
+def _isotropic_policy(model, seed):
+    """The coordination policy of `model` with Lambda_t = a_t H^-1.
+
+    The paper's scalar-design shape: every channel direction contracts by
+    1/(1 + a_t), so a fully actuated Sigma_t = Sigma0 / prod(1 + a_s) keeps
+    the condition number of Sigma0 at any horizon and any conditioning of W.
+    """
+    H = fa_setup(model.B1, model.W).eig.H
+    a = np.random.default_rng(seed).uniform(0.01, 0.05, model.n)
+    schedule = PowerSchedule(mode=ScheduleMode.FULL_MATRIX, Lambda=a[:, None] / H)
+    return make_policy(PolicyKind.IM_COMM_FA, model, power=schedule)
+
+
+def _long_horizon():
+    return _system(np.random.default_rng(300), 3, 3, 300)
+
+
+def _ill_conditioned_noise():
+    """A random plant whose W = U diag(2e-1 .. 1e-9) U' has condition 2e8."""
+    rng = np.random.default_rng(8)
+    model = _system(rng, 4, 4, 30)
+    U, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    W = (U * np.geomspace(2e-1, 1e-9, 4)) @ U.T
+    return dataclasses.replace(model, W=0.5 * (W + W.T))
+
+
+@pytest.mark.parametrize("build", [_long_horizon, _ill_conditioned_noise],
+                         ids=["n300", "cond-W-1e8"])
+def test_stacked_engine_matches_oracle_on_edge_systems(build):
+    model = build()
+    assert model.n >= 300 or np.linalg.cond(model.W) >= 1e8
+
+    def admit(ok):
+        assert ok, "Sigma_t conditioning outside GRAD_COND"
+
+    _check_engine_against_oracle(_isotropic_policy(model, model.n), None, admit)
 
 
 def _sampled_after_truncation():
     """Policy whose Sigma_4 has a truncated direction, and the sampled Tr Cov(e_5).
 
-    Sigma_4 has condition number 5e13, so channel_step drops a direction of
+    Sigma_4 has condition number 5e13, so the Sigma loop drops a direction of
     it that the channel eigenbasis mixes with the others; the error
     covariance the table's own encoder and decoder produce is sampled
     (200k draws).
@@ -256,8 +309,8 @@ def _sampled_after_truncation():
 
 def test_joint_engine_follows_sampled_covariance_after_truncation():
     pol, sampled = _sampled_after_truncation()
-    joint = state_trajectory(pol.power, pol.gains, pol.setup, pol.model)
-    assert abs(np.trace(joint[5].Sigma) - sampled) < 0.01 * sampled
+    joint = trajectory(pol.step_ops, pol.model).joint
+    assert abs(np.trace(_sigma_blocks(joint[5])) - sampled) < 0.01 * sampled
 
 
 def test_table_sigma_follows_sampled_covariance_after_truncation():
@@ -271,7 +324,7 @@ def test_table_sigma_traces_equal_the_exact_engine_after_truncation():
     # Sigma_4 onwards has a truncated direction; the closed form parts from
     # the engine's Tr Sigma_t by up to 18.5% here
     pol = _random_policy(3, 3, 10, 223)
-    joint = state_trajectory(pol.power, pol.gains, pol.setup, pol.model)
+    joint = trajectory(pol.step_ops, pol.model).joint
     np.testing.assert_allclose(pol.sigma_traces,
-                               [np.trace(state.Sigma) for state in joint],
+                               np.trace(_sigma_blocks(joint), axis1=1, axis2=2),
                                rtol=RTOL)

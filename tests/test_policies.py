@@ -3,7 +3,6 @@ import pytest
 
 import channel_oracle as oracle
 import lqcoord as lq
-from lqcoord.channel import channel_step
 from lqcoord.errors import ValidationError
 from lqcoord.model import SystemModel
 from lqcoord.policies import PolicyKind, make_policy
@@ -175,7 +174,7 @@ def test_sigma_trace_decreasing_with_bound(fa_model, fa_gains, fa_channel):
     Sigma = fa_model.Sigma0.copy()
     traces = [np.trace(Sigma)]
     for t in range(n_check):
-        Sigma = channel_step(fa_channel, Sigma, power.Lambda[t]).Sigma_next
+        Sigma = oracle.one_step(fa_channel, Sigma, power.Lambda[t]).Sigma[1]
         traces.append(np.trace(Sigma))
     assert all(traces[t + 1] < traces[t] for t in range(n_check))
     assert traces[10] / traces[0] < 0.1
@@ -248,7 +247,7 @@ def test_block_order_permutation(ua_model, ua_gains, ua_channel):
     ops_def = default.step_ops
     lam = pol.power.Lambda[0]
     np.testing.assert_allclose(
-        ops.dec[0], channel_step(ua_channel, ua_model.Sigma0, lam, 1).dec,
+        ops.dec[0], oracle.one_step(ua_channel, ua_model.Sigma0, lam, 1).dec[0],
         atol=1e-12)
     assert not np.allclose(ops.dec[0], ops_def.dec[0])
 

@@ -8,45 +8,56 @@ import lqcoord as lq
 from lqcoord.linalg import svd_factor
 from lqcoord.policies import PolicyKind, make_policy
 from lqcoord.power import expected_total_cost, heuristic_schedule
-from lqcoord.power.analytic import (MdpState, TailCostEvaluator,
-                                   state_trajectory, trajectory)
+from lqcoord.channel import block_schedule
+from lqcoord.cli import build_policy
+from lqcoord.config import PolicyConfig
+from lqcoord.power.analytic import (TailCostEvaluator, initial_joint,
+                                   signaling_ops, trajectory)
 from lqcoord.power.schedules import PowerSchedule, ScheduleMode
 from lqcoord.simulate import derive_run_seed, monte_carlo, rollout
 
+# blocks of the joint covariance of (z_t, e_t, x_*) for d0 = 4
+Z, E, X = slice(0, 4), slice(4, 8), slice(8, 12)
+
+
+def _joint(schedule, gains, setup, model):
+    """The engine's joint covariances P_0..P_n along a signaling schedule."""
+    ops = signaling_ops(gains, setup, model, schedule, block_schedule(setup, model.n))
+    return trajectory(ops, model).joint
+
 
 def test_initial_state_blocks(fa_model):
-    st = MdpState.initial(fa_model)
-    np.testing.assert_allclose(st.Z, fa_model.X0 + fa_model.Sigma0)
-    np.testing.assert_allclose(st.Sigma, fa_model.Sigma0)
-    np.testing.assert_allclose(st.Omega, -fa_model.Sigma0)
-    np.testing.assert_allclose(st.Xi, -fa_model.Sigma0)
+    P = initial_joint(fa_model)
+    np.testing.assert_allclose(P[Z, Z], fa_model.X0 + fa_model.Sigma0)
+    np.testing.assert_allclose(P[E, E], fa_model.Sigma0)
+    np.testing.assert_allclose(P[Z, E], -fa_model.Sigma0)
+    np.testing.assert_allclose(P[Z, X], -fa_model.Sigma0)
 
 
 def test_sigma_block_matches_closed_form(fa_model, fa_gains, fa_channel):
     # the joint propagation's Sigma block must reproduce the contraction law
     sched = heuristic_schedule(0.88, fa_model.n, 4)
-    states = state_trajectory(sched, fa_gains, fa_channel, fa_model)
+    joint = _joint(sched, fa_gains, fa_channel, fa_model)
     Sigma = fa_model.Sigma0.copy()
     for t in range(12):
         Sigma = oracle.cov_update_fa(Sigma, sched.Lambda[t], fa_channel)
-        np.testing.assert_allclose(states[t + 1].Sigma, Sigma, atol=1e-12)
+        np.testing.assert_allclose(joint[t + 1][E, E], Sigma, atol=1e-12)
 
 
 def test_sigma_block_matches_closed_form_ua(ua_model, ua_gains, ua_channel):
     sched = heuristic_schedule(0.88, ua_model.n, 2)
-    states = state_trajectory(sched, ua_gains, ua_channel, ua_model)
+    joint = _joint(sched, ua_gains, ua_channel, ua_model)
     Sigma = ua_model.Sigma0.copy()
     for t in range(12):
         Sigma = oracle.cov_update_ua(Sigma, sched.Lambda[t], t % 2, ua_channel)
-        np.testing.assert_allclose(states[t + 1].Sigma, Sigma, atol=1e-12)
+        np.testing.assert_allclose(joint[t + 1][E, E], Sigma, atol=1e-12)
 
 
 def test_fa_cross_covariance_stays_minus_identity(fa_model, fa_gains, fa_channel):
     # estimate/state orthogonality: Omega = -Sigma throughout, so L = -I
     sched = heuristic_schedule(0.88, fa_model.n, 4)
-    states = state_trajectory(sched, fa_gains, fa_channel, fa_model)
-    for st in states[:10]:
-        np.testing.assert_allclose(st.Omega, -st.Sigma, atol=1e-10)
+    for P in _joint(sched, fa_gains, fa_channel, fa_model)[:10]:
+        np.testing.assert_allclose(P[Z, E], -P[E, E], atol=1e-10)
 
 
 def test_fa_L_schedule_independence(fa_model, fa_gains, fa_channel):
@@ -55,8 +66,8 @@ def test_fa_L_schedule_independence(fa_model, fa_gains, fa_channel):
     # by 1/sigma_min)
     for theta in (0.88, 0.5):
         sched = heuristic_schedule(theta, fa_model.n, 4)
-        for st in state_trajectory(sched, fa_gains, fa_channel, fa_model)[:10]:
-            np.testing.assert_allclose(st.Omega, -st.Sigma, atol=1e-12)
+        for P in _joint(sched, fa_gains, fa_channel, fa_model)[:10]:
+            np.testing.assert_allclose(P[Z, E], -P[E, E], atol=1e-12)
 
 
 def test_zero_power_zero_prior_reduces_to_lqr_covariance(fa_model, fa_gains, fa_channel):
@@ -70,18 +81,18 @@ def test_zero_power_zero_prior_reduces_to_lqr_covariance(fa_model, fa_gains, fa_
     evaluator.cost(np.zeros((tiny.n, 4)))
     Z_ref = tiny.X0 + 1e-14 * np.eye(4)
     for t in range(6):
-        st = evaluator.trajectory.state(t + 1)
         Abar = tiny.A - tiny.B @ gains.K[t]
         Z_ref = Abar @ Z_ref @ Abar.T + tiny.W
-        np.testing.assert_allclose(st.Z, Z_ref, atol=1e-8)
+        np.testing.assert_allclose(evaluator.trajectory.joint[t + 1][Z, Z], Z_ref,
+                                   atol=1e-8)
 
 
 def test_ua_zero_power_freezes_sigma(ua_model, ua_gains, ua_channel):
     evaluator = TailCostEvaluator(ua_gains, ua_channel, ua_model)
     assert evaluator.blocks[0] == 0
     evaluator.cost(np.zeros((ua_model.n, 2)))
-    st = evaluator.trajectory.state(1)
-    np.testing.assert_allclose(st.Sigma, ua_model.Sigma0, atol=1e-12)
+    np.testing.assert_allclose(evaluator.trajectory.joint[1][E, E], ua_model.Sigma0,
+                               atol=1e-12)
 
 
 def test_ua_block_diagonal_noise_matches_fa_form(ua_gains):
@@ -95,15 +106,14 @@ def test_ua_block_diagonal_noise_matches_fa_form(ua_gains):
     assert np.allclose(Wbar[:factors.r, factors.r:], 0.0, atol=1e-12)
     gains = lq.backward_riccati(m)
     sched = heuristic_schedule(0.8, m.n, 2)
-    states = state_trajectory(sched, gains, setup, m)
-    for st in states:
-        np.testing.assert_allclose(st.Omega, -st.Sigma, atol=1e-9)
+    for P in _joint(sched, gains, setup, m):
+        np.testing.assert_allclose(P[Z, E], -P[E, E], atol=1e-9)
 
 
 def test_analytic_Z_matches_monte_carlo(fa_model, fa_gains, fa_channel):
     # sampled-target rollouts; covariance of z_t against the analytic block
     sched = heuristic_schedule(0.88, fa_model.n, 4)
-    traj = state_trajectory(sched, fa_gains, fa_channel, fa_model)
+    joint = _joint(sched, fa_gains, fa_channel, fa_model)
     pol = make_policy(PolicyKind.IM_COMM_FA, fa_model)
     R = 3000
     probes = (1, 5, 10)
@@ -114,14 +124,14 @@ def test_analytic_Z_matches_monte_carlo(fa_model, fa_gains, fa_channel):
             zs[t][i] = tr.states[t] - tr.x_star
     for t in probes:
         emp = zs[t].T @ zs[t] / R
-        ana = traj[t].Z
+        ana = joint[t][Z, Z]
         se = np.sqrt((np.outer(np.diag(ana), np.diag(ana)) + ana ** 2) / R)
         assert np.all(np.abs(emp - ana) <= 3.5 * se)
 
 
 def test_analytic_Z_matches_monte_carlo_ua(ua_model, ua_gains, ua_channel):
     sched = heuristic_schedule(0.88, ua_model.n, 2)
-    traj = state_trajectory(sched, ua_gains, ua_channel, ua_model)
+    joint = _joint(sched, ua_gains, ua_channel, ua_model)
     pol = make_policy(PolicyKind.IM_COMM_UA, ua_model)
     R = 3000
     probes = (1, 4, 8)
@@ -132,7 +142,7 @@ def test_analytic_Z_matches_monte_carlo_ua(ua_model, ua_gains, ua_channel):
             zs[t][i] = tr.states[t] - tr.x_star
     for t in probes:
         emp = zs[t].T @ zs[t] / R
-        ana = traj[t].Z
+        ana = joint[t][Z, Z]
         se = np.sqrt((np.outer(np.diag(ana), np.diag(ana)) + ana ** 2) / R)
         assert np.all(np.abs(emp - ana) <= 3.5 * se)
 
@@ -191,8 +201,8 @@ def test_stage_costs_terminal_entry(fa_model, fa_gains, fa_channel):
     pol = make_policy(PolicyKind.IM_COMM_FA, fa_model, power=sched)
     costs = trajectory(pol.step_ops, fa_model).costs
     assert costs.shape == (fa_model.n + 1,)
-    traj = state_trajectory(sched, fa_gains, fa_channel, fa_model)
-    assert costs[-1] == pytest.approx(np.trace(fa_model.Fn @ traj[-1].Z))
+    joint = _joint(sched, fa_gains, fa_channel, fa_model)
+    assert costs[-1] == pytest.approx(np.trace(fa_model.Fn @ joint[-1][Z, Z]))
 
 
 def test_ua_zero_schedule_cost_finite(ua_model, ua_gains, ua_channel):
@@ -217,9 +227,8 @@ def test_schedule_must_fit_the_channel(ua_model, ua_gains, ua_channel, steps,
     # a short or wide schedule used to end in a bare IndexError or a numpy
     # broadcast error
     sched = heuristic_schedule(0.88, steps, dim)
-    for engine in (expected_total_cost, state_trajectory):
-        with pytest.raises(lq.errors.ValidationError, match=f"power: .*{what}"):
-            engine(sched, ua_gains, ua_channel, ua_model)
+    with pytest.raises(lq.errors.ValidationError, match=f"power: .*{what}"):
+        expected_total_cost(sched, ua_gains, ua_channel, ua_model)
 
 
 @pytest.mark.parametrize("Lambda, what", [
@@ -262,3 +271,29 @@ def test_edge_horizons_cost_and_gradient(n, kind):
         down[t, j] -= h
         fd[t, j] = (evaluator.cost(up) - evaluator.cost(down)) / (2 * h)
     np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-7 * np.abs(fd).max())
+
+
+PINNED_COSTS = {   # exact E[J_n] of every policy on both presets at CLI defaults
+    "fa-ex-comm": (lq.FULLY_ACTUATED, "ex-comm", 249.43720892327508, 1e-12),
+    "fa-leader-only": (lq.FULLY_ACTUATED, "leader-only", 509.64074712910167, 1e-12),
+    "fa-no-comm": (lq.FULLY_ACTUATED, "no-comm", 695.8980965760862, 1e-12),
+    # Sigma_t reaches condition ~1e12, so this cost is determined to ~7e-8
+    "fa-im-comm-heu": (lq.FULLY_ACTUATED, "im-comm-heu", 510.0945931861627, 1e-7),
+    "fa-im-comm-opt": (lq.FULLY_ACTUATED, "im-comm-opt", 291.24142886048094, 1e-12),
+    "ua-ex-comm": (lq.UNDER_ACTUATED, "ex-comm", 369.8675047746266, 1e-12),
+    "ua-no-comm": (lq.UNDER_ACTUATED, "no-comm", 820.1527076446287, 1e-12),
+    "ua-im-comm-heu": (lq.UNDER_ACTUATED, "im-comm-heu", 522.2352014048439, 1e-12),
+    # the optimizer's stopping rule leaves ~6e-5 relative play in its design
+    "ua-im-comm-num": (lq.UNDER_ACTUATED, "im-comm-num", 444.9753789916281, 1e-4),
+}
+
+
+@pytest.mark.parametrize("preset, name, pinned, rtol", PINNED_COSTS.values(),
+                         ids=list(PINNED_COSTS))
+def test_exact_costs_are_pinned(preset, name, pinned, rtol):
+    # a guard for refactors of the Sigma loop and the engine: the exact
+    # cost of each policy as `compare` builds it
+    model = lq.load_preset(preset)
+    prepared, _ = build_policy(PolicyConfig(name=name), model)
+    cost = trajectory(prepared.step_ops, model).costs.sum()
+    assert cost == pytest.approx(pinned, rel=rtol, abs=0)

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import lqcoord as lq
 import scalar_oracle as oracle
-from lqcoord.channel import channel_step, fa_setup
+from channel_oracle import one_step
+from lqcoord.channel import fa_setup
 from lqcoord.gains import backward_riccati
 from lqcoord.power import heuristic_schedule
 from lqcoord.power import scalar
@@ -114,7 +115,7 @@ def test_solver_sigma_identity(preset, solved):
     for t in range(model.n):
         np.testing.assert_allclose(Sigma, solved.b[t] * model.Sigma0,
                                    atol=1e-10)
-        Sigma = channel_step(setup, Sigma, solved.Lambda[t]).Sigma_next
+        Sigma = one_step(setup, Sigma, solved.Lambda[t]).Sigma[1]
     np.testing.assert_allclose(Sigma, solved.b[model.n] * model.Sigma0,
                                atol=1e-10)
 
