@@ -128,8 +128,9 @@ def _channel(B1: np.ndarray, W: np.ndarray, Q: np.ndarray, P: np.ndarray,
     if d0 % r != 0:
         raise NonIntegerPeriod(f"d0={d0} is not a multiple of rank r={r}")
     Wv = sym_part(P @ W @ P.T)
+    # symmetric by construction; the solve's roundoff grows with cond(Wv)
     return ChannelSetup(B1=B1, W=W, Q=Q, P=P, C=C, Wv=Wv,
-                        eig=sym_eig(C.T @ np.linalg.solve(Wv, C)))
+                        eig=sym_eig(sym_part(C.T @ np.linalg.solve(Wv, C))))
 
 
 def fa_setup(B1: np.ndarray, W: np.ndarray) -> ChannelSetup:

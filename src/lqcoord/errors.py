@@ -50,7 +50,8 @@ class InvalidTheta(LqcoordError):
 
 
 class NoRootFound(LqcoordError):
-    """Stationarity equation has no sign change on the search bracket."""
+    """The scalar power solver found no stationary schedule, or no bracket
+    for its terminal multiplier."""
 
 
 class HorizonMismatch(LqcoordError):

@@ -21,9 +21,23 @@ suffix sum:
 
 This form never divides by b_t, so it stays finite after b underflows.
 
-The production solver minimizes J directly (L-BFGS on log a, then a
-trust-region root solve of the stationarity system), which lands on a
-trajectory satisfying every stationarity equation by construction. A single
+Each inner solve (fixed nu) is one projected Newton iteration in u = log a
+on the reduced cost, with the exact gradient g_t a_t and the analytic
+Hessian. With psi_m = nu b_n + sum_{k>=m} (c3_k b_k + c2_k sqrt(a_k b_k)/4)
+and q_t = c2_t sqrt(b_t/a_t)/4, the Hessian of J in a is
+
+    dg_t/da_s = (psi_{max(t,s)+1}/(1+a_s) - [s>t] q_s)/(1+a_t) - [s<t] q_t/(1+a_s)
+                + [s=t] (phi_{t+1}/(1+a_t)^2 - q_t/a_t),
+
+which is symmetric and semi-separable, and in u it is a_t a_s dg_t/da_s +
+[s=t] a_t g_t. Where it is not positive definite a multiple of the
+identity is added (Nocedal & Wright, Numerical Optimization, ch. 3). Steps
+are accepted on an Armijo decrease of J, or, for an unmodified Newton
+step, on a decrease of the residual: J stalls in roundoff long before g
+does when nu is large. The search is unbounded above; entries are held at
+A_FLOOR while g_t >= 0 there (the KKT condition of the bound). Once
+|g_t| <= RESIDUAL_TOL on the free entries, full Newton steps continue only
+while they still reduce it, so the solve ends at roundoff level. A single
 backward sweep from a guessed terminal (b_n, theta_n) is NOT used: on
 realistic systems the stationarity root vanishes once b grows past
 (2 c1/|c2|)^2, so the sweep either dies or returns a near-zero schedule
@@ -49,6 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 
 from ..channel import ChannelSetup
@@ -59,8 +74,13 @@ from ..model import SystemModel
 from .schedules import PowerSchedule, ScheduleMode
 
 A_FLOOR = 1e-12
-A_CEIL = 1e6
+U_FLOOR = np.log(A_FLOOR)
 RESIDUAL_TOL = 1e-10
+NEWTON_MAXITER = 100          # Newton steps per inner solve
+MAX_BACKTRACKS = 40           # step halvings per Newton step
+MAX_LOG_STEP = np.log(1e4)    # largest change of any log a_t in one step
+ARMIJO = 1e-4                 # sufficient-decrease constant of the line search
+HESS_SHIFT = 1e-3             # first identity shift of the scaled Hessian
 BRACKET_STEP = np.log(10.0)  # first bracket step in log nu; doubles per step
 NU_XTOL = 1e-13               # root tolerance in log nu
 LOG_NU_MAX = np.log(np.finfo(float).max)
@@ -148,9 +168,12 @@ def _b_forward(a: np.ndarray) -> np.ndarray:
 
 
 def _scaled_costate(a: np.ndarray, b: np.ndarray, c: ConstantsTable,
-                    nu: float) -> np.ndarray:
-    """phi_t = theta_t b_t for t = 0..n, summed backward from phi_n = nu b_n."""
-    terms = np.append(c.c3 * b[:-1] + 0.5 * c.c2 * np.sqrt(a * b[:-1]),
+                    nu: float, weight: float = 0.5) -> np.ndarray:
+    """phi_t = theta_t b_t for t = 0..n, summed backward from phi_n = nu b_n.
+
+    weight = 1/4 gives the Hessian's psi_t instead.
+    """
+    terms = np.append(c.c3 * b[:-1] + weight * c.c2 * np.sqrt(a * b[:-1]),
                       nu * b[-1])
     return np.cumsum(terms[::-1])[::-1]
 
@@ -169,42 +192,96 @@ def stationarity_residuals(a: np.ndarray, c: ConstantsTable,
     return c.c1 + c.c2 * np.sqrt(b[:-1]) / (2.0 * np.sqrt(a)) - phi[1:] / (1.0 + a)
 
 
-def _solve_for_nu(c: ConstantsTable, nu: float, a0: np.ndarray) -> np.ndarray:
-    """Minimize the reduced objective for a fixed terminal costate nu.
+def _hessian(a: np.ndarray, g: np.ndarray, c: ConstantsTable,
+             nu: float) -> np.ndarray:
+    """Hessian of the reduced cost in u = log a, given g at a.
 
-    Two stages in log coordinates: L-BFGS gets near the optimum, then a
-    trust-region root solve of the stationarity system polishes the
-    residuals to machine precision. Root-finding on the gradient of a
-    smooth scalar function is well conditioned near its minimum; jumping
-    straight into it from a cold start is not, hence the two stages.
+    Off the diagonal a_t a_s dg_t/da_s = x_min(t,s) y_max(t,s), with
+    x = a/(1+a) and y_t = psi_{t+1} x_t - a_t q_t, so no product a_t a_s
+    is formed.
     """
-    u0 = np.log(np.clip(a0, A_FLOOR, A_CEIL))
-    res = scipy.optimize.minimize(
-        lambda u: _reduced_cost(np.exp(u), c, nu), u0,
-        jac=lambda u: stationarity_residuals(np.exp(u), c, nu) * np.exp(u),
-        method="L-BFGS-B",
-        bounds=[(np.log(A_FLOOR), np.log(A_CEIL))] * a0.size,
-        options=dict(maxiter=5000, ftol=1e-18, gtol=1e-14))
-    sol = scipy.optimize.root(
-        lambda u: stationarity_residuals(np.exp(u), c, nu), res.x,
-        method="hybr", options=dict(xtol=1e-14))
-    a = np.exp(sol.x)
-    resid = stationarity_residuals(a, c, nu)
-    if np.abs(resid).max() > RESIDUAL_TOL:
-        # keep whichever stage did better before reporting failure
-        a_lbfgs = np.exp(res.x)
-        if (np.abs(stationarity_residuals(a_lbfgs, c, nu)).max()
-                < np.abs(resid).max()):
-            a, resid = a_lbfgs, stationarity_residuals(a_lbfgs, c, nu)
-    if np.abs(resid).max() > RESIDUAL_TOL:
-        worst = int(np.abs(resid).argmax())
-        # the L-BFGS box is [A_FLOOR, A_CEIL], but the root polish is unbounded
-        reached = np.exp(np.concatenate([res.x, sol.x]))
-        raise NoRootFound(
-            f"stationarity system not solvable to {RESIDUAL_TOL:g}: the inner "
-            f"solve reached a in [{reached.min():.3g}, {reached.max():.3g}]; "
-            f"worst residual {resid[worst]:.3e} at t={worst}")
-    return a
+    b = _b_forward(a)
+    phi = _scaled_costate(a, b, c, nu)
+    psi = _scaled_costate(a, b, c, nu, weight=0.25)
+    x = a / (1.0 + a)
+    aq = 0.25 * c.c2 * np.sqrt(a * b[:-1])
+    y = psi[1:] * x - aq
+    low = np.tril(np.outer(y, x), -1)
+    hess = low + low.T
+    np.fill_diagonal(hess, (phi[1:] + psi[1:]) * x ** 2 - aq + a * g)
+    return hess
+
+
+def _newton_step(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Solve hess p = -grad, adding a multiple of the identity to the
+    Jacobi-scaled hess until it factors; also says whether none was added."""
+    d = np.sqrt(np.abs(np.diag(hess)))
+    d[d == 0.0] = 1.0
+    scaled = hess / np.outer(d, d)
+    shift = 0.0
+    while True:
+        try:
+            factor = scipy.linalg.cho_factor(scaled + shift * np.eye(d.size))
+            break
+        except np.linalg.LinAlgError:
+            shift = max(10.0 * shift, HESS_SHIFT)
+    return -scipy.linalg.cho_solve(factor, grad / d) / d, shift == 0.0
+
+
+def _free(u: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Entries not held at the floor (held: u_t = log A_FLOOR and g_t >= 0)."""
+    return (u > U_FLOOR) | (g < 0.0)
+
+
+def _solve_for_nu(c: ConstantsTable, nu: float,
+                  a0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize the reduced objective over a >= A_FLOOR for a fixed terminal costate nu.
+
+    Projected Newton in u = log a on the analytic Hessian, from a0; entries
+    held at A_FLOOR are left out of the step. Once the projected residual
+    (g, zero on the held entries) is within RESIDUAL_TOL, full Newton steps
+    continue while they still reduce it, so the solve ends at roundoff
+    level. Returns a and its projected residual.
+    """
+    u = np.log(np.maximum(a0, A_FLOOR))
+    reached = [u.min(), u.max()]
+    g = stationarity_residuals(np.exp(u), c, nu)
+    for _ in range(NEWTON_MAXITER):
+        a, free = np.exp(u), _free(u, g)
+        worst = np.abs(g[free]).max(initial=0.0)
+        converged = worst <= RESIDUAL_TOL
+        grad = g * a
+        step = np.zeros_like(u)
+        step[free], newton = _newton_step(
+            _hessian(a, g, c, nu)[np.ix_(free, free)], grad[free])
+        step *= min(1.0, MAX_LOG_STEP / np.abs(step).max(initial=MAX_LOG_STEP))
+        cost = _reduced_cost(a, c, nu)
+        for _ in range(1 if converged else MAX_BACKTRACKS):
+            trial = np.maximum(u + step, U_FLOOR)
+            with np.errstate(over="ignore", invalid="ignore"):
+                trial_cost = _reduced_cost(np.exp(trial), c, nu)
+                trial_g = stationarity_residuals(np.exp(trial), c, nu)
+            if np.isfinite(trial_cost) and np.all(np.isfinite(trial_g)):
+                trial_worst = np.abs(trial_g[_free(trial, trial_g)]).max(initial=0.0)
+                if newton and trial_worst < worst:
+                    break
+                if (not converged
+                        and trial_cost <= cost + ARMIJO * grad @ (trial - u)):
+                    break
+            step *= 0.5
+        else:
+            break
+        u, g = trial, trial_g
+        reached = [min(reached[0], u.min()), max(reached[1], u.max())]
+    resid = np.where(_free(u, g), g, 0.0)
+    t = int(np.abs(resid).argmax())
+    if abs(resid[t]) <= RESIDUAL_TOL:
+        return np.exp(u), resid
+    lo, hi = np.exp(reached)
+    raise NoRootFound(
+        f"stationarity system not solvable to {RESIDUAL_TOL:g}: the inner "
+        f"solve reached a in [{lo:.3g}, {hi:.3g}]; worst residual "
+        f"{resid[t]:.3e} at t={t}")
 
 
 def scalar_backward_solve(constants: ConstantsTable, epsilon: float,
@@ -216,7 +293,9 @@ def scalar_backward_solve(constants: ConstantsTable, epsilon: float,
     epsilon; otherwise root-solves the terminal costate multiplier nu for
     b_n = epsilon, keeping the solution on the b_n <= epsilon side. Either
     way the returned trajectory satisfies every stationarity equation to
-    RESIDUAL_TOL and carries b forward from b_0 = 1. An epsilon so small
+    RESIDUAL_TOL, except on entries held at A_FLOOR with g_t >= 0 (the KKT
+    conditions of the bound), and carries b forward from b_0 = 1; the
+    schedule records this projected residual. An epsilon so small
     that its multiplier would overflow raises ValidationError before any
     inner solve.
     """
@@ -235,7 +314,7 @@ def scalar_backward_solve(constants: ConstantsTable, epsilon: float,
     # myopic initializer: per-step optimum ignoring the b-coupling
     a0 = np.clip(c.c2 ** 2 / (4.0 * c.c1 ** 2) * 0.5, 1e-6, 1e2)
 
-    a = _solve_for_nu(c, 0.0, a0)
+    a, resid = _solve_for_nu(c, 0.0, a0)
     inner_solves = 1
     nu = 0.0
     if _b_forward(a)[-1] > epsilon:
@@ -244,15 +323,15 @@ def scalar_backward_solve(constants: ConstantsTable, epsilon: float,
         # last stationarity equation there: phi_n = nu epsilon ~ c1 (1 + a_{n-1}).
         log_target = np.log(epsilon) - B_N_MARGIN
         a = (1.0 + a) * np.exp((-np.sum(np.log1p(a)) - log_target) / n) - 1.0
-        solved = {}  # log nu -> (a, log b_n - log target)
+        solved = {}  # log nu -> (a, projected residual, log b_n - log target)
 
         def excess(log_nu: float) -> float:
             nonlocal a, inner_solves
             if log_nu not in solved:
-                a = _solve_for_nu(c, np.exp(log_nu), a)
+                a, resid = _solve_for_nu(c, np.exp(log_nu), a)
                 inner_solves += 1
-                solved[log_nu] = (a, -np.sum(np.log1p(a)) - log_target)
-            return solved[log_nu][1]
+                solved[log_nu] = (a, resid, -np.sum(np.log1p(a)) - log_target)
+            return solved[log_nu][2]
 
         lo = hi = np.log(c.c1[-1] * (1.0 + a[-1]) / epsilon)
         step = BRACKET_STEP
@@ -267,14 +346,14 @@ def scalar_backward_solve(constants: ConstantsTable, epsilon: float,
             step *= 2.0
         scipy.optimize.brentq(excess, lo, hi, xtol=NU_XTOL)
         # the smallest evaluated nu with b_n <= epsilon lies within xtol of the root
-        log_nu = min(x for x, (a_x, _) in solved.items()
+        log_nu = min(x for x, (a_x, _, _) in solved.items()
                      if _b_forward(a_x)[-1] <= epsilon)
-        a = solved[log_nu][0]
+        a, resid, _ = solved[log_nu]
         nu = float(np.exp(log_nu))
 
     return PowerSchedule(mode=ScheduleMode.SCALAR, Lambda=a[:, None] / c.H, a=a,
                          b=_b_forward(a), terminal_multiplier=nu,
-                         stationarity_residuals=stationarity_residuals(a, c, nu),
+                         stationarity_residuals=resid,
                          inner_solves=inner_solves)
 
 

@@ -25,10 +25,11 @@ class PowerSchedule:
     finite and non-negative. Scalar mode additionally records the per-step
     scalars a_t with Lambda_t = a_t / H entrywise, the uncertainty ratios
     b_t (forward from b_0 = 1, b_{t+1} = b_t / (1 + a_t)), and solver
-    diagnostics: the stationarity residuals and the number of inner solves
-    the solver ran. A numerically optimized schedule records the cost
-    evaluations it took, whether it stopped on its budget and its final
-    projected-gradient norm. Schedules compare and hash by identity.
+    diagnostics: the projected stationarity residuals (g_t, but zero where
+    a_t is held at the solver's floor with g_t >= 0) and the number of
+    inner solves the solver ran. A numerically optimized schedule records
+    the cost evaluations it took, whether it stopped on its budget and its
+    final projected-gradient norm. Schedules compare and hash by identity.
     """
 
     mode: ScheduleMode

@@ -54,6 +54,19 @@ def test_fa_setup_is_the_one_block_channel(fa_model, fa_channel):
     np.testing.assert_array_equal(fa_channel.Wv, fa_model.W)
 
 
+def test_fa_setup_with_ill_conditioned_noise():
+    # cond(W) = 1e9: the solve inside C' Wv^-1 C leaves an asymmetry far
+    # above the symmetry check's tolerance, so the setup must symmetrise it
+    rng = np.random.default_rng(0)
+    U, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    W = (U * np.logspace(-1, -10, 4)) @ U.T
+    setup = fa_setup(rng.standard_normal((4, 4)), 0.5 * (W + W.T))
+    M = setup.C.T @ np.linalg.solve(setup.Wv, setup.C)
+    rebuilt = (setup.eig.U * setup.eig.H) @ setup.eig.U.T
+    assert np.all(setup.eig.H > 0)
+    assert np.abs(rebuilt - 0.5 * (M + M.T)).max() <= 1e-12 * np.abs(M).max()
+
+
 def test_fa_block_order_must_be_the_single_block(fa_model):
     # the one block is 0; an order naming any other used to be ignored
     with pytest.raises(ValidationError, match="block_order"):

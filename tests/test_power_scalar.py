@@ -11,10 +11,10 @@ from lqcoord.channel import fa_setup
 from lqcoord.gains import backward_riccati
 from lqcoord.power import heuristic_schedule
 from lqcoord.power import scalar
-from lqcoord.power.scalar import (A_CEIL, A_FLOOR, RESIDUAL_TOL,
+from lqcoord.power.scalar import (A_FLOOR, RESIDUAL_TOL, ConstantsTable,
                                   scalar_constants, scalar_backward_solve,
                                   solve_scalar_power, stationarity_residuals,
-                                  _b_forward, _scaled_costate)
+                                  _b_forward, _hessian, _scaled_costate)
 from pmp_oracle import surrogate_cost
 from lqcoord.power.schedules import PowerSchedule, ScheduleMode
 from lqcoord.errors import (InvalidTheta, LqcoordError, NoRootFound,
@@ -169,6 +169,7 @@ def test_scalar_backward_solve_entry_point(preset):
 
 ORACLE_HORIZONS = (1, 2, 30, 120)
 ORACLE_RTOL = 1e-12
+A_HIGH = 1e6  # top of the sampled power range, and "full power" below
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +201,7 @@ def _assert_close(vec, ref, scale, name):
 def test_vectorized_recursions_match_oracle(constants_by_horizon, n, nu, seed):
     c = constants_by_horizon[n]
     rng = np.random.default_rng(seed)
-    a = np.exp(rng.uniform(np.log(A_FLOOR), np.log(A_CEIL), n))
+    a = np.exp(rng.uniform(np.log(A_FLOOR), np.log(A_HIGH), n))
     with np.errstate(all="ignore"):  # the oracle divides by b_t
         b_ref = oracle.b_forward(a)
         theta_ref = oracle.theta_sequence(a, c.c1, c.c2, c.c3, nu)
@@ -220,7 +221,7 @@ def test_residuals_finite_after_b_underflow(constants_by_horizon):
     # full power every step drives b below the float range within ~55 steps;
     # the oracle's theta recursion then divides by zero, the residual must not
     c = constants_by_horizon[120]
-    a = np.full(120, A_CEIL)
+    a = np.full(120, A_HIGH)
     assert _b_forward(a)[-1] == 0.0
     with np.errstate(all="ignore"):
         assert not np.all(np.isfinite(oracle.residuals(a, c.c1, c.c2, c.c3, 1e12)))
@@ -257,8 +258,8 @@ def test_single_step_tiny_epsilon():
 
 
 def test_epsilon_beyond_per_step_ceiling_solves():
-    # b_n = 1e-30 in two steps needs a_t ~ 1e15, past A_CEIL: the root polish
-    # leaves the L-BFGS box and still meets every stationarity equation
+    # b_n = 1e-30 in two steps needs a_t ~ 1e15: the inner solve has no
+    # upper bound on a and still meets every stationarity equation
     sched, resid = _solve_fa(2, 1e-30)
     assert resid <= RESIDUAL_TOL
     assert sched.achieved_terminal_ratio == pytest.approx(1e-30, rel=1e-6)
@@ -285,12 +286,74 @@ def test_non_positive_epsilon_names_the_field(preset, epsilon):
         scalar_backward_solve(constants, epsilon, model, setup, gains)
 
 
-def test_failed_inner_solve_reports_the_range_reached():
-    # n=1 with eps=1e-100 needs a_0 ~ 1e100: the unbounded root polish leaves
-    # the L-BFGS box [A_FLOOR, A_CEIL] but stalls short of the root, and the
-    # error says how far a actually went
+def test_single_step_extreme_epsilon_solves():
+    # n=1 with eps=1e-100 needs a_0 ~ 1e100 and a multiplier ~ c1 1e200,
+    # both representable; the inner solve is unbounded above
+    sched, resid = _solve_fa(1, 1e-100)
+    assert resid <= RESIDUAL_TOL
+    assert sched.achieved_terminal_ratio <= 1e-100
+    assert sched.achieved_terminal_ratio == pytest.approx(1e-100, rel=1e-6)
+
+
+def test_failed_inner_solve_reports_the_range_reached(preset):
+    # c1_0 < 0 makes the reduced cost unbounded below in a_0: there is no
+    # stationary point, and the error says how far a actually went
+    model, setup, gains = preset
+    c = scalar_constants(gains, setup, model)
+    unbounded = ConstantsTable(c1=np.where(np.arange(model.n) == 0, -1.0, c.c1),
+                               c2=c.c2, c3=c.c3, H=c.H)
     with pytest.raises(NoRootFound, match=r"reached a in \[.*\]; worst residual") as info:
-        _solve_fa(1, 1e-100)
+        scalar_backward_solve(unbounded, 1e-3, model, setup, gains)
     lo, hi = map(float, re.search(r"\[(\S+), (\S+)\]", str(info.value)).groups())
     assert A_FLOOR <= lo <= hi
-    assert hi > A_CEIL
+    assert hi > 1e3
+
+
+# --- Newton inner solve: analytic Hessian, KKT at the floor, work count -----------
+
+@pytest.mark.parametrize("nu", [0.0, 1e3])
+@pytest.mark.parametrize("n", [1, 30, 120])
+def test_hessian_matches_central_differences(constants_by_horizon, n, nu):
+    # the Hessian in u = log a is the Jacobian of the gradient g(e^u) e^u
+    c = constants_by_horizon[n]
+    rng = np.random.default_rng(n)
+    h = 1e-6
+    for _ in range(3):
+        u = rng.uniform(-8.0, 8.0, n)
+        a = np.exp(u)
+        hess = _hessian(a, stationarity_residuals(a, c, nu), c, nu)
+        grad = lambda v: stationarity_residuals(np.exp(v), c, nu) * np.exp(v)
+        fd = np.column_stack([(grad(u + h * e) - grad(u - h * e)) / (2 * h)
+                              for e in np.eye(n)])
+        np.testing.assert_array_equal(hess, hess.T)
+        assert np.abs(hess - fd).max() <= 1e-8 * np.abs(hess).max()
+
+
+@pytest.mark.parametrize("epsilon", [1e-20, 1e-30, 1e-40])
+def test_tiny_epsilon_meets_kkt_at_the_floor(epsilon):
+    # the optimum wants a_t below A_FLOOR near the end of the horizon: those
+    # entries sit on the floor with g_t >= 0, the free ones have g_t ~ 0
+    sched, _ = _solve_fa(120, epsilon)
+    model = lq.fully_actuated_model(n=120)
+    gains = backward_riccati(model)
+    c = scalar_constants(gains, fa_setup(model.B1, model.W), model)
+    g = stationarity_residuals(sched.a, c, sched.terminal_multiplier)
+    held = sched.a <= A_FLOOR * (1 + 1e-12)
+    assert held.any() and held[-1]
+    assert np.all(g[held] >= 0.0)
+    assert np.abs(g[~held]).max() <= RESIDUAL_TOL
+    np.testing.assert_array_equal(sched.stationarity_residuals,
+                                  np.where(held, 0.0, g))
+    assert sched.achieved_terminal_ratio <= epsilon
+    assert sched.achieved_terminal_ratio == pytest.approx(epsilon, rel=1e-6)
+
+
+def test_long_horizon_solve_work_count(monkeypatch):
+    # Newton on the analytic Hessian needs no finite-difference Jacobian:
+    # the whole n=120 solve (every inner solve) evaluates g at most 400 times
+    calls = []
+    monkeypatch.setattr(scalar, "stationarity_residuals",
+                        lambda *args: calls.append(1) or stationarity_residuals(*args))
+    sched, resid = _solve_fa(120, 1e-12)
+    assert resid <= RESIDUAL_TOL
+    assert 0 < len(calls) <= 400
