@@ -39,7 +39,7 @@ import numpy as np
 from .errors import (IndexOutOfRange, NonIntegerPeriod, RankDeficient,
                      SigmaNearSingular, SingularInnovation, ValidationError)
 from .linalg import (EigenPair, check_symmetric, eig_roots, eig_roots_pullback,
-                     eigh_desc, numerical_rank, sym_eig, sym_part, svd_factor)
+                     numerical_rank, sym_eig, sym_part, svd_factor)
 
 
 def choose_projection(B1: np.ndarray) -> np.ndarray:
@@ -284,7 +284,8 @@ def sigma_steps(power: PowerFactors, Sigma0: np.ndarray,
     U, Sig12, Sig12inv, E, dec = np.empty((5, n, d0, d0))
     H = np.empty((n, d0))
     for t in range(n):
-        w, U[t] = eigh_desc(Sigma[t])
+        w, V = np.linalg.eigh(Sigma[t])   # Sigma_t is exactly symmetric
+        w, U[t] = w[::-1], V[:, ::-1]
         if w[-1] < -1e-10 * max(1.0, np.abs(w).max()):
             raise SigmaNearSingular(f"Sigma at step {t} has a negative "
                                     f"eigenvalue {w[-1]:.3e}")

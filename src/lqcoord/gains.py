@@ -11,6 +11,10 @@ With the target known to both agents the optimal joint input is
 u_t = -K_t x_t + D_t x_*. Note D_t contracts against Dbar_{t+1}: the
 scalar one-step problem (A=B=F=G=Fn=1) has the hand optimum
 u_0 = -0.5 x_0 + 0.5 x_*, which pins the index convention.
+
+Each step factors G + B' Phi_{t+1} B once by Cholesky (numpy's; a failed
+factorisation is a `SingularInnovation`) and solves for K_t and D_t
+together with that factor, so the module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotControllable, SingularInnovation
 from .linalg import sym_part
@@ -45,7 +48,7 @@ class GainSchedule:
 
 def _riccati(A: np.ndarray, B: np.ndarray, F: np.ndarray, G: np.ndarray,
              Fn: np.ndarray, n: int, d1: int) -> GainSchedule:
-    d = B.shape[1]
+    d0 = A.shape[0]
     Phi = [None] * (n + 1)
     Dbar = [None] * (n + 1)
     K = [None] * n
@@ -53,14 +56,14 @@ def _riccati(A: np.ndarray, B: np.ndarray, F: np.ndarray, G: np.ndarray,
     Phi[n] = Fn.copy()
     Dbar[n] = Fn.copy()
     for t in range(n - 1, -1, -1):
-        S = sym_part(G + B.T @ Phi[t + 1] @ B)
         try:
-            cho = scipy.linalg.cho_factor(S)
-        except scipy.linalg.LinAlgError as exc:
+            L = np.linalg.cholesky(sym_part(G + B.T @ Phi[t + 1] @ B))
+        except np.linalg.LinAlgError as exc:
             raise SingularInnovation(
                 f"G + B'Phi B is not positive definite at t={t}") from exc
-        K[t] = scipy.linalg.cho_solve(cho, B.T @ Phi[t + 1] @ A)
-        D[t] = scipy.linalg.cho_solve(cho, B.T @ Dbar[t + 1])
+        KD = np.linalg.solve(L.T, np.linalg.solve(
+            L, B.T @ np.hstack([Phi[t + 1] @ A, Dbar[t + 1]])))
+        K[t], D[t] = KD[:, :d0], KD[:, d0:]
         Phi[t] = sym_part(F + A.T @ Phi[t + 1] @ A - A.T @ Phi[t + 1] @ B @ K[t])
         Dbar[t] = (A - B @ K[t]).T @ Dbar[t + 1] + F
     return GainSchedule(Phi=Phi, K=K, Dbar=Dbar, D=D, d1=d1)

@@ -63,8 +63,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from ..channel import ChannelSetup
 from ..errors import NoRootFound, ValidationError
@@ -215,6 +213,8 @@ def _hessian(a: np.ndarray, g: np.ndarray, c: ConstantsTable,
 def _newton_step(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, bool]:
     """Solve hess p = -grad, adding a multiple of the identity to the
     Jacobi-scaled hess until it factors; also says whether none was added."""
+    import scipy.linalg   # on first use, so `import lqcoord` needs numpy alone
+
     d = np.sqrt(np.abs(np.diag(hess)))
     d[d == 0.0] = 1.0
     scaled = hess / np.outer(d, d)
@@ -344,6 +344,7 @@ def scalar_backward_solve(constants: ConstantsTable, epsilon: float,
         while excess(lo) <= 0.0:  # ... or lower it until b_n > target
             lo, hi = lo - step, lo
             step *= 2.0
+        import scipy.optimize
         scipy.optimize.brentq(excess, lo, hi, xtol=NU_XTOL)
         # the smallest evaluated nu with b_n <= epsilon lies within xtol of the root
         log_nu = min(x for x, (a_x, _, _) in solved.items()

@@ -15,6 +15,10 @@ floor of the box, where they stay.
 The cost is not convex in Lambda, so this is a local search from the
 initial schedule; the result is the best schedule evaluated, never worse
 than the initial one.
+
+scipy (for L-BFGS-B) is imported on the first call of `ua_optimize`, as
+the scalar design imports it on its first solve, so `import lqcoord` and
+every run without a designed policy need numpy alone.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ..channel import ChannelSetup
 from ..errors import BudgetExhaustedWarning, ValidationError
@@ -60,6 +63,8 @@ def ua_optimize(init: PowerSchedule, gains: GainSchedule, setup: ChannelSetup,
         raise ValidationError(
             f"initial power Lambda_{t}[{j}] = {lam0[t, j]:.3g} must be strictly "
             f"positive (a search over log Lambda cannot leave 0)")
+    from scipy.optimize import minimize
+
     evaluator = TailCostEvaluator(gains, setup, model, block_order)
     lo, hi = LOG_SCALE * np.log(LAMBDA_BOUNDS)
     x_init = LOG_SCALE * np.log(lam0).ravel()

@@ -10,7 +10,7 @@ from lqcoord.channel import (choose_projection, fa_setup, power_factors,
                              sigma_steps, ua_setup)
 from lqcoord.errors import (NonIntegerPeriod, NotSymmetric, RankDeficient,
                             SigmaNearSingular, ValidationError)
-from lqcoord.linalg import SYM_TOL, min_eig, psd_sqrt
+from lqcoord.linalg import SYM_TOL, eigh_desc, min_eig, psd_sqrt
 from lqcoord.policies import PolicyKind, make_policy
 from lqcoord.power import heuristic_schedule
 from lqcoord.power.schedules import PowerSchedule, ScheduleMode
@@ -459,6 +459,23 @@ def test_sigma0_is_symmetrised_once(ua_channel):
         assert np.array_equal(getattr(out, f.name), getattr(ref, f.name)), f.name
     with pytest.raises(NotSymmetric, match="Sigma0"):
         sigma_steps(power, Sigma0 + 10 * SYM_TOL * 6.0 * skew, ua_channel.W)
+
+
+@pytest.mark.parametrize("which", ["fa", "ua"])
+def test_sigma_pass_eigenpairs_are_eigh_desc(fa_model, ua_model, fa_channel,
+                                             ua_channel, which):
+    # every Sigma_t is exactly symmetric, so the loop's direct eigh gives
+    # eigh_desc's (symmetrising) eigenpair bit for bit; the theta = 0.88
+    # heuristic drives Sigma_t to cond ~1e18 on the fully actuated preset
+    model, setup = (fa_model, fa_channel) if which == "fa" else (ua_model, ua_channel)
+    Lambda = heuristic_schedule(0.88, model.n, setup.r).Lambda
+    blocks = [t % setup.tau for t in range(model.n)]
+    sigma = sigma_steps(power_factors(setup, Lambda, blocks), model.Sigma0, model.W)
+    assert np.array_equal(sigma.Sigma, sigma.Sigma.swapaxes(1, 2))
+    for t in range(model.n):
+        w, U = eigh_desc(sigma.Sigma[t])
+        assert np.array_equal(sigma.U[t], U)
+        assert np.array_equal(sigma.H[t], np.clip(w, 0.0, None))
 
 
 @pytest.mark.parametrize("which, k", [("fa", 0), ("ua", 0), ("ua", 1)])

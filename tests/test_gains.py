@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 from conftest import random_system
 
-from lqcoord.errors import NotControllable
-from lqcoord.gains import backward_riccati, leader_only_gains
+import lqcoord as lq
+from lqcoord.errors import NotControllable, SingularInnovation
+from lqcoord.gains import _riccati, backward_riccati, leader_only_gains
 from lqcoord.model import SystemModel
 from lqcoord.policies import PolicyKind, make_policy
 
@@ -20,6 +22,56 @@ def excomm_inputs(model, t, x_t, x_star):
     """Joint ex-comm input u_t = -K_t x_t + D_t x_*, through the policy table."""
     run = make_policy(PolicyKind.EX_COMM, model).start(np.asarray(x_star, float))
     return np.concatenate(run.inputs(t, np.asarray(x_t, float)))
+
+
+def cho_solve_riccati(A, B, F, G, Fn, n):
+    """The value recursion of the module docstring with scipy's Cholesky."""
+    Phi, Dbar, K, D = [None] * (n + 1), [None] * (n + 1), [None] * n, [None] * n
+    Phi[n], Dbar[n] = Fn, Fn
+    for t in range(n - 1, -1, -1):
+        S = G + B.T @ Phi[t + 1] @ B
+        cho = scipy.linalg.cho_factor(0.5 * (S + S.T))
+        K[t] = scipy.linalg.cho_solve(cho, B.T @ Phi[t + 1] @ A)
+        D[t] = scipy.linalg.cho_solve(cho, B.T @ Dbar[t + 1])
+        Phi[t] = F + A.T @ Phi[t + 1] @ A - A.T @ Phi[t + 1] @ B @ K[t]
+        Phi[t] = 0.5 * (Phi[t] + Phi[t].T)
+        Dbar[t] = (A - B @ K[t]).T @ Dbar[t + 1] + F
+    return {"Phi": Phi, "K": K, "Dbar": Dbar, "D": D}
+
+
+def rel_err(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+def assert_matches_reference(g, ref):
+    for name, stack in ref.items():
+        assert rel_err(getattr(g, name), stack) <= 1e-13, name
+
+
+@pytest.mark.parametrize("preset", ["fa", "ua"])
+def test_gains_match_a_cho_solve_reference(preset):
+    model = (lq.fully_actuated_model if preset == "fa" else lq.under_actuated_model)()
+    assert_matches_reference(backward_riccati(model), cho_solve_riccati(
+        model.A, model.B, model.F, model.G, model.Fn, model.n))
+    if preset == "fa":
+        assert_matches_reference(leader_only_gains(model), cho_solve_riccati(
+            model.A, model.B1, model.F, model.G1, model.Fn, model.n))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_random_gains_match_a_cho_solve_reference(seed):
+    rng = np.random.default_rng(300 + seed)
+    model = random_system(rng, 4, 2, 3, 25)
+    assert_matches_reference(backward_riccati(model), cho_solve_riccati(
+        model.A, model.B, model.F, model.G, model.Fn, model.n))
+
+
+def test_indefinite_innovation_raises_with_its_step():
+    # G + B'Phi_n B = diag(1, -10) + I = diag(2, -9) at the last step (t = 2)
+    eye = np.eye(2)
+    with pytest.raises(SingularInnovation, match="not positive definite at t=2"):
+        _riccati(eye, eye, eye, np.diag([1.0, -10.0]), eye, n=3, d1=1)
 
 
 def test_scalar_hand_case():

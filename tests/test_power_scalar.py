@@ -14,7 +14,8 @@ from lqcoord.power import scalar
 from lqcoord.power.scalar import (A_FLOOR, RESIDUAL_TOL, ConstantsTable,
                                   scalar_constants, scalar_backward_solve,
                                   solve_scalar_power, stationarity_residuals,
-                                  _b_forward, _hessian, _scaled_costate)
+                                  _b_forward, _hessian, _newton_step,
+                                  _scaled_costate)
 from pmp_oracle import surrogate_cost
 from lqcoord.power.schedules import PowerSchedule, ScheduleMode
 from lqcoord.errors import (InvalidTheta, LqcoordError, NoRootFound,
@@ -327,6 +328,25 @@ def test_hessian_matches_central_differences(constants_by_horizon, n, nu):
                               for e in np.eye(n)])
         np.testing.assert_array_equal(hess, hess.T)
         assert np.abs(hess - fd).max() <= 1e-8 * np.abs(hess).max()
+
+
+def test_newton_step_shifts_an_indefinite_hessian_to_a_descent_direction():
+    hess = np.array([[2.0, 0.5, 0.0], [0.5, -3.0, 1.0], [0.0, 1.0, 4.0]])
+    assert np.linalg.eigvalsh(hess).min() < 0.0
+    grad = np.array([1.0, -2.0, 0.5])
+    step, unshifted = _newton_step(hess, grad)
+    assert not unshifted
+    assert step @ grad < 0.0
+
+
+def test_newton_step_on_a_positive_definite_hessian_is_exact():
+    rng = np.random.default_rng(5)
+    R = rng.standard_normal((3, 3))
+    hess = R @ R.T + np.diag([1.0, 10.0, 100.0])
+    grad = rng.standard_normal(3)
+    step, unshifted = _newton_step(hess, grad)
+    assert unshifted
+    np.testing.assert_allclose(step, -np.linalg.solve(hess, grad), rtol=1e-13)
 
 
 @pytest.mark.parametrize("epsilon", [1e-20, 1e-30, 1e-40])
