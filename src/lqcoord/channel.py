@@ -21,11 +21,16 @@ two halves, each stacked over a schedule's steps. The power half
 (`power_factors`) holds every factor that depends on (Lambda_t, k) alone
 and is built for all steps in one vectorised call. The Sigma half
 (`sigma_steps`) is the one forward Sigma loop, for the rollout operator
-table and the exact-cost engine alike: one eigendecomposition of Sigma_t
-per step, its roots combined with step t of the power half, and Sigma_t
-propagated through the maps they build (the Joseph form). The reverse pass
-is split the same way (`power_factors_adjoint` for all steps,
-`sigma_step_adjoint` at one step). The contraction V_t has per-direction
+table and the exact-cost engine alike. Each step keeps only the work on
+its chain: one eigendecomposition of Sigma_t, both roots from one
+product, the maps they build with step t of the power half, and Sigma_t
+propagated through them (the Joseph form), about 30 us a step on the
+presets, a third of it the eigendecomposition. The encoder and the
+checks (negative eigenvalues, a growing trace) run once over all steps
+after the loop. The reverse pass is split the same way:
+`power_factors_adjoint` for all steps, and `sigma_adjoint` makes the
+constants of every step's Sigma-half pullback in one call for the
+exact-cost engine's reverse loop. The contraction V_t has per-direction
 factor 1/(1 + lam*h) for power lam and gain h.
 """
 
@@ -37,9 +42,16 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (IndexOutOfRange, NonIntegerPeriod, RankDeficient,
-                     SigmaNearSingular, SingularInnovation, ValidationError)
-from .linalg import (EigenPair, check_symmetric, eig_roots, eig_roots_pullback,
-                     numerical_rank, sym_eig, sym_part, svd_factor)
+                     SigmaNearSingular, SigmaTraceGrowth, SingularInnovation,
+                     ValidationError)
+from .linalg import (PINV_SQRT_RTOL, EigenPair, check_symmetric,
+                     eig_roots_kernels, numerical_rank, sym_eig, sym_part,
+                     svd_factor)
+
+# Tr Sigma_{t+1} <= Tr Sigma_t holds exactly; its roundoff grows like
+# eps * sqrt(cond Sigma_t) through E = Sig12 V Sig12inv, ~2e-10 relative at
+# the 1e12 pseudo-inverse cutoff, and this allowance leaves a factor 50 on it
+TRACE_RTOL = 1e-8
 
 
 def choose_projection(B1: np.ndarray) -> np.ndarray:
@@ -183,13 +195,14 @@ def contraction(setup: ChannelSetup, lam: np.ndarray,
     """
     lam, k = np.asarray(lam, dtype=float), np.asarray(k)
     outside = (k < 0) | (k >= setup.tau)
-    if np.any(outside):
+    if outside.any():
         raise IndexOutOfRange(f"block index {k[outside].flat[0]} outside "
                               f"0..{setup.tau - 1}")
     r = setup.r
     denom = np.ones(lam.shape[:-1] + (setup.d0,))
-    np.put_along_axis(denom, k[..., None] * r + np.arange(r),
-                      1.0 + lam * setup.eig.H, axis=-1)
+    rows = denom.reshape(-1, setup.d0)
+    rows[np.arange(len(rows))[:, None], k.reshape(-1, 1) * r + np.arange(r)] = \
+        (1.0 + lam * setup.eig.H).reshape(-1, r)
     Utau = setup.Utau
     return sym_part((Utau / denom[..., None, :]) @ Utau.T)
 
@@ -221,20 +234,21 @@ def power_factors(setup: ChannelSetup, Lambda: np.ndarray,
     """
     lam = np.asarray(Lambda, dtype=float)
     blocks = np.asarray(blocks, dtype=int)
-    n, r, C = len(lam), setup.r, setup.C
-    S12 = setup.S_sqrt_of(lam)
+    n, r, C, U = len(lam), setup.r, setup.C, setup.eig.U
+    # S^(1/2) and S (`S_sqrt_of`, `S_of`) in one product
+    S12, S = sym_part((U * np.stack([np.sqrt(lam), lam])[..., None, :]) @ U.T)
     try:
-        inv = np.linalg.inv(sym_part(C @ setup.S_of(lam) @ C.T + setup.Wv))
+        inv = np.linalg.inv(sym_part(C @ S @ C.T + setup.Wv))
     except np.linalg.LinAlgError as exc:
         raise SingularInnovation("C S C' + Wv is singular") from exc
     V = contraction(setup, lam, blocks)
     # P_k selects block k's coordinates, so Q S^(1/2) P_k and P_k' (.) are
     # the r-column/r-row products placed at those coordinates
-    cols = blocks[:, None] * r + np.arange(r)
+    steps, cols = np.arange(n)[:, None], blocks[:, None] * r + np.arange(r)
     left = np.zeros((n, setup.d1, setup.d0))
-    np.put_along_axis(left, cols[:, None, :], setup.Q @ S12, axis=2)
+    left[steps, :, cols] = (setup.Q @ S12).swapaxes(1, 2)
     right = np.zeros((n, setup.d0, setup.d0))
-    np.put_along_axis(right, cols[:, :, None], S12 @ (C.T @ inv @ setup.P), axis=1)
+    right[steps, cols] = S12 @ (C.T @ inv @ setup.P)
     return PowerFactors(lam=lam, blocks=blocks, S12=S12, inv=inv, V=V,
                         left=left, right=right)
 
@@ -245,12 +259,13 @@ class SigmaPass:
 
     Sigma holds Sigma_0..Sigma_n (n + 1, d0, d0); every other field is
     (n, ., .) over steps 0..n-1: Sigma_t's clipped eigenpair U, H, its
-    roots Sig12 and Sig12inv (truncated), and the maps. The leader sends
-    s_t = enc e_t; the follower estimates e_t as dec y_t from the raw
-    d0-dimensional channel output y_t = B1 s_t + w_t; the error then evolves
-    as e_{t+1} = E e_t - dec w_t, so Sigma_{t+1} = E Sigma_t E' + dec W dec'
-    is the covariance this encoder and decoder produce, also where the
-    pseudo-inverse cutoff drops a direction of Sigma_t.
+    roots Sig12 and Sig12inv (truncated), the product SV = Sig12 V and the
+    maps. The leader sends s_t = enc e_t; the follower estimates e_t as
+    dec y_t from the raw d0-dimensional channel output y_t = B1 s_t + w_t;
+    the error then evolves as e_{t+1} = E e_t - dec w_t, so Sigma_{t+1} =
+    E Sigma_t E' + dec W dec' is the covariance this encoder and decoder
+    produce, also where the pseudo-inverse cutoff drops a direction of
+    Sigma_t.
     """
 
     Sigma: np.ndarray
@@ -258,6 +273,7 @@ class SigmaPass:
     H: np.ndarray
     Sig12: np.ndarray
     Sig12inv: np.ndarray
+    SV: np.ndarray
     enc: np.ndarray
     dec: np.ndarray
     E: np.ndarray
@@ -268,49 +284,101 @@ def sigma_steps(power: PowerFactors, Sigma0: np.ndarray,
     """The Sigma half of the channel map along all steps of `power`.
 
     Sigma0 is checked for symmetry and symmetrised once; every later
-    Sigma_t comes out of `sym_part`. At step t one eigendecomposition of
-    Sigma_t gives Sigma_t^(1/2) and the truncated Sigma_t^(-1/2): directions
-    below the pseudo-inverse cutoff are already known to the follower and
-    get zero signal. Then E = Sigma^(1/2) V Sigma^(-1/2), dec =
-    Sigma^(1/2) right and, with W the plant noise covariance, Sigma_{t+1}
-    = E Sigma_t E' + dec W dec'; enc = left Sigma^(-1/2) for all steps at
-    once after the loop. The decoder Sigma^(1/2) P_k' S^(1/2) C' (C S C'
-    + Wv)^-1 P is also the noise map of the error recursion: by the
-    push-through identity it equals Sigma^(1/2) V P_k' S^(1/2) C' Wv^-1 P.
+    Sigma_t comes out of a symmetrisation. At step t one eigendecomposition
+    of Sigma_t gives Sigma_t^(1/2) and the truncated Sigma_t^(-1/2)
+    (`linalg.eig_roots`, written out so the loop keeps only the work on
+    its chain): directions below the pseudo-inverse cutoff are already
+    known to the follower and get zero signal. Then SV = Sigma^(1/2) V,
+    dec = Sigma^(1/2) right, E = SV Sigma^(-1/2) and, with W the plant
+    noise covariance, Sigma_{t+1} = E Sigma_t E' + dec W dec' (the Joseph
+    form). The decoder Sigma^(1/2) P_k' S^(1/2) C' (C S C' + Wv)^-1 P is
+    also the noise map of the error recursion: by the push-through
+    identity it equals Sigma^(1/2) V P_k' S^(1/2) C' Wv^-1 P.
+
+    After the loop, for all steps at once: enc = left Sigma^(-1/2), the
+    negative-eigenvalue check (`SigmaNearSingular` names the first step
+    whose Sigma_t has an eigenvalue below -1e-10 max(1, |eig|)), and the
+    trace check: V P V + right W right' <= V <= I with P the projector on
+    the live directions, so Tr Sigma_{t+1} <= Tr Sigma_t, and a step that
+    raises it by more than TRACE_RTOL Tr Sigma_t raises `SigmaTraceGrowth`.
     """
     n, d0 = power.V.shape[:2]
     Sigma = np.empty((n + 1, d0, d0))
     Sigma[0] = check_symmetric(Sigma0, name="Sigma0")
-    U, Sig12, Sig12inv, E, dec = np.empty((5, n, d0, d0))
-    H = np.empty((n, d0))
-    for t in range(n):
-        w, V = np.linalg.eigh(Sigma[t])   # Sigma_t is exactly symmetric
-        w, U[t] = w[::-1], V[:, ::-1]
-        if w[-1] < -1e-10 * max(1.0, np.abs(w).max()):
-            raise SigmaNearSingular(f"Sigma at step {t} has a negative "
-                                    f"eigenvalue {w[-1]:.3e}")
-        H[t] = np.clip(w, 0.0, None)
-        Sig12[t], Sig12inv[t] = eig_roots(U[t], H[t])
-        E[t] = Sig12[t] @ power.V[t] @ Sig12inv[t]
-        dec[t] = Sig12[t] @ power.right[t]
-        Sigma[t + 1] = sym_part(E[t] @ Sigma[t] @ E[t].T + dec[t] @ W @ dec[t].T)
-    return SigmaPass(Sigma=Sigma, U=U, H=H, Sig12=Sig12, Sig12inv=Sig12inv,
-                     enc=power.left @ Sig12inv, dec=dec, E=E)
+    w, H = np.empty((2, n, d0))
+    root_values = np.zeros((n, 2, d0))       # sqrt(H) and the truncated H^(-1/2)
+    U, SV, dec, E = np.empty((4, n, d0, d0))
+    roots = np.empty((n, 2, d0, d0))         # Sig12, Sig12inv
+    steps = zip(Sigma, Sigma[1:], w, H, U, root_values, roots, SV, dec, E,
+                power.V, power.right)
+    for S_t, S_next, w_t, h, U_t, rv, root, SV_t, dec_t, E_t, V_t, right_t in steps:
+        w_t[...], eigvecs = np.linalg.eigh(S_t)   # ascending; S_t is symmetric
+        U_t[...] = eigvecs[:, ::-1]
+        np.maximum(w_t[::-1], 0.0, out=h)
+        np.sqrt(h, out=rv[0])
+        # the live directions, h > cutoff * max h, lead the descending h
+        live = d0 - w_t.searchsorted(PINV_SQRT_RTOL * h[0], "right")
+        np.power(h[:live], -0.5, out=rv[1, :live])
+        raw = (U_t * rv[:, None, :]).reshape(2 * d0, d0).dot(U_t.T)
+        raw = raw.reshape(2, d0, d0)
+        np.add(raw, raw.transpose(0, 2, 1).copy(), out=root)
+        np.multiply(root, 0.5, out=root)
+        root[0].dot(V_t, out=SV_t)
+        root[0].dot(right_t, out=dec_t)
+        SV_t.dot(root[1], out=E_t)
+        S = E_t.dot(S_t).dot(E_t.T) + dec_t.dot(W).dot(dec_t.T)
+        np.add(S, S.T.copy(), out=S_next)
+        np.multiply(S_next, 0.5, out=S_next)
+    low = w[:, 0] < -1e-10 * np.maximum(1.0, np.abs(w).max(axis=1))
+    if low.any():
+        t = int(low.argmax())
+        raise SigmaNearSingular(f"Sigma at step {t} has a negative "
+                                f"eigenvalue {w[t, 0]:.3e}")
+    trace = np.trace(Sigma, axis1=1, axis2=2)
+    grew = trace[1:] - trace[:-1] > TRACE_RTOL * trace[:-1]
+    if grew.any():
+        t = int(grew.argmax())
+        raise SigmaTraceGrowth(f"Tr Sigma grows at step {t}: {trace[t]:.6e} -> "
+                               f"{trace[t + 1]:.6e}, more than the roundoff "
+                               f"allowance {TRACE_RTOL:g} relative")
+    Sig12inv = roots[:, 1]
+    return SigmaPass(Sigma=Sigma, U=U, H=H, Sig12=roots[:, 0], Sig12inv=Sig12inv,
+                     SV=SV, enc=power.left @ Sig12inv, dec=dec, E=E)
 
 
-def sigma_step_adjoint(power: PowerFactors, sigma: SigmaPass, t: int,
-                       kernels: tuple[np.ndarray, np.ndarray],
-                       enc_bar: np.ndarray, dec_bar: np.ndarray,
-                       E_bar: np.ndarray) -> np.ndarray:
-    """Reverse pass of step t of `sigma_steps`: the gradient w.r.t. Sigma_t.
+@dataclass(frozen=True)
+class SigmaAdjoint:
+    """Per-step constants of the Sigma half's reverse pass, stacked.
 
-    Given the gradients of a scalar with respect to enc, dec and E at step
-    t, maps them through Sigma_t's root and truncated inverse root;
-    kernels = linalg.eig_roots_kernels(sigma.H[t]).
+    Given the gradients enc_bar, dec_bar and E_bar of a scalar with
+    respect to step t's maps, its gradient with respect to Sigma_t is
+    sym(U X U') with
+
+        X = F_root o (U' [E_bar | dec_bar] RU) + F_inv o (LU [enc_bar; E_bar] U),
+
+    where RU = [Sig12inv V U; right' U] (2 d0 x d0), LU = U' [left' | SV']
+    (d0 x (d1 + d0)) and (F_root, F_inv) are the Daleckii-Krein kernels of
+    Sigma_t's roots (`linalg.eig_roots_kernels`): X collects the gradients
+    with respect to Sigma^(1/2) (from dec = Sig12 right and E = Sig12 V
+    Sig12inv) and the truncated Sigma^(-1/2) (from enc = left Sig12inv and
+    E) in Sigma_t's eigenbasis.
     """
-    root_bar = dec_bar @ power.right[t].T + E_bar @ sigma.Sig12inv[t] @ power.V[t]
-    inv_bar = power.left[t].T @ enc_bar + (sigma.Sig12[t] @ power.V[t]).T @ E_bar
-    return eig_roots_pullback(sigma.U[t], kernels, root_bar, inv_bar)
+
+    U: np.ndarray
+    F_root: np.ndarray
+    F_inv: np.ndarray
+    RU: np.ndarray
+    LU: np.ndarray
+
+
+def sigma_adjoint(power: PowerFactors, sigma: SigmaPass) -> SigmaAdjoint:
+    """The reverse-pass constants of every step of `sigma`, in one call."""
+    U = sigma.U
+    F_root, F_inv = eig_roots_kernels(sigma.H)
+    RU = np.concatenate([sigma.Sig12inv @ power.V, power.right.swapaxes(1, 2)],
+                        axis=1) @ U
+    LU = (np.concatenate([power.left, sigma.SV], axis=1) @ U).swapaxes(1, 2)
+    return SigmaAdjoint(U=U, F_root=F_root, F_inv=F_inv, RU=RU, LU=LU)
 
 
 def power_factors_adjoint(setup: ChannelSetup, power: PowerFactors,
@@ -325,25 +393,22 @@ def power_factors_adjoint(setup: ChannelSetup, power: PowerFactors,
     entries of Lambda must be positive: S^(1/2) has no derivative at 0.
     """
     U, H, C, r = setup.eig.U, setup.eig.H, setup.C, setup.r
-    # enc = left Sig12inv, dec = Sig12 right, E = Sig12 V Sig12inv
-    left_bar = enc_bar @ Sig12inv
-    right_bar = Sig12 @ dec_bar
-    V_bar = Sig12 @ E_bar @ Sig12inv
-    # left = Q S12 P_k, right = P_k' S12 out with out = C' inv P: only block
-    # k's columns of left_bar, rows of right_bar and block of V_bar count
+    # enc = left Sig12inv, dec = Sig12 right, E = Sig12 V Sig12inv, and
+    # left = Q S12 P_k, right = P_k' S12 out with out = C' inv P: only
+    # block k's columns of left_bar = enc_bar Sig12inv, rows of right_bar =
+    # Sig12 dec_bar and block of V_bar = Sig12 E_bar Sig12inv count, and
+    # they take block k's rows of the (symmetric) roots
+    steps = np.arange(len(power.lam))[:, None]
     cols = power.blocks[:, None] * r + np.arange(r)
-    lb = np.take_along_axis(left_bar, cols[:, None, :], axis=2)
-    rb = np.take_along_axis(right_bar, cols[:, :, None], axis=1)
-    Vb = np.take_along_axis(np.take_along_axis(V_bar, cols[:, :, None], axis=1),
-                            cols[:, None, :], axis=2)
-    out = C.T @ power.inv @ setup.P
-    S12_bar = setup.Q.T @ lb + out @ rb.swapaxes(1, 2)
-    inv_bar = C @ power.S12 @ rb @ setup.P.T
-    S_bar = -C.T @ power.inv @ inv_bar @ power.inv @ C
-
-    def quad(X):          # u_j' X_t u_j for every column u_j of U
-        return np.einsum("ij,tij->tj", U, X @ U)
-
+    root_k, inv_root_k = Sig12[steps, cols], Sig12inv[steps, cols].swapaxes(1, 2)
+    rb = root_k @ dec_bar
+    CI = C.T @ power.inv
+    out = CI @ setup.P
+    S12_bar = setup.Q.T @ (enc_bar @ inv_root_k) + out @ rb.swapaxes(1, 2)
+    # through (C S C' + Wv)^-1: -C' inv (C S12 rb P') inv C
+    S_bar = -(CI @ C) @ power.S12 @ rb @ out.swapaxes(1, 2)
+    Vb = root_k @ E_bar @ inv_root_k
+    # u_j' X_t u_j for every column u_j of U, for the three gradients at once
+    q = np.einsum("ij,stij->stj", U, np.stack([S12_bar, S_bar, Vb]) @ U)
     lam = power.lam
-    return (0.5 * quad(S12_bar) / np.sqrt(lam) + quad(S_bar)
-            - H / (1.0 + lam * H) ** 2 * quad(Vb))
+    return 0.5 * q[0] / np.sqrt(lam) + q[1] - H / (1.0 + lam * H) ** 2 * q[2]

@@ -102,7 +102,11 @@ def build_policy(pol: PolicyConfig, model: SystemModel) -> tuple[PreparedPolicy,
 
 
 def run_experiment(config: ExperimentConfig) -> list[Path]:
-    """Execute the config and write aggregate/series/summary files."""
+    """Execute the config and write aggregate/series/summary files.
+
+    A package error while a policy is built is raised again as the same
+    type with the policy's name in front of its message.
+    """
     model = config.model()
     target = config.resolve_target()
     out = Path(config.out_dir)
@@ -111,7 +115,10 @@ def run_experiment(config: ExperimentConfig) -> list[Path]:
     reports, summaries = [], []
     for pol in config.policies:
         t0 = time.perf_counter()
-        prepared, ratio = build_policy(pol, model)
+        try:
+            prepared, ratio = build_policy(pol, model)
+        except LqcoordError as exc:
+            raise type(exc)(f"policy '{pol.name}': {exc}") from exc
         report = monte_carlo(prepared, model, target, config.runs,
                              config.master_seed)
         wall = time.perf_counter() - t0

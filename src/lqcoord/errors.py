@@ -37,6 +37,11 @@ class SigmaNearSingular(NotPsd):
     """Estimation-error covariance is invalid (not PSD within tolerance)."""
 
 
+class SigmaTraceGrowth(LqcoordError):
+    """Tr Sigma_t grows from one step to the next beyond roundoff; the
+    channel map did not contract."""
+
+
 class NonIntegerPeriod(LqcoordError):
     """State dimension is not an integer multiple of the channel rank."""
 

@@ -120,18 +120,6 @@ def eig_roots_kernels(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return F_root, F_inv
 
 
-def eig_roots_pullback(U: np.ndarray, kernels: tuple[np.ndarray, np.ndarray],
-                       root_bar: np.ndarray, inv_bar: np.ndarray) -> np.ndarray:
-    """Gradient with respect to M = U diag(H) U' from those of its roots.
-
-    kernels = eig_roots_kernels(H); root_bar and inv_bar are the gradients
-    of a scalar with respect to M^(1/2) and the truncated M^(-1/2).
-    """
-    F_root, F_inv = kernels
-    X = (U.T @ root_bar @ U) * F_root + (U.T @ inv_bar @ U) * F_inv
-    return sym_part(U @ X @ U.T)
-
-
 def psd_sqrt(M: np.ndarray) -> np.ndarray:
     """Symmetric square root S of a PSD matrix, S @ S = M."""
     pair = sym_eig(M)

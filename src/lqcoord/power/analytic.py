@@ -29,14 +29,19 @@ ex-comm, which shares the target), not an engine input.
 With T_t the joint transition, Nrho_t the noise map and Mu_t the input
 map, P_{t+1} = T_t P_t T_t' + Nrho_t W Nrho_t' and the stage cost is
 Tr(F Z_t) + Tr(G Mu_t P_t Mu_t'). `trajectory` fills T, Nrho and Mu of
-all steps as stacked arrays, runs a serial loop on P_t and takes the
-stage costs of all steps in one contraction over the stacked P_t.
+all steps as stacked arrays (their gain-fixed part, `joint_frame`, made
+once per gain schedule by the evaluator), runs a serial loop of two
+products, the noise and a symmetrisation on P_t (about 5 us a step) and
+takes the stage costs of all steps in one contraction over the stacked
+P_t.
 
 `TailCostEvaluator.gradient` runs the reverse (adjoint) recursion of a
-signaling table's map in the same shape: a serial loop that carries the
-joint costate Pbar and takes the Sigma half's reverse pass at each step
-from the table's stacked Sigma pass, then the power half's reverse pass
-for all steps at once.
+signaling table's map in the same shape: the channel's reverse-pass
+constants of all steps (`channel.sigma_adjoint`) are folded into the
+joint maps before the loop, so the serial loop on the joint costate Pbar
+is four products, a Hadamard product and a symmetrisation a step (about
+10 us), and the gradients of every step's maps and the power half's
+reverse pass follow for all steps at once after it.
 """
 
 from __future__ import annotations
@@ -46,11 +51,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..channel import (ChannelSetup, PowerFactors, SigmaPass, block_schedule,
-                       power_factors, power_factors_adjoint, sigma_step_adjoint,
+                       power_factors, power_factors_adjoint, sigma_adjoint,
                        sigma_steps)
 from ..errors import ValidationError
 from ..gains import GainSchedule
-from ..linalg import eig_roots_kernels, sym_part
 from ..model import SystemModel
 from .schedules import PowerSchedule, ScheduleMode
 
@@ -88,14 +92,23 @@ def signaling_ops(gains: GainSchedule, setup: ChannelSetup, model: SystemModel,
                   power: PowerSchedule, blocks: list[int]) -> StepOps:
     """The coordination scheme's table for a power schedule; blocks[t] is
     the block sent at step t."""
+    return _with_channel(_gain_maps(gains, model), setup, model, power, blocks)
+
+
+def _gain_maps(gains: GainSchedule, model: SystemModel) -> dict:
+    """The coordination scheme's gain fields of its table: D* = 0, D^ = D."""
+    K, D = np.array(gains.K), np.array(gains.D)
+    return dict(K=K, D_star=np.zeros_like(D), D_hat=D,
+                Abar=model.A - model.B @ K, BD=model.B @ D)
+
+
+def _with_channel(gain_maps: dict, setup: ChannelSetup, model: SystemModel,
+                  power: PowerSchedule, blocks: list[int]) -> StepOps:
     power.check_fits(model.n, setup.r)
     factors = power_factors(setup, power.Lambda, blocks)
     sigma = sigma_steps(factors, model.Sigma0, model.W)
-    K, D = np.array(gains.K), np.array(gains.D)
-    return StepOps(K=K, D_star=np.zeros_like(D), D_hat=D, enc=sigma.enc,
-                   dec=sigma.dec, E=sigma.E, Sigma=sigma.Sigma,
-                   Abar=model.A - model.B @ K, BD=model.B @ D,
-                   power=factors, sigma=sigma)
+    return StepOps(**gain_maps, enc=sigma.enc, dec=sigma.dec, E=sigma.E,
+                   Sigma=sigma.Sigma, power=factors, sigma=sigma)
 
 
 def silent_ops(model: SystemModel, K: np.ndarray, D_star: np.ndarray,
@@ -109,6 +122,37 @@ def silent_ops(model: SystemModel, K: np.ndarray, D_star: np.ndarray,
                    E=np.broadcast_to(np.eye(d0), zeros.shape),
                    Sigma=np.broadcast_to(Sigma, (n + 1, d0, d0)),
                    Abar=model.A - model.B @ K, BD=zeros)
+
+
+@dataclass(frozen=True)
+class JointFrame:
+    """The part of a table's joint maps that its gains alone fix, stacked.
+
+    T with its e column left zero, Mu without enc (its e column holds
+    -D^), the noise map without its decoder block, and P_0. A table's
+    `trajectory` copies them and fills in the maps of enc, dec and E.
+    """
+
+    T: np.ndarray
+    Mu: np.ndarray
+    Nrho: np.ndarray
+    P0: np.ndarray
+
+
+def joint_frame(model: SystemModel, K: np.ndarray, D_star: np.ndarray,
+                D_hat: np.ndarray, Abar: np.ndarray) -> JointFrame:
+    """The gain-fixed part of the joint maps of a table with these gains."""
+    d0, n = model.d0, model.n
+    I, x = np.eye(d0), slice(2 * d0, None)
+    offset = D_star + D_hat
+    T = np.zeros((n, 3 * d0, 3 * d0))
+    T[:, :d0, :d0] = Abar
+    T[:, :d0, x] = Abar + model.B @ offset - I
+    T[:, x, x] = I
+    Nrho = np.zeros((n, 3 * d0, d0))
+    Nrho[:, :d0] = I
+    return JointFrame(T=T, Mu=np.concatenate([-K, -D_hat, offset - K], axis=2),
+                      Nrho=Nrho, P0=initial_joint(model))
 
 
 @dataclass(frozen=True)
@@ -129,31 +173,36 @@ class Trajectory:
     costs: np.ndarray
 
 
-def trajectory(ops: StepOps, model: SystemModel) -> Trajectory:
-    """The engine's forward pass over the operator table of any policy."""
+def trajectory(ops: StepOps, model: SystemModel,
+               frame: JointFrame | None = None) -> Trajectory:
+    """The engine's forward pass over the operator table of any policy.
+
+    frame is `joint_frame` of the table's gains; a caller that evaluates
+    many tables on the same gains passes it in once made.
+    """
+    if frame is None:
+        frame = joint_frame(model, ops.K, ops.D_star, ops.D_hat, ops.Abar)
     d0, d1, n = model.d0, model.d1, model.n
-    I = np.eye(d0)
-    e, x = slice(d0, 2 * d0), slice(2 * d0, None)
-    offset = ops.D_star + ops.D_hat
-    T = np.zeros((n, 3 * d0, 3 * d0))
-    T[:, :d0, :d0] = ops.Abar
+    e = slice(d0, 2 * d0)
+    T = frame.T.copy()
     T[:, :d0, e] = model.B1 @ ops.enc - ops.BD
-    T[:, :d0, x] = ops.Abar + model.B @ offset - I
     T[:, e, e] = ops.E
-    T[:, x, x] = I
-    Nrho = np.zeros((n, 3 * d0, d0))
-    Nrho[:, :d0] = I
+    Nrho = frame.Nrho.copy()
     Nrho[:, e] = -ops.dec
-    signal = -ops.D_hat
-    signal[:, :d1] += ops.enc
-    Mu = np.concatenate([-ops.K, signal, offset - ops.K], axis=2)
+    Mu = frame.Mu.copy()
+    Mu[:, :d1, e] += ops.enc
     noise = Nrho @ model.W @ Nrho.swapaxes(1, 2)
     weight = Mu.swapaxes(1, 2) @ model.G @ Mu
     weight[:, :d0, :d0] += model.F
     joint = np.empty((n + 1, 3 * d0, 3 * d0))
-    joint[0] = initial_joint(model)
-    for t in range(n):
-        joint[t + 1] = sym_part(T[t] @ joint[t] @ T[t].T + noise[t])
+    joint[0] = frame.P0
+    # P_{t+1} = S + S' with S = T P (T'/2) + noise/2: halving is exact, so
+    # this is sym(T P T' + noise) to the bit
+    steps = zip(T, 0.5 * T.transpose(0, 2, 1), joint, joint[1:], 0.5 * noise)
+    for T_t, half_TT, P_t, P_next, half_noise in steps:
+        S = T_t.dot(P_t).dot(half_TT)
+        S += half_noise
+        np.add(S, S.T, out=P_next)
     costs = np.append(np.einsum("tij,tji->t", weight, joint[:n]),
                       np.trace(model.Fn @ joint[n, :d0, :d0]))
     return Trajectory(ops=ops, T=T, Nrho=Nrho, Mu=Mu, weight=weight,
@@ -163,8 +212,9 @@ def trajectory(ops: StepOps, model: SystemModel) -> Trajectory:
 class TailCostEvaluator:
     """Exact cost E[J_n] of power schedules and its gradient, for optimizers.
 
-    The block schedule is checked once. `cost(Lambda)` builds the
-    signaling table of Lambda, runs the forward pass over it and keeps its
+    The block schedule and the gain-fixed part of the joint maps
+    (`joint_frame`) are made once. `cost(Lambda)` builds the signaling
+    table of Lambda, runs the forward pass over it and keeps its
     `trajectory`; `gradient()` runs the adjoint recursion over it,
 
         Pbar_n = Fn (Z block),
@@ -172,19 +222,33 @@ class TailCostEvaluator:
 
     where Sigma_bar_t (Sigma block) is the gradient through Sigma_t's roots
     in the maps of step t, and returns dE[J_n]/dLambda_t for every entry.
+
+    Sigma_bar_t is linear in Pbar_{t+1}: with TPe = T P_t[:, e] and NW the
+    noise map times W, step t's maps have gradients E_bar = 2 Pbar[e] TPe,
+    dec_bar = -2 Pbar[e] NW and enc_bar = enc_mu + 2 B1' Pbar[z] TPe, where
+    enc_mu = 2 G_1 Mu P_t[:, e] (G_1 the leader's rows of G) needs no
+    costate. So the Sigma half's pullback constants (`channel.sigma_adjoint`)
+    fold into per-step matrices made for all steps before the loop; the
+    loop takes Sigma_bar_t's eigenbasis form X_t from two products and
+    Pbar_t from two more, with X's enc_mu part moved into the stage weight.
+    The gradients of every step's maps follow from the stored Pbar_{t+1}
+    after the loop, and the power half's reverse pass from them.
     """
 
     def __init__(self, gains: GainSchedule, setup: ChannelSetup,
                  model: SystemModel, block_order: list[int] | None = None):
         self.gains, self.setup, self.model = gains, setup, model
         self.blocks = block_schedule(setup, model.n, block_order)
+        self.gain_maps = g = _gain_maps(gains, model)
+        self.frame = joint_frame(model, g["K"], g["D_star"], g["D_hat"], g["Abar"])
         self.trajectory: Trajectory | None = None
 
     def cost(self, Lambda) -> float:
         """E[J_n] of the schedule Lambda, an (n, r) array of power entries."""
         schedule = PowerSchedule(mode=ScheduleMode.FULL_MATRIX, Lambda=Lambda)
-        self.trajectory = trajectory(signaling_ops(
-            self.gains, self.setup, self.model, schedule, self.blocks), self.model)
+        ops = _with_channel(self.gain_maps, self.setup, self.model, schedule,
+                            self.blocks)
+        self.trajectory = trajectory(ops, self.model, self.frame)
         return float(self.trajectory.costs.sum())
 
     def gradient(self) -> np.ndarray:
@@ -194,36 +258,54 @@ class TailCostEvaluator:
             raise ValidationError("gradient: no schedule evaluated yet; call cost")
         power, sigma = traj.ops.power, traj.ops.sigma
         lam = power.lam
-        if np.any(lam <= 0.0):
+        if (lam <= 0.0).any():
             t, j = np.argwhere(lam <= 0.0)[0]
             raise ValidationError(
                 f"gradient needs positive power; Lambda_{t}[{j}] = "
                 f"{lam[t, j]:.3g}")
         model, setup = self.model, self.setup
         d0, d1, n = model.d0, model.d1, model.n
-        e = slice(d0, 2 * d0)
-        P, T = traj.joint, traj.T
-        # the channel's maps fill T's signal and E blocks (column block e),
-        # Nrho's error block and Mu's estimate block; the Mu share of
-        # enc_bar needs no costate
-        enc_bar = 2.0 * (model.G @ traj.Mu)[:, :d1] @ P[:n, :, e]
-        dec_bar, E_bar = np.empty((2, n, d0, d0))
-        NW = traj.Nrho @ model.W
-        F_root, F_inv = eig_roots_kernels(sigma.H)
-        Pbar = np.zeros((3 * d0, 3 * d0))
-        Pbar[:d0, :d0] = model.Fn
-        for t in reversed(range(n)):
-            PbarT = Pbar @ T[t]
-            T_bar = 2.0 * PbarT @ P[t][:, e]
-            enc_bar[t] += setup.B1.T @ T_bar[:d0]
-            dec_bar[t] = -2.0 * Pbar[e] @ NW[t]
-            E_bar[t] = T_bar[e]
-            Sigma_bar = sigma_step_adjoint(power, sigma, t, (F_root[t], F_inv[t]),
-                                           enc_bar[t], dec_bar[t], E_bar[t])
-            Pbar = sym_part(T[t].T @ PbarT + traj.weight[t])
-            Pbar[e, e] += Sigma_bar
+        D, e = 3 * d0, slice(d0, 2 * d0)
+        Pe = traj.joint[:n, :, e]
+        TPe, NW = traj.T @ Pe, traj.Nrho @ model.W
+        half_enc_mu = model.G[:d1] @ traj.Mu @ Pe
+        adj = sigma_adjoint(power, sigma)
+        U, UT = adj.U, adj.U.swapaxes(1, 2)
+        # Y = Lz Pbar[:2 d0] Q holds U' root_bar U and U' inv_bar U - c as
+        # its diagonal blocks, c = 2 U' left' half_enc_mu U
+        Lz = np.zeros((n, 2 * d0, 2 * d0))
+        Lz[:, :d0, e] = UT
+        Lz[:, e, :d0] = 2.0 * adj.LU[:, :, :d1] @ setup.B1.T
+        Lz[:, e, e] = 2.0 * adj.LU[:, :, d1:]
+        Q = np.concatenate([2.0 * np.concatenate([TPe, -NW], axis=2) @ adj.RU,
+                            TPe @ U], axis=2)
+        F = np.zeros((n, 2 * d0, 2 * d0))
+        F[:, :d0, :d0], F[:, e, e] = adj.F_root, adj.F_inv
+        # half the stage weight, with X's constant part c moved into it
+        half_weight = 0.5 * traj.weight
+        half_c = adj.LU[:, :, :d1] @ half_enc_mu @ U
+        half_weight[:, e, e] += U @ (adj.F_inv * half_c) @ UT
+        # [U~ U~] (F o Y) [U~ U~]' = U~ X U~' as F's off-diagonal blocks are
+        # 0; L is scaled by 1/sqrt(2) so that S + S' is Pbar, not 2 Pbar
+        L = np.zeros((n, D, D + 2 * d0))
+        np.multiply(traj.T.swapaxes(1, 2), np.sqrt(0.5), out=L[:, :, :D])
+        L[:, e, D:D + d0] = L[:, e, D + d0:] = np.sqrt(0.5) * U
+        # G[t] = blkdiag(Pbar_t, F o Y_{t-1})
+        G = np.zeros((n + 1, D + 2 * d0, D + 2 * d0))
+        G[n, :d0, :d0] = model.Fn
+        steps = zip(G[:0:-1], G[-2::-1, :D, :D], G[:0:-1, :2 * d0, :D],
+                    G[:0:-1, D:, D:], Lz[::-1], Q[::-1], F[::-1], L[::-1],
+                    L.transpose(0, 2, 1)[::-1].copy(), half_weight[::-1])
+        for G_next, Pbar, Pbar_ze, FY, Lz_t, Q_t, F_t, L_t, LT_t, w_t in steps:
+            np.multiply(Lz_t.dot(Pbar_ze).dot(Q_t), F_t, out=FY)
+            S = L_t.dot(G_next).dot(LT_t)
+            S += w_t
+            np.add(S, S.T, out=Pbar)
+        A = G[1:, :2 * d0, :D] @ np.concatenate([TPe, NW], axis=2)
+        enc_bar = 2.0 * (half_enc_mu + setup.B1.T @ A[:, :d0, :d0])
         return power_factors_adjoint(setup, power, sigma.Sig12, sigma.Sig12inv,
-                                     enc_bar, dec_bar, E_bar)
+                                     enc_bar, -2.0 * A[:, e, e],
+                                     2.0 * A[:, e, :d0])
 
 
 def expected_total_cost(schedule: PowerSchedule, gains: GainSchedule,

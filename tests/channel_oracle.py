@@ -10,7 +10,12 @@ their own factorization. The package runs both regimes through one channel
 (fully actuated is r = d0); this file keeps the two closed forms apart.
 `one_step` and `one_step_adjoint` at the end are the exception: they run
 the package's own stacked maps on a one-step schedule, for tests that probe
-the channel map one step at a time.
+the channel map one step at a time. `reference_sigma_steps` keeps the
+package's Sigma loop as it was written before its loops were cut to the
+work on their chain (one `eig_roots` call, the negative-eigenvalue check
+and the eigenpair stores inside the loop), and `sigma_step_adjoint` the
+per-step reverse pass that went with it, as references for the lean loop
+and its batched adjoint constants.
 
 Fully actuated (Q1 = B1 Q, channel eigenbasis U, gains H):
     s_t     = Q S^(1/2) Sigma^(-1/2) e_t,          S = U diag(lam) U'
@@ -29,10 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from lqcoord.channel import (power_factors, power_factors_adjoint,
-                             sigma_step_adjoint, sigma_steps)
-from lqcoord.errors import RankDeficient
-from lqcoord.linalg import eig_roots_kernels, svd_factor
+from lqcoord.channel import power_factors, power_factors_adjoint, sigma_steps
+from lqcoord.errors import RankDeficient, SigmaNearSingular
+from lqcoord.linalg import (check_symmetric, eig_roots, eig_roots_kernels,
+                            svd_factor, sym_part)
 
 
 def sqrt_psd(M: np.ndarray) -> np.ndarray:
@@ -271,6 +276,71 @@ def observe_and_update(state: CoordinationState, x_t, x_next) -> None:
         Sigma_next = cov_update_ua(msg.Sigma, lam, k, setup)
     msg.apply_estimate(e_hat, Sigma_next)
     state.t = t + 1
+
+
+# --- the Sigma loop and its one-step reverse pass, as first written -------------
+
+@dataclass(frozen=True)
+class ReferencePass:
+    """The stacks `reference_sigma_steps` fills, named as in `SigmaPass`."""
+
+    Sigma: np.ndarray
+    U: np.ndarray
+    H: np.ndarray
+    Sig12: np.ndarray
+    Sig12inv: np.ndarray
+    enc: np.ndarray
+    dec: np.ndarray
+    E: np.ndarray
+
+
+def reference_sigma_steps(power, Sigma0, W) -> ReferencePass:
+    """The Sigma half of the channel map, one step after the other."""
+    n, d0 = power.V.shape[:2]
+    Sigma = np.empty((n + 1, d0, d0))
+    Sigma[0] = check_symmetric(Sigma0, name="Sigma0")
+    U, Sig12, Sig12inv, E, dec = np.empty((5, n, d0, d0))
+    H = np.empty((n, d0))
+    for t in range(n):
+        w, V = np.linalg.eigh(Sigma[t])   # Sigma_t is exactly symmetric
+        w, U[t] = w[::-1], V[:, ::-1]
+        if w[-1] < -1e-10 * max(1.0, np.abs(w).max()):
+            raise SigmaNearSingular(f"Sigma at step {t} has a negative "
+                                    f"eigenvalue {w[-1]:.3e}")
+        H[t] = np.clip(w, 0.0, None)
+        Sig12[t], Sig12inv[t] = eig_roots(U[t], H[t])
+        E[t] = Sig12[t] @ power.V[t] @ Sig12inv[t]
+        dec[t] = Sig12[t] @ power.right[t]
+        Sigma[t + 1] = sym_part(E[t] @ Sigma[t] @ E[t].T + dec[t] @ W @ dec[t].T)
+    return ReferencePass(Sigma=Sigma, U=U, H=H, Sig12=Sig12, Sig12inv=Sig12inv,
+                         enc=power.left @ Sig12inv, dec=dec, E=E)
+
+
+def eig_roots_pullback(U: np.ndarray, kernels: tuple[np.ndarray, np.ndarray],
+                       root_bar: np.ndarray, inv_bar: np.ndarray) -> np.ndarray:
+    """Gradient with respect to M = U diag(H) U' from those of its roots.
+
+    kernels = eig_roots_kernels(H); root_bar and inv_bar are the gradients
+    of a scalar with respect to M^(1/2) and the truncated M^(-1/2).
+    """
+    F_root, F_inv = kernels
+    X = (U.T @ root_bar @ U) * F_root + (U.T @ inv_bar @ U) * F_inv
+    return sym_part(U @ X @ U.T)
+
+
+def sigma_step_adjoint(power, sigma, t: int,
+                       kernels: tuple[np.ndarray, np.ndarray],
+                       enc_bar: np.ndarray, dec_bar: np.ndarray,
+                       E_bar: np.ndarray) -> np.ndarray:
+    """Reverse pass of step t of the Sigma loop: the gradient w.r.t. Sigma_t.
+
+    Given the gradients of a scalar with respect to enc, dec and E at step
+    t, maps them through Sigma_t's root and truncated inverse root;
+    kernels = eig_roots_kernels(sigma.H[t]).
+    """
+    root_bar = dec_bar @ power.right[t].T + E_bar @ sigma.Sig12inv[t] @ power.V[t]
+    inv_bar = power.left[t].T @ enc_bar + (sigma.Sig12[t] @ power.V[t]).T @ E_bar
+    return eig_roots_pullback(sigma.U[t], kernels, root_bar, inv_bar)
 
 
 # --- the package's channel map at one step ---------------------------------------

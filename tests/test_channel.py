@@ -9,7 +9,7 @@ from conftest import random_pd
 from lqcoord.channel import (choose_projection, fa_setup, power_factors,
                              sigma_steps, ua_setup)
 from lqcoord.errors import (NonIntegerPeriod, NotSymmetric, RankDeficient,
-                            SigmaNearSingular, ValidationError)
+                            SigmaNearSingular, SigmaTraceGrowth, ValidationError)
 from lqcoord.linalg import SYM_TOL, eigh_desc, min_eig, psd_sqrt
 from lqcoord.policies import PolicyKind, make_policy
 from lqcoord.power import heuristic_schedule
@@ -508,3 +508,15 @@ def test_channel_step_adjoint_matches_central_differences(fa_channel, ua_channel
     fd = (f(Sigma + h * dS, lam) - f(Sigma - h * dS, lam)) / (2 * h)
     np.testing.assert_allclose(Sigma_bar, Sigma_bar.T, atol=0)
     assert np.sum(Sigma_bar * dS) == pytest.approx(fd, rel=1e-6)
+
+
+def test_sigma_trace_growth_names_the_step(ua_channel, ua_model):
+    # V <= I makes Tr Sigma_t non-increasing; a hand-built power half whose
+    # contraction at step 2 is 1.5 I breaks that, and the loop says where
+    power = power_factors(ua_channel, np.full((4, 2), 0.7), [0, 1, 0, 1])
+    V = power.V.copy()
+    V[2] = 1.5 * np.eye(4)
+    grown = dataclasses.replace(power, V=V)
+    with pytest.raises(SigmaTraceGrowth, match="at step 2"):
+        sigma_steps(grown, ua_model.Sigma0, ua_channel.W)
+    sigma_steps(power, ua_model.Sigma0, ua_channel.W)

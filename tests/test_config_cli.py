@@ -248,6 +248,24 @@ def test_cli_error_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_names_the_policy_whose_build_fails(capsys, tmp_path):
+    # im-comm-num is built after ex-comm and fails on a fully actuated
+    # leader; the error keeps its type and names the policy
+    args = ["compare", "--preset", lq.FULLY_ACTUATED, "--runs", "2",
+            "--policy", "ex-comm", "--policy", "im-comm-num",
+            "--out", str(tmp_path / "out")]
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: policy 'im-comm-num': im-comm-num targets "
+                          "under-actuated leaders"), err
+    assert not (tmp_path / "out" / "aggregate.csv").exists()
+    config = config_from_dict({"system": lq.FULLY_ACTUATED, "runs": 2,
+                               "policies": ["im-comm-num"],
+                               "out_dir": str(tmp_path / "out")})
+    with pytest.raises(ValidationError, match="^policy 'im-comm-num': "):
+        cli.run_experiment(config)
+
+
 def test_cli_non_finite_rollout_exits_1(capsys, tmp_path):
     # the state overflows; no NaN may reach a CSV
     I = np.eye(2).tolist()

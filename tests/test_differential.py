@@ -22,7 +22,11 @@ sampled covariance (the tests at the end pin one such case).
 The exact-cost engine builds the channel's power half for all steps at
 once and runs its serial loops on stacked maps; `joint_oracle` keeps the
 step-by-step form of the same forward and reverse passes, and the two must
-agree in cost, joint covariances and gradient.
+agree in cost, joint covariances and gradient. The Sigma loop keeps only
+the work on its step-to-step chain; `channel_oracle.reference_sigma_steps`
+keeps it as first written, and the two must agree to 1e-12 while Sigma_t
+stays clear of the cutoff (the roots' roundoff grows like eps * cond, so
+this holds only because the lean loop does the same arithmetic).
 """
 
 import dataclasses
@@ -33,8 +37,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import channel_oracle as oracle
 import joint_oracle
+import lqcoord as lq
 from conftest import random_pd
-from lqcoord.channel import fa_setup
+from lqcoord.channel import block_schedule, fa_setup, power_factors, sigma_steps
+from lqcoord.cli import build_policy
+from lqcoord.config import PolicyConfig
 from lqcoord.errors import LqcoordError
 from lqcoord.model import SystemModel
 from lqcoord.policies import PolicyKind, make_policy
@@ -328,3 +335,42 @@ def test_table_sigma_traces_equal_the_exact_engine_after_truncation():
     np.testing.assert_allclose(pol.sigma_traces,
                                np.trace(_sigma_blocks(joint), axis1=1, axis2=2),
                                rtol=RTOL)
+
+
+def _check_sigma_loop_against_reference(setup, Lambda, blocks, Sigma0, W):
+    """Sigma_{t+1}, enc_t, dec_t and E_t of the Sigma loop within 1e-12
+    relative of the reference copy while cond Sigma_0..Sigma_t <= EXACT_COND."""
+    power = power_factors(setup, Lambda, blocks)
+    lean = sigma_steps(power, Sigma0, W)
+    ref = oracle.reference_sigma_steps(power, Sigma0, W)
+    for t in range(len(blocks)):
+        if oracle.live_cond(ref.Sigma[t]) > EXACT_COND:
+            break
+        for name, a, b in (("Sigma", lean.Sigma[t + 1], ref.Sigma[t + 1]),
+                           ("enc", lean.enc[t], ref.enc[t]),
+                           ("dec", lean.dec[t], ref.dec[t]),
+                           ("E", lean.E[t], ref.E[t])):
+            _assert_rel(a, b, 1e-12, f"{name}_{t}")
+
+
+@pytest.mark.parametrize("preset, name", [
+    (lq.FULLY_ACTUATED, "im-comm-heu"), (lq.FULLY_ACTUATED, "im-comm-opt"),
+    (lq.UNDER_ACTUATED, "im-comm-heu"), (lq.UNDER_ACTUATED, "im-comm-num")])
+def test_sigma_loop_matches_reference_on_presets(preset, name):
+    # the schedules `compare` runs, the budget-5000 design included; FA
+    # im-comm-heu passes the cutoff's conditioning at t ~ 10 and the steps
+    # before it are compared
+    model = lq.load_preset(preset)
+    prepared, _ = build_policy(PolicyConfig(name=name, budget=5000), model)
+    blocks = block_schedule(prepared.setup, model.n, prepared.block_order)
+    _check_sigma_loop_against_reference(prepared.setup, prepared.power.Lambda,
+                                        blocks, model.Sigma0, model.W)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cases())
+def test_sigma_loop_matches_reference(case):
+    pol = _random_policy(*case)
+    blocks = block_schedule(pol.setup, pol.model.n)
+    _check_sigma_loop_against_reference(pol.setup, pol.power.Lambda, blocks,
+                                        pol.model.Sigma0, pol.model.W)

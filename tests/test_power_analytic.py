@@ -301,3 +301,22 @@ def test_exact_costs_are_pinned(preset, name, pinned, rtol):
     prepared, _ = build_policy(PolicyConfig(name=name), model)
     cost = trajectory(prepared.step_ops, model).costs.sum()
     assert cost == pytest.approx(pinned, rel=rtol, abs=0)
+
+
+def test_cost_and_gradient_take_one_eigh_per_step(ua_model, ua_gains, ua_channel,
+                                                   monkeypatch):
+    # work count, not time: the forward pass decomposes each Sigma_t once
+    # and the reverse pass reads the stored eigenpairs
+    evaluator = TailCostEvaluator(ua_gains, ua_channel, ua_model)
+    lam = heuristic_schedule(0.88, ua_model.n, ua_channel.r).Lambda
+    calls, eigh = [], np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    evaluator.cost(lam)
+    assert len(calls) == ua_model.n == 30
+    evaluator.gradient()
+    assert len(calls) == 30
