@@ -33,6 +33,7 @@ import numpy as np
 from .errors import LqcoordError, ParseError, ValidationError
 from .model import SystemModel
 from .presets import TARGETS, load_preset
+from .simulate import check_seed
 
 POLICY_NAMES = ("ex-comm", "leader-only", "no-comm",
                 "im-comm-heu", "im-comm-opt", "im-comm-num")
@@ -95,6 +96,7 @@ class ExperimentConfig:
             raise ValidationError("policies: at least one policy is required")
         if self.horizon is not None and self.horizon < 1:
             raise ValidationError(f"horizon: {self.horizon} must be >= 1")
+        check_seed("master_seed", self.master_seed)
         # build and validate the system once, eagerly, with field context
         object.__setattr__(self, "_model", self._build_model())
 

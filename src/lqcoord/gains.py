@@ -32,13 +32,14 @@ from .model import SystemModel, controllability_rank
 class GainSchedule:
     """Per-step feedback and target-offset gains of the joint input.
 
-    Phi and Dbar have n+1 entries (terminal included); K and D have n.
+    Phi and Dbar have n+1 entries (terminal included); K and D have n. The
+    schedules built here hold read-only arrays, so one can be shared.
     """
 
-    Phi: list[np.ndarray]
-    K: list[np.ndarray]
-    Dbar: list[np.ndarray]
-    D: list[np.ndarray]
+    Phi: tuple[np.ndarray, ...]
+    K: tuple[np.ndarray, ...]
+    Dbar: tuple[np.ndarray, ...]
+    D: tuple[np.ndarray, ...]
     d1: int
 
     @property
@@ -66,7 +67,10 @@ def _riccati(A: np.ndarray, B: np.ndarray, F: np.ndarray, G: np.ndarray,
         K[t], D[t] = KD[:, :d0], KD[:, d0:]
         Phi[t] = sym_part(F + A.T @ Phi[t + 1] @ A - A.T @ Phi[t + 1] @ B @ K[t])
         Dbar[t] = (A - B @ K[t]).T @ Dbar[t + 1] + F
-    return GainSchedule(Phi=Phi, K=K, Dbar=Dbar, D=D, d1=d1)
+    for M in (*Phi, *K, *Dbar, *D):
+        M.flags.writeable = False
+    return GainSchedule(Phi=tuple(Phi), K=tuple(K), Dbar=tuple(Dbar),
+                        D=tuple(D), d1=d1)
 
 
 def backward_riccati(model: SystemModel) -> GainSchedule:

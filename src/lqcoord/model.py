@@ -4,11 +4,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotControllable, ValidationError
 from .linalg import check_symmetric, min_eig, numerical_rank
+
+if TYPE_CHECKING:
+    from .gains import GainSchedule
 
 CTRB_RTOL = 1e-8
 
@@ -88,7 +92,8 @@ class SystemModel:
     def d2(self) -> int:
         return self.B2.shape[1]
 
-    # the block matrices below are built on first use and shared read-only
+    # the block matrices and gain schedules below are built on first use and
+    # shared read-only
 
     @cached_property
     def B(self) -> np.ndarray:
@@ -108,6 +113,18 @@ class SystemModel:
     def leader_embed(self) -> np.ndarray:
         """Maps a leader input into the joint input space: [I; 0]."""
         return _read_only(np.vstack([np.eye(self.d1), np.zeros((self.d2, self.d1))]))
+
+    @cached_property
+    def joint_gains(self) -> "GainSchedule":
+        """`backward_riccati(self)`, shared by the policies made on this model."""
+        from .gains import backward_riccati   # gains imports this module
+        return backward_riccati(self)
+
+    @cached_property
+    def leader_gains(self) -> "GainSchedule":
+        """`leader_only_gains(self)`, shared by the policies made on this model."""
+        from .gains import leader_only_gains  # gains imports this module
+        return leader_only_gains(self)
 
     def leader_fully_actuated(self) -> bool:
         return numerical_rank(self.B1) == self.d0

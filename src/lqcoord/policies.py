@@ -25,7 +25,7 @@ import numpy as np
 
 from .channel import ChannelSetup, block_schedule, fa_setup, ua_setup
 from .errors import ValidationError
-from .gains import GainSchedule, backward_riccati, leader_only_gains
+from .gains import GainSchedule
 from .model import SystemModel
 from .power.analytic import StepOps, signaling_ops, silent_ops
 from .power.schedules import PowerSchedule, ScheduleMode, heuristic_schedule
@@ -135,11 +135,14 @@ class RolloutPolicy:
 def make_policy(kind: PolicyKind, model: SystemModel, *,
                 power: PowerSchedule | None = None, theta: float = 0.88,
                 block_order: list[int] | None = None) -> PreparedPolicy:
-    """Build a PreparedPolicy, deriving default schedules where needed."""
+    """Build a PreparedPolicy, deriving default schedules where needed.
+
+    The gains are the model's own schedules (`SystemModel.joint_gains`,
+    `SystemModel.leader_gains`), built once and shared by its policies.
+    """
     if kind is PolicyKind.LEADER_ONLY:
-        return PreparedPolicy(kind=kind, model=model,
-                              gains=leader_only_gains(model))
-    gains = backward_riccati(model)
+        return PreparedPolicy(kind=kind, model=model, gains=model.leader_gains)
+    gains = model.joint_gains
     if kind in (PolicyKind.EX_COMM, PolicyKind.NO_COMM):
         return PreparedPolicy(kind=kind, model=model, gains=gains)
     if kind is PolicyKind.IM_COMM_FA:

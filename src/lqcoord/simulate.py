@@ -5,9 +5,9 @@ One engine runs every policy: the runs of a chunk advance together as
 
 Reproducibility contract:
 
-- generator: numpy PCG64 behind np.random.Generator; normals come from
-  standard_normal (numpy's ziggurat), covariance shaping is by Cholesky
-  factor (lower).
+- generator: run i draws what np.random.Generator(np.random.PCG64(seed_i))
+  would; normals come from standard_normal (numpy's ziggurat), covariance
+  shaping is by Cholesky factor (lower).
 - per-run draws: the target x_* from its own salted substream (so fixed and
   sampled targets see identical plant noise), then one
   standard_normal((n+1)*d0) draw from the run's main stream, whose first d0
@@ -15,14 +15,25 @@ Reproducibility contract:
   draws one at a time would give).
 - per-run seed: splitmix64 mix of (master_seed, run_index), so runs are
   decorrelated without coordination and independent of execution order.
+  Seeds are 64-bit: a master seed outside [0, 2^64) is rejected.
 - identical config and seed give byte-identical results within a version;
   batched products round differently from one-run matrix-vector products,
   so results shift at roundoff level across versions that change them.
+
+Streams are seeded a chunk at a time, without a Generator per run: the
+chunk's run seeds and salted target seeds go through numpy's SeedSequence
+hashing and PCG64's seeding step together, in integer arrays
+(`_stream_states`), and one Generator per chunk is set to each run's
+state before its draw. This reproduces numpy's own seeding bit for bit,
+which numpy keeps stable under its stream-compatibility policy (NEP 19);
+the tests compare it against np.random.PCG64(seed).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from numbers import Integral
 
 import numpy as np
 
@@ -34,24 +45,138 @@ _MASK = (1 << 64) - 1
 _TARGET_SALT = 0x9E3779B97F4A7C15
 CHUNK_RUNS = 1024   # runs advanced together; bounds memory at any run count
 
+# numpy's SeedSequence hash (pool of four 32-bit words) and PCG64's
+# default 128-bit multiplier (numpy/random/bit_generator.pyx, pcg64.h)
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M128 = (1 << 128) - 1
 
-def splitmix64(x: int) -> int:
-    """One step of the splitmix64 sequence (public-domain constants)."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return (z ^ (z >> 31)) & _MASK
+
+def check_seed(name: str, seed: int) -> None:
+    """Seeds are 64-bit: one outside [0, 2^64) would alias another."""
+    if not isinstance(seed, Integral):
+        raise ValidationError(f"{name}: {seed!r} is not an integer")
+    if not 0 <= seed <= _MASK:
+        raise ValidationError(f"{name}: {seed} is outside [0, 2^64)")
+
+
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """One splitmix64 step (public-domain constants) on each entry of a
+    uint64 array; numpy's uint64 arithmetic wraps as the step needs."""
+    z = x + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _run_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
+    """Seeds of runs lo..hi-1: splitmix64 mix of (master_seed, run index);
+    a master seed outside [0, 2^64) raises ValidationError."""
+    check_seed("master_seed", master_seed)
+    master = _splitmix64(np.array([master_seed], dtype=np.uint64))
+    return _splitmix64(master ^ _splitmix64(np.arange(lo, hi, dtype=np.uint64)))
 
 
 def derive_run_seed(master_seed: int, run_index: int) -> int:
     """Decorrelated per-run seed from (master_seed, run_index)."""
-    return splitmix64(splitmix64(master_seed & _MASK) ^ splitmix64(run_index & _MASK))
+    return int(_run_seeds(master_seed, run_index, run_index + 1)[0])
 
 
-def gaussian_stream(seed: int) -> np.random.Generator:
-    """Deterministic standard-normal source for one rollout."""
-    return np.random.Generator(np.random.PCG64(seed))
+def _target_seeds(seeds: np.ndarray) -> np.ndarray:
+    """Seeds of the runs' salted target substreams."""
+    return _splitmix64(seeds ^ np.uint64(_TARGET_SALT))
+
+
+@cache
+def _hash_constants() -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """SeedSequence's hash constants, as (xor, mul) uint32 column pairs.
+
+    Each hash XORs a word with constant k of a fixed chain and multiplies
+    it by constant k+1; the 16 hashes that fill and mix the pool use 17
+    constants and the 8 that draw the state 9, whatever the seed. Returned
+    for the pool's four words, for each of the four mixing rounds (the
+    round's own word gets a dummy pair: it is not mixed into itself), and
+    for the eight output words.
+    """
+    def chain(h, mult, k):
+        out = [h]
+        for _ in range(k):
+            out.append(out[-1] * mult & _M32)
+        return out
+
+    def columns(xor, mul):
+        pair = np.array([xor, mul], dtype=np.uint32)[:, :, None]
+        pair.flags.writeable = False    # shared by every call
+        return pair
+
+    a, b = chain(_INIT_A, _MULT_A, 16), chain(_INIT_B, _MULT_B, 8)
+    rounds = []
+    for src in range(4):
+        xor, mul = a[4 + 3 * src:7 + 3 * src], a[5 + 3 * src:8 + 3 * src]
+        xor.insert(src, 0)
+        mul.insert(src, 0)
+        rounds.append(columns(xor, mul))
+    return columns(a[0:4], a[1:5]), rounds, columns(b[:8], b[1:])
+
+
+def _hashmix(v: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    v = (v ^ consts[0]) * consts[1]
+    return v ^ (v >> 16)
+
+
+def _stream_states(seeds: np.ndarray) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) that np.random.PCG64(seed) starts from, per seed.
+
+    SeedSequence(seed) hashes the seed's 32-bit words into a pool of four,
+    hashing zeros where the words run out (so a seed below 2^32, one word
+    long, is the same as its two words lo, 0), mixes each pool word into
+    the other three in four rounds, and generate_state(4, uint64) hashes
+    the pool, cycled twice, into eight words. Every step runs on all seeds
+    at once in uint32 arrays, which wrap as numpy's own uint32 code does.
+    PCG64 then seeds from those words with two 128-bit LCG steps, done in
+    Python ints.
+    """
+    fill, rounds, draw = _hash_constants()
+    words = np.zeros((4, len(seeds)), dtype=np.uint32)
+    words[0], words[1] = seeds & _M32, seeds >> 32
+    pool = _hashmix(words, fill)
+    for src, consts in enumerate(rounds):
+        mixed = _MIX_L * pool - _MIX_R * _hashmix(pool[src], consts)
+        mixed ^= mixed >> 16
+        mixed[src] = pool[src]
+        pool = mixed
+    out = _hashmix(np.concatenate([pool, pool]), draw).astype(np.uint64)
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in (out[0::2] | out[1::2] << 32).T.tolist():
+        # from state 0: one step lands on inc, add the seed, step again
+        inc = ((i_hi << 65) | (i_lo << 1) | 1) & _M128
+        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128, inc))
+    return states
+
+
+def _normals(groups: list[tuple[np.ndarray, int]]) -> list[np.ndarray]:
+    """For each (seeds, size), the first `size` standard normals of every
+    seed's stream as rows of a (len(seeds), size) array.
+
+    The streams of all groups are seeded in one `_stream_states` pass, and
+    one Generator is set to each stream's state in turn.
+    """
+    states = iter(_stream_states(np.concatenate([seeds for seeds, _ in groups])))
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    out = []
+    for seeds, size in groups:
+        rows = np.empty((len(seeds), size))
+        for row in rows:
+            state, inc = next(states)
+            bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                          "state": {"state": state, "inc": inc}}
+            gen.standard_normal(out=row)
+        out.append(rows)
+    return out
 
 
 def _chol_psd(M: np.ndarray) -> np.ndarray:
@@ -100,15 +225,15 @@ class AggregateReport:
         return float(self.mean_total_cost - self.mean_stage_costs.sum())
 
 
-def _targets(chol: np.ndarray, seeds: list[int]) -> np.ndarray:
+def _targets(chol: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     """Draws N(0, chol chol') from each run's salted substream, (R, d0)."""
-    g = np.array([gaussian_stream(splitmix64(s ^ _TARGET_SALT))
-                  .standard_normal(chol.shape[0]) for s in seeds])
-    return g @ chol.T
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    return _normals([(_target_seeds(seeds), chol.shape[0])])[0] @ chol.T
 
 
 def sample_target(model: SystemModel, seed: int) -> np.ndarray:
     """Target draw from N(0, Sigma0) on the salted per-run substream."""
+    check_seed("seed", seed)
     return _targets(_chol_psd(model.Sigma0), [seed])[0]
 
 
@@ -117,9 +242,9 @@ def _quad(z: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 def _rollouts(policy: PreparedPolicy, model: SystemModel,
-              x_star: np.ndarray | None, seeds: list[int],
+              x_star: np.ndarray | None, seeds: np.ndarray,
               first_run: int = 0) -> tuple[np.ndarray, ...]:
-    """The runs seeded by `seeds`, advanced together as (R, d0) arrays.
+    """The runs seeded by `seeds` (uint64), advanced together as (R, d0) arrays.
 
     Returns targets, states, inputs v and q, stage and terminal costs and z
     norms, each with a leading run axis. A non-finite cost or z norm raises
@@ -127,13 +252,15 @@ def _rollouts(policy: PreparedPolicy, model: SystemModel,
     """
     n, d0, R = model.n, model.d0, len(seeds)
     if x_star is None:
-        x_star = _targets(_chol_psd(model.Sigma0), seeds)
+        g, x_star = _normals([(seeds, (n + 1) * d0), (_target_seeds(seeds), d0)])
+        x_star = x_star @ _chol_psd(model.Sigma0).T
     elif np.shape(x_star) != (d0,):
         raise ValidationError(
             f"target must have shape ({d0},), got {np.shape(x_star)}")
+    else:
+        g, = _normals([(seeds, (n + 1) * d0)])
     x_star = np.broadcast_to(np.asarray(x_star, dtype=float), (R, d0))
-    g = np.array([gaussian_stream(s).standard_normal((n + 1) * d0)
-                  for s in seeds]).reshape(R, n + 1, d0)
+    g = g.reshape(R, n + 1, d0)
     w = g[:, 1:] @ np.linalg.cholesky(model.W).T
     states = np.empty((R, n + 1, d0))
     states[:, 0] = g[:, 0] @ _chol_psd(model.X0).T
@@ -163,8 +290,10 @@ def _rollouts(policy: PreparedPolicy, model: SystemModel,
 def rollout(policy: PreparedPolicy, model: SystemModel,
             x_star: np.ndarray | None, seed: int) -> RolloutTrace:
     """One seeded rollout; x_star=None draws the target from its prior."""
+    check_seed("seed", seed)
     x_star, states, v, q, stage, terminal, z_norms = (
-        a[0] for a in _rollouts(policy, model, x_star, [seed]))
+        a[0] for a in _rollouts(policy, model, x_star,
+                                np.array([seed], dtype=np.uint64)))
     return RolloutTrace(states, v, q, stage, float(terminal), z_norms,
                         policy.sigma_traces.copy(), x_star.copy(), seed)
 
@@ -179,8 +308,7 @@ def monte_carlo(policy: PreparedPolicy, model: SystemModel,
     # totals are summed as deviations from the first: no cancellation in var
     shift, dev_sum, dev_sq = None, 0.0, 0.0
     for lo in range(0, runs, CHUNK_RUNS):
-        seeds = [derive_run_seed(master_seed, i)
-                 for i in range(lo, min(runs, lo + CHUNK_RUNS))]
+        seeds = _run_seeds(master_seed, lo, min(runs, lo + CHUNK_RUNS))
         *_, stage, terminal, z_norms = _rollouts(policy, model, x_star, seeds, lo)
         totals = stage.sum(axis=1) + terminal
         shift = totals[0] if shift is None else shift

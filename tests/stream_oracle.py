@@ -1,0 +1,31 @@
+"""Per-run reference for the Monte Carlo streams, one object per seed.
+
+The package seeds a chunk of runs in one vectorised pass
+(`lqcoord.simulate._stream_states`) and sets one Generator to each run's
+state in turn. This file keeps the plain forms that pass must reproduce:
+numpy's own Generator on PCG64(seed), and splitmix64 and the run-seed mix
+in Python ints.
+"""
+
+import numpy as np
+
+MASK = (1 << 64) - 1
+
+
+def gaussian_stream(seed: int) -> np.random.Generator:
+    """Deterministic standard-normal source for one rollout."""
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def splitmix64(x: int) -> int:
+    """One step of the splitmix64 sequence, in Python ints."""
+    x = (x + 0x9E3779B97F4A7C15) & MASK
+    z = x
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return (z ^ (z >> 31)) & MASK
+
+
+def derive_run_seed(master_seed: int, run_index: int) -> int:
+    """The seed of run `run_index`: splitmix64 mix of (master_seed, run_index)."""
+    return splitmix64(splitmix64(master_seed) ^ splitmix64(run_index))

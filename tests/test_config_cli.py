@@ -287,6 +287,10 @@ def test_cli_non_finite_rollout_exits_1(capsys, tmp_path):
 MALFORMED = {    # config changes, or CLI arguments; the field the error names
     "runs-text": ({"runs": "abc"}, "runs"),
     "seed-text": ({"master_seed": "x"}, "master_seed"),
+    "seed-2^64": ({"master_seed": 2 ** 64}, "master_seed"),
+    "seed-negative": ({"master_seed": -5}, "master_seed"),
+    "seed-flag-negative": (["--preset", lq.FULLY_ACTUATED, "--seed", "-1"],
+                           "master_seed"),
     "horizon-text": ({"horizon": "30"}, "horizon"),
     "horizon-fraction": ({"horizon": 2.5}, "horizon"),
     "runs-fraction": ({"runs": 2.7}, "runs"),

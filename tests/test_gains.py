@@ -67,6 +67,21 @@ def test_random_gains_match_a_cho_solve_reference(seed):
         model.A, model.B, model.F, model.G, model.Fn, model.n))
 
 
+def test_policies_share_their_models_schedules():
+    model = lq.fully_actuated_model(n=8)
+    ex = make_policy(PolicyKind.EX_COMM, model)
+    heu = make_policy(PolicyKind.IM_COMM_FA, model)
+    assert ex.gains is heu.gains is model.joint_gains
+    assert make_policy(PolicyKind.LEADER_ONLY, model).gains is model.leader_gains
+    fresh = backward_riccati(model)
+    for name in ("Phi", "K", "Dbar", "D"):
+        shared = getattr(model.joint_gains, name)
+        np.testing.assert_array_equal(shared, getattr(fresh, name))
+        assert not any(M.flags.writeable for M in shared)
+    # shared per model object, never across equal models
+    assert lq.fully_actuated_model(n=8).joint_gains is not model.joint_gains
+
+
 def test_indefinite_innovation_raises_with_its_step():
     # G + B'Phi_n B = diag(1, -10) + I = diag(2, -9) at the last step (t = 2)
     eye = np.eye(2)

@@ -1,20 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lqcoord as lq
+import stream_oracle
 from conftest import random_pd
 from lqcoord import simulate
 from lqcoord.errors import NonFiniteRollout, ValidationError
 from lqcoord.policies import PolicyKind, make_policy
-from lqcoord.simulate import (derive_run_seed, gaussian_stream, monte_carlo,
-                              rollout, sample_target, splitmix64)
+from lqcoord.simulate import derive_run_seed, monte_carlo, rollout, sample_target
+from stream_oracle import gaussian_stream
+
+EDGE_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
 
 
 def test_splitmix_determinism_and_spread():
-    assert splitmix64(42) == splitmix64(42)
-    outs = {splitmix64(i) for i in range(1000)}
-    assert len(outs) == 1000
-    assert all(0 <= v < 2 ** 64 for v in outs)
+    # the uint64 array form against the Python-int reference
+    x = [*range(1000), 2 ** 63, 2 ** 64 - 1]
+    outs = simulate._splitmix64(np.array(x, dtype=np.uint64)).tolist()
+    assert outs == [stream_oracle.splitmix64(i) for i in x]
+    assert len(set(outs)) == len(x)
 
 
 def test_run_seed_derivation_independent_of_order():
@@ -25,16 +30,84 @@ def test_run_seed_derivation_independent_of_order():
     assert derive_run_seed(7, 3) == a
 
 
+def _normals(seeds, size):
+    return simulate._normals([(np.array(seeds, dtype=np.uint64), size)])[0]
+
+
 def test_gaussian_stream_fixed_seed_first_draw():
-    x1 = gaussian_stream(42).standard_normal(4)
-    x2 = gaussian_stream(42).standard_normal(4)
+    x1, x2 = _normals([42, 42], 4)
     np.testing.assert_array_equal(x1, x2)
+    np.testing.assert_array_equal(x1, gaussian_stream(42).standard_normal(4))
 
 
 def test_gaussian_stream_clt():
-    rng = gaussian_stream(123)
-    draws = rng.standard_normal((1_000_000, 2))
+    draws = _normals([123], 2_000_000).reshape(1_000_000, 2)
     assert np.all(np.abs(draws.mean(axis=0)) < 4 / np.sqrt(1_000_000))
+
+
+def _assert_streams_match_numpy(seeds):
+    # states and draws of the chunk pass equal one Generator(PCG64(seed)) each
+    states = simulate._stream_states(np.array(seeds, dtype=np.uint64))
+    for seed, (state, inc) in zip(seeds, states):
+        assert np.random.PCG64(seed).state["state"] == {"state": state, "inc": inc}
+    # two groups of different sizes share one seeding pass
+    long, short = simulate._normals([(np.array(seeds, dtype=np.uint64), 31),
+                                     (np.array(seeds[::-1], dtype=np.uint64), 4)])
+    for i, seed in enumerate(seeds):
+        np.testing.assert_array_equal(long[i], gaussian_stream(seed).standard_normal(31))
+        np.testing.assert_array_equal(short[-1 - i],
+                                      gaussian_stream(seed).standard_normal(4))
+
+
+def test_chunk_streams_match_numpy_at_edge_seeds():
+    _assert_streams_match_numpy(EDGE_SEEDS)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=8))
+def test_chunk_streams_match_numpy(seeds):
+    _assert_streams_match_numpy(seeds)
+
+
+@pytest.mark.parametrize("master", [0, 2 ** 63, 2 ** 64 - 1])
+def test_chunk_seeds_match_per_run_derivation(master):
+    # the runs on both sides of a chunk boundary, as monte_carlo seeds them
+    lo, hi = simulate.CHUNK_RUNS - 3, simulate.CHUNK_RUNS + 3
+    chunked = np.concatenate([simulate._run_seeds(master, lo, simulate.CHUNK_RUNS),
+                              simulate._run_seeds(master, simulate.CHUNK_RUNS, hi)])
+    expected = [stream_oracle.derive_run_seed(master, i) for i in range(lo, hi)]
+    assert chunked.tolist() == expected
+    assert [derive_run_seed(master, i) for i in range(lo, hi)] == expected
+
+
+@pytest.mark.parametrize("seed", [2 ** 64, 2 ** 70, -5, 3.0])
+def test_out_of_range_seeds_rejected(fa_model, seed):
+    # masking to 64 bits made 2^64 and 2^70 run as seed 0 and -5 as 2^64 - 5
+    pol = make_policy(PolicyKind.EX_COMM, fa_model)
+    with pytest.raises(ValidationError, match="master_seed: "):
+        monte_carlo(pol, fa_model, None, runs=3, master_seed=seed)
+    with pytest.raises(ValidationError, match="seed: "):
+        rollout(pol, fa_model, None, seed=seed)
+
+
+# means and stds of 2500 runs (three chunks) at seed 0, as the per-run
+# Generator engine computed them; FA im-comm-heu is left out, its outputs
+# move at the 1e-12 level with roundoff in the gains
+PINNED = {
+    ("fa", "ex-comm", "sampled"): (243.402396617694, 163.69990834356184),
+    ("fa", "ex-comm", "fixed"): (212.64315241024607, 18.802288390067712),
+    ("ua", "no-comm", "sampled"): (801.7006420097798, 579.7959814795282),
+    ("ua", "no-comm", "fixed"): (581.3484990112397, 40.53901151268273),
+}
+
+
+@pytest.mark.parametrize("preset, policy, target", list(PINNED))
+def test_monte_carlo_pinned(preset, policy, target, fa_model, ua_model):
+    model = fa_model if preset == "fa" else ua_model
+    pol = make_policy(PolicyKind(policy), model)
+    x_star = None if target == "sampled" else np.array([-1.0, 2.0, 2.0, -2.0])
+    rep = monte_carlo(pol, model, x_star, runs=2500, master_seed=0)
+    assert (rep.mean_total_cost, rep.std_total_cost) == PINNED[preset, policy, target]
 
 
 def test_shaped_covariance(fa_model):
