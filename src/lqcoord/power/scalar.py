@@ -21,10 +21,10 @@ suffix sum:
 
 This form never divides by b_t, so it stays finite after b underflows.
 
-Each inner solve (fixed nu) is one projected Newton iteration in u = log a
-on the reduced cost, with the exact gradient g_t a_t and the analytic
-Hessian. With psi_m = nu b_n + sum_{k>=m} (c3_k b_k + c2_k sqrt(a_k b_k)/4)
-and q_t = c2_t sqrt(b_t/a_t)/4, the Hessian of J in a is
+Each solve is one projected Newton iteration in u = log a on the reduced
+cost, with the exact gradient g_t a_t and the analytic Hessian. With
+psi_m = nu b_n + sum_{k>=m} (c3_k b_k + c2_k sqrt(a_k b_k)/4) and
+q_t = c2_t sqrt(b_t/a_t)/4, the Hessian of J in a is
 
     dg_t/da_s = (psi_{max(t,s)+1}/(1+a_s) - [s>t] q_s)/(1+a_t) - [s<t] q_t/(1+a_s)
                 + [s=t] (phi_{t+1}/(1+a_t)^2 - q_t/a_t),
@@ -43,11 +43,29 @@ realistic systems the stationarity root vanishes once b grows past
 (2 c1/|c2|)^2, so the sweep either dies or returns a near-zero schedule
 inconsistent with b_0 = 1.
 
-The terminal-accuracy condition b_n = epsilon is enforced, when it binds,
-through the terminal costate theta_n = nu >= 0 (the constraint multiplier).
-b_n falls monotonically as nu grows, so log nu is bracketed and then found
-by one Brent root solve of log b_n(nu) = log epsilon; each inner solve
-warm-starts from the previous schedule.
+The terminal-accuracy target b_n <= epsilon binds when the free optimum
+(nu = 0) misses it. The design then solves once more, on the surface
+sum_t log1p(a_t) = -log epsilon (plus B_N_MARGIN), with the multiplier
+taken as mu = nu b_n = phi_n: mu stays of the order of c1 while nu grows
+like epsilon^-(1+1/n), so nothing underflows at epsilon = 1e-100. The
+solve starts from the free optimum with the missing contraction spread
+evenly over log1p(a), and every iterate stays on the surface: after each
+step the free entries are scaled by one common factor, found by a
+monotone one-dimensional Newton iteration, that restores it. With
+x = a/(1+a), the gradient of -log b_n in u, the step and the new
+multiplier come out of one bordered (KKT) solve
+
+    [H, -x; -x', 0] [du; mu] = [-g(a, 0) a; 0],
+
+with H the Hessian above at the current nu = mu/b_n and g(a, nu) =
+g(a, 0) - mu/(1+a) (Nocedal & Wright, ch. 18). The step is tangent to the
+surface and, with H shifted positive definite, descends J at nu = 0, on
+which the Armijo test runs; the residual test uses g(a, nu) at the new mu.
+The free solve is the same routine without the border, so a design takes
+one Newton solve, or two when the target binds. A negative multiplier at
+the end says J still falls into b_n < epsilon, which the nonconvex J of
+a system with some c2_t > 0 allows; a third, free, solve from there then
+releases the target.
 
 The constants c1/c2/c3 absorb the surrogate's state-error costates
 (`costate_Z`: theta_Z,n = Fn, theta_Z,t = F + K'GK + Abar' theta_Z,t+1 Abar)
@@ -74,13 +92,11 @@ from .schedules import PowerSchedule, ScheduleMode
 A_FLOOR = 1e-12
 U_FLOOR = np.log(A_FLOOR)
 RESIDUAL_TOL = 1e-10
-NEWTON_MAXITER = 100          # Newton steps per inner solve
+NEWTON_MAXITER = 100          # Newton steps per solve
 MAX_BACKTRACKS = 40           # step halvings per Newton step
 MAX_LOG_STEP = np.log(1e4)    # largest change of any log a_t in one step
 ARMIJO = 1e-4                 # sufficient-decrease constant of the line search
 HESS_SHIFT = 1e-3             # first identity shift of the scaled Hessian
-BRACKET_STEP = np.log(10.0)  # first bracket step in log nu; doubles per step
-NU_XTOL = 1e-13               # root tolerance in log nu
 LOG_NU_MAX = np.log(np.finfo(float).max)
 B_N_MARGIN = 1e-13            # relative gap aimed for below epsilon, so that
                               # rounding can not lift b_n above it
@@ -130,33 +146,31 @@ def scalar_constants(gains: GainSchedule, setup: ChannelSetup,
     Q_a, Q_b and Q_ab weight the covariance transition, r_a, r_b and r_ab
     the stage cost; contracted with the Z-costates they give c1/c2/c3.
     """
-    n = model.n
-    thetaZ = costate_Z(gains, model)
-    L = offset_feedback_seq(gains, model)
+    thetaZ = np.array(costate_Z(gains, model)[1:])   # theta_Z,t+1 for t < n
+    L = np.array(offset_feedback_seq(gains, model))
+    K, D = np.array(gains.K), np.array(gains.D)
     U, H = setup.eig.U, setup.eig.H
-    Q, Q1 = setup.Q, setup.Q1
-    G, G1 = model.G, model.G1
-    Itil = model.leader_embed
     S0 = model.Sigma0
     S0_12 = psd_sqrt(S0)
     UHinv = (U / H) @ U.T
     UHm12 = (U / np.sqrt(H)) @ U.T
+    G, Q1 = model.G, setup.Q1
 
+    def tr(X, Y):   # Tr(X' Y) of each step
+        return np.einsum("...ij,...ij->...", X, Y)
+
+    KL = K @ L[:-1]
+    BD = model.B @ D
     Q_a = Q1 @ UHinv @ Q1.T
-    r_a = float(np.trace(Q.T @ G1 @ Q @ UHinv))
-    c1, c2, c3 = np.empty((3, n))
-    for t in range(n):
-        K, D = gains.K[t], gains.D[t]
-        Abar = model.A - model.B @ K
-        BD = model.B @ D
-        Q_b = BD @ S0 @ L[t + 1].T + Abar @ L[t] @ S0 @ BD.T
-        X = Q1 @ UHm12 @ S0_12 @ L[t + 1].T
-        Q_ab = X + X.T
-        r_b = float(np.trace(D.T @ G @ (D @ S0 + 2.0 * K @ L[t] @ S0)))
-        r_ab = float(np.trace((D + K @ L[t]).T @ G @ Itil @ Q @ UHm12 @ S0_12))
-        c1[t] = r_a + float(np.trace(thetaZ[t + 1] @ Q_a.T))
-        c2[t] = float(np.trace(thetaZ[t + 1] @ Q_ab.T)) - 2.0 * r_ab
-        c3[t] = r_b - float(np.trace(thetaZ[t + 1] @ Q_b.T))
+    Q_b = (BD @ S0 @ L[1:].transpose(0, 2, 1)
+           + (model.A - model.B @ K) @ L[:-1] @ S0 @ BD.transpose(0, 2, 1))
+    X = Q1 @ UHm12 @ S0_12 @ L[1:].transpose(0, 2, 1)
+    r_a = tr(setup.Q, model.G1 @ setup.Q @ UHinv)
+    r_b = tr(D, G @ (D + 2.0 * KL) @ S0)
+    r_ab = tr(D + KL, G @ model.leader_embed @ setup.Q @ UHm12 @ S0_12)
+    c1 = r_a + tr(thetaZ, Q_a)
+    c2 = tr(thetaZ, X + X.transpose(0, 2, 1)) - 2.0 * r_ab
+    c3 = r_b - tr(thetaZ, Q_b)
     return ConstantsTable(c1=c1, c2=c2, c3=c3, H=H.copy())
 
 
@@ -210,22 +224,34 @@ def _hessian(a: np.ndarray, g: np.ndarray, c: ConstantsTable,
     return hess
 
 
-def _newton_step(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Solve hess p = -grad, adding a multiple of the identity to the
-    Jacobi-scaled hess until it factors; also says whether none was added."""
-    import scipy.linalg   # on first use, so `import lqcoord` needs numpy alone
+def _newton_step(hess: np.ndarray, grad: np.ndarray,
+                 border: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
+    """Solve hess p = -grad, or with a border x the KKT system
+    [hess, -x; -x', 0] [p; mu] = [-grad; 0] for p and mu stacked.
 
+    A multiple of the identity is added to the Jacobi-scaled hess until it
+    is positive definite; also says whether none was added.
+    """
     d = np.sqrt(np.abs(np.diag(hess)))
     d[d == 0.0] = 1.0
+    m = d.size
     scaled = hess / np.outer(d, d)
     shift = 0.0
     while True:
         try:
-            factor = scipy.linalg.cho_factor(scaled + shift * np.eye(d.size))
+            np.linalg.cholesky(scaled)
             break
         except np.linalg.LinAlgError:
-            shift = max(10.0 * shift, HESS_SHIFT)
-    return -scipy.linalg.cho_solve(factor, grad / d) / d, shift == 0.0
+            raised = max(10.0 * shift, HESS_SHIFT)
+            scaled[np.diag_indices(m)] += raised - shift
+            shift = raised
+    rhs = -grad / d
+    if border is not None:
+        kkt = np.zeros((m + 1, m + 1))
+        kkt[:m, :m] = scaled
+        kkt[:m, m] = kkt[m, :m] = -border / d
+        scaled, rhs, d = kkt, np.append(rhs, 0.0), np.append(d, 1.0)
+    return np.linalg.solve(scaled, rhs) / d, shift == 0.0
 
 
 def _free(u: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -233,53 +259,105 @@ def _free(u: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (u > U_FLOOR) | (g < 0.0)
 
 
-def _solve_for_nu(c: ConstantsTable, nu: float,
-                  a0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize the reduced objective over a >= A_FLOOR for a fixed terminal costate nu.
+def _restore(a: np.ndarray, free: np.ndarray, log_target: float) -> np.ndarray:
+    """Scale the free entries of a by one factor e^s, none below A_FLOOR, so
+    that log b_n = -sum log1p(a) = log_target.
 
-    Projected Newton in u = log a on the analytic Hessian, from a0; entries
-    held at A_FLOOR are left out of the step. Once the projected residual
-    (g, zero on the held entries) is within RESIDUAL_TOL, full Newton steps
-    continue while they still reduce it, so the solve ends at roundoff
-    level. Returns a and its projected residual.
+    The sum is convex and increasing in s, so Newton's method started above
+    the root falls monotonically onto it.
     """
-    u = np.log(np.maximum(a0, A_FLOOR))
-    reached = [u.min(), u.max()]
-    g = stationarity_residuals(np.exp(u), c, nu)
+    v = np.log(a[free])
+    need = -log_target - np.sum(np.log1p(a[~free]))
+    # log1p(e^v) > v, so where s = 0 falls short this s lies above the root
+    s = 0.0 if np.sum(np.log1p(a[free])) >= need else (need - v.sum()) / v.size
+    w = np.maximum(v + s, U_FLOOR)
+    excess = np.sum(np.logaddexp(0.0, w)) - need
     for _ in range(NEWTON_MAXITER):
-        a, free = np.exp(u), _free(u, g)
+        if not excess > 0.0:
+            break
+        s -= excess / np.sum(1.0 / (1.0 + np.exp(-w[w > U_FLOOR])))
+        trial = np.maximum(v + s, U_FLOOR)
+        trial_excess = np.sum(np.logaddexp(0.0, trial)) - need
+        if not trial_excess < excess:   # roundoff level
+            break
+        w, excess = trial, trial_excess
+    a = a.copy()
+    a[free] = np.exp(w)
+    return a
+
+
+def _newton_solve(c: ConstantsTable, a: np.ndarray,
+                  log_target: float | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Minimize the reduced cost over a >= A_FLOOR by projected Newton in u = log a.
+
+    Without log_target, a starts anywhere on or above the floor and nu = 0.
+    With it, a starts on b_n = exp(log_target) and every iterate is put back
+    on that surface by `_restore`; the step and the multiplier mu = nu b_n
+    come from one bordered solve. Entries held at A_FLOOR are left out of
+    the step. Once the projected residual (g, zero on the held entries) is
+    within RESIDUAL_TOL, full Newton steps continue while they still reduce
+    it, so the solve ends at roundoff level. Returns a, its projected
+    residual and nu.
+    """
+    def nu_of(a, mu):
+        return mu / _b_forward(a)[-1] if mu else 0.0
+
+    u = np.log(a)
+    reached = [u.min(), u.max()]
+    g0 = stationarity_residuals(a, c)
+    grad = g0 * a       # gradient of the reduced cost in u
+    x = a / (1.0 + a)   # gradient of -log b_n in u
+    # the first multiplier fits grad ~ mu x in least squares
+    mu = 0.0 if log_target is None else max(grad @ x / (x @ x), 0.0)
+    cost = _reduced_cost(a, c, 0.0)
+    for _ in range(NEWTON_MAXITER):
+        g = g0 - mu / (1.0 + a)   # g(a, nu): nu db_n/da_t = -mu/(1+a_t)
+        free = _free(u, g)
         worst = np.abs(g[free]).max(initial=0.0)
         converged = worst <= RESIDUAL_TOL
-        grad = g * a
+        hess = _hessian(a, g, c, nu_of(a, mu))
+        if not free.all():
+            hess = hess[np.ix_(free, free)]
         step = np.zeros_like(u)
-        step[free], newton = _newton_step(
-            _hessian(a, g, c, nu)[np.ix_(free, free)], grad[free])
+        if log_target is None:
+            step[free], newton = _newton_step(hess, grad[free])
+            trial_mu = 0.0
+        else:
+            sol, newton = _newton_step(hess, grad[free], x[free])
+            step[free], trial_mu = sol[:-1], sol[-1]
         step *= min(1.0, MAX_LOG_STEP / np.abs(step).max(initial=MAX_LOG_STEP))
-        cost = _reduced_cost(a, c, nu)
         for _ in range(1 if converged else MAX_BACKTRACKS):
-            trial = np.maximum(u + step, U_FLOOR)
             with np.errstate(over="ignore", invalid="ignore"):
-                trial_cost = _reduced_cost(np.exp(trial), c, nu)
-                trial_g = stationarity_residuals(np.exp(trial), c, nu)
-            if np.isfinite(trial_cost) and np.all(np.isfinite(trial_g)):
-                trial_worst = np.abs(trial_g[_free(trial, trial_g)]).max(initial=0.0)
+                trial_a = np.exp(np.maximum(u + step, U_FLOOR))
+                if log_target is not None:
+                    trial_a = _restore(trial_a, free, log_target)
+                trial_u = np.log(trial_a)
+                trial_cost = _reduced_cost(trial_a, c, 0.0)
+                trial_g0 = stationarity_residuals(trial_a, c)
+            if np.isfinite(trial_cost) and np.all(np.isfinite(trial_g0)):
+                trial_g = trial_g0 - trial_mu / (1.0 + trial_a)
+                trial_worst = np.abs(trial_g[_free(trial_u, trial_g)]).max(initial=0.0)
                 if newton and trial_worst < worst:
                     break
                 if (not converged
-                        and trial_cost <= cost + ARMIJO * grad @ (trial - u)):
+                        and trial_cost <= cost + ARMIJO * grad @ (trial_u - u)):
                     break
             step *= 0.5
         else:
             break
-        u, g = trial, trial_g
+        a, u, g0, mu, cost = trial_a, trial_u, trial_g0, trial_mu, trial_cost
+        grad, x = g0 * a, a / (1.0 + a)
         reached = [min(reached[0], u.min()), max(reached[1], u.max())]
+    nu = nu_of(a, mu)
+    g = stationarity_residuals(a, c, nu)
     resid = np.where(_free(u, g), g, 0.0)
     t = int(np.abs(resid).argmax())
     if abs(resid[t]) <= RESIDUAL_TOL:
-        return np.exp(u), resid
+        return a, resid, nu
     lo, hi = np.exp(reached)
     raise NoRootFound(
-        f"stationarity system not solvable to {RESIDUAL_TOL:g}: the inner "
+        f"stationarity system not solvable to {RESIDUAL_TOL:g}: the "
         f"solve reached a in [{lo:.3g}, {hi:.3g}]; worst residual "
         f"{resid[t]:.3e} at t={t}")
 
@@ -290,21 +368,26 @@ def scalar_backward_solve(constants: ConstantsTable, epsilon: float,
     """Solve the scalar power problem with terminal-accuracy target epsilon.
 
     Returns the unconstrained optimum when it already reaches b_n <=
-    epsilon; otherwise root-solves the terminal costate multiplier nu for
-    b_n = epsilon, keeping the solution on the b_n <= epsilon side. Either
-    way the returned trajectory satisfies every stationarity equation to
-    RESIDUAL_TOL, except on entries held at A_FLOOR with g_t >= 0 (the KKT
-    conditions of the bound), and carries b forward from b_0 = 1; the
-    schedule records this projected residual. An epsilon so small
-    that its multiplier would overflow raises ValidationError before any
-    inner solve.
+    epsilon; otherwise solves again on b_n = epsilon (less a relative
+    B_N_MARGIN, so that the result keeps b_n <= epsilon) for the schedule
+    and its multiplier nu. Either way the returned trajectory satisfies
+    every stationarity equation to RESIDUAL_TOL, except on entries held at
+    A_FLOOR with g_t >= 0 (the KKT conditions of the bound), and carries b
+    forward from b_0 = 1; the schedule records this projected residual and
+    the number of Newton solves (1, or 2 when the target binds, or 3 when
+    the solve on the target ends with nu < 0 and a free solve from there
+    meets the target). An epsilon so small that its multiplier would
+    overflow raises ValidationError before any solve. model, setup and
+    gains are not read.
     """
     if not epsilon > 0.0:
         raise ValidationError(f"epsilon: {epsilon:g} must be positive")
     c = constants
     n = c.c1.size
     # The multiplier that meets b_n = epsilon grows like c1 epsilon^-(1+1/n)
-    # (see the guess below); past the float range it can not be represented.
+    # (b_n = epsilon spread evenly needs a ~ epsilon^(-1/n), and the last
+    # stationarity equation gives nu epsilon ~ c1 (1 + a_{n-1}));
+    # past the float range it can not be represented.
     log_floor = n / (n + 1.0) * (np.log(c.c1[-1]) - LOG_NU_MAX)
     if np.log(epsilon) < log_floor:
         raise ValidationError(
@@ -314,46 +397,25 @@ def scalar_backward_solve(constants: ConstantsTable, epsilon: float,
     # myopic initializer: per-step optimum ignoring the b-coupling
     a0 = np.clip(c.c2 ** 2 / (4.0 * c.c1 ** 2) * 0.5, 1e-6, 1e2)
 
-    a, resid = _solve_for_nu(c, 0.0, a0)
+    a, resid, nu = _newton_solve(c, a0)
     inner_solves = 1
-    nu = 0.0
     if _b_forward(a)[-1] > epsilon:
-        # The accuracy target binds. Spread the missing contraction evenly
-        # over the steps, so that b_n hits the target, and guess nu from the
-        # last stationarity equation there: phi_n = nu epsilon ~ c1 (1 + a_{n-1}).
+        # The accuracy target binds: start from the free optimum with the
+        # missing contraction spread evenly over the steps.
         log_target = np.log(epsilon) - B_N_MARGIN
-        a = (1.0 + a) * np.exp((-np.sum(np.log1p(a)) - log_target) / n) - 1.0
-        solved = {}  # log nu -> (a, projected residual, log b_n - log target)
-
-        def excess(log_nu: float) -> float:
-            nonlocal a, inner_solves
-            if log_nu not in solved:
-                a, resid = _solve_for_nu(c, np.exp(log_nu), a)
-                inner_solves += 1
-                solved[log_nu] = (a, resid, -np.sum(np.log1p(a)) - log_target)
-            return solved[log_nu][2]
-
-        lo = hi = np.log(c.c1[-1] * (1.0 + a[-1]) / epsilon)
-        step = BRACKET_STEP
-        while excess(hi) > 0.0:  # raise nu until b_n <= target ...
-            lo, hi = hi, hi + step
-            step *= 2.0
-            if hi > LOG_NU_MAX:
-                raise NoRootFound("terminal multiplier search failed to "
-                                  f"bracket epsilon={epsilon:g}")
-        while excess(lo) <= 0.0:  # ... or lower it until b_n > target
-            lo, hi = lo - step, lo
-            step *= 2.0
-        import scipy.optimize
-        scipy.optimize.brentq(excess, lo, hi, xtol=NU_XTOL)
-        # the smallest evaluated nu with b_n <= epsilon lies within xtol of the root
-        log_nu = min(x for x, (a_x, _, _) in solved.items()
-                     if _b_forward(a_x)[-1] <= epsilon)
-        a, resid, _ = solved[log_nu]
-        nu = float(np.exp(log_nu))
+        a = np.expm1(np.log1p(a) - (np.sum(np.log1p(a)) + log_target) / n)
+        a, resid, nu = _newton_solve(c, a, log_target)
+        inner_solves = 2
+        if nu < 0.0:
+            # J still falls into b_n < epsilon here (possible where some
+            # c2_t > 0 makes J nonconvex): release the target, descend
+            free_a, free_resid, _ = _newton_solve(c, a)
+            if _b_forward(free_a)[-1] <= epsilon:
+                a, resid, nu = free_a, free_resid, 0.0
+                inner_solves = 3
 
     return PowerSchedule(mode=ScheduleMode.SCALAR, Lambda=a[:, None] / c.H, a=a,
-                         b=_b_forward(a), terminal_multiplier=nu,
+                         b=_b_forward(a), terminal_multiplier=float(nu),
                          stationarity_residuals=resid,
                          inner_solves=inner_solves)
 

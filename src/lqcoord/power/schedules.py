@@ -27,7 +27,8 @@ class PowerSchedule:
     b_t (forward from b_0 = 1, b_{t+1} = b_t / (1 + a_t)), and solver
     diagnostics: the projected stationarity residuals (g_t, but zero where
     a_t is held at the solver's floor with g_t >= 0) and the number of
-    inner solves the solver ran. A numerically optimized schedule records
+    Newton solves the solver ran (1, or 2 when the accuracy target binds,
+    3 when it was released again). A numerically optimized schedule records
     the cost evaluations it took, whether it stopped on its budget and its
     final projected-gradient norm. Schedules compare and hash by identity.
     """

@@ -5,9 +5,15 @@ An independent oracle for the whole-array versions in
 backward from theta_n = nu, and the stationarity residual g_t is read off
 step by step, exactly as the equations are written in that module's
 docstring (dividing by b_t, so the oracle goes non-finite once b underflows).
+
+`brent_solve` is the design's earlier search over the terminal multiplier,
+kept as the reference for the module's one KKT solve.
 """
 
 import numpy as np
+import scipy.optimize
+
+from lqcoord.power import scalar
 
 
 def b_forward(a):
@@ -34,3 +40,85 @@ def residuals(a, c1, c2, c3, nu):
     return np.array([c1[t] + c2[t] * np.sqrt(b[t]) / (2.0 * np.sqrt(a[t]))
                      - b[t] * theta[t + 1] / (1.0 + a[t]) ** 2
                      for t in range(a.size)])
+
+
+# --- the scalar design as first written: a Brent search over the multiplier ---
+
+def _solve_for_nu(c, nu, a0):
+    """Minimize the reduced objective over a >= A_FLOOR for a fixed terminal
+    costate nu: projected Newton in u = log a from a0, every step from the
+    module's own Hessian, line search and floor rule. Returns a and its
+    projected residual."""
+    u = np.log(np.maximum(a0, scalar.A_FLOOR))
+    g = scalar.stationarity_residuals(np.exp(u), c, nu)
+    for _ in range(scalar.NEWTON_MAXITER):
+        a, free = np.exp(u), scalar._free(u, g)
+        worst = np.abs(g[free]).max(initial=0.0)
+        converged = worst <= scalar.RESIDUAL_TOL
+        grad = g * a
+        step = np.zeros_like(u)
+        step[free], newton = scalar._newton_step(
+            scalar._hessian(a, g, c, nu)[np.ix_(free, free)], grad[free])
+        step *= min(1.0, scalar.MAX_LOG_STEP
+                    / np.abs(step).max(initial=scalar.MAX_LOG_STEP))
+        cost = scalar._reduced_cost(a, c, nu)
+        for _ in range(1 if converged else scalar.MAX_BACKTRACKS):
+            trial = np.maximum(u + step, scalar.U_FLOOR)
+            with np.errstate(over="ignore", invalid="ignore"):
+                trial_cost = scalar._reduced_cost(np.exp(trial), c, nu)
+                trial_g = scalar.stationarity_residuals(np.exp(trial), c, nu)
+            if np.isfinite(trial_cost) and np.all(np.isfinite(trial_g)):
+                trial_worst = np.abs(trial_g[scalar._free(trial, trial_g)]).max(initial=0.0)
+                if newton and trial_worst < worst:
+                    break
+                if (not converged
+                        and trial_cost <= cost + scalar.ARMIJO * grad @ (trial - u)):
+                    break
+            step *= 0.5
+        else:
+            break
+        u, g = trial, trial_g
+    resid = np.where(scalar._free(u, g), g, 0.0)
+    assert np.abs(resid).max() <= scalar.RESIDUAL_TOL, "reference inner solve failed"
+    return np.exp(u), resid
+
+
+def brent_solve(c, epsilon):
+    """The design for b_n <= epsilon by a search over the multiplier nu.
+
+    The free optimum (nu = 0) when it meets the target; otherwise log nu is
+    bracketed from a guess and found by one Brent root solve of
+    log b_n(nu) = log(epsilon) - B_N_MARGIN, each trial nu running a full
+    inner solve warm-started from the previous schedule; the smallest
+    evaluated nu with b_n <= epsilon is returned. Returns a, its projected
+    residual, nu and the number of inner solves.
+    """
+    n = c.c1.size
+    a0 = np.clip(c.c2 ** 2 / (4.0 * c.c1 ** 2) * 0.5, 1e-6, 1e2)
+    a, resid = _solve_for_nu(c, 0.0, a0)
+    if scalar._b_forward(a)[-1] <= epsilon:
+        return a, resid, 0.0, 1
+    log_target = np.log(epsilon) - scalar.B_N_MARGIN
+    a = (1.0 + a) * np.exp((-np.sum(np.log1p(a)) - log_target) / n) - 1.0
+    solved = {}  # log nu -> (a, projected residual, log b_n - log target)
+
+    def excess(log_nu):
+        nonlocal a
+        if log_nu not in solved:
+            a, resid = _solve_for_nu(c, np.exp(log_nu), a)
+            solved[log_nu] = (a, resid, -np.sum(np.log1p(a)) - log_target)
+        return solved[log_nu][2]
+
+    lo = hi = np.log(c.c1[-1] * (1.0 + a[-1]) / epsilon)
+    step = np.log(10.0)
+    while excess(hi) > 0.0:
+        lo, hi = hi, hi + step
+        step *= 2.0
+    while excess(lo) <= 0.0:
+        lo, hi = lo - step, lo
+        step *= 2.0
+    scipy.optimize.brentq(excess, lo, hi, xtol=1e-13)
+    log_nu = min(x for x, (a_x, _, _) in solved.items()
+                 if scalar._b_forward(a_x)[-1] <= epsilon)
+    a, resid, _ = solved[log_nu]
+    return a, resid, float(np.exp(log_nu)), 1 + len(solved)

@@ -1,8 +1,9 @@
-"""`import lqcoord` and every run without a designed policy need numpy alone.
+"""`import lqcoord`, every run without a designed policy and the fully
+actuated power design need numpy alone.
 
-scipy is loaded only on first use, by the two power designers. Each case
-runs in a fresh interpreter, since this test session has scipy loaded
-already.
+scipy is loaded only on first use, by the under-actuated power design
+(L-BFGS-B). Each case runs in a fresh interpreter, since this test session
+has scipy loaded already.
 """
 
 import json
@@ -50,10 +51,19 @@ def test_runs_without_a_designed_policy_never_load_scipy(tmp_path):
     assert loaded == {"import": [], "compare": [], "simulate": [], "gains": []}
 
 
-@pytest.mark.parametrize("preset", [presets.FULLY_ACTUATED, presets.UNDER_ACTUATED])
-def test_power_design_loads_scipy_on_first_use(tmp_path, preset):
+def test_fully_actuated_power_design_needs_numpy_alone(tmp_path):
+    out = str(tmp_path / "out")
     loaded = scipy_modules_after([
-        ["optimize-power", "--preset", preset, "--budget", "20",
+        ["optimize-power", "--preset", presets.FULLY_ACTUATED, "--out", out],
+        ["compare", "--preset", presets.FULLY_ACTUATED, "--runs", "20",
+         "--policy", "im-comm-opt", "--out", out],
+    ], tmp_path)
+    assert loaded == {"import": [], "optimize-power": [], "compare": []}
+
+
+def test_under_actuated_power_design_loads_scipy_on_first_use(tmp_path):
+    loaded = scipy_modules_after([
+        ["optimize-power", "--preset", presets.UNDER_ACTUATED, "--budget", "20",
          "--out", str(tmp_path / "out")],
     ], tmp_path)
     assert loaded["import"] == []

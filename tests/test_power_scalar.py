@@ -2,20 +2,23 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import lqcoord as lq
 import scalar_oracle as oracle
 from channel_oracle import one_step
+from conftest import random_system
 from lqcoord.channel import fa_setup
 from lqcoord.gains import backward_riccati
-from lqcoord.power import heuristic_schedule
+from lqcoord.policies import PolicyKind, make_policy
+from lqcoord.power import expected_total_cost, heuristic_schedule
 from lqcoord.power import scalar
 from lqcoord.power.scalar import (A_FLOOR, RESIDUAL_TOL, ConstantsTable,
                                   scalar_constants, scalar_backward_solve,
                                   solve_scalar_power, stationarity_residuals,
                                   _b_forward, _hessian, _newton_step,
-                                  _scaled_costate)
+                                  _reduced_cost, _scaled_costate)
+from lqcoord.power.analytic import trajectory
 from pmp_oracle import surrogate_cost
 from lqcoord.power.schedules import PowerSchedule, ScheduleMode
 from lqcoord.errors import (InvalidTheta, LqcoordError, NoRootFound,
@@ -102,6 +105,7 @@ def test_solver_residuals(solved):
 def test_solver_terminal_ratio_hits_epsilon(solved):
     assert solved.achieved_terminal_ratio == pytest.approx(1e-3, rel=1e-6)
     assert solved.terminal_multiplier > 0  # the accuracy target binds
+    assert solved.inner_solves == 2        # the free solve, then one on the target
 
 
 def test_solver_b_monotone(solved):
@@ -246,7 +250,7 @@ def test_long_horizon_tight_epsilon():
     assert resid <= RESIDUAL_TOL
     assert sched.achieved_terminal_ratio <= 1e-12
     assert sched.achieved_terminal_ratio == pytest.approx(1e-12, rel=1e-6)
-    assert sched.inner_solves <= 20
+    assert sched.inner_solves == 2
 
 
 def test_single_step_tiny_epsilon():
@@ -259,7 +263,7 @@ def test_single_step_tiny_epsilon():
 
 
 def test_epsilon_beyond_per_step_ceiling_solves():
-    # b_n = 1e-30 in two steps needs a_t ~ 1e15: the inner solve has no
+    # b_n = 1e-30 in two steps needs a_t ~ 1e15: the solve has no
     # upper bound on a and still meets every stationarity equation
     sched, resid = _solve_fa(2, 1e-30)
     assert resid <= RESIDUAL_TOL
@@ -271,10 +275,10 @@ def test_unreachable_epsilon_fails_up_front(monkeypatch):
     gains = backward_riccati(model)
     setup = fa_setup(model.B1, model.W)
 
-    def no_inner_solve(*args):
-        raise AssertionError("inner solve attempted for an unreachable epsilon")
+    def no_solve(*args):
+        raise AssertionError("solve attempted for an unreachable epsilon")
 
-    monkeypatch.setattr(scalar, "_solve_for_nu", no_inner_solve)
+    monkeypatch.setattr(scalar, "_newton_solve", no_solve)
     with pytest.raises(LqcoordError, match=r"epsilon: 1e-300 .*floor .*n=2"):
         solve_scalar_power(gains, setup, model, epsilon=1e-300)
 
@@ -289,7 +293,7 @@ def test_non_positive_epsilon_names_the_field(preset, epsilon):
 
 def test_single_step_extreme_epsilon_solves():
     # n=1 with eps=1e-100 needs a_0 ~ 1e100 and a multiplier ~ c1 1e200,
-    # both representable; the inner solve is unbounded above
+    # both representable; the solve is unbounded above
     sched, resid = _solve_fa(1, 1e-100)
     assert resid <= RESIDUAL_TOL
     assert sched.achieved_terminal_ratio <= 1e-100
@@ -310,7 +314,7 @@ def test_failed_inner_solve_reports_the_range_reached(preset):
     assert hi > 1e3
 
 
-# --- Newton inner solve: analytic Hessian, KKT at the floor, work count -----------
+# --- Newton solve: analytic Hessian, KKT at the floor, work count -----------------
 
 @pytest.mark.parametrize("nu", [0.0, 1e3])
 @pytest.mark.parametrize("n", [1, 30, 120])
@@ -349,6 +353,31 @@ def test_newton_step_on_a_positive_definite_hessian_is_exact():
     np.testing.assert_allclose(step, -np.linalg.solve(hess, grad), rtol=1e-13)
 
 
+def test_bordered_newton_step_solves_the_kkt_system():
+    # [hess, -x; -x', 0] [p; mu] = [-grad; 0]: p is tangent to the
+    # constraint and mu comes out of the same solve
+    rng = np.random.default_rng(6)
+    R = rng.standard_normal((4, 4))
+    hess = R @ R.T + np.diag([1.0, 10.0, 100.0, 1e3])
+    grad, x = rng.standard_normal(4), rng.uniform(0.1, 0.9, 4)
+    sol, unshifted = _newton_step(hess, grad, x)
+    assert unshifted
+    kkt = np.block([[hess, -x[:, None]], [-x[None, :], np.zeros((1, 1))]])
+    np.testing.assert_allclose(sol, np.linalg.solve(kkt, np.append(-grad, 0.0)),
+                               rtol=1e-12)
+    assert abs(x @ sol[:-1]) <= 1e-14 * np.abs(sol[:-1]).sum()
+
+
+def test_bordered_newton_step_shifts_an_indefinite_hessian():
+    hess = np.array([[2.0, 0.5, 0.0], [0.5, -3.0, 1.0], [0.0, 1.0, 4.0]])
+    grad, x = np.array([1.0, -2.0, 0.5]), np.array([0.2, 0.5, 0.7])
+    sol, unshifted = _newton_step(hess, grad, x)
+    step = sol[:-1]
+    assert not unshifted
+    assert abs(x @ step) <= 1e-14 * np.abs(step).sum()
+    assert step @ grad < 0.0   # descent along the constraint
+
+
 @pytest.mark.parametrize("epsilon", [1e-20, 1e-30, 1e-40])
 def test_tiny_epsilon_meets_kkt_at_the_floor(epsilon):
     # the optimum wants a_t below A_FLOOR near the end of the horizon: those
@@ -369,11 +398,126 @@ def test_tiny_epsilon_meets_kkt_at_the_floor(epsilon):
 
 
 def test_long_horizon_solve_work_count(monkeypatch):
-    # Newton on the analytic Hessian needs no finite-difference Jacobian:
-    # the whole n=120 solve (every inner solve) evaluates g at most 400 times
-    calls = []
+    # Newton on the analytic Hessian needs no finite-difference Jacobian,
+    # and the multiplier comes out of the Newton step: the whole n=120
+    # design (the free solve and the solve on the target) evaluates g at
+    # most 80 times and takes at most 60 Newton steps, one Hessian each
+    # (the Brent search over the multiplier took 82 steps)
+    calls, steps = [], []
     monkeypatch.setattr(scalar, "stationarity_residuals",
                         lambda *args: calls.append(1) or stationarity_residuals(*args))
+    monkeypatch.setattr(scalar, "_hessian",
+                        lambda *args: steps.append(1) or _hessian(*args))
     sched, resid = _solve_fa(120, 1e-12)
     assert resid <= RESIDUAL_TOL
-    assert 0 < len(calls) <= 400
+    assert 0 < len(calls) <= 80
+    assert 0 < len(steps) <= 60
+
+
+# --- the one KKT solve against the bracket + Brent reference ----------------------
+
+HELD = A_FLOOR * (1 + 1e-12)   # entries at or below this sit on the floor
+
+
+def _check_against_reference(c, epsilon, model, setup):
+    ref_a, _, ref_nu, _ = oracle.brent_solve(c, epsilon)
+    sched = scalar_backward_solve(c, epsilon, model, setup)
+    np.testing.assert_array_equal(sched.a <= HELD, ref_a <= HELD)
+    assert np.abs(sched.a / ref_a - 1.0).max() <= 1e-10
+    if ref_nu == 0.0:
+        assert sched.terminal_multiplier == 0.0 and sched.inner_solves == 1
+    else:
+        assert sched.terminal_multiplier == pytest.approx(ref_nu, rel=1e-9)
+        assert sched.inner_solves == 2
+    assert sched.achieved_terminal_ratio <= epsilon
+
+
+@pytest.mark.parametrize("n, epsilon", [(1, 1e-9), (1, 1e-100), (2, 1e-30),
+                                        (30, 1e-3), (120, 1e-12), (120, 1e-40)])
+def test_kkt_solve_matches_brent_reference_on_presets(n, epsilon):
+    model = lq.fully_actuated_model(n=n)
+    setup = fa_setup(model.B1, model.W)
+    c = scalar_constants(backward_riccati(model), setup, model)
+    _check_against_reference(c, epsilon, model, setup)
+
+
+@st.composite
+def fa_systems(draw):
+    """A random fully actuated system (d0 = 1 included) and a seed."""
+    d0 = draw(st.integers(1, 4))
+    extra = draw(st.integers(0, 2))
+    n = draw(st.integers(1, 30))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    model = random_system(np.random.default_rng(seed), d0, d0 + extra, 1, n)
+    return model, seed
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(fa_systems(), st.sampled_from([0.5, 1e-2, 1e-6, 1e-20]))
+def test_kkt_solve_matches_brent_reference_on_random_systems(system, epsilon):
+    # systems whose cross term c2 sqrt(a b) rewards signalling at every step,
+    # as on both presets (about 3 in 4 draws); where c2_t > 0 the reduced
+    # cost is concave in a_t, and the two solvers may stop at different KKT
+    # points (different entries held at the floor)
+    model, _ = system
+    setup = fa_setup(model.B1, model.W)
+    c = scalar_constants(backward_riccati(model), setup, model)
+    assume(np.all(c.c2 < 0.0))
+    _check_against_reference(c, epsilon, model, setup)
+
+
+def test_kkt_solve_meets_the_target_where_the_brent_search_stopped_short():
+    # one step whose power only costs (c2 > 0): the cost rises with a_0, so
+    # the optimum under b_1 <= 0.5 is b_1 = 0.5, a_0 = 1. The multiplier
+    # search jumped across a discontinuity of b_1(nu) and returned a_0 = 59
+    # (b_1 = 0.017) with nu > 0, which is no KKT point
+    c = ConstantsTable(c1=np.array([6.72799672]), c2=np.array([11.38547302]),
+                       c3=np.array([42.87490247]), H=np.ones(1))
+    ref_a, _, ref_nu, _ = oracle.brent_solve(c, 0.5)
+    assert ref_nu > 0.0 and _b_forward(ref_a)[-1] < 0.05
+    sched = scalar_backward_solve(c, 0.5, None, None)
+    assert sched.a[0] == pytest.approx(1.0, rel=1e-12)
+    assert sched.terminal_multiplier > 0.0
+    assert 0.5 * (1 - 1e-12) <= sched.achieved_terminal_ratio <= 0.5
+    assert _reduced_cost(sched.a, c, 0.0) < _reduced_cost(ref_a, c, 0.0)
+
+
+def test_negative_multiplier_releases_the_target():
+    # c2_t > 0 at some steps: the solve on b_n = 0.9 ends at a stationary
+    # point with nu = -26.2, where J still falls into b_n < 0.9; a free
+    # solve from there meets the target at a lower cost (the Brent search
+    # never returned here: lowering nu, its bracket ran off to -inf)
+    model = random_system(np.random.default_rng(2683714704), 2, 2, 1, 28)
+    setup = fa_setup(model.B1, model.W)
+    c = scalar_constants(backward_riccati(model), setup, model)
+    assert c.c2.max() > 0.0
+    sched = scalar_backward_solve(c, 0.9, model, setup)
+    assert sched.inner_solves == 3
+    assert sched.terminal_multiplier == 0.0
+    assert sched.achieved_terminal_ratio <= 0.9
+    assert np.abs(sched.stationarity_residuals).max() <= RESIDUAL_TOL
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(fa_systems(), st.sampled_from([0.5, 1e-2, 1e-4]))
+def test_reduced_cost_is_the_exact_cost_above_ex_comm(system, epsilon):
+    # on the isotropic family Lambda_t = a_t H^-1 the exact expected cost is
+    # the ex-comm cost plus the reduced cost, so the design minimizes the
+    # exact cost there. Checked for a random a and, where the cross term
+    # rewards signalling at every step, for the designed a; to 1e-12 of the
+    # exact cost, whose roundoff the difference inherits
+    model, seed = system
+    setup = fa_setup(model.B1, model.W)
+    gains = backward_riccati(model)
+    c = scalar_constants(gains, setup, model)
+    ex_comm = trajectory(make_policy(PolicyKind.EX_COMM, model).step_ops,
+                         model).costs.sum()
+    schedules = [np.exp(np.random.default_rng(seed).uniform(
+        np.log(1e-3), np.log(10.0), model.n))]
+    if np.all(c.c2 < 0.0):
+        schedules.append(scalar_backward_solve(c, epsilon, model, setup).a)
+    for a in schedules:
+        sched = PowerSchedule(mode=ScheduleMode.FULL_MATRIX,
+                              Lambda=a[:, None] / setup.eig.H)
+        exact = expected_total_cost(sched, gains, setup, model)
+        assert abs(exact - _reduced_cost(a, c, 0.0) - ex_comm) <= 1e-12 * exact
