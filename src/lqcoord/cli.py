@@ -28,7 +28,7 @@ from .model import SystemModel
 from .policies import PolicyKind, PreparedPolicy, make_policy
 from .power import ua_optimize
 from .power.scalar import solve_scalar_power
-from .simulate import AggregateReport, monte_carlo
+from .simulate import AggregateReport, SharedDraws, monte_carlo
 from . import presets
 
 
@@ -105,13 +105,16 @@ def run_experiment(config: ExperimentConfig) -> list[Path]:
     """Execute the config and write aggregate/series/summary files.
 
     A package error while a policy is built is raised again as the same
-    type with the policy's name in front of its message.
+    type with the policy's name in front of its message. The policies'
+    Monte Carlo runs share one store of draws, so the first policy's
+    wall time includes the draws the others read.
     """
     model = config.model()
     target = config.resolve_target()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    draws = SharedDraws(model)
     reports, summaries = [], []
     for pol in config.policies:
         t0 = time.perf_counter()
@@ -120,7 +123,7 @@ def run_experiment(config: ExperimentConfig) -> list[Path]:
         except LqcoordError as exc:
             raise type(exc)(f"policy '{pol.name}': {exc}") from exc
         report = monte_carlo(prepared, model, target, config.runs,
-                             config.master_seed)
+                             config.master_seed, draws=draws)
         wall = time.perf_counter() - t0
         reports.append(report)
         entry = {

@@ -19,6 +19,11 @@ Reproducibility contract:
 - identical config and seed give byte-identical results within a version;
   batched products round differently from one-run matrix-vector products,
   so results shift at roundoff level across versions that change them.
+- run i's draws depend on the model and seed_i alone, so every policy of
+  an experiment sees the same noise. The policies of one `compare` run
+  share a `SharedDraws` store: each chunk's shaped draws are made once
+  and read read-only, up to DRAW_BUDGET_BYTES; chunks past it are drawn
+  per policy. The values are the same either way.
 
 Streams are seeded a chunk at a time, without a Generator per run: the
 chunk's run seeds and salted target seeds go through numpy's SeedSequence
@@ -44,6 +49,7 @@ from .policies import PreparedPolicy
 _MASK = (1 << 64) - 1
 _TARGET_SALT = 0x9E3779B97F4A7C15
 CHUNK_RUNS = 1024   # runs advanced together; bounds memory at any run count
+DRAW_BUDGET_BYTES = 16 << 20   # shaped draws a SharedDraws store keeps
 
 # numpy's SeedSequence hash (pool of four 32-bit words) and PCG64's
 # default 128-bit multiplier (numpy/random/bit_generator.pyx, pcg64.h)
@@ -78,11 +84,6 @@ def _run_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
     check_seed("master_seed", master_seed)
     master = _splitmix64(np.array([master_seed], dtype=np.uint64))
     return _splitmix64(master ^ _splitmix64(np.arange(lo, hi, dtype=np.uint64)))
-
-
-def derive_run_seed(master_seed: int, run_index: int) -> int:
-    """Decorrelated per-run seed from (master_seed, run_index)."""
-    return int(_run_seeds(master_seed, run_index, run_index + 1)[0])
 
 
 def _target_seeds(seeds: np.ndarray) -> np.ndarray:
@@ -225,25 +226,64 @@ class AggregateReport:
         return float(self.mean_total_cost - self.mean_stage_costs.sum())
 
 
-def _targets(chol: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """Draws N(0, chol chol') from each run's salted substream, (R, d0)."""
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    return _normals([(_target_seeds(seeds), chol.shape[0])])[0] @ chol.T
-
-
-def sample_target(model: SystemModel, seed: int) -> np.ndarray:
-    """Target draw from N(0, Sigma0) on the salted per-run substream."""
-    check_seed("seed", seed)
-    return _targets(_chol_psd(model.Sigma0), [seed])[0]
-
-
 def _quad(z: np.ndarray, M: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,ij,...j->...", z, M, z)
+    """z' M z over the last axis."""
+    return ((z @ M) * z).sum(-1)
+
+
+def _draw(model: SystemModel, seeds: np.ndarray,
+          sampled: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The runs' shaped draws: x_0 (R, d0), w (R, n, d0) and, if `sampled`,
+    x_* (R, d0), with every stream seeded in one `_stream_states` pass."""
+    n, d0, R = model.n, model.d0, len(seeds)
+    groups = [(seeds, (n + 1) * d0)]
+    if sampled:
+        groups.append((_target_seeds(seeds), d0))
+    g, *target = _normals(groups)
+    g = g.reshape(R, n + 1, d0)
+    x0 = g[:, 0] @ _chol_psd(model.X0).T
+    w = g[:, 1:] @ np.linalg.cholesky(model.W).T
+    return x0, w, target[0] @ _chol_psd(model.Sigma0).T if sampled else None
+
+
+class SharedDraws:
+    """One experiment's shaped draws (x_0, w and a sampled x_*), drawn once
+    per chunk for all its policies.
+
+    Bound to one model and keyed by each chunk's run seeds (and whether the
+    target is sampled). Stored arrays are read-only. Chunks are kept while
+    their total stays within DRAW_BUDGET_BYTES; later chunks are drawn on
+    every call and not kept, so memory stays bounded at any run count.
+    """
+
+    def __init__(self, model: SystemModel):
+        self.model = model
+        self._chunks: dict[tuple[bool, bytes], tuple] = {}
+        self._bytes = 0
+
+    def chunk(self, model: SystemModel, seeds: np.ndarray,
+              sampled: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """`_draw(model, seeds, sampled)`, from the store where it holds it."""
+        if model is not self.model:
+            raise ValidationError("shared draws belong to another model")
+        key = (sampled, seeds.tobytes())
+        if key in self._chunks:
+            return self._chunks[key]
+        drawn = _draw(model, seeds, sampled)
+        arrays = [a for a in drawn if a is not None]
+        size = sum(a.nbytes for a in arrays)
+        if self._bytes + size <= DRAW_BUDGET_BYTES:
+            for a in arrays:
+                a.flags.writeable = False
+            self._chunks[key] = drawn
+            self._bytes += size
+        return drawn
 
 
 def _rollouts(policy: PreparedPolicy, model: SystemModel,
               x_star: np.ndarray | None, seeds: np.ndarray,
-              first_run: int = 0) -> tuple[np.ndarray, ...]:
+              first_run: int = 0,
+              draws: SharedDraws | None = None) -> tuple[np.ndarray, ...]:
     """The runs seeded by `seeds` (uint64), advanced together as (R, d0) arrays.
 
     Returns targets, states, inputs v and q, stage and terminal costs and z
@@ -251,19 +291,15 @@ def _rollouts(policy: PreparedPolicy, model: SystemModel,
     NonFiniteRollout naming its run (counted from `first_run`) and step.
     """
     n, d0, R = model.n, model.d0, len(seeds)
-    if x_star is None:
-        g, x_star = _normals([(seeds, (n + 1) * d0), (_target_seeds(seeds), d0)])
-        x_star = x_star @ _chol_psd(model.Sigma0).T
-    elif np.shape(x_star) != (d0,):
+    if x_star is not None and np.shape(x_star) != (d0,):
         raise ValidationError(
             f"target must have shape ({d0},), got {np.shape(x_star)}")
-    else:
-        g, = _normals([(seeds, (n + 1) * d0)])
-    x_star = np.broadcast_to(np.asarray(x_star, dtype=float), (R, d0))
-    g = g.reshape(R, n + 1, d0)
-    w = g[:, 1:] @ np.linalg.cholesky(model.W).T
+    sampled = x_star is None
+    x0, w, drawn = (_draw if draws is None else draws.chunk)(model, seeds, sampled)
+    x_star = np.broadcast_to(np.asarray(drawn if sampled else x_star, dtype=float),
+                             (R, d0))
     states = np.empty((R, n + 1, d0))
-    states[:, 0] = g[:, 0] @ _chol_psd(model.X0).T
+    states[:, 0] = x0
     v, q = np.empty((R, n, model.d1)), np.empty((R, n, model.d2))
     pol = policy.start(x_star)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -299,9 +335,14 @@ def rollout(policy: PreparedPolicy, model: SystemModel,
 
 
 def monte_carlo(policy: PreparedPolicy, model: SystemModel,
-                x_star: np.ndarray | None, runs: int,
-                master_seed: int) -> AggregateReport:
-    """Aggregate `runs` independent rollouts (x_star=None samples per run)."""
+                x_star: np.ndarray | None, runs: int, master_seed: int,
+                draws: SharedDraws | None = None) -> AggregateReport:
+    """Aggregate `runs` independent rollouts (x_star=None samples per run).
+
+    `draws`, a store of the experiment's shaped noise bound to `model`,
+    spares the policies after the first the draw of every chunk it keeps;
+    the results are the same with or without it.
+    """
     if runs < 1:
         raise ValidationError(f"runs must be >= 1, got {runs}")
     z_sum, stage_sum = np.zeros(model.n + 1), np.zeros(model.n)
@@ -309,7 +350,8 @@ def monte_carlo(policy: PreparedPolicy, model: SystemModel,
     shift, dev_sum, dev_sq = None, 0.0, 0.0
     for lo in range(0, runs, CHUNK_RUNS):
         seeds = _run_seeds(master_seed, lo, min(runs, lo + CHUNK_RUNS))
-        *_, stage, terminal, z_norms = _rollouts(policy, model, x_star, seeds, lo)
+        *_, stage, terminal, z_norms = _rollouts(policy, model, x_star, seeds,
+                                                 lo, draws)
         totals = stage.sum(axis=1) + terminal
         shift = totals[0] if shift is None else shift
         dev_sum += (totals - shift).sum()

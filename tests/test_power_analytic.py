@@ -14,7 +14,8 @@ from lqcoord.config import PolicyConfig
 from lqcoord.power.analytic import (TailCostEvaluator, initial_joint,
                                    signaling_ops, trajectory)
 from lqcoord.power.schedules import PowerSchedule, ScheduleMode
-from lqcoord.simulate import derive_run_seed, monte_carlo, rollout
+from lqcoord import simulate
+from lqcoord.simulate import monte_carlo
 
 # blocks of the joint covariance of (z_t, e_t, x_*) for d0 = 4
 Z, E, X = slice(0, 4), slice(4, 8), slice(8, 12)
@@ -110,41 +111,31 @@ def test_ua_block_diagonal_noise_matches_fa_form(ua_gains):
         np.testing.assert_allclose(P[Z, E], -P[E, E], atol=1e-9)
 
 
-def test_analytic_Z_matches_monte_carlo(fa_model, fa_gains, fa_channel):
-    # sampled-target rollouts; covariance of z_t against the analytic block
-    sched = heuristic_schedule(0.88, fa_model.n, 4)
-    joint = _joint(sched, fa_gains, fa_channel, fa_model)
-    pol = make_policy(PolicyKind.IM_COMM_FA, fa_model)
-    R = 3000
-    probes = (1, 5, 10)
-    zs = {t: np.empty((R, 4)) for t in probes}
-    for i in range(R):
-        tr = rollout(pol, fa_model, None, derive_run_seed(500, i))
-        for t in probes:
-            zs[t][i] = tr.states[t] - tr.x_star
+def _assert_z_covariances(pol, model, joint, master, probes, R=3000):
+    # sampled-target runs 0..R-1 of `master`, advanced as one batch;
+    # covariance of z_t against the analytic block at each probe step
+    x_star, states, *_ = simulate._rollouts(pol, model, None,
+                                            simulate._run_seeds(master, 0, R))
     for t in probes:
-        emp = zs[t].T @ zs[t] / R
+        z = states[:, t] - x_star
+        emp = z.T @ z / R
         ana = joint[t][Z, Z]
         se = np.sqrt((np.outer(np.diag(ana), np.diag(ana)) + ana ** 2) / R)
         assert np.all(np.abs(emp - ana) <= 3.5 * se)
+
+
+def test_analytic_Z_matches_monte_carlo(fa_model, fa_gains, fa_channel):
+    sched = heuristic_schedule(0.88, fa_model.n, 4)
+    joint = _joint(sched, fa_gains, fa_channel, fa_model)
+    pol = make_policy(PolicyKind.IM_COMM_FA, fa_model)
+    _assert_z_covariances(pol, fa_model, joint, 500, (1, 5, 10))
 
 
 def test_analytic_Z_matches_monte_carlo_ua(ua_model, ua_gains, ua_channel):
     sched = heuristic_schedule(0.88, ua_model.n, 2)
     joint = _joint(sched, ua_gains, ua_channel, ua_model)
     pol = make_policy(PolicyKind.IM_COMM_UA, ua_model)
-    R = 3000
-    probes = (1, 4, 8)
-    zs = {t: np.empty((R, 4)) for t in probes}
-    for i in range(R):
-        tr = rollout(pol, ua_model, None, derive_run_seed(501, i))
-        for t in probes:
-            zs[t][i] = tr.states[t] - tr.x_star
-    for t in probes:
-        emp = zs[t].T @ zs[t] / R
-        ana = joint[t][Z, Z]
-        se = np.sqrt((np.outer(np.diag(ana), np.diag(ana)) + ana ** 2) / R)
-        assert np.all(np.abs(emp - ana) <= 3.5 * se)
+    _assert_z_covariances(pol, ua_model, joint, 501, (1, 4, 8))
 
 
 def test_expected_cost_matches_monte_carlo_fa(fa_model, fa_gains, fa_channel):

@@ -5,11 +5,12 @@ from hypothesis import given, settings, strategies as st
 import lqcoord as lq
 import stream_oracle
 from conftest import random_pd
-from lqcoord import simulate
+from lqcoord import cli, simulate
+from lqcoord.config import config_from_dict
 from lqcoord.errors import NonFiniteRollout, ValidationError
 from lqcoord.policies import PolicyKind, make_policy
-from lqcoord.simulate import derive_run_seed, monte_carlo, rollout, sample_target
-from stream_oracle import gaussian_stream
+from lqcoord.simulate import monte_carlo, rollout
+from stream_oracle import derive_run_seed, gaussian_stream, sample_target
 
 EDGE_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
 
@@ -23,11 +24,11 @@ def test_splitmix_determinism_and_spread():
 
 
 def test_run_seed_derivation_independent_of_order():
-    a = derive_run_seed(7, 3)
-    b = derive_run_seed(7, 4)
+    a, b = simulate._run_seeds(7, 3, 5).tolist()
     assert a != b
-    assert derive_run_seed(8, 3) != a
-    assert derive_run_seed(7, 3) == a
+    assert simulate._run_seeds(8, 3, 4)[0] != a
+    assert simulate._run_seeds(7, 0, 4)[3] == a
+    assert simulate._run_seeds(7, 4, 5)[0] == b
 
 
 def _normals(seeds, size):
@@ -77,7 +78,6 @@ def test_chunk_seeds_match_per_run_derivation(master):
                               simulate._run_seeds(master, simulate.CHUNK_RUNS, hi)])
     expected = [stream_oracle.derive_run_seed(master, i) for i in range(lo, hi)]
     assert chunked.tolist() == expected
-    assert [derive_run_seed(master, i) for i in range(lo, hi)] == expected
 
 
 @pytest.mark.parametrize("seed", [2 ** 64, 2 ** 70, -5, 3.0])
@@ -111,9 +111,9 @@ def test_monte_carlo_pinned(preset, policy, target, fa_model, ua_model):
 
 
 def test_shaped_covariance(fa_model):
-    # Cholesky shaping of one d0-sized standard draw per stream
-    chol = np.linalg.cholesky(fa_model.W)
-    draws = simulate._targets(chol, range(100_000))
+    # Cholesky shaping of the plant noise: 3400 runs x 30 steps of w_t
+    seeds = simulate._run_seeds(0, 0, 3400)
+    draws = simulate._draw(fa_model, seeds, sampled=False)[1].reshape(-1, 4)
     emp = draws.T @ draws / draws.shape[0]
     W = fa_model.W
     se = np.sqrt((np.outer(np.diag(W), np.diag(W)) + W ** 2) / draws.shape[0])
@@ -289,3 +289,90 @@ def test_overflow_raises_naming_policy_run_and_step():
             monte_carlo(pol, model, None, runs=5, master_seed=0)
         with pytest.raises(NonFiniteRollout, match="step 6 "):
             rollout(pol, model, None, seed=0)
+
+
+def _einsum_quad(z, M):
+    """The reference form of `simulate._quad`."""
+    return np.einsum("...i,ij,...j->...", z, M, z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6),
+       st.integers(0, 2 ** 32 - 1))
+def test_quad_matches_einsum(R, n, d, seed):
+    # as the engine calls it: strided (R, n, d) step slices and (R, d) ends
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((R, n + 1, d)) * rng.uniform(0.1, 100.0)
+    diag, full = np.diag(rng.uniform(0.1, 5.0, d)), random_pd(rng, d)
+    for part in (z[:, :n], z[:, n], z[0, 0]):
+        np.testing.assert_array_equal(simulate._quad(part, diag),
+                                      _einsum_quad(part, diag))
+        np.testing.assert_allclose(simulate._quad(part, full),
+                                   _einsum_quad(part, full), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("preset, policies", [
+    (lq.FULLY_ACTUATED, ["ex-comm", "leader-only", "im-comm-heu"]),
+    (lq.UNDER_ACTUATED, ["ex-comm", "no-comm"])])
+def test_compare_seeds_each_chunk_once(preset, policies, tmp_path, monkeypatch):
+    # 20 runs in chunks of 7: three stream-seeding passes for all k policies,
+    # while the CLI still calls monte_carlo once per policy
+    monkeypatch.setattr(simulate, "CHUNK_RUNS", 7)
+    passes, calls = [], []
+    stream_states, mc = simulate._stream_states, cli.monte_carlo
+    monkeypatch.setattr(simulate, "_stream_states",
+                        lambda seeds: passes.append(len(seeds)) or stream_states(seeds))
+    monkeypatch.setattr(cli, "monte_carlo",
+                        lambda *a, **k: calls.append(a[0].label) or mc(*a, **k))
+    cli.run_experiment(config_from_dict(
+        {"system": preset, "policies": policies, "runs": 20, "master_seed": 3,
+         "out_dir": str(tmp_path)}))
+    assert passes == [14, 14, 12]   # run and target streams of each chunk
+    assert len(calls) == len(policies)
+
+
+@pytest.mark.parametrize("budget_chunks", [None, 1])
+@pytest.mark.parametrize("target", ["sampled", "fixed"])
+@pytest.mark.parametrize("preset", ["fa", "ua"])
+def test_shared_draws_match_fresh_draws(preset, target, budget_chunks, fa_model,
+                                        ua_model, monkeypatch):
+    # three chunks; budget_chunks=1 keeps only the first, so later chunks
+    # are drawn again per policy
+    monkeypatch.setattr(simulate, "CHUNK_RUNS", 7)
+    model = fa_model if preset == "fa" else ua_model
+    x_star = np.array([1.0, -2.0, 0.5, 2.0]) if target == "fixed" else None
+    if budget_chunks:
+        monkeypatch.setattr(simulate, "DRAW_BUDGET_BYTES",
+                            budget_chunks * 7 * (model.n + 2) * model.d0 * 8)
+    kinds = ([PolicyKind.EX_COMM, PolicyKind.LEADER_ONLY, PolicyKind.IM_COMM_FA]
+             if preset == "fa" else
+             [PolicyKind.EX_COMM, PolicyKind.NO_COMM, PolicyKind.IM_COMM_UA])
+    store = simulate.SharedDraws(model)
+    for kind in kinds:
+        pol = make_policy(kind, model)
+        shared = monte_carlo(pol, model, x_star, 20, 23, draws=store)
+        fresh = monte_carlo(pol, model, x_star, 20, 23)
+        for field in ("mean_total_cost", "std_total_cost", "mean_z_norms",
+                      "mean_stage_costs", "mean_sigma_traces"):
+            np.testing.assert_array_equal(getattr(shared, field),
+                                          getattr(fresh, field))
+    assert len(store._chunks) == (budget_chunks or 3)
+
+
+def test_shared_draws_are_read_only(fa_model):
+    store = simulate.SharedDraws(fa_model)
+    seeds = simulate._run_seeds(0, 0, 5)
+    drawn = store.chunk(fa_model, seeds, True)
+    assert store.chunk(fa_model, seeds, True) is drawn
+    for a in drawn:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    for a, b in zip(drawn, simulate._draw(fa_model, seeds, True)):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_shared_draws_bound_to_their_model(fa_model):
+    other = lq.fully_actuated_model(n=30)
+    pol = make_policy(PolicyKind.EX_COMM, other)
+    with pytest.raises(ValidationError, match="another model"):
+        monte_carlo(pol, other, None, 5, 0, draws=simulate.SharedDraws(fa_model))
