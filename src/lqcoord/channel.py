@@ -286,8 +286,8 @@ def sigma_steps(power: PowerFactors, Sigma0: np.ndarray,
     Sigma0 is checked for symmetry and symmetrised once; every later
     Sigma_t comes out of a symmetrisation. At step t one eigendecomposition
     of Sigma_t gives Sigma_t^(1/2) and the truncated Sigma_t^(-1/2)
-    (`linalg.eig_roots`, written out so the loop keeps only the work on
-    its chain): directions below the pseudo-inverse cutoff are already
+    (zero below the cutoff `linalg.PINV_SQRT_RTOL` relative to the largest
+    eigenvalue): directions below the pseudo-inverse cutoff are already
     known to the follower and get zero signal. Then SV = Sigma^(1/2) V,
     dec = Sigma^(1/2) right, E = SV Sigma^(-1/2) and, with W the plant
     noise covariance, Sigma_{t+1} = E Sigma_t E' + dec W dec' (the Joseph

@@ -45,12 +45,6 @@ def check_symmetric(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     return sym_part(M)
 
 
-def eigh_desc(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix, eigenvalues sorted descending."""
-    w, V = np.linalg.eigh(sym_part(np.asarray(M, dtype=float)))
-    return w[::-1], V[:, ::-1]
-
-
 @dataclass(frozen=True)
 class EigenPair:
     """Orthonormal eigenvectors and nonnegative eigenvalues, descending."""
@@ -66,38 +60,19 @@ class EigenPair:
 
 def sym_eig(M: np.ndarray) -> EigenPair:
     """Eigendecomposition of a symmetric PSD matrix with clamped eigenvalues."""
-    M = check_symmetric(M)
-    w, V = eigh_desc(M)
+    w, V = np.linalg.eigh(check_symmetric(M))
+    w, V = w[::-1], V[:, ::-1]
     scale = max(1.0, w.max(initial=0.0))
     if w.min(initial=0.0) < -PSD_TOL * scale:
         raise NotPsd(f"min eigenvalue {w.min():.3e} is clearly negative")
     return EigenPair(U=V, H=np.clip(w, 0.0, None))
 
 
-def _root_values(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sqrt(H) and the truncated H^(-1/2), zero where H <= PINV_SQRT_RTOL max(H).
-
-    H may be a stack (..., d) of spectra; each is truncated against its own
-    largest eigenvalue.
-    """
-    inv = np.zeros_like(H)
-    live = H > PINV_SQRT_RTOL * H.max(axis=-1, keepdims=True, initial=0.0)
-    inv[live] = H[live] ** -0.5
-    return np.sqrt(H), inv
-
-
-def eig_roots(U: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Square root and truncated inverse square root of U diag(H) U'.
-
-    Eigendirections with H <= PINV_SQRT_RTOL * max(H) get zero in the
-    inverse root.
-    """
-    root, inv = _root_values(H)
-    return sym_part((U * root) @ U.T), sym_part((U * inv) @ U.T)
-
-
 def eig_roots_kernels(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Daleckii-Krein kernels (F_root, F_inv) of `eig_roots` at the spectrum H.
+    """Daleckii-Krein kernels (F_root, F_inv) of the square root and the
+    truncated inverse square root U diag(sqrt H) U', U diag(H^(-1/2)) U' at
+    the spectrum H. The inverse root is zero where H <= PINV_SQRT_RTOL
+    max(H); a stack (..., d) of spectra is truncated spectrum by spectrum.
 
     A spectral function f has Frechet derivative U (F o U' dM U) U' with
     F_ij the divided difference (f(h_i) - f(h_j)) / (h_i - h_j), f'(h_i)
@@ -109,8 +84,9 @@ def eig_roots_kernels(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     derivative, gets 0. H may be a stack (..., d); the kernels are then
     (..., d, d).
     """
-    s, g = _root_values(H)
-    live = g > 0.0
+    s, g = np.sqrt(H), np.zeros_like(H)
+    live = H > PINV_SQRT_RTOL * H.max(axis=-1, keepdims=True, initial=0.0)
+    g[live] = H[live] ** -0.5
     ssum = s[..., :, None] + s[..., None, :]
     F_root = np.divide(1.0, ssum, out=np.zeros_like(ssum), where=ssum > 0.0)
     cross = live[..., :, None] != live[..., None, :]
@@ -123,7 +99,7 @@ def eig_roots_kernels(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def psd_sqrt(M: np.ndarray) -> np.ndarray:
     """Symmetric square root S of a PSD matrix, S @ S = M."""
     pair = sym_eig(M)
-    return eig_roots(pair.U, pair.H)[0]
+    return sym_part((pair.U * np.sqrt(pair.H)) @ pair.U.T)
 
 
 def numerical_rank(M: np.ndarray, rtol: float = RANK_RTOL) -> int:

@@ -29,19 +29,34 @@ q_t = c2_t sqrt(b_t/a_t)/4, the Hessian of J in a is
     dg_t/da_s = (psi_{max(t,s)+1}/(1+a_s) - [s>t] q_s)/(1+a_t) - [s<t] q_t/(1+a_s)
                 + [s=t] (phi_{t+1}/(1+a_t)^2 - q_t/a_t),
 
-which is symmetric and semi-separable, and in u it is a_t a_s dg_t/da_s +
-[s=t] a_t g_t. Where it is not positive definite a multiple of the
-identity is added (Nocedal & Wright, Numerical Optimization, ch. 3). Steps
-are accepted on an Armijo decrease of J, or, for an unmodified Newton
-step, on a decrease of the residual: J stalls in roundoff long before g
-does when nu is large. The search is unbounded above; entries are held at
-A_FLOOR while g_t >= 0 there (the KKT condition of the bound). Once
-|g_t| <= RESIDUAL_TOL on the free entries, full Newton steps continue only
-while they still reduce it, so the solve ends at roundoff level. A single
-backward sweep from a guessed terminal (b_n, theta_n) is NOT used: on
-realistic systems the stationarity root vanishes once b grows past
-(2 c1/|c2|)^2, so the sweep either dies or returns a near-zero schedule
-inconsistent with b_0 = 1.
+which is symmetric, and in u it is a_t a_s dg_t/da_s + [s=t] a_t g_t.
+Off the diagonal that is x_min(t,s) y_max(t,s), with x = a/(1+a) and
+y_t = psi_{t+1} x_t - a_t q_t: the Hessian is semi-separable and is kept
+as its generators (x, y, diag), never as the n x n matrix. The free
+entries' principal submatrix has the same generators, subset. Each Newton
+step factors the Jacobi-scaled generators (x, y, h) as L D L', with
+L_ts = y_t w_s below the diagonal, in one O(n) pass from sigma_0 = 0:
+
+    D_s = h_s - y_s^2 sigma_s,  w_s = (x_s - y_s sigma_s) / D_s,
+    sigma_{s+1} = sigma_s + w_s^2 D_s.
+
+A pivot D_s <= 0 says the matrix is not positive definite; a multiple of
+the identity is then added to h, HESS_SHIFT and up by factors of 10
+(Nocedal & Wright, Numerical Optimization, ch. 3). One forward and one
+backward sweep on the factor give the step. The pass runs in Python
+floats and calls no BLAS, so the design does not depend on the BLAS
+thread count.
+
+Steps are accepted on an Armijo decrease of J, or, for an unmodified
+Newton step, on a decrease of the residual: J stalls in roundoff long
+before g does when nu is large. The search is unbounded above; entries
+are held at A_FLOOR while g_t >= 0 there (the KKT condition of the
+bound). Once |g_t| <= RESIDUAL_TOL on the free entries, full Newton
+steps continue only while they still reduce it, so the solve ends at
+roundoff level. A single backward sweep from a guessed terminal (b_n,
+theta_n) is NOT used: on realistic systems the stationarity root
+vanishes once b grows past (2 c1/|c2|)^2, so the sweep either dies or
+returns a near-zero schedule inconsistent with b_0 = 1.
 
 The terminal-accuracy target b_n <= epsilon binds when the free optimum
 (nu = 0) misses it. The design then solves once more, on the surface
@@ -58,9 +73,16 @@ multiplier come out of one bordered (KKT) solve
     [H, -x; -x', 0] [du; mu] = [-g(a, 0) a; 0],
 
 with H the Hessian above at the current nu = mu/b_n and g(a, nu) =
-g(a, 0) - mu/(1+a) (Nocedal & Wright, ch. 18). The step is tangent to the
-surface and, with H shifted positive definite, descends J at nu = 0, on
-which the Armijo test runs; the residual test uses g(a, nu) at the new mu.
+g(a, 0) - mu/(1+a) (Nocedal & Wright, ch. 18). The border x is the
+Hessian's own generator. The system is solved on the O(n) factor through
+the Schur complement: with r = -g(a, 0) a, mu = -x'H^-1 r / x'H^-1 x and
+du = H^-1 (r + mu x), so two sweeps give H^-1 r and H^-1 x. Since du is
+tangent to x, H may be replaced by H + rho x x', whose generators are
+(x, y + rho x, diag + rho x^2); with rho x'x the size of the shifted,
+scaled diagonal, the sum has no near-singular direction along x for the
+Schur complement to amplify. The step is tangent to the surface and, with
+H shifted positive definite, descends J at nu = 0, on which the Armijo
+test runs; the residual test uses g(a, nu) at the new mu.
 The free solve is the same routine without the border, so a design takes
 one Newton solve, or two when the target binds. A negative multiplier at
 the end says J still falls into b_n < epsilon, which the nonconvex J of
@@ -79,6 +101,7 @@ is the test oracle `tests/pmp_oracle.py`, which checks these constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -205,53 +228,86 @@ def stationarity_residuals(a: np.ndarray, c: ConstantsTable,
 
 
 def _hessian(a: np.ndarray, g: np.ndarray, c: ConstantsTable,
-             nu: float) -> np.ndarray:
-    """Hessian of the reduced cost in u = log a, given g at a.
+             nu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hessian of the reduced cost in u = log a, given g at a, as its
+    generators (x, y, diag): entry (t, s) is x_min(t,s) y_max(t,s) off the
+    diagonal and diag_t on it.
 
-    Off the diagonal a_t a_s dg_t/da_s = x_min(t,s) y_max(t,s), with
     x = a/(1+a) and y_t = psi_{t+1} x_t - a_t q_t, so no product a_t a_s
-    is formed.
+    is formed, and the n x n matrix never is.
     """
     b = _b_forward(a)
     phi = _scaled_costate(a, b, c, nu)
     psi = _scaled_costate(a, b, c, nu, weight=0.25)
     x = a / (1.0 + a)
     aq = 0.25 * c.c2 * np.sqrt(a * b[:-1])
-    y = psi[1:] * x - aq
-    low = np.tril(np.outer(y, x), -1)
-    hess = low + low.T
-    np.fill_diagonal(hess, (phi[1:] + psi[1:]) * x ** 2 - aq + a * g)
-    return hess
+    return x, psi[1:] * x - aq, (phi[1:] + psi[1:]) * x ** 2 - aq + a * g
 
 
-def _newton_step(hess: np.ndarray, grad: np.ndarray,
-                 border: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
-    """Solve hess p = -grad, or with a border x the KKT system
-    [hess, -x; -x', 0] [p; mu] = [-grad; 0] for p and mu stacked.
-
-    A multiple of the identity is added to the Jacobi-scaled hess until it
-    is positive definite; also says whether none was added.
+def _ldl(x: list, y: list, h: list) -> tuple[list, list] | None:
+    """LDL' pivots D and multipliers w of the semi-separable matrix with
+    generators (x, y, h), whose factor is L_ts = y_t w_s below the
+    diagonal; None at the first pivot D_s <= 0, that is, where the matrix
+    is not positive definite.
     """
-    d = np.sqrt(np.abs(np.diag(hess)))
+    D, w, sigma = [], [], 0.0   # sigma_s = sum_{k<s} w_k^2 D_k
+    for xs, ys, hs in zip(x, y, h):
+        ds = hs - ys * ys * sigma
+        if not ds > 0.0:
+            return None
+        ws = (xs - ys * sigma) / ds
+        sigma += ws * ws * ds
+        D.append(ds)
+        w.append(ws)
+    return D, w
+
+
+def _ldl_solve(y: list, D: list, w: list, r: list) -> list:
+    """z with L D L' z = r, by one forward and one backward sweep."""
+    v, tau = [], 0.0            # L v = r: v_t = r_t - y_t sum_{s<t} w_s v_s
+    for ys, ws, rs in zip(y, w, r):
+        vs = rs - ys * tau
+        tau += ws * vs
+        v.append(vs)
+    z, tau = [], 0.0            # L' z = v/D: z_s = v_s/D_s - w_s sum_{t>s} y_t z_t
+    for ys, ws, ds, vs in zip(y[::-1], w[::-1], D[::-1], v[::-1]):
+        zs = vs / ds - ws * tau
+        tau += ys * zs
+        z.append(zs)
+    return z[::-1]
+
+
+def _newton_step(x: np.ndarray, y: np.ndarray, diag: np.ndarray,
+                 grad: np.ndarray, bordered: bool = False
+                 ) -> tuple[np.ndarray, bool]:
+    """Solve hess p = -grad, or when bordered the KKT system
+    [hess, -x; -x', 0] [p; mu] = [-grad; 0] for p and mu stacked, where
+    hess has the generators (x, y, diag) of `_hessian`: its x = a/(1+a) is
+    also the gradient of -log b_n in u, the border.
+
+    A multiple of the identity is added to the Jacobi-scaled hess until its
+    LDL' factorisation has no pivot <= 0, that is, until it is positive
+    definite; also says whether none was added.
+    """
+    d = np.sqrt(np.abs(diag))
     d[d == 0.0] = 1.0
-    m = d.size
-    scaled = hess / np.outer(d, d)
+    xs, ys, hs = (x / d).tolist(), (y / d).tolist(), (diag / (d * d)).tolist()
     shift = 0.0
-    while True:
-        try:
-            np.linalg.cholesky(scaled)
-            break
-        except np.linalg.LinAlgError:
-            raised = max(10.0 * shift, HESS_SHIFT)
-            scaled[np.diag_indices(m)] += raised - shift
-            shift = raised
-    rhs = -grad / d
-    if border is not None:
-        kkt = np.zeros((m + 1, m + 1))
-        kkt[:m, :m] = scaled
-        kkt[:m, m] = kkt[m, :m] = -border / d
-        scaled, rhs, d = kkt, np.append(rhs, 0.0), np.append(d, 1.0)
-    return np.linalg.solve(scaled, rhs) / d, shift == 0.0
+    while (factor := _ldl(xs, ys, hs)) is None:
+        raised = max(10.0 * shift, HESS_SHIFT)
+        hs = [h + (raised - shift) for h in hs]
+        shift = raised
+    rhs = (-grad / d).tolist()
+    if not bordered:
+        return np.array(_ldl_solve(ys, *factor, rhs)) / d, shift == 0.0
+    # hess + rho x x' has the same tangent step and no near-singular
+    # direction along x for the Schur complement to amplify
+    rho = (1.0 + shift) / sum(map(mul, xs, xs))
+    ys = [v + rho * u for u, v in zip(xs, ys)]
+    factor = _ldl(xs, ys, [h + rho * u * u for u, h in zip(xs, hs)])
+    z, zx = _ldl_solve(ys, *factor, rhs), _ldl_solve(ys, *factor, xs)
+    mu = -sum(map(mul, xs, z)) / sum(map(mul, xs, zx))
+    return np.append((np.array(z) + mu * np.array(zx)) / d, mu), shift == 0.0
 
 
 def _free(u: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -317,14 +373,14 @@ def _newton_solve(c: ConstantsTable, a: np.ndarray,
         worst = np.abs(g[free]).max(initial=0.0)
         converged = worst <= RESIDUAL_TOL
         hess = _hessian(a, g, c, nu_of(a, mu))
-        if not free.all():
-            hess = hess[np.ix_(free, free)]
+        if not free.all():   # a principal submatrix keeps the generators
+            hess = [v[free] for v in hess]
         step = np.zeros_like(u)
         if log_target is None:
-            step[free], newton = _newton_step(hess, grad[free])
+            step[free], newton = _newton_step(*hess, grad[free])
             trial_mu = 0.0
         else:
-            sol, newton = _newton_step(hess, grad[free], x[free])
+            sol, newton = _newton_step(*hess, grad[free], bordered=True)
             step[free], trial_mu = sol[:-1], sol[-1]
         step *= min(1.0, MAX_LOG_STEP / np.abs(step).max(initial=MAX_LOG_STEP))
         for _ in range(1 if converged else MAX_BACKTRACKS):

@@ -15,7 +15,10 @@ package's Sigma loop as it was written before its loops were cut to the
 work on their chain (one `eig_roots` call, the negative-eigenvalue check
 and the eigenpair stores inside the loop), and `sigma_step_adjoint` the
 per-step reverse pass that went with it, as references for the lean loop
-and its batched adjoint constants.
+and its batched adjoint constants. `eigh_desc` (eigh, eigenvalues
+descending) and `eig_roots` (square root and truncated inverse square root
+of an eigenpair) were package helpers until they were folded into their
+callers; that loop and the tests of the Sigma pass use them here.
 
 Fully actuated (Q1 = B1 Q, channel eigenbasis U, gains H):
     s_t     = Q S^(1/2) Sigma^(-1/2) e_t,          S = U diag(lam) U'
@@ -36,8 +39,26 @@ import scipy.linalg
 
 from lqcoord.channel import power_factors, power_factors_adjoint, sigma_steps
 from lqcoord.errors import RankDeficient, SigmaNearSingular
-from lqcoord.linalg import (check_symmetric, eig_roots, eig_roots_kernels,
+from lqcoord.linalg import (PINV_SQRT_RTOL, check_symmetric, eig_roots_kernels,
                             svd_factor, sym_part)
+
+
+def eigh_desc(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a symmetric matrix, eigenvalues sorted descending."""
+    w, V = np.linalg.eigh(sym_part(np.asarray(M, dtype=float)))
+    return w[::-1], V[:, ::-1]
+
+
+def eig_roots(U: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Square root and truncated inverse square root of U diag(H) U'.
+
+    Eigendirections with H <= PINV_SQRT_RTOL * max(H) get zero in the
+    inverse root, as in the package's Sigma loop.
+    """
+    inv = np.zeros_like(H)
+    live = H > PINV_SQRT_RTOL * H.max(initial=0.0)
+    inv[live] = H[live] ** -0.5
+    return sym_part((U * np.sqrt(H)) @ U.T), sym_part((U * inv) @ U.T)
 
 
 def sqrt_psd(M: np.ndarray) -> np.ndarray:

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from channel_oracle import one_step
+from channel_oracle import eigh_desc, one_step
 from lqcoord.channel import ChannelSetup, contraction
 from lqcoord.errors import LqcoordError
 from lqcoord.gains import GainSchedule
-from lqcoord.linalg import check_symmetric, eigh_desc, psd_sqrt, sym_part
+from lqcoord.linalg import check_symmetric, psd_sqrt, sym_part
 from lqcoord.model import SystemModel
 from lqcoord.power.scalar import offset_feedback_seq
 

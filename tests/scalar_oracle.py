@@ -6,8 +6,13 @@ backward from theta_n = nu, and the stationarity residual g_t is read off
 step by step, exactly as the equations are written in that module's
 docstring (dividing by b_t, so the oracle goes non-finite once b underflows).
 
+`hessian` and `newton_step` are the module's Newton step as first written:
+the n x n Hessian assembled from the generators of `scalar._hessian`,
+a Cholesky factorisation as the positive-definite test, then one LU solve
+of the (bordered) system; the reference for the O(n) generator-form step.
 `brent_solve` is the design's earlier search over the terminal multiplier,
-kept as the reference for the module's one KKT solve.
+kept as the reference for the module's one KKT solve; its inner solves
+take the dense step.
 """
 
 import numpy as np
@@ -42,12 +47,54 @@ def residuals(a, c1, c2, c3, nu):
                      for t in range(a.size)])
 
 
+# --- the dense Newton step --------------------------------------------------------
+
+def hessian(x, y, diag):
+    """The matrix with generators (x, y, diag): x_min(t,s) y_max(t,s) off
+    the diagonal, diag on it."""
+    low = np.tril(np.outer(y, x), -1)
+    hess = low + low.T
+    np.fill_diagonal(hess, diag)
+    return hess
+
+
+def newton_step(hess, grad, border=None):
+    """Solve hess p = -grad, or with a border x the KKT system
+    [hess, -x; -x', 0] [p; mu] = [-grad; 0] for p and mu stacked.
+
+    The identity shift of the Jacobi-scaled hess is raised as in
+    `scalar._newton_step` until a Cholesky factorisation succeeds; also
+    says whether none was added.
+    """
+    d = np.sqrt(np.abs(np.diag(hess)))
+    d[d == 0.0] = 1.0
+    m = d.size
+    scaled = hess / np.outer(d, d)
+    shift = 0.0
+    while True:
+        try:
+            np.linalg.cholesky(scaled)
+            break
+        except np.linalg.LinAlgError:
+            raised = max(10.0 * shift, scalar.HESS_SHIFT)
+            scaled[np.diag_indices(m)] += raised - shift
+            shift = raised
+    rhs = -grad / d
+    if border is not None:
+        kkt = np.zeros((m + 1, m + 1))
+        kkt[:m, :m] = scaled
+        kkt[:m, m] = kkt[m, :m] = -border / d
+        scaled, rhs, d = kkt, np.append(rhs, 0.0), np.append(d, 1.0)
+    return np.linalg.solve(scaled, rhs) / d, shift == 0.0
+
+
 # --- the scalar design as first written: a Brent search over the multiplier ---
 
 def _solve_for_nu(c, nu, a0):
     """Minimize the reduced objective over a >= A_FLOOR for a fixed terminal
-    costate nu: projected Newton in u = log a from a0, every step from the
-    module's own Hessian, line search and floor rule. Returns a and its
+    costate nu: projected Newton in u = log a from a0, every step the dense
+    `newton_step` on the module's Hessian generators, with the module's
+    line search and floor rule. Returns a and its
     projected residual."""
     u = np.log(np.maximum(a0, scalar.A_FLOOR))
     g = scalar.stationarity_residuals(np.exp(u), c, nu)
@@ -57,8 +104,8 @@ def _solve_for_nu(c, nu, a0):
         converged = worst <= scalar.RESIDUAL_TOL
         grad = g * a
         step = np.zeros_like(u)
-        step[free], newton = scalar._newton_step(
-            scalar._hessian(a, g, c, nu)[np.ix_(free, free)], grad[free])
+        step[free], newton = newton_step(
+            hessian(*scalar._hessian(a, g, c, nu))[np.ix_(free, free)], grad[free])
         step *= min(1.0, scalar.MAX_LOG_STEP
                     / np.abs(step).max(initial=scalar.MAX_LOG_STEP))
         cost = scalar._reduced_cost(a, c, nu)

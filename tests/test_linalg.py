@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from channel_oracle import eig_roots_pullback, inv_sqrt_psd, left_inverse
+from channel_oracle import eig_roots, eig_roots_pullback, inv_sqrt_psd, left_inverse
 from lqcoord import linalg
 from lqcoord.errors import NotPsd, NotSymmetric, RankDeficient, ZeroMatrix
 from pmp_oracle import NotPd, solve_sylvester_lyapunov
@@ -26,7 +26,7 @@ def _eigenpair(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _pinv_sqrt(M: np.ndarray) -> np.ndarray:
     """The truncated inverse square root the channel map uses."""
-    return linalg.eig_roots(*_eigenpair(M))[1]
+    return eig_roots(*_eigenpair(M))[1]
 
 
 # --- psd_sqrt ---------------------------------------------------------------
@@ -233,7 +233,7 @@ def test_sqrt_and_pinv_sqrt_consistent():
     rng = _rng(6)
     R = rng.standard_normal((5, 5))
     M = R @ R.T
-    S, Sinv = linalg.eig_roots(*_eigenpair(M))
+    S, Sinv = eig_roots(*_eigenpair(M))
     np.testing.assert_allclose(S, linalg.psd_sqrt(M), atol=1e-13)
     np.testing.assert_allclose(Sinv, inv_sqrt_psd(M), atol=1e-13)
 
@@ -254,7 +254,7 @@ def test_eig_roots_adjoint_matches_central_differences(H):
     dM = U @ np.where(np.outer(dead, dead), 0.0, U.T @ dM @ U) @ U.T
 
     def f(X):
-        root, inv = linalg.eig_roots(*_eigenpair(X))
+        root, inv = eig_roots(*_eigenpair(X))
         return np.sum(root_bar * root) + np.sum(inv_bar * inv)
 
     h = 1e-6

@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,7 +330,7 @@ def test_hessian_matches_central_differences(constants_by_horizon, n, nu):
     for _ in range(3):
         u = rng.uniform(-8.0, 8.0, n)
         a = np.exp(u)
-        hess = _hessian(a, stationarity_residuals(a, c, nu), c, nu)
+        hess = oracle.hessian(*_hessian(a, stationarity_residuals(a, c, nu), c, nu))
         grad = lambda v: stationarity_residuals(np.exp(v), c, nu) * np.exp(v)
         fd = np.column_stack([(grad(u + h * e) - grad(u - h * e)) / (2 * h)
                               for e in np.eye(n)])
@@ -335,47 +339,88 @@ def test_hessian_matches_central_differences(constants_by_horizon, n, nu):
 
 
 def test_newton_step_shifts_an_indefinite_hessian_to_a_descent_direction():
-    hess = np.array([[2.0, 0.5, 0.0], [0.5, -3.0, 1.0], [0.0, 1.0, 4.0]])
-    assert np.linalg.eigvalsh(hess).min() < 0.0
+    gens = np.array([1.0, 1.0, 1.0]), np.array([0.0, 0.5, 1.0]), np.array([2.0, -3.0, 4.0])
+    assert np.linalg.eigvalsh(oracle.hessian(*gens)).min() < 0.0
     grad = np.array([1.0, -2.0, 0.5])
-    step, unshifted = _newton_step(hess, grad)
+    step, unshifted = _newton_step(*gens, grad)
     assert not unshifted
     assert step @ grad < 0.0
 
 
+def _dominant_generators(rng, m):
+    """Generators of a diagonally dominant, so positive definite, matrix."""
+    x, y = rng.uniform(0.1, 0.9, m), rng.standard_normal(m)
+    off = np.abs(oracle.hessian(x, y, np.zeros(m))).sum(axis=1)
+    return x, y, off + np.logspace(0, m - 1, m)
+
+
 def test_newton_step_on_a_positive_definite_hessian_is_exact():
     rng = np.random.default_rng(5)
-    R = rng.standard_normal((3, 3))
-    hess = R @ R.T + np.diag([1.0, 10.0, 100.0])
+    gens = _dominant_generators(rng, 3)
     grad = rng.standard_normal(3)
-    step, unshifted = _newton_step(hess, grad)
+    step, unshifted = _newton_step(*gens, grad)
     assert unshifted
-    np.testing.assert_allclose(step, -np.linalg.solve(hess, grad), rtol=1e-13)
+    np.testing.assert_allclose(step, -np.linalg.solve(oracle.hessian(*gens), grad),
+                               rtol=1e-13)
 
 
 def test_bordered_newton_step_solves_the_kkt_system():
-    # [hess, -x; -x', 0] [p; mu] = [-grad; 0]: p is tangent to the
-    # constraint and mu comes out of the same solve
+    # [hess, -x; -x', 0] [p; mu] = [-grad; 0] with the generator x as the
+    # border: p is tangent to the constraint and mu comes out of the same solve
     rng = np.random.default_rng(6)
-    R = rng.standard_normal((4, 4))
-    hess = R @ R.T + np.diag([1.0, 10.0, 100.0, 1e3])
-    grad, x = rng.standard_normal(4), rng.uniform(0.1, 0.9, 4)
-    sol, unshifted = _newton_step(hess, grad, x)
+    gens = _dominant_generators(rng, 4)
+    x, grad = gens[0], rng.standard_normal(4)
+    sol, unshifted = _newton_step(*gens, grad, bordered=True)
     assert unshifted
-    kkt = np.block([[hess, -x[:, None]], [-x[None, :], np.zeros((1, 1))]])
+    kkt = np.block([[oracle.hessian(*gens), -x[:, None]], [-x[None, :], np.zeros((1, 1))]])
     np.testing.assert_allclose(sol, np.linalg.solve(kkt, np.append(-grad, 0.0)),
                                rtol=1e-12)
     assert abs(x @ sol[:-1]) <= 1e-14 * np.abs(sol[:-1]).sum()
 
 
 def test_bordered_newton_step_shifts_an_indefinite_hessian():
-    hess = np.array([[2.0, 0.5, 0.0], [0.5, -3.0, 1.0], [0.0, 1.0, 4.0]])
-    grad, x = np.array([1.0, -2.0, 0.5]), np.array([0.2, 0.5, 0.7])
-    sol, unshifted = _newton_step(hess, grad, x)
+    x = np.array([0.2, 0.5, 0.7])
+    gens = x, np.array([0.0, 2.5, 1.5]), np.array([2.0, -3.0, 4.0])
+    assert np.linalg.eigvalsh(oracle.hessian(*gens)).min() < 0.0
+    grad = np.array([1.0, -2.0, 0.5])
+    sol, unshifted = _newton_step(*gens, grad, bordered=True)
     step = sol[:-1]
     assert not unshifted
     assert abs(x @ step) <= 1e-14 * np.abs(step).sum()
     assert step @ grad < 0.0   # descent along the constraint
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.sampled_from(ORACLE_HORIZONS), nu=st.sampled_from([0.0, 1e3]),
+       seed=st.integers(0, 2**32 - 1), bordered=st.booleans(),
+       indefinite=st.booleans())
+def test_generator_newton_step_matches_the_dense_step(constants_by_horizon, n, nu,
+                                                      seed, bordered, indefinite):
+    # the O(n) LDL' step on the generators against Cholesky + LU on the
+    # assembled matrix, on the free entries of a random a, the border being
+    # the generator x = a/(1+a) as in the solve on the target
+    c = constants_by_horizon[n]
+    rng = np.random.default_rng(seed)
+    a = np.exp(rng.uniform(np.log(A_FLOOR), np.log(1e4), n))
+    g = stationarity_residuals(a, c, nu)
+    free = rng.random(n) < rng.uniform(0.2, 1.0)
+    free[rng.integers(n)] = True
+    x, y, diag = (v[free] for v in _hessian(a, g, c, nu))
+    if indefinite:   # a diagonal entry <= 0: no longer positive definite
+        k = rng.integers(x.size)
+        diag[k] = -abs(diag[k])
+    grad = (g * a)[free]
+    sol, unshifted = _newton_step(x, y, diag, grad, bordered)
+    ref, ref_unshifted = oracle.newton_step(oracle.hessian(x, y, diag), grad,
+                                            x if bordered else None)
+    assert unshifted == ref_unshifted
+    assert not (indefinite and unshifted)
+    if bordered and x.size > 1:   # the step p, then mu
+        parts = [(sol[:-1], ref[:-1]), (sol[-1:], ref[-1:])]
+    else:   # one free entry leaves the tangent space {0}: p is roundoff beside mu
+        parts = [(sol, ref)]
+    for got, want in parts:
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("epsilon", [1e-20, 1e-30, 1e-40])
@@ -412,6 +457,26 @@ def test_long_horizon_solve_work_count(monkeypatch):
     assert resid <= RESIDUAL_TOL
     assert 0 < len(calls) <= 80
     assert 0 < len(steps) <= 60
+    # a whole fa-design benchmark pass adds the CLI default (n = 30,
+    # eps = 1e-3); with the dense Cholesky + LU step the pass took 74 steps
+    _solve_fa(30, 1e-3)
+    assert len(steps) <= 74
+
+
+def test_fa_design_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # a LAPACK LU follows the BLAS thread count in its last bits; the
+    # Newton step calls no BLAS, so the n = 120 schedule is the same
+    src = Path(__file__).resolve().parents[1] / "src"
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "lqcoord.cli", "optimize-power",
+                        "--preset", "fully-actuated-vi-a", "--horizon", "120",
+                        "--epsilon", "1e-12", "--out", str(out)],
+                       env=env, capture_output=True, timeout=300, check=True)
+        written.append((out / "power.json").read_bytes())
+    assert written[0] == written[1]
 
 
 # --- the one KKT solve against the bracket + Brent reference ----------------------
