@@ -111,27 +111,9 @@ class ChannelSetup:
     def Q1(self) -> np.ndarray:
         return self.B1 @ self.Q
 
-    @property
-    def psi(self) -> float:
-        """Smallest channel-gain eigenvalue."""
-        return self.eig.psi
-
     @cached_property
     def Utau(self) -> np.ndarray:
         return np.kron(np.eye(self.tau), self.eig.U)
-
-    def S_of(self, lam: np.ndarray) -> np.ndarray:
-        """Signal covariance U diag(lam) U' in the channel eigenbasis.
-
-        lam is one step's power (r,) or a stack (n, r), giving (n, r, r).
-        """
-        U = self.eig.U
-        return sym_part((U * np.asarray(lam)[..., None, :]) @ U.T)
-
-    def S_sqrt_of(self, lam: np.ndarray) -> np.ndarray:
-        """S^(1/2) = U diag(sqrt(lam)) U', for one step or a stack."""
-        U = self.eig.U
-        return sym_part((U * np.sqrt(lam)[..., None, :]) @ U.T)
 
 
 def _channel(B1: np.ndarray, W: np.ndarray, Q: np.ndarray, P: np.ndarray,
@@ -235,7 +217,7 @@ def power_factors(setup: ChannelSetup, Lambda: np.ndarray,
     lam = np.asarray(Lambda, dtype=float)
     blocks = np.asarray(blocks, dtype=int)
     n, r, C, U = len(lam), setup.r, setup.C, setup.eig.U
-    # S^(1/2) and S (`S_sqrt_of`, `S_of`) in one product
+    # S^(1/2) = U diag(sqrt(lam)) U' and S = U diag(lam) U' in one product
     S12, S = sym_part((U * np.stack([np.sqrt(lam), lam])[..., None, :]) @ U.T)
     try:
         inv = np.linalg.inv(sym_part(C @ S @ C.T + setup.Wv))

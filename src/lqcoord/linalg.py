@@ -52,11 +52,6 @@ class EigenPair:
     U: np.ndarray
     H: np.ndarray
 
-    @property
-    def psi(self) -> float:
-        """Smallest eigenvalue."""
-        return float(self.H[-1])
-
 
 def sym_eig(M: np.ndarray) -> EigenPair:
     """Eigendecomposition of a symmetric PSD matrix with clamped eigenvalues."""

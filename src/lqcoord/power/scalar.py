@@ -12,18 +12,18 @@ expression
     g_t = c1_t + c2_t sqrt(b_t)/(2 sqrt(a_t)) - b_t theta_{t+1}/(1+a_t)^2,
     theta_t = c3_t + c2_t sqrt(a_t)/(2 sqrt(b_t)) + theta_{t+1}/(1+a_t).
 
-Both recursions are evaluated as whole-array operations. b is a cumulative
-product, and the costate is carried scaled, phi_t = theta_t b_t, which is a
-suffix sum:
+One function, `_evaluate`, gives all the solve reads at a point (a, mu)
+in whole-array operations. b is a cumulative product, and the costate is
+carried scaled, phi_t = theta_t b_t, a suffix sum from phi_n = mu = nu b_n:
 
-    phi_t = nu b_n + sum_{s>=t} (c3_s b_s + c2_s sqrt(a_s b_s)/2),
+    phi_t = mu + sum_{s>=t} (c3_s b_s + c2_s sqrt(a_s b_s)/2),
     g_t   = c1_t + c2_t sqrt(b_t)/(2 sqrt(a_t)) - phi_{t+1}/(1+a_t).
 
 This form never divides by b_t, so it stays finite after b underflows.
 
 Each solve is one projected Newton iteration in u = log a on the reduced
 cost, with the exact gradient g_t a_t and the analytic Hessian. With
-psi_m = nu b_n + sum_{k>=m} (c3_k b_k + c2_k sqrt(a_k b_k)/4) and
+psi_m = mu + sum_{k>=m} (c3_k b_k + c2_k sqrt(a_k b_k)/4) and
 q_t = c2_t sqrt(b_t/a_t)/4, the Hessian of J in a is
 
     dg_t/da_s = (psi_{max(t,s)+1}/(1+a_s) - [s>t] q_s)/(1+a_t) - [s<t] q_t/(1+a_s)
@@ -32,10 +32,13 @@ q_t = c2_t sqrt(b_t/a_t)/4, the Hessian of J in a is
 which is symmetric, and in u it is a_t a_s dg_t/da_s + [s=t] a_t g_t.
 Off the diagonal that is x_min(t,s) y_max(t,s), with x = a/(1+a) and
 y_t = psi_{t+1} x_t - a_t q_t: the Hessian is semi-separable and is kept
-as its generators (x, y, diag), never as the n x n matrix. The free
-entries' principal submatrix has the same generators, subset. Each Newton
-step factors the Jacobi-scaled generators (x, y, h) as L D L', with
-L_ts = y_t w_s below the diagonal, in one O(n) pass from sigma_0 = 0:
+as its generators (x, y, diag), never as the n x n matrix; psi and phi
+differ only in the c2 weight and come out of one stacked suffix sum. The
+free entries' principal submatrix has the same generators, subset. Each
+trial point is evaluated once, and the accepted one, its Hessian included,
+carries into the next step. Each Newton step factors the Jacobi-scaled
+generators (x, y, h), h = sign(diag), as L D L', with L_ts = y_t w_s
+below the diagonal, in one O(n) pass from sigma_0 = 0:
 
     D_s = h_s - y_s^2 sigma_s,  w_s = (x_s - y_s sigma_s) / D_s,
     sigma_{s+1} = sigma_s + w_s^2 D_s.
@@ -61,8 +64,9 @@ returns a near-zero schedule inconsistent with b_0 = 1.
 The terminal-accuracy target b_n <= epsilon binds when the free optimum
 (nu = 0) misses it. The design then solves once more, on the surface
 sum_t log1p(a_t) = -log epsilon (plus B_N_MARGIN), with the multiplier
-taken as mu = nu b_n = phi_n: mu stays of the order of c1 while nu grows
-like epsilon^-(1+1/n), so nothing underflows at epsilon = 1e-100. The
+carried as mu = nu b_n = phi_n throughout and nu = mu/b_n formed once, on
+return: mu stays of the order of c1 while nu grows like
+epsilon^-(1+1/n), so nothing underflows at epsilon = 1e-100. The
 solve starts from the free optimum with the missing contraction spread
 evenly over log1p(a), and every iterate stays on the surface: after each
 step the free entries are scaled by one common factor, found by a
@@ -72,8 +76,8 @@ multiplier come out of one bordered (KKT) solve
 
     [H, -x; -x', 0] [du; mu] = [-g(a, 0) a; 0],
 
-with H the Hessian above at the current nu = mu/b_n and g(a, nu) =
-g(a, 0) - mu/(1+a) (Nocedal & Wright, ch. 18). The border x is the
+with H the Hessian above at the current mu and g(a, 0) = g(a, nu) +
+mu/(1+a) (Nocedal & Wright, ch. 18). The border x is the
 Hessian's own generator. The system is solved on the O(n) factor through
 the Schur complement: with r = -g(a, 0) a, mu = -x'H^-1 r / x'H^-1 x and
 du = H^-1 (r + mu x), so two sweeps give H^-1 r and H^-1 x. Since du is
@@ -102,6 +106,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -197,51 +202,42 @@ def scalar_constants(gains: GainSchedule, setup: ChannelSetup,
     return ConstantsTable(c1=c1, c2=c2, c3=c3, H=H.copy())
 
 
-def _b_forward(a: np.ndarray) -> np.ndarray:
-    """b_0 = 1, b_{t+1} = b_t / (1 + a_t)."""
-    return np.concatenate(([1.0], np.cumprod(1.0 / (1.0 + a))))
+class _Point(NamedTuple):
+    """The reduced problem at one point (a, mu), mu = nu b_n."""
+
+    a: np.ndarray
+    b: np.ndarray      # b_0..b_n
+    phi: np.ndarray    # phi_0..phi_n, phi_n = mu
+    cost: float        # J at nu = 0
+    g: np.ndarray      # g(a, nu)
+    hess: tuple[np.ndarray, np.ndarray, np.ndarray]   # generators (x, y, diag)
 
 
-def _scaled_costate(a: np.ndarray, b: np.ndarray, c: ConstantsTable,
-                    nu: float, weight: float = 0.5) -> np.ndarray:
-    """phi_t = theta_t b_t for t = 0..n, summed backward from phi_n = nu b_n.
+def _evaluate(a: np.ndarray, c: ConstantsTable, mu: float) -> _Point:
+    """b, phi, the cost at nu = 0, g(a, nu) and the Hessian of J in u = log a
+    at nu as its generators (x, y, diag): entry (t, s) is x_min(t,s)
+    y_max(t,s) off the diagonal and diag_t on it.
 
-    weight = 1/4 gives the Hessian's psi_t instead.
+    phi and psi sum the terms c3 b + w c2 sqrt(a b), w = 1/2 and 1/4,
+    backward from mu in one stacked pass.
     """
-    terms = np.append(c.c3 * b[:-1] + weight * c.c2 * np.sqrt(a * b[:-1]),
-                      nu * b[-1])
-    return np.cumsum(terms[::-1])[::-1]
-
-
-def _reduced_cost(a: np.ndarray, c: ConstantsTable, nu: float) -> float:
-    b = _b_forward(a)
-    phi = _scaled_costate(a, b, c, nu)
-    return float(np.sum(c.c1 * a + 0.5 * c.c2 * np.sqrt(a * b[:-1])) + phi[0])
+    b = np.concatenate(([1.0], np.cumprod(1.0 / (1.0 + a))))
+    root = c.c2 * np.sqrt(a * b[:-1])
+    terms = np.empty((2, a.size + 1))   # reversed: mu first
+    terms[:, 0] = mu
+    terms[:, 1:] = (c.c3 * b[:-1] + np.array([[0.5], [0.25]]) * root)[:, ::-1]
+    phi, psi = np.cumsum(terms, axis=1)[:, ::-1]
+    g = c.c1 + c.c2 * np.sqrt(b[:-1]) / (2.0 * np.sqrt(a)) - phi[1:] / (1.0 + a)
+    x, aq = a / (1.0 + a), 0.25 * root
+    hess = x, psi[1:] * x - aq, (phi[1:] + psi[1:]) * x ** 2 - aq + a * g
+    cost = float(np.sum(c.c1 * a + c.c3 * b[:-1] + root))
+    return _Point(a, b, phi, cost, g, hess)
 
 
 def stationarity_residuals(a: np.ndarray, c: ConstantsTable,
                            nu: float = 0.0) -> np.ndarray:
     """g_t along the trajectory implied by a (b forward from 1, theta backward)."""
-    b = _b_forward(a)
-    phi = _scaled_costate(a, b, c, nu)
-    return c.c1 + c.c2 * np.sqrt(b[:-1]) / (2.0 * np.sqrt(a)) - phi[1:] / (1.0 + a)
-
-
-def _hessian(a: np.ndarray, g: np.ndarray, c: ConstantsTable,
-             nu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hessian of the reduced cost in u = log a, given g at a, as its
-    generators (x, y, diag): entry (t, s) is x_min(t,s) y_max(t,s) off the
-    diagonal and diag_t on it.
-
-    x = a/(1+a) and y_t = psi_{t+1} x_t - a_t q_t, so no product a_t a_s
-    is formed, and the n x n matrix never is.
-    """
-    b = _b_forward(a)
-    phi = _scaled_costate(a, b, c, nu)
-    psi = _scaled_costate(a, b, c, nu, weight=0.25)
-    x = a / (1.0 + a)
-    aq = 0.25 * c.c2 * np.sqrt(a * b[:-1])
-    return x, psi[1:] * x - aq, (phi[1:] + psi[1:]) * x ** 2 - aq + a * g
+    return _evaluate(a, c, nu * _evaluate(a, c, 0.0).b[-1]).g
 
 
 def _ldl(x: list, y: list, h: list) -> tuple[list, list] | None:
@@ -282,7 +278,7 @@ def _newton_step(x: np.ndarray, y: np.ndarray, diag: np.ndarray,
                  ) -> tuple[np.ndarray, bool]:
     """Solve hess p = -grad, or when bordered the KKT system
     [hess, -x; -x', 0] [p; mu] = [-grad; 0] for p and mu stacked, where
-    hess has the generators (x, y, diag) of `_hessian`: its x = a/(1+a) is
+    hess has the generators (x, y, diag) of `_evaluate`: its x = a/(1+a) is
     also the gradient of -log b_n in u, the border.
 
     A multiple of the identity is added to the Jacobi-scaled hess until its
@@ -291,7 +287,9 @@ def _newton_step(x: np.ndarray, y: np.ndarray, diag: np.ndarray,
     """
     d = np.sqrt(np.abs(diag))
     d[d == 0.0] = 1.0
-    xs, ys, hs = (x / d).tolist(), (y / d).tolist(), (diag / (d * d)).tolist()
+    # diag/d^2 may round to just above -1, and a shift of 1 would then
+    # leave a pivot of roundoff size
+    xs, ys, hs = (x / d).tolist(), (y / d).tolist(), np.sign(diag).tolist()
     shift = 0.0
     while (factor := _ldl(xs, ys, hs)) is None:
         raised = max(10.0 * shift, HESS_SHIFT)
@@ -344,7 +342,7 @@ def _restore(a: np.ndarray, free: np.ndarray, log_target: float) -> np.ndarray:
 
 def _newton_solve(c: ConstantsTable, a: np.ndarray,
                   log_target: float | None = None
-                  ) -> tuple[np.ndarray, np.ndarray, float]:
+                  ) -> tuple[_Point, np.ndarray, float]:
     """Minimize the reduced cost over a >= A_FLOOR by projected Newton in u = log a.
 
     Without log_target, a starts anywhere on or above the floor and nu = 0.
@@ -353,26 +351,26 @@ def _newton_solve(c: ConstantsTable, a: np.ndarray,
     come from one bordered solve. Entries held at A_FLOOR are left out of
     the step. Once the projected residual (g, zero on the held entries) is
     within RESIDUAL_TOL, full Newton steps continue while they still reduce
-    it, so the solve ends at roundoff level. Returns a, its projected
-    residual and nu.
+    it, so the solve ends at roundoff level. Each trial point is evaluated
+    once, and the accepted one, its Hessian included, carries into the next
+    step. Returns the point, its projected residual and nu = mu / b_n.
     """
-    def nu_of(a, mu):
-        return mu / _b_forward(a)[-1] if mu else 0.0
-
     u = np.log(a)
     reached = [u.min(), u.max()]
-    g0 = stationarity_residuals(a, c)
-    grad = g0 * a       # gradient of the reduced cost in u
-    x = a / (1.0 + a)   # gradient of -log b_n in u
-    # the first multiplier fits grad ~ mu x in least squares
-    mu = 0.0 if log_target is None else max(grad @ x / (x @ x), 0.0)
-    cost = _reduced_cost(a, c, 0.0)
+    point, mu = _evaluate(a, c, 0.0), 0.0
+    if log_target is not None:
+        # the first multiplier fits grad ~ mu x in least squares
+        grad, x = point.g * a, point.hess[0]
+        mu = max(grad @ x / (x @ x), 0.0)
+        if mu:
+            point = _evaluate(a, c, mu)
     for _ in range(NEWTON_MAXITER):
-        g = g0 - mu / (1.0 + a)   # g(a, nu): nu db_n/da_t = -mu/(1+a_t)
+        a, g, x = point.a, point.g, point.hess[0]
+        grad = g * a + mu * x   # of J at nu = 0 in u: nu db_n/du_t = -mu x_t
         free = _free(u, g)
         worst = np.abs(g[free]).max(initial=0.0)
         converged = worst <= RESIDUAL_TOL
-        hess = _hessian(a, g, c, nu_of(a, mu))
+        hess = point.hess
         if not free.all():   # a principal submatrix keeps the generators
             hess = [v[free] for v in hess]
         step = np.zeros_like(u)
@@ -389,28 +387,23 @@ def _newton_solve(c: ConstantsTable, a: np.ndarray,
                 if log_target is not None:
                     trial_a = _restore(trial_a, free, log_target)
                 trial_u = np.log(trial_a)
-                trial_cost = _reduced_cost(trial_a, c, 0.0)
-                trial_g0 = stationarity_residuals(trial_a, c)
-            if np.isfinite(trial_cost) and np.all(np.isfinite(trial_g0)):
-                trial_g = trial_g0 - trial_mu / (1.0 + trial_a)
-                trial_worst = np.abs(trial_g[_free(trial_u, trial_g)]).max(initial=0.0)
+                trial = _evaluate(trial_a, c, trial_mu)
+            if np.isfinite(trial.cost) and np.all(np.isfinite(trial.g)):
+                trial_worst = np.abs(trial.g[_free(trial_u, trial.g)]).max(initial=0.0)
                 if newton and trial_worst < worst:
                     break
                 if (not converged
-                        and trial_cost <= cost + ARMIJO * grad @ (trial_u - u)):
+                        and trial.cost <= point.cost + ARMIJO * grad @ (trial_u - u)):
                     break
             step *= 0.5
         else:
             break
-        a, u, g0, mu, cost = trial_a, trial_u, trial_g0, trial_mu, trial_cost
-        grad, x = g0 * a, a / (1.0 + a)
+        point, u, mu = trial, trial_u, trial_mu
         reached = [min(reached[0], u.min()), max(reached[1], u.max())]
-    nu = nu_of(a, mu)
-    g = stationarity_residuals(a, c, nu)
-    resid = np.where(_free(u, g), g, 0.0)
+    resid = np.where(_free(u, point.g), point.g, 0.0)
     t = int(np.abs(resid).argmax())
     if abs(resid[t]) <= RESIDUAL_TOL:
-        return a, resid, nu
+        return point, resid, mu / point.b[-1] if mu else 0.0
     lo, hi = np.exp(reached)
     raise NoRootFound(
         f"stationarity system not solvable to {RESIDUAL_TOL:g}: the "
@@ -453,25 +446,26 @@ def scalar_backward_solve(constants: ConstantsTable, epsilon: float,
     # myopic initializer: per-step optimum ignoring the b-coupling
     a0 = np.clip(c.c2 ** 2 / (4.0 * c.c1 ** 2) * 0.5, 1e-6, 1e2)
 
-    a, resid, nu = _newton_solve(c, a0)
+    point, resid, nu = _newton_solve(c, a0)
     inner_solves = 1
-    if _b_forward(a)[-1] > epsilon:
+    if point.b[-1] > epsilon:
         # The accuracy target binds: start from the free optimum with the
         # missing contraction spread evenly over the steps.
         log_target = np.log(epsilon) - B_N_MARGIN
-        a = np.expm1(np.log1p(a) - (np.sum(np.log1p(a)) + log_target) / n)
-        a, resid, nu = _newton_solve(c, a, log_target)
+        a = np.expm1(np.log1p(point.a)
+                     - (np.sum(np.log1p(point.a)) + log_target) / n)
+        point, resid, nu = _newton_solve(c, a, log_target)
         inner_solves = 2
         if nu < 0.0:
             # J still falls into b_n < epsilon here (possible where some
             # c2_t > 0 makes J nonconvex): release the target, descend
-            free_a, free_resid, _ = _newton_solve(c, a)
-            if _b_forward(free_a)[-1] <= epsilon:
-                a, resid, nu = free_a, free_resid, 0.0
+            free_point, free_resid, _ = _newton_solve(c, point.a)
+            if free_point.b[-1] <= epsilon:
+                point, resid, nu = free_point, free_resid, 0.0
                 inner_solves = 3
 
-    return PowerSchedule(mode=ScheduleMode.SCALAR, Lambda=a[:, None] / c.H, a=a,
-                         b=_b_forward(a), terminal_multiplier=float(nu),
+    return PowerSchedule(mode=ScheduleMode.SCALAR, Lambda=point.a[:, None] / c.H,
+                         a=point.a, b=point.b, terminal_multiplier=float(nu),
                          stationarity_residuals=resid,
                          inner_solves=inner_solves)
 

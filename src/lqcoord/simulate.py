@@ -61,9 +61,14 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M128 = (1 << 128) - 1
 
 
+def _is_integer(value) -> bool:
+    """An integer of Python's or numpy's, never a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def check_seed(name: str, seed: int) -> None:
     """Seeds are 64-bit: one outside [0, 2^64) would alias another."""
-    if not isinstance(seed, Integral):
+    if not _is_integer(seed):
         raise ValidationError(f"{name}: {seed!r} is not an integer")
     if not 0 <= seed <= _MASK:
         raise ValidationError(f"{name}: {seed} is outside [0, 2^64)")
@@ -343,8 +348,8 @@ def monte_carlo(policy: PreparedPolicy, model: SystemModel,
     spares the policies after the first the draw of every chunk it keeps;
     the results are the same with or without it.
     """
-    if runs < 1:
-        raise ValidationError(f"runs must be >= 1, got {runs}")
+    if not (_is_integer(runs) and runs >= 1):
+        raise ValidationError(f"runs: {runs!r} is not an integer >= 1")
     z_sum, stage_sum = np.zeros(model.n + 1), np.zeros(model.n)
     # totals are summed as deviations from the first: no cancellation in var
     shift, dev_sum, dev_sq = None, 0.0, 0.0

@@ -18,7 +18,9 @@ per-step reverse pass that went with it, as references for the lean loop
 and its batched adjoint constants. `eigh_desc` (eigh, eigenvalues
 descending) and `eig_roots` (square root and truncated inverse square root
 of an eigenpair) were package helpers until they were folded into their
-callers; that loop and the tests of the Sigma pass use them here.
+callers; that loop and the tests of the Sigma pass use them here, as do
+`S_of`, `S_sqrt_of` and `psi`, once `ChannelSetup` methods that only
+tests read.
 
 Fully actuated (Q1 = B1 Q, channel eigenbasis U, gains H):
     s_t     = Q S^(1/2) Sigma^(-1/2) e_t,          S = U diag(lam) U'
@@ -41,6 +43,26 @@ from lqcoord.channel import power_factors, power_factors_adjoint, sigma_steps
 from lqcoord.errors import RankDeficient, SigmaNearSingular
 from lqcoord.linalg import (PINV_SQRT_RTOL, check_symmetric, eig_roots_kernels,
                             svd_factor, sym_part)
+
+
+def S_of(setup, lam: np.ndarray) -> np.ndarray:
+    """Signal covariance U diag(lam) U' in the channel eigenbasis.
+
+    lam is one step's power (r,) or a stack (n, r), giving (n, r, r).
+    """
+    U = setup.eig.U
+    return sym_part((U * np.asarray(lam)[..., None, :]) @ U.T)
+
+
+def S_sqrt_of(setup, lam: np.ndarray) -> np.ndarray:
+    """S^(1/2) = U diag(sqrt(lam)) U', for one step or a stack."""
+    U = setup.eig.U
+    return sym_part((U * np.sqrt(lam)[..., None, :]) @ U.T)
+
+
+def psi(setup) -> float:
+    """Smallest channel-gain eigenvalue."""
+    return float(setup.eig.H[-1])
 
 
 def eigh_desc(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

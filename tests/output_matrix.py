@@ -7,9 +7,10 @@
 x sampled / preset:A / fixed targets x seeds 0, 7 x 50 / 500 / 1100 runs
 (1100 spans two Monte Carlo chunks), `compare` on both presets at a run
 count whose draws exceed `simulate.DRAW_BUDGET_BYTES`, `simulate` of every
-policy, and `optimize-power` on both presets. `diff` lists each file that
-differs, with its largest relative deviation over the numbers in it, and
-exits 1 if any file differs. `summary.json`, which records wall times, is
+policy, and `optimize-power` on both presets, plus the fully actuated
+design at n = 120, epsilon = 1e-12 and at n = 1, epsilon = 1e-100. `diff`
+lists each file that differs, with its largest relative deviation over the
+numbers in it, and exits 1 if any file differs. `summary.json`, which records wall times, is
 left out of the comparison. This module is a tool, not a test module:
 pytest does not collect it.
 """
@@ -33,6 +34,9 @@ SKIPPED = {"summary.json"}
 # past the store's budget at the presets' 30 steps (124 doubles per run
 # and 4 more for a sampled target): 20000 runs draw 20.5 MB
 BUDGET_RUNS = 20000
+# FA scalar designs off the CLI default: the benchmark's long design and
+# the overflow edge of one step
+LONG_DESIGNS = (("120", "1e-12"), ("1", "1e-100"))
 
 
 def cases() -> dict[str, list[str]]:
@@ -51,6 +55,10 @@ def cases() -> dict[str, list[str]]:
             out[f"simulate-{tag}-{pol}"] = [
                 "simulate", "--preset", preset, "--policy", pol, "--runs", "200"]
         out[f"optimize-power-{tag}"] = ["optimize-power", "--preset", preset]
+    for horizon, epsilon in LONG_DESIGNS:
+        out[f"optimize-power-fa-n{horizon}-e{epsilon}"] = [
+            "optimize-power", "--preset", FA, "--horizon", horizon,
+            "--epsilon", epsilon]
     return out
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from channel_oracle import eigh_desc, one_step
+from channel_oracle import S_of, S_sqrt_of, eigh_desc, one_step
 from lqcoord.channel import ChannelSetup, contraction
 from lqcoord.errors import LqcoordError
 from lqcoord.gains import GainSchedule
@@ -63,8 +63,8 @@ def surrogate_z_step(Z: np.ndarray, Sigma: np.ndarray, lam: np.ndarray,
     Abar = model.A - model.B @ gains.K[t]
     BD = model.B @ gains.D[t]
     Q1 = setup.Q1
-    S = setup.S_of(lam)
-    S12 = setup.S_sqrt_of(lam)
+    S = S_of(setup, lam)
+    S12 = S_sqrt_of(setup, lam)
     Sig12 = psd_sqrt(Sigma)
     cross = Q1 @ S12 @ Sig12 @ L[t + 1].T - BD @ Sigma @ L[t].T @ Abar.T
     return sym_part(Abar @ Z @ Abar.T + Q1 @ S @ Q1.T + cross + cross.T
@@ -79,8 +79,8 @@ def stage_cost_fa(Z: np.ndarray, Sigma: np.ndarray, lam: np.ndarray,
     G, G1 = model.G, model.G1
     Itil = model.leader_embed
     Q = setup.Q
-    S = setup.S_of(lam)
-    S12 = setup.S_sqrt_of(lam)
+    S = S_of(setup, lam)
+    S12 = S_sqrt_of(setup, lam)
     Sig12 = psd_sqrt(Sigma)
     return float(
         np.trace((model.F + K.T @ G @ K) @ Z)
@@ -184,7 +184,7 @@ def theta_sigma_step(Sigma: np.ndarray, lam: np.ndarray,
     BD = model.B @ D
     Q, Q1 = setup.Q, setup.Q1
     Sig12 = psd_sqrt(Sigma)
-    S12 = setup.S_sqrt_of(lam)
+    S12 = S_sqrt_of(setup, lam)
     V = contraction(setup, lam)
     thZ = thetaZ_next
 

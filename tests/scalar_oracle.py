@@ -7,12 +7,13 @@ step by step, exactly as the equations are written in that module's
 docstring (dividing by b_t, so the oracle goes non-finite once b underflows).
 
 `hessian` and `newton_step` are the module's Newton step as first written:
-the n x n Hessian assembled from the generators of `scalar._hessian`,
+the n x n Hessian assembled from the generators of `scalar._evaluate`,
 a Cholesky factorisation as the positive-definite test, then one LU solve
-of the (bordered) system; the reference for the O(n) generator-form step.
-`brent_solve` is the design's earlier search over the terminal multiplier,
-kept as the reference for the module's one KKT solve; its inner solves
-take the dense step.
+of the (bordered) system; the reference for the O(n) generator-form step,
+with the module's exact +-1 scaled diagonal. `brent_solve` is the design's
+earlier search over the terminal multiplier, kept as the reference for the
+module's one KKT solve; its inner solves take the dense step as first
+written, the scaled diagonal formed as the quotient diag/d^2.
 """
 
 import numpy as np
@@ -58,18 +59,22 @@ def hessian(x, y, diag):
     return hess
 
 
-def newton_step(hess, grad, border=None):
+def newton_step(hess, grad, border=None, unit_diagonal=True):
     """Solve hess p = -grad, or with a border x the KKT system
     [hess, -x; -x', 0] [p; mu] = [-grad; 0] for p and mu stacked.
 
     The identity shift of the Jacobi-scaled hess is raised as in
     `scalar._newton_step` until a Cholesky factorisation succeeds; also
-    says whether none was added.
+    says whether none was added. The scaled diagonal is +-1, as in the
+    module, or with unit_diagonal=False the quotient diag/d^2 as first
+    written, which may round to just above -1.
     """
     d = np.sqrt(np.abs(np.diag(hess)))
     d[d == 0.0] = 1.0
     m = d.size
     scaled = hess / np.outer(d, d)
+    if unit_diagonal:
+        np.fill_diagonal(scaled, np.sign(np.diag(hess)))
     shift = 0.0
     while True:
         try:
@@ -90,14 +95,23 @@ def newton_step(hess, grad, border=None):
 
 # --- the scalar design as first written: a Brent search over the multiplier ---
 
+def _at_nu(a, c, nu):
+    """`scalar._evaluate` at the terminal costate nu (phi_n = nu b_n), and
+    the reduced cost at nu, which adds nu b_n."""
+    b_n = scalar._evaluate(a, c, 0.0).b[-1]
+    point = scalar._evaluate(a, c, nu * b_n)
+    return point, point.cost + nu * b_n
+
+
 def _solve_for_nu(c, nu, a0):
     """Minimize the reduced objective over a >= A_FLOOR for a fixed terminal
     costate nu: projected Newton in u = log a from a0, every step the dense
-    `newton_step` on the module's Hessian generators, with the module's
-    line search and floor rule. Returns a and its
+    `newton_step` as first written on the module's Hessian generators, with
+    the module's line search and floor rule. Returns a and its
     projected residual."""
     u = np.log(np.maximum(a0, scalar.A_FLOOR))
-    g = scalar.stationarity_residuals(np.exp(u), c, nu)
+    point, cost = _at_nu(np.exp(u), c, nu)
+    g = point.g
     for _ in range(scalar.NEWTON_MAXITER):
         a, free = np.exp(u), scalar._free(u, g)
         worst = np.abs(g[free]).max(initial=0.0)
@@ -105,15 +119,14 @@ def _solve_for_nu(c, nu, a0):
         grad = g * a
         step = np.zeros_like(u)
         step[free], newton = newton_step(
-            hessian(*scalar._hessian(a, g, c, nu))[np.ix_(free, free)], grad[free])
+            hessian(*point.hess)[np.ix_(free, free)], grad[free], unit_diagonal=False)
         step *= min(1.0, scalar.MAX_LOG_STEP
                     / np.abs(step).max(initial=scalar.MAX_LOG_STEP))
-        cost = scalar._reduced_cost(a, c, nu)
         for _ in range(1 if converged else scalar.MAX_BACKTRACKS):
             trial = np.maximum(u + step, scalar.U_FLOOR)
             with np.errstate(over="ignore", invalid="ignore"):
-                trial_cost = scalar._reduced_cost(np.exp(trial), c, nu)
-                trial_g = scalar.stationarity_residuals(np.exp(trial), c, nu)
+                trial_point, trial_cost = _at_nu(np.exp(trial), c, nu)
+                trial_g = trial_point.g
             if np.isfinite(trial_cost) and np.all(np.isfinite(trial_g)):
                 trial_worst = np.abs(trial_g[scalar._free(trial, trial_g)]).max(initial=0.0)
                 if newton and trial_worst < worst:
@@ -124,7 +137,7 @@ def _solve_for_nu(c, nu, a0):
             step *= 0.5
         else:
             break
-        u, g = trial, trial_g
+        u, g, point, cost = trial, trial_g, trial_point, trial_cost
     resid = np.where(scalar._free(u, g), g, 0.0)
     assert np.abs(resid).max() <= scalar.RESIDUAL_TOL, "reference inner solve failed"
     return np.exp(u), resid
@@ -143,7 +156,7 @@ def brent_solve(c, epsilon):
     n = c.c1.size
     a0 = np.clip(c.c2 ** 2 / (4.0 * c.c1 ** 2) * 0.5, 1e-6, 1e2)
     a, resid = _solve_for_nu(c, 0.0, a0)
-    if scalar._b_forward(a)[-1] <= epsilon:
+    if scalar._evaluate(a, c, 0.0).b[-1] <= epsilon:
         return a, resid, 0.0, 1
     log_target = np.log(epsilon) - scalar.B_N_MARGIN
     a = (1.0 + a) * np.exp((-np.sum(np.log1p(a)) - log_target) / n) - 1.0
@@ -166,6 +179,6 @@ def brent_solve(c, epsilon):
         step *= 2.0
     scipy.optimize.brentq(excess, lo, hi, xtol=1e-13)
     log_nu = min(x for x, (a_x, _, _) in solved.items()
-                 if scalar._b_forward(a_x)[-1] <= epsilon)
+                 if scalar._evaluate(a_x, c, 0.0).b[-1] <= epsilon)
     a, resid, _ = solved[log_nu]
     return a, resid, float(np.exp(log_nu)), 1 + len(solved)

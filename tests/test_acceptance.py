@@ -11,7 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
-from channel_oracle import inv_sqrt_psd, one_step, selector
+from channel_oracle import (S_of, S_sqrt_of, inv_sqrt_psd, one_step,
+                            psi as channel_psi, selector)
 from conftest import random_pd, random_system
 from pmp_oracle import (grad_lambda_fa, hamiltonian_fa, surrogate_cost,
                         theta_sigma_step)
@@ -80,12 +81,12 @@ def test_c01_error_covariance_oracle_fully_actuated(fa):
     for t in range(9):
         lam = sched.Lambda[t]
         if t in (0, 3, 8):
-            enc = setup.Q @ setup.S_sqrt_of(lam) @ inv_sqrt_psd(Sigma)
+            enc = setup.Q @ S_sqrt_of(setup, lam) @ inv_sqrt_psd(Sigma)
             e = rng.multivariate_normal(np.zeros(4), Sigma, size=N)
             w = rng.multivariate_normal(np.zeros(4), model.W, size=N)
             y = e @ enc.T @ setup.B1.T + w
-            gain = (psd_sqrt(Sigma) @ setup.S_sqrt_of(lam) @ setup.Q1.T
-                    @ np.linalg.inv(setup.Q1 @ setup.S_of(lam) @ setup.Q1.T
+            gain = (psd_sqrt(Sigma) @ S_sqrt_of(setup, lam) @ setup.Q1.T
+                    @ np.linalg.inv(setup.Q1 @ S_of(setup, lam) @ setup.Q1.T
                                     + model.W))
             e_next = e - y @ gain.T
             emp = e_next.T @ e_next / N
@@ -112,12 +113,12 @@ def test_c02_error_covariance_oracle_under_actuated(ua):
     for t, k in [(0, 0), (1, 1)]:
         lam = sched.Lambda[t]
         Pk = selector(k, setup)
-        enc = setup.S_sqrt_of(lam) @ Pk @ inv_sqrt_psd(Sigma)
+        enc = S_sqrt_of(setup, lam) @ Pk @ inv_sqrt_psd(Sigma)
         e = rng.multivariate_normal(np.zeros(4), Sigma, size=N)
         wt = rng.multivariate_normal(np.zeros(setup.r), setup.Wv, size=N)
         y = e @ enc.T @ Psi1.T + wt
-        gain = (psd_sqrt(Sigma) @ Pk.T @ setup.S_sqrt_of(lam) @ Psi1
-                @ np.linalg.inv(Psi1 @ setup.S_of(lam) @ Psi1 + setup.Wv))
+        gain = (psd_sqrt(Sigma) @ Pk.T @ S_sqrt_of(setup, lam) @ Psi1
+                @ np.linalg.inv(Psi1 @ S_of(setup, lam) @ Psi1 + setup.Wv))
         e_next = e - y @ gain.T
         emp = e_next.T @ e_next / N
         ana = one_step(setup, Sigma, lam, k).Sigma[1]
@@ -143,7 +144,7 @@ def test_c03_monotone_contraction_suite_fully_actuated():
         setup = fa_setup(B1, random_pd(rng, d0))
         Sigma0 = random_pd(rng, d0)
         Sigma = Sigma0.copy()
-        psi = setup.psi
+        psi = channel_psi(setup)
         for t in range(20):
             lam = rng.uniform(sigma_floor, 1.5, d0)
             nxt = one_step(setup, Sigma, lam).Sigma[1]
@@ -169,7 +170,8 @@ def test_c04_period_contraction_suite_under_actuated():
         B1 = rng.standard_normal((d0, r)) @ rng.standard_normal((r, d1))
         setup = ua_setup(B1, random_pd(rng, d0))
         Sigma = random_pd(rng, d0)
-        ratio = (1 + sigma_floor * setup.psi) / (1 + 2 * sigma_floor * setup.psi)
+        psi = channel_psi(setup)
+        ratio = (1 + sigma_floor * psi) / (1 + 2 * sigma_floor * psi)
         for _ in range(4):  # four full projection cycles
             start = np.trace(Sigma)
             for k in range(setup.tau):
@@ -222,7 +224,7 @@ def test_c05_gradient_checks():
                                         model, t, L)
         Sig12 = psd_sqrt(Sigma)
         V = setup.eig.U @ np.diag(1 / (1 + lam * setup.eig.H)) @ setup.eig.U.T
-        S12 = setup.S_sqrt_of(lam)
+        S12 = S_sqrt_of(setup, lam)
         rhs = [thS @ Sig12 @ V + V @ Sig12 @ thS,
                0.5 * ((X := L[t + 1].T @ thZ @ setup.Q1 @ S12) + X.T),
                0.5 * ((Y := (gains.D[t] + gains.K[t] @ L[t]).T @ model.G

@@ -84,7 +84,7 @@ def test_encode_matched_covariance():
     # Sigma = S and Q = I make the whitening and coloring cancel
     setup = fa_setup(np.eye(3), 0.5 * np.eye(3))
     lam = np.array([0.7, 1.3, 2.0])
-    S = setup.S_of(lam)
+    S = oracle.S_of(setup, lam)
     e = np.array([0.4, -1.0, 0.2])
     np.testing.assert_allclose(oracle.one_step(setup, S, lam).enc[0] @ e, e,
                                atol=1e-10)
@@ -98,7 +98,7 @@ def test_encode_covariance_monte_carlo(fa_channel, fa_model):
     enc = oracle.one_step(fa_channel, Sigma, lam).enc[0]
     e = rng.multivariate_normal(np.zeros(4), Sigma, size=N)
     s = e @ enc.T
-    S_target = fa_channel.Q @ fa_channel.S_of(lam) @ fa_channel.Q.T
+    S_target = fa_channel.Q @ oracle.S_of(fa_channel, lam) @ fa_channel.Q.T
     emp = s.T @ s / N
     se = np.sqrt((np.outer(np.diag(S_target), np.diag(S_target)) + S_target ** 2) / N)
     assert np.all(np.abs(emp - S_target) <= 3.5 * se)
@@ -126,9 +126,9 @@ def test_decode_is_mmse(fa_channel, fa_model):
     e = rng.multivariate_normal(np.zeros(4), Sigma, size=N)
     w = rng.multivariate_normal(np.zeros(4), fa_model.W, size=N)
     y = e @ enc.T @ fa_channel.B1.T + w
-    S12 = fa_channel.S_sqrt_of(lam)
+    S12 = oracle.S_sqrt_of(fa_channel, lam)
     hand = (psd_sqrt(Sigma) @ S12 @ fa_channel.Q1.T
-            @ np.linalg.inv(fa_channel.Q1 @ fa_channel.S_of(lam)
+            @ np.linalg.inv(fa_channel.Q1 @ oracle.S_of(fa_channel, lam)
                             @ fa_channel.Q1.T + fa_model.W))
     gain = step.dec[0]
     np.testing.assert_allclose(gain, hand, atol=1e-12)
@@ -252,7 +252,7 @@ def test_ua_setup_scalar_case():
     np.testing.assert_allclose(setup.C, [[1.0]])
     np.testing.assert_allclose(setup.Wv, [[1.0]])
     np.testing.assert_allclose(setup.eig.H, [1.0])
-    assert setup.psi == pytest.approx(1.0)
+    assert oracle.psi(setup) == pytest.approx(1.0)
 
 
 def test_ua_setup_preset(ua_model, ua_channel):
@@ -293,7 +293,7 @@ def test_encode_ua_covariance_monte_carlo(ua_channel):
     e = rng.multivariate_normal(np.zeros(4), Sigma, size=N)
     s_virt = e @ enc.T
     emp = s_virt.T @ s_virt / N
-    S_t = ua_channel.S_of(lam)
+    S_t = oracle.S_of(ua_channel, lam)
     se = np.sqrt((np.outer(np.diag(S_t), np.diag(S_t)) + S_t ** 2) / N)
     assert np.all(np.abs(emp - S_t) <= 3.5 * se)
 
@@ -315,7 +315,7 @@ def test_decode_ua_matches_conditional_gaussian(ua_channel, ua_model):
     k = 0
     Pk = oracle.selector(k, ua_channel)
     Psi1 = ua_channel.C
-    Henc = Psi1 @ ua_channel.S_sqrt_of(lam) @ Pk @ oracle.inv_sqrt_psd(Sigma)
+    Henc = Psi1 @ oracle.S_sqrt_of(ua_channel, lam) @ Pk @ oracle.inv_sqrt_psd(Sigma)
     cov_ey = Sigma @ Henc.T
     cov_yy = Henc @ Sigma @ Henc.T + ua_channel.Wv
     gain_bf = cov_ey @ np.linalg.inv(cov_yy)
@@ -349,12 +349,12 @@ def test_cov_update_ua_monte_carlo(ua_channel, ua_model):
     for k in (0, 1):
         Pk = oracle.selector(k, ua_channel)
         Psi1 = ua_channel.C
-        enc = ua_channel.S_sqrt_of(lam) @ Pk @ oracle.inv_sqrt_psd(Sigma)
+        enc = oracle.S_sqrt_of(ua_channel, lam) @ Pk @ oracle.inv_sqrt_psd(Sigma)
         e = rng.multivariate_normal(np.zeros(4), Sigma, size=N)
         wt = rng.multivariate_normal(np.zeros(2), ua_channel.Wv, size=N)
         y = e @ enc.T @ Psi1.T + wt
-        gain = (psd_sqrt(Sigma) @ Pk.T @ ua_channel.S_sqrt_of(lam) @ Psi1
-                @ np.linalg.inv(Psi1 @ ua_channel.S_of(lam) @ Psi1
+        gain = (psd_sqrt(Sigma) @ Pk.T @ oracle.S_sqrt_of(ua_channel, lam) @ Psi1
+                @ np.linalg.inv(Psi1 @ oracle.S_of(ua_channel, lam) @ Psi1
                                 + ua_channel.Wv))
         e_next = e - y @ gain.T
         emp = e_next.T @ e_next / N
@@ -376,7 +376,7 @@ def test_virtual_channel_identity(ua_model, ua_gains, ua_channel):
         k = t % ua_channel.tau
         lam = 0.9 ** t * np.ones(2)
         Pk = oracle.selector(k, ua_channel)
-        s_virt = (ua_channel.S_sqrt_of(lam) @ Pk
+        s_virt = (oracle.S_sqrt_of(ua_channel, lam) @ Pk
                   @ oracle.inv_sqrt_psd(ops.Sigma[t]) @ run.e)
         v, q = run.inputs(t, x)
         w = rng.multivariate_normal(np.zeros(4), ua_model.W)
@@ -395,7 +395,8 @@ def test_period_contraction(ua_channel, ua_model):
     rng = np.random.default_rng(8)
     Sigma = random_pd(rng, 4)
     sigma_floor = 0.1
-    ratio = (1 + sigma_floor * ua_channel.psi) / (1 + 2 * sigma_floor * ua_channel.psi)
+    psi = oracle.psi(ua_channel)
+    ratio = (1 + sigma_floor * psi) / (1 + 2 * sigma_floor * psi)
     for _ in range(3):
         start = np.trace(Sigma)
         for k in range(ua_channel.tau):

@@ -58,7 +58,7 @@ def test_joint_input_identity(fa_model, fa_gains, fa_channel):
     for t in range(6):
         v, q = run.inputs(t, x)
         lam = power.Lambda[t]
-        enc = (fa_channel.Q @ fa_channel.S_sqrt_of(lam)
+        enc = (fa_channel.Q @ oracle.S_sqrt_of(fa_channel, lam)
                @ oracle.inv_sqrt_psd(run.ops.Sigma[t]))
         K, D = fa_gains.K[t], fa_gains.D[t]
         u_expected = (-K @ (x - x_star) + (D - K) @ x_star
@@ -179,7 +179,7 @@ def test_sigma_trace_decreasing_with_bound(fa_model, fa_gains, fa_channel):
     assert all(traces[t + 1] < traces[t] for t in range(n_check))
     assert traces[10] / traces[0] < 0.1
     sigma_min = 0.88 ** (n_check - 1)
-    psi = fa_channel.psi
+    psi = oracle.psi(fa_channel)
     for t in range(1, n_check + 1):
         assert traces[t] <= traces[0] / (1 + sigma_min * psi) ** t + 1e-9
 

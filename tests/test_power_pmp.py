@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from channel_oracle import S_sqrt_of
 from conftest import random_pd, random_system
 
 import lqcoord as lq
@@ -175,7 +176,7 @@ def test_theta_sigma_identity_sigma_halves_rhs():
                                 cfg["thZ"][cfg["t"] + 1], cfg["gains"],
                                 cfg["setup"], cfg["model"], cfg["t"], cfg["L"])
     # with Sigma = I each Sylvester solve is RHS/2; check one explicitly
-    S12 = cfg["setup"].S_sqrt_of(cfg["lam"])
+    S12 = S_sqrt_of(cfg["setup"], cfg["lam"])
     X2 = (cfg["L"][cfg["t"] + 1].T @ cfg["thZ"][cfg["t"] + 1]
           @ cfg["setup"].Q1 @ S12)
     np.testing.assert_allclose(parts.Theta2, 0.25 * (X2 + X2.T), atol=1e-10)

@@ -20,8 +20,7 @@ from lqcoord.power import scalar
 from lqcoord.power.scalar import (A_FLOOR, RESIDUAL_TOL, ConstantsTable,
                                   scalar_constants, scalar_backward_solve,
                                   solve_scalar_power, stationarity_residuals,
-                                  _b_forward, _hessian, _newton_step,
-                                  _reduced_cost, _scaled_costate)
+                                  _evaluate, _newton_step)
 from lqcoord.power.analytic import trajectory
 from pmp_oracle import surrogate_cost
 from lqcoord.power.schedules import PowerSchedule, ScheduleMode
@@ -85,7 +84,7 @@ def test_reduced_cost_reduction_is_exact(preset):
     H = setup.eig.H
 
     def reduced(a):
-        b = _b_forward(a)
+        b = _evaluate(a, c, 0.0).b
         return float(np.sum(c.c1 * a + c.c2 * np.sqrt(a * b[:-1])
                             + c.c3 * b[:-1]))
 
@@ -159,7 +158,7 @@ def test_residuals_use_theta_recursion(preset, solved):
     nu = solved.terminal_multiplier
     g = stationarity_residuals(solved.a, c, nu)
     theta = oracle.theta_sequence(solved.a, c.c1, c.c2, c.c3, nu)
-    b = _b_forward(solved.a)
+    b = _evaluate(solved.a, c, 0.0).b
     for t in range(model.n):
         expect = (c.c1[t] + c.c2[t] * np.sqrt(b[t]) / (2 * np.sqrt(solved.a[t]))
                   - b[t] * theta[t + 1] / (1 + solved.a[t]) ** 2)
@@ -219,11 +218,11 @@ def test_vectorized_recursions_match_oracle(constants_by_horizon, n, nu, seed):
         theta_abs = oracle.theta_sequence(a, c.c1, np.abs(c.c2), np.abs(c.c3), nu)
         g_scale = (np.abs(c.c1) + np.abs(c.c2) * np.sqrt(b_ref[:-1]) / (2 * np.sqrt(a))
                    + b_ref[:-1] * theta_abs[1:] / (1 + a) ** 2)
-        phi = _scaled_costate(a, _b_forward(a), c, nu)
+        point = _evaluate(a, c, nu * _evaluate(a, c, 0.0).b[-1])
     # the costate is carried scaled, phi_t = theta_t b_t
-    _assert_close(_b_forward(a), b_ref, b_ref, "b")
-    _assert_close(phi, theta_ref * b_ref, theta_abs * b_ref, "phi")
-    _assert_close(stationarity_residuals(a, c, nu), g_ref, g_scale, "g")
+    _assert_close(point.b, b_ref, b_ref, "b")
+    _assert_close(point.phi, theta_ref * b_ref, theta_abs * b_ref, "phi")
+    _assert_close(point.g, g_ref, g_scale, "g")
 
 
 def test_residuals_finite_after_b_underflow(constants_by_horizon):
@@ -231,18 +230,46 @@ def test_residuals_finite_after_b_underflow(constants_by_horizon):
     # the oracle's theta recursion then divides by zero, the residual must not
     c = constants_by_horizon[120]
     a = np.full(120, A_HIGH)
-    assert _b_forward(a)[-1] == 0.0
+    assert _evaluate(a, c, 0.0).b[-1] == 0.0
     with np.errstate(all="ignore"):
         assert not np.all(np.isfinite(oracle.residuals(a, c.c1, c.c2, c.c3, 1e12)))
     assert np.all(np.isfinite(stationarity_residuals(a, c, 1e12)))
+    # the solve carries mu = nu b_n, of the order of c1, past the underflow
+    point = _evaluate(a, c, c.c1[-1])
+    assert all(np.all(np.isfinite(v)) for v in (point.phi, point.g, *point.hess))
+
+
+@pytest.mark.parametrize("n", ORACLE_HORIZONS)
+def test_evaluated_cost_does_not_depend_on_the_multiplier(constants_by_horizon, n):
+    # the line search compares J at nu = 0 whatever the multiplier carried
+    c = constants_by_horizon[n]
+    a = np.exp(np.random.default_rng(n).uniform(np.log(A_FLOOR), np.log(A_HIGH), n))
+    cost = _evaluate(a, c, 0.0).cost
+    for mu in (1.0, -3.5, 1e12):
+        assert _evaluate(a, c, mu).cost == cost
+
+
+@pytest.mark.parametrize("nu", [0.0, 1.0, 1e3, 1e12])
+@pytest.mark.parametrize("n", ORACLE_HORIZONS)
+def test_stationarity_residuals_is_the_evaluation_at_mu(constants_by_horizon, n, nu):
+    # the public residual at nu is g of the evaluation at mu = nu b_n
+    c = constants_by_horizon[n]
+    a = np.exp(np.random.default_rng(n).uniform(np.log(A_FLOOR), np.log(1e4), n))
+    b_n = _evaluate(a, c, 0.0).b[-1]
+    np.testing.assert_array_equal(stationarity_residuals(a, c, nu),
+                                  _evaluate(a, c, nu * b_n).g)
 
 
 # --- hard cases: long horizons, tiny epsilon, unreachable epsilon ------------------
 
-def _solve_fa(n, epsilon):
+def _fa_design(n):
+    """gains, setup and model of the fully actuated preset at horizon n."""
     model = lq.fully_actuated_model(n=n)
-    gains = backward_riccati(model)
-    setup = fa_setup(model.B1, model.W)
+    return backward_riccati(model), fa_setup(model.B1, model.W), model
+
+
+def _solve_fa(n, epsilon):
+    gains, setup, model = _fa_design(n)
     sched = solve_scalar_power(gains, setup, model, epsilon=epsilon)
     resid = stationarity_residuals(sched.a, scalar_constants(gains, setup, model),
                                    sched.terminal_multiplier)
@@ -330,7 +357,7 @@ def test_hessian_matches_central_differences(constants_by_horizon, n, nu):
     for _ in range(3):
         u = rng.uniform(-8.0, 8.0, n)
         a = np.exp(u)
-        hess = oracle.hessian(*_hessian(a, stationarity_residuals(a, c, nu), c, nu))
+        hess = oracle.hessian(*_evaluate(a, c, nu * _evaluate(a, c, 0.0).b[-1]).hess)
         grad = lambda v: stationarity_residuals(np.exp(v), c, nu) * np.exp(v)
         fd = np.column_stack([(grad(u + h * e) - grad(u - h * e)) / (2 * h)
                               for e in np.eye(n)])
@@ -402,10 +429,11 @@ def test_generator_newton_step_matches_the_dense_step(constants_by_horizon, n, n
     c = constants_by_horizon[n]
     rng = np.random.default_rng(seed)
     a = np.exp(rng.uniform(np.log(A_FLOOR), np.log(1e4), n))
-    g = stationarity_residuals(a, c, nu)
+    point = _evaluate(a, c, nu * _evaluate(a, c, 0.0).b[-1])
+    g = point.g
     free = rng.random(n) < rng.uniform(0.2, 1.0)
     free[rng.integers(n)] = True
-    x, y, diag = (v[free] for v in _hessian(a, g, c, nu))
+    x, y, diag = (v[free] for v in point.hess)
     if indefinite:   # a diagonal entry <= 0: no longer positive definite
         k = rng.integers(x.size)
         diag[k] = -abs(diag[k])
@@ -445,22 +473,29 @@ def test_tiny_epsilon_meets_kkt_at_the_floor(epsilon):
 def test_long_horizon_solve_work_count(monkeypatch):
     # Newton on the analytic Hessian needs no finite-difference Jacobian,
     # and the multiplier comes out of the Newton step: the whole n=120
-    # design (the free solve and the solve on the target) evaluates g at
-    # most 80 times and takes at most 60 Newton steps, one Hessian each
-    # (the Brent search over the multiplier took 82 steps)
+    # design (the free solve and the solve on the target) evaluates at
+    # most 80 trial points and takes at most 60 Newton steps (the Brent
+    # search over the multiplier took 82 steps), each trial point evaluated
+    # once, its Hessian included
     calls, steps = [], []
-    monkeypatch.setattr(scalar, "stationarity_residuals",
-                        lambda *args: calls.append(1) or stationarity_residuals(*args))
-    monkeypatch.setattr(scalar, "_hessian",
-                        lambda *args: steps.append(1) or _hessian(*args))
-    sched, resid = _solve_fa(120, 1e-12)
-    assert resid <= RESIDUAL_TOL
+    monkeypatch.setattr(scalar, "_evaluate",
+                        lambda *args: calls.append(1) or _evaluate(*args))
+    monkeypatch.setattr(scalar, "_newton_step",
+                        lambda *args, **kw: steps.append(1) or _newton_step(*args, **kw))
+    gains, setup, model = _fa_design(120)
+    sched = solve_scalar_power(gains, setup, model, epsilon=1e-12)
     assert 0 < len(calls) <= 80
     assert 0 < len(steps) <= 60
     # a whole fa-design benchmark pass adds the CLI default (n = 30,
-    # eps = 1e-3); with the dense Cholesky + LU step the pass took 74 steps
-    _solve_fa(30, 1e-3)
+    # eps = 1e-3); with the dense Cholesky + LU step the pass took 74
+    # steps, and with b and the costate rebuilt by each partial evaluation
+    # it evaluated g alone 83 times
+    solve_scalar_power(*_fa_design(30), epsilon=1e-3)
     assert len(steps) <= 74
+    assert len(calls) <= 83
+    resid = stationarity_residuals(sched.a, scalar_constants(gains, setup, model),
+                                   sched.terminal_multiplier)
+    assert np.abs(resid).max() <= RESIDUAL_TOL
 
 
 def test_fa_design_does_not_depend_on_the_blas_thread_count(tmp_path):
@@ -539,12 +574,12 @@ def test_kkt_solve_meets_the_target_where_the_brent_search_stopped_short():
     c = ConstantsTable(c1=np.array([6.72799672]), c2=np.array([11.38547302]),
                        c3=np.array([42.87490247]), H=np.ones(1))
     ref_a, _, ref_nu, _ = oracle.brent_solve(c, 0.5)
-    assert ref_nu > 0.0 and _b_forward(ref_a)[-1] < 0.05
+    assert ref_nu > 0.0 and _evaluate(ref_a, c, 0.0).b[-1] < 0.05
     sched = scalar_backward_solve(c, 0.5, None, None)
     assert sched.a[0] == pytest.approx(1.0, rel=1e-12)
     assert sched.terminal_multiplier > 0.0
     assert 0.5 * (1 - 1e-12) <= sched.achieved_terminal_ratio <= 0.5
-    assert _reduced_cost(sched.a, c, 0.0) < _reduced_cost(ref_a, c, 0.0)
+    assert _evaluate(sched.a, c, 0.0).cost < _evaluate(ref_a, c, 0.0).cost
 
 
 def test_negative_multiplier_releases_the_target():
@@ -585,4 +620,4 @@ def test_reduced_cost_is_the_exact_cost_above_ex_comm(system, epsilon):
         sched = PowerSchedule(mode=ScheduleMode.FULL_MATRIX,
                               Lambda=a[:, None] / setup.eig.H)
         exact = expected_total_cost(sched, gains, setup, model)
-        assert abs(exact - _reduced_cost(a, c, 0.0) - ex_comm) <= 1e-12 * exact
+        assert abs(exact - _evaluate(a, c, 0.0).cost - ex_comm) <= 1e-12 * exact

@@ -90,6 +90,35 @@ def test_out_of_range_seeds_rejected(fa_model, seed):
         rollout(pol, fa_model, None, seed=seed)
 
 
+@pytest.mark.parametrize("seed", [True, False])
+def test_bool_seeds_rejected(fa_model, seed):
+    # a bool is an Integral: True ran as seed 1
+    pol = make_policy(PolicyKind.EX_COMM, fa_model)
+    with pytest.raises(ValidationError, match="^master_seed: True|^master_seed: False"):
+        monte_carlo(pol, fa_model, None, runs=3, master_seed=seed)
+    with pytest.raises(ValidationError, match="^seed: "):
+        rollout(pol, fa_model, None, seed=seed)
+
+
+@pytest.mark.parametrize("runs", [2.5, 3.0, "3", True, None, 0, -2])
+def test_bad_run_counts_name_the_field(fa_model, runs):
+    # 2.5 and "3" escaped as a raw TypeError from range()
+    pol = make_policy(PolicyKind.EX_COMM, fa_model)
+    with pytest.raises(ValidationError, match="^runs: .* is not an integer >= 1"):
+        monte_carlo(pol, fa_model, None, runs=runs, master_seed=0)
+
+
+def test_numpy_integer_seeds_and_runs_accepted(fa_model):
+    pol = make_policy(PolicyKind.EX_COMM, fa_model)
+    ref = monte_carlo(pol, fa_model, None, runs=3, master_seed=5)
+    for runs, seed in ((np.int64(3), np.uint64(5)), (np.uint64(3), np.int64(5))):
+        rep = monte_carlo(pol, fa_model, None, runs=runs, master_seed=seed)
+        assert rep.mean_total_cost == ref.mean_total_cost
+        assert rep.std_total_cost == ref.std_total_cost
+    np.testing.assert_array_equal(rollout(pol, fa_model, None, seed=np.uint64(5)).states,
+                                  rollout(pol, fa_model, None, seed=5).states)
+
+
 # means and stds of 2500 runs (three chunks) at seed 0, as the per-run
 # Generator engine computed them; FA im-comm-heu is left out, its outputs
 # move at the 1e-12 level with roundoff in the gains
