@@ -15,23 +15,37 @@ cycling through tau = d0/r blocks. A fully actuated leader (rank B1 = d0)
 is the case r = d0, tau = 1 with P = I and C = B1 Q; an under-actuated one
 (rank B1 = r < d0) takes Q, P and C from the SVD of B1.
 
-The per-step map from (Sigma_t, Lambda_t, block k) to the encoder, the
-decoder, the error-recursion map and Sigma_{t+1} has one implementation in
-two halves, each stacked over a schedule's steps. The power half
-(`power_factors`) holds every factor that depends on (Lambda_t, k) alone
-and is built for all steps in one vectorised call. The Sigma half
-(`sigma_steps`) is the one forward Sigma loop, for the rollout operator
-table and the exact-cost engine alike. Each step keeps only the work on
-its chain: one eigendecomposition of Sigma_t, both roots from one
-product, the maps they build with step t of the power half, and Sigma_t
-propagated through them (the Joseph form), about 30 us a step on the
-presets, a third of it the eigendecomposition. The encoder and the
-checks (negative eigenvalues, a growing trace) run once over all steps
-after the loop. The reverse pass is split the same way:
+The step map. With power S = U diag(Lambda_t) U' on block k (P_k selects
+its coordinates), the leader sends s_t = enc e_t, enc = Q S^(1/2) P_k
+Sigma^(-1/2), and the follower estimates e_t as dec y_t from the raw
+d0-dimensional channel output, dec = Sigma^(1/2) P_k' S^(1/2) C'
+(C S C' + Wv)^-1 P. The error then evolves as e_{t+1} = E e_t - dec w_t
+with E = Sigma^(1/2) V Sigma^(-1/2), where the contraction V has factor
+1/(1 + lam*h) for power lam and gain h on each direction of block k and
+1 elsewhere; by the push-through identity dec = Sigma^(1/2) V P_k'
+S^(1/2) C' Wv^-1 P, so dec is also the noise map. Sigma^(-1/2) is
+truncated: directions of Sigma_t below `linalg.PINV_SQRT_RTOL` times its
+largest eigenvalue are already known to the follower and get zero
+signal. Sigma_{t+1} = E Sigma_t E' + dec W dec' (the Joseph form) is the
+covariance this encoder and decoder produce; it equals the closed form
+Sigma^(1/2) V Sigma^(1/2) while no direction is truncated, and stays
+right when one is. Tr Sigma_{t+1} <= Tr Sigma_t, since V P V + right W
+right' <= V <= I (`PowerFactors`) with P the projector on the live
+directions.
+
+The map has one implementation in two halves, each stacked over a
+schedule's steps. The power half (`power_factors`) holds every factor
+that depends on (Lambda_t, k) alone and is built for all steps in one
+vectorised call. The Sigma half (`sigma_steps`) is the one forward Sigma
+loop, for the rollout operator table and the exact-cost engine alike.
+Each step keeps only the work on its chain: one eigendecomposition of
+Sigma_t, both roots from one product, the maps they build with step t of
+the power half, and the Joseph update. The encoder and the checks
+(negative eigenvalues, a growing trace) run once over all steps after
+the loop. The reverse pass is split the same way:
 `power_factors_adjoint` for all steps, and `sigma_adjoint` makes the
 constants of every step's Sigma-half pullback in one call for the
-exact-cost engine's reverse loop. The contraction V_t has per-direction
-factor 1/(1 + lam*h) for power lam and gain h.
+exact-cost engine's reverse loop.
 """
 
 from __future__ import annotations
@@ -41,10 +55,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (IndexOutOfRange, NonIntegerPeriod, RankDeficient,
-                     SigmaNearSingular, SigmaTraceGrowth, SingularInnovation,
-                     ValidationError)
-from .linalg import (PINV_SQRT_RTOL, EigenPair, check_symmetric,
+from .errors import (NonIntegerPeriod, RankDeficient, SigmaNearSingular,
+                     SigmaTraceGrowth, SingularInnovation, ValidationError)
+from .linalg import (EIG_CLAMP, PINV_SQRT_RTOL, EigenPair, check_symmetric,
                      eig_roots_kernels, numerical_rank, sym_eig, sym_part,
                      svd_factor)
 
@@ -73,13 +86,10 @@ def choose_projection(B1: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChannelSetup:
-    """Immutable per-system channel data shared by every rollout.
-
-    Q (d1 x r) maps the signal into the leader's input, P (r x d0) the plant
-    output to the channel output, C = P B1 Q is the channel gain, Wv = P W P'
-    the channel noise covariance and eig = (U, H) the eigenpair of
-    C' Wv^-1 C. The matrices the channel map needs at every step but that
-    depend only on the setup are cached on first use.
+    """Immutable per-system channel data shared by every rollout: Q (d1 x r),
+    P (r x d0), C, Wv and eig = (U, H) as in the module docstring. The
+    matrices the channel map needs at every step but that depend only on
+    the setup are cached on first use.
     """
 
     B1: np.ndarray
@@ -166,41 +176,19 @@ def block_schedule(setup: ChannelSetup, n: int,
     return [order[t % setup.tau] for t in range(n)]
 
 
-def contraction(setup: ChannelSetup, lam: np.ndarray,
-                k: int | np.ndarray = 0) -> np.ndarray:
-    """Per-step contraction V_t of the error map E_t = Sigma^(1/2) V_t Sigma^(-1/2).
-
-    Utau (I + P_k' lam*H P_k)^-1 Utau' with Utau = diag(U, ..., U): block k
-    contracts by 1/(1 + lam*H) in the channel eigenbasis, the other blocks
-    are left alone. Fully actuated (tau = 1) this is U (I + lam*H)^-1 U'.
-    lam (r,) with one block k, or a schedule's stacks (n, r) and (n,).
-    """
-    lam, k = np.asarray(lam, dtype=float), np.asarray(k)
-    outside = (k < 0) | (k >= setup.tau)
-    if outside.any():
-        raise IndexOutOfRange(f"block index {k[outside].flat[0]} outside "
-                              f"0..{setup.tau - 1}")
-    r = setup.r
-    denom = np.ones(lam.shape[:-1] + (setup.d0,))
-    rows = denom.reshape(-1, setup.d0)
-    rows[np.arange(len(rows))[:, None], k.reshape(-1, 1) * r + np.arange(r)] = \
-        (1.0 + lam * setup.eig.H).reshape(-1, r)
-    Utau = setup.Utau
-    return sym_part((Utau / denom[..., None, :]) @ Utau.T)
-
-
 @dataclass(frozen=True)
 class PowerFactors:
     """The power half of the channel map, stacked over a schedule's steps.
 
-    Every factor of the step maps that depends on (Lambda_t, k_t) alone:
-    S12 = S^(1/2), inv = (C S C' + Wv)^-1, the contraction V and the two
-    Sigma-free products left = Q S^(1/2) P_k (d1 x d0) and
-    right = P_k' S^(1/2) C' inv P (d0 x d0), each (n, ., .).
+    Every factor of the step maps that depends on (Lambda_t, k_t) alone,
+    each (n, ., .): S12 = S^(1/2), inv = (C S C' + Wv)^-1, the contraction
+    V = Utau (I + P_k' lam*H P_k)^-1 Utau' with Utau = diag(U, ..., U),
+    and the Sigma-free products left = Q S^(1/2) P_k (d1 x d0) and right =
+    P_k' S^(1/2) C' inv P (d0 x d0).
     """
 
     lam: np.ndarray      # (n, r) power entries
-    blocks: np.ndarray   # (n,) transmitted block per step
+    cols: np.ndarray     # (n, r) coordinates of the block sent at each step
     S12: np.ndarray
     inv: np.ndarray
     V: np.ndarray
@@ -215,23 +203,25 @@ def power_factors(setup: ChannelSetup, Lambda: np.ndarray,
     Lambda is (n, r) and blocks the n transmitted block indices.
     """
     lam = np.asarray(Lambda, dtype=float)
-    blocks = np.asarray(blocks, dtype=int)
-    n, r, C, U = len(lam), setup.r, setup.C, setup.eig.U
+    n, r, C, U, Utau = len(lam), setup.r, setup.C, setup.eig.U, setup.Utau
+    steps = np.arange(n)[:, None]
+    cols = np.asarray(blocks, dtype=int)[:, None] * r + np.arange(r)
     # S^(1/2) = U diag(sqrt(lam)) U' and S = U diag(lam) U' in one product
     S12, S = sym_part((U * np.stack([np.sqrt(lam), lam])[..., None, :]) @ U.T)
     try:
         inv = np.linalg.inv(sym_part(C @ S @ C.T + setup.Wv))
     except np.linalg.LinAlgError as exc:
         raise SingularInnovation("C S C' + Wv is singular") from exc
-    V = contraction(setup, lam, blocks)
-    # P_k selects block k's coordinates, so Q S^(1/2) P_k and P_k' (.) are
-    # the r-column/r-row products placed at those coordinates
-    steps, cols = np.arange(n)[:, None], blocks[:, None] * r + np.arange(r)
+    denom = np.ones((n, setup.d0))
+    denom[steps, cols] = 1.0 + lam * setup.eig.H
+    V = sym_part((Utau / denom[:, None, :]) @ Utau.T)
+    # Q S^(1/2) P_k and P_k' (.) are the r-column/r-row products placed at
+    # block k's coordinates
     left = np.zeros((n, setup.d1, setup.d0))
     left[steps, :, cols] = (setup.Q @ S12).swapaxes(1, 2)
     right = np.zeros((n, setup.d0, setup.d0))
     right[steps, cols] = S12 @ (C.T @ inv @ setup.P)
-    return PowerFactors(lam=lam, blocks=blocks, S12=S12, inv=inv, V=V,
+    return PowerFactors(lam=lam, cols=cols, S12=S12, inv=inv, V=V,
                         left=left, right=right)
 
 
@@ -242,12 +232,7 @@ class SigmaPass:
     Sigma holds Sigma_0..Sigma_n (n + 1, d0, d0); every other field is
     (n, ., .) over steps 0..n-1: Sigma_t's clipped eigenpair U, H, its
     roots Sig12 and Sig12inv (truncated), the product SV = Sig12 V and the
-    maps. The leader sends s_t = enc e_t; the follower estimates e_t as
-    dec y_t from the raw d0-dimensional channel output y_t = B1 s_t + w_t;
-    the error then evolves as e_{t+1} = E e_t - dec w_t, so Sigma_{t+1} =
-    E Sigma_t E' + dec W dec' is the covariance this encoder and decoder
-    produce, also where the pseudo-inverse cutoff drops a direction of
-    Sigma_t.
+    maps enc, dec and E.
     """
 
     Sigma: np.ndarray
@@ -263,26 +248,14 @@ class SigmaPass:
 
 def sigma_steps(power: PowerFactors, Sigma0: np.ndarray,
                 W: np.ndarray) -> SigmaPass:
-    """The Sigma half of the channel map along all steps of `power`.
+    """The Sigma half of the channel map along all steps of `power`, with
+    W the plant noise covariance.
 
     Sigma0 is checked for symmetry and symmetrised once; every later
-    Sigma_t comes out of a symmetrisation. At step t one eigendecomposition
-    of Sigma_t gives Sigma_t^(1/2) and the truncated Sigma_t^(-1/2)
-    (zero below the cutoff `linalg.PINV_SQRT_RTOL` relative to the largest
-    eigenvalue): directions below the pseudo-inverse cutoff are already
-    known to the follower and get zero signal. Then SV = Sigma^(1/2) V,
-    dec = Sigma^(1/2) right, E = SV Sigma^(-1/2) and, with W the plant
-    noise covariance, Sigma_{t+1} = E Sigma_t E' + dec W dec' (the Joseph
-    form). The decoder Sigma^(1/2) P_k' S^(1/2) C' (C S C' + Wv)^-1 P is
-    also the noise map of the error recursion: by the push-through
-    identity it equals Sigma^(1/2) V P_k' S^(1/2) C' Wv^-1 P.
-
-    After the loop, for all steps at once: enc = left Sigma^(-1/2), the
-    negative-eigenvalue check (`SigmaNearSingular` names the first step
-    whose Sigma_t has an eigenvalue below -1e-10 max(1, |eig|)), and the
-    trace check: V P V + right W right' <= V <= I with P the projector on
-    the live directions, so Tr Sigma_{t+1} <= Tr Sigma_t, and a step that
-    raises it by more than TRACE_RTOL Tr Sigma_t raises `SigmaTraceGrowth`.
+    Sigma_t comes out of a symmetrisation. `SigmaNearSingular` names the
+    first step whose Sigma_t has an eigenvalue below -EIG_CLAMP max(1,
+    |eig|), and `SigmaTraceGrowth` the first that raises Tr Sigma by more
+    than TRACE_RTOL Tr Sigma_t.
     """
     n, d0 = power.V.shape[:2]
     Sigma = np.empty((n + 1, d0, d0))
@@ -311,7 +284,7 @@ def sigma_steps(power: PowerFactors, Sigma0: np.ndarray,
         S = E_t.dot(S_t).dot(E_t.T) + dec_t.dot(W).dot(dec_t.T)
         np.add(S, S.T.copy(), out=S_next)
         np.multiply(S_next, 0.5, out=S_next)
-    low = w[:, 0] < -1e-10 * np.maximum(1.0, np.abs(w).max(axis=1))
+    low = w[:, 0] < -EIG_CLAMP * np.maximum(1.0, np.abs(w).max(axis=1))
     if low.any():
         t = int(low.argmax())
         raise SigmaNearSingular(f"Sigma at step {t} has a negative "
@@ -374,14 +347,13 @@ def power_factors_adjoint(setup: ChannelSetup, power: PowerFactors,
     through S inside (C S C' + Wv)^-1 and through the contraction V. The
     entries of Lambda must be positive: S^(1/2) has no derivative at 0.
     """
-    U, H, C, r = setup.eig.U, setup.eig.H, setup.C, setup.r
+    U, H, C = setup.eig.U, setup.eig.H, setup.C
     # enc = left Sig12inv, dec = Sig12 right, E = Sig12 V Sig12inv, and
     # left = Q S12 P_k, right = P_k' S12 out with out = C' inv P: only
     # block k's columns of left_bar = enc_bar Sig12inv, rows of right_bar =
     # Sig12 dec_bar and block of V_bar = Sig12 E_bar Sig12inv count, and
     # they take block k's rows of the (symmetric) roots
-    steps = np.arange(len(power.lam))[:, None]
-    cols = power.blocks[:, None] * r + np.arange(r)
+    steps, cols = np.arange(len(power.lam))[:, None], power.cols
     root_k, inv_root_k = Sig12[steps, cols], Sig12inv[steps, cols].swapaxes(1, 2)
     rb = root_k @ dec_bar
     CI = C.T @ power.inv

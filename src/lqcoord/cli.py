@@ -71,18 +71,14 @@ def build_policy(pol: PolicyConfig, model: SystemModel) -> tuple[PreparedPolicy,
 
     A designed policy is prepared first, with the theta^t heuristic
     (pol.theta) as its power, and its power is then designed on the same
-    gains and channel. Fully actuated: the scalar solver at pol.epsilon.
-    Under-actuated: L-BFGS-B on the adjoint gradient of the exact cost,
-    started from the heuristic with at most pol.budget cost evaluations.
+    gains and channel: by the scalar solver at pol.epsilon (fully
+    actuated), or by `ua_optimize` from the heuristic within pol.budget
+    cost evaluations (under-actuated).
     """
     fully = model.leader_fully_actuated()
     name = pol.name
-    if name == "ex-comm":
-        return make_policy(PolicyKind.EX_COMM, model), None
-    if name == "leader-only":
-        return make_policy(PolicyKind.LEADER_ONLY, model), None
-    if name == "no-comm":
-        return make_policy(PolicyKind.NO_COMM, model), None
+    if name in ("ex-comm", "leader-only", "no-comm"):   # PolicyKind values
+        return make_policy(PolicyKind(name), model), None
     if name == "im-comm-opt" and not fully:
         raise ValidationError("im-comm-opt needs a fully actuated leader")
     if name == "im-comm-num" and fully:
@@ -225,9 +221,11 @@ def cmd_optimize_power(args) -> int:
     config = _config_from_args(args, ["im-comm-heu"])
     model = config.model()
     fully = model.leader_fully_actuated()
-    pol = PolicyConfig(name="im-comm-opt" if fully else "im-comm-num",
-                       theta=args.theta, epsilon=args.epsilon,
-                       budget=args.budget)
+    # the config's designed policy sets theta, epsilon and budget, else its
+    # first policy (from the flags, when there is no config file)
+    name = "im-comm-opt" if fully else "im-comm-num"
+    pol = next((p for p in config.policies if p.name == name), config.policies[0])
+    pol = dataclasses.replace(pol, name=name)
     schedule = build_policy(pol, model)[0].power
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -246,7 +244,7 @@ def cmd_optimize_power(args) -> int:
     else:
         payload = {
             "mode": "numeric",
-            "budget": args.budget,
+            "budget": pol.budget,
             "Lambda": [lam.tolist() for lam in schedule.Lambda],
             "evals": schedule.evals,
             "budget_exhausted": schedule.budget_exhausted,

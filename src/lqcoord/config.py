@@ -85,19 +85,29 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
+        # every field is checked here, from JSON or from code, and the
+        # system is built and validated once, eagerly, with field context
         if not isinstance(self.system, (str, dict)):
             raise ValidationError(f"system: {self.system!r} is neither a preset "
                                   "name nor an object")
         if not isinstance(self.out_dir, str):
             raise ValidationError(f"out_dir: {self.out_dir!r} is not a string")
-        if self.runs < 1:
-            raise ValidationError(f"runs: {self.runs} must be >= 1")
         if not self.policies:
             raise ValidationError("policies: at least one policy is required")
-        if self.horizon is not None and self.horizon < 1:
-            raise ValidationError(f"horizon: {self.horizon} must be >= 1")
-        check_seed("master_seed", self.master_seed)
-        # build and validate the system once, eagerly, with field context
+        runs = _number("runs", self.runs, integer=True)
+        horizon = (None if self.horizon is None
+                   else _number("horizon", self.horizon, integer=True))
+        for name, value in (("runs", runs), ("horizon", horizon)):
+            if value is not None and value < 1:
+                raise ValidationError(f"{name}: {value} must be >= 1")
+        seed = _number("master_seed", self.master_seed, integer=True)
+        check_seed("master_seed", seed)
+        target = self.target
+        if isinstance(target, (list, tuple, np.ndarray)):
+            target = tuple(_number(f"target[{i}]", v) for i, v in enumerate(target))
+        for name, value in (("runs", runs), ("horizon", horizon),
+                            ("master_seed", seed), ("target", target)):
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "_model", self._build_model())
 
     def model(self) -> SystemModel:
@@ -154,6 +164,7 @@ class ExperimentConfig:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
+    """Map a parsed JSON object onto the dataclasses, which check the fields."""
     if not isinstance(raw, dict):
         raise ValidationError("top level: expected a JSON object")
     if "system" not in raw:
@@ -174,16 +185,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             policies.append(PolicyConfig(**p))
         except TypeError as exc:
             raise ValidationError(f"policies[{i}]: {exc}") from exc
-    target, horizon = raw.get("target", "sampled"), raw.get("horizon")
-    if isinstance(target, list):
-        target = tuple(_number(f"target[{i}]", v) for i, v in enumerate(target))
     return ExperimentConfig(
         system=raw["system"],
         policies=tuple(policies),
-        runs=_number("runs", raw.get("runs", 50), integer=True),
-        horizon=None if horizon is None else _number("horizon", horizon, integer=True),
-        master_seed=_number("master_seed", raw.get("master_seed", 0), integer=True),
-        target=target,
+        runs=raw.get("runs", 50),
+        horizon=raw.get("horizon"),
+        master_seed=raw.get("master_seed", 0),
+        target=raw.get("target", "sampled"),
         out_dir=raw.get("out_dir", "results"),
     )
 

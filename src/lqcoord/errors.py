@@ -34,7 +34,8 @@ class SingularInnovation(LqcoordError):
 
 
 class SigmaNearSingular(NotPsd):
-    """Estimation-error covariance is invalid (not PSD within tolerance)."""
+    """Estimation-error covariance is invalid (not PSD within tolerance), or
+    too near singular for a quantity computed from it to stay finite."""
 
 
 class SigmaTraceGrowth(LqcoordError):
@@ -46,17 +47,12 @@ class NonIntegerPeriod(LqcoordError):
     """State dimension is not an integer multiple of the channel rank."""
 
 
-class IndexOutOfRange(LqcoordError):
-    """Projection index outside 0..period-1."""
-
-
 class InvalidTheta(LqcoordError):
     """Heuristic decay base outside (0, 1]."""
 
 
 class NoRootFound(LqcoordError):
-    """The scalar power solver found no stationary schedule, or no bracket
-    for its terminal multiplier."""
+    """The scalar power solver found no stationary schedule."""
 
 
 class HorizonMismatch(LqcoordError):

@@ -4,8 +4,11 @@ Everything downstream (error-covariance recursions, costate equations,
 channel diagonalizations) is built on the handful of operations here, so
 their numerical conventions are pinned once:
 
-- eigenvalues of PSD matrices in [-1e-10, 0) are clamped to 0 before
-  square roots (roundoff from repeated congruences otherwise produces NaN);
+- negative eigenvalues of PSD matrices are roundoff, clamped to 0 before
+  square roots (which would be NaN) down to a tolerance and raised below
+  it: -PSD_TOL max(1, largest eigenvalue) in `sym_eig` (NotPsd), and
+  -EIG_CLAMP max(1, largest |eigenvalue|) for Sigma_t in
+  `channel.sigma_steps` (SigmaNearSingular);
 - numerical rank uses the relative threshold 1e-10 * sigma_max;
 - inverse square roots are truncated pseudo-inverses: directions whose
   eigenvalue falls below a relative cutoff contribute zero instead of
@@ -76,8 +79,7 @@ def eig_roots_kernels(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse root it is -g_i g_j / (s_i + s_j) between live directions
     (g = H^(-1/2)), g_i / (h_i - h_j) between a live i and a truncated j,
     and 0 between truncated ones. A zero eigenvalue, where the root has no
-    derivative, gets 0. H may be a stack (..., d); the kernels are then
-    (..., d, d).
+    derivative, gets 0. A stack H (..., d) gives kernels (..., d, d).
     """
     s, g = np.sqrt(H), np.zeros_like(H)
     live = H > PINV_SQRT_RTOL * H.max(axis=-1, keepdims=True, initial=0.0)

@@ -1,13 +1,11 @@
 """Agent-level control policies: the coordination scheme and its baselines.
 
-Every policy runs on one operator table (`power.analytic.StepOps`), built
-once per prepared policy and read by both the rollouts and the exact-cost
-engine: at step t, the joint input u_t = -K_t x_t + D*_t x_* + D^_t x_hat
-+ I~ enc_t e and the follower's update x_hat += dec_t y_t, e -= dec_t y_t
-from the channel output y_t, where e = x_* - x_hat. The coordination
-policies take enc_t and dec_t from the channel map (`signaling_ops`;
-Sigma_t does not depend on the rollout, so the table is known before any
-rollout); the baselines send nothing (`silent_ops`).
+Every policy runs on one operator table (`power.analytic.StepOps`, whose
+module states its maps), built once per prepared policy and read by both
+the rollouts and the exact-cost engine. The coordination policies take
+enc_t and dec_t from the channel map (`signaling_ops`; Sigma_t does not
+depend on the rollout, so the table is known before any rollout); the
+baselines send nothing (`silent_ops`).
 
 Offsets follow the follower's current estimate for BOTH agents: the leader
 also uses D_t^l x_hat rather than its exact D_t^l x_*, which keeps the
@@ -135,11 +133,9 @@ class RolloutPolicy:
 def make_policy(kind: PolicyKind, model: SystemModel, *,
                 power: PowerSchedule | None = None, theta: float = 0.88,
                 block_order: list[int] | None = None) -> PreparedPolicy:
-    """Build a PreparedPolicy, deriving default schedules where needed.
-
-    The gains are the model's own schedules (`SystemModel.joint_gains`,
-    `SystemModel.leader_gains`), built once and shared by its policies.
-    """
+    """Build a PreparedPolicy on the model's own, shared gain schedules
+    (`SystemModel.joint_gains`, `SystemModel.leader_gains`), with the
+    theta^t heuristic as the default power."""
     if kind is PolicyKind.LEADER_ONLY:
         return PreparedPolicy(kind=kind, model=model, gains=model.leader_gains)
     gains = model.joint_gains

@@ -31,17 +31,28 @@ map, P_{t+1} = T_t P_t T_t' + Nrho_t W Nrho_t' and the stage cost is
 Tr(F Z_t) + Tr(G Mu_t P_t Mu_t'). `trajectory` fills T, Nrho and Mu of
 all steps as stacked arrays (their gain-fixed part, `joint_frame`, made
 once per gain schedule by the evaluator), runs a serial loop of two
-products, the noise and a symmetrisation on P_t (about 5 us a step) and
-takes the stage costs of all steps in one contraction over the stacked
-P_t.
+products, the noise and a symmetrisation on P_t and takes the stage
+costs of all steps in one contraction over the stacked P_t.
 
 `TailCostEvaluator.gradient` runs the reverse (adjoint) recursion of a
-signaling table's map in the same shape: the channel's reverse-pass
-constants of all steps (`channel.sigma_adjoint`) are folded into the
-joint maps before the loop, so the serial loop on the joint costate Pbar
-is four products, a Hadamard product and a symmetrisation a step (about
-10 us), and the gradients of every step's maps and the power half's
-reverse pass follow for all steps at once after it.
+signaling table's map,
+
+    Pbar_n = Fn (Z block),
+    Pbar_t = T' Pbar_{t+1} T + Mu' G Mu + F (Z block) + Sigma_bar_t,
+
+where Sigma_bar_t (Sigma block) is the gradient through Sigma_t's roots
+in the maps of step t. Sigma_bar_t is linear in Pbar_{t+1}: with TPe =
+T P_t[:, e] and NW the noise map times W, step t's maps have gradients
+E_bar = 2 Pbar[e] TPe, dec_bar = -2 Pbar[e] NW and enc_bar = enc_mu + 2
+B1' Pbar[z] TPe, where enc_mu = 2 G_1 Mu P_t[:, e] (G_1 the leader's rows
+of G) needs no costate. So the Sigma half's pullback constants of all
+steps (`channel.sigma_adjoint`) fold into per-step matrices made before
+the loop; the loop takes Sigma_bar_t's eigenbasis form X_t from two
+products, a Hadamard product, and Pbar_t from two more and a
+symmetrisation, with X's enc_mu part moved into the stage weight. The
+gradients of every step's maps follow from the stored Pbar_{t+1} after
+the loop, and the power half's reverse pass from them, for all steps at
+once.
 """
 
 from __future__ import annotations
@@ -53,7 +64,7 @@ import numpy as np
 from ..channel import (ChannelSetup, PowerFactors, SigmaPass, block_schedule,
                        power_factors, power_factors_adjoint, sigma_adjoint,
                        sigma_steps)
-from ..errors import ValidationError
+from ..errors import SigmaNearSingular, ValidationError
 from ..gains import GainSchedule
 from ..model import SystemModel
 from .schedules import PowerSchedule, ScheduleMode
@@ -215,24 +226,7 @@ class TailCostEvaluator:
     The block schedule and the gain-fixed part of the joint maps
     (`joint_frame`) are made once. `cost(Lambda)` builds the signaling
     table of Lambda, runs the forward pass over it and keeps its
-    `trajectory`; `gradient()` runs the adjoint recursion over it,
-
-        Pbar_n = Fn (Z block),
-        Pbar_t = T' Pbar_{t+1} T + Mu' G Mu + F (Z block) + Sigma_bar_t,
-
-    where Sigma_bar_t (Sigma block) is the gradient through Sigma_t's roots
-    in the maps of step t, and returns dE[J_n]/dLambda_t for every entry.
-
-    Sigma_bar_t is linear in Pbar_{t+1}: with TPe = T P_t[:, e] and NW the
-    noise map times W, step t's maps have gradients E_bar = 2 Pbar[e] TPe,
-    dec_bar = -2 Pbar[e] NW and enc_bar = enc_mu + 2 B1' Pbar[z] TPe, where
-    enc_mu = 2 G_1 Mu P_t[:, e] (G_1 the leader's rows of G) needs no
-    costate. So the Sigma half's pullback constants (`channel.sigma_adjoint`)
-    fold into per-step matrices made for all steps before the loop; the
-    loop takes Sigma_bar_t's eigenbasis form X_t from two products and
-    Pbar_t from two more, with X's enc_mu part moved into the stage weight.
-    The gradients of every step's maps follow from the stored Pbar_{t+1}
-    after the loop, and the power half's reverse pass from them.
+    `trajectory`; `gradient()` runs the adjoint recursion over that.
     """
 
     def __init__(self, gains: GainSchedule, setup: ChannelSetup,
@@ -252,7 +246,9 @@ class TailCostEvaluator:
         return float(self.trajectory.costs.sum())
 
     def gradient(self) -> np.ndarray:
-        """dE[J_n]/dLambda of the last `cost` call, shape (n, r)."""
+        """dE[J_n]/dLambda of the last `cost` call, shape (n, r); raises
+        SigmaNearSingular naming the step where the reverse pass overflows,
+        as the root kernels of a nearly singular Sigma_t make it do."""
         traj = self.trajectory
         if traj is None:
             raise ValidationError("gradient: no schedule evaluated yet; call cost")
@@ -296,23 +292,30 @@ class TailCostEvaluator:
         steps = zip(G[:0:-1], G[-2::-1, :D, :D], G[:0:-1, :2 * d0, :D],
                     G[:0:-1, D:, D:], Lz[::-1], Q[::-1], F[::-1], L[::-1],
                     L.transpose(0, 2, 1)[::-1].copy(), half_weight[::-1])
-        for G_next, Pbar, Pbar_ze, FY, Lz_t, Q_t, F_t, L_t, LT_t, w_t in steps:
-            np.multiply(Lz_t.dot(Pbar_ze).dot(Q_t), F_t, out=FY)
-            S = L_t.dot(G_next).dot(LT_t)
-            S += w_t
-            np.add(S, S.T, out=Pbar)
-        A = G[1:, :2 * d0, :D] @ np.concatenate([TPe, NW], axis=2)
-        enc_bar = 2.0 * (half_enc_mu + setup.B1.T @ A[:, :d0, :d0])
-        return power_factors_adjoint(setup, power, sigma.Sig12, sigma.Sig12inv,
-                                     enc_bar, -2.0 * A[:, e, e],
-                                     2.0 * A[:, e, :d0])
+        # an overflow is reported below, naming its step, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            for G_next, Pbar, Pbar_ze, FY, Lz_t, Q_t, F_t, L_t, LT_t, w_t in steps:
+                np.multiply(Lz_t.dot(Pbar_ze).dot(Q_t), F_t, out=FY)
+                S = L_t.dot(G_next).dot(LT_t)
+                S += w_t
+                np.add(S, S.T, out=Pbar)
+            A = G[1:, :2 * d0, :D] @ np.concatenate([TPe, NW], axis=2)
+            enc_bar = 2.0 * (half_enc_mu + setup.B1.T @ A[:, :d0, :d0])
+            grad = power_factors_adjoint(setup, power, sigma.Sig12,
+                                         sigma.Sig12inv, enc_bar,
+                                         -2.0 * A[:, e, e], 2.0 * A[:, e, :d0])
+        bad = ~np.isfinite(grad).all(axis=1)
+        if bad.any():   # the reverse pass runs from step n-1 down
+            t = n - 1 - int(bad[::-1].argmax())
+            raise SigmaNearSingular(
+                f"gradient: the reverse pass leaves the floating-point range "
+                f"at step {t}, where Sigma_t's eigenvalues run from "
+                f"{sigma.H[t, -1]:.2g} to {sigma.H[t, 0]:.2g}")
+        return grad
 
 
 def expected_total_cost(schedule: PowerSchedule, gains: GainSchedule,
                         setup: ChannelSetup, model: SystemModel,
                         block_order: list[int] | None = None) -> float:
     """Exact expected total cost E[J_n] of a signaling schedule."""
-    ops = signaling_ops(gains, setup, model, schedule,
-                        block_schedule(setup, model.n, block_order))
-    return float(trajectory(ops, model).costs.sum())
-
+    return TailCostEvaluator(gains, setup, model, block_order).cost(schedule.Lambda)

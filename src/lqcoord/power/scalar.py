@@ -1,13 +1,14 @@
 """Efficient scalar power design: Lambda_t = a_t H^-1.
 
 With this input shape the contraction is isotropic, Sigma_t = b_t Sigma0
-with b_{t+1} = b_t/(1+a_t), and the surrogate cost collapses to a
-one-dimensional optimal control problem
+with b_{t+1} = b_t/(1+a_t), and the exact expected cost collapses to the
+ex-comm cost (the lower bound) plus the reduced cost of a one-dimensional
+optimal control problem, the design's overhead over that bound (the tests
+check this identity against `analytic.expected_total_cost`),
 
-    J = sum_t  c1_t a_t + c2_t sqrt(a_t b_t) + c3_t b_t   (+ schedule-free terms)
+    J = sum_t  c1_t a_t + c2_t sqrt(a_t b_t) + c3_t b_t,
 
-whose adjoint gradient dJ/da_t is exactly the per-step stationarity
-expression
+whose adjoint gradient dJ/da_t is exactly the per-step stationarity expression
 
     g_t = c1_t + c2_t sqrt(b_t)/(2 sqrt(a_t)) - b_t theta_{t+1}/(1+a_t)^2,
     theta_t = c3_t + c2_t sqrt(a_t)/(2 sqrt(b_t)) + theta_{t+1}/(1+a_t).
@@ -91,15 +92,16 @@ The free solve is the same routine without the border, so a design takes
 one Newton solve, or two when the target binds. A negative multiplier at
 the end says J still falls into b_n < epsilon, which the nonconvex J of
 a system with some c2_t > 0 allows; a third, free, solve from there then
-releases the target.
+releases the target, and is kept if it still meets it.
 
-The constants c1/c2/c3 absorb the surrogate's state-error costates
-(`costate_Z`: theta_Z,n = Fn, theta_Z,t = F + K'GK + Abar' theta_Z,t+1 Abar)
-and its offset-feedback sequence (`offset_feedback_seq`: L_0 = -I,
-L_{t+1} = Abar_t L_t - B D_t). Both depend on the gains alone, so they are
-computed once per gain schedule. The rest of the surrogate's minimum-
-principle stack (stage cost, Hamiltonian, Sigma-costate, power gradient)
-is the test oracle `tests/pmp_oracle.py`, which checks these constants.
+The constants c1/c2/c3 absorb the state-error costates (`costate_Z`:
+theta_Z,n = Fn, theta_Z,t = F + K'GK + Abar' theta_Z,t+1 Abar) and the
+offset-feedback sequence (`offset_feedback_seq`: L_0 = -I, L_{t+1} =
+Abar_t L_t - B D_t) of the paper's covariance model of the cost. Both
+depend on the gains alone, so they are computed once per gain schedule.
+The rest of that model's minimum-principle stack (stage cost,
+Hamiltonian, Sigma-costate, power gradient) is the test oracle
+`tests/pmp_oracle.py`, which checks these constants.
 """
 
 from __future__ import annotations
@@ -132,11 +134,9 @@ B_N_MARGIN = 1e-13            # relative gap aimed for below epsilon, so that
 
 @dataclass(frozen=True)
 class ConstantsTable:
-    """Schedule-independent constants of the scalar problem.
-
-    c1/c2/c3 are the reduced per-step coefficients after absorbing the
-    Z-costates; H holds the channel gains, Lambda_t = a_t / H.
-    """
+    """Schedule-independent constants of the scalar problem: the reduced
+    cost's per-step coefficients c1/c2/c3 and the channel gains H, with
+    Lambda_t = a_t / H."""
 
     c1: np.ndarray
     c2: np.ndarray
@@ -145,10 +145,7 @@ class ConstantsTable:
 
 
 def offset_feedback_seq(gains: GainSchedule, model: SystemModel) -> list[np.ndarray]:
-    """Surrogate cross-covariance coefficients L_t: L_0 = -I, L_{t+1} = Abar_t L_t - B D_t.
-
-    Independent of the power schedule, so computed once per gain schedule.
-    """
+    """The offset-feedback sequence L_0..L_n of the constants."""
     L = [-np.eye(model.d0)]
     for t in range(model.n):
         Abar = model.A - model.B @ gains.K[t]
@@ -157,7 +154,7 @@ def offset_feedback_seq(gains: GainSchedule, model: SystemModel) -> list[np.ndar
 
 
 def costate_Z(gains: GainSchedule, model: SystemModel) -> list[np.ndarray]:
-    """Backward costates of Z_t: theta_n = Fn, theta_t = F + K'GK + Abar' theta Abar."""
+    """The state-error costates theta_Z,0..theta_Z,n of the constants."""
     theta = [None] * (model.n + 1)
     theta[model.n] = model.Fn.copy()
     for t in range(model.n - 1, -1, -1):
@@ -214,13 +211,8 @@ class _Point(NamedTuple):
 
 
 def _evaluate(a: np.ndarray, c: ConstantsTable, mu: float) -> _Point:
-    """b, phi, the cost at nu = 0, g(a, nu) and the Hessian of J in u = log a
-    at nu as its generators (x, y, diag): entry (t, s) is x_min(t,s)
-    y_max(t,s) off the diagonal and diag_t on it.
-
-    phi and psi sum the terms c3 b + w c2 sqrt(a b), w = 1/2 and 1/4,
-    backward from mu in one stacked pass.
-    """
+    """b, phi, the cost J at nu = 0, g(a, nu) and the generators (x, y,
+    diag) of the Hessian of J in u = log a at nu."""
     b = np.concatenate(([1.0], np.cumprod(1.0 / (1.0 + a))))
     root = c.c2 * np.sqrt(a * b[:-1])
     terms = np.empty((2, a.size + 1))   # reversed: mu first
@@ -242,10 +234,7 @@ def stationarity_residuals(a: np.ndarray, c: ConstantsTable,
 
 def _ldl(x: list, y: list, h: list) -> tuple[list, list] | None:
     """LDL' pivots D and multipliers w of the semi-separable matrix with
-    generators (x, y, h), whose factor is L_ts = y_t w_s below the
-    diagonal; None at the first pivot D_s <= 0, that is, where the matrix
-    is not positive definite.
-    """
+    generators (x, y, h); None where it is not positive definite."""
     D, w, sigma = [], [], 0.0   # sigma_s = sum_{k<s} w_k^2 D_k
     for xs, ys, hs in zip(x, y, h):
         ds = hs - ys * ys * sigma
@@ -276,15 +265,9 @@ def _ldl_solve(y: list, D: list, w: list, r: list) -> list:
 def _newton_step(x: np.ndarray, y: np.ndarray, diag: np.ndarray,
                  grad: np.ndarray, bordered: bool = False
                  ) -> tuple[np.ndarray, bool]:
-    """Solve hess p = -grad, or when bordered the KKT system
-    [hess, -x; -x', 0] [p; mu] = [-grad; 0] for p and mu stacked, where
-    hess has the generators (x, y, diag) of `_evaluate`: its x = a/(1+a) is
-    also the gradient of -log b_n in u, the border.
-
-    A multiple of the identity is added to the Jacobi-scaled hess until its
-    LDL' factorisation has no pivot <= 0, that is, until it is positive
-    definite; also says whether none was added.
-    """
+    """The Newton step p on the Hessian generators (x, y, diag) and grad,
+    or when bordered the KKT solution (p, mu) stacked; also says whether
+    the Hessian needed no identity shift."""
     d = np.sqrt(np.abs(diag))
     d[d == 0.0] = 1.0
     # diag/d^2 may round to just above -1, and a shift of 1 would then
@@ -343,17 +326,11 @@ def _restore(a: np.ndarray, free: np.ndarray, log_target: float) -> np.ndarray:
 def _newton_solve(c: ConstantsTable, a: np.ndarray,
                   log_target: float | None = None
                   ) -> tuple[_Point, np.ndarray, float]:
-    """Minimize the reduced cost over a >= A_FLOOR by projected Newton in u = log a.
+    """One projected Newton solve from a >= A_FLOOR: free (nu = 0), or on
+    the surface log b_n = log_target, where a must start.
 
-    Without log_target, a starts anywhere on or above the floor and nu = 0.
-    With it, a starts on b_n = exp(log_target) and every iterate is put back
-    on that surface by `_restore`; the step and the multiplier mu = nu b_n
-    come from one bordered solve. Entries held at A_FLOOR are left out of
-    the step. Once the projected residual (g, zero on the held entries) is
-    within RESIDUAL_TOL, full Newton steps continue while they still reduce
-    it, so the solve ends at roundoff level. Each trial point is evaluated
-    once, and the accepted one, its Hessian included, carries into the next
-    step. Returns the point, its projected residual and nu = mu / b_n.
+    Returns the point, its projected residual (g, zero on the entries held
+    at A_FLOOR) and nu = mu / b_n.
     """
     u = np.log(a)
     reached = [u.min(), u.max()]
@@ -414,20 +391,13 @@ def _newton_solve(c: ConstantsTable, a: np.ndarray,
 def scalar_backward_solve(constants: ConstantsTable, epsilon: float,
                           model: SystemModel, setup: ChannelSetup,
                           gains: GainSchedule | None = None) -> PowerSchedule:
-    """Solve the scalar power problem with terminal-accuracy target epsilon.
+    """The scalar design at terminal-accuracy target b_n <= epsilon.
 
-    Returns the unconstrained optimum when it already reaches b_n <=
-    epsilon; otherwise solves again on b_n = epsilon (less a relative
-    B_N_MARGIN, so that the result keeps b_n <= epsilon) for the schedule
-    and its multiplier nu. Either way the returned trajectory satisfies
-    every stationarity equation to RESIDUAL_TOL, except on entries held at
-    A_FLOOR with g_t >= 0 (the KKT conditions of the bound), and carries b
-    forward from b_0 = 1; the schedule records this projected residual and
-    the number of Newton solves (1, or 2 when the target binds, or 3 when
-    the solve on the target ends with nu < 0 and a free solve from there
-    meets the target). An epsilon so small that its multiplier would
-    overflow raises ValidationError before any solve. model, setup and
-    gains are not read.
+    The schedule records b (from b_0 = 1), the multiplier nu, the projected
+    residual and the number of Newton solves. An epsilon so small that its
+    multiplier would overflow raises ValidationError before any solve, and
+    a solve that ends above RESIDUAL_TOL raises NoRootFound. model, setup
+    and gains are not read.
     """
     if not epsilon > 0.0:
         raise ValidationError(f"epsilon: {epsilon:g} must be positive")

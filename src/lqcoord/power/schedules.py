@@ -22,15 +22,13 @@ class PowerSchedule:
 
     Lambda is given as any (n, r) array-like, row t holding the r entries
     of step t, and kept as one read-only float array; every entry must be
-    finite and non-negative. Scalar mode additionally records the per-step
-    scalars a_t with Lambda_t = a_t / H entrywise, the uncertainty ratios
-    b_t (forward from b_0 = 1, b_{t+1} = b_t / (1 + a_t)), and solver
-    diagnostics: the projected stationarity residuals (g_t, but zero where
-    a_t is held at the solver's floor with g_t >= 0) and the number of
-    Newton solves the solver ran (1, or 2 when the accuracy target binds,
-    3 when it was released again). A numerically optimized schedule records
-    the cost evaluations it took, whether it stopped on its budget and its
-    final projected-gradient norm. Schedules compare and hash by identity.
+    finite and non-negative. Scalar mode additionally records the scalars
+    a_t (Lambda_t = a_t / H entrywise), the uncertainty ratios b_0..b_n,
+    the terminal multiplier, the projected stationarity residuals and the
+    number of Newton solves of the design (`power.scalar`). A numerically
+    optimized schedule records the cost evaluations it took, whether it
+    stopped on its budget and its final projected-gradient norm. Schedules
+    compare and hash by identity.
     """
 
     mode: ScheduleMode

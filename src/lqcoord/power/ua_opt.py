@@ -16,9 +16,9 @@ The cost is not convex in Lambda, so this is a local search from the
 initial schedule; the result is the best schedule evaluated, never worse
 than the initial one.
 
-scipy (for L-BFGS-B) is imported on the first call of `ua_optimize`, as
-the scalar design imports it on its first solve, so `import lqcoord` and
-every run without a designed policy need numpy alone.
+scipy (for L-BFGS-B) is imported on the first call of `ua_optimize`, so
+`import lqcoord` and every run without an under-actuated design need numpy
+alone.
 """
 
 from __future__ import annotations

@@ -23,15 +23,14 @@ Reproducibility contract:
   an experiment sees the same noise. The policies of one `compare` run
   share a `SharedDraws` store: each chunk's shaped draws are made once
   and read read-only, up to DRAW_BUDGET_BYTES; chunks past it are drawn
-  per policy. The values are the same either way.
+  per policy and not kept, so memory stays bounded at any run count. The
+  values are the same either way.
 
 Streams are seeded a chunk at a time, without a Generator per run: the
-chunk's run seeds and salted target seeds go through numpy's SeedSequence
-hashing and PCG64's seeding step together, in integer arrays
-(`_stream_states`), and one Generator per chunk is set to each run's
-state before its draw. This reproduces numpy's own seeding bit for bit,
-which numpy keeps stable under its stream-compatibility policy (NEP 19);
-the tests compare it against np.random.PCG64(seed).
+chunk's run and target seeds go through numpy's seeding together, in
+integer arrays (`_stream_states`). This reproduces numpy's own seeding bit
+for bit, which numpy keeps stable under its stream-compatibility policy
+(NEP 19); the tests compare it against np.random.PCG64(seed).
 """
 
 from __future__ import annotations
@@ -84,8 +83,7 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
 
 
 def _run_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
-    """Seeds of runs lo..hi-1: splitmix64 mix of (master_seed, run index);
-    a master seed outside [0, 2^64) raises ValidationError."""
+    """Seeds of runs lo..hi-1 (module docstring)."""
     check_seed("master_seed", master_seed)
     master = _splitmix64(np.array([master_seed], dtype=np.uint64))
     return _splitmix64(master ^ _splitmix64(np.arange(lo, hi, dtype=np.uint64)))
@@ -165,11 +163,8 @@ def _stream_states(seeds: np.ndarray) -> list[tuple[int, int]]:
 
 def _normals(groups: list[tuple[np.ndarray, int]]) -> list[np.ndarray]:
     """For each (seeds, size), the first `size` standard normals of every
-    seed's stream as rows of a (len(seeds), size) array.
-
-    The streams of all groups are seeded in one `_stream_states` pass, and
-    one Generator is set to each stream's state in turn.
-    """
+    seed's stream as rows of a (len(seeds), size) array, with the streams
+    of all groups seeded in one `_stream_states` pass."""
     states = iter(_stream_states(np.concatenate([seeds for seeds, _ in groups])))
     bits = np.random.PCG64(0)
     gen = np.random.Generator(bits)
@@ -239,7 +234,7 @@ def _quad(z: np.ndarray, M: np.ndarray) -> np.ndarray:
 def _draw(model: SystemModel, seeds: np.ndarray,
           sampled: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The runs' shaped draws: x_0 (R, d0), w (R, n, d0) and, if `sampled`,
-    x_* (R, d0), with every stream seeded in one `_stream_states` pass."""
+    x_* (R, d0)."""
     n, d0, R = model.n, model.d0, len(seeds)
     groups = [(seeds, (n + 1) * d0)]
     if sampled:
@@ -253,12 +248,9 @@ def _draw(model: SystemModel, seeds: np.ndarray,
 
 class SharedDraws:
     """One experiment's shaped draws (x_0, w and a sampled x_*), drawn once
-    per chunk for all its policies.
-
-    Bound to one model and keyed by each chunk's run seeds (and whether the
-    target is sampled). Stored arrays are read-only. Chunks are kept while
-    their total stays within DRAW_BUDGET_BYTES; later chunks are drawn on
-    every call and not kept, so memory stays bounded at any run count.
+    per chunk for all its policies, within DRAW_BUDGET_BYTES (module
+    docstring); bound to one model and keyed by each chunk's run seeds and
+    whether the target is sampled.
     """
 
     def __init__(self, model: SystemModel):
@@ -293,8 +285,14 @@ def _rollouts(policy: PreparedPolicy, model: SystemModel,
 
     Returns targets, states, inputs v and q, stage and terminal costs and z
     norms, each with a leading run axis. A non-finite cost or z norm raises
-    NonFiniteRollout naming its run (counted from `first_run`) and step.
+    NonFiniteRollout naming its run (counted from `first_run`) and step; a
+    model of another horizon or dimensions than the policy's raises
+    ValidationError.
     """
+    have, want = ((m.n, m.d0, m.d1, m.d2) for m in (model, policy.model))
+    if have != want:
+        raise ValidationError(f"model: (n, d0, d1, d2) = {have}, but policy "
+                              f"{policy.label} was prepared on {want}")
     n, d0, R = model.n, model.d0, len(seeds)
     if x_star is not None and np.shape(x_star) != (d0,):
         raise ValidationError(

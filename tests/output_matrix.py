@@ -7,8 +7,11 @@
 x sampled / preset:A / fixed targets x seeds 0, 7 x 50 / 500 / 1100 runs
 (1100 spans two Monte Carlo chunks), `compare` on both presets at a run
 count whose draws exceed `simulate.DRAW_BUDGET_BYTES`, `simulate` of every
-policy, and `optimize-power` on both presets, plus the fully actuated
-design at n = 120, epsilon = 1e-12 and at n = 1, epsilon = 1e-100. `diff`
+policy, `gains` and `optimize-power` on both presets, plus the fully
+actuated design at n = 120, epsilon = 1e-12 and at n = 1, epsilon =
+1e-100, and `compare` and `optimize-power` from a `--config` file on both
+presets, whose designed policy is off the flags' defaults (epsilon = 1e-6
+on the fully actuated one, budget 40 on the other). `diff`
 lists each file that differs, with its largest relative deviation over the
 numbers in it, and exits 1 if any file differs. `summary.json`, which records wall times, is
 left out of the comparison. This module is a tool, not a test module:
@@ -23,6 +26,7 @@ import json
 import math
 import re
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -37,6 +41,14 @@ BUDGET_RUNS = 20000
 # FA scalar designs off the CLI default: the benchmark's long design and
 # the overflow edge of one step
 LONG_DESIGNS = (("120", "1e-12"), ("1", "1e-100"))
+# case name -> (command, its config file without out_dir)
+CONFIGS = {
+    f"{command}-{tag}-config": (command, {
+        "system": preset, "runs": 200, "master_seed": 3, "target": "preset:A",
+        "policies": POLICIES[preset][:-1] + [{"name": POLICIES[preset][-1], **design}]})
+    for command in ("compare", "optimize-power")
+    for preset, tag, design in ((FA, "fa", {"epsilon": 1e-6}),
+                                (UA, "ua", {"budget": 40}))}
 
 
 def cases() -> dict[str, list[str]]:
@@ -55,10 +67,13 @@ def cases() -> dict[str, list[str]]:
             out[f"simulate-{tag}-{pol}"] = [
                 "simulate", "--preset", preset, "--policy", pol, "--runs", "200"]
         out[f"optimize-power-{tag}"] = ["optimize-power", "--preset", preset]
+        out[f"gains-{tag}"] = ["gains", "--preset", preset]
     for horizon, epsilon in LONG_DESIGNS:
         out[f"optimize-power-fa-n{horizon}-e{epsilon}"] = [
             "optimize-power", "--preset", FA, "--horizon", horizon,
             "--epsilon", epsilon]
+    for name, (command, _) in CONFIGS.items():
+        out[name] = [command, "--config"]
     return out
 
 
@@ -71,13 +86,21 @@ def run(src: Path, out: Path) -> None:
     budget = getattr(lqcoord.simulate, "DRAW_BUDGET_BYTES", None)
     if budget is not None and BUDGET_RUNS * 128 * 8 <= budget:
         raise SystemExit(f"{BUDGET_RUNS} runs no longer exceed the draw budget")
-    for name, argv in cases().items():
-        t0 = time.perf_counter()
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = lqcoord.cli.main(argv + ["--out", str(out / name)])
-        if code:
-            raise SystemExit(f"{name}: exit code {code}")
-        print(f"{name}: {time.perf_counter() - t0:.2f} s")
+    with tempfile.TemporaryDirectory() as configs:
+        for name, argv in cases().items():
+            if name in CONFIGS:
+                path = Path(configs) / f"{name}.json"
+                path.write_text(json.dumps({**CONFIGS[name][1],
+                                            "out_dir": str(out / name)}))
+                argv = argv + [str(path)]
+            else:
+                argv = argv + ["--out", str(out / name)]
+            t0 = time.perf_counter()
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = lqcoord.cli.main(argv)
+            if code:
+                raise SystemExit(f"{name}: exit code {code}")
+            print(f"{name}: {time.perf_counter() - t0:.2f} s")
 
 
 NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|-?inf")

@@ -3,10 +3,14 @@
 The verification stack behind the scalar solver: the reduced covariance
 surrogate (Z_t, Sigma_t) with the offset-feedback sequence L_t, its stage
 cost l_t, the Hamiltonian, the Sigma-costate and the power gradient. The
-surrogate treats the target as a fixed offset, so it is not the exact
-expected cost (`lqcoord.power.analytic` computes that); it is, however,
-exactly the object its own necessary conditions differentiate, which is
-what the gradient and stationarity checks require.
+surrogate treats the target as a fixed offset. On the isotropic family
+Lambda_t = a_t H^-1 it differs from the exact expected cost
+(`lqcoord.power.analytic`) by a schedule-independent constant, so the
+scalar solver's reduced cost is the exact cost above ex-comm there
+(`test_reduced_cost_is_the_exact_cost_above_ex_comm`); off that family it
+is not the exact cost. It is exactly the object its own necessary
+conditions differentiate, which is what the gradient and stationarity
+checks require.
 
 Every formula here is pinned by derivative identities: the expanded
 Hamiltonian equals the composed one to roundoff, and grad_lambda_fa /
@@ -22,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from channel_oracle import S_of, S_sqrt_of, eigh_desc, one_step
-from lqcoord.channel import ChannelSetup, contraction
+from channel_oracle import S_of, S_sqrt_of, contraction_fa, eigh_desc, one_step
+from lqcoord.channel import ChannelSetup
 from lqcoord.errors import LqcoordError
 from lqcoord.gains import GainSchedule
 from lqcoord.linalg import check_symmetric, psd_sqrt, sym_part
@@ -185,7 +189,7 @@ def theta_sigma_step(Sigma: np.ndarray, lam: np.ndarray,
     Q, Q1 = setup.Q, setup.Q1
     Sig12 = psd_sqrt(Sigma)
     S12 = S_sqrt_of(setup, lam)
-    V = contraction(setup, lam)
+    V = contraction_fa(lam, setup)
     thZ = thetaZ_next
 
     rhs1 = thetaSigma_next @ Sig12 @ V + V @ Sig12 @ thetaSigma_next

@@ -7,7 +7,8 @@ import pytest
 
 import lqcoord as lq
 from lqcoord import cli
-from lqcoord.config import config_from_dict, load_config, save_config
+from lqcoord.config import (ExperimentConfig, PolicyConfig, config_from_dict,
+                            load_config, save_config)
 from lqcoord.errors import (BudgetExhaustedWarning, HorizonMismatch, ParseError,
                             ValidationError)
 from lqcoord.simulate import AggregateReport
@@ -239,6 +240,38 @@ def test_cli_optimize_power_ua_budget_exhausted(tmp_path):
     assert rc == 0
     payload = json.loads((out / "power.json").read_text())
     assert payload["evals"] == 3 and payload["budget_exhausted"] is True
+
+
+@pytest.mark.parametrize("policies, horizon", [
+    ([{"name": "ex-comm"}, {"name": "im-comm-opt", "epsilon": 1e-6}], 30),
+    ([{"name": "im-comm-num", "budget": 3}], 8)], ids=["fa-epsilon", "ua-budget"])
+def test_cli_optimize_power_reads_the_config_policy(tmp_path, policies, horizon):
+    # the designed policy of --config sets the design; the flags' defaults
+    # (epsilon 1e-3, budget 5000) used to win
+    fully = policies[-1]["name"] == "im-comm-opt"
+    raw = {"system": lq.FULLY_ACTUATED if fully else lq.UNDER_ACTUATED,
+           "horizon": horizon, "policies": policies, "out_dir": str(tmp_path / "p")}
+    (tmp_path / "exp.json").write_text(json.dumps(raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BudgetExhaustedWarning)
+        assert run_cli(["optimize-power", "--config", str(tmp_path / "exp.json")]) == 0
+    payload = json.loads((tmp_path / "p" / "power.json").read_text())
+    if fully:
+        assert 0.9e-6 <= payload["achieved_terminal_ratio"] <= 1e-6
+    else:
+        assert payload["budget"] == payload["evals"] == 3
+        assert payload["budget_exhausted"] is True
+
+
+@pytest.mark.parametrize("field, value", [
+    ("runs", "3"), ("runs", 2.7), ("horizon", "5"), ("target", ("a", 1, 2, 3))])
+def test_config_dataclass_checks_each_field(field, value):
+    # the dataclass makes the checks a JSON config gets: these used to
+    # escape as a raw TypeError or ValueError, or to be accepted
+    fields = {"system": lq.FULLY_ACTUATED, "policies": (PolicyConfig("ex-comm"),),
+              field: value}
+    with pytest.raises(ValidationError, match=f"^{field}"):
+        ExperimentConfig(**fields)
 
 
 def test_cli_error_exit_code(capsys):

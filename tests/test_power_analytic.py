@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import channel_oracle as oracle
+import joint_oracle
 import lqcoord as lq
+from lqcoord.errors import SigmaNearSingular
 from lqcoord.linalg import svd_factor
 from lqcoord.policies import PolicyKind, make_policy
 from lqcoord.power import expected_total_cost, heuristic_schedule
@@ -311,3 +313,31 @@ def test_cost_and_gradient_take_one_eigh_per_step(ua_model, ua_gains, ua_channel
     assert len(calls) == ua_model.n == 30
     evaluator.gradient()
     assert len(calls) == 30
+
+
+def test_gradient_overflow_names_its_step():
+    # on the FA heuristic at n = 120, Sigma_t's eigenvalues fall to ~1e-243
+    # and the reverse pass overflows from step 112 down while the cost stays
+    # finite: a typed error naming that step, and no RuntimeWarning (which
+    # pytest makes an error here)
+    model = lq.fully_actuated_model(n=120)
+    pol = make_policy(PolicyKind.IM_COMM_FA, model)
+    evaluator = TailCostEvaluator(pol.gains, pol.setup, model)
+    assert np.isfinite(evaluator.cost(pol.power.Lambda))
+    with pytest.raises(SigmaNearSingular, match="at step 112,"):
+        evaluator.gradient()
+
+
+def test_ua_long_horizon_gradient_stays_finite():
+    # the UA heuristic keeps Sigma_t well conditioned at n = 120, so its
+    # gradient is finite and is the step-by-step reverse pass's
+    model = lq.under_actuated_model(n=120)
+    pol = make_policy(PolicyKind.IM_COMM_UA, model)
+    lam = pol.power.Lambda
+    evaluator = TailCostEvaluator(pol.gains, pol.setup, model)
+    evaluator.cost(lam)
+    grad = evaluator.gradient()
+    steps = joint_oracle.forward(lam, pol.gains, pol.setup, model)
+    expected = joint_oracle.gradient(steps, lam, pol.setup, model)
+    assert np.all(np.isfinite(grad))
+    np.testing.assert_allclose(grad, expected, rtol=1e-10, atol=0)

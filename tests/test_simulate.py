@@ -405,3 +405,18 @@ def test_shared_draws_bound_to_their_model(fa_model):
     pol = make_policy(PolicyKind.EX_COMM, other)
     with pytest.raises(ValidationError, match="another model"):
         monte_carlo(pol, other, None, 5, 0, draws=simulate.SharedDraws(fa_model))
+
+
+@pytest.mark.parametrize("other", [lambda: lq.fully_actuated_model(n=10),
+                                   lambda: lq.fully_actuated_model(n=40),
+                                   lambda: lq.under_actuated_model(n=30)],
+                         ids=["shorter", "longer", "other-dimensions"])
+def test_policy_runs_only_on_a_model_like_its_own(fa_model, other):
+    # a policy prepared on one model used to run on another of a different
+    # horizon (a report of the wrong length), raise a bare IndexError or a
+    # broadcast ValueError
+    pol = make_policy(PolicyKind.IM_COMM_FA, fa_model)
+    with pytest.raises(ValidationError, match="^model: "):
+        monte_carlo(pol, other(), None, 5, 0)
+    with pytest.raises(ValidationError, match="^model: "):
+        rollout(pol, other(), None, 0)
