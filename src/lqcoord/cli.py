@@ -153,28 +153,41 @@ def _float_arg(text: str, flag: str) -> float:
         raise ParseError(f"{flag}: '{text}' is not a number") from None
 
 
+# The flags' defaults. A flag left out parses to None, so that one given
+# next to --config, whose file sets them all, can be told apart.
+FLAG_DEFAULTS = {"preset": None, "horizon": None, "runs": 50, "seed": 0,
+                 "theta": 0.88, "epsilon": 1e-3, "budget": 5000,
+                 "out": "results", "target": "sampled", "policy": None}
+
+
 def _config_from_args(args: argparse.Namespace, policies: list[str]) -> ExperimentConfig:
+    given = {k: v for k in FLAG_DEFAULTS if (v := getattr(args, k, None)) is not None}
     if args.config:
+        if given:
+            raise ValidationError(
+                f"{', '.join('--' + k for k in given)}: given next to --config, "
+                "whose file sets the whole experiment")
         return load_config(args.config)
-    if not args.preset:
+    if "preset" not in given:
         raise ValidationError("either --config or --preset is required")
+    opt = {**FLAG_DEFAULTS, **given}
+    target = opt["target"]
     raw = {
-        "system": args.preset,
-        "horizon": args.horizon,
-        "policies": [{"name": p, "theta": args.theta, "epsilon": args.epsilon,
-                      "budget": args.budget} for p in policies],
-        "runs": args.runs,
-        "master_seed": args.seed,
-        "target": args.target if args.target == "sampled"
-                  or args.target.startswith("preset:")
-                  else [_float_arg(v, "--target") for v in args.target.split(",")],
-        "out_dir": args.out,
+        "system": opt["preset"],
+        "horizon": opt["horizon"],
+        "policies": [{"name": p, "theta": opt["theta"], "epsilon": opt["epsilon"],
+                      "budget": opt["budget"]} for p in policies],
+        "runs": opt["runs"],
+        "master_seed": opt["seed"],
+        "target": target if target == "sampled" or target.startswith("preset:")
+                  else [_float_arg(v, "--target") for v in target.split(",")],
+        "out_dir": opt["out"],
     }
     return config_from_dict(raw)
 
 
 def cmd_simulate(args) -> int:
-    config = _config_from_args(args, [args.policy])
+    config = _config_from_args(args, [args.policy or "im-comm-heu"])
     for path in run_experiment(config):
         print(path)
     return 0
@@ -263,18 +276,18 @@ def cmd_optimize_power(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON experiment config")
+    # no defaults here: FLAG_DEFAULTS fills in the flags left out
+    p.add_argument("--config", help="JSON experiment config, instead of the flags")
     p.add_argument("--preset", choices=[presets.FULLY_ACTUATED, presets.UNDER_ACTUATED],
                    help="built-in system")
-    p.add_argument("--runs", type=int, default=50)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--theta", type=float, default=0.88)
-    p.add_argument("--epsilon", type=float, default=1e-3)
-    p.add_argument("--budget", type=int, default=5000)
-    p.add_argument("--out", default="results")
-    p.add_argument("--target", default="sampled",
-                   help='"v1,v2,..." | sampled | preset:<A|B|C>')
+    p.add_argument("--runs", type=int)
+    p.add_argument("--horizon", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--theta", type=float)
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--budget", type=int)
+    p.add_argument("--out")
+    p.add_argument("--target", help='"v1,v2,..." | sampled | preset:<A|B|C>')
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -289,8 +302,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("simulate", help="Monte Carlo for one policy")
     _add_common(p)
-    p.add_argument("--policy", default="im-comm-heu",
-                   help="ex-comm|leader-only|no-comm|im-comm-heu|im-comm-opt|im-comm-num")
+    p.add_argument("--policy", help="ex-comm|leader-only|no-comm|im-comm-heu"
+                   "|im-comm-opt|im-comm-num (default im-comm-heu)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("optimize-power", help="solve for a power schedule")

@@ -94,6 +94,9 @@ class ExperimentConfig:
             raise ValidationError(f"out_dir: {self.out_dir!r} is not a string")
         if not self.policies:
             raise ValidationError("policies: at least one policy is required")
+        for i, pol in enumerate(self.policies):
+            if not isinstance(pol, PolicyConfig):
+                raise ValidationError(f"policies[{i}]: {pol!r} is not a PolicyConfig")
         runs = _number("runs", self.runs, integer=True)
         horizon = (None if self.horizon is None
                    else _number("horizon", self.horizon, integer=True))

@@ -22,8 +22,9 @@ carried scaled, phi_t = theta_t b_t, a suffix sum from phi_n = mu = nu b_n:
 
 This form never divides by b_t, so it stays finite after b underflows.
 
-Each solve is one projected Newton iteration in u = log a on the reduced
-cost, with the exact gradient g_t a_t and the analytic Hessian. With
+Each solve is one projected Newton iteration on the reduced cost, in
+u = log a (or in sqrt a on the target, below), with the exact gradient
+g_t a_t and the analytic Hessian. With
 psi_m = mu + sum_{k>=m} (c3_k b_k + c2_k sqrt(a_k b_k)/4) and
 q_t = c2_t sqrt(b_t/a_t)/4, the Hessian of J in a is
 
@@ -63,36 +64,48 @@ vanishes once b grows past (2 c1/|c2|)^2, so the sweep either dies or
 returns a near-zero schedule inconsistent with b_0 = 1.
 
 The terminal-accuracy target b_n <= epsilon binds when the free optimum
-(nu = 0) misses it. The design then solves once more, on the surface
-sum_t log1p(a_t) = -log epsilon (plus B_N_MARGIN), with the multiplier
-carried as mu = nu b_n = phi_n throughout and nu = mu/b_n formed once, on
-return: mu stays of the order of c1 while nu grows like
-epsilon^-(1+1/n), so nothing underflows at epsilon = 1e-100. The
-solve starts from the free optimum with the missing contraction spread
-evenly over log1p(a), and every iterate stays on the surface: after each
-step the free entries are scaled by one common factor, found by a
-monotone one-dimensional Newton iteration, that restores it. With
-x = a/(1+a), the gradient of -log b_n in u, the step and the new
-multiplier come out of one bordered (KKT) solve
+(nu = 0) misses it, and a design then takes two Newton solves, not one.
+The free one only seeds the second, so once its b_n exceeds SEED_MARGIN
+epsilon it stops at RESIDUAL_TOL, without the roundoff polish. The second
+runs on the surface sum_t log1p(a_t) = -log epsilon (plus B_N_MARGIN),
+with the multiplier carried as mu = nu b_n = phi_n throughout and nu =
+mu/b_n formed once, on return: mu stays of the order of c1 while nu grows
+like epsilon^-(1+1/n), so nothing underflows at epsilon = 1e-100. It
+starts from the free optimum with the missing contraction spread evenly
+over log1p(a), and every iterate stays on the surface: after each step
+the free entries are scaled by one common factor, found by a monotone
+one-dimensional Newton iteration, that restores it.
 
-    [H, -x; -x', 0] [du; mu] = [-g(a, 0) a; 0],
+Its Newton steps are taken in v = 2 sqrt(a/a_k) about the current a_k.
+Far above a tail entry's optimum c1 a + c2 sqrt(a b) is linear in a, so
+Newton in u walks down one e-fold per step (at n = 120, epsilon = 1e-12
+some 21 steps for a_119 alone); in v that term is quadratic, and one
+step lands on it. As dv = du and d^2u/dv^2 = -1/2 at a_k, the gradient
+in v is the one in u, and the Hessian of the Lagrangian J + nu b_n is the
+one above with its diagonal lowered by a g(a, nu)/2: the same generators.
+A step delta maps back to u + 2 log1p(delta/2), the floor where delta <=
+-2, and the line search halves delta before that map, so the restored
+trial point stays on a descent path. Where that Hessian needs an identity
+shift, the step is the plain one in u. With x = a/(1+a), the gradient of
+-log b_n in u and v, the step and the new multiplier come out of one
+bordered (KKT) solve (Nocedal & Wright, ch. 18)
 
-with H the Hessian above at the current mu and g(a, 0) = g(a, nu) +
-mu/(1+a) (Nocedal & Wright, ch. 18). The border x is the
-Hessian's own generator. The system is solved on the O(n) factor through
-the Schur complement: with r = -g(a, 0) a, mu = -x'H^-1 r / x'H^-1 x and
-du = H^-1 (r + mu x), so two sweeps give H^-1 r and H^-1 x. Since du is
-tangent to x, H may be replaced by H + rho x x', whose generators are
-(x, y + rho x, diag + rho x^2); with rho x'x the size of the shifted,
-scaled diagonal, the sum has no near-singular direction along x for the
-Schur complement to amplify. The step is tangent to the surface and, with
-H shifted positive definite, descends J at nu = 0, on which the Armijo
-test runs; the residual test uses g(a, nu) at the new mu.
-The free solve is the same routine without the border, so a design takes
-one Newton solve, or two when the target binds. A negative multiplier at
-the end says J still falls into b_n < epsilon, which the nonconvex J of
-a system with some c2_t > 0 allows; a third, free, solve from there then
-releases the target, and is kept if it still meets it.
+    [H, -x; -x', 0] [dv; mu] = [-g(a, 0) a; 0],
+
+with H that Hessian at the current mu and g(a, 0) = g(a, nu) + mu/(1+a).
+The border x is the Hessian's own generator. The system is solved on the
+O(n) factor through the Schur complement: with r = -g(a, 0) a, mu =
+-x'H^-1 r / x'H^-1 x and dv = H^-1 (r + mu x), so two sweeps give H^-1 r
+and H^-1 x. Since dv is tangent to x, H may be replaced by H + rho x x',
+whose generators are (x, y + rho x, diag + rho x^2); with rho x'x the
+size of the shifted, scaled diagonal, the sum has no near-singular
+direction along x for the Schur complement to amplify. The step is
+tangent to the surface and, with H positive definite (shifted, in u),
+descends J at nu = 0, on which the Armijo test runs; the residual test
+uses g(a, nu) at the new mu. A negative multiplier at the end says J
+still falls into b_n < epsilon, which the nonconvex J of a system with
+some c2_t > 0 allows; a third, free, solve from there then releases the
+target, and is kept if it still meets it.
 
 The constants c1/c2/c3 absorb the state-error costates (`costate_Z`:
 theta_Z,n = Fn, theta_Z,t = F + K'GK + Abar' theta_Z,t+1 Abar) and the
@@ -125,9 +138,12 @@ RESIDUAL_TOL = 1e-10
 NEWTON_MAXITER = 100          # Newton steps per solve
 MAX_BACKTRACKS = 40           # step halvings per Newton step
 MAX_LOG_STEP = np.log(1e4)    # largest change of any log a_t in one step
+V_STEP_MAX = 2.0 * np.expm1(0.5 * MAX_LOG_STEP)   # that rise of log a_t, in v
 ARMIJO = 1e-4                 # sufficient-decrease constant of the line search
 HESS_SHIFT = 1e-3             # first identity shift of the scaled Hessian
 LOG_NU_MAX = np.log(np.finfo(float).max)
+SEED_MARGIN = 2.0             # b_n / epsilon past which the free optimum is
+                              # only a seed and skips the roundoff polish
 B_N_MARGIN = 1e-13            # relative gap aimed for below epsilon, so that
                               # rounding can not lift b_n above it
 
@@ -263,11 +279,12 @@ def _ldl_solve(y: list, D: list, w: list, r: list) -> list:
 
 
 def _newton_step(x: np.ndarray, y: np.ndarray, diag: np.ndarray,
-                 grad: np.ndarray, bordered: bool = False
-                 ) -> tuple[np.ndarray, bool]:
+                 grad: np.ndarray, bordered: bool = False, may_shift: bool = True
+                 ) -> tuple[np.ndarray, bool] | None:
     """The Newton step p on the Hessian generators (x, y, diag) and grad,
     or when bordered the KKT solution (p, mu) stacked; also says whether
-    the Hessian needed no identity shift."""
+    the Hessian needed no identity shift; None where it needs one and
+    may_shift is False."""
     d = np.sqrt(np.abs(diag))
     d[d == 0.0] = 1.0
     # diag/d^2 may round to just above -1, and a shift of 1 would then
@@ -275,6 +292,8 @@ def _newton_step(x: np.ndarray, y: np.ndarray, diag: np.ndarray,
     xs, ys, hs = (x / d).tolist(), (y / d).tolist(), np.sign(diag).tolist()
     shift = 0.0
     while (factor := _ldl(xs, ys, hs)) is None:
+        if not may_shift:
+            return None
         raised = max(10.0 * shift, HESS_SHIFT)
         hs = [h + (raised - shift) for h in hs]
         shift = raised
@@ -324,10 +343,11 @@ def _restore(a: np.ndarray, free: np.ndarray, log_target: float) -> np.ndarray:
 
 
 def _newton_solve(c: ConstantsTable, a: np.ndarray,
-                  log_target: float | None = None
+                  log_target: float | None = None, seed_above: float = np.inf
                   ) -> tuple[_Point, np.ndarray, float]:
     """One projected Newton solve from a >= A_FLOOR: free (nu = 0), or on
-    the surface log b_n = log_target, where a must start.
+    the surface log b_n = log_target, where a must start. A free solve
+    stops at RESIDUAL_TOL once b_n lies above seed_above.
 
     Returns the point, its projected residual (g, zero on the entries held
     at A_FLOOR) and nu = mu / b_n.
@@ -347,20 +367,30 @@ def _newton_solve(c: ConstantsTable, a: np.ndarray,
         free = _free(u, g)
         worst = np.abs(g[free]).max(initial=0.0)
         converged = worst <= RESIDUAL_TOL
+        if converged and point.b[-1] > seed_above:
+            break
         hess = point.hess
         if not free.all():   # a principal submatrix keeps the generators
             hess = [v[free] for v in hess]
         step = np.zeros_like(u)
+        in_v = False   # a step in v = 2 sqrt(a/a_k), not in u
         if log_target is None:
             step[free], newton = _newton_step(*hess, grad[free])
             trial_mu = 0.0
         else:
-            sol, newton = _newton_step(*hess, grad[free], bordered=True)
+            hess_v = (*hess[:2], hess[2] - 0.5 * (a * g)[free])
+            sol = _newton_step(*hess_v, grad[free], bordered=True, may_shift=False)
+            in_v = sol is not None
+            sol, newton = sol if in_v else _newton_step(*hess, grad[free], bordered=True)
             step[free], trial_mu = sol[:-1], sol[-1]
-        step *= min(1.0, MAX_LOG_STEP / np.abs(step).max(initial=MAX_LOG_STEP))
+        if in_v:
+            step *= min(1.0, V_STEP_MAX / step.max(initial=V_STEP_MAX))
+        else:
+            step *= min(1.0, MAX_LOG_STEP / np.abs(step).max(initial=MAX_LOG_STEP))
         for _ in range(1 if converged else MAX_BACKTRACKS):
-            with np.errstate(over="ignore", invalid="ignore"):
-                trial_a = np.exp(np.maximum(u + step, U_FLOOR))
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                du = 2.0 * np.log1p(0.5 * np.maximum(step, -2.0)) if in_v else step
+                trial_a = np.exp(np.maximum(u + du, U_FLOOR))
                 if log_target is not None:
                     trial_a = _restore(trial_a, free, log_target)
                 trial_u = np.log(trial_a)
@@ -377,10 +407,13 @@ def _newton_solve(c: ConstantsTable, a: np.ndarray,
             break
         point, u, mu = trial, trial_u, trial_mu
         reached = [min(reached[0], u.min()), max(reached[1], u.max())]
+    nu = mu / point.b[-1] if mu else 0.0
+    if nu * point.b[-1] != mu:   # report g as stationarity_residuals forms it
+        point = _evaluate(point.a, c, nu * point.b[-1])
     resid = np.where(_free(u, point.g), point.g, 0.0)
     t = int(np.abs(resid).argmax())
     if abs(resid[t]) <= RESIDUAL_TOL:
-        return point, resid, mu / point.b[-1] if mu else 0.0
+        return point, resid, nu
     lo, hi = np.exp(reached)
     raise NoRootFound(
         f"stationarity system not solvable to {RESIDUAL_TOL:g}: the "
@@ -416,7 +449,7 @@ def scalar_backward_solve(constants: ConstantsTable, epsilon: float,
     # myopic initializer: per-step optimum ignoring the b-coupling
     a0 = np.clip(c.c2 ** 2 / (4.0 * c.c1 ** 2) * 0.5, 1e-6, 1e2)
 
-    point, resid, nu = _newton_solve(c, a0)
+    point, resid, nu = _newton_solve(c, a0, seed_above=SEED_MARGIN * epsilon)
     inner_solves = 1
     if point.b[-1] > epsilon:
         # The accuracy target binds: start from the free optimum with the

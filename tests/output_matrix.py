@@ -8,14 +8,14 @@ x sampled / preset:A / fixed targets x seeds 0, 7 x 50 / 500 / 1100 runs
 (1100 spans two Monte Carlo chunks), `compare` on both presets at a run
 count whose draws exceed `simulate.DRAW_BUDGET_BYTES`, `simulate` of every
 policy, `gains` and `optimize-power` on both presets, plus the fully
-actuated design at n = 120, epsilon = 1e-12 and at n = 1, epsilon =
-1e-100, and `compare` and `optimize-power` from a `--config` file on both
-presets, whose designed policy is off the flags' defaults (epsilon = 1e-6
-on the fully actuated one, budget 40 on the other). `diff`
-lists each file that differs, with its largest relative deviation over the
-numbers in it, and exits 1 if any file differs. `summary.json`, which records wall times, is
-left out of the comparison. This module is a tool, not a test module:
-pytest does not collect it.
+actuated design at n = 120 and n = 1000, epsilon = 1e-12, and at n = 1,
+epsilon = 1e-100, and `compare` and `optimize-power` from a `--config`
+file on both presets, whose designed policy is off the flags' defaults
+(epsilon = 1e-6 on the fully actuated one, budget 40 on the other).
+`diff` lists each file that differs, with its largest relative deviation
+over the numbers in it, and exits 1 if any file differs. `summary.json`,
+which records wall times, is left out of the comparison. This module is a
+tool, not a test module: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -38,9 +38,10 @@ SKIPPED = {"summary.json"}
 # past the store's budget at the presets' 30 steps (124 doubles per run
 # and 4 more for a sampled target): 20000 runs draw 20.5 MB
 BUDGET_RUNS = 20000
-# FA scalar designs off the CLI default: the benchmark's long design and
-# the overflow edge of one step
-LONG_DESIGNS = (("120", "1e-12"), ("1", "1e-100"))
+# FA scalar designs off the CLI default: the benchmark's long design, a
+# longer one whose solve on the target is the longest, and the overflow
+# edge of one step
+LONG_DESIGNS = (("120", "1e-12"), ("1000", "1e-12"), ("1", "1e-100"))
 # case name -> (command, its config file without out_dir)
 CONFIGS = {
     f"{command}-{tag}-config": (command, {

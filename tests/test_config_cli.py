@@ -274,6 +274,33 @@ def test_config_dataclass_checks_each_field(field, value):
         ExperimentConfig(**fields)
 
 
+def test_config_dataclass_checks_each_policy():
+    # a policy name where a PolicyConfig belongs used to build, and
+    # run_experiment then died with an AttributeError
+    with pytest.raises(ValidationError, match=r"^policies\[1\]: 'ex-comm' is not"):
+        ExperimentConfig(system=lq.FULLY_ACTUATED,
+                         policies=(PolicyConfig("no-comm"), "ex-comm"))
+
+
+@pytest.mark.parametrize("flags", [["--epsilon", "1e-9"], ["--out", "elsewhere"],
+                                   ["--runs", "50", "--epsilon", "1e-3"],
+                                   ["--policy", "ex-comm"]],
+                         ids=["epsilon", "out", "defaults", "policy"])
+def test_cli_rejects_flags_next_to_config(capsys, tmp_path, monkeypatch, flags):
+    # the config file used to win silently: the design ran at the file's
+    # epsilon and wrote to its out_dir. A flag given at its default value
+    # is rejected too
+    monkeypatch.chdir(tmp_path)
+    raw = {"system": lq.FULLY_ACTUATED, "policies": ["ex-comm"], "runs": 2}
+    (tmp_path / "exp.json").write_text(json.dumps(raw))
+    assert run_cli(["simulate", "--config", "exp.json", *flags]) == 1
+    err = capsys.readouterr().err
+    named = ", ".join(f for f in flags if f.startswith("--"))
+    assert err.startswith(f"error: {named}: given next to --config"), err
+    assert not (tmp_path / "results").exists() and not (tmp_path / "elsewhere").exists()
+    assert run_cli(["simulate", "--config", "exp.json"]) == 0
+
+
 def test_cli_error_exit_code(capsys):
     rc = run_cli(["simulate", "--preset", lq.FULLY_ACTUATED, "--runs", "0",
                   "--policy", "ex-comm"])

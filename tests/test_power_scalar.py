@@ -372,6 +372,7 @@ def test_newton_step_shifts_an_indefinite_hessian_to_a_descent_direction():
     step, unshifted = _newton_step(*gens, grad)
     assert not unshifted
     assert step @ grad < 0.0
+    assert _newton_step(*gens, grad, may_shift=False) is None
 
 
 def _dominant_generators(rng, m):
@@ -470,32 +471,81 @@ def test_tiny_epsilon_meets_kkt_at_the_floor(epsilon):
     assert sched.achieved_terminal_ratio == pytest.approx(epsilon, rel=1e-6)
 
 
-def test_long_horizon_solve_work_count(monkeypatch):
-    # Newton on the analytic Hessian needs no finite-difference Jacobian,
-    # and the multiplier comes out of the Newton step: the whole n=120
-    # design (the free solve and the solve on the target) evaluates at
-    # most 80 trial points and takes at most 60 Newton steps (the Brent
-    # search over the multiplier took 82 steps), each trial point evaluated
-    # once, its Hessian included
+@pytest.mark.parametrize("n,epsilon", [(2, 1e-12), (30, 1e-20), (120, 1e-12)])
+def test_stored_residuals_are_the_public_residuals(n, epsilon):
+    # the schedule's residuals are g at nu b_n, as stationarity_residuals
+    # forms it, not at the solve's mu, from which nu b_n differs in the
+    # last bit at these two first cases
+    sched, _ = _solve_fa(n, epsilon)
+    gains, setup, model = _fa_design(n)
+    g = stationarity_residuals(sched.a, scalar_constants(gains, setup, model),
+                               sched.terminal_multiplier)
+    np.testing.assert_array_equal(sched.stationarity_residuals, g)
+
+
+def _count_work(monkeypatch):
+    """Lists that grow by one per `_evaluate` call and per `_newton_step`
+    call (True where bordered, the solve on the target)."""
     calls, steps = [], []
     monkeypatch.setattr(scalar, "_evaluate",
                         lambda *args: calls.append(1) or _evaluate(*args))
     monkeypatch.setattr(scalar, "_newton_step",
-                        lambda *args, **kw: steps.append(1) or _newton_step(*args, **kw))
+                        lambda *args, **kw: steps.append(kw.get("bordered", False))
+                        or _newton_step(*args, **kw))
+    return calls, steps
+
+
+def test_long_horizon_solve_work_count(monkeypatch):
+    # Newton on the analytic Hessian needs no finite-difference Jacobian,
+    # and the multiplier comes out of the Newton step: the whole n=120
+    # design (the free solve and the solve on the target) evaluates 28
+    # trial points and takes 23 Newton steps (the Brent search over the
+    # multiplier took 82 steps), each trial point evaluated once, its
+    # Hessian included. The solve on the target steps in sqrt a: in log a
+    # it walked a_119 down one e-fold per step and took 31 steps, not 9
+    calls, steps = _count_work(monkeypatch)
     gains, setup, model = _fa_design(120)
     sched = solve_scalar_power(gains, setup, model, epsilon=1e-12)
-    assert 0 < len(calls) <= 80
-    assert 0 < len(steps) <= 60
+    assert 0 < len(calls) <= 28
+    assert 0 < len(steps) <= 23
+    assert 0 < sum(steps) <= 10
     # a whole fa-design benchmark pass adds the CLI default (n = 30,
-    # eps = 1e-3); with the dense Cholesky + LU step the pass took 74
-    # steps, and with b and the costate rebuilt by each partial evaluation
-    # it evaluated g alone 83 times
+    # eps = 1e-3); with every step in log a the pass took 69 steps and
+    # evaluated 79 points, with the dense Cholesky + LU step 74 steps, and
+    # with b and the costate rebuilt by each partial evaluation it
+    # evaluated g alone 83 times
     solve_scalar_power(*_fa_design(30), epsilon=1e-3)
-    assert len(steps) <= 74
-    assert len(calls) <= 83
+    assert len(steps) <= 42
+    assert len(calls) <= 52
     resid = stationarity_residuals(sched.a, scalar_constants(gains, setup, model),
                                    sched.terminal_multiplier)
     assert np.abs(resid).max() <= RESIDUAL_TOL
+
+
+def test_longest_horizon_tight_epsilon_work_count(monkeypatch):
+    # n = 1000 at eps = 1e-12 took 87 Newton steps in log a, against 20 at
+    # eps = 1e-3; the steps in sqrt a on the target take 36
+    _, steps = _count_work(monkeypatch)
+    gains, setup, model = _fa_design(1000)
+    sched = solve_scalar_power(gains, setup, model, epsilon=1e-12)
+    assert 0 < len(steps) <= 40
+    assert np.abs(sched.stationarity_residuals).max() <= RESIDUAL_TOL
+    assert sched.achieved_terminal_ratio == pytest.approx(1e-12, rel=1e-6)
+
+
+def test_sqrt_steps_backtrack_before_the_map():
+    # a random system whose multiplier is ~2.36e6: halving the sqrt-a step
+    # after its map to log a, rather than before it, left a non-descent
+    # direction once the trial point was restored onto the surface, and
+    # raised NoRootFound after 40 halvings
+    model = random_system(np.random.default_rng(2239211208), 3, 4, 1, 52)
+    setup = fa_setup(model.B1, model.W)
+    c = scalar_constants(backward_riccati(model), setup, model)
+    sched = scalar_backward_solve(c, 1e-6, model, setup)
+    assert sched.inner_solves == 2
+    assert sched.terminal_multiplier == pytest.approx(2.3647900110751e6, rel=1e-9)
+    assert np.abs(sched.stationarity_residuals).max() <= RESIDUAL_TOL
+    assert sched.achieved_terminal_ratio <= 1e-6
 
 
 def test_fa_design_does_not_depend_on_the_blas_thread_count(tmp_path):
