@@ -153,15 +153,19 @@ def _float_arg(text: str, flag: str) -> float:
         raise ParseError(f"{flag}: '{text}' is not a number") from None
 
 
-# The flags' defaults. A flag left out parses to None, so that one given
-# next to --config, whose file sets them all, can be told apart.
-FLAG_DEFAULTS = {"preset": None, "horizon": None, "runs": 50, "seed": 0,
-                 "theta": 0.88, "epsilon": 1e-3, "budget": 5000,
-                 "out": "results", "target": "sampled", "policy": None}
+# The experiment flags. One left out parses to None, so that one given next
+# to --config, whose file sets the whole experiment, can be told apart; the
+# config's dataclasses hold the defaults of those left out.
+FLAGS = ("preset", "horizon", "runs", "seed", "theta", "epsilon", "budget",
+         "out", "target", "policy")
+# flag -> its key in the config file; theta, epsilon and budget go to
+# every policy
+_CONFIG_KEYS = {"horizon": "horizon", "runs": "runs", "seed": "master_seed",
+                "out": "out_dir", "target": "target"}
 
 
 def _config_from_args(args: argparse.Namespace, policies: list[str]) -> ExperimentConfig:
-    given = {k: v for k in FLAG_DEFAULTS if (v := getattr(args, k, None)) is not None}
+    given = {k: v for k in FLAGS if (v := getattr(args, k, None)) is not None}
     if args.config:
         if given:
             raise ValidationError(
@@ -170,19 +174,13 @@ def _config_from_args(args: argparse.Namespace, policies: list[str]) -> Experime
         return load_config(args.config)
     if "preset" not in given:
         raise ValidationError("either --config or --preset is required")
-    opt = {**FLAG_DEFAULTS, **given}
-    target = opt["target"]
-    raw = {
-        "system": opt["preset"],
-        "horizon": opt["horizon"],
-        "policies": [{"name": p, "theta": opt["theta"], "epsilon": opt["epsilon"],
-                      "budget": opt["budget"]} for p in policies],
-        "runs": opt["runs"],
-        "master_seed": opt["seed"],
-        "target": target if target == "sampled" or target.startswith("preset:")
-                  else [_float_arg(v, "--target") for v in target.split(",")],
-        "out_dir": opt["out"],
-    }
+    target = given.get("target", "sampled")
+    if not (target == "sampled" or target.startswith("preset:")):
+        given["target"] = [_float_arg(v, "--target") for v in target.split(",")]
+    design = {k: given[k] for k in ("theta", "epsilon", "budget") if k in given}
+    raw = {"system": given["preset"],
+           "policies": [{"name": p, **design} for p in policies],
+           **{key: given[flag] for flag, key in _CONFIG_KEYS.items() if flag in given}}
     return config_from_dict(raw)
 
 
@@ -276,7 +274,7 @@ def cmd_optimize_power(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    # no defaults here: FLAG_DEFAULTS fills in the flags left out
+    # no defaults here: the config's dataclasses fill in the flags left out
     p.add_argument("--config", help="JSON experiment config, instead of the flags")
     p.add_argument("--preset", choices=[presets.FULLY_ACTUATED, presets.UNDER_ACTUATED],
                    help="built-in system")

@@ -23,14 +23,12 @@ im-comm-num (under-actuated, numerically optimized power).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
-from .errors import LqcoordError, ParseError, ValidationError
+from .errors import LqcoordError, ParseError, ValidationError, checked_number
 from .model import SystemModel
 from .presets import TARGETS, load_preset
 from .simulate import check_seed
@@ -39,16 +37,6 @@ POLICY_NAMES = ("ex-comm", "leader-only", "no-comm",
                 "im-comm-heu", "im-comm-opt", "im-comm-num")
 
 _MATRIX_FIELDS = ("A", "B1", "B2", "W", "F", "Fn", "G1", "G2", "Sigma0", "X0")
-
-
-def _number(name: str, value, integer: bool = False) -> float | int:
-    """A finite number, never a bool or a string; an integer field rejects
-    2.7 rather than read it as 2."""
-    if (isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
-            and (not integer or float(value).is_integer())):
-        return int(value) if integer else float(value)
-    raise ValidationError(f"{name}: {value!r} is not "
-                          + ("an integer" if integer else "a finite number"))
 
 
 @dataclass(frozen=True)
@@ -60,9 +48,9 @@ class PolicyConfig:
 
     def __post_init__(self):
         for fname in ("theta", "epsilon", "budget"):
-            object.__setattr__(self, fname, _number(f"policies[].{fname}",
-                                                    getattr(self, fname),
-                                                    integer=fname == "budget"))
+            object.__setattr__(self, fname, checked_number(f"policies[].{fname}",
+                                                           getattr(self, fname),
+                                                           integer=fname == "budget"))
         if self.name not in POLICY_NAMES:
             raise ValidationError(
                 f"policies[].name: '{self.name}' not one of {POLICY_NAMES}")
@@ -97,17 +85,18 @@ class ExperimentConfig:
         for i, pol in enumerate(self.policies):
             if not isinstance(pol, PolicyConfig):
                 raise ValidationError(f"policies[{i}]: {pol!r} is not a PolicyConfig")
-        runs = _number("runs", self.runs, integer=True)
+        runs = checked_number("runs", self.runs, integer=True)
         horizon = (None if self.horizon is None
-                   else _number("horizon", self.horizon, integer=True))
+                   else checked_number("horizon", self.horizon, integer=True))
         for name, value in (("runs", runs), ("horizon", horizon)):
             if value is not None and value < 1:
                 raise ValidationError(f"{name}: {value} must be >= 1")
-        seed = _number("master_seed", self.master_seed, integer=True)
+        seed = checked_number("master_seed", self.master_seed, integer=True)
         check_seed("master_seed", seed)
         target = self.target
         if isinstance(target, (list, tuple, np.ndarray)):
-            target = tuple(_number(f"target[{i}]", v) for i, v in enumerate(target))
+            target = tuple(checked_number(f"target[{i}]", v)
+                           for i, v in enumerate(target))
         for name, value in (("runs", runs), ("horizon", horizon),
                             ("master_seed", seed), ("target", target)):
             object.__setattr__(self, name, value)
@@ -188,15 +177,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             policies.append(PolicyConfig(**p))
         except TypeError as exc:
             raise ValidationError(f"policies[{i}]: {exc}") from exc
-    return ExperimentConfig(
-        system=raw["system"],
-        policies=tuple(policies),
-        runs=raw.get("runs", 50),
-        horizon=raw.get("horizon"),
-        master_seed=raw.get("master_seed", 0),
-        target=raw.get("target", "sampled"),
-        out_dir=raw.get("out_dir", "results"),
-    )
+    # a field left out takes the dataclass's default
+    given = {k: raw[k] for k in ("runs", "horizon", "master_seed", "target",
+                                 "out_dir") if k in raw}
+    return ExperimentConfig(system=raw["system"], policies=tuple(policies), **given)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

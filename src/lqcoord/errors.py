@@ -1,4 +1,7 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the numeric-field check."""
+
+import math
+from numbers import Real
 
 
 class LqcoordError(Exception):
@@ -73,3 +76,13 @@ class ValidationError(LqcoordError):
 
 class BudgetExhaustedWarning(UserWarning):
     """Optimizer stopped on its evaluation budget; best-found result returned."""
+
+
+def checked_number(name: str, value, integer: bool = False) -> float | int:
+    """A finite number, never a bool or a string; an integer field rejects
+    2.7 rather than read it as 2. Raises ValidationError naming the field."""
+    if (isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+            and (not integer or float(value).is_integer())):
+        return int(value) if integer else float(value)
+    raise ValidationError(f"{name}: {value!r} is not "
+                          + ("an integer" if integer else "a finite number"))

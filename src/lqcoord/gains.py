@@ -2,9 +2,10 @@
 
 Backward value recursion (Phi_n = Dbar_n = Fn):
 
-    K_t    = (G + B' Phi_{t+1} B)^-1 B' Phi_{t+1} A
+    R_t    = G + B' Phi_{t+1} B
+    K_t    = R_t^-1 B' Phi_{t+1} A
     Phi_t  = F + A' Phi_{t+1} A - A' Phi_{t+1} B K_t
-    D_t    = (G + B' Phi_{t+1} B)^-1 B' Dbar_{t+1}
+    D_t    = R_t^-1 B' Dbar_{t+1}
     Dbar_t = (A - B K_t)' Dbar_{t+1} + F
 
 With the target known to both agents the optimal joint input is
@@ -12,9 +13,10 @@ u_t = -K_t x_t + D_t x_*. Note D_t contracts against Dbar_{t+1}: the
 scalar one-step problem (A=B=F=G=Fn=1) has the hand optimum
 u_0 = -0.5 x_0 + 0.5 x_*, which pins the index convention.
 
-Each step factors G + B' Phi_{t+1} B once by Cholesky (numpy's; a failed
-factorisation is a `SingularInnovation`) and solves for K_t and D_t
-together with that factor, so the module needs numpy alone.
+Each step factors R_t once by Cholesky (numpy's; a failed factorisation
+is a `SingularInnovation`) and solves for K_t and D_t together with that
+factor, so the module needs numpy alone. The schedule keeps R_t, the
+input weight of the exact cost (`power.analytic`).
 """
 
 from __future__ import annotations
@@ -32,14 +34,16 @@ from .model import SystemModel, controllability_rank
 class GainSchedule:
     """Per-step feedback and target-offset gains of the joint input.
 
-    Phi and Dbar have n+1 entries (terminal included); K and D have n. The
-    schedules built here hold read-only arrays, so one can be shared.
+    Phi and Dbar have n+1 entries (terminal included); K, D and the input
+    weights R have n. The schedules built here hold read-only arrays, so
+    one can be shared.
     """
 
     Phi: tuple[np.ndarray, ...]
     K: tuple[np.ndarray, ...]
     Dbar: tuple[np.ndarray, ...]
     D: tuple[np.ndarray, ...]
+    R: tuple[np.ndarray, ...]
     d1: int
 
     @property
@@ -54,11 +58,13 @@ def _riccati(A: np.ndarray, B: np.ndarray, F: np.ndarray, G: np.ndarray,
     Dbar = [None] * (n + 1)
     K = [None] * n
     D = [None] * n
+    R = [None] * n
     Phi[n] = Fn.copy()
     Dbar[n] = Fn.copy()
     for t in range(n - 1, -1, -1):
+        R[t] = sym_part(G + B.T @ Phi[t + 1] @ B)
         try:
-            L = np.linalg.cholesky(sym_part(G + B.T @ Phi[t + 1] @ B))
+            L = np.linalg.cholesky(R[t])
         except np.linalg.LinAlgError as exc:
             raise SingularInnovation(
                 f"G + B'Phi B is not positive definite at t={t}") from exc
@@ -67,10 +73,10 @@ def _riccati(A: np.ndarray, B: np.ndarray, F: np.ndarray, G: np.ndarray,
         K[t], D[t] = KD[:, :d0], KD[:, d0:]
         Phi[t] = sym_part(F + A.T @ Phi[t + 1] @ A - A.T @ Phi[t + 1] @ B @ K[t])
         Dbar[t] = (A - B @ K[t]).T @ Dbar[t + 1] + F
-    for M in (*Phi, *K, *Dbar, *D):
+    for M in (*Phi, *K, *Dbar, *D, *R):
         M.flags.writeable = False
     return GainSchedule(Phi=tuple(Phi), K=tuple(K), Dbar=tuple(Dbar),
-                        D=tuple(D), d1=d1)
+                        D=tuple(D), R=tuple(R), d1=d1)
 
 
 def backward_riccati(model: SystemModel) -> GainSchedule:

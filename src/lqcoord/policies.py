@@ -1,8 +1,8 @@
 """Agent-level control policies: the coordination scheme and its baselines.
 
 Every policy runs on one operator table (`power.analytic.StepOps`, whose
-module states its maps), built once per prepared policy and read by both
-the rollouts and the exact-cost engine. The coordination policies take
+module states its maps), built once per prepared policy and read by the
+rollouts. The coordination policies take
 enc_t and dec_t from the channel map (`signaling_ops`; Sigma_t does not
 depend on the rollout, so the table is known before any rollout); the
 baselines send nothing (`silent_ops`).

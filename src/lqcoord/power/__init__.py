@@ -1,13 +1,11 @@
 from .schedules import PowerSchedule, ScheduleMode, heuristic_schedule
 from .analytic import expected_total_cost
-from .scalar import (ConstantsTable, costate_Z, offset_feedback_seq,
-                     scalar_constants, scalar_backward_solve)
+from .scalar import ConstantsTable, scalar_constants, scalar_backward_solve
 from .ua_opt import ua_optimize
 
 __all__ = [
     "PowerSchedule", "ScheduleMode", "heuristic_schedule",
     "expected_total_cost",
-    "ConstantsTable", "costate_Z", "offset_feedback_seq",
-    "scalar_constants", "scalar_backward_solve",
+    "ConstantsTable", "scalar_constants", "scalar_backward_solve",
     "ua_optimize",
 ]

@@ -3,8 +3,8 @@
 With this input shape the contraction is isotropic, Sigma_t = b_t Sigma0
 with b_{t+1} = b_t/(1+a_t), and the exact expected cost collapses to the
 ex-comm cost (the lower bound) plus the reduced cost of a one-dimensional
-optimal control problem, the design's overhead over that bound (the tests
-check this identity against `analytic.expected_total_cost`),
+optimal control problem, the design's overhead over that bound (the
+exact cost's identity on this family; constants below),
 
     J = sum_t  c1_t a_t + c2_t sqrt(a_t b_t) + c3_t b_t,
 
@@ -107,14 +107,20 @@ still falls into b_n < epsilon, which the nonconvex J of a system with
 some c2_t > 0 allows; a third, free, solve from there then releases the
 target, and is kept if it still meets it.
 
-The constants c1/c2/c3 absorb the state-error costates (`costate_Z`:
-theta_Z,n = Fn, theta_Z,t = F + K'GK + Abar' theta_Z,t+1 Abar) and the
-offset-feedback sequence (`offset_feedback_seq`: L_0 = -I, L_{t+1} =
-Abar_t L_t - B D_t) of the paper's covariance model of the cost. Both
-depend on the gains alone, so they are computed once per gain schedule.
-The rest of that model's minimum-principle stack (stage cost,
-Hamiltonian, Sigma-costate, power gradient) is the test oracle
-`tests/pmp_oracle.py`, which checks these constants.
+The constants c1/c2/c3 are the exact cost's identity (`analytic`) on the
+family. With Lambda_t = a_t H^-1 the leader sends enc_t Sigma_t^(1/2) =
+sqrt(a_t) Q U diag(H^(-1/2)) U', so Delta_t Sigma_t^(1/2) = sqrt(a_t) N -
+sqrt(b_t) D_t Sigma0^(1/2) with N = I~ Q U diag(H^(-1/2)) U', and
+Tr(R_t Delta_t Sigma_t Delta_t') is the reduced cost's term at t:
+
+    c1_t = Tr(R_t N N'),  c2_t = -2 Tr(D_t' R_t N Sigma0^(1/2)),
+    c3_t = Tr(D_t' R_t D_t Sigma0),
+
+with R_t the gains' input weight; the rest of the identity, the ex-comm
+cost, is schedule-free. The tests check these constants against the
+paper's covariance-model derivation (`tests/pmp_oracle.py`: its
+state-error costates, the offset-feedback sequence and the
+minimum-principle stack built on them).
 """
 
 from __future__ import annotations
@@ -126,9 +132,9 @@ from typing import NamedTuple
 import numpy as np
 
 from ..channel import ChannelSetup
-from ..errors import NoRootFound, ValidationError
+from ..errors import NoRootFound, ValidationError, checked_number
 from ..gains import GainSchedule
-from ..linalg import psd_sqrt, sym_part
+from ..linalg import psd_sqrt
 from ..model import SystemModel
 from .schedules import PowerSchedule, ScheduleMode
 
@@ -160,58 +166,21 @@ class ConstantsTable:
     H: np.ndarray
 
 
-def offset_feedback_seq(gains: GainSchedule, model: SystemModel) -> list[np.ndarray]:
-    """The offset-feedback sequence L_0..L_n of the constants."""
-    L = [-np.eye(model.d0)]
-    for t in range(model.n):
-        Abar = model.A - model.B @ gains.K[t]
-        L.append(Abar @ L[-1] - model.B @ gains.D[t])
-    return L
-
-
-def costate_Z(gains: GainSchedule, model: SystemModel) -> list[np.ndarray]:
-    """The state-error costates theta_Z,0..theta_Z,n of the constants."""
-    theta = [None] * (model.n + 1)
-    theta[model.n] = model.Fn.copy()
-    for t in range(model.n - 1, -1, -1):
-        Abar = model.A - model.B @ gains.K[t]
-        theta[t] = sym_part(model.F + gains.K[t].T @ model.G @ gains.K[t]
-                            + Abar.T @ theta[t + 1] @ Abar)
-    return theta
-
-
 def scalar_constants(gains: GainSchedule, setup: ChannelSetup,
                      model: SystemModel) -> ConstantsTable:
-    """Assemble the constant tables for the scalar solver.
-
-    Q_a, Q_b and Q_ab weight the covariance transition, r_a, r_b and r_ab
-    the stage cost; contracted with the Z-costates they give c1/c2/c3.
-    """
-    thetaZ = np.array(costate_Z(gains, model)[1:])   # theta_Z,t+1 for t < n
-    L = np.array(offset_feedback_seq(gains, model))
-    K, D = np.array(gains.K), np.array(gains.D)
+    """The reduced cost's constants c1/c2/c3 of every step, from the gains'
+    input weights R_t (module docstring)."""
+    R, D = np.array(gains.R), np.array(gains.D)
     U, H = setup.eig.U, setup.eig.H
-    S0 = model.Sigma0
-    S0_12 = psd_sqrt(S0)
-    UHinv = (U / H) @ U.T
-    UHm12 = (U / np.sqrt(H)) @ U.T
-    G, Q1 = model.G, setup.Q1
+    N = model.leader_embed @ setup.Q @ (U / np.sqrt(H)) @ U.T
+    RD = R @ D
 
     def tr(X, Y):   # Tr(X' Y) of each step
         return np.einsum("...ij,...ij->...", X, Y)
 
-    KL = K @ L[:-1]
-    BD = model.B @ D
-    Q_a = Q1 @ UHinv @ Q1.T
-    Q_b = (BD @ S0 @ L[1:].transpose(0, 2, 1)
-           + (model.A - model.B @ K) @ L[:-1] @ S0 @ BD.transpose(0, 2, 1))
-    X = Q1 @ UHm12 @ S0_12 @ L[1:].transpose(0, 2, 1)
-    r_a = tr(setup.Q, model.G1 @ setup.Q @ UHinv)
-    r_b = tr(D, G @ (D + 2.0 * KL) @ S0)
-    r_ab = tr(D + KL, G @ model.leader_embed @ setup.Q @ UHm12 @ S0_12)
-    c1 = r_a + tr(thetaZ, Q_a)
-    c2 = tr(thetaZ, X + X.transpose(0, 2, 1)) - 2.0 * r_ab
-    c3 = r_b - tr(thetaZ, Q_b)
+    c1 = tr(N, R @ N)
+    c2 = -2.0 * tr(RD, N @ psd_sqrt(model.Sigma0))
+    c3 = tr(RD, D @ model.Sigma0)
     return ConstantsTable(c1=c1, c2=c2, c3=c3, H=H.copy())
 
 
@@ -432,7 +401,8 @@ def scalar_backward_solve(constants: ConstantsTable, epsilon: float,
     a solve that ends above RESIDUAL_TOL raises NoRootFound. model, setup
     and gains are not read.
     """
-    if not epsilon > 0.0:
+    # nan (the one value unequal to itself) is not positive either
+    if epsilon != epsilon or checked_number("epsilon", epsilon) <= 0.0:
         raise ValidationError(f"epsilon: {epsilon:g} must be positive")
     c = constants
     n = c.c1.size

@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from ..errors import InvalidTheta, ValidationError
+from ..errors import InvalidTheta, ValidationError, checked_number
 
 
 class ScheduleMode(Enum):
@@ -86,6 +86,7 @@ class PowerSchedule:
 
 def heuristic_schedule(theta: float, n: int, dim: int) -> PowerSchedule:
     """Geometric decay Lambda_t = theta^t * ones(dim)."""
+    theta = checked_number("theta", theta)
     if not 0.0 < theta <= 1.0:
         raise InvalidTheta(f"theta must be in (0, 1], got {theta}")
     return PowerSchedule(mode=ScheduleMode.HEURISTIC,

@@ -28,7 +28,7 @@ import warnings
 import numpy as np
 
 from ..channel import ChannelSetup
-from ..errors import BudgetExhaustedWarning, ValidationError
+from ..errors import BudgetExhaustedWarning, ValidationError, checked_number
 from ..gains import GainSchedule
 from ..model import SystemModel
 from .analytic import TailCostEvaluator
@@ -54,6 +54,7 @@ def ua_optimize(init: PowerSchedule, gains: GainSchedule, setup: ChannelSetup,
     result carries the evaluation count, whether the budget ran out and
     the final projected-gradient norm (log-Lambda units).
     """
+    budget = checked_number("budget", budget, integer=True)
     if budget < 1:
         raise ValidationError(f"budget: {budget} must be >= 1")
     init.check_fits(model.n, setup.r)

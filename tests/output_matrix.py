@@ -12,6 +12,10 @@ actuated design at n = 120 and n = 1000, epsilon = 1e-12, and at n = 1,
 epsilon = 1e-100, and `compare` and `optimize-power` from a `--config`
 file on both presets, whose designed policy is off the flags' defaults
 (epsilon = 1e-6 on the fully actuated one, budget 40 on the other).
+`run` also writes OUT/exact.json: `expected_total_cost` of the heuristic
+at every theta of EXACT_THETAS and horizon of EXACT_HORIZONS on both
+presets, and of the Lambda of every `optimize-power` case, so that a move
+of the exact cost shows next to the CLI files.
 `diff` lists each file that differs, with its largest relative deviation
 over the numbers in it, and exits 1 if any file differs. `summary.json`,
 which records wall times, is left out of the comparison. This module is a
@@ -42,6 +46,7 @@ BUDGET_RUNS = 20000
 # longer one whose solve on the target is the longest, and the overflow
 # edge of one step
 LONG_DESIGNS = (("120", "1e-12"), ("1000", "1e-12"), ("1", "1e-100"))
+EXACT_THETAS, EXACT_HORIZONS = (0.5, 0.88, 1.0), (30, 120)
 # case name -> (command, its config file without out_dir)
 CONFIGS = {
     f"{command}-{tag}-config": (command, {
@@ -102,6 +107,40 @@ def run(src: Path, out: Path) -> None:
             if code:
                 raise SystemExit(f"{name}: exit code {code}")
             print(f"{name}: {time.perf_counter() - t0:.2f} s")
+    (out / "exact.json").write_text(json.dumps(exact_costs(lqcoord, out),
+                                               indent=2) + "\n")
+
+
+def exact_costs(lq, out: Path) -> dict[str, float]:
+    """Case name -> exact expected cost: the heuristic's on both presets,
+    and each `optimize-power` case's, read back from its power.json."""
+
+    def price(model, **power):
+        kind = (lq.PolicyKind.IM_COMM_FA if model.leader_fully_actuated()
+                else lq.PolicyKind.IM_COMM_UA)
+        pol = lq.make_policy(kind, model, **power)
+        return lq.expected_total_cost(pol.power, pol.gains, pol.setup, model,
+                                      pol.block_order)
+
+    costs = {}
+    for preset, tag in ((FA, "fa"), (UA, "ua")):
+        for n in EXACT_HORIZONS:
+            model = lq.load_preset(preset, n)
+            for theta in EXACT_THETAS:
+                costs[f"heuristic-{tag}-n{n}-theta{theta}"] = price(model, theta=theta)
+    for name, argv in cases().items():
+        if argv[0] != "optimize-power":
+            continue
+        if name in CONFIGS:
+            preset, horizon = CONFIGS[name][1]["system"], None
+        else:
+            opts = dict(zip(argv[1::2], argv[2::2]))
+            preset, horizon = opts["--preset"], opts.get("--horizon")
+        model = lq.load_preset(preset, None if horizon is None else int(horizon))
+        Lambda = json.loads((out / name / "power.json").read_text())["Lambda"]
+        costs[name] = price(model, power=lq.PowerSchedule(
+            mode=lq.power.ScheduleMode.FULL_MATRIX, Lambda=Lambda))
+    return costs
 
 
 NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|-?inf")

@@ -1,23 +1,24 @@
 """Minimum-principle machinery for fully actuated power design.
 
-The verification stack behind the scalar solver: the reduced covariance
-surrogate (Z_t, Sigma_t) with the offset-feedback sequence L_t, its stage
+The paper's derivation of the scalar solver's problem, kept as its test
+oracle: the reduced covariance surrogate (Z_t, Sigma_t) with the
+offset-feedback sequence L_t (`offset_feedback_seq`: L_0 = -I, L_{t+1} =
+Abar_t L_t - B D_t) and the state-error costates (`costate_Z`:
+theta_Z,n = Fn, theta_Z,t = F + K'GK + Abar' theta_Z,t+1 Abar), its stage
 cost l_t, the Hamiltonian, the Sigma-costate and the power gradient. The
 surrogate treats the target as a fixed offset. On the isotropic family
-Lambda_t = a_t H^-1 it differs from the exact expected cost
-(`lqcoord.power.analytic`) by a schedule-independent constant, so the
-scalar solver's reduced cost is the exact cost above ex-comm there
-(`test_reduced_cost_is_the_exact_cost_above_ex_comm`); off that family it
-is not the exact cost. It is exactly the object its own necessary
-conditions differentiate, which is what the gradient and stationarity
-checks require.
+Lambda_t = a_t H^-1 it differs from the exact expected cost by a
+schedule-independent constant; `covariance_model_constants` contracts its
+costates into that family's reduced-cost constants c1/c2/c3, which the
+package (`lqcoord.power.scalar`) takes from the full-information cost
+identity instead. theta_Z is the gains' Phi (the Riccati recursion in
+Joseph form). Off that family the surrogate is not the exact cost. It is
+exactly the object its own necessary conditions differentiate, which is
+what the gradient and stationarity checks require.
 
 Every formula here is pinned by derivative identities: the expanded
 Hamiltonian equals the composed one to roundoff, and grad_lambda_fa /
-theta_sigma_step equal central finite differences of hamiltonian_fa. The
-costates of Z_t and the sequence L_t are the package's own
-(`lqcoord.power.scalar`), since the scalar solver's constants are built
-from them.
+theta_sigma_step equal central finite differences of hamiltonian_fa.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from lqcoord.errors import LqcoordError
 from lqcoord.gains import GainSchedule
 from lqcoord.linalg import check_symmetric, psd_sqrt, sym_part
 from lqcoord.model import SystemModel
-from lqcoord.power.scalar import offset_feedback_seq
 
 
 class NotPd(LqcoordError):
@@ -41,6 +41,60 @@ class NotPd(LqcoordError):
 
 class ZeroLambdaEntry(LqcoordError):
     """Power entry is zero where a 1/sqrt term requires it positive."""
+
+
+def offset_feedback_seq(gains: GainSchedule, model: SystemModel) -> list[np.ndarray]:
+    """The offset-feedback sequence L_0..L_n of the surrogate."""
+    L = [-np.eye(model.d0)]
+    for t in range(model.n):
+        Abar = model.A - model.B @ gains.K[t]
+        L.append(Abar @ L[-1] - model.B @ gains.D[t])
+    return L
+
+
+def costate_Z(gains: GainSchedule, model: SystemModel) -> list[np.ndarray]:
+    """The state-error costates theta_Z,0..theta_Z,n of the surrogate."""
+    theta = [None] * (model.n + 1)
+    theta[model.n] = model.Fn.copy()
+    for t in range(model.n - 1, -1, -1):
+        Abar = model.A - model.B @ gains.K[t]
+        theta[t] = sym_part(model.F + gains.K[t].T @ model.G @ gains.K[t]
+                            + Abar.T @ theta[t + 1] @ Abar)
+    return theta
+
+
+def covariance_model_constants(gains: GainSchedule, setup: ChannelSetup,
+                               model: SystemModel) -> tuple[np.ndarray, ...]:
+    """The reduced-cost constants (c1, c2, c3) of the isotropic family from
+    the surrogate: Q_a, Q_b and Q_ab weight the covariance transition, r_a,
+    r_b and r_ab the stage cost; contracted with the Z-costates they give
+    c1/c2/c3."""
+    thetaZ = np.array(costate_Z(gains, model)[1:])   # theta_Z,t+1 for t < n
+    L = np.array(offset_feedback_seq(gains, model))
+    K, D = np.array(gains.K), np.array(gains.D)
+    U, H = setup.eig.U, setup.eig.H
+    S0 = model.Sigma0
+    S0_12 = psd_sqrt(S0)
+    UHinv = (U / H) @ U.T
+    UHm12 = (U / np.sqrt(H)) @ U.T
+    G, Q1 = model.G, setup.Q1
+
+    def tr(X, Y):   # Tr(X' Y) of each step
+        return np.einsum("...ij,...ij->...", X, Y)
+
+    KL = K @ L[:-1]
+    BD = model.B @ D
+    Q_a = Q1 @ UHinv @ Q1.T
+    Q_b = (BD @ S0 @ L[1:].transpose(0, 2, 1)
+           + (model.A - model.B @ K) @ L[:-1] @ S0 @ BD.transpose(0, 2, 1))
+    X = Q1 @ UHm12 @ S0_12 @ L[1:].transpose(0, 2, 1)
+    r_a = tr(setup.Q, model.G1 @ setup.Q @ UHinv)
+    r_b = tr(D, G @ (D + 2.0 * KL) @ S0)
+    r_ab = tr(D + KL, G @ model.leader_embed @ setup.Q @ UHm12 @ S0_12)
+    c1 = r_a + tr(thetaZ, Q_a)
+    c2 = tr(thetaZ, X + X.transpose(0, 2, 1)) - 2.0 * r_ab
+    c3 = r_b - tr(thetaZ, Q_b)
+    return c1, c2, c3
 
 
 def solve_sylvester_lyapunov(A: np.ndarray, RHS: np.ndarray) -> np.ndarray:

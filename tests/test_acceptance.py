@@ -14,8 +14,9 @@ import pytest
 from channel_oracle import (S_of, S_sqrt_of, inv_sqrt_psd, one_step,
                             psi as channel_psi, selector)
 from conftest import random_pd, random_system
-from pmp_oracle import (grad_lambda_fa, hamiltonian_fa, surrogate_cost,
-                        theta_sigma_step)
+import joint_oracle
+from pmp_oracle import (costate_Z, grad_lambda_fa, hamiltonian_fa,
+                        offset_feedback_seq, surrogate_cost, theta_sigma_step)
 
 import lqcoord as lq
 from lqcoord.channel import fa_setup, ua_setup
@@ -24,9 +25,7 @@ from lqcoord.gains import backward_riccati
 from lqcoord.linalg import min_eig, psd_sqrt
 from lqcoord.policies import PolicyKind, make_policy
 from lqcoord.power import heuristic_schedule, ua_optimize
-from lqcoord.power.analytic import trajectory
-from lqcoord.power.scalar import (costate_Z, offset_feedback_seq,
-                                  solve_scalar_power)
+from lqcoord.power.scalar import solve_scalar_power
 from lqcoord.simulate import monte_carlo
 
 
@@ -295,7 +294,7 @@ def test_c07_analytic_empirical_cost_agreement(fa, ua, fa_opt_schedule):
     ]
     details, ok = [], True
     for name, model, pol in cases:
-        ana = trajectory(pol.step_ops, model).costs.sum()
+        ana = joint_oracle.table_cost(pol.step_ops, model)
         rep = monte_carlo(pol, model, None, runs, 1007)
         rel = abs(rep.mean_total_cost - ana) / ana
         z = (rep.mean_total_cost - ana) / (rep.std_total_cost / np.sqrt(runs))

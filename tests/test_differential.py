@@ -1,8 +1,9 @@
 """Differential checks of the channel map on random systems.
 
 The rollout operator table (`PreparedPolicy.step_ops`), the step-by-step
-reference in `channel_oracle` and the exact-cost engine's joint covariance
-compute the same per-step quantities by different routes; on random
+reference in `channel_oracle` and the joint covariance `joint_oracle`
+propagates through the table compute the same per-step quantities by
+different routes; on random
 controllable systems (d0 <= 6, r | d0) they must agree to roundoff. The
 decoder is also the noise map of the error recursion (the push-through
 identity), so it must match the oracle's noise gain in its V form too.
@@ -19,11 +20,13 @@ pseudo-inverse cutoff; once the cutoff drops a direction that the channel
 eigenbasis mixes with the others, the closed form no longer describes the
 sampled covariance (the tests at the end pin one such case).
 
-The exact-cost engine builds the channel's power half for all steps at
-once and runs its serial loops on stacked maps; `joint_oracle` keeps the
-step-by-step form of the same forward and reverse passes, and the two must
-agree in cost, joint covariances and gradient. The Sigma loop keeps only
-the work on its step-to-step chain; `channel_oracle.reference_sigma_steps`
+The exact-cost engine prices a schedule by the full-information cost
+identity on Sigma_t alone and differentiates it by a reverse pass on a
+d0 x d0 costate; `joint_oracle` propagates the joint covariance of (z_t,
+e_t, x_*) one step at a time with the channel maps built from its own
+Sigma block, and runs that propagation's reverse pass, and the two must
+agree in cost and gradient. The Sigma loop keeps only the work on its
+step-to-step chain; `channel_oracle.reference_sigma_steps`
 keeps it as first written, and the two must agree to 1e-12 while Sigma_t
 stays clear of the cutoff (the roots' roundoff grows like eps * cond, so
 this holds only because the lean loop does the same arithmetic).
@@ -45,8 +48,7 @@ from lqcoord.config import PolicyConfig
 from lqcoord.errors import LqcoordError
 from lqcoord.model import SystemModel
 from lqcoord.policies import PolicyKind, make_policy
-from lqcoord.power.analytic import (TailCostEvaluator, expected_total_cost,
-                                   initial_joint, trajectory)
+from lqcoord.power.analytic import TailCostEvaluator, expected_total_cost
 from lqcoord.power.schedules import PowerSchedule, ScheduleMode
 from lqcoord.simulate import monte_carlo
 
@@ -76,9 +78,13 @@ def _system(rng, d0: int, r: int, n: int) -> SystemModel:
     raise RuntimeError("failed to sample a controllable system")
 
 
-def _random_policy(d0, r, n, seed):
+def _random_policy(d0, r, n, seed, ill_noise=False):
+    """The coordination policy of a random system, its W of condition >= 1e8
+    where ill_noise is set."""
     rng = np.random.default_rng(seed)
     model = _system(rng, d0, r, n)
+    if ill_noise:
+        model = _with_noise_condition(model, rng, 1e8)
     schedule = PowerSchedule(mode=ScheduleMode.FULL_MATRIX,
                              Lambda=[np.exp(rng.uniform(np.log(0.05), np.log(2.0), r))
                                      for _ in range(n)])
@@ -92,9 +98,14 @@ def _sigma_blocks(joint):
     return joint[..., d0:2 * d0, d0:2 * d0]
 
 
-def _max_live_cond(traj):
-    """Largest live condition number of the engine's Sigma_1..Sigma_n."""
-    return max(oracle.live_cond(S) for S in _sigma_blocks(traj.joint[1:]))
+def _joint(ops, model):
+    """The joint covariances P_0..P_n of a table, step by step."""
+    return joint_oracle.joints(joint_oracle.table_forward(ops, model), model)
+
+
+def _max_live_cond(Sigma):
+    """Largest live condition number of Sigma_1..Sigma_n."""
+    return max(oracle.live_cond(S) for S in Sigma[1:])
 
 
 def _assert_rel(actual, desired, rtol, what):
@@ -123,7 +134,7 @@ def test_table_matches_oracle_and_exact_engine(case):
     kind = pol.kind
     assert setup.r == r and setup.tau == d0 // r
     ops, final_trace = pol.step_ops, pol.sigma_traces[-1]
-    joint = _sigma_blocks(trajectory(ops, model).joint)
+    joint = _sigma_blocks(_joint(ops, model))
 
     _assert_rel(ops.Sigma[0], model.Sigma0, RTOL, "Sigma_0")
     cond = 1.0              # largest live condition number of Sigma_0..Sigma_t
@@ -184,7 +195,7 @@ def test_monte_carlo_matches_exact_cost(case):
                                         pol.block_order))]
     for kind in (PolicyKind.EX_COMM, PolicyKind.NO_COMM):
         base = make_policy(kind, model)
-        priced.append((base, trajectory(base.step_ops, model).costs.sum()))
+        priced.append((base, joint_oracle.table_cost(base.step_ops, model)))
     runs = 4000
     for p, exact in priced:
         rep = monte_carlo(p, model, None, runs, 0)
@@ -207,7 +218,7 @@ def test_adjoint_gradient_matches_central_differences(case):
     evaluator = TailCostEvaluator(pol.gains, pol.setup, pol.model)
     lam = np.array(pol.power.Lambda)
     evaluator.cost(lam)
-    assume(_max_live_cond(evaluator.trajectory) < GRAD_COND)
+    assume(_max_live_cond(pol.step_ops.Sigma) < GRAD_COND)
     grad = evaluator.gradient()
     assert grad.shape == lam.shape
     fd = np.empty_like(grad)
@@ -222,38 +233,55 @@ def test_adjoint_gradient_matches_central_differences(case):
 
 @st.composite
 def ordered_cases(draw):
-    """A case of `cases()` with a shuffled block order."""
+    """A case of `cases()` with a shuffled block order and, sometimes, a
+    plant noise of condition >= 1e8."""
     d0, r, n, seed = draw(cases())
-    return d0, r, n, seed, draw(st.permutations(range(d0 // r)))
+    return (d0, r, n, seed, draw(st.permutations(range(d0 // r))),
+            draw(st.booleans()) and d0 > 1)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(ordered_cases())
-@example((1, 1, 3, 0, [0]))           # d0 = 1
-@example((3, 1, 7, 2, [2, 0, 1]))     # r = 1 with tau = 3
-@example((6, 2, 8, 3, [1, 2, 0]))     # r = 2 with tau = 3
-@example((4, 4, 5, 5, [0]))           # fully actuated
+@example((1, 1, 1, 0, [0], False))            # n = 1, d0 = 1
+@example((1, 1, 3, 0, [0], False))            # d0 = 1
+@example((3, 1, 7, 2, [2, 0, 1], False))      # r = 1 with tau = 3
+@example((6, 2, 8, 3, [1, 2, 0], False))      # r = 2 with tau = 3
+@example((4, 4, 5, 5, [0], False))            # fully actuated
+@example((4, 2, 6, 6, [1, 0], True))          # cond W >= 1e8
 def test_stacked_engine_matches_step_by_step_oracle(case):
-    # the engine's stacked stages and one-call power gradient against the
-    # per-step forward and reverse passes of `joint_oracle`
-    *dims, order = case
-    _check_engine_against_oracle(_random_policy(*dims), order, assume)
+    # the cost identity and its reverse pass against the per-step joint
+    # forward and reverse passes of `joint_oracle`, while Sigma_t stays
+    # clear of the cutoff
+    *dims, order, ill_noise = case
+    _check_engine_against_oracle(_random_policy(*dims, ill_noise), order, assume)
 
 
-def _check_engine_against_oracle(pol, order, admit):
+def _check_engine_against_oracle(pol, order, admit, grad_admit=None):
+    """Cost and gradient of the engine against `joint_oracle`; admit gets
+    whether cond Sigma_t <= EXACT_COND, grad_admit (default: skip the
+    gradient) whether it is <= GRAD_COND.
+
+    The cost agrees to 1e-12 while cond Sigma_t <= GRAD_COND, and to eps *
+    cond beyond: the oracle reads enc Sigma enc' off the joint covariance,
+    whose e-block carries absolute roundoff eps * max eig(Sigma_t) into
+    enc's 1 / min eig. (On a system with cond Sigma_t = 5e6 the identity is
+    9e-16 from a 60-digit evaluation of it and the oracle 1.1e-12.) The
+    gradient agrees to 1e-10 while cond Sigma_t <= GRAD_COND.
+    """
     model, setup = pol.model, pol.setup
     lam = np.array(pol.power.Lambda)
     evaluator = TailCostEvaluator(pol.gains, setup, model, order)
     cost = evaluator.cost(lam)
-    admit(_max_live_cond(evaluator.trajectory) < GRAD_COND)
     steps = joint_oracle.forward(lam, pol.gains, setup, model, order)
+    cond = _max_live_cond(_sigma_blocks(joint_oracle.joints(steps, model)))
+    admit(cond <= EXACT_COND)
     expected = joint_oracle.total_cost(steps, model)
-    assert abs(cost - expected) <= 1e-10 * abs(expected), (cost, expected)
-    for t in range(model.n + 1):
-        ref = steps[t - 1].joint if t else initial_joint(model)
-        _assert_rel(evaluator.trajectory.joint[t], ref, 1e-10, f"P_{t}")
-    _assert_rel(evaluator.gradient(), joint_oracle.gradient(steps, lam, setup, model),
-                1e-8, "gradient")
+    rtol = 1e-12 if cond <= GRAD_COND else np.finfo(float).eps * cond
+    assert abs(cost - expected) <= rtol * abs(expected), (cost, expected, cond)
+    if (grad_admit or (lambda ok: ok))(cond <= GRAD_COND):
+        _assert_rel(evaluator.gradient(),
+                    joint_oracle.gradient(steps, lam, setup, model), 1e-10,
+                    "gradient")
 
 
 def _isotropic_policy(model, seed):
@@ -273,13 +301,18 @@ def _long_horizon():
     return _system(np.random.default_rng(300), 3, 3, 300)
 
 
-def _ill_conditioned_noise():
-    """A random plant whose W = U diag(2e-1 .. 1e-9) U' has condition 2e8."""
-    rng = np.random.default_rng(8)
-    model = _system(rng, 4, 4, 30)
-    U, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-    W = (U * np.geomspace(2e-1, 1e-9, 4)) @ U.T
+def _with_noise_condition(model, rng, cond):
+    """The model with W = U diag(2e-1 .. 2e-1 / cond) U' for a random
+    rotation U."""
+    U, _ = np.linalg.qr(rng.standard_normal((model.d0, model.d0)))
+    W = (U * np.geomspace(2e-1, 2e-1 / cond, model.d0)) @ U.T
     return dataclasses.replace(model, W=0.5 * (W + W.T))
+
+
+def _ill_conditioned_noise():
+    """A random plant whose W has condition 2e8."""
+    rng = np.random.default_rng(8)
+    return _with_noise_condition(_system(rng, 4, 4, 30), rng, 2e8)
 
 
 @pytest.mark.parametrize("build", [_long_horizon, _ill_conditioned_noise],
@@ -289,9 +322,10 @@ def test_stacked_engine_matches_oracle_on_edge_systems(build):
     assert model.n >= 300 or np.linalg.cond(model.W) >= 1e8
 
     def admit(ok):
-        assert ok, "Sigma_t conditioning outside GRAD_COND"
+        assert ok, "Sigma_t conditioning outside the limits"
 
-    _check_engine_against_oracle(_isotropic_policy(model, model.n), None, admit)
+    _check_engine_against_oracle(_isotropic_policy(model, model.n), None, admit,
+                                 admit)
 
 
 def _sampled_after_truncation():
@@ -316,7 +350,7 @@ def _sampled_after_truncation():
 
 def test_joint_engine_follows_sampled_covariance_after_truncation():
     pol, sampled = _sampled_after_truncation()
-    joint = trajectory(pol.step_ops, pol.model).joint
+    joint = _joint(pol.step_ops, pol.model)
     assert abs(np.trace(_sigma_blocks(joint[5])) - sampled) < 0.01 * sampled
 
 
@@ -331,7 +365,7 @@ def test_table_sigma_traces_equal_the_exact_engine_after_truncation():
     # Sigma_4 onwards has a truncated direction; the closed form parts from
     # the engine's Tr Sigma_t by up to 18.5% here
     pol = _random_policy(3, 3, 10, 223)
-    joint = trajectory(pol.step_ops, pol.model).joint
+    joint = _joint(pol.step_ops, pol.model)
     np.testing.assert_allclose(pol.sigma_traces,
                                np.trace(_sigma_blocks(joint), axis1=1, axis2=2),
                                rtol=RTOL)

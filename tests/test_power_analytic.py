@@ -5,6 +5,7 @@ import pytest
 
 import channel_oracle as oracle
 import joint_oracle
+from conftest import random_system
 import lqcoord as lq
 from lqcoord.errors import SigmaNearSingular
 from lqcoord.linalg import svd_factor
@@ -13,8 +14,8 @@ from lqcoord.power import expected_total_cost, heuristic_schedule
 from lqcoord.channel import block_schedule
 from lqcoord.cli import build_policy
 from lqcoord.config import PolicyConfig
-from lqcoord.power.analytic import (TailCostEvaluator, initial_joint,
-                                   signaling_ops, trajectory)
+from lqcoord.power.analytic import (TailCostEvaluator, signaling_ops,
+                                   value_constant)
 from lqcoord.power.schedules import PowerSchedule, ScheduleMode
 from lqcoord import simulate
 from lqcoord.simulate import monte_carlo
@@ -24,13 +25,14 @@ Z, E, X = slice(0, 4), slice(4, 8), slice(8, 12)
 
 
 def _joint(schedule, gains, setup, model):
-    """The engine's joint covariances P_0..P_n along a signaling schedule."""
+    """The joint covariances P_0..P_n along a signaling schedule's table,
+    step by step (`joint_oracle`)."""
     ops = signaling_ops(gains, setup, model, schedule, block_schedule(setup, model.n))
-    return trajectory(ops, model).joint
+    return joint_oracle.joints(joint_oracle.table_forward(ops, model), model)
 
 
 def test_initial_state_blocks(fa_model):
-    P = initial_joint(fa_model)
+    P = joint_oracle.initial_joint(fa_model)
     np.testing.assert_allclose(P[Z, Z], fa_model.X0 + fa_model.Sigma0)
     np.testing.assert_allclose(P[E, E], fa_model.Sigma0)
     np.testing.assert_allclose(P[Z, E], -fa_model.Sigma0)
@@ -74,28 +76,34 @@ def test_fa_L_schedule_independence(fa_model, fa_gains, fa_channel):
 
 
 def test_zero_power_zero_prior_reduces_to_lqr_covariance(fa_model, fa_gains, fa_channel):
-    # with no signaling and a vanishing prior, Z follows the plain closed loop
+    # with no signaling and a vanishing prior, Z follows the plain closed
+    # loop, and the exact cost is the full-information one
     tiny = lq.SystemModel(fa_model.A, fa_model.B1, fa_model.B2, fa_model.W,
                           fa_model.F, fa_model.Fn, fa_model.G1, fa_model.G2,
                           1e-14 * np.eye(4), fa_model.X0, fa_model.n)
     gains = lq.backward_riccati(tiny)
     setup = lq.fa_setup(tiny.B1, tiny.W)
-    evaluator = TailCostEvaluator(gains, setup, tiny)
-    evaluator.cost(np.zeros((tiny.n, 4)))
+    zero = PowerSchedule(mode=ScheduleMode.FULL_MATRIX, Lambda=np.zeros((tiny.n, 4)))
+    joint = _joint(zero, gains, setup, tiny)
     Z_ref = tiny.X0 + 1e-14 * np.eye(4)
     for t in range(6):
         Abar = tiny.A - tiny.B @ gains.K[t]
         Z_ref = Abar @ Z_ref @ Abar.T + tiny.W
-        np.testing.assert_allclose(evaluator.trajectory.joint[t + 1][Z, Z], Z_ref,
-                                   atol=1e-8)
+        np.testing.assert_allclose(joint[t + 1][Z, Z], Z_ref, atol=1e-8)
+    ex_comm = joint_oracle.table_cost(make_policy(PolicyKind.EX_COMM, tiny).step_ops,
+                                      tiny)
+    cost = TailCostEvaluator(gains, setup, tiny).cost(zero.Lambda)
+    assert cost == pytest.approx(ex_comm, rel=1e-12)
 
 
 def test_ua_zero_power_freezes_sigma(ua_model, ua_gains, ua_channel):
     evaluator = TailCostEvaluator(ua_gains, ua_channel, ua_model)
     assert evaluator.blocks[0] == 0
-    evaluator.cost(np.zeros((ua_model.n, 2)))
-    np.testing.assert_allclose(evaluator.trajectory.joint[1][E, E], ua_model.Sigma0,
-                               atol=1e-12)
+    zero = PowerSchedule(mode=ScheduleMode.FULL_MATRIX, Lambda=np.zeros((ua_model.n, 2)))
+    ops = signaling_ops(ua_gains, ua_channel, ua_model, zero, evaluator.blocks)
+    np.testing.assert_allclose(ops.Sigma[1], ua_model.Sigma0, atol=1e-12)
+    np.testing.assert_allclose(_joint(zero, ua_gains, ua_channel, ua_model)[1][E, E],
+                               ua_model.Sigma0, atol=1e-12)
 
 
 def test_ua_block_diagonal_noise_matches_fa_form(ua_gains):
@@ -190,12 +198,15 @@ def test_exact_cost_matches_monte_carlo_on_edge_cases(case):
 
 
 def test_stage_costs_terminal_entry(fa_model, fa_gains, fa_channel):
+    # the step-by-step stage costs plus the terminal Tr(Fn Z_n) are the
+    # exact cost
     sched = heuristic_schedule(0.88, fa_model.n, 4)
     pol = make_policy(PolicyKind.IM_COMM_FA, fa_model, power=sched)
-    costs = trajectory(pol.step_ops, fa_model).costs
-    assert costs.shape == (fa_model.n + 1,)
-    joint = _joint(sched, fa_gains, fa_channel, fa_model)
-    assert costs[-1] == pytest.approx(np.trace(fa_model.Fn @ joint[-1][Z, Z]))
+    steps = joint_oracle.table_forward(pol.step_ops, fa_model)
+    assert len(steps) == fa_model.n
+    terminal = np.trace(fa_model.Fn @ steps[-1].joint[Z, Z])
+    exact = expected_total_cost(sched, fa_gains, fa_channel, fa_model)
+    assert sum(s.cost for s in steps) + terminal == pytest.approx(exact)
 
 
 def test_ua_zero_schedule_cost_finite(ua_model, ua_gains, ua_channel):
@@ -270,12 +281,11 @@ PINNED_COSTS = {   # exact E[J_n] of every policy on both presets at CLI default
     "fa-ex-comm": (lq.FULLY_ACTUATED, "ex-comm", 249.43720892327508, 1e-12),
     "fa-leader-only": (lq.FULLY_ACTUATED, "leader-only", 509.64074712910167, 1e-12),
     "fa-no-comm": (lq.FULLY_ACTUATED, "no-comm", 695.8980965760862, 1e-12),
-    # Sigma_t reaches condition ~5e18. Against a 60-digit evaluation of the
-    # same recursion (float64 gains, eigenpair and Lambda taken as exact)
-    # the pin is 3.2e-8 high, and the engine fed the 60-digit table rounded
-    # to float64 is 2.8e-7 off: the engine's plain propagation of the
-    # e-block limits this cost, not the Sigma loop alone
-    "fa-im-comm-heu": (lq.FULLY_ACTUATED, "im-comm-heu", 510.0945931861627, 1e-7),
+    # Sigma_t reaches condition ~5e18; the pin is a 60-digit evaluation of
+    # the same recursion (float64 gains, eigenpair and Lambda taken as
+    # exact), which the cost identity's trace on Delta_t Sigma_t^(1/2)
+    # meets to ~3e-13
+    "fa-im-comm-heu": (lq.FULLY_ACTUATED, "im-comm-heu", 510.09457699478567, 1e-12),
     "fa-im-comm-opt": (lq.FULLY_ACTUATED, "im-comm-opt", 291.24142886048094, 1e-12),
     "ua-ex-comm": (lq.UNDER_ACTUATED, "ex-comm", 369.8675047746266, 1e-12),
     "ua-no-comm": (lq.UNDER_ACTUATED, "no-comm", 820.1527076446287, 1e-12),
@@ -289,11 +299,38 @@ PINNED_COSTS = {   # exact E[J_n] of every policy on both presets at CLI default
                          ids=list(PINNED_COSTS))
 def test_exact_costs_are_pinned(preset, name, pinned, rtol):
     # a guard for refactors of the Sigma loop and the engine: the exact
-    # cost of each policy as `compare` builds it
+    # cost of each policy as `compare` builds it, a baseline's from the
+    # step-by-step joint covariance of its table
     model = lq.load_preset(preset)
     prepared, _ = build_policy(PolicyConfig(name=name), model)
-    cost = trajectory(prepared.step_ops, model).costs.sum()
+    if prepared.tracks_sigma:
+        cost = expected_total_cost(prepared.power, prepared.gains, prepared.setup,
+                                   model, prepared.block_order)
+    else:
+        cost = joint_oracle.table_cost(prepared.step_ops, model)
     assert cost == pytest.approx(pinned, rel=rtol, abs=0)
+
+
+def _value_constant_cases():
+    rng = np.random.default_rng(7)
+    systems = [random_system(rng, d0, d0 + extra, 1, n)
+               for d0, extra, n in ((1, 0, 1), (2, 1, 6), (3, 0, 15), (4, 2, 9))]
+    return [lq.load_preset(lq.FULLY_ACTUATED), lq.load_preset(lq.UNDER_ACTUATED),
+            *systems]
+
+
+@pytest.mark.parametrize("model", _value_constant_cases(),
+                         ids=["fa", "ua", "d0-1-n1", "d0-2", "d0-3", "d0-4"])
+def test_value_constant_is_the_full_information_cost(model):
+    # the identity's schedule-free part is the ex-comm cost, and on the
+    # leader's own gains the leader-only cost, each from the step-by-step
+    # joint covariance of its table
+    for kind, gains in ((PolicyKind.EX_COMM, model.joint_gains),
+                        (PolicyKind.LEADER_ONLY, model.leader_gains)):
+        if kind is PolicyKind.LEADER_ONLY and not model.leader_fully_actuated():
+            continue
+        exact = joint_oracle.table_cost(make_policy(kind, model).step_ops, model)
+        assert value_constant(gains, model) == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 def test_cost_and_gradient_take_one_eigh_per_step(ua_model, ua_gains, ua_channel,

@@ -8,9 +8,9 @@ import lqcoord as lq
 from lqcoord.channel import fa_setup
 from lqcoord.gains import backward_riccati
 from lqcoord.linalg import min_eig, psd_sqrt
-from lqcoord.power.scalar import costate_Z, offset_feedback_seq
-from pmp_oracle import (ZeroLambdaEntry, grad_lambda_fa, hamiltonian_fa,
-                        hamiltonian_fa_expanded, surrogate_z_step, stage_cost_fa,
+from pmp_oracle import (ZeroLambdaEntry, costate_Z, grad_lambda_fa,
+                        hamiltonian_fa, hamiltonian_fa_expanded,
+                        offset_feedback_seq, surrogate_z_step, stage_cost_fa,
                         theta_sigma_step)
 
 
@@ -72,6 +72,15 @@ def test_costate_Z_single_step_unrolls(fa_model):
 def test_costate_Z_psd_across_horizon(fa_model, fa_gains):
     for th in costate_Z(fa_gains, fa_model):
         assert min_eig(th) >= -1e-10
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_costate_Z_is_the_riccati_Phi(seed):
+    # theta_Z is the value recursion in Joseph form, so the gains' Phi_t
+    cfg = random_config(seed, n=12)
+    for t, (th, Phi) in enumerate(zip(cfg["thZ"], cfg["gains"].Phi)):
+        err = np.abs(th - Phi).max()
+        assert err <= 1e-13 * np.abs(Phi).max(), f"t={t}: {err:.3e}"
 
 
 # --- Hamiltonian forms ----------------------------------------------------------

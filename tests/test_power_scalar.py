@@ -12,6 +12,7 @@ import lqcoord as lq
 import scalar_oracle as oracle
 from channel_oracle import one_step
 from conftest import random_system
+import joint_oracle
 from lqcoord.channel import fa_setup
 from lqcoord.gains import backward_riccati
 from lqcoord.policies import PolicyKind, make_policy
@@ -21,8 +22,7 @@ from lqcoord.power.scalar import (A_FLOOR, RESIDUAL_TOL, ConstantsTable,
                                   scalar_constants, scalar_backward_solve,
                                   solve_scalar_power, stationarity_residuals,
                                   _evaluate, _newton_step)
-from lqcoord.power.analytic import trajectory
-from pmp_oracle import surrogate_cost
+from pmp_oracle import covariance_model_constants, surrogate_cost
 from lqcoord.power.schedules import PowerSchedule, ScheduleMode
 from lqcoord.errors import (InvalidTheta, LqcoordError, NoRootFound,
                             ValidationError)
@@ -67,9 +67,9 @@ def test_heuristic_rejects_bad_theta():
 # --- constants table -------------------------------------------------------------
 
 def test_constants_c1_positive(preset):
-    # c1_t = r_a + Tr(theta_Z,t+1 Q_a): r_a > 0 is the congruence of PD G1
-    # against H^-1, Q_a and the costate are PSD. A positive c1 keeps the
-    # reduced cost bounded below in a, and the solver takes log c1_{n-1}
+    # c1_t = Tr(R_t N N'): R_t >= G is positive definite and N = I~ Q U
+    # H^(-1/2) U' has full column rank. A positive c1 keeps the reduced
+    # cost bounded below in a, and the solver takes log c1_{n-1}
     model, setup, gains = preset
     c = scalar_constants(gains, setup, model)
     assert np.all(c.c1 > 0)
@@ -320,6 +320,29 @@ def test_non_positive_epsilon_names_the_field(preset, epsilon):
     constants = scalar_constants(gains, setup, model)
     with pytest.raises(ValidationError, match=r"^epsilon: .* must be positive"):
         scalar_backward_solve(constants, epsilon, model, setup, gains)
+
+
+@pytest.mark.parametrize("epsilon", [True, "1e-3", None, float("inf")],
+                         ids=["bool", "text", "none", "inf"])
+def test_epsilon_must_be_a_finite_number(preset, epsilon):
+    # True used to design at epsilon = 1, a string or None to escape as a
+    # TypeError
+    model, setup, gains = preset
+    with pytest.raises(ValidationError,
+                       match=f"^epsilon: {epsilon!r} is not a finite number$"):
+        solve_scalar_power(gains, setup, model, epsilon=epsilon)
+
+
+@pytest.mark.parametrize("theta", [True, "0.5", None], ids=["bool", "text", "none"])
+def test_heuristic_theta_must_be_a_finite_number(theta):
+    # True used to run at theta = 1, a string or None to escape as a TypeError
+    with pytest.raises(ValidationError, match=f"^theta: {theta!r} is not a finite number$"):
+        heuristic_schedule(theta, 3, 2)
+
+
+def test_heuristic_theta_takes_a_numpy_integer():
+    sched = heuristic_schedule(np.int64(1), 3, 2)
+    np.testing.assert_array_equal(sched.Lambda, np.ones((3, 2)))
 
 
 def test_single_step_extreme_epsilon_solves():
@@ -602,6 +625,30 @@ def fa_systems(draw):
     return model, seed
 
 
+def _assert_covariance_model_constants(model):
+    """c1/c2/c3 within 1e-12 of max |c| of the covariance model's."""
+    setup = fa_setup(model.B1, model.W)
+    gains = backward_riccati(model)
+    c = scalar_constants(gains, setup, model)
+    ref = covariance_model_constants(gains, setup, model)
+    scale = max(np.abs(r).max() for r in ref)
+    for name, got, want in zip(("c1", "c2", "c3"), (c.c1, c.c2, c.c3), ref):
+        err = np.abs(got - want).max()
+        assert err <= 1e-12 * scale, f"{name}: {err:.3e} > 1e-12 * {scale:.3e}"
+
+
+def test_constants_match_the_covariance_model_on_the_preset():
+    # the cost identity's three traces are the paper's contraction of the
+    # Z-costates and the offset-feedback sequence (`pmp_oracle`)
+    _assert_covariance_model_constants(lq.fully_actuated_model(n=30))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(fa_systems())
+def test_constants_match_the_covariance_model(system):
+    _assert_covariance_model_constants(system[0])
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(fa_systems(), st.sampled_from([0.5, 1e-2, 1e-6, 1e-20]))
 def test_kkt_solve_matches_brent_reference_on_random_systems(system, epsilon):
@@ -653,21 +700,22 @@ def test_negative_multiplier_releases_the_target():
 def test_reduced_cost_is_the_exact_cost_above_ex_comm(system, epsilon):
     # on the isotropic family Lambda_t = a_t H^-1 the exact expected cost is
     # the ex-comm cost plus the reduced cost, so the design minimizes the
-    # exact cost there. Checked for a random a and, where the cross term
-    # rewards signalling at every step, for the designed a; to 1e-12 of the
-    # exact cost, whose roundoff the difference inherits
+    # exact cost there. Checked against the step-by-step joint covariance
+    # (`joint_oracle`), for a random a and, where the cross term rewards
+    # signalling at every step, for the designed a; to 1e-12 of the exact
+    # cost, whose roundoff the difference inherits
     model, seed = system
     setup = fa_setup(model.B1, model.W)
     gains = backward_riccati(model)
     c = scalar_constants(gains, setup, model)
-    ex_comm = trajectory(make_policy(PolicyKind.EX_COMM, model).step_ops,
-                         model).costs.sum()
+    ex_comm = joint_oracle.table_cost(make_policy(PolicyKind.EX_COMM, model).step_ops,
+                                      model)
     schedules = [np.exp(np.random.default_rng(seed).uniform(
         np.log(1e-3), np.log(10.0), model.n))]
     if np.all(c.c2 < 0.0):
         schedules.append(scalar_backward_solve(c, epsilon, model, setup).a)
     for a in schedules:
-        sched = PowerSchedule(mode=ScheduleMode.FULL_MATRIX,
-                              Lambda=a[:, None] / setup.eig.H)
-        exact = expected_total_cost(sched, gains, setup, model)
+        Lambda = a[:, None] / setup.eig.H
+        exact = joint_oracle.total_cost(joint_oracle.forward(Lambda, gains, setup, model),
+                                        model)
         assert abs(exact - _evaluate(a, c, 0.0).cost - ex_comm) <= 1e-12 * exact

@@ -191,3 +191,24 @@ def test_random_systems_against_coordinate_descent():
     rel = np.array(rel)
     assert np.median(rel) <= 0.0, f"median {np.median(rel):.3e}"
     assert rel.max() <= 5e-3, f"worst {rel.max():.3e} on system {rel.argmax()}"
+
+
+@pytest.mark.parametrize("budget, what", [
+    (2.5, "an integer"),       # used to run 3 evaluations, budget_exhausted False
+    (True, "an integer"),      # used to run with a budget of 1
+    ("3", "an integer"),       # used to escape as a TypeError
+    (None, "an integer"),
+], ids=["fraction", "bool", "text", "none"])
+def test_budget_must_be_an_integer(small_ua, budget, what):
+    model, setup, gains = small_ua
+    init = heuristic_schedule(0.88, model.n, setup.r)
+    with pytest.raises(ValidationError, match=f"^budget: {budget!r} is not {what}$"):
+        ua_optimize(init, gains, setup, model, budget=budget)
+
+
+def test_budget_takes_a_numpy_integer(small_ua):
+    model, setup, gains = small_ua
+    init = heuristic_schedule(0.88, model.n, setup.r)
+    with pytest.warns(BudgetExhaustedWarning):
+        opt = ua_optimize(init, gains, setup, model, budget=np.int64(3))
+    assert opt.evals == 3 and opt.budget_exhausted
