@@ -79,6 +79,8 @@ class SystemModel:
                 raise ValidationError(f"{fname} must be positive semidefinite")
         if controllability_rank(self.A, self.B) < d0:
             raise NotControllable("(A, [B1 B2]) fails the controllability rank test")
+        # the rank test runs once here: callers branch on it per policy
+        object.__setattr__(self, "_leader_full_rank", numerical_rank(self.B1) == d0)
 
     @property
     def d0(self) -> int:
@@ -127,4 +129,4 @@ class SystemModel:
         return leader_only_gains(self)
 
     def leader_fully_actuated(self) -> bool:
-        return numerical_rank(self.B1) == self.d0
+        return self._leader_full_rank
