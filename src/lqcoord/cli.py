@@ -23,7 +23,6 @@ import numpy as np
 from .config import (ExperimentConfig, PolicyConfig, config_from_dict,
                      load_config)
 from .errors import HorizonMismatch, LqcoordError, ParseError, ValidationError
-from .gains import backward_riccati, leader_only_gains
 from .model import SystemModel
 from .policies import PolicyKind, PreparedPolicy, make_policy
 from .power import ua_optimize
@@ -208,20 +207,14 @@ def cmd_compare(args) -> int:
 def cmd_gains(args) -> int:
     config = _config_from_args(args, ["ex-comm"])
     model = config.model()
-    gains = backward_riccati(model)
+    gains = model.joint_gains
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "d1": gains.d1,
-        "K": [K.tolist() for K in gains.K],
-        "D": [D.tolist() for D in gains.D],
-        "Phi": [P.tolist() for P in gains.Phi],
-        "Dbar": [Db.tolist() for Db in gains.Dbar],
-    }
+    payload = {"d1": gains.d1, "K": gains.K.tolist(), "D": gains.D.tolist(),
+               "Phi": gains.Phi.tolist(), "Dbar": gains.Dbar.tolist()}
     if model.leader_fully_actuated():
-        lead = leader_only_gains(model)
-        payload["leader_only"] = {"K": [K.tolist() for K in lead.K],
-                                  "D": [D.tolist() for D in lead.D]}
+        lead = model.leader_gains
+        payload["leader_only"] = {"K": lead.K.tolist(), "D": lead.D.tolist()}
     path = out / "gains.json"
     path.write_text(json.dumps(payload, indent=2) + "\n")
     print(path)

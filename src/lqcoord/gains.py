@@ -34,16 +34,16 @@ from .model import SystemModel, controllability_rank
 class GainSchedule:
     """Per-step feedback and target-offset gains of the joint input.
 
-    Phi and Dbar have n+1 entries (terminal included); K, D and the input
-    weights R have n. The schedules built here hold read-only arrays, so
-    one can be shared.
+    Each field is one read-only array stacked over the steps, so a schedule
+    can be shared: Phi and Dbar (n+1, d0, d0), terminal included; K and D
+    (n, m, d0) and the input weights R (n, m, m), m the input width.
     """
 
-    Phi: tuple[np.ndarray, ...]
-    K: tuple[np.ndarray, ...]
-    Dbar: tuple[np.ndarray, ...]
-    D: tuple[np.ndarray, ...]
-    R: tuple[np.ndarray, ...]
+    Phi: np.ndarray
+    K: np.ndarray
+    Dbar: np.ndarray
+    D: np.ndarray
+    R: np.ndarray
     d1: int
 
     @property
@@ -53,14 +53,11 @@ class GainSchedule:
 
 def _riccati(A: np.ndarray, B: np.ndarray, F: np.ndarray, G: np.ndarray,
              Fn: np.ndarray, n: int, d1: int) -> GainSchedule:
-    d0 = A.shape[0]
-    Phi = [None] * (n + 1)
-    Dbar = [None] * (n + 1)
-    K = [None] * n
-    D = [None] * n
-    R = [None] * n
-    Phi[n] = Fn.copy()
-    Dbar[n] = Fn.copy()
+    d0, m = B.shape
+    Phi, Dbar = np.empty((n + 1, d0, d0)), np.empty((n + 1, d0, d0))
+    K, D = np.empty((n, m, d0)), np.empty((n, m, d0))
+    R = np.empty((n, m, m))
+    Phi[n] = Dbar[n] = Fn
     for t in range(n - 1, -1, -1):
         R[t] = sym_part(G + B.T @ Phi[t + 1] @ B)
         try:
@@ -73,10 +70,9 @@ def _riccati(A: np.ndarray, B: np.ndarray, F: np.ndarray, G: np.ndarray,
         K[t], D[t] = KD[:, :d0], KD[:, d0:]
         Phi[t] = sym_part(F + A.T @ Phi[t + 1] @ A - A.T @ Phi[t + 1] @ B @ K[t])
         Dbar[t] = (A - B @ K[t]).T @ Dbar[t + 1] + F
-    for M in (*Phi, *K, *Dbar, *D, *R):
+    for M in (Phi, K, Dbar, D, R):
         M.flags.writeable = False
-    return GainSchedule(Phi=tuple(Phi), K=tuple(K), Dbar=tuple(Dbar),
-                        D=tuple(D), R=tuple(R), d1=d1)
+    return GainSchedule(Phi=Phi, K=K, Dbar=Dbar, D=D, R=R, d1=d1)
 
 
 def backward_riccati(model: SystemModel) -> GainSchedule:

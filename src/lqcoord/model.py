@@ -53,8 +53,11 @@ class SystemModel:
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
+        # own read-only copies, so no edit of the caller's arrays reaches the
+        # model or the gain schedules it caches
         for fname in ("A", "B1", "B2", "W", "F", "Fn", "G1", "G2", "Sigma0", "X0"):
-            object.__setattr__(self, fname, np.asarray(getattr(self, fname), dtype=float))
+            object.__setattr__(self, fname,
+                               _read_only(np.array(getattr(self, fname), dtype=float)))
         d0 = self.A.shape[0]
         if self.A.shape != (d0, d0):
             raise DimensionMismatch(f"A must be square, got {self.A.shape}")

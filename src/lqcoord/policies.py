@@ -1,11 +1,15 @@
 """Agent-level control policies: the coordination scheme and its baselines.
 
-Every policy runs on one operator table (`power.analytic.StepOps`, whose
-module states its maps), built once per prepared policy and read by the
-rollouts. The coordination policies take
-enc_t and dec_t from the channel map (`signaling_ops`; Sigma_t does not
-depend on the rollout, so the table is known before any rollout); the
-baselines send nothing (`silent_ops`).
+Every policy is one operator table (`StepOps`), stacked over its steps,
+built once per prepared policy (`PreparedPolicy.step_ops`) and read by the
+rollouts: the joint input u_t = -K_t x_t + D*_t x_* + D^_t x_hat + I~
+enc_t e_t and the follower's update x_hat += dec_t y_t from the channel
+output y_t, where e = x_* - x_hat evolves as e_{t+1} = E_t e_t - dec_t w_t.
+The coordination policies take D* = 0, D^ = D and enc_t, dec_t and E_t
+from the channel map (`channel.sigma_steps`; Sigma_t does not depend on
+the rollout, so the table is known before any rollout); the baselines
+send nothing (enc = dec = D^ = 0, E = I). D* is zero wherever dec is not,
+so the follower only reads y_t = B1 enc_t e_t + w_t.
 
 Offsets follow the follower's current estimate for BOTH agents: the leader
 also uses D_t^l x_hat rather than its exact D_t^l x_*, which keeps the
@@ -21,11 +25,11 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import ChannelSetup, block_schedule, fa_setup, ua_setup
+from .channel import (ChannelSetup, block_schedule, fa_setup, power_factors,
+                      sigma_steps, ua_setup)
 from .errors import ValidationError
 from .gains import GainSchedule
 from .model import SystemModel
-from .power.analytic import StepOps, signaling_ops, silent_ops
 from .power.schedules import PowerSchedule, ScheduleMode, heuristic_schedule
 
 
@@ -35,6 +39,25 @@ class PolicyKind(Enum):
     NO_COMM = "no-comm"
     IM_COMM_FA = "im-comm-fa"
     IM_COMM_UA = "im-comm-ua"
+
+
+@dataclass(frozen=True)
+class StepOps:
+    """A policy's operator table: its maps of steps 0..n-1, stacked.
+
+    Sigma holds the follower's error covariance Sigma_0..Sigma_n. Abar =
+    A - B K and BD = B D^ are formed once.
+    """
+
+    K: np.ndarray        # (n, d1 + d2, d0) x -> joint feedback
+    D_star: np.ndarray   # (n, d1 + d2, d0) x_* -> joint target offset
+    D_hat: np.ndarray    # (n, d1 + d2, d0) x_hat -> joint estimate offset
+    enc: np.ndarray      # (n, d1, d0) e -> leader signal s
+    dec: np.ndarray      # (n, d0, d0) raw channel output y -> estimate of e
+    E: np.ndarray        # (n, d0, d0) error map
+    Sigma: np.ndarray    # (n + 1, d0, d0)
+    Abar: np.ndarray     # A - B K
+    BD: np.ndarray       # B D^
 
 
 # report labels of the coordination policies, by how their power was chosen
@@ -79,18 +102,27 @@ class PreparedPolicy:
         leader-alone D_t for leader-only, whose gains get zero follower rows.
         """
         model, gains = self.model, self.gains
+        n, d0 = model.n, model.d0
         if self.tracks_sigma:
-            return signaling_ops(gains, self.setup, model, self.power,
-                                 block_schedule(self.setup, model.n,
-                                                self.block_order))
+            blocks = block_schedule(self.setup, n, self.block_order)
+            sigma = sigma_steps(power_factors(self.setup, self.power.Lambda, blocks),
+                                model.Sigma0, model.W)
+            return StepOps(K=gains.K, D_star=np.zeros_like(gains.D), D_hat=gains.D,
+                           enc=sigma.enc, dec=sigma.dec, E=sigma.E, Sigma=sigma.Sigma,
+                           Abar=model.A - model.B @ gains.K, BD=model.B @ gains.D)
         shared = self.kind is PolicyKind.EX_COMM
-        K = np.zeros((model.n, model.d1 + model.d2, model.d0))
+        K = np.zeros((n, model.d1 + model.d2, d0))
         D_star = np.zeros_like(K)
-        K[:, :len(gains.K[0])] = gains.K
+        K[:, :gains.K.shape[1]] = gains.K
         keep = K.shape[1] if shared else model.d1
-        D_star[:, :keep] = np.array(gains.D)[:, :keep]
-        return silent_ops(model, K, D_star,
-                          np.zeros_like(model.Sigma0) if shared else model.Sigma0)
+        D_star[:, :keep] = gains.D[:, :keep]
+        zeros = np.zeros((n, d0, d0))
+        Sigma = np.zeros_like(model.Sigma0) if shared else model.Sigma0
+        return StepOps(K=K, D_star=D_star, D_hat=np.zeros_like(K),
+                       enc=np.zeros((n, model.d1, d0)), dec=zeros,
+                       E=np.broadcast_to(np.eye(d0), zeros.shape),
+                       Sigma=np.broadcast_to(Sigma, (n + 1, d0, d0)),
+                       Abar=model.A - model.B @ K, BD=zeros)
 
     @cached_property
     def sigma_traces(self) -> np.ndarray:

@@ -1,32 +1,24 @@
-"""A policy's operator table and the exact expected cost of a signaling schedule.
+"""The exact expected cost of a signaling schedule, and its gradient.
 
-Every policy is one operator table (`StepOps`), stacked over its steps and
-read by the rollouts: the joint input u_t = -K_t x_t + D*_t x_* + D^_t
-x_hat + I~ enc_t e_t and the follower's update x_hat += dec_t y_t from the
-channel output y_t, where e = x_* - x_hat evolves as e_{t+1} = E_t e_t -
-dec_t w_t. `signaling_ops` builds the coordination scheme's table (D* = 0,
-D^ = D, the channel maps from the one Sigma loop `channel.sigma_steps`),
-`silent_ops` a baseline's, which sends nothing (enc = dec = 0, E = I). D*
-is zero wherever dec is not, so the follower only reads y_t = B1 enc_t
-e_t + w_t.
-
-The exact cost. With the gains' value functions V_t(x, x_*) of the
-full-information tracking LQR (`gains`, Phi_n = Fn) and R_t = G + B'
-Phi_{t+1} B, every signaling schedule costs
+With the gains' value functions V_t(x, x_*) of the full-information
+tracking LQR (`gains`, Phi_n = Fn) and R_t = G + B' Phi_{t+1} B, every
+signaling schedule costs
 
     E[J] = Tr(Phi_0 X0) + Tr(Gamma_0 Sigma0) + sum_t Tr(Phi_{t+1} W)
            + sum_t Tr(R_t Delta_t Sigma_t Delta_t'),
     Gamma_0 = Fn + n F - sum_t D_t' R_t D_t,   Delta_t = I~ enc_t - D_t,
 
-with Sigma_t the table's error covariance (Bertsekas, Dynamic Programming
-and Optimal Control I, ch. 4; Astrom, Introduction to Stochastic Control
-Theory, 1970). Proof: for any input u, the stage cost plus E V_{t+1}(A x
-+ B u + w) equals V_t(x, x_*) + Tr(Phi_{t+1} W) + (u - u*)' R_t (u - u*),
-u* = -K_t x + D_t x_* (completing the square). Here u - u* = Delta_t e_t,
-and E e_t e_t' = Sigma_t. The first three terms, the full-information
-(ex-comm) cost, depend on the gains alone (`value_constant`); Gamma_0 is
-the target block of V_0, from Gamma_n = Fn and Gamma_t = F + Gamma_{t+1}
-- D_t' R_t D_t.
+with enc_t and Sigma_t the encoder and the follower's error covariance
+from the channel map (`channel.sigma_steps`; Bertsekas, Dynamic
+Programming and Optimal Control I, ch. 4; Astrom, Introduction to
+Stochastic Control Theory, 1970). Proof: for any input u, the stage cost
+plus E V_{t+1}(A x + B u + w) equals V_t(x, x_*) + Tr(Phi_{t+1} W) + (u -
+u*)' R_t (u - u*), u* = -K_t x + D_t x_* (completing the square). In the
+policy's table (`policies.StepOps`) u - u* = Delta_t e_t, e_t = x_* -
+x_hat_t, and E e_t e_t' = Sigma_t. The first three terms, the
+full-information (ex-comm) cost, depend on the gains alone
+(`value_constant`); Gamma_0 is the target block of V_0, from Gamma_n = Fn
+and Gamma_t = F + Gamma_{t+1} - D_t' R_t D_t.
 
 `TailCostEvaluator.cost` runs the channel's power half and Sigma loop and
 takes the last sum as one stacked trace sum_t Tr(M_t' R_t M_t) with M_t =
@@ -52,8 +44,6 @@ and the power half's reverse pass from them, for all steps at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..channel import (ChannelSetup, block_schedule, power_factors,
@@ -64,56 +54,11 @@ from ..model import SystemModel
 from .schedules import PowerSchedule, ScheduleMode
 
 
-@dataclass(frozen=True)
-class StepOps:
-    """A policy's operator table: its maps of steps 0..n-1, stacked.
-
-    Sigma holds the follower's error covariance Sigma_0..Sigma_n. Abar =
-    A - B K and BD = B D^ are formed once.
-    """
-
-    K: np.ndarray        # (n, d1 + d2, d0) x -> joint feedback
-    D_star: np.ndarray   # (n, d1 + d2, d0) x_* -> joint target offset
-    D_hat: np.ndarray    # (n, d1 + d2, d0) x_hat -> joint estimate offset
-    enc: np.ndarray      # (n, d1, d0) e -> leader signal s
-    dec: np.ndarray      # (n, d0, d0) raw channel output y -> estimate of e
-    E: np.ndarray        # (n, d0, d0) error map
-    Sigma: np.ndarray    # (n + 1, d0, d0)
-    Abar: np.ndarray     # A - B K
-    BD: np.ndarray       # B D^
-
-
-def signaling_ops(gains: GainSchedule, setup: ChannelSetup, model: SystemModel,
-                  power: PowerSchedule, blocks: list[int]) -> StepOps:
-    """The coordination scheme's table for a power schedule; blocks[t] is
-    the block sent at step t."""
-    power.check_fits(model.n, setup.r)
-    sigma = sigma_steps(power_factors(setup, power.Lambda, blocks),
-                        model.Sigma0, model.W)
-    K, D = np.array(gains.K), np.array(gains.D)
-    return StepOps(K=K, D_star=np.zeros_like(D), D_hat=D, enc=sigma.enc,
-                   dec=sigma.dec, E=sigma.E, Sigma=sigma.Sigma,
-                   Abar=model.A - model.B @ K, BD=model.B @ D)
-
-
-def silent_ops(model: SystemModel, K: np.ndarray, D_star: np.ndarray,
-               Sigma: np.ndarray) -> StepOps:
-    """A baseline's table: joint gains K and D* (n, d1 + d2, d0), no
-    signal (enc = dec = D^ = 0, E = I) and Sigma_t = Sigma throughout."""
-    n, d0 = model.n, model.d0
-    zeros = np.zeros((n, d0, d0))
-    return StepOps(K=K, D_star=D_star, D_hat=np.zeros_like(K),
-                   enc=np.zeros((n, model.d1, d0)), dec=zeros,
-                   E=np.broadcast_to(np.eye(d0), zeros.shape),
-                   Sigma=np.broadcast_to(Sigma, (n + 1, d0, d0)),
-                   Abar=model.A - model.B @ K, BD=zeros)
-
-
 def value_constant(gains: GainSchedule, model: SystemModel) -> float:
     """The schedule-free part of the exact cost: Tr(Phi_0 X0) + Tr(Gamma_0
     Sigma0) + sum_t Tr(Phi_{t+1} W), the full-information cost of the
     gains' own input."""
-    Phi, D, R = np.array(gains.Phi), np.array(gains.D), np.array(gains.R)
+    Phi, D, R = gains.Phi, gains.D, gains.R
     Gamma0 = model.Fn + model.n * model.F - np.einsum("tki,tkl,tlj->ij", D, R, D)
     return float(np.sum(Phi[0] * model.X0) + np.sum(Gamma0 * model.Sigma0)
                  + np.einsum("tij,ij->", Phi[1:], model.W))
@@ -131,7 +76,7 @@ class TailCostEvaluator:
                  model: SystemModel, block_order: list[int] | None = None):
         self.setup, self.model = setup, model
         self.blocks = block_schedule(setup, model.n, block_order)
-        self.D, self.R = np.array(gains.D), np.array(gains.R)
+        self.D, self.R = gains.D, gains.R
         self.constant = value_constant(gains, model)
         self.last = None
 

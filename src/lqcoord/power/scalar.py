@@ -170,7 +170,7 @@ def scalar_constants(gains: GainSchedule, setup: ChannelSetup,
                      model: SystemModel) -> ConstantsTable:
     """The reduced cost's constants c1/c2/c3 of every step, from the gains'
     input weights R_t (module docstring)."""
-    R, D = np.array(gains.R), np.array(gains.D)
+    R, D = gains.R, gains.D
     U, H = setup.eig.U, setup.eig.H
     N = model.leader_embed @ setup.Q @ (U / np.sqrt(H)) @ U.T
     RD = R @ D

@@ -85,9 +85,15 @@ class PowerSchedule:
 
 
 def heuristic_schedule(theta: float, n: int, dim: int) -> PowerSchedule:
-    """Geometric decay Lambda_t = theta^t * ones(dim)."""
+    """Geometric decay Lambda_t = theta^t * ones(dim), over n >= 1 steps
+    of dim >= 1 entries."""
     theta = checked_number("theta", theta)
     if not 0.0 < theta <= 1.0:
         raise InvalidTheta(f"theta must be in (0, 1], got {theta}")
+    n = checked_number("n", n, integer=True)
+    dim = checked_number("dim", dim, integer=True)
+    for name, value in (("n", n), ("dim", dim)):
+        if value < 1:
+            raise ValidationError(f"{name} must be >= 1, got {value}")
     return PowerSchedule(mode=ScheduleMode.HEURISTIC,
                          Lambda=[theta ** t * np.ones(dim) for t in range(n)])

@@ -17,9 +17,10 @@ at every theta of EXACT_THETAS and horizon of EXACT_HORIZONS on both
 presets, and of the Lambda of every `optimize-power` case, so that a move
 of the exact cost shows next to the CLI files.
 `diff` lists each file that differs, with its largest relative deviation
-over the numbers in it, and exits 1 if any file differs. `summary.json`,
-which records wall times, is left out of the comparison. This module is a
-tool, not a test module: pytest does not collect it.
+over the numbers in it, and exits 1 if any file differs. `summary.json`
+is compared with its `wall_time_s` values masked, as they vary from run
+to run. This module is a tool, not a test module: pytest does not collect
+it.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ FA, UA = "fully-actuated-vi-a", "under-actuated-vi-b"
 POLICIES = {FA: ["ex-comm", "leader-only", "im-comm-heu", "im-comm-opt"],
             UA: ["ex-comm", "no-comm", "im-comm-heu", "im-comm-num"]}
 TARGETS = {"sampled": "sampled", "A": "preset:A", "fixed": "1,-2,0.5,2"}
-SKIPPED = {"summary.json"}
 # past the store's budget at the presets' 30 steps (124 doubles per run
 # and 4 more for a sampled target): 20000 runs draw 20.5 MB
 BUDGET_RUNS = 20000
@@ -143,6 +143,7 @@ def exact_costs(lq, out: Path) -> dict[str, float]:
     return costs
 
 
+WALL_TIME = re.compile(r'"wall_time_s": [^,\n}]+')
 NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|-?inf")
 
 
@@ -163,20 +164,26 @@ def deviation(a: str, b: str) -> float:
     return worst
 
 
+def _read(path: Path) -> str:
+    """A file's text, with summary.json's wall times masked."""
+    text = path.read_text()
+    if path.name == "summary.json":
+        text = WALL_TIME.sub('"wall_time_s": #', text)
+    return text
+
+
 def diff(a: Path, b: Path) -> int:
     names = sorted({p.relative_to(a) for p in a.rglob("*") if p.is_file()}
                    | {p.relative_to(b) for p in b.rglob("*") if p.is_file()})
     compared = differing = 0
     for rel in names:
-        if rel.name in SKIPPED:
-            continue
         pa, pb = a / rel, b / rel
         if not (pa.is_file() and pb.is_file()):
             print(f"{rel}: only in {a if pa.is_file() else b}")
             differing += 1
             continue
         compared += 1
-        ta, tb = pa.read_text(), pb.read_text()
+        ta, tb = _read(pa), _read(pb)
         if ta != tb:
             differing += 1
             print(f"{rel}: differs, largest relative deviation "

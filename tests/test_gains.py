@@ -74,12 +74,31 @@ def test_policies_share_their_models_schedules():
     assert ex.gains is heu.gains is model.joint_gains
     assert make_policy(PolicyKind.LEADER_ONLY, model).gains is model.leader_gains
     fresh = backward_riccati(model)
-    for name in ("Phi", "K", "Dbar", "D"):
+    n, d0, m = model.n, model.d0, model.d1 + model.d2
+    shapes = {"Phi": (n + 1, d0, d0), "Dbar": (n + 1, d0, d0),
+              "K": (n, m, d0), "D": (n, m, d0), "R": (n, m, m)}
+    for name, shape in shapes.items():
         shared = getattr(model.joint_gains, name)
+        assert shared.shape == shape
         np.testing.assert_array_equal(shared, getattr(fresh, name))
-        assert not any(M.flags.writeable for M in shared)
+        assert not shared.flags.writeable
     # shared per model object, never across equal models
     assert lq.fully_actuated_model(n=8).joint_gains is not model.joint_gains
+
+
+def test_model_keeps_read_only_copies_of_its_matrices():
+    base = lq.fully_actuated_model(n=5)
+    names = ("A", "B1", "B2", "W", "F", "Fn", "G1", "G2", "Sigma0", "X0")
+    given = {name: np.array(getattr(base, name)) for name in names}
+    model = SystemModel(**given, n=base.n)
+    model.joint_gains                  # cached before the edit
+    for M in given.values():   # the caller edits its arrays afterwards
+        M *= 2.0
+    for name in names:
+        np.testing.assert_array_equal(getattr(model, name), getattr(base, name))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(model, name)[0, 0] = 0.0
+    np.testing.assert_array_equal(model.joint_gains.K, backward_riccati(model).K)
 
 
 def test_indefinite_innovation_raises_with_its_step():

@@ -9,13 +9,11 @@ from conftest import random_system
 import lqcoord as lq
 from lqcoord.errors import SigmaNearSingular
 from lqcoord.linalg import svd_factor
-from lqcoord.policies import PolicyKind, make_policy
+from lqcoord.policies import PolicyKind, PreparedPolicy, make_policy
 from lqcoord.power import expected_total_cost, heuristic_schedule
-from lqcoord.channel import block_schedule
 from lqcoord.cli import build_policy
 from lqcoord.config import PolicyConfig
-from lqcoord.power.analytic import (TailCostEvaluator, signaling_ops,
-                                   value_constant)
+from lqcoord.power.analytic import TailCostEvaluator, value_constant
 from lqcoord.power.schedules import PowerSchedule, ScheduleMode
 from lqcoord import simulate
 from lqcoord.simulate import monte_carlo
@@ -27,7 +25,8 @@ Z, E, X = slice(0, 4), slice(4, 8), slice(8, 12)
 def _joint(schedule, gains, setup, model):
     """The joint covariances P_0..P_n along a signaling schedule's table,
     step by step (`joint_oracle`)."""
-    ops = signaling_ops(gains, setup, model, schedule, block_schedule(setup, model.n))
+    kind = PolicyKind.IM_COMM_FA if setup.r == model.d0 else PolicyKind.IM_COMM_UA
+    ops = PreparedPolicy(kind, model, gains, setup, power=schedule).step_ops
     return joint_oracle.joints(joint_oracle.table_forward(ops, model), model)
 
 
@@ -100,7 +99,8 @@ def test_ua_zero_power_freezes_sigma(ua_model, ua_gains, ua_channel):
     evaluator = TailCostEvaluator(ua_gains, ua_channel, ua_model)
     assert evaluator.blocks[0] == 0
     zero = PowerSchedule(mode=ScheduleMode.FULL_MATRIX, Lambda=np.zeros((ua_model.n, 2)))
-    ops = signaling_ops(ua_gains, ua_channel, ua_model, zero, evaluator.blocks)
+    ops = PreparedPolicy(PolicyKind.IM_COMM_UA, ua_model, ua_gains, ua_channel,
+                         power=zero).step_ops
     np.testing.assert_allclose(ops.Sigma[1], ua_model.Sigma0, atol=1e-12)
     np.testing.assert_allclose(_joint(zero, ua_gains, ua_channel, ua_model)[1][E, E],
                                ua_model.Sigma0, atol=1e-12)

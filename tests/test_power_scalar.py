@@ -64,6 +64,16 @@ def test_heuristic_rejects_bad_theta():
         heuristic_schedule(1.2, 3, 2)
 
 
+@pytest.mark.parametrize("n, dim, field", [(2.5, 2, "n"), (3, 1.5, "dim"),
+                                           (True, 2, "n"), (3, 0, "dim"),
+                                           (0, 2, "n")])
+def test_heuristic_rejects_bad_n_and_dim(n, dim, field):
+    # a fractional or boolean count or one below 1 is a ValidationError
+    # naming its field, not a TypeError or a degenerate schedule
+    with pytest.raises(ValidationError, match=rf"^{field}\b"):
+        heuristic_schedule(0.5, n, dim)
+
+
 # --- constants table -------------------------------------------------------------
 
 def test_constants_c1_positive(preset):
