@@ -71,7 +71,7 @@ def covariance_model_constants(gains: GainSchedule, setup: ChannelSetup,
     c1/c2/c3."""
     thetaZ = np.array(costate_Z(gains, model)[1:])   # theta_Z,t+1 for t < n
     L = np.array(offset_feedback_seq(gains, model))
-    K, D = np.array(gains.K), np.array(gains.D)
+    K, D = gains.K, gains.D
     U, H = setup.eig.U, setup.eig.H
     S0 = model.Sigma0
     S0_12 = psd_sqrt(S0)
