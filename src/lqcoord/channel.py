@@ -58,8 +58,7 @@ import numpy as np
 from .errors import (NonIntegerPeriod, RankDeficient, SigmaNearSingular,
                      SigmaTraceGrowth, SingularInnovation, ValidationError)
 from .linalg import (EIG_CLAMP, PINV_SQRT_RTOL, EigenPair, check_symmetric,
-                     eig_roots_kernels, numerical_rank, sym_eig, sym_part,
-                     svd_factor)
+                     numerical_rank, sym_eig, sym_part, svd_factor)
 
 # Tr Sigma_{t+1} <= Tr Sigma_t holds exactly; its roundoff grows like
 # eps * sqrt(cond Sigma_t) through E = Sig12 V Sig12inv, ~2e-10 relative at
@@ -84,7 +83,7 @@ def choose_projection(B1: np.ndarray) -> np.ndarray:
     return Q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelSetup:
     """Immutable per-system channel data shared by every rollout: Q (d1 x r),
     P (r x d0), C, Wv and eig = (U, H) as in the module docstring. The
@@ -176,7 +175,7 @@ def block_schedule(setup: ChannelSetup, n: int,
     return [order[t % setup.tau] for t in range(n)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerFactors:
     """The power half of the channel map, stacked over a schedule's steps.
 
@@ -225,65 +224,69 @@ def power_factors(setup: ChannelSetup, Lambda: np.ndarray,
                         left=left, right=right)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SigmaPass:
     """The Sigma half of the channel map along a schedule, stacked.
 
     Sigma holds Sigma_0..Sigma_n (n + 1, d0, d0); every other field is
-    (n, ., .) over steps 0..n-1: Sigma_t's clipped eigenpair U, H, its
-    roots Sig12 and Sig12inv (truncated), the product SV = Sig12 V and the
-    maps enc, dec and E.
+    over steps 0..n-1: Sigma_t's clipped eigenpair U, H (descending), its
+    root Sig12, the number `live` of its directions above the
+    pseudo-inverse cutoff (the leading ones of H) and a factor F of the
+    middle factor K = F F' of Sigma_{t+1} = Sig12 K Sig12.
     """
 
     Sigma: np.ndarray
     U: np.ndarray
     H: np.ndarray
     Sig12: np.ndarray
-    Sig12inv: np.ndarray
-    SV: np.ndarray
-    enc: np.ndarray
-    dec: np.ndarray
-    E: np.ndarray
+    live: np.ndarray
+    F: np.ndarray
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        return self.F @ self.F.swapaxes(1, 2)
+
+    def project(self, X: np.ndarray) -> np.ndarray:
+        """X_t P_t for a stack X over the steps, with P_t the projector on
+        Sigma_t's live directions; X_t itself where none is truncated."""
+        steps = np.flatnonzero(self.live < self.H.shape[1])
+        if not steps.size:
+            return X
+        U = self.U[steps]
+        U_live = U * (np.arange(U.shape[2]) < self.live[steps, None])[:, None, :]
+        X = X.copy()
+        X[steps] = X[steps] @ U_live @ U.swapaxes(1, 2)
+        return X
 
 
 def sigma_steps(power: PowerFactors, Sigma0: np.ndarray,
                 W: np.ndarray) -> SigmaPass:
     """The Sigma half of the channel map along all steps of `power`, with
-    W the plant noise covariance.
+    W the plant noise covariance (positive definite).
 
     Sigma0 is checked for symmetry and symmetrised once; every later
-    Sigma_t comes out of a symmetrisation. `SigmaNearSingular` names the
-    first step whose Sigma_t has an eigenvalue below -EIG_CLAMP max(1,
-    |eig|), and `SigmaTraceGrowth` the first that raises Tr Sigma by more
-    than TRACE_RTOL Tr Sigma_t.
+    Sigma_t is a Gram product, exactly symmetric. `SigmaNearSingular`
+    names the first step whose Sigma_t has an eigenvalue below -EIG_CLAMP
+    max(1, |eig|), and `SigmaTraceGrowth` the first that raises Tr Sigma
+    by more than TRACE_RTOL Tr Sigma_t.
     """
     n, d0 = power.V.shape[:2]
     Sigma = np.empty((n + 1, d0, d0))
     Sigma[0] = check_symmetric(Sigma0, name="Sigma0")
+    # K = V V + right W right' = F F' with F = [V | right chol(W)]
+    F = np.concatenate([power.V, power.right @ np.linalg.cholesky(W)], axis=2)
     w, H = np.empty((2, n, d0))
-    root_values = np.zeros((n, 2, d0))       # sqrt(H) and the truncated H^(-1/2)
-    U, SV, dec, E = np.empty((4, n, d0, d0))
-    roots = np.empty((n, 2, d0, d0))         # Sig12, Sig12inv
-    steps = zip(Sigma, Sigma[1:], w, H, U, root_values, roots, SV, dec, E,
-                power.V, power.right)
-    for S_t, S_next, w_t, h, U_t, rv, root, SV_t, dec_t, E_t, V_t, right_t in steps:
+    U, root = np.empty((2, n, d0, d0))
+    steps = zip(Sigma, Sigma[1:], w, H, U, root, F, power.V)
+    for S_t, S_next, w_t, h, U_t, R, F_t, V_t in steps:
         w_t[...], eigvecs = np.linalg.eigh(S_t)   # ascending; S_t is symmetric
         U_t[...] = eigvecs[:, ::-1]
         np.maximum(w_t[::-1], 0.0, out=h)
-        np.sqrt(h, out=rv[0])
-        # the live directions, h > cutoff * max h, lead the descending h
-        live = d0 - w_t.searchsorted(PINV_SQRT_RTOL * h[0], "right")
-        np.power(h[:live], -0.5, out=rv[1, :live])
-        raw = (U_t * rv[:, None, :]).reshape(2 * d0, d0).dot(U_t.T)
-        raw = raw.reshape(2, d0, d0)
-        np.add(raw, raw.transpose(0, 2, 1).copy(), out=root)
-        np.multiply(root, 0.5, out=root)
-        root[0].dot(V_t, out=SV_t)
-        root[0].dot(right_t, out=dec_t)
-        SV_t.dot(root[1], out=E_t)
-        S = E_t.dot(S_t).dot(E_t.T) + dec_t.dot(W).dot(dec_t.T)
-        np.add(S, S.T.copy(), out=S_next)
-        np.multiply(S_next, 0.5, out=S_next)
+        if w_t[0] <= PINV_SQRT_RTOL * h[0]:     # V P V in place of V V
+            F_t[:, :d0] = V_t.dot(U_t * (h > PINV_SQRT_RTOL * h[0]))
+        (U_t * np.sqrt(h)).dot(U_t.T, out=R)
+        G = R.dot(F_t)
+        np.dot(G, G.T, out=S_next)
     low = w[:, 0] < -EIG_CLAMP * np.maximum(1.0, np.abs(w).max(axis=1))
     if low.any():
         t = int(low.argmax())
@@ -296,72 +299,46 @@ def sigma_steps(power: PowerFactors, Sigma0: np.ndarray,
         raise SigmaTraceGrowth(f"Tr Sigma grows at step {t}: {trace[t]:.6e} -> "
                                f"{trace[t + 1]:.6e}, more than the roundoff "
                                f"allowance {TRACE_RTOL:g} relative")
-    Sig12inv = roots[:, 1]
-    return SigmaPass(Sigma=Sigma, U=U, H=H, Sig12=roots[:, 0], Sig12inv=Sig12inv,
-                     SV=SV, enc=power.left @ Sig12inv, dec=dec, E=E)
+    live = (H > PINV_SQRT_RTOL * H[:, :1]).sum(axis=1)
+    return SigmaPass(Sigma=Sigma, U=U, H=H, Sig12=sym_part(root), live=live, F=F)
 
 
-@dataclass(frozen=True)
-class SigmaAdjoint:
-    """Per-step constants of the Sigma half's reverse pass, stacked.
-
-    Given the gradients enc_bar, dec_bar and E_bar of a scalar with
-    respect to step t's maps, its gradient with respect to Sigma_t is
-    sym(U X U') with
-
-        X = F_root o (U' [E_bar | dec_bar] RU) + F_inv o (LU [enc_bar; E_bar] U),
-
-    where RU = [Sig12inv V U; right' U] (2 d0 x d0), LU = U' [left' | SV']
-    (d0 x (d1 + d0)) and (F_root, F_inv) are the Daleckii-Krein kernels of
-    Sigma_t's roots (`linalg.eig_roots_kernels`): X collects the gradients
-    with respect to Sigma^(1/2) (from dec = Sig12 right and E = Sig12 V
-    Sig12inv) and the truncated Sigma^(-1/2) (from enc = left Sig12inv and
-    E) in Sigma_t's eigenbasis.
-    """
-
-    U: np.ndarray
-    F_root: np.ndarray
-    F_inv: np.ndarray
-    RU: np.ndarray
-    LU: np.ndarray
-
-
-def sigma_adjoint(power: PowerFactors, sigma: SigmaPass) -> SigmaAdjoint:
-    """The reverse-pass constants of every step of `sigma`, in one call."""
-    U = sigma.U
-    F_root, F_inv = eig_roots_kernels(sigma.H)
-    RU = np.concatenate([sigma.Sig12inv @ power.V, power.right.swapaxes(1, 2)],
-                        axis=1) @ U
-    LU = (np.concatenate([power.left, sigma.SV], axis=1) @ U).swapaxes(1, 2)
-    return SigmaAdjoint(U=U, F_root=F_root, F_inv=F_inv, RU=RU, LU=LU)
+def step_maps(power: PowerFactors,
+              sigma: SigmaPass) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The maps enc, dec and E of every step of `sigma`, stacked, with the
+    truncated Sigma_t^(-1/2) of the module docstring."""
+    H = sigma.H
+    g = np.zeros_like(H)
+    live = np.arange(H.shape[1]) < sigma.live[:, None]
+    g[live] = H[live] ** -0.5
+    Sig12inv = sym_part((sigma.U * g[:, None, :]) @ sigma.U.swapaxes(1, 2))
+    return (power.left @ Sig12inv, sigma.Sig12 @ power.right,
+            sigma.Sig12 @ power.V @ Sig12inv)
 
 
 def power_factors_adjoint(setup: ChannelSetup, power: PowerFactors,
-                          Sig12: np.ndarray, Sig12inv: np.ndarray,
-                          enc_bar: np.ndarray, dec_bar: np.ndarray,
-                          E_bar: np.ndarray) -> np.ndarray:
+                          left_bar: np.ndarray, right_bar: np.ndarray,
+                          V_bar: np.ndarray) -> np.ndarray:
     """Reverse pass of the power half over all steps: dScalar/dLambda, (n, r).
 
-    Sig12, Sig12inv and the gradients enc_bar, dec_bar, E_bar are stacked
-    over the steps of `power`. Lambda_t reaches the maps through S^(1/2),
-    through S inside (C S C' + Wv)^-1 and through the contraction V. The
-    entries of Lambda must be positive: S^(1/2) has no derivative at 0.
+    left_bar, right_bar and V_bar are the gradients of a scalar with
+    respect to the factors left, right and V, stacked over the steps of
+    `power`. Lambda_t reaches them through S^(1/2), through S inside
+    (C S C' + Wv)^-1 and through the contraction V. The entries of Lambda
+    must be positive: S^(1/2) has no derivative at 0.
     """
     U, H, C = setup.eig.U, setup.eig.H, setup.C
-    # enc = left Sig12inv, dec = Sig12 right, E = Sig12 V Sig12inv, and
-    # left = Q S12 P_k, right = P_k' S12 out with out = C' inv P: only
-    # block k's columns of left_bar = enc_bar Sig12inv, rows of right_bar =
-    # Sig12 dec_bar and block of V_bar = Sig12 E_bar Sig12inv count, and
-    # they take block k's rows of the (symmetric) roots
+    # left = Q S12 P_k and right = P_k' S12 out with out = C' inv P: only
+    # block k's columns of left_bar, rows of right_bar and block of V_bar
+    # count
     steps, cols = np.arange(len(power.lam))[:, None], power.cols
-    root_k, inv_root_k = Sig12[steps, cols], Sig12inv[steps, cols].swapaxes(1, 2)
-    rb = root_k @ dec_bar
+    rb = right_bar[steps, cols]
     CI = C.T @ power.inv
     out = CI @ setup.P
-    S12_bar = setup.Q.T @ (enc_bar @ inv_root_k) + out @ rb.swapaxes(1, 2)
+    S12_bar = setup.Q.T @ left_bar[steps, :, cols].swapaxes(1, 2) + out @ rb.swapaxes(1, 2)
     # through (C S C' + Wv)^-1: -C' inv (C S12 rb P') inv C
     S_bar = -(CI @ C) @ power.S12 @ rb @ out.swapaxes(1, 2)
-    Vb = root_k @ E_bar @ inv_root_k
+    Vb = V_bar[steps[..., None], cols[..., None], cols[:, None, :]]
     # u_j' X_t u_j for every column u_j of U, for the three gradients at once
     q = np.einsum("ij,stij->stj", U, np.stack([S12_bar, S_bar, Vb]) @ U)
     lam = power.lam

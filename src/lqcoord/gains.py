@@ -30,7 +30,7 @@ from .linalg import sym_part
 from .model import SystemModel, controllability_rank
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GainSchedule:
     """Per-step feedback and target-offset gains of the joint input.
 

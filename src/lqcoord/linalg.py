@@ -48,7 +48,7 @@ def check_symmetric(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     return sym_part(M)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenPair:
     """Orthonormal eigenvectors and nonnegative eigenvalues, descending."""
 
@@ -67,30 +67,27 @@ def sym_eig(M: np.ndarray) -> EigenPair:
 
 
 def eig_roots_kernels(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Daleckii-Krein kernels (F_root, F_inv) of the square root and the
-    truncated inverse square root U diag(sqrt H) U', U diag(H^(-1/2)) U' at
-    the spectrum H. The inverse root is zero where H <= PINV_SQRT_RTOL
-    max(H); a stack (..., d) of spectra is truncated spectrum by spectrum.
+    """Daleckii-Krein kernels (F_root, F_proj) of the square root U diag(sqrt
+    H) U' and of the projector on the live directions, H > PINV_SQRT_RTOL
+    max(H), at the spectrum H; a stack (..., d) of spectra gives kernels
+    (..., d, d), each spectrum with its own cutoff.
 
     A spectral function f has Frechet derivative U (F o U' dM U) U' with
     F_ij the divided difference (f(h_i) - f(h_j)) / (h_i - h_j), f'(h_i)
     where h_i = h_j. For the root F_ij = 1 / (s_i + s_j) with s = sqrt(H),
-    the kernel of the Sylvester-Lyapunov equation S X + X S = Y. For the
-    inverse root it is -g_i g_j / (s_i + s_j) between live directions
-    (g = H^(-1/2)), g_i / (h_i - h_j) between a live i and a truncated j,
-    and 0 between truncated ones. A zero eigenvalue, where the root has no
-    derivative, gets 0. A stack H (..., d) gives kernels (..., d, d).
+    the kernel of the Sylvester-Lyapunov equation S X + X S = Y; a zero
+    eigenvalue, where the root has no derivative, gets 0. The projector's
+    f is 1 on live and 0 on truncated directions, so its kernel is 1 /
+    |h_i - h_j| between a live and a truncated direction and 0 elsewhere.
     """
-    s, g = np.sqrt(H), np.zeros_like(H)
+    s = np.sqrt(H)
     live = H > PINV_SQRT_RTOL * H.max(axis=-1, keepdims=True, initial=0.0)
-    g[live] = H[live] ** -0.5
     ssum = s[..., :, None] + s[..., None, :]
     F_root = np.divide(1.0, ssum, out=np.zeros_like(ssum), where=ssum > 0.0)
     cross = live[..., :, None] != live[..., None, :]
-    dh = np.where(cross, H[..., :, None] - H[..., None, :], 1.0)
-    F_inv = np.where(cross, (g[..., :, None] - g[..., None, :]) / dh,
-                     -(g[..., :, None] * g[..., None, :]) * F_root)
-    return F_root, F_inv
+    F_proj = np.divide(1.0, np.abs(H[..., :, None] - H[..., None, :]),
+                       out=np.zeros_like(ssum), where=cross)
+    return F_root, F_proj
 
 
 def psd_sqrt(M: np.ndarray) -> np.ndarray:
@@ -106,7 +103,7 @@ def numerical_rank(M: np.ndarray, rtol: float = RANK_RTOL) -> int:
     return int(np.sum(sv > rtol * sv[0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvdFactors:
     """SVD of the leader input matrix, split at its numerical rank.
 

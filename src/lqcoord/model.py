@@ -30,7 +30,7 @@ def _read_only(M: np.ndarray) -> np.ndarray:
     return M
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemModel:
     """Two-agent linear plant with quadratic costs and Gaussian priors.
 

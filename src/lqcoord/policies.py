@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .channel import (ChannelSetup, block_schedule, fa_setup, power_factors,
-                      sigma_steps, ua_setup)
+                      sigma_steps, step_maps, ua_setup)
 from .errors import ValidationError
 from .gains import GainSchedule
 from .model import SystemModel
@@ -41,7 +41,7 @@ class PolicyKind(Enum):
     IM_COMM_UA = "im-comm-ua"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepOps:
     """A policy's operator table: its maps of steps 0..n-1, stacked.
 
@@ -66,7 +66,7 @@ _POWER_LABELS = {ScheduleMode.HEURISTIC: "im-comm-heu",
                  ScheduleMode.FULL_MATRIX: "im-comm-num"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreparedPolicy:
     """Schedules and channel data computed once, shared across rollouts."""
 
@@ -105,10 +105,11 @@ class PreparedPolicy:
         n, d0 = model.n, model.d0
         if self.tracks_sigma:
             blocks = block_schedule(self.setup, n, self.block_order)
-            sigma = sigma_steps(power_factors(self.setup, self.power.Lambda, blocks),
-                                model.Sigma0, model.W)
+            power = power_factors(self.setup, self.power.Lambda, blocks)
+            sigma = sigma_steps(power, model.Sigma0, model.W)
+            enc, dec, E = step_maps(power, sigma)
             return StepOps(K=gains.K, D_star=np.zeros_like(gains.D), D_hat=gains.D,
-                           enc=sigma.enc, dec=sigma.dec, E=sigma.E, Sigma=sigma.Sigma,
+                           enc=enc, dec=dec, E=E, Sigma=sigma.Sigma,
                            Abar=model.A - model.B @ gains.K, BD=model.B @ gains.D)
         shared = self.kind is PolicyKind.EX_COMM
         K = np.zeros((n, model.d1 + model.d2, d0))

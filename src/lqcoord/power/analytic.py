@@ -47,9 +47,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..channel import (ChannelSetup, block_schedule, power_factors,
-                       power_factors_adjoint, sigma_adjoint, sigma_steps)
+                       power_factors_adjoint, sigma_steps)
 from ..errors import SigmaNearSingular, ValidationError
 from ..gains import GainSchedule
+from ..linalg import eig_roots_kernels
 from ..model import SystemModel
 from .schedules import PowerSchedule, ScheduleMode
 
@@ -86,11 +87,10 @@ class TailCostEvaluator:
         schedule.check_fits(self.model.n, self.setup.r)
         power = power_factors(self.setup, schedule.Lambda, self.blocks)
         sigma = sigma_steps(power, self.model.Sigma0, self.model.W)
-        Delta = -self.D
-        Delta[:, :self.model.d1] += sigma.enc
-        M = Delta @ sigma.Sig12
+        M = -(self.D @ sigma.Sig12)
+        M[:, :self.model.d1] += sigma.project(power.left)
         RM = self.R @ M
-        self.last = power, sigma, Delta, RM
+        self.last = power, sigma, RM
         return self.constant + float(np.sum(M * RM))
 
     def gradient(self) -> np.ndarray:
@@ -99,53 +99,43 @@ class TailCostEvaluator:
         as the root kernels of a nearly singular Sigma_t make it do."""
         if self.last is None:
             raise ValidationError("gradient: no schedule evaluated yet; call cost")
-        power, sigma, Delta, RM = self.last
+        power, sigma, RM = self.last
         lam = power.lam
         if (lam <= 0.0).any():
             t, j = np.argwhere(lam <= 0.0)[0]
             raise ValidationError(
                 f"gradient needs positive power; Lambda_{t}[{j}] = "
                 f"{lam[t, j]:.3g}")
-        model, setup = self.model, self.setup
-        d0, d1, n = model.d0, model.d1, model.n
-        E, e = sigma.E, slice(d0, 2 * d0)
-        adj = sigma_adjoint(power, sigma)
-        U, UT = adj.U, adj.U.swapaxes(1, 2)
-        # E Sigma_t and dec W, whose products with 2 Sbar_{t+1} are E_bar
-        # and dec_bar
-        ESig_decW = np.concatenate([E @ sigma.Sigma[:n], sigma.dec @ model.W],
-                                   axis=2)
-        enc_bar = 2.0 * RM[:, :d1] @ sigma.Sig12
-        # Y = Lz Sbar_{t+1} Q holds X's parts U' root_bar U and U' inv_bar U
-        # - c as its diagonal blocks
-        Lz = np.concatenate([2.0 * UT, 2.0 * adj.LU[:, :, d1:]], axis=1)
-        Q = np.concatenate([ESig_decW @ adj.RU, ESig_decW[:, :, :d0] @ U], axis=2)
-        F = np.zeros((n, 2 * d0, 2 * d0))
-        F[:, :d0, :d0], F[:, e, e] = adj.F_root, adj.F_inv
-        # half the stage weight Delta' R Delta, with X's constant part c
-        # moved into it
-        c = adj.LU[:, :, :d1] @ enc_bar @ U
-        half_weight = 0.5 * (Delta.swapaxes(1, 2) @ self.R @ Delta
-                             + U @ (adj.F_inv * c) @ UT)
-        # [E' U U] blkdiag(Sbar, F o Y) [E' U U]' / 2 = (E' Sbar E + U X U')
-        # / 2, as F's off-diagonal blocks are 0, so S + S' is Sbar_t
-        L = np.sqrt(0.5) * np.concatenate([E.swapaxes(1, 2), U, U], axis=2)
-        # G[t] = blkdiag(Sbar_t, F o Y_{t-1}); Sbar_n = 0
-        G = np.zeros((n + 1, 3 * d0, 3 * d0))
-        steps = zip(G[:0:-1], G[-2::-1, :d0, :d0], G[:0:-1, :d0, :d0],
-                    G[:0:-1, d0:, d0:], Lz[::-1], Q[::-1], F[::-1], L[::-1],
-                    L.transpose(0, 2, 1)[::-1].copy(), half_weight[::-1])
+        n, d0, d1 = self.model.n, self.model.d0, self.model.d1
+        U, R, K = sigma.U, sigma.Sig12, sigma.K
+        UT = U.swapaxes(1, 2)
+        M_bar = 2.0 * RM
+        F_root, F_proj = eig_roots_kernels(sigma.H)
+        # half of X, whose part without the costate is the stage's
+        Xc = 0.5 * (F_proj * (UT @ power.left.swapaxes(1, 2) @ M_bar[:, :d1] @ U)
+                    - F_root * (UT @ self.D.swapaxes(1, 2) @ M_bar @ U))
+        F_half, L = 0.5 * F_root, 2.0 * UT @ K @ R
+        truncated = sigma.live < d0
+        N = UT @ power.V @ R
+        Sbar = np.zeros((n + 1, d0, d0))    # Sbar_n = 0
+        steps = zip(range(n - 1, -1, -1), Sbar[-2::-1], Sbar[:0:-1], L[::-1],
+                    U[::-1], UT[::-1], F_half[::-1], Xc[::-1])
         # an overflow is reported below, naming its step, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            for G_next, Sbar, Sbar_next, FY, Lz_t, Q_t, F_t, L_t, LT_t, w_t in steps:
-                np.multiply(Lz_t.dot(Sbar_next).dot(Q_t), F_t, out=FY)
-                S = L_t.dot(G_next).dot(LT_t)
-                S += w_t
-                np.add(S, S.T, out=Sbar)
-            bars = 2.0 * G[1:, :d0, :d0] @ ESig_decW
-            grad = power_factors_adjoint(setup, power, sigma.Sig12,
-                                         sigma.Sig12inv, enc_bar,
-                                         bars[:, :, d0:], bars[:, :, :d0])
+            for t, Sbar_t, Sbar_next, L_t, U_t, UT_t, F_t, Xc_t in steps:
+                X = L_t.dot(Sbar_next).dot(U_t)
+                X *= F_t
+                X += Xc_t
+                if truncated[t]:
+                    X += 0.5 * F_proj[t] * N[t].dot(Sbar_next).dot(N[t].T)
+                S = U_t.dot(X).dot(UT_t)
+                np.add(S, S.T, out=Sbar_t)
+            K_bar = R @ Sbar[1:] @ R
+            V_bar = sigma.project(K_bar @ power.V)
+            grad = power_factors_adjoint(
+                self.setup, power, sigma.project(M_bar[:, :d1]),
+                2.0 * K_bar @ power.right @ self.model.W,
+                V_bar + V_bar.swapaxes(1, 2))
         bad = ~np.isfinite(grad).all(axis=1)
         if bad.any():   # the reverse pass runs from step n-1 down
             t = n - 1 - int(bad[::-1].argmax())

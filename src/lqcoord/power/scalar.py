@@ -154,7 +154,7 @@ B_N_MARGIN = 1e-13            # relative gap aimed for below epsilon, so that
                               # rounding can not lift b_n above it
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstantsTable:
     """Schedule-independent constants of the scalar problem: the reduced
     cost's per-step coefficients c1/c2/c3 and the channel gains H, with

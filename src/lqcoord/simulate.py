@@ -189,7 +189,7 @@ def _chol_psd(M: np.ndarray) -> np.ndarray:
         return V * np.sqrt(np.clip(w, 0.0, None))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RolloutTrace:
     """Everything measured along one rollout."""
 
@@ -208,7 +208,7 @@ class RolloutTrace:
         return float(self.stage_costs.sum() + self.terminal_cost)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AggregateReport:
     """Across-run summary for one policy."""
 

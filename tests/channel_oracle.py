@@ -36,10 +36,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 import scipy.linalg
 
-from lqcoord.channel import power_factors, power_factors_adjoint, sigma_steps
+from lqcoord.channel import (power_factors, power_factors_adjoint, sigma_steps,
+                            step_maps)
 from lqcoord.errors import RankDeficient, SigmaNearSingular
 from lqcoord.linalg import (PINV_SQRT_RTOL, check_symmetric, eig_roots_kernels,
                             svd_factor, sym_part)
@@ -359,11 +361,57 @@ def reference_sigma_steps(power, Sigma0, W) -> ReferencePass:
                          enc=power.left @ Sig12inv, dec=dec, E=E)
 
 
+def mp_sigma_steps(power, Sigma0, W, steps: int, dps: int = 50) -> np.ndarray:
+    """Sigma_0..Sigma_steps of Sigma_{t+1} = Sigma_t^(1/2) (V_t V_t + right_t
+    W right_t') Sigma_t^(1/2), evaluated with mpmath to `dps` digits from
+    the float64 power factors, W and Sigma0 taken as exact.
+
+    This is the covariance the step maps produce while no direction of
+    Sigma_t is truncated (P_t = I), rounded to float64 at each step only
+    for the return value.
+    """
+    with mpmath.workdps(dps):
+        mat = lambda X: mpmath.matrix(np.asarray(X).tolist())
+        S, Wm = mat(Sigma0), mat(W)
+        S = (S + S.T) / 2
+        out = [np.array(S.tolist(), dtype=float)]
+        for t in range(steps):
+            V, right = mat(power.V[t]), mat(power.right[t])
+            K = V * V + right * Wm * right.T
+            w, Q = mpmath.eigsy(S)
+            R = Q * mpmath.diag([mpmath.sqrt(max(x, 0)) for x in w]) * Q.T
+            S = R * K * R
+            S = (S + S.T) / 2
+            out.append(np.array(S.tolist(), dtype=float))
+    return np.array(out)
+
+
+def inv_root_kernels(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Daleckii-Krein kernels (F_root, F_inv) of the square root and the
+    truncated inverse square root at the spectrum H, as in `eig_roots`.
+
+    F_root is 1 / (s_i + s_j) with s = sqrt(H) (0 where both are 0). The
+    inverse root's kernel is -g_i g_j / (s_i + s_j) between live directions
+    (g = H^(-1/2)), g_i / (h_i - h_j) between a live i and a truncated j,
+    and 0 between truncated ones.
+    """
+    s, g = np.sqrt(H), np.zeros_like(H)
+    live = H > PINV_SQRT_RTOL * H.max(initial=0.0)
+    g[live] = H[live] ** -0.5
+    ssum = s[:, None] + s[None, :]
+    F_root = np.divide(1.0, ssum, out=np.zeros_like(ssum), where=ssum > 0.0)
+    cross = live[:, None] != live[None, :]
+    dh = np.where(cross, H[:, None] - H[None, :], 1.0)
+    F_inv = np.where(cross, (g[:, None] - g[None, :]) / dh,
+                     -(g[:, None] * g[None, :]) * F_root)
+    return F_root, F_inv
+
+
 def eig_roots_pullback(U: np.ndarray, kernels: tuple[np.ndarray, np.ndarray],
                        root_bar: np.ndarray, inv_bar: np.ndarray) -> np.ndarray:
     """Gradient with respect to M = U diag(H) U' from those of its roots.
 
-    kernels = eig_roots_kernels(H); root_bar and inv_bar are the gradients
+    kernels = inv_root_kernels(H); root_bar and inv_bar are the gradients
     of a scalar with respect to M^(1/2) and the truncated M^(-1/2).
     """
     F_root, F_inv = kernels
@@ -371,37 +419,81 @@ def eig_roots_pullback(U: np.ndarray, kernels: tuple[np.ndarray, np.ndarray],
     return sym_part(U @ X @ U.T)
 
 
-def sigma_step_adjoint(power, sigma, t: int,
-                       kernels: tuple[np.ndarray, np.ndarray],
+def sigma_step_adjoint(power, ref, t: int,
                        enc_bar: np.ndarray, dec_bar: np.ndarray,
                        E_bar: np.ndarray) -> np.ndarray:
     """Reverse pass of step t of the Sigma loop: the gradient w.r.t. Sigma_t.
 
     Given the gradients of a scalar with respect to enc, dec and E at step
-    t, maps them through Sigma_t's root and truncated inverse root;
-    kernels = eig_roots_kernels(sigma.H[t]).
+    t of `ref` (a `reference_sigma_steps` pass), maps them through Sigma_t's
+    root and truncated inverse root.
     """
-    root_bar = dec_bar @ power.right[t].T + E_bar @ sigma.Sig12inv[t] @ power.V[t]
-    inv_bar = power.left[t].T @ enc_bar + (sigma.Sig12[t] @ power.V[t]).T @ E_bar
-    return eig_roots_pullback(sigma.U[t], kernels, root_bar, inv_bar)
+    root_bar = dec_bar @ power.right[t].T + E_bar @ ref.Sig12inv[t] @ power.V[t]
+    inv_bar = power.left[t].T @ enc_bar + (ref.Sig12[t] @ power.V[t]).T @ E_bar
+    return eig_roots_pullback(ref.U[t], inv_root_kernels(ref.H[t]), root_bar,
+                              inv_bar)
+
+
+def joseph_step_adjoint(power, Sigma, W, Sbar, A, B):
+    """Gradient with respect to Sigma of the one-step scalar
+
+        <Sbar, Sigma'> + <A, enc Sigma^(1/2)> + <B, Sigma^(1/2)>
+
+    with Sigma' = E Sigma E' + dec W dec' (the Joseph form) and power the
+    one-step power half, by the reverse pass of the maps (enc, dec, E).
+    """
+    ref = reference_sigma_steps(power, Sigma, W)
+    Sig12, enc, dec, E = ref.Sig12[0], ref.enc[0], ref.dec[0], ref.E[0]
+    Sigma_bar = sigma_step_adjoint(power, ref, 0, A @ Sig12, 2.0 * Sbar @ dec @ W,
+                                   2.0 * Sbar @ E @ Sigma)
+    root = eig_roots_pullback(ref.U[0], inv_root_kernels(ref.H[0]),
+                              enc.T @ A + B, np.zeros_like(Sigma))
+    return sym_part(E.T @ Sbar @ E) + Sigma_bar + root
+
+
+def root_step_adjoint(power, Sigma, W, Sbar, A, B):
+    """`joseph_step_adjoint`'s gradient by the root form: Sigma' = R K R
+    and enc Sigma^(1/2) = left P, with R = Sigma^(1/2), P the projector on
+    Sigma's live directions and K = V P V + right W right' from the
+    package's one-step pass, pulled back by the kernels of R and P."""
+    sigma = sigma_steps(power, Sigma, W)
+    U, R, K, V = sigma.U[0], sigma.Sig12[0], sigma.K[0], power.V[0]
+    F_root, F_proj = eig_roots_kernels(sigma.H[0])
+    root_bar = 2.0 * K @ R @ Sbar + B
+    proj_bar = V @ R @ Sbar @ R @ V + power.left[0].T @ A
+    X = F_root * (U.T @ root_bar @ U) + F_proj * (U.T @ proj_bar @ U)
+    return sym_part(U @ X @ U.T)
 
 
 # --- the package's channel map at one step ---------------------------------------
 
-def one_step(setup, Sigma, lam, k=0):
-    """The package's Sigma pass of the one-step schedule (lam, block k) from
-    Sigma: the step's maps are enc[0], dec[0] and E[0], Sigma_{t+1} is Sigma[1]."""
+@dataclass(frozen=True)
+class OneStep:
+    """Sigma_0, Sigma_1 and the maps of a one-step schedule, stacked."""
+
+    Sigma: np.ndarray
+    enc: np.ndarray
+    dec: np.ndarray
+    E: np.ndarray
+
+
+def one_step(setup, Sigma, lam, k=0) -> OneStep:
+    """The package's Sigma pass and maps of the one-step schedule (lam,
+    block k) from Sigma: the step's maps are enc[0], dec[0] and E[0],
+    Sigma_{t+1} is Sigma[1]."""
     power = power_factors(setup, np.asarray(lam, dtype=float)[None], [k])
-    return sigma_steps(power, Sigma, setup.W)
+    sigma = sigma_steps(power, Sigma, setup.W)
+    return OneStep(sigma.Sigma, *step_maps(power, sigma))
 
 
 def one_step_adjoint(setup, Sigma, lam, k, enc_bar, dec_bar, E_bar):
     """Reverse pass of `one_step`: the gradients of a scalar with respect to
     lam and Sigma, given those with respect to enc, dec and E."""
     power = power_factors(setup, np.asarray(lam, dtype=float)[None], [k])
-    sigma = sigma_steps(power, Sigma, setup.W)
-    Sigma_bar = sigma_step_adjoint(power, sigma, 0, eig_roots_kernels(sigma.H[0]),
-                                   enc_bar, dec_bar, E_bar)
-    lam_bar = power_factors_adjoint(setup, power, sigma.Sig12, sigma.Sig12inv,
-                                    enc_bar[None], dec_bar[None], E_bar[None])
+    ref = reference_sigma_steps(power, Sigma, setup.W)
+    Sigma_bar = sigma_step_adjoint(power, ref, 0, enc_bar, dec_bar, E_bar)
+    Sig12, Sig12inv = ref.Sig12[0], ref.Sig12inv[0]
+    lam_bar = power_factors_adjoint(setup, power, (enc_bar @ Sig12inv)[None],
+                                    (Sig12 @ dec_bar)[None],
+                                    (Sig12 @ E_bar @ Sig12inv)[None])
     return lam_bar[0], Sigma_bar

@@ -7,7 +7,7 @@ import channel_oracle as oracle
 from conftest import random_pd
 
 from lqcoord.channel import (choose_projection, fa_setup, power_factors,
-                             sigma_steps, ua_setup)
+                             sigma_steps, step_maps, ua_setup)
 from lqcoord.errors import (NonIntegerPeriod, NotSymmetric, RankDeficient,
                             SigmaNearSingular, SigmaTraceGrowth, ValidationError)
 from lqcoord.linalg import SYM_TOL, min_eig, psd_sqrt
@@ -430,14 +430,14 @@ def test_stacked_power_half_gives_the_one_step_maps(ua_channel, ua_model):
     rng = np.random.default_rng(11)
     Lambda = rng.uniform(0.1, 2.0, (5, 2))
     blocks = [1, 0, 0, 1, 1]
-    stacked = sigma_steps(power_factors(ua_channel, Lambda, blocks),
-                          ua_model.Sigma0, ua_channel.W)
+    power = power_factors(ua_channel, Lambda, blocks)
+    stacked = sigma_steps(power, ua_model.Sigma0, ua_channel.W)
+    maps = dict(zip(("enc", "dec", "E"), step_maps(power, stacked)))
     assert stacked.Sigma.shape == (len(blocks) + 1, 4, 4)
     for t, k in enumerate(blocks):
         single = oracle.one_step(ua_channel, stacked.Sigma[t], Lambda[t], k)
-        for name in ("enc", "dec", "E", "Sig12", "Sig12inv"):
-            np.testing.assert_allclose(getattr(stacked, name)[t],
-                                       getattr(single, name)[0],
+        for name, stack in maps.items():
+            np.testing.assert_allclose(stack[t], getattr(single, name)[0],
                                        rtol=1e-14, atol=1e-15, err_msg=name)
         np.testing.assert_allclose(stacked.Sigma[t + 1], single.Sigma[1],
                                    rtol=1e-14, atol=1e-15)

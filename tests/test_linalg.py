@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from channel_oracle import eig_roots, eig_roots_pullback, inv_sqrt_psd, left_inverse
+from channel_oracle import (eig_roots, eig_roots_pullback, inv_root_kernels,
+                            inv_sqrt_psd, left_inverse)
 from lqcoord import linalg
 from lqcoord.errors import NotPsd, NotSymmetric, RankDeficient, ZeroMatrix
 from pmp_oracle import NotPd, solve_sylvester_lyapunov
@@ -259,9 +260,34 @@ def test_eig_roots_adjoint_matches_central_differences(H):
 
     h = 1e-6
     fd = (f(M + h * dM) - f(M - h * dM)) / (2 * h)
-    grad = eig_roots_pullback(U, linalg.eig_roots_kernels(pair.H),
+    grad = eig_roots_pullback(U, inv_root_kernels(pair.H),
                               root_bar, inv_bar)
     np.testing.assert_allclose(grad, grad.T, atol=0)
+    assert np.sum(grad * dM) == pytest.approx(fd, rel=1e-6)
+
+
+@pytest.mark.parametrize("H", [[1.0, 1e-3, 0.0], [2.0, 0.5, 0.0]])
+def test_projector_kernel_matches_central_differences(H):
+    # the projector on the live directions is the truncated inverse root
+    # times the root; the perturbation leaves the truncated block alone, so
+    # that direction stays below the cutoff and only mixes with live ones
+    rng = _rng(9)
+    U, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    H = np.array(H)
+    M = (U * H) @ U.T
+    G = rng.standard_normal((3, 3))
+    dM = linalg.sym_part(rng.standard_normal((3, 3)))
+    dead = H == 0.0
+    dM = U @ np.where(np.outer(dead, dead), 0.0, U.T @ dM @ U) @ U.T
+
+    def f(X):
+        root, inv = eig_roots(*_eigenpair(X))
+        return np.sum(G * (inv @ root))
+
+    h = 1e-7    # the 1e-3 gap puts the O(h^2) term at ~1e-6 relative for 1e-6
+    fd = (f(M + h * dM) - f(M - h * dM)) / (2 * h)
+    F_proj = linalg.eig_roots_kernels(H)[1]
+    grad = linalg.sym_part(U @ (F_proj * (U.T @ G @ U)) @ U.T)
     assert np.sum(grad * dM) == pytest.approx(fd, rel=1e-6)
 
 
@@ -269,8 +295,8 @@ def test_eig_roots_kernels_of_a_stack_are_the_kernels_of_each_spectrum():
     # the exact-cost engine builds the kernels of all steps in one call
     H = np.array([[4.0, 1.0, 0.25], [3.0, 3.0, 0.5], [1.0, 1e-3, 0.0],
                   [2.0, 1e-20, 0.0]])
-    F_root, F_inv = linalg.eig_roots_kernels(H)
+    F_root, F_proj = linalg.eig_roots_kernels(H)
     for t, spectrum in enumerate(H):
-        f_root, f_inv = linalg.eig_roots_kernels(spectrum)
+        f_root, f_proj = linalg.eig_roots_kernels(spectrum)
         np.testing.assert_array_equal(F_root[t], f_root)
-        np.testing.assert_array_equal(F_inv[t], f_inv)
+        np.testing.assert_array_equal(F_proj[t], f_proj)

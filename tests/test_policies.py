@@ -3,6 +3,7 @@ import pytest
 
 import channel_oracle as oracle
 import lqcoord as lq
+from lqcoord.channel import power_factors, sigma_steps
 from lqcoord.errors import ValidationError
 from lqcoord.model import SystemModel
 from lqcoord.policies import PolicyKind, make_policy
@@ -300,3 +301,24 @@ def test_power_schedules_compare_and_hash_by_identity():
     assert a == a and a != b
     assert hash(a) == hash(a)
     assert len({a, b, a}) == 2
+
+
+def _array_holders(model):
+    """Every frozen dataclass of the pipeline that holds arrays, built for
+    `model`'s coordination policy."""
+    pol = make_policy(PolicyKind.IM_COMM_FA, model)
+    power = power_factors(pol.setup, pol.power.Lambda, [0] * model.n)
+    return [model, model.joint_gains, pol.setup, power,
+            sigma_steps(power, model.Sigma0, model.W), pol.step_ops, pol]
+
+
+def test_array_holders_compare_and_hash_by_identity():
+    # field-wise == over arrays raises ValueError and a field-wise hash
+    # TypeError; two models of the same data are distinct objects
+    first = _array_holders(lq.fully_actuated_model(n=5))
+    second = _array_holders(lq.fully_actuated_model(n=5))
+    for a, b in zip(first, second):
+        name = type(a).__name__
+        assert a == a and hash(a) == hash(a), name
+        assert a != b and not (a == b), name
+        assert len({a, b, a}) == 2, name
