@@ -26,26 +26,38 @@ with E = Sigma^(1/2) V Sigma^(-1/2), where the contraction V has factor
 S^(1/2) C' Wv^-1 P, so dec is also the noise map. Sigma^(-1/2) is
 truncated: directions of Sigma_t below `linalg.PINV_SQRT_RTOL` times its
 largest eigenvalue are already known to the follower and get zero
-signal. Sigma_{t+1} = E Sigma_t E' + dec W dec' (the Joseph form) is the
-covariance this encoder and decoder produce; it equals the closed form
-Sigma^(1/2) V Sigma^(1/2) while no direction is truncated, and stays
-right when one is. Tr Sigma_{t+1} <= Tr Sigma_t, since V P V + right W
-right' <= V <= I (`PowerFactors`) with P the projector on the live
-directions.
+signal.
+
+The covariance this encoder and decoder produce is the Joseph form E
+Sigma_t E' + dec W dec'. With R = Sigma_t^(1/2) and P the projector on
+Sigma_t's live directions, Sigma^(-1/2) Sigma_t Sigma^(-1/2) = P, so
+that is the root form
+
+    Sigma_{t+1} = R K_t R,   K_t = V P V + right W right'
+
+(`PowerFactors`): the same map, without E, whose norm ~sqrt(cond Sigma_t)
+costs the Joseph form eps * cond Sigma_t of roundoff (the square-root
+filtering of Kaminski, Bryson & Schmidt, IEEE TAC 16(6), 1971). P = I
+while no direction is truncated, and then K_t = V, the closed form
+Sigma^(1/2) V Sigma^(1/2), in exact arithmetic. Tr Sigma_{t+1} <= Tr
+Sigma_t, since K_t <= V <= I. Likewise enc Sigma^(1/2) = left P, which
+is all the exact-cost engine reads of the encoder.
 
 The map has one implementation in two halves, each stacked over a
 schedule's steps. The power half (`power_factors`) holds every factor
 that depends on (Lambda_t, k) alone and is built for all steps in one
 vectorised call. The Sigma half (`sigma_steps`) is the one forward Sigma
-loop, for the rollout operator table and the exact-cost engine alike.
-Each step keeps only the work on its chain: one eigendecomposition of
-Sigma_t, both roots from one product, the maps they build with step t of
-the power half, and the Joseph update. The encoder and the checks
-(negative eigenvalues, a growing trace) run once over all steps after
-the loop. The reverse pass is split the same way:
-`power_factors_adjoint` for all steps, and `sigma_adjoint` makes the
-constants of every step's Sigma-half pullback in one call for the
-exact-cost engine's reverse loop.
+loop, for the rollout operator table and the exact-cost engine alike. It
+builds a factor F_t of K_t = F_t F_t' for all steps at once, and each
+step keeps only the work on its chain: one eigendecomposition of
+Sigma_t, its root R_t and the Gram product Sigma_{t+1} = (R_t F_t)(R_t
+F_t)', exactly symmetric. Only a step whose Sigma_t has truncated
+directions rebuilds F_t's V P part. The checks (negative eigenvalues, a
+growing trace) run once over all steps after the loop, and `step_maps`
+builds the rollout table's enc, dec and E for all steps from the pass.
+The reverse pass of the power half is `power_factors_adjoint`, for all
+steps; the Sigma half's reverse loop is the exact-cost engine's
+(`power.analytic`).
 """
 
 from __future__ import annotations
@@ -60,9 +72,8 @@ from .errors import (NonIntegerPeriod, RankDeficient, SigmaNearSingular,
 from .linalg import (EIG_CLAMP, PINV_SQRT_RTOL, EigenPair, check_symmetric,
                      numerical_rank, sym_eig, sym_part, svd_factor)
 
-# Tr Sigma_{t+1} <= Tr Sigma_t holds exactly; its roundoff grows like
-# eps * sqrt(cond Sigma_t) through E = Sig12 V Sig12inv, ~2e-10 relative at
-# the 1e12 pseudo-inverse cutoff, and this allowance leaves a factor 50 on it
+# Tr Sigma_{t+1} <= Tr Sigma_t holds exactly; the root form's Gram product
+# computes the trace to a few eps relative, far inside this allowance
 TRACE_RTOL = 1e-8
 
 
@@ -183,7 +194,8 @@ class PowerFactors:
     each (n, ., .): S12 = S^(1/2), inv = (C S C' + Wv)^-1, the contraction
     V = Utau (I + P_k' lam*H P_k)^-1 Utau' with Utau = diag(U, ..., U),
     and the Sigma-free products left = Q S^(1/2) P_k (d1 x d0) and right =
-    P_k' S^(1/2) C' inv P (d0 x d0).
+    P_k' S^(1/2) C' inv P (d0 x d0): enc = left Sigma^(-1/2), dec =
+    Sigma^(1/2) right, and V V + right W right' = V.
     """
 
     lam: np.ndarray      # (n, r) power entries

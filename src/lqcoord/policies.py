@@ -6,7 +6,7 @@ rollouts: the joint input u_t = -K_t x_t + D*_t x_* + D^_t x_hat + I~
 enc_t e_t and the follower's update x_hat += dec_t y_t from the channel
 output y_t, where e = x_* - x_hat evolves as e_{t+1} = E_t e_t - dec_t w_t.
 The coordination policies take D* = 0, D^ = D and enc_t, dec_t and E_t
-from the channel map (`channel.sigma_steps`; Sigma_t does not depend on
+from the channel map (`channel.step_maps`; Sigma_t does not depend on
 the rollout, so the table is known before any rollout); the baselines
 send nothing (enc = dec = D^ = 0, E = I). D* is zero wherever dec is not,
 so the follower only reads y_t = B1 enc_t e_t + w_t.

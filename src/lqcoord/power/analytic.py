@@ -22,24 +22,31 @@ and Gamma_t = F + Gamma_{t+1} - D_t' R_t D_t.
 
 `TailCostEvaluator.cost` runs the channel's power half and Sigma loop and
 takes the last sum as one stacked trace sum_t Tr(M_t' R_t M_t) with M_t =
-Delta_t Sigma_t^(1/2), from the loop's stored root: the truncated
-Sigma_t^(-1/2) inside enc_t meets Sigma_t^(1/2), never Sigma_t itself.
+Delta_t Sigma_t^(1/2) = I~ left_t P_t - D_t Sigma_t^(1/2), since enc_t
+Sigma_t^(1/2) = left_t P_t (P_t the projector on Sigma_t's live
+directions, `channel`): it forms no encoder and no Sigma_t^(-1/2).
 
 `TailCostEvaluator.gradient` runs the reverse recursion of that sum on the
-d0 x d0 costate Sbar_t = dJ/dSigma_t (Sbar_n = 0). Step t's maps have
-gradients E_bar = 2 Sbar_{t+1} E Sigma_t, dec_bar = 2 Sbar_{t+1} dec W
-and enc_bar = 2 I~' R_t Delta_t Sigma_t, and
+d0 x d0 costate Sbar_t = dJ/dSigma_t (Sbar_n = 0). Sigma_t reaches the
+cost through its root Sig12_t, in Sigma_{t+1} = Sig12_t K_t Sig12_t and
+in M_t, and through P_t on a step with truncated directions. With M_bar
+= 2 R_t M_t the gradients of the root and the projector are
 
-    Sbar_t = Delta' R Delta + E' Sbar_{t+1} E + sym(U X U'),
+    Sig12_bar = 2 K_t Sig12_t Sbar_{t+1} - D_t' M_bar,
+    P_bar = V_t Sig12_t Sbar_{t+1} Sig12_t V_t + left_t' I~' M_bar,
 
-where sym(U X U') is their pullback through Sigma_t's roots in the maps
-(`channel.sigma_adjoint`). X is linear in Sbar_{t+1}: with P = [E Sigma |
-dec W] RU it is F_root o (2 U' Sbar P) + F_inv o (c + 2 LU_E Sbar E Sigma U),
-where c = LU_enc enc_bar U needs no costate and moves into the stage
-weight. So the loop takes X's eigenbasis form from two products and a
-Hadamard product, and Sbar_t from two more and a symmetrisation. The map
-gradients of every step follow from the stored Sbar_{t+1} after the loop,
-and the power half's reverse pass from them, for all steps at once.
+and Sbar_t = sym(U [F_root o (U' Sig12_bar U) + F_proj o (U' P_bar U)]
+U'), with (U, H) Sigma_t's eigenpair and (F_root, F_proj) the
+Daleckii-Krein kernels of the root and the projector
+(`linalg.eig_roots_kernels`); F_proj is 0 on a step without truncated
+directions, so only those steps take its term. The loop carries Ssym_t
+= U_t' Sbar_t U_t, in which a step is two products with Ssym_{t+1}, a
+Hadamard product and a symmetrisation; the parts without the costate
+are batched before it. After the loop K_bar_t = Sig12_t Sbar_{t+1}
+Sig12_t gives the gradients of the power half's factors, V_bar = sym(2
+K_bar V P), right_bar = 2 K_bar right W and left_bar = I~' M_bar P, and
+`channel.power_factors_adjoint` takes them to Lambda for all steps at
+once.
 """
 
 from __future__ import annotations
@@ -107,30 +114,39 @@ class TailCostEvaluator:
                 f"gradient needs positive power; Lambda_{t}[{j}] = "
                 f"{lam[t, j]:.3g}")
         n, d0, d1 = self.model.n, self.model.d0, self.model.d1
-        U, R, K = sigma.U, sigma.Sig12, sigma.K
+        U, Sig12 = sigma.U, sigma.Sig12
         UT = U.swapaxes(1, 2)
         M_bar = 2.0 * RM
         F_root, F_proj = eig_roots_kernels(sigma.H)
-        # half of X, whose part without the costate is the stage's
-        Xc = 0.5 * (F_proj * (UT @ power.left.swapaxes(1, 2) @ M_bar[:, :d1] @ U)
-                    - F_root * (UT @ self.D.swapaxes(1, 2) @ M_bar @ U))
-        F_half, L = 0.5 * F_root, 2.0 * UT @ K @ R
+        # Z_t is half the bracket of Sbar_t = sym(U_t [.] U_t'), so Sbar_t =
+        # U_t (Z_t + Z_t') U_t'; Z_stage is its part without the costate
+        Z_stage = 0.5 * (F_proj * (UT @ power.left.swapaxes(1, 2) @ M_bar[:, :d1] @ U)
+                         - F_root * (UT @ self.D.swapaxes(1, 2) @ M_bar @ U))
+        # with Sbar_{t+1} in step t+1's eigenbasis, U_t' (2 K Sig12 Sbar_{t+1})
+        # U_t = A_t Ssym_{t+1} B_t and U_t' V Sig12 Sbar_{t+1} Sig12 V U_t =
+        # N_t Ssym_{t+1} N_t'
+        A = 2.0 * UT[:-1] @ sigma.K[:-1] @ Sig12[:-1] @ U[1:]
+        B = UT[1:] @ U[:-1]
+        N = UT[:-1] @ power.V[:-1] @ Sig12[:-1] @ U[1:]
+        F_half, P_half = 0.5 * F_root, 0.5 * F_proj
         truncated = sigma.live < d0
-        N = UT @ power.V @ R
-        Sbar = np.zeros((n + 1, d0, d0))    # Sbar_n = 0
-        steps = zip(range(n - 1, -1, -1), Sbar[-2::-1], Sbar[:0:-1], L[::-1],
-                    U[::-1], UT[::-1], F_half[::-1], Xc[::-1])
+        Ssym = np.empty((n, d0, d0))     # Ssym_t = U_t' Sbar_t U_t
+        np.add(Z_stage[-1], Z_stage[-1].T, out=Ssym[-1])   # Sbar_n = 0
+        steps = zip(range(n - 2, -1, -1), Ssym[-2::-1], Ssym[:0:-1], A[::-1],
+                    B[::-1], F_half[-2::-1], Z_stage[-2::-1])
         # an overflow is reported below, naming its step, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            for t, Sbar_t, Sbar_next, L_t, U_t, UT_t, F_t, Xc_t in steps:
-                X = L_t.dot(Sbar_next).dot(U_t)
-                X *= F_t
-                X += Xc_t
+            for t, S_t, S_next, A_t, B_t, F_t, Z_t in steps:
+                Z = A_t.dot(S_next).dot(B_t)
+                Z *= F_t
+                Z += Z_t
                 if truncated[t]:
-                    X += 0.5 * F_proj[t] * N[t].dot(Sbar_next).dot(N[t].T)
-                S = U_t.dot(X).dot(UT_t)
-                np.add(S, S.T, out=Sbar_t)
-            K_bar = R @ Sbar[1:] @ R
+                    Z += P_half[t] * N[t].dot(S_next).dot(N[t].T)
+                np.add(Z, Z.T, out=S_t)
+            # K_bar_t = Sig12_t Sbar_{t+1} Sig12_t, with Sbar_n = 0
+            RU = Sig12[:-1] @ U[1:]
+            K_bar = np.zeros((n, d0, d0))
+            K_bar[:-1] = RU @ Ssym[1:] @ RU.swapaxes(1, 2)
             V_bar = sigma.project(K_bar @ power.V)
             grad = power_factors_adjoint(
                 self.setup, power, sigma.project(M_bar[:, :d1]),

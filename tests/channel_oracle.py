@@ -11,16 +11,19 @@ their own factorization. The package runs both regimes through one channel
 `one_step` and `one_step_adjoint` at the end are the exception: they run
 the package's own stacked maps on a one-step schedule, for tests that probe
 the channel map one step at a time. `reference_sigma_steps` keeps the
-package's Sigma loop as it was written before its loops were cut to the
-work on their chain (one `eig_roots` call, the negative-eigenvalue check
-and the eigenpair stores inside the loop), and `sigma_step_adjoint` the
-per-step reverse pass that went with it, as references for the lean loop
-and its batched adjoint constants. `eigh_desc` (eigh, eigenvalues
-descending) and `eig_roots` (square root and truncated inverse square root
-of an eigenpair) were package helpers until they were folded into their
-callers; that loop and the tests of the Sigma pass use them here, as do
-`S_of`, `S_sqrt_of` and `psi`, once `ChannelSetup` methods that only
-tests read.
+package's Sigma loop as it was first written, in the Joseph form E Sigma
+E' + dec W dec' with one `eig_roots` call, the negative-eigenvalue check
+and the eigenpair stores inside the loop, and `sigma_step_adjoint` the
+per-step reverse pass that went with it, through the roots' kernels
+`inv_root_kernels` (the truncated inverse root's included), as references
+for the package's root-form loop and its reverse pass;
+`joseph_step_adjoint` and `root_step_adjoint` pull one step back both
+ways. `mp_sigma_steps` evaluates the Sigma recursion to 50 digits.
+`eigh_desc` (eigh, eigenvalues descending) and `eig_roots` (square root
+and truncated inverse square root of an eigenpair) were package helpers
+until they were folded into their callers; that loop and the tests of the
+Sigma pass use them here, as do `S_of`, `S_sqrt_of` and `psi`, once
+`ChannelSetup` methods that only tests read.
 
 Fully actuated (Q1 = B1 Q, channel eigenbasis U, gains H):
     s_t     = Q S^(1/2) Sigma^(-1/2) e_t,          S = U diag(lam) U'

@@ -9,27 +9,29 @@ decoder is also the noise map of the error recursion (the push-through
 identity), so it must match the oracle's noise gain in its V form too.
 
 The table and the exact-cost engine share one Sigma loop
-(`channel.sigma_steps`), which propagates the error covariance through the
-maps E_t and dec_t, i.e. the covariance the encoder and decoder actually
-produce. At every step the oracle's maps are rebuilt from the table's
-Sigma_t and the table's Sigma_{t+1} is checked against the oracle's own
-propagation (I - dec B1 enc) Sigma (.)' + dec W dec'. The paper's closed
-form Sigma^(1/2) V Sigma^(1/2) is the same map while Sigma_t^(-1/2) is a
-true inverse, so it is checked only while Sigma_t stays clear of the
-pseudo-inverse cutoff; once the cutoff drops a direction that the channel
-eigenbasis mixes with the others, the closed form no longer describes the
-sampled covariance (the tests at the end pin one such case).
+(`channel.sigma_steps`), which propagates the error covariance in the root
+form Sigma^(1/2) K Sigma^(1/2), the map of the Joseph form E Sigma E' +
+dec W dec' of the maps E_t and dec_t, i.e. the covariance the encoder and
+decoder actually produce. At every step the oracle's maps are rebuilt from
+the table's Sigma_t and the table's Sigma_{t+1} is checked against the
+oracle's own propagation (I - dec B1 enc) Sigma (.)' + dec W dec'. The
+paper's closed form Sigma^(1/2) V Sigma^(1/2) is the same map while
+Sigma_t^(-1/2) is a true inverse, so it is checked only while Sigma_t
+stays clear of the pseudo-inverse cutoff; once the cutoff drops a
+direction that the channel eigenbasis mixes with the others, the closed
+form no longer describes the sampled covariance (the tests at the end pin
+one such case).
 
 The exact-cost engine prices a schedule by the full-information cost
 identity on Sigma_t alone and differentiates it by a reverse pass on a
 d0 x d0 costate; `joint_oracle` propagates the joint covariance of (z_t,
 e_t, x_*) one step at a time with the channel maps built from its own
 Sigma block, and runs that propagation's reverse pass, and the two must
-agree in cost and gradient. The Sigma loop keeps only the work on its
-step-to-step chain; `channel_oracle.reference_sigma_steps`
-keeps it as first written, and the two must agree to 1e-12 while Sigma_t
-stays clear of the cutoff (the roots' roundoff grows like eps * cond, so
-this holds only because the lean loop does the same arithmetic).
+agree in cost and gradient. The Sigma loop is held to a 50-digit
+evaluation of its recursion (`channel_oracle.mp_sigma_steps`) and its maps
+to `channel_oracle.reference_sigma_steps`, the loop as first written, while
+Sigma_t stays clear of the cutoff; on the steps past it, the root form's
+one-step pullback is held to the Joseph form's.
 """
 
 import dataclasses
