@@ -256,6 +256,7 @@ class SigmaPass:
 
     @cached_property
     def K(self) -> np.ndarray:
+        """K_t = F_t F_t', stacked; only the reverse pass reads it."""
         return self.F @ self.F.swapaxes(1, 2)
 
     def project(self, X: np.ndarray) -> np.ndarray:
@@ -347,7 +348,8 @@ def power_factors_adjoint(setup: ChannelSetup, power: PowerFactors,
     rb = right_bar[steps, cols]
     CI = C.T @ power.inv
     out = CI @ setup.P
-    S12_bar = setup.Q.T @ left_bar[steps, :, cols].swapaxes(1, 2) + out @ rb.swapaxes(1, 2)
+    S12_bar = (setup.Q.T @ left_bar[steps, :, cols].swapaxes(1, 2)
+               + out @ rb.swapaxes(1, 2))
     # through (C S C' + Wv)^-1: -C' inv (C S12 rb P') inv C
     S_bar = -(CI @ C) @ power.S12 @ rb @ out.swapaxes(1, 2)
     Vb = V_bar[steps[..., None], cols[..., None], cols[:, None, :]]
