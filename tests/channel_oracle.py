@@ -373,8 +373,10 @@ def mp_sigma_steps(power, Sigma0, W, steps: int, dps: int = 50) -> np.ndarray:
     Sigma_t is truncated (P_t = I), rounded to float64 at each step only
     for the return value.
     """
+    def mat(X):
+        return mpmath.matrix(np.asarray(X).tolist())
+
     with mpmath.workdps(dps):
-        mat = lambda X: mpmath.matrix(np.asarray(X).tolist())
         S, Wm = mat(Sigma0), mat(W)
         S = (S + S.T) / 2
         out = [np.array(S.tolist(), dtype=float)]
