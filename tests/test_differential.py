@@ -437,27 +437,50 @@ def test_sigma_loop_matches_reference(case):
                                         pol.model.Sigma0, pol.model.W)
 
 
-def test_root_form_pullback_matches_joseph_pullback_on_truncated_steps():
-    # FA im-comm-heu passes the cutoff from t ~ 10. On those steps the
-    # root-form pullback of one step, through the kernels of Sigma_t's root
-    # and of the projector on its live directions, equals the Joseph-form
-    # pullback through enc, dec and E and the truncated Sigma^(-1/2). No
-    # central difference resolves the projector's kernel, whose truncated
-    # directions lie ~1e-12 below the largest; without it the two part by
-    # 100%
+def _fa_heuristic_truncation():
+    """FA im-comm-heu, its Sigma pass and the steps whose Sigma_t has
+    truncated directions (from t ~ 10 on)."""
     model = lq.load_preset(lq.FULLY_ACTUATED)
     pol = make_policy(PolicyKind.IM_COMM_FA, model)
-    lam, d0, d1 = np.asarray(pol.power.Lambda), model.d0, model.d1
+    lam = np.asarray(pol.power.Lambda)
     sigma = sigma_steps(power_factors(pol.setup, lam, [0] * model.n),
                         model.Sigma0, model.W)
-    truncated = np.flatnonzero(sigma.live < d0)
+    truncated = np.flatnonzero(sigma.live < model.d0)
     assert truncated.size > 10 and 8 <= truncated[0] <= 12
+    return pol, lam, sigma, truncated
+
+
+def test_root_form_pullback_matches_joseph_pullback_on_truncated_steps():
+    # on the steps past the cutoff the root-form pullback of one step,
+    # through the kernels of Sigma_t's root and of the projector on its live
+    # directions, equals the Joseph-form pullback through enc, dec and E and
+    # the truncated Sigma^(-1/2). No central difference resolves the
+    # projector's kernel, whose truncated directions lie ~1e-12 below the
+    # largest; without it the two part by 100%
+    pol, lam, sigma, truncated = _fa_heuristic_truncation()
+    d0, d1 = pol.model.d0, pol.model.d1
     rng = np.random.default_rng(4)
     for t in truncated:
         one = power_factors(pol.setup, lam[t:t + 1], [0])
         Sbar = rng.standard_normal((d0, d0))
-        args = (one, sigma.Sigma[t], model.W, Sbar + Sbar.T,
+        args = (one, sigma.Sigma[t], pol.model.W, Sbar + Sbar.T,
                 rng.standard_normal((d1, d0)), rng.standard_normal((d0, d0)))
         _assert_rel(oracle.root_step_adjoint(*args), oracle.joseph_step_adjoint(*args),
                     oracle.roundoff_tol(oracle.live_cond(sigma.Sigma[t]), 1e-12),
                     f"pullback of step {t}")
+
+
+def test_gradient_on_truncated_steps_matches_the_joint_oracle():
+    # the engine's gradient with respect to the power of the steps past the
+    # cutoff against the reverse pass of `joint_oracle`, which goes through
+    # enc, dec and E; without the projector P_t in M_t, V_bar and left_bar
+    # the two part by 460%. The rows before the cutoff carry eps * cond of
+    # steps at cond up to 7e11 and are left out
+    pol, lam, _, truncated = _fa_heuristic_truncation()
+    model = pol.model
+    evaluator = TailCostEvaluator(pol.gains, pol.setup, model)
+    evaluator.cost(lam)
+    steps = joint_oracle.forward(lam, pol.gains, pol.setup, model)
+    expected = joint_oracle.gradient(steps, lam, pol.setup, model)
+    _assert_rel(evaluator.gradient()[truncated], expected[truncated], 1e-10,
+                "gradient on truncated steps")
