@@ -242,9 +242,9 @@ class SigmaPass:
 
     Sigma holds Sigma_0..Sigma_n (n + 1, d0, d0); every other field is
     over steps 0..n-1: Sigma_t's clipped eigenpair U, H (descending), its
-    root Sig12, the number `live` of its directions above the
-    pseudo-inverse cutoff (the leading ones of H) and a factor F of the
-    middle factor K = F F' of Sigma_{t+1} = Sig12 K Sig12.
+    root Sig12, the mask `live` of its directions above the pseudo-inverse
+    cutoff (n, d0) and a factor F of the middle factor K = F F' of
+    Sigma_{t+1} = Sig12 K Sig12.
     """
 
     Sigma: np.ndarray
@@ -262,13 +262,12 @@ class SigmaPass:
     def project(self, X: np.ndarray) -> np.ndarray:
         """X_t P_t for a stack X over the steps, with P_t the projector on
         Sigma_t's live directions; X_t itself where none is truncated."""
-        steps = np.flatnonzero(self.live < self.H.shape[1])
+        steps = np.flatnonzero(~self.live.all(axis=1))
         if not steps.size:
             return X
         U = self.U[steps]
-        U_live = U * (np.arange(U.shape[2]) < self.live[steps, None])[:, None, :]
         X = X.copy()
-        X[steps] = X[steps] @ U_live @ U.swapaxes(1, 2)
+        X[steps] = X[steps] @ (U * self.live[steps, None, :]) @ U.swapaxes(1, 2)
         return X
 
 
@@ -312,17 +311,16 @@ def sigma_steps(power: PowerFactors, Sigma0: np.ndarray,
         raise SigmaTraceGrowth(f"Tr Sigma grows at step {t}: {trace[t]:.6e} -> "
                                f"{trace[t + 1]:.6e}, more than the roundoff "
                                f"allowance {TRACE_RTOL:g} relative")
-    live = (H > PINV_SQRT_RTOL * H[:, :1]).sum(axis=1)
-    return SigmaPass(Sigma=Sigma, U=U, H=H, Sig12=sym_part(root), live=live, F=F)
+    return SigmaPass(Sigma=Sigma, U=U, H=H, Sig12=sym_part(root),
+                     live=H > PINV_SQRT_RTOL * H[:, :1], F=F)
 
 
 def step_maps(power: PowerFactors,
               sigma: SigmaPass) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The maps enc, dec and E of every step of `sigma`, stacked, with the
     truncated Sigma_t^(-1/2) of the module docstring."""
-    H = sigma.H
+    H, live = sigma.H, sigma.live
     g = np.zeros_like(H)
-    live = np.arange(H.shape[1]) < sigma.live[:, None]
     g[live] = H[live] ** -0.5
     Sig12inv = sym_part((sigma.U * g[:, None, :]) @ sigma.U.swapaxes(1, 2))
     return (power.left @ Sig12inv, sigma.Sig12 @ power.right,

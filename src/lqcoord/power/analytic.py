@@ -129,7 +129,7 @@ class TailCostEvaluator:
         B = UT[1:] @ U[:-1]
         N = UT[:-1] @ power.V[:-1] @ Sig12[:-1] @ U[1:]
         F_half, P_half = 0.5 * F_root, 0.5 * F_proj
-        truncated = sigma.live < d0
+        truncated = ~sigma.live.all(axis=1)
         Ssym = np.empty((n, d0, d0))     # Ssym_t = U_t' Sbar_t U_t
         np.add(Z_stage[-1], Z_stage[-1].T, out=Ssym[-1])   # Sbar_n = 0
         steps = zip(range(n - 2, -1, -1), Ssym[-2::-1], Ssym[:0:-1], A[::-1],

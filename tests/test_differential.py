@@ -445,7 +445,7 @@ def _fa_heuristic_truncation():
     lam = np.asarray(pol.power.Lambda)
     sigma = sigma_steps(power_factors(pol.setup, lam, [0] * model.n),
                         model.Sigma0, model.W)
-    truncated = np.flatnonzero(sigma.live < model.d0)
+    truncated = np.flatnonzero(~sigma.live.all(axis=1))
     assert truncated.size > 10 and 8 <= truncated[0] <= 12
     return pol, lam, sigma, truncated
 
