@@ -26,38 +26,40 @@ with E = Sigma^(1/2) V Sigma^(-1/2), where the contraction V has factor
 S^(1/2) C' Wv^-1 P, so dec is also the noise map. Sigma^(-1/2) is
 truncated: directions of Sigma_t below `linalg.PINV_SQRT_RTOL` times its
 largest eigenvalue are already known to the follower and get zero
-signal.
+signal. Sigma_{t+1} = E Sigma_t E' + dec W dec' (the Joseph form) is the
+covariance this encoder and decoder produce; it equals the closed form
+Sigma^(1/2) V Sigma^(1/2) while no direction is truncated, and stays
+right when one is.
 
-The covariance this encoder and decoder produce is the Joseph form E
-Sigma_t E' + dec W dec'. With R = Sigma_t^(1/2) and P the projector on
-Sigma_t's live directions, Sigma^(-1/2) Sigma_t Sigma^(-1/2) = P, so
-that is the root form
+With R = Sigma_t^(1/2) and P the projector on Sigma_t's live directions,
+Sigma^(-1/2) Sigma_t Sigma^(-1/2) = P, so the Joseph form is the same map
+as the root form
 
-    Sigma_{t+1} = R K_t R,   K_t = V P V + right W right'
+    Sigma_{t+1} = R K_t R,   K_t = V P V + right W right',
 
-(`PowerFactors`): the same map, without E, whose norm ~sqrt(cond Sigma_t)
-costs the Joseph form eps * cond Sigma_t of roundoff (the square-root
-filtering of Kaminski, Bryson & Schmidt, IEEE TAC 16(6), 1971). P = I
-while no direction is truncated, and then K_t = V, the closed form
-Sigma^(1/2) V Sigma^(1/2), in exact arithmetic. Tr Sigma_{t+1} <= Tr
-Sigma_t, since K_t <= V <= I. Likewise enc Sigma^(1/2) = left P, which
-is all the exact-cost engine reads of the encoder.
+and K_t = V on a step without truncated directions, since V V + right W
+right' = V (`PowerFactors`). Hence Tr Sigma_{t+1} <= Tr Sigma_t, as K_t
+<= V <= I. Likewise enc Sigma^(1/2) = left P, which is all the exact-cost
+engine reads of the encoder, and the root form, free of E, is the map its
+reverse pass differentiates (`power.analytic`).
 
 The map has one implementation in two halves, each stacked over a
 schedule's steps. The power half (`power_factors`) holds every factor
 that depends on (Lambda_t, k) alone and is built for all steps in one
 vectorised call. The Sigma half (`sigma_steps`) is the one forward Sigma
-loop, for the rollout operator table and the exact-cost engine alike. It
-builds a factor F_t of K_t = F_t F_t' for all steps at once, and each
-step keeps only the work on its chain: one eigendecomposition of
-Sigma_t, its root R_t and the Gram product Sigma_{t+1} = (R_t F_t)(R_t
-F_t)', exactly symmetric. Only a step whose Sigma_t has truncated
-directions rebuilds F_t's V P part. The checks (negative eigenvalues, a
-growing trace) run once over all steps after the loop, and `step_maps`
-builds the rollout table's enc, dec and E for all steps from the pass.
-The reverse pass of the power half is `power_factors_adjoint`, for all
-steps; the Sigma half's reverse loop is the exact-cost engine's
-(`power.analytic`).
+loop, for the rollout operator table and the exact-cost engine alike.
+Each step keeps only the work on its chain: one eigendecomposition of
+Sigma_t, both roots from one product, the maps they build with step t of
+the power half, and the Joseph update. The chain stays on the Joseph
+form so that Sigma_{t+1} is, in floating point too, what the stored maps
+make of Sigma_t: E has norm ~sqrt(cond Sigma_t), so a propagation through
+the maps and any other arithmetic for the same map part by eps * cond
+Sigma_t, up to 1e-9 relative well before the cutoff. The checks
+(negative eigenvalues, a growing trace), the live-direction mask and K
+run once over all steps after the loop, and `step_maps` hands the
+rollout table its enc, dec and E. The reverse pass of the power half is
+`power_factors_adjoint`, for all steps; the Sigma half's reverse loop is
+the exact-cost engine's.
 """
 
 from __future__ import annotations
@@ -72,8 +74,9 @@ from .errors import (NonIntegerPeriod, RankDeficient, SigmaNearSingular,
 from .linalg import (EIG_CLAMP, PINV_SQRT_RTOL, EigenPair, check_symmetric,
                      numerical_rank, sym_eig, sym_part, svd_factor)
 
-# Tr Sigma_{t+1} <= Tr Sigma_t holds exactly; the root form's Gram product
-# computes the trace to a few eps relative, far inside this allowance
+# Tr Sigma_{t+1} <= Tr Sigma_t holds exactly; its roundoff grows like
+# eps * sqrt(cond Sigma_t) through E = Sig12 V Sig12inv, ~2e-10 relative at
+# the 1e12 pseudo-inverse cutoff, and this allowance leaves a factor 50 on it
 TRACE_RTOL = 1e-8
 
 
@@ -242,63 +245,79 @@ class SigmaPass:
 
     Sigma holds Sigma_0..Sigma_n (n + 1, d0, d0); every other field is
     over steps 0..n-1: Sigma_t's clipped eigenpair U, H (descending), its
-    root Sig12, the mask `live` of its directions above the pseudo-inverse
-    cutoff (n, d0) and a factor F of the middle factor K = F F' of
-    Sigma_{t+1} = Sig12 K Sig12.
+    root Sig12 and truncated inverse root Sig12inv, the mask `live` of its
+    directions above the pseudo-inverse cutoff (n, d0), the maps dec and E
+    of the step and the middle factor K of Sigma_{t+1} = Sig12 K Sig12.
     """
 
     Sigma: np.ndarray
     U: np.ndarray
     H: np.ndarray
     Sig12: np.ndarray
+    Sig12inv: np.ndarray
     live: np.ndarray
-    F: np.ndarray
+    truncated: np.ndarray    # the steps whose Sigma_t has truncated directions
+    dec: np.ndarray
+    E: np.ndarray
+    K: np.ndarray
 
     @cached_property
-    def K(self) -> np.ndarray:
-        """K_t = F_t F_t', stacked; only the reverse pass reads it."""
-        return self.F @ self.F.swapaxes(1, 2)
+    def P(self) -> np.ndarray:
+        """The projector on Sigma_t's live directions at each truncated
+        step, (len(truncated), d0, d0); it is I on every other step."""
+        U = self.U[self.truncated]
+        return (U * self.live[self.truncated, None, :]) @ U.swapaxes(1, 2)
 
     def project(self, X: np.ndarray) -> np.ndarray:
-        """X_t P_t for a stack X over the steps, with P_t the projector on
-        Sigma_t's live directions; X_t itself where none is truncated."""
-        steps = np.flatnonzero(~self.live.all(axis=1))
-        if not steps.size:
+        """X_t P_t for a stack X over the steps."""
+        if not self.truncated.size:
             return X
-        U = self.U[steps]
         X = X.copy()
-        X[steps] = X[steps] @ (U * self.live[steps, None, :]) @ U.swapaxes(1, 2)
+        X[self.truncated] = X[self.truncated] @ self.P
         return X
 
 
 def sigma_steps(power: PowerFactors, Sigma0: np.ndarray,
                 W: np.ndarray) -> SigmaPass:
     """The Sigma half of the channel map along all steps of `power`, with
-    W the plant noise covariance (positive definite).
+    W the plant noise covariance.
 
     Sigma0 is checked for symmetry and symmetrised once; every later
-    Sigma_t is a Gram product, exactly symmetric. `SigmaNearSingular`
-    names the first step whose Sigma_t has an eigenvalue below -EIG_CLAMP
-    max(1, |eig|), and `SigmaTraceGrowth` the first that raises Tr Sigma
-    by more than TRACE_RTOL Tr Sigma_t.
+    Sigma_t comes out of a symmetrisation. `SigmaNearSingular` names the
+    first step whose Sigma_t has an eigenvalue below -EIG_CLAMP max(1,
+    |eig|), and `SigmaTraceGrowth` the first that raises Tr Sigma by more
+    than TRACE_RTOL Tr Sigma_t.
     """
     n, d0 = power.V.shape[:2]
     Sigma = np.empty((n + 1, d0, d0))
     Sigma[0] = check_symmetric(Sigma0, name="Sigma0")
-    # K = V V + right W right' = F F' with F = [V | right chol(W)]
-    F = np.concatenate([power.V, power.right @ np.linalg.cholesky(W)], axis=2)
     w, H = np.empty((2, n, d0))
-    U, root = np.empty((2, n, d0, d0))
-    steps = zip(Sigma, Sigma[1:], w, H, U, root, F, power.V)
-    for S_t, S_next, w_t, h, U_t, R, F_t, V_t in steps:
+    nlive = []                               # live directions of each Sigma_t
+    root_values = np.zeros((n, 2, d0))       # sqrt(H) and the truncated H^(-1/2)
+    U, dec, E = np.empty((3, n, d0, d0))
+    roots = np.empty((n, 2, d0, d0))         # Sig12, Sig12inv
+    SV = np.empty((d0, d0))
+    steps = zip(Sigma, Sigma[1:], w, H, U, root_values, roots, dec, E,
+                power.V, power.right)
+    for S_t, S_next, w_t, h, U_t, rv, root, dec_t, E_t, V_t, right_t in steps:
         w_t[...], eigvecs = np.linalg.eigh(S_t)   # ascending; S_t is symmetric
         U_t[...] = eigvecs[:, ::-1]
         np.maximum(w_t[::-1], 0.0, out=h)
-        if w_t[0] <= PINV_SQRT_RTOL * h[0]:     # V P V in place of V V
-            F_t[:, :d0] = V_t.dot(U_t * (h > PINV_SQRT_RTOL * h[0]))
-        (U_t * np.sqrt(h)).dot(U_t.T, out=R)
-        G = R.dot(F_t)
-        np.dot(G, G.T, out=S_next)
+        np.sqrt(h, out=rv[0])
+        # the live directions, h > cutoff * max h, lead the descending h
+        live = d0 - w_t.searchsorted(PINV_SQRT_RTOL * h[0], "right")
+        nlive.append(live)
+        np.power(h[:live], -0.5, out=rv[1, :live])
+        raw = (U_t * rv[:, None, :]).reshape(2 * d0, d0).dot(U_t.T)
+        raw = raw.reshape(2, d0, d0)
+        np.add(raw, raw.transpose(0, 2, 1).copy(), out=root)
+        np.multiply(root, 0.5, out=root)
+        root[0].dot(V_t, out=SV)
+        root[0].dot(right_t, out=dec_t)
+        SV.dot(root[1], out=E_t)
+        S = E_t.dot(S_t).dot(E_t.T) + dec_t.dot(W).dot(dec_t.T)
+        np.add(S, S.T.copy(), out=S_next)
+        np.multiply(S_next, 0.5, out=S_next)
     low = w[:, 0] < -EIG_CLAMP * np.maximum(1.0, np.abs(w).max(axis=1))
     if low.any():
         t = int(low.argmax())
@@ -311,47 +330,53 @@ def sigma_steps(power: PowerFactors, Sigma0: np.ndarray,
         raise SigmaTraceGrowth(f"Tr Sigma grows at step {t}: {trace[t]:.6e} -> "
                                f"{trace[t + 1]:.6e}, more than the roundoff "
                                f"allowance {TRACE_RTOL:g} relative")
-    return SigmaPass(Sigma=Sigma, U=U, H=H, Sig12=sym_part(root),
-                     live=H > PINV_SQRT_RTOL * H[:, :1], F=F)
+    # K = V P V + right W right', which is V where no direction is truncated
+    live = np.arange(d0) < np.array(nlive)[:, None]
+    t = np.flatnonzero(~live[:, -1])
+    K = power.V
+    if t.size:
+        VU = power.V[t] @ (U[t] * live[t, None, :])
+        K = K.copy()
+        K[t] = VU @ VU.swapaxes(1, 2) + power.right[t] @ W @ power.right[t].swapaxes(1, 2)
+    return SigmaPass(Sigma=Sigma, U=U, H=H, Sig12=roots[:, 0], Sig12inv=roots[:, 1],
+                     live=live, truncated=t, dec=dec, E=E, K=K)
 
 
 def step_maps(power: PowerFactors,
               sigma: SigmaPass) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The maps enc, dec and E of every step of `sigma`, stacked, with the
     truncated Sigma_t^(-1/2) of the module docstring."""
-    H, live = sigma.H, sigma.live
-    g = np.zeros_like(H)
-    g[live] = H[live] ** -0.5
-    Sig12inv = sym_part((sigma.U * g[:, None, :]) @ sigma.U.swapaxes(1, 2))
-    return (power.left @ Sig12inv, sigma.Sig12 @ power.right,
-            sigma.Sig12 @ power.V @ Sig12inv)
+    return power.left @ sigma.Sig12inv, sigma.dec, sigma.E
 
 
 def power_factors_adjoint(setup: ChannelSetup, power: PowerFactors,
-                          left_bar: np.ndarray, right_bar: np.ndarray,
-                          V_bar: np.ndarray) -> np.ndarray:
+                          left_bar: np.ndarray, V_bar: np.ndarray,
+                          right_bar: np.ndarray | None = None) -> np.ndarray:
     """Reverse pass of the power half over all steps: dScalar/dLambda, (n, r).
 
-    left_bar, right_bar and V_bar are the gradients of a scalar with
-    respect to the factors left, right and V, stacked over the steps of
-    `power`. Lambda_t reaches them through S^(1/2), through S inside
-    (C S C' + Wv)^-1 and through the contraction V. The entries of Lambda
-    must be positive: S^(1/2) has no derivative at 0.
+    left_bar, V_bar and right_bar are the gradients of a scalar with
+    respect to the factors left, V and right, stacked over the steps of
+    `power`; right_bar None stands for zero. Lambda_t reaches them through
+    S^(1/2), through S inside (C S C' + Wv)^-1 and through the contraction
+    V. The entries of Lambda must be positive: S^(1/2) has no derivative
+    at 0.
     """
     U, H, C = setup.eig.U, setup.eig.H, setup.C
     # left = Q S12 P_k and right = P_k' S12 out with out = C' inv P: only
     # block k's columns of left_bar, rows of right_bar and block of V_bar
     # count
     steps, cols = np.arange(len(power.lam))[:, None], power.cols
-    rb = right_bar[steps, cols]
-    CI = C.T @ power.inv
-    out = CI @ setup.P
-    S12_bar = (setup.Q.T @ left_bar[steps, :, cols].swapaxes(1, 2)
-               + out @ rb.swapaxes(1, 2))
-    # through (C S C' + Wv)^-1: -C' inv (C S12 rb P') inv C
-    S_bar = -(CI @ C) @ power.S12 @ rb @ out.swapaxes(1, 2)
-    Vb = V_bar[steps[..., None], cols[..., None], cols[:, None, :]]
-    # u_j' X_t u_j for every column u_j of U, for the three gradients at once
-    q = np.einsum("ij,stij->stj", U, np.stack([S12_bar, S_bar, Vb]) @ U)
+    bars = [setup.Q.T @ left_bar[steps, :, cols].swapaxes(1, 2),
+            V_bar[steps[..., None], cols[..., None], cols[:, None, :]]]
+    if right_bar is not None:
+        rb = right_bar[steps, cols]
+        CI = C.T @ power.inv
+        out = CI @ setup.P
+        bars[0] = bars[0] + out @ rb.swapaxes(1, 2)
+        # through (C S C' + Wv)^-1: -C' inv (C S12 rb P') inv C
+        bars.append(-(CI @ C) @ power.S12 @ rb @ out.swapaxes(1, 2))
+    # u_j' X_t u_j for every column u_j of U, for the gradients at once
+    q = np.einsum("ij,stij->stj", U, np.stack(bars) @ U)
     lam = power.lam
-    return 0.5 * q[0] / np.sqrt(lam) + q[1] - H / (1.0 + lam * H) ** 2 * q[2]
+    grad = 0.5 * q[0] / np.sqrt(lam) - H / (1.0 + lam * H) ** 2 * q[1]
+    return grad + q[2] if right_bar is not None else grad

@@ -66,11 +66,13 @@ def sym_eig(M: np.ndarray) -> EigenPair:
     return EigenPair(U=V, H=np.clip(w, 0.0, None))
 
 
-def eig_roots_kernels(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def eig_roots_kernels(H: np.ndarray,
+                      live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Daleckii-Krein kernels (F_root, F_proj) of the square root U diag(sqrt
-    H) U' and of the projector on the live directions, H > PINV_SQRT_RTOL
-    max(H), at the spectrum H; a stack (..., d) of spectra gives kernels
-    (..., d, d), each spectrum with its own cutoff.
+    H) U' and of the projector on the directions where the mask `live` is
+    set (those above the pseudo-inverse cutoff, `channel.sigma_steps`), at
+    the spectrum H; a stack (..., d) of spectra and masks gives kernels
+    (..., d, d).
 
     A spectral function f has Frechet derivative U (F o U' dM U) U' with
     F_ij the divided difference (f(h_i) - f(h_j)) / (h_i - h_j), f'(h_i)
@@ -81,7 +83,6 @@ def eig_roots_kernels(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     |h_i - h_j| between a live and a truncated direction and 0 elsewhere.
     """
     s = np.sqrt(H)
-    live = H > PINV_SQRT_RTOL * H.max(axis=-1, keepdims=True, initial=0.0)
     ssum = s[..., :, None] + s[..., None, :]
     F_root = np.divide(1.0, ssum, out=np.zeros_like(ssum), where=ssum > 0.0)
     cross = live[..., :, None] != live[..., None, :]

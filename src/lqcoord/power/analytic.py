@@ -24,13 +24,17 @@ and Gamma_t = F + Gamma_{t+1} - D_t' R_t D_t.
 takes the last sum as one stacked trace sum_t Tr(M_t' R_t M_t) with M_t =
 Delta_t Sigma_t^(1/2) = I~ left_t P_t - D_t Sigma_t^(1/2), since enc_t
 Sigma_t^(1/2) = left_t P_t (P_t the projector on Sigma_t's live
-directions, `channel`): it forms no encoder and no Sigma_t^(-1/2).
+directions, `channel`): it forms no encoder, and Sigma_t^(-1/2) enters
+only through the Sigma loop's own maps.
 
 `TailCostEvaluator.gradient` runs the reverse recursion of that sum on the
-d0 x d0 costate Sbar_t = dJ/dSigma_t (Sbar_n = 0). Sigma_t reaches the
-cost through its root Sig12_t, in Sigma_{t+1} = Sig12_t K_t Sig12_t and
-in M_t, and through P_t on a step with truncated directions. With M_bar
-= 2 R_t M_t the gradients of the root and the projector are
+d0 x d0 costate Sbar_t = dJ/dSigma_t (Sbar_n = 0), through the root form
+of the channel map, Sigma_{t+1} = Sig12_t K_t Sig12_t with K_t = V_t on a
+step without truncated directions and V_t P_t V_t + right_t W right_t'
+on one with (`channel`). Sigma_t reaches the cost through its root
+Sig12_t, in that map and in M_t, and through P_t on a step with
+truncated directions. With M_bar = 2 R_t M_t the gradients of the root
+and the projector are
 
     Sig12_bar = 2 K_t Sig12_t Sbar_{t+1} - D_t' M_bar,
     P_bar = V_t Sig12_t Sbar_{t+1} Sig12_t V_t + left_t' I~' M_bar,
@@ -39,14 +43,16 @@ and Sbar_t = sym(U [F_root o (U' Sig12_bar U) + F_proj o (U' P_bar U)]
 U'), with (U, H) Sigma_t's eigenpair and (F_root, F_proj) the
 Daleckii-Krein kernels of the root and the projector
 (`linalg.eig_roots_kernels`); F_proj is 0 on a step without truncated
-directions, so only those steps take its term. The loop carries Ssym_t
-= U_t' Sbar_t U_t, in which a step is two products with Ssym_{t+1}, a
-Hadamard product and a symmetrisation; the parts without the costate
-are batched before it. After the loop K_bar_t = Sig12_t Sbar_{t+1}
-Sig12_t gives the gradients of the power half's factors, V_bar = sym(2
-K_bar V P), right_bar = 2 K_bar right W and left_bar = I~' M_bar P, and
-`channel.power_factors_adjoint` takes them to Lambda for all steps at
-once.
+directions, so only those steps take its terms. The recursion carries
+Ssym_t = U_t' Sbar_t U_t, in which a step is linear: vec Ssym_t = T_t vec
+Ssym_{t+1} + c_t, with T_t (d0^2 x d0^2) and c_t, the part without the
+costate, built for all steps before the loop, which is one
+matrix-vector product and one sum per step. After the loop K_bar_t =
+Sig12_t Sbar_{t+1} Sig12_t gives the gradients of the power half's
+factors: V_bar = K_bar on a step without truncated directions, and
+V_bar = sym(2 K_bar V P) and right_bar = 2 K_bar right W on one with;
+left_bar = I~' M_bar P. `channel.power_factors_adjoint` takes them to
+Lambda for all steps at once.
 """
 
 from __future__ import annotations
@@ -117,41 +123,57 @@ class TailCostEvaluator:
         U, Sig12 = sigma.U, sigma.Sig12
         UT = U.swapaxes(1, 2)
         M_bar = 2.0 * RM
-        F_root, F_proj = eig_roots_kernels(sigma.H)
+        F_root, F_proj = eig_roots_kernels(sigma.H, sigma.live)
         # Z_t is half the bracket of Sbar_t = sym(U_t [.] U_t'), so Sbar_t =
-        # U_t (Z_t + Z_t') U_t'; Z_stage is its part without the costate
-        Z_stage = 0.5 * (F_proj * (UT @ power.left.swapaxes(1, 2) @ M_bar[:, :d1] @ U)
-                         - F_root * (UT @ self.D.swapaxes(1, 2) @ M_bar @ U))
-        # with Sbar_{t+1} in step t+1's eigenbasis, U_t' (2 K Sig12 Sbar_{t+1})
-        # U_t = A_t Ssym_{t+1} B_t and U_t' V Sig12 Sbar_{t+1} Sig12 V U_t =
-        # N_t Ssym_{t+1} N_t'
-        A = 2.0 * UT[:-1] @ sigma.K[:-1] @ Sig12[:-1] @ U[1:]
+        # U_t (Z_t + Z_t') U_t'; Z_stage is its part without the costate,
+        # whose projector term lives on the truncated steps alone
+        Z_stage = -0.5 * F_root * (UT @ self.D.swapaxes(1, 2) @ M_bar @ U)
+        t = sigma.truncated
+        Z_stage[t] += 0.5 * F_proj[t] * (UT[t] @ power.left[t].swapaxes(1, 2)
+                                         @ M_bar[t, :d1] @ U[t])
+        # with Sbar_{t+1} in step t+1's eigenbasis, half of U_t' (2 K Sig12
+        # Sbar_{t+1}) U_t is A_t Ssym_{t+1} B_t and, on a truncated step, U_t'
+        # V Sig12 Sbar_{t+1} Sig12 V U_t = N_t Ssym_{t+1} N_t'
+        A = UT[:-1] @ sigma.K[:-1] @ Sig12[:-1] @ U[1:]
         B = UT[1:] @ U[:-1]
-        N = UT[:-1] @ power.V[:-1] @ Sig12[:-1] @ U[1:]
-        F_half, P_half = 0.5 * F_root, 0.5 * F_proj
-        truncated = ~sigma.live.all(axis=1)
-        Ssym = np.empty((n, d0, d0))     # Ssym_t = U_t' Sbar_t U_t
-        np.add(Z_stage[-1], Z_stage[-1].T, out=Ssym[-1])   # Sbar_n = 0
-        steps = zip(range(n - 2, -1, -1), Ssym[-2::-1], Ssym[:0:-1], A[::-1],
-                    B[::-1], F_half[-2::-1], Z_stage[-2::-1])
+        t = t[t < n - 1]
+        N = UT[t] @ power.V[t] @ Sig12[t] @ U[t + 1]
+        # so the step is linear, vec Ssym_t = T_t vec Ssym_{t+1} + vec(Z_stage_t
+        # + Z_stage_t'), with T_t = (I + Pi) [diag(vec F_root) (A_t x B_t') +
+        # diag(vec F_proj / 2) (N_t x N_t)], x the Kronecker product and Pi
+        # the swap of entries (i, j) and (j, i)
+        d2 = d0 * d0
+        Ssym = np.empty((n, d2))         # vec Ssym_t, Ssym_t = U_t' Sbar_t U_t
+        c = (Z_stage + Z_stage.swapaxes(1, 2)).reshape(n, d2)
+        Ssym[-1] = c[-1]                 # Sbar_n = 0
         # an overflow is reported below, naming its step, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            for t, S_t, S_next, A_t, B_t, F_t, Z_t in steps:
-                Z = A_t.dot(S_next).dot(B_t)
-                Z *= F_t
-                Z += Z_t
-                if truncated[t]:
-                    Z += P_half[t] * N[t].dot(S_next).dot(N[t].T)
-                np.add(Z, Z.T, out=S_t)
+            T = (np.einsum("tik,tlj->tijkl", A, B).reshape(n - 1, d2, d2)
+                 * F_root[:-1].reshape(n - 1, d2, 1))
+            T[t] += (np.einsum("tik,tjl->tijkl", N, N).reshape(-1, d2, d2)
+                     * (0.5 * F_proj[t]).reshape(-1, d2, 1))
+            T += T[:, np.arange(d2).reshape(d0, d0).T.ravel()]
+            for T_t, S_t, S_next, c_t in zip(T[::-1], Ssym[-2::-1], Ssym[:0:-1],
+                                             c[-2::-1]):
+                np.add(T_t.dot(S_next), c_t, out=S_t)
+            Ssym = Ssym.reshape(n, d0, d0)
             # K_bar_t = Sig12_t Sbar_{t+1} Sig12_t, with Sbar_n = 0
             RU = Sig12[:-1] @ U[1:]
             K_bar = np.zeros((n, d0, d0))
             K_bar[:-1] = RU @ Ssym[1:] @ RU.swapaxes(1, 2)
-            V_bar = sigma.project(K_bar @ power.V)
-            grad = power_factors_adjoint(
-                self.setup, power, sigma.project(M_bar[:, :d1]),
-                2.0 * K_bar @ power.right @ self.model.W,
-                V_bar + V_bar.swapaxes(1, 2))
+            # K = V on a step without truncated directions, and V P V +
+            # right W right' on one with
+            V_bar, right_bar = K_bar, None
+            t = sigma.truncated
+            if t.size:
+                KVP = K_bar[t] @ power.V[t] @ sigma.P
+                V_bar = K_bar.copy()
+                V_bar[t] = KVP + KVP.swapaxes(1, 2)
+                right_bar = np.zeros_like(K_bar)
+                right_bar[t] = 2.0 * K_bar[t] @ power.right[t] @ self.model.W
+            grad = power_factors_adjoint(self.setup, power,
+                                         sigma.project(M_bar[:, :d1]), V_bar,
+                                         right_bar)
         bad = ~np.isfinite(grad).all(axis=1)
         if bad.any():   # the reverse pass runs from step n-1 down
             t = n - 1 - int(bad[::-1].argmax())

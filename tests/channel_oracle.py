@@ -16,10 +16,9 @@ E' + dec W dec' with one `eig_roots` call, the negative-eigenvalue check
 and the eigenpair stores inside the loop, and `sigma_step_adjoint` the
 per-step reverse pass that went with it, through the roots' kernels
 `inv_root_kernels` (the truncated inverse root's included), as references
-for the package's root-form loop and its reverse pass;
+for the package's loop and its root-form reverse pass;
 `joseph_step_adjoint` and `root_step_adjoint` pull one step back both
-ways. `mp_sigma_steps` evaluates the Sigma recursion to 50 digits.
-`eigh_desc` (eigh, eigenvalues descending) and `eig_roots` (square root
+ways. `eigh_desc` (eigh, eigenvalues descending) and `eig_roots` (square root
 and truncated inverse square root of an eigenpair) were package helpers
 until they were folded into their callers; that loop and the tests of the
 Sigma pass use them here, as do `S_of`, `S_sqrt_of` and `psi`, once
@@ -39,7 +38,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 import scipy.linalg
 
@@ -364,33 +362,6 @@ def reference_sigma_steps(power, Sigma0, W) -> ReferencePass:
                          enc=power.left @ Sig12inv, dec=dec, E=E)
 
 
-def mp_sigma_steps(power, Sigma0, W, steps: int, dps: int = 50) -> np.ndarray:
-    """Sigma_0..Sigma_steps of Sigma_{t+1} = Sigma_t^(1/2) (V_t V_t + right_t
-    W right_t') Sigma_t^(1/2), evaluated with mpmath to `dps` digits from
-    the float64 power factors, W and Sigma0 taken as exact.
-
-    This is the covariance the step maps produce while no direction of
-    Sigma_t is truncated (P_t = I), rounded to float64 at each step only
-    for the return value.
-    """
-    def mat(X):
-        return mpmath.matrix(np.asarray(X).tolist())
-
-    with mpmath.workdps(dps):
-        S, Wm = mat(Sigma0), mat(W)
-        S = (S + S.T) / 2
-        out = [np.array(S.tolist(), dtype=float)]
-        for t in range(steps):
-            V, right = mat(power.V[t]), mat(power.right[t])
-            K = V * V + right * Wm * right.T
-            w, Q = mpmath.eigsy(S)
-            R = Q * mpmath.diag([mpmath.sqrt(max(x, 0)) for x in w]) * Q.T
-            S = R * K * R
-            S = (S + S.T) / 2
-            out.append(np.array(S.tolist(), dtype=float))
-    return np.array(out)
-
-
 def inv_root_kernels(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Daleckii-Krein kernels (F_root, F_inv) of the square root and the
     truncated inverse square root at the spectrum H, as in `eig_roots`.
@@ -463,7 +434,7 @@ def root_step_adjoint(power, Sigma, W, Sbar, A, B):
     package's one-step pass, pulled back by the kernels of R and P."""
     sigma = sigma_steps(power, Sigma, W)
     U, R, K, V = sigma.U[0], sigma.Sig12[0], sigma.K[0], power.V[0]
-    F_root, F_proj = eig_roots_kernels(sigma.H[0])
+    F_root, F_proj = eig_roots_kernels(sigma.H[0], sigma.live[0])
     root_bar = 2.0 * K @ R @ Sbar + B
     proj_bar = V @ R @ Sbar @ R @ V + power.left[0].T @ A
     X = F_root * (U.T @ root_bar @ U) + F_proj * (U.T @ proj_bar @ U)
@@ -474,9 +445,12 @@ def root_step_adjoint(power, Sigma, W, Sbar, A, B):
 
 @dataclass(frozen=True)
 class OneStep:
-    """Sigma_0, Sigma_1 and the maps of a one-step schedule, stacked."""
+    """Sigma_0, Sigma_1, the roots of Sigma_0 and the maps of a one-step
+    schedule, stacked."""
 
     Sigma: np.ndarray
+    Sig12: np.ndarray
+    Sig12inv: np.ndarray
     enc: np.ndarray
     dec: np.ndarray
     E: np.ndarray
@@ -488,7 +462,7 @@ def one_step(setup, Sigma, lam, k=0) -> OneStep:
     Sigma_{t+1} is Sigma[1]."""
     power = power_factors(setup, np.asarray(lam, dtype=float)[None], [k])
     sigma = sigma_steps(power, Sigma, setup.W)
-    return OneStep(sigma.Sigma, *step_maps(power, sigma))
+    return OneStep(sigma.Sigma, sigma.Sig12, sigma.Sig12inv, *step_maps(power, sigma))
 
 
 def one_step_adjoint(setup, Sigma, lam, k, enc_bar, dec_bar, E_bar):
@@ -499,6 +473,6 @@ def one_step_adjoint(setup, Sigma, lam, k, enc_bar, dec_bar, E_bar):
     Sigma_bar = sigma_step_adjoint(power, ref, 0, enc_bar, dec_bar, E_bar)
     Sig12, Sig12inv = ref.Sig12[0], ref.Sig12inv[0]
     lam_bar = power_factors_adjoint(setup, power, (enc_bar @ Sig12inv)[None],
-                                    (Sig12 @ dec_bar)[None],
-                                    (Sig12 @ E_bar @ Sig12inv)[None])
+                                    (Sig12 @ E_bar @ Sig12inv)[None],
+                                    (Sig12 @ dec_bar)[None])
     return lam_bar[0], Sigma_bar

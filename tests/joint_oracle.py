@@ -14,7 +14,8 @@ map. P_0 follows from z_0 = x_0 - x_*, e_0 = x_* with x_0 independent of
 x_*. Two routes fill in the maps:
 
 - `table_forward` reads every map from any policy's operator table
-  (`StepOps`, baselines included);
+  (`StepOps`, baselines included), and `mp_table_cost` prices that
+  propagation to 30 digits;
 - `forward` builds each step's channel maps from the Sigma block of P_t
   as a one-step schedule (`channel_oracle.one_step`), and `gradient` runs
   the matching one-step reverse pass (`channel_oracle.one_step_adjoint`)
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from channel_oracle import one_step, one_step_adjoint
@@ -107,8 +109,8 @@ def forward(Lambda, gains, setup, model, block_order=None) -> list[JointStep]:
     return steps
 
 
-def table_forward(ops, model) -> list[JointStep]:
-    """The steps of any policy's operator table `ops`.
+def table_maps(ops, model, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The joint maps (T, Nrho, Mu) of step t of any policy's operator table.
 
     u = -K z + (I~ enc - D^) e + (D* + D^ - K) x_*, so z_{t+1} = Abar z +
     (B1 enc - B D^) e + (Abar + B (D* + D^) - I) x_* + w, and e_{t+1} = E
@@ -116,15 +118,20 @@ def table_forward(ops, model) -> list[JointStep]:
     """
     d0 = model.d0
     Z0, I = np.zeros((d0, d0)), np.eye(d0)
+    enc, dec, Abar = ops.enc[t], ops.dec[t], ops.Abar[t]
+    offset = ops.D_star[t] + ops.D_hat[t]
+    T = np.block([[Abar, model.B1 @ enc - ops.BD[t], Abar + model.B @ offset - I],
+                  [Z0, ops.E[t], Z0], [Z0, Z0, I]])
+    Mu = np.hstack([-ops.K[t], model.leader_embed @ enc - ops.D_hat[t],
+                    offset - ops.K[t]])
+    return T, np.vstack([I, -dec, Z0]), Mu
+
+
+def table_forward(ops, model) -> list[JointStep]:
+    """The steps of any policy's operator table `ops` (`table_maps`)."""
     P, steps = initial_joint(model), []
     for t in range(model.n):
-        enc, dec, Abar = ops.enc[t], ops.dec[t], ops.Abar[t]
-        offset = ops.D_star[t] + ops.D_hat[t]
-        T = np.block([[Abar, model.B1 @ enc - ops.BD[t], Abar + model.B @ offset - I],
-                      [Z0, ops.E[t], Z0], [Z0, Z0, I]])
-        Mu = np.hstack([-ops.K[t], model.leader_embed @ enc - ops.D_hat[t],
-                        offset - ops.K[t]])
-        steps.append(advance(P, T, np.vstack([I, -dec, Z0]), Mu, model))
+        steps.append(advance(P, *table_maps(ops, model, t), model))
         P = steps[-1].joint
     return steps
 
@@ -143,6 +150,27 @@ def total_cost(steps, model) -> float:
 def table_cost(ops, model) -> float:
     """Exact expected cost of any policy's operator table."""
     return total_cost(table_forward(ops, model), model)
+
+
+def mp_table_cost(ops, model, dps: int = 30) -> float:
+    """`table_cost` evaluated with mpmath to `dps` digits, the table's
+    float64 maps and the model taken as exact: the price of the table free
+    of the roundoff a float64 propagation through its maps adds."""
+    def mat(X):
+        return mpmath.matrix(np.asarray(X).tolist())
+
+    def trace(X):
+        return mpmath.fsum(X[i, i] for i in range(X.rows))
+
+    d0 = model.d0
+    with mpmath.workdps(dps):
+        F, G, W = mat(model.F), mat(model.G), mat(model.W)
+        P, cost = mat(initial_joint(model)), mpmath.mpf(0)
+        for t in range(model.n):
+            T, Nrho, Mu = (mat(X) for X in table_maps(ops, model, t))
+            cost += trace(F * P[:d0, :d0]) + trace(G * Mu * P * Mu.T)
+            P = T * P * T.T + Nrho * W * Nrho.T
+        return float(cost + trace(mat(model.Fn) * P[:d0, :d0]))
 
 
 def gradient(steps, Lambda, setup, model) -> np.ndarray:

@@ -286,7 +286,7 @@ def test_projector_kernel_matches_central_differences(H):
 
     h = 1e-7    # the 1e-3 gap puts the O(h^2) term at ~1e-6 relative for 1e-6
     fd = (f(M + h * dM) - f(M - h * dM)) / (2 * h)
-    F_proj = linalg.eig_roots_kernels(H)[1]
+    F_proj = linalg.eig_roots_kernels(H, H > linalg.PINV_SQRT_RTOL * H.max())[1]
     grad = linalg.sym_part(U @ (F_proj * (U.T @ G @ U)) @ U.T)
     assert np.sum(grad * dM) == pytest.approx(fd, rel=1e-6)
 
@@ -295,8 +295,9 @@ def test_eig_roots_kernels_of_a_stack_are_the_kernels_of_each_spectrum():
     # the exact-cost engine builds the kernels of all steps in one call
     H = np.array([[4.0, 1.0, 0.25], [3.0, 3.0, 0.5], [1.0, 1e-3, 0.0],
                   [2.0, 1e-20, 0.0]])
-    F_root, F_proj = linalg.eig_roots_kernels(H)
+    live = H > linalg.PINV_SQRT_RTOL * H[:, :1]
+    F_root, F_proj = linalg.eig_roots_kernels(H, live)
     for t, spectrum in enumerate(H):
-        f_root, f_proj = linalg.eig_roots_kernels(spectrum)
+        f_root, f_proj = linalg.eig_roots_kernels(spectrum, live[t])
         np.testing.assert_array_equal(F_root[t], f_root)
         np.testing.assert_array_equal(F_proj[t], f_proj)
