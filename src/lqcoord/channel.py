@@ -292,30 +292,37 @@ def sigma_steps(power: PowerFactors, Sigma0: np.ndarray,
     Sigma = np.empty((n + 1, d0, d0))
     Sigma[0] = check_symmetric(Sigma0, name="Sigma0")
     w, H = np.empty((2, n, d0))
-    nlive = []                               # live directions of each Sigma_t
     root_values = np.zeros((n, 2, d0))       # sqrt(H) and the truncated H^(-1/2)
     U, dec, E = np.empty((3, n, d0, d0))
     roots = np.empty((n, 2, d0, d0))         # Sig12, Sig12inv
-    SV = np.empty((d0, d0))
-    steps = zip(Sigma, Sigma[1:], w, H, U, root_values, roots, dec, E,
-                power.V, power.right)
-    for S_t, S_next, w_t, h, U_t, rv, root, dec_t, E_t, V_t, right_t in steps:
+    # per-step scratch: U scaled by both root values, their products with
+    # U', Sig12 V, and the four products of the update
+    scaled, raw = np.empty((2, 2, d0, d0))
+    scaled_rows, raw_rows = scaled.reshape(2 * d0, d0), raw.reshape(2 * d0, d0)
+    raw_T = raw.transpose(0, 2, 1)
+    SV, ES, ESE, DW, DWD, S = np.empty((6, d0, d0))
+    steps = zip(Sigma, Sigma[1:], w, H, U, root_values, root_values[:, :, None],
+                roots, dec, E, power.V, power.right)
+    for S_t, S_next, w_t, h, U_t, rv, rv_col, root, dec_t, E_t, V_t, right_t in steps:
         w_t[...], eigvecs = np.linalg.eigh(S_t)   # ascending; S_t is symmetric
         U_t[...] = eigvecs[:, ::-1]
         np.maximum(w_t[::-1], 0.0, out=h)
         np.sqrt(h, out=rv[0])
         # the live directions, h > cutoff * max h, lead the descending h
         live = d0 - w_t.searchsorted(PINV_SQRT_RTOL * h[0], "right")
-        nlive.append(live)
         np.power(h[:live], -0.5, out=rv[1, :live])
-        raw = (U_t * rv[:, None, :]).reshape(2 * d0, d0).dot(U_t.T)
-        raw = raw.reshape(2, d0, d0)
-        np.add(raw, raw.transpose(0, 2, 1).copy(), out=root)
+        np.multiply(U_t, rv_col, out=scaled)
+        scaled_rows.dot(U_t.T, out=raw_rows)
+        np.add(raw, raw_T.copy(), out=root)
         np.multiply(root, 0.5, out=root)
         root[0].dot(V_t, out=SV)
         root[0].dot(right_t, out=dec_t)
         SV.dot(root[1], out=E_t)
-        S = E_t.dot(S_t).dot(E_t.T) + dec_t.dot(W).dot(dec_t.T)
+        E_t.dot(S_t, out=ES)
+        ES.dot(E_t.T, out=ESE)
+        dec_t.dot(W, out=DW)
+        DW.dot(dec_t.T, out=DWD)
+        np.add(ESE, DWD, out=S)
         np.add(S, S.T.copy(), out=S_next)
         np.multiply(S_next, 0.5, out=S_next)
     low = w[:, 0] < -EIG_CLAMP * np.maximum(1.0, np.abs(w).max(axis=1))
@@ -330,9 +337,9 @@ def sigma_steps(power: PowerFactors, Sigma0: np.ndarray,
         raise SigmaTraceGrowth(f"Tr Sigma grows at step {t}: {trace[t]:.6e} -> "
                                f"{trace[t + 1]:.6e}, more than the roundoff "
                                f"allowance {TRACE_RTOL:g} relative")
-    # K = V P V + right W right', which is V where no direction is truncated
-    live = np.arange(d0) < np.array(nlive)[:, None]
+    live = root_values[:, 1] > 0.0      # the directions given an inverse root
     t = np.flatnonzero(~live[:, -1])
+    # K = V P V + right W right', which is V where no direction is truncated
     K = power.V
     if t.size:
         VU = power.V[t] @ (U[t] * live[t, None, :])
