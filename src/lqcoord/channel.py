@@ -38,8 +38,9 @@ as the root form
     Sigma_{t+1} = R K_t R,   K_t = V P V + right W right',
 
 and K_t = V on a step without truncated directions, since V V + right W
-right' = V (`PowerFactors`). Hence Tr Sigma_{t+1} <= Tr Sigma_t, as K_t
-<= V <= I. Likewise enc Sigma^(1/2) = left P, which is all the exact-cost
+right' = V (`PowerFactors`; in exact arithmetic, while the float64 factors
+keep it to about eps cond(Wv)). Hence Tr Sigma_{t+1} <= Tr Sigma_t, as
+K_t <= V <= I. Likewise enc Sigma^(1/2) = left P, which is all the exact-cost
 engine reads of the encoder, and the root form, free of E, is the map its
 reverse pass differentiates (`power.analytic`).
 
@@ -246,8 +247,8 @@ class SigmaPass:
     Sigma holds Sigma_0..Sigma_n (n + 1, d0, d0); every other field is
     over steps 0..n-1: Sigma_t's clipped eigenpair U, H (descending), its
     root Sig12 and truncated inverse root Sig12inv, the mask `live` of its
-    directions above the pseudo-inverse cutoff (n, d0), the maps dec and E
-    of the step and the middle factor K of Sigma_{t+1} = Sig12 K Sig12.
+    directions above the pseudo-inverse cutoff (n, d0) and the maps dec
+    and E of the step.
     """
 
     Sigma: np.ndarray
@@ -259,7 +260,6 @@ class SigmaPass:
     truncated: np.ndarray    # the steps whose Sigma_t has truncated directions
     dec: np.ndarray
     E: np.ndarray
-    K: np.ndarray
 
     @cached_property
     def P(self) -> np.ndarray:
@@ -338,15 +338,9 @@ def sigma_steps(power: PowerFactors, Sigma0: np.ndarray,
                                f"{trace[t + 1]:.6e}, more than the roundoff "
                                f"allowance {TRACE_RTOL:g} relative")
     live = root_values[:, 1] > 0.0      # the directions given an inverse root
-    t = np.flatnonzero(~live[:, -1])
-    # K = V P V + right W right', which is V where no direction is truncated
-    K = power.V
-    if t.size:
-        VU = power.V[t] @ (U[t] * live[t, None, :])
-        K = K.copy()
-        K[t] = VU @ VU.swapaxes(1, 2) + power.right[t] @ W @ power.right[t].swapaxes(1, 2)
     return SigmaPass(Sigma=Sigma, U=U, H=H, Sig12=roots[:, 0], Sig12inv=roots[:, 1],
-                     live=live, truncated=t, dec=dec, E=E, K=K)
+                     live=live, truncated=np.flatnonzero(~live[:, -1]), dec=dec,
+                     E=E)
 
 
 def step_maps(power: PowerFactors,
@@ -357,33 +351,30 @@ def step_maps(power: PowerFactors,
 
 
 def power_factors_adjoint(setup: ChannelSetup, power: PowerFactors,
-                          left_bar: np.ndarray, V_bar: np.ndarray,
-                          right_bar: np.ndarray | None = None) -> np.ndarray:
+                          left_bar: np.ndarray, right_bar: np.ndarray,
+                          V_bar: np.ndarray) -> np.ndarray:
     """Reverse pass of the power half over all steps: dScalar/dLambda, (n, r).
 
-    left_bar, V_bar and right_bar are the gradients of a scalar with
-    respect to the factors left, V and right, stacked over the steps of
-    `power`; right_bar None stands for zero. Lambda_t reaches them through
-    S^(1/2), through S inside (C S C' + Wv)^-1 and through the contraction
-    V. The entries of Lambda must be positive: S^(1/2) has no derivative
-    at 0.
+    left_bar, right_bar and V_bar are the gradients of a scalar with
+    respect to the factors left, right and V, stacked over the steps of
+    `power`. Lambda_t reaches them through S^(1/2), through S inside (C S
+    C' + Wv)^-1 and through the contraction V. The entries of Lambda must
+    be positive: S^(1/2) has no derivative at 0.
     """
     U, H, C = setup.eig.U, setup.eig.H, setup.C
     # left = Q S12 P_k and right = P_k' S12 out with out = C' inv P: only
     # block k's columns of left_bar, rows of right_bar and block of V_bar
     # count
     steps, cols = np.arange(len(power.lam))[:, None], power.cols
-    bars = [setup.Q.T @ left_bar[steps, :, cols].swapaxes(1, 2),
-            V_bar[steps[..., None], cols[..., None], cols[:, None, :]]]
-    if right_bar is not None:
-        rb = right_bar[steps, cols]
-        CI = C.T @ power.inv
-        out = CI @ setup.P
-        bars[0] = bars[0] + out @ rb.swapaxes(1, 2)
-        # through (C S C' + Wv)^-1: -C' inv (C S12 rb P') inv C
-        bars.append(-(CI @ C) @ power.S12 @ rb @ out.swapaxes(1, 2))
-    # u_j' X_t u_j for every column u_j of U, for the gradients at once
-    q = np.einsum("ij,stij->stj", U, np.stack(bars) @ U)
+    rb = right_bar[steps, cols]
+    CI = C.T @ power.inv
+    out = CI @ setup.P
+    S12_bar = (setup.Q.T @ left_bar[steps, :, cols].swapaxes(1, 2)
+               + out @ rb.swapaxes(1, 2))
+    # through (C S C' + Wv)^-1: -C' inv (C S12 rb P') inv C
+    S_bar = -(CI @ C) @ power.S12 @ rb @ out.swapaxes(1, 2)
+    Vb = V_bar[steps[..., None], cols[..., None], cols[:, None, :]]
+    # u_j' X_t u_j for every column u_j of U, for the three gradients at once
+    q = np.einsum("ij,stij->stj", U, np.stack([S12_bar, S_bar, Vb]) @ U)
     lam = power.lam
-    grad = 0.5 * q[0] / np.sqrt(lam) - H / (1.0 + lam * H) ** 2 * q[1]
-    return grad + q[2] if right_bar is not None else grad
+    return 0.5 * q[0] / np.sqrt(lam) + q[1] - H / (1.0 + lam * H) ** 2 * q[2]

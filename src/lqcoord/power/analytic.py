@@ -29,11 +29,10 @@ only through the Sigma loop's own maps.
 
 `TailCostEvaluator.gradient` runs the reverse recursion of that sum on the
 d0 x d0 costate Sbar_t = dJ/dSigma_t (Sbar_n = 0), through the root form
-of the channel map, Sigma_{t+1} = Sig12_t K_t Sig12_t with K_t = V_t on a
-step without truncated directions and V_t P_t V_t + right_t W right_t'
-on one with (`channel`). Sigma_t reaches the cost through its root
-Sig12_t, in that map and in M_t, and through P_t on a step with
-truncated directions. With M_bar = 2 R_t M_t the gradients of the root
+of the channel map, Sigma_{t+1} = Sig12_t K_t Sig12_t with K_t = V_t P_t
+V_t + right_t W right_t' (`channel`; P_t = I on a step without truncated
+directions). Sigma_t reaches the cost through its root Sig12_t, in that
+map and in M_t, and through P_t on a step with truncated directions. With M_bar = 2 R_t M_t the gradients of the root
 and the projector are
 
     Sig12_bar = 2 K_t Sig12_t Sbar_{t+1} - D_t' M_bar,
@@ -49,10 +48,12 @@ Ssym_{t+1} + c_t, with T_t (d0^2 x d0^2) and c_t, the part without the
 costate, built for all steps before the loop, which is one
 matrix-vector product and one sum per step. After the loop K_bar_t =
 Sig12_t Sbar_{t+1} Sig12_t gives the gradients of the power half's
-factors: V_bar = K_bar on a step without truncated directions, and
-V_bar = sym(2 K_bar V P) and right_bar = 2 K_bar right W on one with;
-left_bar = I~' M_bar P. `channel.power_factors_adjoint` takes them to
-Lambda for all steps at once.
+factors, V_bar = sym(2 K_bar V P), right_bar = 2 K_bar right W and
+left_bar = I~' M_bar P, and `channel.power_factors_adjoint` takes them to
+Lambda for all steps at once. K_t is formed as the Joseph update forms it,
+not as V_t: the float64 factors keep V V + right W right' = V only to
+about eps cond(Wv) (4e-8 at cond W = 2e8), and the gradient must be that
+of the cost as computed.
 """
 
 from __future__ import annotations
@@ -131,10 +132,14 @@ class TailCostEvaluator:
         t = sigma.truncated
         Z_stage[t] += 0.5 * F_proj[t] * (UT[t] @ power.left[t].swapaxes(1, 2)
                                          @ M_bar[t, :d1] @ U[t])
-        # with Sbar_{t+1} in step t+1's eigenbasis, half of U_t' (2 K Sig12
-        # Sbar_{t+1}) U_t is A_t Ssym_{t+1} B_t and, on a truncated step, U_t'
-        # V Sig12 Sbar_{t+1} Sig12 V U_t = N_t Ssym_{t+1} N_t'
-        A = UT[:-1] @ sigma.K[:-1] @ Sig12[:-1] @ U[1:]
+        # K = V P V + right W right'; with Sbar_{t+1} in step t+1's
+        # eigenbasis, half of U_t' (2 K Sig12 Sbar_{t+1}) U_t is A_t Ssym_{t+1}
+        # B_t and, on a truncated step, U_t' V Sig12 Sbar_{t+1} Sig12 V U_t =
+        # N_t Ssym_{t+1} N_t'
+        right = power.right[:-1]
+        K = (sigma.project(power.V)[:-1] @ power.V[:-1]
+             + right @ self.model.W @ right.swapaxes(1, 2))
+        A = UT[:-1] @ K @ Sig12[:-1] @ U[1:]
         B = UT[1:] @ U[:-1]
         t = t[t < n - 1]
         N = UT[t] @ power.V[t] @ Sig12[t] @ U[t + 1]
@@ -161,19 +166,12 @@ class TailCostEvaluator:
             RU = Sig12[:-1] @ U[1:]
             K_bar = np.zeros((n, d0, d0))
             K_bar[:-1] = RU @ Ssym[1:] @ RU.swapaxes(1, 2)
-            # K = V on a step without truncated directions, and V P V +
-            # right W right' on one with
-            V_bar, right_bar = K_bar, None
-            t = sigma.truncated
-            if t.size:
-                KVP = K_bar[t] @ power.V[t] @ sigma.P
-                V_bar = K_bar.copy()
-                V_bar[t] = KVP + KVP.swapaxes(1, 2)
-                right_bar = np.zeros_like(K_bar)
-                right_bar[t] = 2.0 * K_bar[t] @ power.right[t] @ self.model.W
-            grad = power_factors_adjoint(self.setup, power,
-                                         sigma.project(M_bar[:, :d1]), V_bar,
-                                         right_bar)
+            # K = V P V + right W right'
+            V_bar = sigma.project(K_bar @ power.V)
+            grad = power_factors_adjoint(
+                self.setup, power, sigma.project(M_bar[:, :d1]),
+                2.0 * K_bar @ power.right @ self.model.W,
+                V_bar + V_bar.swapaxes(1, 2))
         bad = ~np.isfinite(grad).all(axis=1)
         if bad.any():   # the reverse pass runs from step n-1 down
             t = n - 1 - int(bad[::-1].argmax())

@@ -433,7 +433,9 @@ def root_step_adjoint(power, Sigma, W, Sbar, A, B):
     Sigma's live directions and K = V P V + right W right' from the
     package's one-step pass, pulled back by the kernels of R and P."""
     sigma = sigma_steps(power, Sigma, W)
-    U, R, K, V = sigma.U[0], sigma.Sig12[0], sigma.K[0], power.V[0]
+    U, R, V, right = sigma.U[0], sigma.Sig12[0], power.V[0], power.right[0]
+    P = (U * sigma.live[0]) @ U.T
+    K = V @ P @ V + right @ W @ right.T
     F_root, F_proj = eig_roots_kernels(sigma.H[0], sigma.live[0])
     root_bar = 2.0 * K @ R @ Sbar + B
     proj_bar = V @ R @ Sbar @ R @ V + power.left[0].T @ A
@@ -473,6 +475,6 @@ def one_step_adjoint(setup, Sigma, lam, k, enc_bar, dec_bar, E_bar):
     Sigma_bar = sigma_step_adjoint(power, ref, 0, enc_bar, dec_bar, E_bar)
     Sig12, Sig12inv = ref.Sig12[0], ref.Sig12inv[0]
     lam_bar = power_factors_adjoint(setup, power, (enc_bar @ Sig12inv)[None],
-                                    (Sig12 @ E_bar @ Sig12inv)[None],
-                                    (Sig12 @ dec_bar)[None])
+                                    (Sig12 @ dec_bar)[None],
+                                    (Sig12 @ E_bar @ Sig12inv)[None])
     return lam_bar[0], Sigma_bar
