@@ -56,7 +56,7 @@ form so that Sigma_{t+1} is, in floating point too, what the stored maps
 make of Sigma_t: E has norm ~sqrt(cond Sigma_t), so a propagation through
 the maps and any other arithmetic for the same map part by eps * cond
 Sigma_t, up to 1e-9 relative well before the cutoff. The checks
-(negative eigenvalues, a growing trace), the live-direction mask and K
+(negative eigenvalues, a growing trace) and the mask of live directions
 run once over all steps after the loop, and `step_maps` hands the
 rollout table its enc, dec and E. The reverse pass of the power half is
 `power_factors_adjoint`, for all steps; the Sigma half's reverse loop is

@@ -32,8 +32,8 @@ d0 x d0 costate Sbar_t = dJ/dSigma_t (Sbar_n = 0), through the root form
 of the channel map, Sigma_{t+1} = Sig12_t K_t Sig12_t with K_t = V_t P_t
 V_t + right_t W right_t' (`channel`; P_t = I on a step without truncated
 directions). Sigma_t reaches the cost through its root Sig12_t, in that
-map and in M_t, and through P_t on a step with truncated directions. With M_bar = 2 R_t M_t the gradients of the root
-and the projector are
+map and in M_t, and through P_t on a step with truncated directions.
+With M_bar = 2 R_t M_t the gradients of the root and the projector are
 
     Sig12_bar = 2 K_t Sig12_t Sbar_{t+1} - D_t' M_bar,
     P_bar = V_t Sig12_t Sbar_{t+1} Sig12_t V_t + left_t' I~' M_bar,

@@ -485,4 +485,5 @@ def test_exact_cost_past_the_cutoff_matches_the_tables_30_digit_price(case):
                                pol.block_order)
     price = joint_oracle.mp_table_cost(pol.step_ops, pol.model)
     cond = max(oracle.live_cond(S) for S in Sigma)
-    assert abs(cost - price) <= oracle.roundoff_tol(cond, 1e-12) * abs(price), (cost, price)
+    tol = oracle.roundoff_tol(cond, 1e-12)
+    assert abs(cost - price) <= tol * abs(price), (cost, price)
