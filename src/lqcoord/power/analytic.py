@@ -52,7 +52,7 @@ factors, V_bar = sym(2 K_bar V P), right_bar = 2 K_bar right W and
 left_bar = I~' M_bar P, and `channel.power_factors_adjoint` takes them to
 Lambda for all steps at once. K_t is formed as the Joseph update forms it,
 not as V_t: the float64 factors keep V V + right W right' = V only to
-about eps cond(Wv) (4e-8 at cond W = 2e8), and the gradient must be that
+about eps cond(Wv) (5e-8 at cond W = 2e8), and the gradient must be that
 of the cost as computed.
 """
 
